@@ -22,7 +22,6 @@ from .federation import (
     rabo_round,
     run,
     stationarity,
-    tally_costs,
 )
 from .hypergrad import (
     EXACT_AID,
@@ -56,7 +55,6 @@ from .problems import (
     inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    problem_from_config,
     problem_to_config,
     true_hypergradient_oracle,
 )

@@ -71,8 +71,7 @@ RUN_DEFAULTS = {
     "download_mode": "masked", "theory_guard": False,
     "batch_size_f": 0, "batch_size_g": 0, "divergence_factor": 1e6,
     "workers": 1, "log_masks": False, "seed": 0,
-    "manual_x": None, "manual_y": None, "replication_mode": False,
-    "x0": None, "y0": None,
+    "manual_x": None, "manual_y": None, "x0": None, "y0": None,
 }
 SWEEP_DEFAULTS = {
     "seeds": None, "estimators": None, "capacities": None,
@@ -319,6 +318,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
 
     result = SweepResult(config=cfg, out_dir=out)
     n = cfg.problem["n"]
+    vary_problem_seed = cfg.sweep["vary_problem_seed"]
+    shared_problem = None if vary_problem_seed else build_problem(cfg.problem)
     write_csv = "csv" in cfg.output["formats"]
     table_entries = cfg.sweep["manual_tables"] or [None]
     for estimator in cfg.sweep["estimators"]:
@@ -329,8 +330,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
                     else f"{cap_label}__tbl{tbl_index}"
                 for seed in cfg.sweep["seeds"]:
                     key = f"est_{estimator}__{group}__seed_{seed}"
-                    problem_seed = seed if cfg.sweep["vary_problem_seed"] else None
-                    problem = build_problem(cfg.problem, problem_seed)
+                    problem = build_problem(cfg.problem, seed) \
+                        if vary_problem_seed else shared_problem
                     run_config = build_run_config(cfg.run, n, seed, estimator,
                                                   cap_entry, table_entry)
                     variant_dir = out / "variants" / key

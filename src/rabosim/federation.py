@@ -186,38 +186,25 @@ class CostLedger:
                 "g_up": self.g_up, "y_plus_down": self.y_plus_down,
                 "h_up": self.h_up}
 
-
-def tally_costs(reports: list[ClientReport], download_mode: str,
-                d1: int, d2: int) -> dict:
-    """Per-leg byte increments and flop increment for one round."""
-    inc = {"x_down": 0, "y_down": 0, "g_up": 0, "y_plus_down": 0, "h_up": 0,
-           "flops": {}}
-    for rep in reports:
-        ax = rep.mask_x.active_count
-        ay = rep.mask_y.active_count
-        if download_mode == "masked":
-            inc["x_down"] += BYTES_PER_COORD * ax
-            inc["y_down"] += BYTES_PER_COORD * ay
-            inc["y_plus_down"] += BYTES_PER_COORD * ay
-        else:
-            inc["x_down"] += BYTES_PER_COORD * d1
-            inc["y_down"] += BYTES_PER_COORD * d2
-            inc["y_plus_down"] += BYTES_PER_COORD * d2
-        inc["g_up"] += BYTES_PER_COORD * ay
-        inc["h_up"] += BYTES_PER_COORD * ax
-        inc["flops"][rep.client] = rep.compute_flops
-    return inc
-
-
-def _apply_costs(ledger: CostLedger, inc: dict) -> None:
-    ledger.x_down += inc["x_down"]
-    ledger.y_down += inc["y_down"]
-    ledger.g_up += inc["g_up"]
-    ledger.y_plus_down += inc["y_plus_down"]
-    ledger.h_up += inc["h_up"]
-    for client, flops in inc["flops"].items():
-        ledger.flops_per_client[client] = \
-            ledger.flops_per_client.get(client, 0) + flops
+    def add(self, reports: list[ClientReport], download_mode: str,
+            d1: int, d2: int) -> tuple[int, int, int]:
+        """Charge one round; returns its (bytes_up, bytes_down, flops)."""
+        up = down = flops = 0
+        for rep in reports:
+            ax = rep.mask_x.active_count
+            ay = rep.mask_y.active_count
+            dx, dy = (ax, ay) if download_mode == "masked" else (d1, d2)
+            self.x_down += BYTES_PER_COORD * dx
+            self.y_down += BYTES_PER_COORD * dy
+            self.y_plus_down += BYTES_PER_COORD * dy
+            self.g_up += BYTES_PER_COORD * ay
+            self.h_up += BYTES_PER_COORD * ax
+            self.flops_per_client[rep.client] = \
+                self.flops_per_client.get(rep.client, 0) + rep.compute_flops
+            up += BYTES_PER_COORD * (ay + ax)
+            down += BYTES_PER_COORD * (dx + 2 * dy)
+            flops += rep.compute_flops
+        return up, down, flops
 
 
 def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
@@ -230,7 +217,7 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     update as the sum of the masked step gradients, oriented like a
     gradient so the server's ``y - beta * mean(G)`` update replays the
     clients' parameter deltas; its support stays inside the mask.
-    Raises DivergenceDetected when ||y|| exceeds the guard.
+    Raises DivergenceDetected when ||y|| exceeds the guard or is NaN.
     """
     if beta <= 0:
         raise InvalidSpec("beta must be positive")
@@ -239,11 +226,36 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
         batch = batches[t] if batches is not None else None
         grad = apply_mask(problem.grad_g_y(i, x_i, y, batch), mask_y)
         y = y - beta * grad
-        if divergence_guard is not None and np.linalg.norm(y) > divergence_guard:
+        norm = np.linalg.norm(y)
+        if divergence_guard is not None and not norm <= divergence_guard:
+            verdict = "is non-finite" if np.isnan(norm) else \
+                f"exceeded guard {divergence_guard:.3e}"
             raise DivergenceDetected(
-                f"client {i}: ||y|| = {np.linalg.norm(y):.3e} exceeded guard "
-                f"{divergence_guard:.3e} at inner epoch {t} (beta too large?)")
+                f"client {i}: ||y|| = {norm:.3e} {verdict} at inner epoch "
+                f"{t} (beta too large?)")
     return y, (y_i0 - y) / beta
+
+
+def _covering_step(v_q: np.ndarray, pairs, step: float,
+                   level: str) -> np.ndarray:
+    """v_q - step * (per-coordinate mean over covering clients).
+
+    ``pairs`` yields (mask, vector) in ascending client order; the fixed
+    left-to-right summation keeps the result bit-reproducible. Uncovered
+    coordinates are returned untouched.
+    """
+    d = v_q.shape[0]
+    counts = np.zeros(d, dtype=np.int64)
+    total = np.zeros(d)
+    for mask, vec in pairs:
+        if vec.shape[0] != d:
+            raise DimensionMismatch(f"{level} report dimension mismatch")
+        counts += mask.bits
+        total += mask.bits * vec
+    v_next = v_q.copy()
+    covered = counts > 0
+    v_next[covered] = v_q[covered] - step * (total[covered] / counts[covered])
+    return v_next
 
 
 def _sorted_by_client(reports):
@@ -253,37 +265,21 @@ def _sorted_by_client(reports):
 def aggregate_inner(y_q: np.ndarray, reports: list[ClientReport],
                     beta: float) -> np.ndarray:
     """Covering-average inner update; uncovered coordinates untouched."""
-    d2 = y_q.shape[0]
-    counts = np.zeros(d2, dtype=np.int64)
-    total = np.zeros(d2)
-    for rep in _sorted_by_client(reports):
-        if rep.g_delta.shape[0] != d2:
-            raise DimensionMismatch("inner report dimension mismatch")
-        counts += rep.mask_y.bits
-        total += rep.mask_y.bits * rep.g_delta
-    y_next = y_q.copy()
-    covered = counts > 0
-    y_next[covered] = y_q[covered] - beta * (total[covered] / counts[covered])
-    return y_next
+    return _covering_step(
+        y_q, ((rep.mask_y, rep.g_delta) for rep in _sorted_by_client(reports)),
+        beta, "inner")
 
 
 def aggregate_outer(x_q: np.ndarray, reports: list[ClientReport],
                     alpha: float) -> np.ndarray:
     """Covering-average hypergradient step; uncovered coordinates untouched."""
-    d1 = x_q.shape[0]
-    counts = np.zeros(d1, dtype=np.int64)
-    total = np.zeros(d1)
-    for rep in _sorted_by_client(reports):
+    reports = _sorted_by_client(reports)
+    for rep in reports:
         if rep.hypergrad is None:
             raise InvalidSpec(f"client {rep.client} report carries no hypergradient")
-        if rep.hypergrad.value.shape[0] != d1:
-            raise DimensionMismatch("outer report dimension mismatch")
-        counts += rep.mask_x.bits
-        total += rep.mask_x.bits * rep.hypergrad.value
-    x_next = x_q.copy()
-    covered = counts > 0
-    x_next[covered] = x_q[covered] - alpha * (total[covered] / counts[covered])
-    return x_next
+    return _covering_step(
+        x_q, ((rep.mask_x, rep.hypergrad.value) for rep in reports),
+        alpha, "outer")
 
 
 def stationarity(problem, x: np.ndarray) -> float:
@@ -300,6 +296,12 @@ def _client_map(fn, n: int, workers: int):
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
+
+
+def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
+    if not np.isfinite(v).all():
+        raise DivergenceDetected(
+            f"round {q}: aggregated {what} is non-finite ({step} too large?)")
 
 
 def _safe_deviation(v: np.ndarray, mask: Mask) -> float:
@@ -328,8 +330,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
 
     def inner_phase(i: int) -> ClientReport:
         res = cfg.capacities[i]
-        mask_x = generate_mask(state.x, res, cfg.policy, i, q, cfg.seed, "x")
-        mask_y = generate_mask(state.y, res, cfg.policy, i, q, cfg.seed, "y")
+        mask_x = generate_mask(state.x, res, cfg.policy, i, q, "x")
+        mask_y = generate_mask(state.y, res, cfg.policy, i, q, "y")
         x_i = apply_mask(state.x, mask_x)
         y_i0 = apply_mask(state.y, mask_y)
         batches = None
@@ -350,6 +352,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
 
     reports = _client_map(inner_phase, cfg.n, cfg.workers)
     y_next = aggregate_inner(state.y, reports, cfg.beta)
+    _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
     def hyper_phase(i: int) -> HypergradEstimate:
         rep = reports[i]
@@ -372,12 +375,13 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     for rep, est in zip(reports, _client_map(hyper_phase, cfg.n, cfg.workers)):
         rep.hypergrad = est
     x_next = aggregate_outer(state.x, reports, cfg.alpha)
+    _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")
 
     stats_x = coverage([rep.mask_x for rep in reports], problem.d1)
     stats_y = coverage([rep.mask_y for rep in reports], problem.d2)
     tracker.observe(stats_x, stats_y)
-    inc = tally_costs(reports, cfg.download_mode, problem.d1, problem.d2)
-    _apply_costs(ledger, inc)
+    bytes_up, bytes_down, flops = ledger.add(
+        reports, cfg.download_mode, problem.d1, problem.d2)
 
     if problem.has_oracles():
         grad_phi = problem.grad_phi(x_next)
@@ -394,9 +398,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         round_index=q,
         grad_phi_sq=grad_phi_sq, phi=phi, inner_err_sq=inner_err_sq,
         c_star_x_running=tracker.c_star_x, c_star_y_running=tracker.c_star_y,
-        bytes_up=inc["g_up"] + inc["h_up"],
-        bytes_down=inc["x_down"] + inc["y_down"] + inc["y_plus_down"],
-        flops=sum(inc["flops"].values()),
+        bytes_up=bytes_up, bytes_down=bytes_down, flops=flops,
         mean_w1sq=float(np.mean([_safe_deviation(state.x, rep.mask_x)
                                  for rep in reports])),
         mean_w2sq=float(np.mean([_safe_deviation(state.y, rep.mask_y)

@@ -30,10 +30,6 @@ from .errors import (
 
 LEVELS = ("x", "y")
 
-# Capacity grid used when replicating the reference experiments.
-REPLICATION_CAPACITIES = (
-    Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 16))
-
 
 def parse_capacity(value) -> Fraction:
     """Parse a capacity given as Fraction, float, int or a "1/4" string."""
@@ -55,15 +51,9 @@ class ClientResource:
     """Fraction of the full model one client can train."""
 
     capacity: Fraction
-    replication_mode: bool = False
 
     def __post_init__(self):
-        cap = parse_capacity(self.capacity)
-        object.__setattr__(self, "capacity", cap)
-        if self.replication_mode and cap not in REPLICATION_CAPACITIES:
-            raise InvalidCapacity(
-                f"capacity {cap} not in the replication grid "
-                f"{[str(c) for c in REPLICATION_CAPACITIES]}")
+        object.__setattr__(self, "capacity", parse_capacity(self.capacity))
 
     def active_count(self, d: int) -> int:
         return math.ceil(self.capacity * d)
@@ -164,11 +154,10 @@ def _topk_indices(params: np.ndarray, target: int, block_size: int) -> np.ndarra
 
 def generate_mask(params: np.ndarray, resource: ClientResource,
                   policy: MaskPolicy, client: int, round_index: int,
-                  seed: int, level: str = "x") -> Mask:
+                  level: str = "x") -> Mask:
     """Mask for one client/round/level with popcount == ceil(capacity * d).
 
-    Deterministic in all arguments; ``seed`` is carried for policies that
-    may need it but no built-in variant draws randomness.
+    Deterministic in all arguments; no built-in variant draws randomness.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[0]
@@ -210,12 +199,11 @@ def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoverageStats:
-    """Per-coordinate covering clients for one round and level."""
+    """Per-coordinate covering counts for one round and level."""
 
     level: str
     round_index: int
     counts: np.ndarray                 # d, number of covering clients
-    covering: tuple                    # d tuples of client ids
     trained: np.ndarray                # indices with counts >= 1
     c_star: int | None                 # min count over trained coords
 
@@ -225,7 +213,7 @@ class CoverageStats:
 
 
 def coverage(masks: list[Mask], d: int) -> CoverageStats:
-    """Covering sets/counts for one round; raises MixedRounds on mismatch."""
+    """Covering counts for one round; raises MixedRounds on mismatch."""
     if not masks:
         raise MixedRounds("coverage needs at least one mask")
     level = masks[0].level
@@ -237,13 +225,9 @@ def coverage(masks: list[Mask], d: int) -> CoverageStats:
             raise DimensionMismatch(f"mask dim {len(m)} != {d}")
     stacked = np.stack([m.bits for m in masks])
     counts = stacked.sum(axis=0, dtype=np.int64)
-    clients = [m.client for m in masks]
-    covering = tuple(
-        tuple(clients[j] for j in np.flatnonzero(stacked[:, k]))
-        for k in range(d))
     trained = np.flatnonzero(counts >= 1)
     c_star = int(counts[trained].min()) if trained.size else None
-    return CoverageStats(level, round_index, counts, covering, trained, c_star)
+    return CoverageStats(level, round_index, counts, trained, c_star)
 
 
 class CoverageTracker:

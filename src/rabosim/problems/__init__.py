@@ -1,5 +1,5 @@
 from .base import BilevelProblem, ProblemConstants, SampleBatch
-from .io import problem_from_config, problem_to_config
+from .io import problem_to_config
 from .logistic import LogisticTuneProblem, LogisticTuneSpec, make_logistic_tune
 from .quadratic import (
     QuadraticProblem,
@@ -26,5 +26,4 @@ __all__ = [
     "analytic_outer_minimizer",
     "derive_constants",
     "problem_to_config",
-    "problem_from_config",
 ]

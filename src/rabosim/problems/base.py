@@ -134,10 +134,6 @@ class BilevelProblem(ABC):
         """Whether closed-form y*(x) and grad Phi(x) are available."""
         return False
 
-    def mean_value_f(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Client-average upper objective, noiseless."""
-        return float(np.mean([self.value_f(i, x, y) for i in range(self.n)]))
-
     def mean_grad_g_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Client-average lower gradient, noiseless, fixed client order."""
         total = np.zeros(self.d2)

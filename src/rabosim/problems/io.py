@@ -2,41 +2,24 @@
 
 Problems are serialized as their generator arguments (dimensions, seeds,
 noise scales, eigenvalue range, imbalance decay), not their matrices, so a
-run is fully reproducible from the config document alone. Instances built
-from explicit user data carry no generator parameters and cannot be
-serialized.
+run is fully reproducible from the config document alone. The output is a
+config ``problem`` section; ``cli.build_problem`` rebuilds the instance
+from it. Instances built from explicit user data carry no generator
+parameters and cannot be serialized.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidSpec
-from .logistic import LogisticTuneProblem, make_logistic_tune
-from .quadratic import QuadraticProblem, make_quadratic
+from .logistic import LogisticTuneProblem
+from .quadratic import QuadraticProblem
 
 
 def problem_to_config(problem) -> dict:
-    """Generator arguments of a problem instance as a plain dict."""
+    """Generator arguments of a problem instance as a config section."""
     if isinstance(problem, (QuadraticProblem, LogisticTuneProblem)):
         if not problem.spec.params:
             raise InvalidSpec(
                 "problem built from explicit data has no generator parameters")
         return dict(problem.spec.params)
     raise InvalidSpec(f"cannot serialize {type(problem).__name__}")
-
-
-def problem_from_config(config: dict):
-    """Rebuild a problem from its generator arguments."""
-    cfg = dict(config)
-    family = cfg.pop("family", None)
-    if family == "quadratic":
-        eig_range = tuple(cfg.pop("eig_range", (1.0, 1.0)))
-        return make_quadratic(
-            seed=cfg.pop("seed", 0), n=cfg.pop("n", 4),
-            d1=cfg.pop("d1", 10), d2=cfg.pop("d2", 10),
-            hetero=cfg.pop("hetero", 0.0), noise_f=cfg.pop("noise_f", 0.0),
-            noise_g=cfg.pop("noise_g", 0.0), eig_range=eig_range, **cfg)
-    if family == "logistic":
-        return make_logistic_tune(
-            seed=cfg.pop("seed", 0), n=cfg.pop("n", 4),
-            imbalance_mu=cfg.pop("imbalance_mu", 1.0), **cfg)
-    raise InvalidSpec(f"unknown problem family {family!r}")

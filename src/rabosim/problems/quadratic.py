@@ -292,8 +292,8 @@ def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
         quartic=quartic, sine_amp=sine_amp, ball_radius=ball_radius,
         params={"family": "quadratic", "seed": seed, "n": n, "d1": d1,
                 "d2": d2, "hetero": hetero, "noise_f": noise_f,
-                "noise_g": noise_g, "eig_range": list(eig_range), "lam": lam,
-                "coupling": coupling, "quartic": quartic,
+                "noise_g": noise_g, "eig_min": eig_range[0],
+                "eig_max": eig_range[1], "lam": lam, "coupling": coupling, "quartic": quartic,
                 "sine_amp": sine_amp, "target_scale": target_scale,
                 "ball_radius": ball_radius})
     return QuadraticProblem(spec)

@@ -164,6 +164,26 @@ class TestRunExperiment:
         assert lines[0] == "round,level,client,mask_hex"
         assert len(lines) == 1 + 2 * 2 * 2   # rounds x levels x clients
 
+    @pytest.mark.parametrize("vary", [False, True])
+    def test_problem_builds_per_sweep(self, tmp_path, monkeypatch, vary):
+        from rabosim import cli
+        built = []
+
+        def counting_build(problem_cfg, seed_override=None):
+            built.append(seed_override)
+            return build_problem(problem_cfg, seed_override)
+
+        monkeypatch.setattr(cli, "build_problem", counting_build)
+        data = small_quadratic_config(rounds=1)
+        data["sweep"] = {"seeds": [0, 1, 2], "capacities": ["1", "1/2"],
+                         "vary_problem_seed": vary}
+        result = run_experiment(resolve_config(data), tmp_path / "out")
+        assert len(result.variants) == 6
+        if vary:
+            assert built == [0, 1, 2, 0, 1, 2]   # one build per variant
+        else:
+            assert built == [None]               # one build per sweep
+
     def test_divergent_variant_does_not_abort_siblings(self, tmp_path):
         data = small_quadratic_config()
         data["run"]["rounds"] = 60
@@ -249,6 +269,12 @@ class TestMainEntry:
             "problem": {"family": "quadratic"}, "run": {"alhpa": 1}})
         assert main(["run", str(path)]) == 2
 
+    def test_replication_mode_key_rejected(self, tmp_path, capsys):
+        data = small_quadratic_config(capacities="1/3", replication_mode=True)
+        path = write_config(tmp_path, data)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "replication_mode" in capsys.readouterr().err
+
     def test_bad_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -264,6 +290,21 @@ class TestMainEntry:
         path = write_config(tmp_path, data)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "failed" in capsys.readouterr().err
+
+    def test_non_finite_iterate_exit_three(self, tmp_path, capsys):
+        # a huge outer step drives the iterates to NaN; the run must fail
+        # instead of exiting 0 with non-finite final iterates
+        data = {"problem": {"family": "logistic", "n": 2, "classes": 3,
+                            "features": 3},
+                "run": {"alpha": 1e5, "estimator": "rafbo", "rounds": 5}}
+        path = write_config(tmp_path, data)
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failed" in err and "non-finite" in err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["failures"]) == 1
 
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RABOSIM_OUT", str(tmp_path / "envout"))

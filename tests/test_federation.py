@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from rabosim.errors import DivergenceDetected, InvalidSpec, UnsupportedProblem
+from rabosim.errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidSpec,
+    UnsupportedProblem,
+)
 from rabosim.federation import (
     CSV_COLUMNS,
     ClientReport,
+    CostLedger,
     GlobalState,
     RunConfig,
     aggregate_inner,
@@ -16,7 +22,6 @@ from rabosim.federation import (
     rabo_round,
     run,
     stationarity,
-    tally_costs,
 )
 from rabosim.hypergrad import EXACT_AID, RAFBO, HypergradEstimate, RAFBOConfig
 from rabosim.masking import ClientResource, Mask, MaskPolicy
@@ -111,6 +116,14 @@ class TestClientInnerLoop:
             client_inner_loop(prob, 0, np.zeros(1), np.array([1.0]), my,
                               beta=5.0, inner_epochs=50, divergence_guard=100.0)
 
+    def test_non_finite_iterate_is_divergence(self):
+        # nan > guard is False, so a NaN iterate must be caught explicitly
+        prob = scalar_quadratic(c=0.0)
+        my = mask_of([1], "y")
+        with pytest.raises(DivergenceDetected):
+            client_inner_loop(prob, 0, np.zeros(1), np.array([np.nan]), my,
+                              beta=0.5, inner_epochs=1, divergence_guard=100.0)
+
     def test_support_containment(self):
         prob = make_quadratic(seed=3, n=1, d1=4, d2=4, eig_range=(0.7, 1.5))
         my = mask_of([0, 1, 0, 1], "y")
@@ -169,6 +182,57 @@ class TestAggregateOuter:
                    report_with_hyper(2, [0], [9.0])]
         x_next = aggregate_outer(np.zeros(1), reports, alpha=0.1)
         assert x_next[0] == pytest.approx(-0.2)
+
+
+def covering_average_reference(v_q, masks, vectors, step):
+    """Per-coordinate loop: mean over covering clients in ascending order."""
+    out = v_q.copy()
+    for k in range(len(v_q)):
+        total, count = 0.0, 0
+        for mask, vec in zip(masks, vectors):
+            if mask.bits[k]:
+                total += vec[k]
+                count += 1
+        if count:
+            out[k] = v_q[k] - step * (total / count)
+    return out
+
+
+class TestCoveringAverageReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_both_levels_match_plain_loop(self, seed):
+        gen = np.random.default_rng(seed)
+        n, d1, d2 = 5, 7, 9
+        reports = []
+        for i in range(n):
+            mx = mask_of(gen.integers(0, 2, d1), "x", i)
+            my = mask_of(gen.integers(0, 2, d2), "y", i)
+            est = HypergradEstimate(
+                value=gen.standard_normal(d1), estimator=EXACT_AID, client=i,
+                round_index=0, mask_x=mx, mask_y=my, flops=0, grad_evals=2)
+            reports.append(ClientReport(
+                client=i, mask_x=mx, mask_y=my,
+                g_delta=gen.standard_normal(d2), inner_flops=0, hypergrad=est))
+        x_q, y_q = gen.standard_normal(d1), gen.standard_normal(d2)
+        shuffled = [reports[j] for j in gen.permutation(n)]
+        y_next = aggregate_inner(y_q, shuffled, beta=0.3)
+        x_next = aggregate_outer(x_q, shuffled, alpha=0.7)
+        assert np.array_equal(y_next, covering_average_reference(
+            y_q, [r.mask_y for r in reports], [r.g_delta for r in reports],
+            0.3))
+        assert np.array_equal(x_next, covering_average_reference(
+            x_q, [r.mask_x for r in reports],
+            [r.hypergrad.value for r in reports], 0.7))
+
+    def test_dimension_and_missing_hypergradient_checks(self):
+        rep = report_with_delta(0, [1, 1], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            aggregate_inner(np.zeros(3), [rep], beta=0.1)
+        with pytest.raises(InvalidSpec):
+            aggregate_outer(np.zeros(2), [rep], alpha=0.1)
+        hyper = report_with_hyper(0, [1, 1], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            aggregate_outer(np.zeros(3), [hyper], alpha=0.1)
 
 
 class TestRabobRound:
@@ -265,6 +329,30 @@ class TestRun:
         with pytest.raises(DivergenceDetected) as err:
             run(prob, cfg)
         assert 0 < len(err.value.partial_logs) < 400
+
+    def test_non_finite_iterate_aborts_with_partial_logs(self):
+        prob = make_logistic_tune(seed=0, n=2, classes=3, features=3)
+        cfg = RunConfig(alpha=1e5, beta=0.1, rounds=5, n=2, estimator=RAFBO,
+                        capacities=full_caps(2), seed=0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceDetected) as err:
+            run(prob, cfg)
+        assert "non-finite" in str(err.value)
+        assert len(err.value.partial_logs) < 5
+
+    def test_non_finite_outer_aggregate_names_level(self):
+        # grad Phi(x) = x here; a step of 10 * 0.5e308 overflows x to -inf
+        # while y stays finite, and no client-side guard can see it
+        from tests_support import one_dim_tracking_problem
+        prob = one_dim_tracking_problem()
+        cfg = RunConfig(alpha=10.0, beta=0.5, rounds=1, n=1,
+                        capacities=full_caps(1), seed=0)
+        state = GlobalState(np.array([1e308]), np.zeros(1), 0)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DivergenceDetected) as err:
+            rabo_round(prob, state, cfg, divergence_guard=np.inf)
+        assert "non-finite" in str(err.value)
+        assert "outer" in str(err.value)
 
     def test_theory_guard_rejects_large_alpha(self):
         prob = make_quadratic(seed=13, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
@@ -484,9 +572,34 @@ class TestCosts:
     def test_tally_increment_structure(self):
         reports = [report_with_delta(0, [1, 0], [1.0, 0.0]),
                    report_with_delta(1, [1, 1], [1.0, 1.0])]
-        inc = tally_costs(reports, "masked", d1=2, d2=2)
-        assert inc["g_up"] == 8 * (1 + 2)
-        assert inc["x_down"] == 8 * (2 + 2)   # helper uses full x masks
+        ledger = CostLedger()
+        ledger.add(reports, "masked", d1=2, d2=2)
+        assert ledger.g_up == 8 * (1 + 2)
+        assert ledger.x_down == 8 * (2 + 2)   # helper uses full x masks
+
+    def test_full_download_increment(self):
+        reports = [report_with_delta(0, [1, 0, 0], [1.0, 0.0, 0.0], d1=4),
+                   report_with_delta(1, [0, 1, 1], [0.0, 1.0, 1.0], d1=4)]
+        for rep, flops in zip(reports, (5, 7)):
+            rep.inner_flops = flops
+        ledger = CostLedger()
+        ledger.add(reports, "full", d1=4, d2=3)
+        assert ledger.legs() == {"x_down": 8 * 4 * 2, "y_down": 8 * 3 * 2,
+                                 "y_plus_down": 8 * 3 * 2,
+                                 "g_up": 8 * (1 + 2), "h_up": 8 * (4 + 4)}
+        assert ledger.flops_per_client == {0: 5, 1: 7}
+
+    def test_round_increment_equals_ledger_change(self):
+        reports = [report_with_delta(0, [1, 0, 1], [1.0, 0.0, 2.0], d1=2),
+                   report_with_delta(1, [0, 1, 0], [0.0, 3.0, 0.0], d1=2)]
+        reports[1].inner_flops = 11
+        ledger = CostLedger()
+        for mode in ("masked", "full", "masked"):
+            before = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
+            inc = ledger.add(reports, mode, d1=2, d2=3)
+            after = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
+            assert inc == tuple(b - a for a, b in zip(before, after))
+        assert ledger.flops_per_client == {0: 0, 1: 33}
 
 
 class TestCsvRendering:

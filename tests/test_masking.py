@@ -37,11 +37,6 @@ class TestClientResource:
         with pytest.raises(InvalidCapacity):
             ClientResource(Fraction(3, 2))
 
-    def test_replication_grid(self):
-        ClientResource(Fraction(1, 16), replication_mode=True)
-        with pytest.raises(InvalidCapacity):
-            ClientResource(Fraction(1, 3), replication_mode=True)
-
     def test_active_count_rounds_up(self):
         assert ClientResource(Fraction(1, 4)).active_count(10) == 3
         assert ClientResource(Fraction(1)).active_count(10) == 10
@@ -52,27 +47,27 @@ class TestGenerateMask:
     def test_full_capacity_all_ones(self, variant):
         params = np.array([3.0, -1.0, 2.0, 0.5])
         m = generate_mask(params, ClientResource(Fraction(1)),
-                          MaskPolicy(variant=variant), 0, 5, 0)
+                          MaskPolicy(variant=variant), 0, 5)
         assert np.array_equal(m.bits, np.ones(4, dtype=np.uint8))
 
     def test_magnitude_topk_example(self):
         params = np.array([5.0, 1.0, 4.0, 2.0])
         m = generate_mask(params, ClientResource(Fraction(1, 2)),
                           MaskPolicy(variant="magnitude_topk", block_size=1),
-                          0, 0, 0)
+                          0, 0)
         assert np.array_equal(m.bits, [1, 0, 1, 0])
 
     def test_magnitude_topk_blockwise(self):
         params = np.array([1.0, 1.0, 9.0, 9.0])
         m = generate_mask(params, ClientResource(Fraction(1, 2)),
                           MaskPolicy(variant="magnitude_topk", block_size=2),
-                          0, 0, 0)
+                          0, 0)
         assert np.array_equal(m.bits, [0, 0, 1, 1])
 
     def test_magnitude_ties_prefer_lower_index(self):
         params = np.array([2.0, 2.0, 2.0, 2.0])
         m = generate_mask(params, ClientResource(Fraction(1, 2)),
-                          MaskPolicy(variant="magnitude_topk"), 0, 0, 0)
+                          MaskPolicy(variant="magnitude_topk"), 0, 0)
         assert np.array_equal(m.bits, [1, 1, 0, 0])
 
     def test_rolling_period_two(self):
@@ -81,14 +76,14 @@ class TestGenerateMask:
         res = ClientResource(Fraction(1, 2))
         expected = {0: [1, 1, 0, 0], 1: [0, 0, 1, 1], 2: [1, 1, 0, 0]}
         for rnd, bits in expected.items():
-            m = generate_mask(params, res, policy, 0, rnd, 0)
+            m = generate_mask(params, res, policy, 0, rnd)
             assert np.array_equal(m.bits, bits), rnd
 
     def test_rolling_client_stagger(self):
         params = np.zeros(4)
         res = ClientResource(Fraction(1, 2))
-        m0 = generate_mask(params, res, MaskPolicy(variant="rolling"), 0, 0, 0)
-        m1 = generate_mask(params, res, MaskPolicy(variant="rolling"), 1, 0, 0)
+        m0 = generate_mask(params, res, MaskPolicy(variant="rolling"), 0, 0)
+        m1 = generate_mask(params, res, MaskPolicy(variant="rolling"), 1, 0)
         assert np.array_equal(m0.bits, [1, 1, 0, 0])
         assert np.array_equal(m1.bits, [0, 0, 1, 1])
 
@@ -96,7 +91,7 @@ class TestGenerateMask:
         params = np.arange(8.0)
         res = ClientResource(Fraction(1, 4))
         policy = MaskPolicy(variant="static")
-        masks = [generate_mask(params, res, policy, 1, rnd, 0) for rnd in range(5)]
+        masks = [generate_mask(params, res, policy, 1, rnd) for rnd in range(5)]
         for m in masks[1:]:
             assert np.array_equal(m.bits, masks[0].bits)
 
@@ -105,24 +100,24 @@ class TestGenerateMask:
         for cap in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 2)):
             for variant in ("static", "rolling", "magnitude_topk"):
                 m = generate_mask(params, ClientResource(cap),
-                                  MaskPolicy(variant=variant), 2, 3, 0)
+                                  MaskPolicy(variant=variant), 2, 3)
                 assert m.active_count == int(np.ceil(float(cap) * 10))
 
     def test_deterministic(self):
         params = np.linspace(-1, 1, 12)
         res = ClientResource(Fraction(1, 4))
-        a = generate_mask(params, res, MaskPolicy(variant="rolling"), 3, 7, 9)
-        b = generate_mask(params, res, MaskPolicy(variant="rolling"), 3, 7, 9)
+        a = generate_mask(params, res, MaskPolicy(variant="rolling"), 3, 7)
+        b = generate_mask(params, res, MaskPolicy(variant="rolling"), 3, 7)
         assert np.array_equal(a.bits, b.bits)
 
     def test_manual_tables(self):
         policy = MaskPolicy(variant="manual", table_x=[[0, 2], [1]],
                             table_y=[[3], [0, 1]])
         m = generate_mask(np.zeros(4), ClientResource(Fraction(1, 2)),
-                          policy, 0, 0, 0, level="x")
+                          policy, 0, 0, level="x")
         assert np.array_equal(m.bits, [1, 0, 1, 0])
         m = generate_mask(np.zeros(4), ClientResource(Fraction(1, 2)),
-                          policy, 1, 0, 0, level="y")
+                          policy, 1, 0, level="y")
         assert np.array_equal(m.bits, [1, 1, 0, 0])
 
     def test_manual_requires_tables(self):
@@ -174,8 +169,6 @@ class TestCoverage:
         assert np.array_equal(stats.counts, [2, 1, 0, 0])
         assert np.array_equal(stats.trained, [0, 1])
         assert stats.c_star == 1
-        assert stats.covering[0] == (0, 1)
-        assert stats.covering[2] == ()
 
     def test_permutation_invariance(self):
         masks = [mask_of([1, 0, 1], client=0), mask_of([0, 1, 1], client=1),
@@ -184,7 +177,6 @@ class TestCoverage:
         b = coverage(masks[::-1], 3)
         assert np.array_equal(a.counts, b.counts)
         assert a.c_star == b.c_star
-        assert [set(c) for c in a.covering] == [set(c) for c in b.covering]
 
     def test_mixed_rounds_rejected(self):
         masks = [mask_of([1, 0], round_index=0), mask_of([0, 1], round_index=1)]
@@ -197,7 +189,7 @@ class TestCoverage:
         res = ClientResource(Fraction(1, k))
         policy = MaskPolicy(variant="rolling")
         for rnd in range(6):
-            masks = [generate_mask(np.zeros(d), res, policy, c, rnd, 0, "y")
+            masks = [generate_mask(np.zeros(d), res, policy, c, rnd, "y")
                      for c in range(n)]
             stats = coverage(masks, d)
             assert stats.trained_count == d

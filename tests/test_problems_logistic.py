@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import InvalidSpec
-from rabosim.problems import SampleBatch, make_logistic_tune
+from rabosim.problems import SampleBatch, make_logistic_tune, problem_to_config
 
 
 def class_counts(problem, client=0):
@@ -55,6 +56,18 @@ class TestConstruction:
                                   classes=3, features=4)
         assert prob.n == 1
         assert class_counts(prob).sum() == 30
+        with pytest.raises(InvalidSpec):
+            problem_to_config(prob)
+
+    def test_config_round_trip(self):
+        prob = make_logistic_tune(seed=5, n=2, imbalance_mu=0.7, classes=3,
+                                  features=4, base_count=40)
+        section = problem_to_config(prob)
+        clone = build_problem(resolve_config({"problem": section}).problem)
+        assert problem_to_config(clone) == section
+        for a, b in zip(prob.spec.clients, clone.spec.clients):
+            assert np.array_equal(a.x_train, b.x_train)
+            assert np.array_equal(a.y_val, b.y_val)
 
 
 def plain_regularized_ce(y_flat, feats, labels, classes, features, reg=1.0):

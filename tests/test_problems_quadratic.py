@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import InvalidSpec, UnsupportedProblem
 from rabosim.linalg import spectral_bounds
 from rabosim.problems import (
@@ -9,7 +10,6 @@ from rabosim.problems import (
     inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    problem_from_config,
     problem_to_config,
     true_hypergradient_oracle,
 )
@@ -92,7 +92,9 @@ class TestMakeQuadratic:
         prob = make_quadratic(seed=6, n=3, d1=4, d2=5, hetero=0.3,
                               noise_f=0.1, noise_g=0.2, eig_range=(0.9, 1.8),
                               quartic=0.05)
-        clone = problem_from_config(problem_to_config(prob))
+        section = problem_to_config(prob)
+        clone = build_problem(resolve_config({"problem": section}).problem)
+        assert problem_to_config(clone) == section
         assert np.array_equal(prob.spec.a_mats[1], clone.spec.a_mats[1])
         assert np.array_equal(prob.spec.c_vecs[2], clone.spec.c_vecs[2])
         assert np.array_equal(prob.spec.u_mats[0], clone.spec.u_mats[0])
