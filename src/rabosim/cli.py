@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -126,10 +127,63 @@ def _reject_unknown(section: str, data: dict, allowed) -> None:
                 f"unknown key '{key}' in section '{section}'", key=key)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+# Entries whose default does not show their type: key -> (item test, want).
+LIST_ENTRIES = {
+    "seeds": (_is_int, "a list of integers"),
+    "estimators": (_is_str, "a list of strings"),
+    "formats": (_is_str, "a list of strings"),
+    "x0": (_is_finite, "a list of finite numbers"),
+    "y0": (_is_finite, "a list of finite numbers"),
+}
+OPTIONAL_STRINGS = ("dir", "compare_baseline")
+
+
+def _check_types(section: str, resolved: dict, defaults: dict) -> None:
+    """Type, integer-ness and finiteness of each entry, judged by its default.
+
+    ``capacities`` and the manual tables have their own checks.
+    """
+    for key, value in resolved.items():
+        default = defaults[key]
+        if key in LIST_ENTRIES:
+            test, want = LIST_ENTRIES[key]
+            ok = (value is None and default is None) or (
+                isinstance(value, list) and all(map(test, value)))
+        elif key in OPTIONAL_STRINGS:
+            ok, want = value is None or _is_str(value), "a string"
+        elif isinstance(default, bool):
+            ok, want = isinstance(value, bool), "true or false"
+        elif isinstance(default, int):
+            ok, want = _is_int(value), "an integer"
+        elif isinstance(default, float):
+            ok, want = _is_finite(value), "a finite number"
+        elif _is_str(default) and key != "capacities":
+            ok, want = _is_str(value), "a string"
+        else:
+            continue
+        if not ok:
+            raise ValidationError(
+                f"{section}.{key} must be {want}, got {value!r}", key=key)
+
+
 def _resolve_section(section: str, data: dict, defaults: dict) -> dict:
     _reject_unknown(section, data, defaults.keys())
     resolved = dict(defaults)
     resolved.update(data)
+    _check_types(section, resolved, defaults)
     return resolved
 
 
@@ -465,8 +519,13 @@ def main(argv=None) -> int:
         for spec in args.override:
             apply_override(raw, spec)
         if args.seeds:
-            raw.setdefault("sweep", {})["seeds"] = [
-                int(s) for s in args.seeds.split(",")]
+            try:
+                seeds = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise ValidationError(
+                    f"sweep.seeds: --seeds must be comma-separated integers, "
+                    f"got {args.seeds!r}", key="seeds") from None
+            raw.setdefault("sweep", {})["seeds"] = seeds
         cfg = resolve_config(raw)
     except (ValidationError, ParseError, InvalidSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)

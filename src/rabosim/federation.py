@@ -232,7 +232,7 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
                 f"exceeded guard {divergence_guard:.3e}"
             raise DivergenceDetected(
                 f"client {i}: ||y|| = {norm:.3e} {verdict} at inner epoch "
-                f"{t} (beta too large?)")
+                f"{t} with beta {beta}")
     return y, (y_i0 - y) / beta
 
 
@@ -344,7 +344,10 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                 problem, i, x_i, y_i0, mask_y, cfg.beta, cfg.inner_epochs,
                 batches, guard)
         except DivergenceDetected as exc:
-            raise DivergenceDetected(f"round {q}: {exc}") from exc
+            raise DivergenceDetected(
+                f"round {q}: {exc}; client outer iterate ||x|| = "
+                f"{np.linalg.norm(x_i):.3e} after steps of alpha {cfg.alpha}"
+            ) from exc
         unit = grad_eval_flops(mask_x.active_count, mask_y.active_count)
         flops = cfg.inner_epochs * (unit + 2 * mask_y.active_count)
         return ClientReport(client=i, mask_x=mask_x, mask_y=mask_y,

@@ -190,10 +190,11 @@ def generate_mask(params: np.ndarray, resource: ClientResource,
 
 
 def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
-    """Elementwise product v * m; inactive coordinates become exactly zero."""
+    """Elementwise product v * m (per row of a 2-D v); inactive
+    coordinates become exactly zero."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != len(m):
-        raise DimensionMismatch(f"vector dim {v.shape[0]} != mask dim {len(m)}")
+    if v.shape[-1] != len(m):
+        raise DimensionMismatch(f"vector dim {v.shape[-1]} != mask dim {len(m)}")
     return v * m.bits
 
 

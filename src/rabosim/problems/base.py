@@ -108,6 +108,15 @@ class BilevelProblem(ABC):
     def grad_g_y(self, i: int, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...
 
+    def grad_g_y_batch(self, i: int, xs: np.ndarray, y: np.ndarray,
+                       batch: SampleBatch | None = None) -> np.ndarray:
+        """Row k is ``grad_g_y(i, xs[k], y, batch)``; ``xs`` is (k, d1).
+
+        Families may override this to share the y-only work across rows,
+        but every row must stay bit-identical to the single-point call.
+        """
+        return np.stack([self.grad_g_y(i, x, y, batch) for x in xs])
+
     @abstractmethod
     def grad_g_x(self, i: int, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...

@@ -114,6 +114,25 @@ class QuadraticProblem(BilevelProblem):
             grad = grad + noise[: self.d2]
         return grad
 
+    def grad_g_y_batch(self, i, xs, y, batch=None):
+        # A_i y, U_i y and the noise draw are shared by every row; each row
+        # keeps grad_g_y's evaluation order, so it matches it bit for bit.
+        for x in xs:
+            self.check_dims(x, y)
+        s = self.spec
+        a_y = s.a_mats[i] @ y
+        u_y = s.u_mats[i] @ y if s.quartic else None
+        noise = self._noise(batch, s.noise_g)
+        rows = np.empty((len(xs), self.d2))
+        for k, x in enumerate(xs):
+            grad = a_y + s.b_mats[i] @ x + s.c_vecs[i]
+            if s.quartic:
+                grad = grad + (s.quartic / 2.0) * float(x @ x) * u_y
+            if noise is not None:
+                grad = grad + noise[: self.d2]
+            rows[k] = grad
+        return rows
+
     def grad_g_x(self, i, x, y, batch=None):
         self.check_dims(x, y)
         s = self.spec

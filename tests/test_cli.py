@@ -306,6 +306,59 @@ class TestMainEntry:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["failures"]) == 1
 
+    @pytest.mark.parametrize("flags,key", [
+        (["--seeds", "a"], "seeds"),
+        (["--override", "run.rounds=2.5"], "rounds"),
+        (["--override", 'run.rounds="5"'], "rounds"),
+        (["--override", "run.alpha=NaN"], "alpha"),
+        (["--override", "run.beta=Infinity"], "beta"),
+        (["--override", "problem.n=true"], "n"),
+        (["--override", "run.theory_guard=1"], "theory_guard"),
+        (["--override", "run.estimator=7"], "estimator"),
+        (["--override", "run.x0=[1, NaN, 0, 0]"], "x0"),
+        (["--override", "sweep.seeds=[0, 1.5]"], "seeds"),
+        (["--override", "output.dir=5"], "dir"),
+    ])
+    def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
+                                                flags, key):
+        path = write_config(tmp_path, small_quadratic_config())
+        code = main(["run", str(path), "--out", str(tmp_path / "out")] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"'{key}'" in err or f".{key}" in err
+
+    def test_float_entry_accepts_integer_literal(self, tmp_path):
+        path = write_config(tmp_path, small_quadratic_config(rounds=1))
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--override", "run.alpha=1"])
+        assert code == 0
+
+    def test_formats_string_names_list_requirement(self, tmp_path, capsys):
+        data = small_quadratic_config()
+        data["output"] = {"formats": "csv"}
+        path = write_config(tmp_path, data)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "formats" in err and "list of strings" in err
+        assert "'c'" not in err
+
+    def test_outer_divergence_names_alpha_and_x(self, tmp_path, capsys):
+        # round 0's outer step pushes ||x|| to ~4e4; the inner blow-up in
+        # round 1 must be reported with the outer step that caused it
+        data = {"problem": {"family": "logistic", "n": 2, "classes": 3,
+                            "features": 3},
+                "run": {"alpha": 1e5, "estimator": "rafbo", "rounds": 5}}
+        path = write_config(tmp_path, data)
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "beta 0.1" in err and "too large?" not in err
+        assert "alpha 100000.0" in err
+        norm = float(err.split("||x|| = ")[1].split()[0].rstrip(","))
+        assert 1e4 < norm < 1e5
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RABOSIM_OUT", str(tmp_path / "envout"))
         path = write_config(tmp_path, small_quadratic_config())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabosim.errors import EmptyMask, NonPositiveMu, SingularRestrictedHessian
 from rabosim.hypergrad import (
@@ -10,11 +12,12 @@ from rabosim.hypergrad import (
     jacobian_column_fd,
     rafbo_hypergradient,
 )
-from rabosim.masking import Mask, mask_deviation
+from rabosim.masking import Mask, apply_mask, mask_deviation
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
     inner_optimum_oracle,
+    make_logistic_tune,
     make_quadratic,
     true_hypergradient_oracle,
 )
@@ -298,6 +301,118 @@ class TestRafboHypergradient:
                                      rng=rng)
         assert approx.p_size < my.active_count
         assert approx.flops < exact.flops
+
+
+def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
+                   rng=None):
+    """The estimator as one jacobian_column_fd call per perturbed coordinate."""
+    pset = build_perturbation_set(mx, cfg.coord_fraction, rng)
+    gfy = prob.grad_f_y(i, x, y, batch_f)
+    value = prob.grad_f_x(i, x, y, batch_f).copy()
+    for p in pset.indices:
+        delta = jacobian_column_fd(prob, i, x, y, int(p), cfg.mu, batch_g, my)
+        value[p] += float(delta @ gfy)
+    return apply_mask(value, mx)
+
+
+class TestRafboBatchedEquivalence:
+    """The batched estimator equals the per-coordinate loop bit for bit."""
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"quartic": 0.2, "noise_f": 0.3, "noise_g": 0.5}],
+        ids=["plain", "quartic-noisy"])
+    def test_quadratic_matches_loop(self, fraction, kwargs):
+        prob = make_quadratic(seed=30, n=2, d1=7, d2=6, hetero=0.3,
+                              eig_range=(0.7, 1.6), **kwargs)
+        mx = mask_from([1, 1, 0, 1, 1, 0, 1], "x")
+        my = mask_from([0, 1, 1, 1, 0, 1], "y")
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(7) * mx.bits
+        y = rng.standard_normal(6) * my.bits
+        batch_f = SampleBatch("f", seed=6, client=1, draw=0)
+        batch_g = SampleBatch("g", seed=6, client=1, draw=2)
+        cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
+        est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f,
+                                  batch_g, RngStream(3, 1, 0, "pset"))
+        ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
+                             RngStream(3, 1, 0, "pset"))
+        assert est.p_size == (5 if fraction == 1.0 else 3)
+        assert np.array_equal(est.value, ref)
+
+    @pytest.mark.parametrize("size", [10 ** 6, 8])
+    def test_logistic_matches_loop(self, size):
+        prob = make_logistic_tune(seed=3, n=2, imbalance_mu=0.7, classes=3,
+                                  features=3, base_count=30)
+        mx = full_mask(prob.d1, "x")
+        my = mask_from([1, 0, 1, 1, 1, 0, 1, 1, 0], "y")
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(prob.d1) * 0.3
+        y = rng.standard_normal(prob.d2) * 0.3 * my.bits
+        batch_g = SampleBatch("g", seed=7, client=0, draw=1, size=size)
+        for fraction in (1.0, 0.5):
+            cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
+            est = rafbo_hypergradient(prob, 0, x, y, mx, my, cfg, None,
+                                      batch_g, RngStream(4, 0, 0, "pset"))
+            ref = loop_reference(prob, 0, x, y, mx, my, cfg, None, batch_g,
+                                 RngStream(4, 0, 0, "pset"))
+            assert np.array_equal(est.value, ref)
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    def test_one_base_gradient_and_one_batch_call(self, family, monkeypatch):
+        if family == "quadratic":
+            prob = make_quadratic(seed=31, n=3, d1=6, d2=5)
+        else:
+            prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
+                                      base_count=20)
+        calls = {"grad_g_y": 0, "grad_g_y_batch": 0}
+        for name in calls:
+            original = getattr(prob, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(prob, name, counted)
+        mx, my = full_mask(prob.d1, "x"), full_mask(prob.d2, "y")
+        for i in range(prob.n):
+            before = dict(calls)
+            est = rafbo_hypergradient(prob, i, np.zeros(prob.d1),
+                                      np.zeros(prob.d2), mx, my,
+                                      RAFBOConfig(mu=1e-3))
+            assert est.p_size == prob.d1
+            assert calls["grad_g_y_batch"] - before["grad_g_y_batch"] == 1
+            # the base default evaluates each row through grad_g_y
+            rows = 0 if family == "quadratic" else est.p_size
+            assert calls["grad_g_y"] - before["grad_g_y"] == 1 + rows
+            assert est.grad_evals == 2 * est.p_size + 2   # modeled charge
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d1=st.integers(1, 6), d2=st.integers(1, 6),
+       mu=st.floats(1e-6, 1.0), quartic=st.sampled_from([0.0, 0.05, 0.4]),
+       noise_g=st.sampled_from([0.0, 0.5]), fraction=st.floats(0.1, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_rafbo_bit_identical_to_loop(data, d1, d2, mu, quartic,
+                                             noise_g, fraction, seed):
+    bits_x = data.draw(st.lists(st.integers(0, 1), min_size=d1, max_size=d1)
+                       .filter(any))
+    bits_y = data.draw(st.lists(st.integers(0, 1), min_size=d2, max_size=d2))
+    prob = make_quadratic(seed=seed, n=2, d1=d1, d2=d2, hetero=0.5,
+                          eig_range=(0.5, 2.0), quartic=quartic,
+                          noise_f=0.2, noise_g=noise_g)
+    mx, my = mask_from(bits_x, "x"), mask_from(bits_y, "y")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d1) * mx.bits
+    y = rng.standard_normal(d2) * my.bits
+    batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
+    batch_g = SampleBatch("g", seed=seed, client=1, draw=1)
+    cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
+    est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
+                              RngStream(seed, 1, 0, "pset"))
+    ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
+                         RngStream(seed, 1, 0, "pset"))
+    assert np.array_equal(est.value, ref)
 
 
 class TestErrorBound:

@@ -146,6 +146,16 @@ class TestApplyMask:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_mask(np.ones(3), mask_of([1, 0]))
+        with pytest.raises(DimensionMismatch):
+            apply_mask(np.ones((2, 3)), mask_of([1, 0]))
+
+    def test_rows_masked_like_vectors(self):
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((4, 6))
+        m = mask_of(rng.integers(0, 2, size=6))
+        out = apply_mask(rows, m)
+        for row, got in zip(rows, out):
+            assert np.array_equal(got, apply_mask(row, m))
 
 
 class TestCoverage:

@@ -226,3 +226,23 @@ class TestDerivatives:
         batch = SampleBatch("g", seed=51, client=0, draw=3, size=8)
         assert np.array_equal(prob.grad_g_y(0, x, y, batch),
                               prob.grad_g_y(0, x, y, batch))
+
+
+class TestGradGyBatch:
+    """The base default: rows equal separate grad_g_y calls, bit for bit."""
+
+    @pytest.mark.parametrize("batch", [
+        None,
+        SampleBatch("g", seed=52, client=1, draw=2, size=10 ** 6),
+        SampleBatch("g", seed=52, client=1, draw=2, size=8),
+    ], ids=["noiseless", "full-batch", "subsampled"])
+    def test_rows_equal_single_calls(self, batch):
+        prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
+                                  features=4, base_count=40)
+        rng = np.random.default_rng(5)
+        xs = rng.standard_normal((5, prob.d1)) * 0.4
+        y = rng.standard_normal(prob.d2) * 0.3
+        rows = prob.grad_g_y_batch(1, xs, y, batch)
+        assert rows.shape == (5, prob.d2)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, prob.grad_g_y(1, x, y, batch))

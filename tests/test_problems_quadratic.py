@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rabosim.cli import build_problem, resolve_config
-from rabosim.errors import InvalidSpec, UnsupportedProblem
+from rabosim.errors import DimensionMismatch, InvalidSpec, UnsupportedProblem
 from rabosim.linalg import spectral_bounds
 from rabosim.problems import (
     SampleBatch,
@@ -359,3 +359,29 @@ class TestDerivativeCallbacks:
         for size in (4, 16, 64):
             ratio = empirical_var(size) * size / base
             assert 0.8 <= ratio <= 1.2
+
+
+class TestGradGyBatch:
+    """Each batched row equals a separate grad_g_y call, bit for bit."""
+
+    @pytest.mark.parametrize("kwargs,batch", [
+        ({}, None),
+        ({"quartic": 0.3}, None),
+        ({"noise_g": 0.7, "quartic": 0.2},
+         SampleBatch("g", seed=4, client=1, round_index=2, draw=3, size=2)),
+    ], ids=["plain", "quartic", "noisy"])
+    def test_rows_equal_single_calls(self, kwargs, batch):
+        prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
+                              eig_range=(0.6, 1.7), **kwargs)
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((9, 37))
+        y = rng.standard_normal(23)
+        rows = prob.grad_g_y_batch(1, xs, y, batch)
+        assert rows.shape == (9, 23)
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, prob.grad_g_y(1, x, y, batch))
+
+    def test_rejects_wrong_row_width(self):
+        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
+        with pytest.raises(DimensionMismatch):
+            prob.grad_g_y_batch(0, np.zeros((2, 4)), np.zeros(2))
