@@ -201,6 +201,24 @@ def _normalize_capacities(value, key: str) -> list | str:
         raise ValidationError(f"bad capacity in '{key}': {exc}", key=key) from exc
 
 
+def _problem_dims(problem: dict) -> tuple[int, int]:
+    """(d1, d2) of the problem a resolved ``problem`` section builds."""
+    if problem["family"] == "quadratic":
+        return problem["d1"], problem["d2"]
+    return 2 * problem["classes"] + 1, problem["classes"] * problem["features"]
+
+
+def _check_table(table, n: int, d: int, name: str, key: str) -> None:
+    """A manual table lists coordinate indices in [0, d) for each client."""
+    if not (isinstance(table, list) and len(table) >= n and all(
+            isinstance(row, list) and all(_is_int(k) and 0 <= k < d
+                                          for k in row)
+            for row in table)):
+        raise ValidationError(
+            f"{name} must list coordinate indices in [0, {d}) for each of "
+            f"the {n} clients, got {table!r}", key=key)
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Apply defaults and validate a parsed config document."""
     if not isinstance(raw, dict):
@@ -252,6 +270,15 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                 raise ValidationError(
                     "each sweep.manual_tables entry needs 'x' and 'y' "
                     "per-client coordinate lists", key="manual_tables")
+    n, dims = problem["n"], _problem_dims(problem)
+    for level, d in zip("xy", dims):
+        if run_cfg[f"manual_{level}"] is not None:
+            _check_table(run_cfg[f"manual_{level}"], n, d,
+                         f"run.manual_{level}", f"manual_{level}")
+        for index, entry in enumerate(sweep["manual_tables"] or []):
+            _check_table(entry[level], n, d,
+                         f"sweep.manual_tables[{index}].{level}",
+                         "manual_tables")
 
     output = _resolve_section("output", dict(raw.get("output", {})),
                               OUTPUT_DEFAULTS)

@@ -16,6 +16,7 @@ are independent of the worker count and bit-reproducible across runs.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,21 +219,27 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     gradient so the server's ``y - beta * mean(G)`` update replays the
     clients' parameter deltas; its support stays inside the mask.
     Raises DivergenceDetected when ||y|| exceeds the guard or is NaN.
+    Under a guard, numpy's overflow and invalid-value warnings are
+    silenced: what overflowed shows up as a non-finite ||y||, which the
+    guard reports.
     """
     if beta <= 0:
         raise InvalidSpec("beta must be positive")
     y = y_i0.copy()
-    for t in range(inner_epochs):
-        batch = batches[t] if batches is not None else None
-        grad = apply_mask(problem.grad_g_y(i, x_i, y, batch), mask_y)
-        y = y - beta * grad
-        norm = np.linalg.norm(y)
-        if divergence_guard is not None and not norm <= divergence_guard:
-            verdict = "is non-finite" if np.isnan(norm) else \
-                f"exceeded guard {divergence_guard:.3e}"
-            raise DivergenceDetected(
-                f"client {i}: ||y|| = {norm:.3e} {verdict} at inner epoch "
-                f"{t} with beta {beta}")
+    quiet = np.errstate(over="ignore", invalid="ignore") \
+        if divergence_guard is not None else nullcontext()
+    with quiet:
+        for t in range(inner_epochs):
+            batch = batches[t] if batches is not None else None
+            grad = apply_mask(problem.grad_g_y(i, x_i, y, batch), mask_y)
+            y = y - beta * grad
+            norm = np.linalg.norm(y)
+            if divergence_guard is not None and not norm <= divergence_guard:
+                verdict = "is non-finite" if np.isnan(norm) else \
+                    f"exceeded guard {divergence_guard:.3e}"
+                raise DivergenceDetected(
+                    f"client {i}: ||y|| = {norm:.3e} {verdict} at inner "
+                    f"epoch {t} with beta {beta}")
     return y, (y_i0 - y) / beta
 
 

@@ -141,14 +141,26 @@ class LogisticTuneProblem(BilevelProblem):
         feats, labels = self._train_slice(i, batch)
         m = len(labels)
         probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
-        # S_j = diag(p_j) - p_j p_j^T, kron'd with phi_j phi_j^T per sample
-        s_all = np.einsum("ja,ab->jab", probs, np.eye(self.classes)) \
-            - np.einsum("ja,jb->jab", probs, probs)
-        hess = np.einsum("j,jab,jk,jl->akbl", weights[labels], s_all,
-                         feats, feats) / m
-        hess = hess.reshape(self.d2, self.d2)
-        hess = (hess + hess.T) / 2.0
-        return hess + reg * np.eye(self.d2)
+        w = weights[labels]
+        # sum_j w_j S_j kron phi_j phi_j^T with S_j = diag(p_j) - p_j p_j^T
+        # is a rank-one part -Z^T diag(w) Z, row j of Z being p_j kron phi_j
+        # (scaled by sqrt(w_j) here, as w > 0, so one copy of Z suffices),
+        # plus one block F^T diag(w * p_{.a}) F per class a on the diagonal.
+        z = ((np.sqrt(w)[:, None] * probs)[:, :, None]
+             * feats[:, None, :]).reshape(m, self.d2)
+        hess = z.T @ z
+        np.negative(hess, out=hess)
+        wp = w[:, None] * probs
+        p = self.features
+        for a in range(self.classes):
+            hess[a * p:(a + 1) * p, a * p:(a + 1) * p] += \
+                (wp[:, a, None] * feats).T @ feats
+        hess /= m
+        # solve_spd needs exact symmetry, which the GEMMs do not promise
+        hess += hess.T
+        hess /= 2.0
+        hess.flat[::self.d2 + 1] += reg
+        return hess
 
     def cross_xy_g_apply(self, i, x, y, v, batch=None):
         self.check_dims(x, y)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabosim
 from rabosim.cli import (
     apply_override,
     build_problem,
@@ -359,6 +364,48 @@ class TestMainEntry:
         norm = float(err.split("||x|| = ")[1].split()[0].rstrip(","))
         assert 1e4 < norm < 1e5
 
+    def test_divergence_stderr_holds_only_the_failure(self, tmp_path):
+        # the overflow that makes the inner gradient NaN is reported by the
+        # divergence guard alone, without numpy RuntimeWarnings before it
+        data = {"problem": {"family": "logistic", "n": 2, "classes": 3,
+                            "features": 3},
+                "run": {"alpha": 1e5, "estimator": "rafbo", "rounds": 5}}
+        path = write_config(tmp_path, data)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rabosim.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rabosim.cli", "run", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "variant est_rafbo__cap1__seed_0 failed: round 1: client 0: "
+            "||y|| = nan is non-finite at inner epoch 0 with beta 0.1; "
+            "client outer iterate ||x|| = 5.306e+04 after steps of alpha "
+            "100000.0\n")
+
+    @pytest.mark.parametrize("section,entry,key", [
+        ("sweep", {"manual_tables": [{"x": [[0, 1], [2, 9]],
+                                      "y": [[0, 1], [2, 3]]}]},
+         "manual_tables"),
+        ("run", {"manual_x": [[0, 1], [2, 9]], "manual_y": [[0], [1]]},
+         "manual_x"),
+        ("run", {"manual_x": [[0], [1]], "manual_y": [[0], [-1]]},
+         "manual_y"),
+        ("run", {"manual_x": [[0]], "manual_y": [[0], [1]]}, "manual_x"),
+    ], ids=["sweep-table", "run-x", "run-y-negative", "run-x-short"])
+    def test_manual_table_out_of_range_exit_two(self, tmp_path, capsys,
+                                                section, entry, key):
+        data = small_quadratic_config(policy="manual", capacities="1/2")
+        data.setdefault(section, {}).update(entry)
+        data["sweep"] = {**data.get("sweep", {}), "seeds": [0, 1]}
+        path = write_config(tmp_path, data)
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (tmp_path / "out" / "variants").exists()
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RABOSIM_OUT", str(tmp_path / "envout"))
         path = write_config(tmp_path, small_quadratic_config())
@@ -406,6 +453,28 @@ def test_logistic_family_end_to_end(tmp_path):
     csv = next((tmp_path / "out" / "variants").glob("*/rounds.csv"))
     row = csv.read_text().strip().split("\n")[1].split(",")
     assert row[1] == "nan"      # oracle columns are sentinels for logistic
+
+
+def test_logistic_exact_aid_rerun_byte_identical(tmp_path):
+    # the logistic inner Hessian goes through BLAS; at a fixed thread
+    # count two runs of the same config must still agree byte for byte
+    data = {"problem": {"family": "logistic", "n": 3, "imbalance_mu": 0.7,
+                        "classes": 4, "features": 5, "base_count": 40},
+            "run": {"alpha": 0.5, "beta": 0.2, "inner_epochs": 2, "rounds": 4,
+                    "capacities": "1/2", "policy": "magnitude_topk",
+                    "estimator": "exact_aid", "batch_size_g": 16},
+            "sweep": {"seeds": [0, 1]}}
+    cfg = parse_config(write_config(tmp_path, data))
+    for name in ("a", "b"):
+        result = run_experiment(cfg, tmp_path / name)
+        assert not result.failures
+    assert (tmp_path / "a" / "summary.json").read_bytes() == \
+        (tmp_path / "b" / "summary.json").read_bytes()
+    csvs = sorted((tmp_path / "a" / "variants").glob("*/rounds.csv"))
+    assert len(csvs) == 2
+    for csv_a in csvs:
+        csv_b = tmp_path / "b" / "variants" / csv_a.parent.name / "rounds.csv"
+        assert csv_a.read_bytes() == csv_b.read_bytes()
 
 
 def test_stats_median_over_seeds(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import InvalidSpec
@@ -226,6 +228,61 @@ class TestDerivatives:
         batch = SampleBatch("g", seed=51, client=0, draw=3, size=8)
         assert np.array_equal(prob.grad_g_y(0, x, y, batch),
                               prob.grad_g_y(0, x, y, batch))
+
+
+def plain_hessian(prob, i, x, y, batch=None):
+    """Per-sample sum of w_j kron(S_j, phi_j phi_j^T) / m + reg I."""
+    weights, offsets, reg = prob._unpack_x(x)
+    feats, labels = prob._train_slice(i, batch)
+    hess = np.zeros((prob.d2, prob.d2))
+    for phi, label in zip(feats, labels):
+        logits = prob._weight_matrix(y) @ phi + offsets
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        s = np.diag(p) - np.outer(p, p)
+        hess += weights[label] * np.kron(s, np.outer(phi, phi))
+    return hess / len(labels) + reg * np.eye(prob.d2)
+
+
+class TestHessianForm:
+    """The GEMM Hessian against a plain per-sample Kronecker sum.
+
+    The summation order differs, so entries agree to a tolerance of
+    1e-12 relative to the entry or to the largest entry, not bit for bit.
+    """
+
+    @pytest.mark.parametrize("classes,batch", [
+        (3, None),
+        (3, SampleBatch("g", seed=53, client=1, draw=4, size=9)),
+        (2, None),
+    ], ids=["full-batch", "subsampled", "two-classes"])
+    def test_matches_per_sample_sum(self, classes, batch):
+        prob = make_logistic_tune(seed=10, n=2, imbalance_mu=0.6,
+                                  classes=classes, features=4, base_count=40)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(prob.d1) * 0.5
+        y = rng.standard_normal(prob.d2) * 0.4
+        hess = prob.hess_yy_g(1, x, y, batch)
+        assert np.array_equal(hess, hess.T)
+        ref = plain_hessian(prob, 1, x, y, batch)
+        assert np.allclose(hess, ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(classes=st.integers(2, 5), features=st.integers(1, 6),
+           base_count=st.integers(5, 30), seed=st.integers(0, 2 ** 16))
+    def test_matches_per_sample_sum_property(self, classes, features,
+                                             base_count, seed):
+        prob = make_logistic_tune(seed=seed, n=1, classes=classes,
+                                  features=features, base_count=base_count)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(prob.d1) * 0.5
+        y = rng.standard_normal(prob.d2) * 0.4
+        hess = prob.hess_yy_g(0, x, y)
+        assert np.array_equal(hess, hess.T)
+        ref = plain_hessian(prob, 0, x, y)
+        assert np.allclose(hess, ref, rtol=1e-12,
+                           atol=1e-12 * np.abs(ref).max())
 
 
 class TestGradGyBatch:
