@@ -16,14 +16,29 @@ Two routes to the same quantity:
 
 ``jacobian_column_fd`` returns delta_p, the response of the descent
 direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
-every delta_p of its perturbation set at once: one base gradient, then
-one ``grad_g_y_batch`` call over the perturbed points, with the same
-difference step row by row. The orientation matters: delta
+every delta_p of its perturbation set at once: one base gradient, one
+``grad_g_y_batch`` call over the perturbed points (a single matrix
+product per client on the quadratic family), the difference step on all
+rows, and one matrix-vector product for the inner products. That sums
+in another order than one ``jacobian_column_fd`` call per coordinate,
+so the two agree to rounding, not bit for bit; at a fixed BLAS thread
+count the result is still deterministic. The orientation matters: delta
 already carries the sign of the inner-optimum response, so on problems
 with unit inner curvature it equals the Jacobian column of x -> y*(x)
 exactly for every step size, and the two estimators coincide. With
 curved cross-coupling the finite difference picks up an O(mu) bias whose
 magnitude is bounded by ``hypergrad_error_bound``.
+
+Regime. The implicit term sum_p <delta_p, grad_y f> e_p equals
+-(d^2 g/dx dy) grad_y f, while the true one is
+-(d^2 g/dx dy) [d^2 g/dy^2]^{-1} grad_y f. The difference route drops the
+inverse inner Hessian, which is the identity only when d^2 g/dy^2 = I.
+With any other inner curvature the estimate is biased by an amount that
+does not shrink with mu, and rafbo converges to a point where this
+biased hypergradient, not the true one, vanishes. The exception is an
+outer optimum where grad_y f is zero (``target_scale`` 0 on the
+quadratic family), which is a fixed point for both estimators. This
+form is the simulator's own choice; ROADMAP item 1 measures the bias.
 
 Both evaluations inside a difference share one batch (common random
 numbers), so additive gradient noise cancels to first order.
@@ -63,6 +78,11 @@ EXACT_AID = "exact_aid"
 RAFBO = "rafbo"
 
 
+def _require_step(mu: float) -> None:
+    if not (math.isfinite(mu) and mu > 0):
+        raise NonPositiveMu(f"mu must be finite and positive, got {mu}")
+
+
 @dataclass(frozen=True)
 class RAFBOConfig:
     """Knobs of the second-order-free estimator.
@@ -77,8 +97,7 @@ class RAFBOConfig:
     coord_fraction: float = 1.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise NonPositiveMu(f"mu must be positive, got {self.mu}")
+        _require_step(self.mu)
         if not (0 < self.coord_fraction <= 1):
             raise ValueError(
                 f"coord_fraction must be in (0, 1], got {self.coord_fraction}")
@@ -162,8 +181,7 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
     cross-coupling the difference is exact and independent of mu; curved
     coupling contributes an O(mu) bias.
     """
-    if mu <= 0:
-        raise NonPositiveMu(f"mu must be positive, got {mu}")
+    _require_step(mu)
     x_pert = x.copy()
     x_pert[coord] += mu
     return _difference_rows(problem.grad_g_y(i, x, y, batch),
@@ -231,8 +249,7 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
         problem.grad_g_y(i, x_masked, y_masked, batch_g),
         problem.grad_g_y_batch(i, xs, y_masked, batch_g), cfg.mu, mask_y)
     value = gfx.copy()
-    for p, delta in zip(pset.indices, deltas):
-        value[p] += float(delta @ gfy)
+    value[pset.indices] += deltas @ gfy
     value = apply_mask(value, mask_x)
     return HypergradEstimate(
         value=value, estimator=RAFBO, client=i, round_index=round_index,

@@ -4,6 +4,7 @@ Vectors and matrices are plain float64 numpy arrays. The helpers here are
 the only linear-algebra entry points used by the rest of the simulator:
 ``solve_spd`` for symmetric positive definite systems (direct Cholesky up
 to a dimension cutoff, matrix-free conjugate gradients above it),
+``spd_solver`` for many right-hand sides against one such matrix,
 ``cg_solve`` for operator-only systems, and ``spectral_bounds`` for
 extreme eigenvalues. All operations are pure functions of their inputs;
 summations happen in a fixed order so results are bit-reproducible.
@@ -69,19 +70,36 @@ def solve_spd(a, b, direct_limit: int = DIRECT_SOLVE_LIMIT) -> np.ndarray:
     Raises NotPositiveDefinite when factorization fails and
     DimensionMismatch on shape errors.
     """
+    return spd_solver(a, direct_limit)(b)
+
+
+def spd_solver(a, direct_limit: int = DIRECT_SOLVE_LIMIT
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """``b -> solve_spd(a, b)`` for a fixed SPD ``a``, bit for bit.
+
+    Below ``direct_limit`` the Cholesky factor is formed here, once, so a
+    caller that keeps the solver pays one pair of triangular solves per
+    right-hand side. ``a`` is checked here and each ``b`` on its call.
+    """
     a = as_matrix(a, "a")
-    b = as_vector(b, "b")
     _require_symmetric(a, "a")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(
-            f"matrix dim {a.shape[0]} != rhs dim {b.shape[0]}")
-    if a.shape[0] <= direct_limit:
+    dim = a.shape[0]
+    direct = dim <= direct_limit
+    if direct:
         try:
             factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise NotPositiveDefinite(str(exc)) from exc
-        return scipy.linalg.cho_solve(factor, b, check_finite=False)
-    return cg_solve(lambda v: a @ v, b, tol=1e-12, max_iter=10 * a.shape[0])
+
+    def solve(b) -> np.ndarray:
+        b = as_vector(b, "b")
+        if b.shape[0] != dim:
+            raise DimensionMismatch(f"matrix dim {dim} != rhs dim {b.shape[0]}")
+        if direct:
+            return scipy.linalg.cho_solve(factor, b, check_finite=False)
+        return cg_solve(lambda v: a @ v, b, tol=1e-12, max_iter=10 * dim)
+
+    return solve
 
 
 def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], b, tol: float,

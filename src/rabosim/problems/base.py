@@ -112,8 +112,10 @@ class BilevelProblem(ABC):
                        batch: SampleBatch | None = None) -> np.ndarray:
         """Row k is ``grad_g_y(i, xs[k], y, batch)``; ``xs`` is (k, d1).
 
-        Families may override this to share the y-only work across rows,
-        but every row must stay bit-identical to the single-point call.
+        Families may override this to share the y-only work across rows
+        and to evaluate the x-dependent part as one matrix product. Rows
+        then equal the single-point call to rounding, not bit for bit,
+        and repeated calls stay bit-identical at a fixed BLAS thread count.
         """
         return np.stack([self.grad_g_y(i, x, y, batch) for x in xs])
 

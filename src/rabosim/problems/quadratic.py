@@ -28,11 +28,18 @@ exactly (common random numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ..errors import InvalidSpec, UnsupportedProblem
-from ..linalg import solve_spd, spectral_bounds, spectral_norm, symmetrize
+from ..errors import DimensionMismatch, InvalidSpec, UnsupportedProblem
+from ..linalg import (
+    solve_spd,
+    spd_solver,
+    spectral_bounds,
+    spectral_norm,
+    symmetrize,
+)
 from ..rng import RngStream
 from .base import BilevelProblem, ProblemConstants, SampleBatch
 
@@ -115,22 +122,22 @@ class QuadraticProblem(BilevelProblem):
         return grad
 
     def grad_g_y_batch(self, i, xs, y, batch=None):
-        # A_i y, U_i y and the noise draw are shared by every row; each row
-        # keeps grad_g_y's evaluation order, so it matches it bit for bit.
-        for x in xs:
-            self.check_dims(x, y)
+        # Every row's B_i x is one matrix product; A_i y, U_i y and the
+        # noise draw are shared. Rows keep grad_g_y's order of additions,
+        # (A_i y + B_i x) + c_i, and equal it to rounding.
+        if xs.ndim != 2 or xs.shape[1] != self.d1 or y.shape != (self.d2,):
+            raise DimensionMismatch(
+                f"xs has shape {xs.shape} and y {y.shape}, "
+                f"want (k, {self.d1}) and ({self.d2},)")
         s = self.spec
-        a_y = s.a_mats[i] @ y
-        u_y = s.u_mats[i] @ y if s.quartic else None
+        rows = s.a_mats[i] @ y + xs @ s.b_mats[i].T
+        rows += s.c_vecs[i]
+        if s.quartic:
+            rows += np.outer((s.quartic / 2.0) * np.einsum("kj,kj->k", xs, xs),
+                             s.u_mats[i] @ y)
         noise = self._noise(batch, s.noise_g)
-        rows = np.empty((len(xs), self.d2))
-        for k, x in enumerate(xs):
-            grad = a_y + s.b_mats[i] @ x + s.c_vecs[i]
-            if s.quartic:
-                grad = grad + (s.quartic / 2.0) * float(x @ x) * u_y
-            if noise is not None:
-                grad = grad + noise[: self.d2]
-            rows[k] = grad
+        if noise is not None:
+            rows += noise[: self.d2]
         return rows
 
     def grad_g_x(self, i, x, y, batch=None):
@@ -196,18 +203,37 @@ class QuadraticProblem(BilevelProblem):
             h = h + (self.spec.quartic / 2.0) * float(x @ x) * self._u_bar
         return h
 
+    @cached_property
+    def _a_bar_solve(self):
+        """Solver for the client-average A, the inner Hessian at every x
+        when tau == 0, factored once."""
+        return spd_solver(self._a_bar)
+
+    @cached_property
+    def _jac_constant(self) -> np.ndarray:
+        """Read-only Jacobian of x -> y*(x) when tau == 0: -A_bar^{-1} B_bar."""
+        jac = -np.linalg.solve(self._a_bar, self._b_bar)
+        jac.flags.writeable = False
+        return jac
+
     def y_star(self, x: np.ndarray) -> np.ndarray:
         """Exact minimizer of the client-average lower objective."""
-        return solve_spd(self._hess_bar(x), -(self._b_bar @ x + self._c_bar))
+        rhs = -(self._b_bar @ x + self._c_bar)
+        if self.spec.quartic:
+            return solve_spd(self._hess_bar(x), rhs)
+        return self._a_bar_solve(rhs)
 
     def jac_y_star(self, x: np.ndarray) -> np.ndarray:
-        """d2 x d1 Jacobian of the inner optimum map x -> y*(x)."""
+        """d2 x d1 Jacobian of the inner optimum map x -> y*(x).
+
+        Without the quartic term it does not depend on x and is computed
+        once; the array returned is then shared and read-only.
+        """
+        if not self.spec.quartic:
+            return self._jac_constant
         ys = self.y_star(x)
-        rhs = self._b_bar.copy()
-        if self.spec.quartic:
-            rhs = rhs + self.spec.quartic * np.outer(self._u_bar @ ys, x)
-        h = self._hess_bar(x)
-        return -np.linalg.solve(h, rhs)
+        rhs = self._b_bar + self.spec.quartic * np.outer(self._u_bar @ ys, x)
+        return -np.linalg.solve(self._hess_bar(x), rhs)
 
     def grad_phi(self, x: np.ndarray) -> np.ndarray:
         """Exact hypergradient of Phi(x) = mean_i f_i(x, y*(x))."""
@@ -345,7 +371,7 @@ def analytic_outer_minimizer(problem) -> np.ndarray:
     s = p.spec
     if s.quartic or s.sine_amp:
         raise UnsupportedProblem("minimizer is closed-form only for tau=amp=0")
-    resp = -np.linalg.solve(p._a_bar, p._b_bar)     # y*(x) = resp @ x + r
+    resp = p.jac_y_star(np.zeros(p.d1))             # y*(x) = resp @ x + r
     r = -np.linalg.solve(p._a_bar, p._c_bar)
     lhs = s.lam * np.eye(p.d1) + resp.T @ resp
     rhs = s.lam * p._a_tgt_bar + resp.T @ (p._b_tgt_bar - r)

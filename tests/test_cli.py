@@ -138,18 +138,28 @@ class TestRunExperiment:
         assert (tmp_path / "out" / "summary.json").exists()
         assert (tmp_path / "out" / "config_echo.json").exists()
 
-    def test_rerun_byte_identical(self, tmp_path):
-        data = small_quadratic_config()
-        data["problem"]["noise_g"] = 0.1
-        data["run"]["batch_size_g"] = 2
+    @pytest.mark.parametrize("problem,run", [
+        ({"noise_g": 0.1}, {"batch_size_g": 2}),
+        # rafbo's perturbed lower gradients are one matrix product per
+        # client; at a fixed thread count two runs still agree byte for byte
+        ({"n": 3, "d1": 12, "d2": 10, "hetero": 0.3, "noise_g": 0.1,
+          "quartic": 0.05, "eig_min": 0.8, "eig_max": 1.5},
+         {"inner_epochs": 2, "capacities": "1/2", "estimator": "rafbo",
+          "coord_fraction": 0.5, "batch_size_g": 2}),
+    ], ids=["exact_aid", "rafbo_quartic"])
+    def test_rerun_byte_identical(self, tmp_path, problem, run):
+        data = small_quadratic_config(**run)
+        data["problem"].update(problem)
         data["sweep"] = {"seeds": [0, 1]}
         cfg = parse_config(write_config(tmp_path, data))
-        run_experiment(cfg, tmp_path / "a")
-        run_experiment(cfg, tmp_path / "b")
+        for name in ("a", "b"):
+            assert not run_experiment(cfg, tmp_path / name).failures
         for name in ["summary.json", "config_echo.json"]:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
-        for csv_a in sorted((tmp_path / "a" / "variants").glob("*/rounds.csv")):
+        csvs = sorted((tmp_path / "a" / "variants").glob("*/rounds.csv"))
+        assert len(csvs) == 2
+        for csv_a in csvs:
             csv_b = tmp_path / "b" / "variants" / csv_a.parent.name / "rounds.csv"
             assert csv_a.read_bytes() == csv_b.read_bytes()
 

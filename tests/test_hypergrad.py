@@ -23,6 +23,7 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
+from tests_support import EPS, grad_g_y_row_bound
 
 
 def full_mask(d, level, client=0):
@@ -172,6 +173,16 @@ class TestJacobianColumnFd:
         with pytest.raises(NonPositiveMu):
             jacobian_column_fd(prob, 0, np.zeros(2), np.zeros(2), 0, 0.0)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
+    def test_non_finite_or_negative_mu(self, mu):
+        # a NaN step makes every delta NaN and the run then fails blaming
+        # alpha; reject it where the step is set and where it is used
+        prob = make_quadratic(seed=7, n=1, d1=2, d2=2)
+        with pytest.raises(NonPositiveMu):
+            RAFBOConfig(mu=mu)
+        with pytest.raises(NonPositiveMu):
+            jacobian_column_fd(prob, 0, np.zeros(2), np.zeros(2), 0, mu)
+
     def test_masked_output(self):
         prob = make_quadratic(seed=8, n=1, d1=3, d2=4, eig_range=(0.9, 1.4))
         my = mask_from([1, 0, 1, 0], "y")
@@ -305,18 +316,48 @@ class TestRafboHypergradient:
 
 def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
                    rng=None):
-    """The estimator as one jacobian_column_fd call per perturbed coordinate."""
+    """The estimator as one jacobian_column_fd call per perturbed coordinate.
+
+    The deltas come from the loop; their inner products with grad_y f are
+    taken in one matrix-vector product, as the estimator takes them, so a
+    family whose batched rows equal the single call bit for bit matches
+    the estimator bit for bit. Returns the value and an entrywise bound on
+    how far another summation order of the rows may move it. A perturbed
+    row within ``grad_g_y_row_bound`` of the loop's moves delta_p by that
+    bound over mu, plus the rounding of the difference and the division (a
+    few eps of |delta_p|); the product then rounds the two sets of deltas
+    differently, by up to d2 eps of |delta_p| @ |grad_y f| each, and the
+    final add by eps of the value.
+    """
     pset = build_perturbation_set(mx, cfg.coord_fraction, rng)
     gfy = prob.grad_f_y(i, x, y, batch_f)
     value = prob.grad_f_x(i, x, y, batch_f).copy()
-    for p in pset.indices:
-        delta = jacobian_column_fd(prob, i, x, y, int(p), cfg.mu, batch_g, my)
-        value[p] += float(delta @ gfy)
-    return apply_mask(value, mx)
+    deltas = np.empty((len(pset.indices), prob.d2))
+    bound = np.zeros_like(value)
+    for k, p in enumerate(pset.indices):
+        deltas[k] = jacobian_column_fd(prob, i, x, y, int(p), cfg.mu, batch_g,
+                                       my)
+        x_pert = x.copy()
+        x_pert[p] += cfg.mu
+        rows = grad_g_y_row_bound(prob, i, x_pert, y, batch_g)[0]
+        bound[p] = (rows / cfg.mu) @ np.abs(gfy) \
+            + (2 * prob.d2 + 8) * EPS * (np.abs(deltas[k]) @ np.abs(gfy))
+    value[pset.indices] += deltas @ gfy
+    bound += 2 * EPS * np.abs(value)
+    return apply_mask(value, mx), bound
+
+
+def assert_within(value, ref_and_bound):
+    ref, bound = ref_and_bound
+    assert np.all(np.abs(value - ref) <= bound), np.max(np.abs(value - ref) - bound)
 
 
 class TestRafboBatchedEquivalence:
-    """The batched estimator equals the per-coordinate loop bit for bit."""
+    """The batched estimator equals the per-coordinate loop to rounding.
+
+    The batched lower gradient and the contraction sum in another order
+    than the loop, so equality holds within ``loop_reference``'s bound.
+    """
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
     @pytest.mark.parametrize("kwargs", [
@@ -338,7 +379,7 @@ class TestRafboBatchedEquivalence:
         ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                              RngStream(3, 1, 0, "pset"))
         assert est.p_size == (5 if fraction == 1.0 else 3)
-        assert np.array_equal(est.value, ref)
+        assert_within(est.value, ref)
 
     @pytest.mark.parametrize("size", [10 ** 6, 8])
     def test_logistic_matches_loop(self, size):
@@ -354,8 +395,8 @@ class TestRafboBatchedEquivalence:
             cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
             est = rafbo_hypergradient(prob, 0, x, y, mx, my, cfg, None,
                                       batch_g, RngStream(4, 0, 0, "pset"))
-            ref = loop_reference(prob, 0, x, y, mx, my, cfg, None, batch_g,
-                                 RngStream(4, 0, 0, "pset"))
+            ref, _ = loop_reference(prob, 0, x, y, mx, my, cfg, None,
+                                    batch_g, RngStream(4, 0, 0, "pset"))
             assert np.array_equal(est.value, ref)
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic"])
@@ -393,8 +434,8 @@ class TestRafboBatchedEquivalence:
        mu=st.floats(1e-6, 1.0), quartic=st.sampled_from([0.0, 0.05, 0.4]),
        noise_g=st.sampled_from([0.0, 0.5]), fraction=st.floats(0.1, 1.0),
        seed=st.integers(0, 2 ** 16))
-def test_batched_rafbo_bit_identical_to_loop(data, d1, d2, mu, quartic,
-                                             noise_g, fraction, seed):
+def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
+                                               noise_g, fraction, seed):
     bits_x = data.draw(st.lists(st.integers(0, 1), min_size=d1, max_size=d1)
                        .filter(any))
     bits_y = data.draw(st.lists(st.integers(0, 1), min_size=d2, max_size=d2))
@@ -412,7 +453,7 @@ def test_batched_rafbo_bit_identical_to_loop(data, d1, d2, mu, quartic,
                               RngStream(seed, 1, 0, "pset"))
     ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                          RngStream(seed, 1, 0, "pset"))
-    assert np.array_equal(est.value, ref)
+    assert_within(est.value, ref)
 
 
 class TestErrorBound:

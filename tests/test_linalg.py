@@ -7,7 +7,14 @@ from rabosim.errors import (
     NonFiniteValue,
     NotPositiveDefinite,
 )
-from rabosim.linalg import as_vector, cg_solve, solve_spd, spectral_bounds, symmetrize
+from rabosim.linalg import (
+    as_vector,
+    cg_solve,
+    solve_spd,
+    spd_solver,
+    spectral_bounds,
+    symmetrize,
+)
 
 
 def random_spd(rng, dim, eig_lo=0.5, eig_hi=3.0):
@@ -88,6 +95,20 @@ class TestSolveSpd:
         z1 = solve_spd(a, b)
         z2 = solve_spd(a.copy(), b.copy())
         assert np.array_equal(z1, z2)
+
+    @pytest.mark.parametrize("direct_limit", [512, 8])
+    def test_kept_solver_matches_solve_spd(self, direct_limit):
+        # the factor is formed once; every later solve equals a fresh one
+        rng = np.random.default_rng(5)
+        a = random_spd(rng, 24)
+        solve = spd_solver(a, direct_limit)
+        for _ in range(3):
+            b = rng.standard_normal(24)
+            assert np.array_equal(solve(b), solve_spd(a, b, direct_limit))
+        with pytest.raises(DimensionMismatch):
+            solve(np.ones(23))
+        with pytest.raises(NonFiniteValue):
+            solve(np.full(24, np.nan))
 
 
 class TestCgSolve:

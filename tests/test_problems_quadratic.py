@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from rabosim.cli import build_problem, resolve_config
-from rabosim.errors import DimensionMismatch, InvalidSpec, UnsupportedProblem
-from rabosim.linalg import spectral_bounds
+from rabosim.errors import (
+    DimensionMismatch,
+    InvalidSpec,
+    NonFiniteValue,
+    UnsupportedProblem,
+)
+from rabosim.linalg import solve_spd, spectral_bounds
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
@@ -18,6 +23,7 @@ from rabosim.problems.quadratic import (
     QuadraticSpec,
     analytic_outer_minimizer,
 )
+from tests_support import grad_g_y_row_bound
 
 
 def one_dim_problem(lam=0.0):
@@ -142,6 +148,34 @@ class TestInnerOptimumOracle:
         logi = make_logistic_tune(seed=0, n=1, imbalance_mu=1.0)
         with pytest.raises(UnsupportedProblem):
             inner_optimum_oracle(logi, np.zeros(logi.d1))
+
+    @pytest.mark.parametrize("quartic", [0.0, 0.3])
+    def test_reused_solves_bit_identical(self, quartic):
+        # without the quartic term the factor of A_bar and the Jacobian are
+        # computed once and reused; every call must equal a fresh solve
+        prob = make_quadratic(seed=12, n=3, d1=6, d2=9, hetero=0.4,
+                              eig_range=(0.6, 1.8), quartic=quartic)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            x = rng.standard_normal(6)
+            ys = prob.y_star(x)
+            assert np.array_equal(ys, solve_spd(prob._hess_bar(x),
+                                                -(prob._b_bar @ x + prob._c_bar)))
+            rhs = prob._b_bar.copy()
+            if quartic:
+                rhs = rhs + quartic * np.outer(prob._u_bar @ ys, x)
+            assert np.array_equal(prob.jac_y_star(x),
+                                  -np.linalg.solve(prob._hess_bar(x), rhs))
+        with pytest.raises(NonFiniteValue):
+            prob.y_star(np.full(6, np.nan))
+
+    def test_cached_jacobian_read_only(self):
+        prob = make_quadratic(seed=12, n=2, d1=4, d2=5, eig_range=(0.6, 1.8))
+        jac = prob.jac_y_star(np.zeros(4))
+        assert not jac.flags.writeable
+        with pytest.raises(ValueError):
+            jac[0, 0] = 1.0
+        assert prob.jac_y_star(np.ones(4)) is jac
 
 
 class TestTrueHypergradientOracle:
@@ -362,7 +396,12 @@ class TestDerivativeCallbacks:
 
 
 class TestGradGyBatch:
-    """Each batched row equals a separate grad_g_y call, bit for bit."""
+    """Each batched row equals a separate grad_g_y call to rounding.
+
+    The rows are one matrix product, which may sum B_i x in another order
+    than the single call's matrix-vector product; ``grad_g_y_row_bound``
+    states how far that may move a row.
+    """
 
     @pytest.mark.parametrize("kwargs,batch", [
         ({}, None),
@@ -378,8 +417,19 @@ class TestGradGyBatch:
         y = rng.standard_normal(23)
         rows = prob.grad_g_y_batch(1, xs, y, batch)
         assert rows.shape == (9, 23)
-        for x, row in zip(xs, rows):
-            assert np.array_equal(row, prob.grad_g_y(1, x, y, batch))
+        bound = grad_g_y_row_bound(prob, 1, xs, y, batch)
+        for x, row, tol in zip(xs, rows, bound):
+            assert np.all(np.abs(row - prob.grad_g_y(1, x, y, batch)) <= tol)
+
+    def test_repeated_calls_bit_identical(self):
+        prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
+                              eig_range=(0.6, 1.7), quartic=0.2, noise_g=0.7)
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((9, 37))
+        y = rng.standard_normal(23)
+        batch = SampleBatch("g", seed=4, client=1, round_index=2, draw=3)
+        assert np.array_equal(prob.grad_g_y_batch(1, xs, y, batch),
+                              prob.grad_g_y_batch(1, xs, y, batch))
 
     def test_rejects_wrong_row_width(self):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)

@@ -13,3 +13,40 @@ def one_dim_tracking_problem(lam=0.0):
         inner_targets=[np.zeros(1)], u_mats=None, lam=lam,
         noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
         ball_radius=10.0))
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def grad_g_y_row_bound(prob, i, xs, y, batch=None):
+    """Entrywise bound on how far two evaluation orders of a row may differ.
+
+    Row k of the quadratic lower gradient is (A_i y + B_i x_k) + c_i, plus
+    (tau/2) ||x_k||^2 U_i y and the batch noise. A GEMM and a GEMV may sum
+    the d1 products of B_i x_k (and the d1 squares of ||x_k||^2) in
+    different orders; each order is within about d1 * eps of the exact
+    value, relative to the sum of absolute terms, and each of the few
+    remaining additions adds at most eps of its result. Two evaluations
+    of the same row therefore differ by at most
+
+        2 (max(d1, d2) + 4) eps (|A_i||y| + |B_i||x_k| + |c_i|
+                                 + (tau/2) ||x_k||^2 |U_i||y| + |noise|).
+
+    Returns a (k, d2) array; families without an override evaluate the
+    rows through ``grad_g_y`` itself, so their bound is zero.
+    """
+    from rabosim.problems.quadratic import QuadraticProblem
+
+    xs = np.atleast_2d(xs)
+    if not isinstance(prob, QuadraticProblem):
+        return np.zeros((xs.shape[0], prob.d2))
+    s = prob.spec
+    terms = (np.abs(s.a_mats[i]) @ np.abs(y) + np.abs(xs) @ np.abs(s.b_mats[i]).T
+             + np.abs(s.c_vecs[i]))
+    if s.quartic:
+        terms = terms + np.outer((s.quartic / 2.0) * np.sum(xs * xs, axis=1),
+                                 np.abs(s.u_mats[i]) @ np.abs(y))
+    noise = prob._noise(batch, s.noise_g)
+    if noise is not None:
+        terms = terms + np.abs(noise[: prob.d2])
+    return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
