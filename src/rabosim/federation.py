@@ -394,10 +394,11 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         reports, cfg.download_mode, problem.d1, problem.d2)
 
     if problem.has_oracles():
-        grad_phi = problem.grad_phi(x_next)
+        ys = problem.y_star(x_next)
+        grad_phi = problem.grad_phi(x_next, ys)
         grad_phi_sq = float(grad_phi @ grad_phi)
-        phi = problem.phi(x_next)
-        err = y_next - problem.y_star(x_next)
+        phi = problem.phi(x_next, ys)
+        err = y_next - ys
         inner_err_sq = float(err @ err)
     else:
         grad_phi_sq = phi = inner_err_sq = float("nan")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionMismatch,
@@ -79,24 +79,28 @@ def spd_solver(a, direct_limit: int = DIRECT_SOLVE_LIMIT
 
     Below ``direct_limit`` the Cholesky factor is formed here, once, so a
     caller that keeps the solver pays one pair of triangular solves per
-    right-hand side. ``a`` is checked here and each ``b`` on its call.
+    right-hand side. These are LAPACK's ``potrf``/``potrs``, called
+    directly: the same routines, and so the same bits, as scipy's
+    ``cho_factor``/``cho_solve`` without their wrappers' overhead. ``a`` is
+    checked here and each ``b`` on its call.
     """
     a = as_matrix(a, "a")
     _require_symmetric(a, "a")
     dim = a.shape[0]
-    direct = dim <= direct_limit
+    # potrs rejects a 0 x 0 system; CG returns its empty solution at once
+    direct = 0 < dim <= direct_limit
     if direct:
-        try:
-            factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
+        factor, info = dpotrf(a, lower=1, clean=0)
+        if info > 0:
+            raise NotPositiveDefinite(
+                f"{info}-th leading minor of the matrix is not positive definite")
 
     def solve(b) -> np.ndarray:
         b = as_vector(b, "b")
         if b.shape[0] != dim:
             raise DimensionMismatch(f"matrix dim {dim} != rhs dim {b.shape[0]}")
         if direct:
-            return scipy.linalg.cho_solve(factor, b, check_finite=False)
+            return dpotrs(factor, b, lower=1)[0]
         return cg_solve(lambda v: a @ v, b, tol=1e-12, max_iter=10 * dim)
 
     return solve

@@ -72,7 +72,7 @@ class Mask:
         bits = np.asarray(self.bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise DimensionMismatch("mask bits must be 1-D")
-        if not np.all((bits == 0) | (bits == 1)):
+        if bits.size and bits.max() > 1:
             raise ValueError("mask bits must be 0/1")
         if self.level not in LEVELS:
             raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")

@@ -223,29 +223,36 @@ class QuadraticProblem(BilevelProblem):
             return solve_spd(self._hess_bar(x), rhs)
         return self._a_bar_solve(rhs)
 
-    def jac_y_star(self, x: np.ndarray) -> np.ndarray:
+    def jac_y_star(self, x: np.ndarray, ys: np.ndarray | None = None
+                   ) -> np.ndarray:
         """d2 x d1 Jacobian of the inner optimum map x -> y*(x).
 
         Without the quartic term it does not depend on x and is computed
-        once; the array returned is then shared and read-only.
+        once; the array returned is then shared and read-only. ``ys``, if
+        given, is ``y_star(x)`` already solved by the caller; the same
+        holds for ``grad_phi`` and ``phi``.
         """
         if not self.spec.quartic:
             return self._jac_constant
-        ys = self.y_star(x)
+        if ys is None:
+            ys = self.y_star(x)
         rhs = self._b_bar + self.spec.quartic * np.outer(self._u_bar @ ys, x)
         return -np.linalg.solve(self._hess_bar(x), rhs)
 
-    def grad_phi(self, x: np.ndarray) -> np.ndarray:
+    def grad_phi(self, x: np.ndarray, ys: np.ndarray | None = None
+                 ) -> np.ndarray:
         """Exact hypergradient of Phi(x) = mean_i f_i(x, y*(x))."""
-        ys = self.y_star(x)
+        if ys is None:
+            ys = self.y_star(x)
         gx = self.spec.lam * (x - self._a_tgt_bar)
         if self.spec.sine_amp:
             gx = gx + self.spec.sine_amp * np.cos(x)
         gy = ys - self._b_tgt_bar
-        return gx + self.jac_y_star(x).T @ gy
+        return gx + self.jac_y_star(x, ys).T @ gy
 
-    def phi(self, x: np.ndarray) -> float:
-        ys = self.y_star(x)
+    def phi(self, x: np.ndarray, ys: np.ndarray | None = None) -> float:
+        if ys is None:
+            ys = self.y_star(x)
         return float(np.mean([self.value_f(i, x, ys) for i in range(self.n)]))
 
     def heterogeneity_bounds(self) -> tuple[float, float]:

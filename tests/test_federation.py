@@ -267,6 +267,21 @@ class TestRabobRound:
         assert log.grad_phi_sq == pytest.approx(
             stationarity(prob, new_state.x), rel=1e-12)
 
+    @pytest.mark.parametrize("quartic", [0.0, 0.1])
+    def test_one_inner_solve_per_round(self, quartic):
+        """grad_phi, phi and inner_err share one y*(x_next) solve."""
+        prob = make_quadratic(seed=7, n=2, d1=3, d2=3, eig_range=(0.9, 1.4),
+                              quartic=quartic)
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1, n=2,
+                        capacities=full_caps(2), seed=0)
+        state = GlobalState(np.ones(3), np.zeros(3), 0)
+        _, want = rabo_round(prob, state, cfg)
+        solve, calls = prob.y_star, []
+        prob.y_star = lambda x: calls.append(x) or solve(x)
+        _, log = rabo_round(prob, state, cfg)
+        assert len(calls) == 1
+        assert logs_to_csv([log]) == logs_to_csv([want])
+
     def test_logistic_round_with_difference_estimator(self):
         prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabosim.errors import (
     DimensionMismatch,
@@ -8,6 +11,7 @@ from rabosim.errors import (
     NotPositiveDefinite,
 )
 from rabosim.linalg import (
+    DIRECT_SOLVE_LIMIT,
     as_vector,
     cg_solve,
     solve_spd,
@@ -70,6 +74,21 @@ class TestSolveSpd:
         with pytest.raises(NotPositiveDefinite):
             solve_spd(a, np.ones(2))
 
+    def test_singular_gram_matrix_is_not_positive_definite(self):
+        # rank-2 Gram matrix in exact integer arithmetic: the third pivot is 0
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="3-th leading minor"):
+            spd_solver(g @ g.T)
+
+    def test_indefinite_names_leading_minor(self):
+        a = np.array([[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NotPositiveDefinite, match="2-th leading minor"):
+            spd_solver(a)
+
+    def test_empty_system(self):
+        z = solve_spd(np.zeros((0, 0)), np.zeros(0))
+        assert z.shape == (0,) and z.dtype == np.float64
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             solve_spd(np.eye(3), np.ones(2))
@@ -109,6 +128,19 @@ class TestSolveSpd:
             solve(np.ones(23))
         with pytest.raises(NonFiniteValue):
             solve(np.full(24, np.nan))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.one_of(st.integers(1, 64), st.just(DIRECT_SOLVE_LIMIT)),
+       eig_lo=st.sampled_from([1e-6, 0.1, 0.8]), seed=st.integers(0, 2 ** 32))
+def test_direct_solver_matches_scipy_cholesky(dim, eig_lo, seed):
+    """The direct branch returns scipy's cho_factor/cho_solve bits."""
+    rng = np.random.default_rng(seed)
+    a = random_spd(rng, dim, eig_lo=eig_lo, eig_hi=4.0)
+    b = rng.standard_normal(dim)
+    factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+    want = scipy.linalg.cho_solve(factor, b, check_finite=False)
+    assert np.array_equal(spd_solver(a)(b), want)
 
 
 class TestCgSolve:

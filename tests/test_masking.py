@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabosim.errors import (
     DimensionMismatch,
@@ -256,3 +260,51 @@ def test_hex_round_trip():
     m = mask_of(bits, level="x", client=3, round_index=5)
     restored = Mask.from_hex(m.to_hex(), 19, "x", 3, 5)
     assert np.array_equal(restored.bits, m.bits)
+
+
+class TestMaskValidation:
+    def test_rejects_non_binary_bit(self):
+        with pytest.raises(ValueError):
+            mask_of([0, 2, 1])
+        with pytest.raises(ValueError):
+            Mask(np.array([1, -1]), "x", 0, 0)  # wraps to 255 as uint8
+
+    def test_rejects_2d_bits(self):
+        with pytest.raises(DimensionMismatch):
+            Mask(np.ones((2, 2), dtype=np.uint8), "x", 0, 0)
+
+    def test_accepts_empty_vector(self):
+        m = mask_of([])
+        assert len(m) == 0 and m.active_count == 0
+
+    def test_rejects_unknown_level(self):
+        with pytest.raises(ValueError):
+            mask_of([1, 0], level="z")
+
+
+capacities = st.builds(
+    lambda den, num: Fraction(min(num, den), den),
+    st.integers(1, 16), st.integers(1, 16))
+
+
+@settings(max_examples=80)
+@given(d=st.integers(1, 120), capacity=capacities,
+       variant=st.sampled_from(["static", "rolling", "magnitude_topk"]),
+       block_size=st.integers(1, 5), client=st.integers(0, 40),
+       round_index=st.integers(0, 500), seed=st.integers(0, 2 ** 32),
+       ties=st.booleans())
+def test_generated_masks_are_binary_readonly_with_ceiling_popcount(
+        d, capacity, variant, block_size, client, round_index, seed, ties):
+    rng = np.random.default_rng(seed)
+    # small integer magnitudes give ties, the zero start's worst case
+    params = (rng.integers(-2, 3, size=d).astype(np.float64) if ties
+              else rng.standard_normal(d))
+    policy = MaskPolicy(variant=variant, block_size=block_size)
+    m = generate_mask(params, ClientResource(capacity), policy, client,
+                      round_index, level="y")
+    assert m.active_count == math.ceil(capacity * d)
+    assert m.bits.dtype == np.uint8 and m.bits.shape == (d,)
+    assert set(np.unique(m.bits)) <= {0, 1}
+    assert not m.bits.flags.writeable
+    with pytest.raises(ValueError):
+        m.bits[0] = 1
