@@ -16,13 +16,14 @@ Two routes to the same quantity:
 
 ``jacobian_column_fd`` returns delta_p, the response of the descent
 direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
-every delta_p of its perturbation set at once: one base gradient, one
-``grad_g_y_batch`` call over the perturbed points (a single matrix
-product per client on the quadratic family), the difference step on all
-rows, and one matrix-vector product for the inner products. That sums
-in another order than one ``jacobian_column_fd`` call per coordinate,
-so the two agree to rounding, not bit for bit; at a fixed BLAS thread
-count the result is still deterministic. The orientation matters: delta
+every delta_p of its perturbation set at once: one
+``grad_g_y_perturbed`` call returns the base gradient and the gradient
+at every x + mu e_p (on the quadratic family each row is the base plus
+mu B_i[:, p], O(d2) work), then the difference step on all rows and one
+matrix-vector product for the inner products. That sums in another
+order than one ``jacobian_column_fd`` call per coordinate, so the two
+agree to rounding, not bit for bit; at a fixed BLAS thread count the
+result is still deterministic. The orientation matters: delta
 already carries the sign of the inner-optimum response, so on problems
 with unit inner curvature it equals the Jacobian column of x -> y*(x)
 exactly for every step size, and the two estimators coincide. With
@@ -238,16 +239,14 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
 
     value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p, charged as
     2|P| + 2 gradient evaluations and |P| vector-vector inner products;
-    the lower gradients come from one base call and one batched call.
+    the lower gradients come from one ``grad_g_y_perturbed`` call.
     """
     pset = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
-    xs = np.tile(x_masked, (len(pset), 1))      # row k perturbs P[k]
-    xs[np.arange(len(pset)), pset.indices] += cfg.mu
-    deltas = _difference_rows(
-        problem.grad_g_y(i, x_masked, y_masked, batch_g),
-        problem.grad_g_y_batch(i, xs, y_masked, batch_g), cfg.mu, mask_y)
+    base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked,
+                                            pset.indices, cfg.mu, batch_g)
+    deltas = _difference_rows(base, rows, cfg.mu, mask_y)
     value = gfx.copy()
     value[pset.indices] += deltas @ gfy
     value = apply_mask(value, mask_x)

@@ -15,7 +15,6 @@ values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,7 +55,13 @@ class ClientResource:
         object.__setattr__(self, "capacity", parse_capacity(self.capacity))
 
     def active_count(self, d: int) -> int:
-        return math.ceil(self.capacity * d)
+        """ceil(capacity * d), in integers."""
+        return -(-self.capacity.numerator * d // self.capacity.denominator)
+
+    @property
+    def period(self) -> int:
+        """ceil(1 / capacity), the period of the window policies, in integers."""
+        return -(-self.capacity.denominator // self.capacity.numerator)
 
 
 @dataclass(frozen=True)
@@ -138,18 +143,20 @@ def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
 
 
 def _topk_indices(params: np.ndarray, target: int, block_size: int) -> np.ndarray:
+    # Rank by (block rank, -|param|, index): blocks by descending summed
+    # magnitude, ties to the lower block, then coordinates inside a block.
     d = len(params)
     mags = np.abs(params)
-    n_blocks = math.ceil(d / block_size)
-    scores = np.array([mags[b * block_size:(b + 1) * block_size].sum()
-                       for b in range(n_blocks)])
-    block_order = np.lexsort((np.arange(n_blocks), -scores))
-    ranked = []
-    for b in block_order:
-        coords = np.arange(b * block_size, min((b + 1) * block_size, d))
-        inner = np.lexsort((coords, -mags[coords]))
-        ranked.extend(coords[inner])
-    return np.array(ranked[:target])
+    if block_size == 1:
+        scores = mags
+    else:
+        scores = np.array([mags[b:b + block_size].sum()
+                           for b in range(0, d, block_size)])
+    n_blocks = scores.shape[0]
+    block_rank = np.empty(n_blocks, dtype=np.int64)
+    block_rank[np.lexsort((np.arange(n_blocks), -scores))] = np.arange(n_blocks)
+    coords = np.arange(d)
+    return np.lexsort((coords, -mags, block_rank[coords // block_size]))[:target]
 
 
 def generate_mask(params: np.ndarray, resource: ClientResource,
@@ -178,7 +185,7 @@ def generate_mask(params: np.ndarray, resource: ClientResource,
         bits[:] = 1
         return Mask(bits, level, client, round_index)
 
-    period = math.ceil(Fraction(1) / resource.capacity)
+    period = resource.period
     if policy.variant == "static":
         idx = _window_indices(d, target, client, period)
     elif policy.variant == "rolling":

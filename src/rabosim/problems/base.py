@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import DimensionMismatch
 from ..rng import RngStream
 
 
@@ -108,16 +109,29 @@ class BilevelProblem(ABC):
     def grad_g_y(self, i: int, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...
 
-    def grad_g_y_batch(self, i: int, xs: np.ndarray, y: np.ndarray,
-                       batch: SampleBatch | None = None) -> np.ndarray:
-        """Row k is ``grad_g_y(i, xs[k], y, batch)``; ``xs`` is (k, d1).
+    def grad_g_y_perturbed(self, i: int, x: np.ndarray, y: np.ndarray,
+                           coords: np.ndarray, mu: float,
+                           batch: SampleBatch | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Lower gradient at x and at every x + mu e_p, p in ``coords``.
 
-        Families may override this to share the y-only work across rows
-        and to evaluate the x-dependent part as one matrix product. Rows
-        then equal the single-point call to rounding, not bit for bit,
-        and repeated calls stay bit-identical at a fixed BLAS thread count.
+        Returns ``(base, rows)``: ``base`` is ``grad_g_y(i, x, y, batch)``
+        and row k of the ``(len(coords), d2)`` array ``rows`` is
+        ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
+        uses the same batch. This default makes one ``grad_g_y`` call per
+        point. Families may override it to build each row from the base
+        and the perturbation's structure; rows then equal the single call
+        to rounding, not bit for bit, and repeated calls stay
+        bit-identical at a fixed BLAS thread count.
         """
-        return np.stack([self.grad_g_y(i, x, y, batch) for x in xs])
+        self.check_coords(coords)
+        base = self.grad_g_y(i, x, y, batch)
+        rows = np.empty((coords.shape[0], self.d2))
+        for k, p in enumerate(coords):
+            x_pert = x.copy()
+            x_pert[p] += mu
+            rows[k] = self.grad_g_y(i, x_pert, y, batch)
+        return base, rows
 
     @abstractmethod
     def grad_g_x(self, i: int, x: np.ndarray, y: np.ndarray,
@@ -153,8 +167,18 @@ class BilevelProblem(ABC):
         return total / self.n
 
     def check_dims(self, x: np.ndarray, y: np.ndarray) -> None:
-        from ..errors import DimensionMismatch
         if x.shape != (self.d1,):
             raise DimensionMismatch(f"x has shape {x.shape}, want ({self.d1},)")
         if y.shape != (self.d2,):
             raise DimensionMismatch(f"y has shape {y.shape}, want ({self.d2},)")
+
+    def check_coords(self, coords: np.ndarray) -> None:
+        """Outer coordinate indices must be a 1-D integer array in range."""
+        if coords.ndim != 1 or coords.dtype.kind not in "iu":
+            raise DimensionMismatch(
+                f"coords must be a 1-D integer array, got shape "
+                f"{coords.shape} of {coords.dtype}")
+        if coords.size and (coords.min() < 0 or coords.max() >= self.d1):
+            raise DimensionMismatch(
+                f"coords must lie in [0, {self.d1}), got "
+                f"[{coords.min()}, {coords.max()}]")

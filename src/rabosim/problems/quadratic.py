@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InvalidSpec, UnsupportedProblem
+from ..errors import InvalidSpec, UnsupportedProblem
 from ..linalg import (
     solve_spd,
     spd_solver,
@@ -121,24 +121,18 @@ class QuadraticProblem(BilevelProblem):
             grad = grad + noise[: self.d2]
         return grad
 
-    def grad_g_y_batch(self, i, xs, y, batch=None):
-        # Every row's B_i x is one matrix product; A_i y, U_i y and the
-        # noise draw are shared. Rows keep grad_g_y's order of additions,
-        # (A_i y + B_i x) + c_i, and equal it to rounding.
-        if xs.ndim != 2 or xs.shape[1] != self.d1 or y.shape != (self.d2,):
-            raise DimensionMismatch(
-                f"xs has shape {xs.shape} and y {y.shape}, "
-                f"want (k, {self.d1}) and ({self.d2},)")
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+        # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
+        # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
+        # the base plus O(d2) work. Every row keeps the base's noise draw.
+        self.check_coords(coords)
+        base = self.grad_g_y(i, x, y, batch)
         s = self.spec
-        rows = s.a_mats[i] @ y + xs @ s.b_mats[i].T
-        rows += s.c_vecs[i]
+        rows = base + mu * s.b_mats[i].T[coords]
         if s.quartic:
-            rows += np.outer((s.quartic / 2.0) * np.einsum("kj,kj->k", xs, xs),
-                             s.u_mats[i] @ y)
-        noise = self._noise(batch, s.noise_g)
-        if noise is not None:
-            rows += noise[: self.d2]
-        return rows
+            growth = (s.quartic / 2.0) * (2.0 * mu * x[coords] + mu * mu)
+            rows += np.outer(growth, s.u_mats[i] @ y)
+        return base, rows
 
     def grad_g_x(self, i, x, y, batch=None):
         self.check_dims(x, y)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabosim.errors import (
     DimensionMismatch,
@@ -638,3 +640,48 @@ class TestCsvRendering:
         text = logs_to_csv(res.logs)
         value = text.strip().split("\n")[1].split(",")[1]
         assert float(value) == res.logs[0].grad_phi_sq
+
+
+@st.composite
+def partial_tables(draw, n, d, nonempty):
+    """Per-client coordinate rows that leave at least one coordinate
+    uncovered; with ``nonempty`` every row has a coordinate."""
+    gap = draw(st.integers(0, d - 1))
+    pool = [c for c in range(d) if c != gap]
+    rows = []
+    for _ in range(n):
+        keep = draw(st.lists(st.booleans(), min_size=len(pool),
+                             max_size=len(pool)))
+        row = [c for c, k in zip(pool, keep) if k]
+        if nonempty and not row:
+            row = [draw(st.sampled_from(pool))]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), d1=st.integers(2, 6),
+       d2=st.integers(2, 6), estimator=st.sampled_from([EXACT_AID, RAFBO]),
+       seed=st.integers(0, 2 ** 16))
+def test_uncovered_coordinates_bit_frozen(data, n, d1, d2, estimator, seed):
+    """A coordinate no client's manual table covers keeps its exact bits."""
+    table_x = data.draw(partial_tables(n, d1, nonempty=True))
+    table_y = data.draw(partial_tables(n, d2, nonempty=False))
+    prob = make_quadratic(seed=seed, n=n, d1=d1, d2=d2, hetero=0.5,
+                          noise_f=0.3, noise_g=0.3, eig_range=(0.6, 1.5),
+                          quartic=0.1)
+    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=3, n=n,
+                    estimator=estimator, capacities=full_caps(n), seed=seed,
+                    batch_size_f=2, batch_size_g=2,
+                    policy=MaskPolicy(variant="manual", table_x=table_x,
+                                      table_y=table_y))
+    rng = np.random.default_rng(seed)
+    state = GlobalState(rng.standard_normal(d1), rng.standard_normal(d2), 0)
+    free_x = ~np.isin(np.arange(d1), sum(table_x, []))
+    free_y = ~np.isin(np.arange(d2), sum(table_y, []))
+    x0, y0 = state.x.copy(), state.y.copy()
+    for _ in range(cfg.rounds):
+        state, _ = rabo_round(prob, state, cfg)
+    assert np.array_equal(state.x[free_x], x0[free_x])
+    assert np.array_equal(state.y[free_y], y0[free_y])
+    assert not np.array_equal(state.x, x0)   # the covered part trained

@@ -323,7 +323,8 @@ def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
     family whose batched rows equal the single call bit for bit matches
     the estimator bit for bit. Returns the value and an entrywise bound on
     how far another summation order of the rows may move it. A perturbed
-    row within ``grad_g_y_row_bound`` of the loop's moves delta_p by that
+    row within ``grad_g_y_row_bound`` of the loop's (with ``x_base``, as
+    the rows are built from the base gradient) moves delta_p by that
     bound over mu, plus the rounding of the difference and the division (a
     few eps of |delta_p|); the product then rounds the two sets of deltas
     differently, by up to d2 eps of |delta_p| @ |grad_y f| each, and the
@@ -339,7 +340,7 @@ def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
                                        my)
         x_pert = x.copy()
         x_pert[p] += cfg.mu
-        rows = grad_g_y_row_bound(prob, i, x_pert, y, batch_g)[0]
+        rows = grad_g_y_row_bound(prob, i, x_pert, y, batch_g, x_base=x)[0]
         bound[p] = (rows / cfg.mu) @ np.abs(gfy) \
             + (2 * prob.d2 + 8) * EPS * (np.abs(deltas[k]) @ np.abs(gfy))
     value[pset.indices] += deltas @ gfy
@@ -406,7 +407,7 @@ class TestRafboBatchedEquivalence:
         else:
             prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
                                       base_count=20)
-        calls = {"grad_g_y": 0, "grad_g_y_batch": 0}
+        calls = {"grad_g_y": 0, "grad_g_y_perturbed": 0}
         for name in calls:
             original = getattr(prob, name)
 
@@ -422,7 +423,8 @@ class TestRafboBatchedEquivalence:
                                       np.zeros(prob.d2), mx, my,
                                       RAFBOConfig(mu=1e-3))
             assert est.p_size == prob.d1
-            assert calls["grad_g_y_batch"] - before["grad_g_y_batch"] == 1
+            assert calls["grad_g_y_perturbed"] \
+                - before["grad_g_y_perturbed"] == 1
             # the base default evaluates each row through grad_g_y
             rows = 0 if family == "quadratic" else est.p_size
             assert calls["grad_g_y"] - before["grad_g_y"] == 1 + rows

@@ -17,12 +17,14 @@ from rabosim.masking import (
     CoverageTracker,
     Mask,
     MaskPolicy,
+    _topk_indices,
     apply_mask,
     coverage,
     generate_mask,
     mask_deviation,
     parse_capacity,
 )
+from tests_support import topk_indices_loop
 
 
 def mask_of(bits, level="y", client=0, round_index=0):
@@ -44,6 +46,14 @@ class TestClientResource:
     def test_active_count_rounds_up(self):
         assert ClientResource(Fraction(1, 4)).active_count(10) == 3
         assert ClientResource(Fraction(1)).active_count(10) == 10
+
+    @pytest.mark.parametrize("capacity", [
+        Fraction(1, 7), Fraction(1, 3), 0.3, Fraction(2, 3), 1])
+    def test_integer_ceilings_match_fraction_forms(self, capacity):
+        res = ClientResource(capacity)
+        assert res.period == math.ceil(Fraction(1) / res.capacity)
+        for d in range(1, 65):
+            assert res.active_count(d) == math.ceil(res.capacity * d)
 
 
 class TestGenerateMask:
@@ -308,3 +318,22 @@ def test_generated_masks_are_binary_readonly_with_ceiling_popcount(
     assert not m.bits.flags.writeable
     with pytest.raises(ValueError):
         m.bits[0] = 1
+
+
+@settings(max_examples=150)
+@given(d=st.integers(1, 60), block_size=st.integers(1, 12),
+       kind=st.sampled_from(["normal", "ties", "zeros", "signed-zeros"]),
+       data=st.data(), seed=st.integers(0, 2 ** 32))
+def test_topk_ranking_matches_block_loop(d, block_size, kind, data, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        params = rng.standard_normal(d)
+    elif kind == "ties":
+        params = rng.integers(-2, 3, size=d).astype(np.float64)
+    elif kind == "zeros":
+        params = np.zeros(d)
+    else:
+        params = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+    target = data.draw(st.integers(1, d))
+    assert np.array_equal(_topk_indices(params, target, block_size),
+                          topk_indices_loop(params, target, block_size))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabosim.cli import build_problem, resolve_config
-from rabosim.errors import InvalidSpec
+from rabosim.errors import DimensionMismatch, InvalidSpec
 from rabosim.problems import SampleBatch, make_logistic_tune, problem_to_config
 
 
@@ -286,7 +286,8 @@ class TestHessianForm:
 
 
 class TestGradGyBatch:
-    """The base default: rows equal separate grad_g_y calls, bit for bit."""
+    """The base default of ``grad_g_y_perturbed``: the base and every row
+    equal separate ``grad_g_y`` calls, bit for bit."""
 
     @pytest.mark.parametrize("batch", [
         None,
@@ -297,9 +298,26 @@ class TestGradGyBatch:
         prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
                                   features=4, base_count=40)
         rng = np.random.default_rng(5)
-        xs = rng.standard_normal((5, prob.d1)) * 0.4
+        x = rng.standard_normal(prob.d1) * 0.4
         y = rng.standard_normal(prob.d2) * 0.3
-        rows = prob.grad_g_y_batch(1, xs, y, batch)
-        assert rows.shape == (5, prob.d2)
-        for x, row in zip(xs, rows):
-            assert np.array_equal(row, prob.grad_g_y(1, x, y, batch))
+        coords = np.array([0, 2, 2, prob.d1 - 1])
+        base, rows = prob.grad_g_y_perturbed(1, x, y, coords, 1e-3, batch)
+        assert np.array_equal(base, prob.grad_g_y(1, x, y, batch))
+        assert rows.shape == (4, prob.d2)
+        for p, row in zip(coords, rows):
+            x_pert = x.copy()
+            x_pert[p] += 1e-3
+            assert np.array_equal(row, prob.grad_g_y(1, x_pert, y, batch))
+        again = prob.grad_g_y_perturbed(1, x, y, coords, 1e-3, batch)
+        assert np.array_equal(again[0], base)
+        assert np.array_equal(again[1], rows)
+
+    @pytest.mark.parametrize("coords,y_len", [
+        (np.array([[0]]), None), (np.array([99]), None),
+        (np.array([0]), 1)], ids=["2-d", "past-end", "bad-y"])
+    def test_rejects_bad_shapes(self, coords, y_len):
+        prob = make_logistic_tune(seed=9, n=2, classes=3, features=4,
+                                  base_count=40)
+        y = np.zeros(prob.d2 if y_len is None else y_len)
+        with pytest.raises(DimensionMismatch):
+            prob.grad_g_y_perturbed(0, np.zeros(prob.d1), y, coords, 1e-3)

@@ -396,12 +396,16 @@ class TestDerivativeCallbacks:
 
 
 class TestGradGyBatch:
-    """Each batched row equals a separate grad_g_y call to rounding.
+    """``grad_g_y_perturbed``: the base is ``grad_g_y`` bit for bit, and
+    each row equals a separate ``grad_g_y`` call at x + mu e_p to rounding.
 
-    The rows are one matrix product, which may sum B_i x in another order
-    than the single call's matrix-vector product; ``grad_g_y_row_bound``
-    states how far that may move a row.
+    Row k is the base plus mu B_i[:, p] (and the quartic term's change),
+    which sums in another order than the single call at the perturbed
+    point; ``grad_g_y_row_bound`` with ``x_base`` states how far that may
+    move a row.
     """
+
+    COORDS = np.array([0, 5, 5, 36, 17, 2, 30])  # a repeat, both ends
 
     @pytest.mark.parametrize("kwargs,batch", [
         ({}, None),
@@ -413,25 +417,42 @@ class TestGradGyBatch:
         prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
                               eig_range=(0.6, 1.7), **kwargs)
         rng = np.random.default_rng(9)
-        xs = rng.standard_normal((9, 37))
+        x = rng.standard_normal(37)
         y = rng.standard_normal(23)
-        rows = prob.grad_g_y_batch(1, xs, y, batch)
-        assert rows.shape == (9, 23)
-        bound = grad_g_y_row_bound(prob, 1, xs, y, batch)
-        for x, row, tol in zip(xs, rows, bound):
-            assert np.all(np.abs(row - prob.grad_g_y(1, x, y, batch)) <= tol)
+        for mu in (1e-3, 0.7):
+            base, rows = prob.grad_g_y_perturbed(1, x, y, self.COORDS, mu,
+                                                 batch)
+            assert np.array_equal(base, prob.grad_g_y(1, x, y, batch))
+            assert rows.shape == (7, 23)
+            xs = np.tile(x, (7, 1))
+            xs[np.arange(7), self.COORDS] += mu
+            bound = grad_g_y_row_bound(prob, 1, xs, y, batch, x_base=x)
+            for x_pert, row, tol in zip(xs, rows, bound):
+                assert np.all(
+                    np.abs(row - prob.grad_g_y(1, x_pert, y, batch)) <= tol)
 
     def test_repeated_calls_bit_identical(self):
         prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
                               eig_range=(0.6, 1.7), quartic=0.2, noise_g=0.7)
         rng = np.random.default_rng(9)
-        xs = rng.standard_normal((9, 37))
+        x = rng.standard_normal(37)
         y = rng.standard_normal(23)
         batch = SampleBatch("g", seed=4, client=1, round_index=2, draw=3)
-        assert np.array_equal(prob.grad_g_y_batch(1, xs, y, batch),
-                              prob.grad_g_y_batch(1, xs, y, batch))
+        first = prob.grad_g_y_perturbed(1, x, y, self.COORDS, 1e-3, batch)
+        second = prob.grad_g_y_perturbed(1, x, y, self.COORDS, 1e-3, batch)
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_rejects_wrong_row_width(self):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
         with pytest.raises(DimensionMismatch):
-            prob.grad_g_y_batch(0, np.zeros((2, 4)), np.zeros(2))
+            prob.grad_g_y_perturbed(0, np.zeros(3), np.zeros(3),
+                                    np.array([0, 2]), 1e-3)
+
+    @pytest.mark.parametrize("coords", [
+        np.array([[0, 1]]), np.array([0, 3]), np.array([-1]),
+        np.array([0.0, 1.0])], ids=["2-d", "past-end", "negative", "float"])
+    def test_rejects_bad_coords(self, coords):
+        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
+        with pytest.raises(DimensionMismatch):
+            prob.grad_g_y_perturbed(0, np.zeros(3), np.zeros(2), coords, 1e-3)
