@@ -17,12 +17,14 @@ both flags default to off so acceptance checks run against a problem with
 a unique verifiable minimizer.
 
 Heterogeneity enters only through per-client offsets of the linear
-targets (c_i, a_i, b_i); curvature blocks are shared. Stochastic
-gradients are the exact gradients plus additive zero-mean Gaussian noise
-scaled by ``noise_f`` / ``noise_g`` and shrunk by sqrt(batch size), drawn
-deterministically from the batch's stream. The noise is independent of
-(x, y), so differencing two evaluations under the same batch cancels it
-exactly (common random numbers).
+targets (c_i, a_i, b_i); curvature blocks are shared: ``make_quadratic``
+holds one read-only A and one B that every client's entry refers to.
+
+Stochastic gradients are the exact gradients plus additive zero-mean
+Gaussian noise scaled by ``noise_f`` / ``noise_g`` and shrunk by
+sqrt(batch size), drawn deterministically from the batch's stream. The
+noise is independent of (x, y), so differencing two evaluations under the
+same batch cancels it exactly (common random numbers).
 """
 
 from __future__ import annotations
@@ -46,14 +48,22 @@ from .base import BilevelProblem, ProblemConstants, SampleBatch
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """Matrices and generation parameters of one quadratic instance."""
+    """Matrices and generation parameters of one quadratic instance.
 
-    a_mats: list          # per-client A_i, d2 x d2 SPD
-    b_mats: list          # per-client B_i, d2 x d1
+    Every list holds one entry per client. Entries may be the same array:
+    ``make_quadratic`` fills ``a_mats`` and ``b_mats`` with n references
+    to one read-only A and one read-only B, so the blocks take
+    O(d2^2 + d1 d2) memory, not n times that. A hand-built spec may give
+    each client its own blocks. ``QuadraticProblem`` checks each distinct
+    array once for its shape and finiteness.
+    """
+
+    a_mats: list          # per-client A_i, d2 x d2 SPD; may alias one array
+    b_mats: list          # per-client B_i, d2 x d1; may alias one array
     c_vecs: list          # per-client c_i, d2
     outer_targets: list   # per-client a_i, d1
     inner_targets: list   # per-client b_i, d2
-    u_mats: list | None   # per-client U_i for the quartic term, or None
+    u_mats: list | None   # per-client U_i (d2 x d2) for the quartic term, or None
     lam: float            # outer quadratic weight, >= 0
     noise_f: float
     noise_g: float
@@ -64,19 +74,50 @@ class QuadraticSpec:
     params: dict = field(default_factory=dict)  # generator arguments, for serialization
 
 
+def _checked_dims(spec: QuadraticSpec) -> tuple[int, int, int]:
+    """(n, d2, d1) of a spec with one entry per client in every list, each
+    of its field's shape and finite; A's list sets n and B_0 sets d2, d1.
+
+    Without the shape check a mis-shaped vector broadcasts silently (a
+    length-1 c_i adds its one value to every coordinate). Aliased entries
+    are checked once, by identity.
+    """
+    n = len(spec.a_mats)
+    if n < 1:
+        raise InvalidSpec("a quadratic problem needs at least one client")
+    names = ["a_mats", "b_mats", "c_vecs", "outer_targets",
+             "inner_targets"] + ([] if spec.u_mats is None else ["u_mats"])
+    for name in names:
+        count = len(getattr(spec, name))
+        if count != n:
+            raise InvalidSpec(f"{name} has {count} entries for {n} clients")
+    b_shape = np.shape(spec.b_mats[0])
+    if len(b_shape) != 2:
+        raise InvalidSpec(f"client 0: b_mats has shape {b_shape}, want (d2, d1)")
+    d2, d1 = b_shape
+    shapes = {"a_mats": (d2, d2), "b_mats": (d2, d1), "c_vecs": (d2,),
+              "outer_targets": (d1,), "inner_targets": (d2,),
+              "u_mats": (d2, d2)}
+    for name in names:
+        seen = set()
+        for i, arr in enumerate(getattr(spec, name)):
+            if id(arr) in seen:
+                continue
+            seen.add(id(arr))
+            if np.shape(arr) != shapes[name]:
+                raise InvalidSpec(f"client {i}: {name} has shape "
+                                  f"{np.shape(arr)}, want {shapes[name]}")
+            if not np.all(np.isfinite(arr)):
+                raise InvalidSpec(f"client {i}: {name} is not finite")
+    return n, d2, d1
+
+
 class QuadraticProblem(BilevelProblem):
     """Bilevel problem backed by a :class:`QuadraticSpec`."""
 
     def __init__(self, spec: QuadraticSpec):
-        for group in (spec.a_mats, spec.b_mats, spec.c_vecs,
-                      spec.outer_targets, spec.inner_targets,
-                      spec.u_mats or []):
-            for arr in group:
-                if not np.all(np.isfinite(arr)):
-                    raise InvalidSpec("problem data must be finite")
+        self.n, self.d2, self.d1 = _checked_dims(spec)
         self.spec = spec
-        self.n = len(spec.a_mats)
-        self.d2, self.d1 = spec.b_mats[0].shape
         self._a_bar = symmetrize(sum(spec.a_mats) / self.n)
         self._b_bar = sum(spec.b_mats) / self.n
         self._c_bar = sum(spec.c_vecs) / self.n
@@ -327,9 +368,11 @@ def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
             u = symmetrize(w @ w.T)
             u_mats.append(u / spectral_norm(u))
 
+    a_shared.flags.writeable = False
+    b_shared.flags.writeable = False
     spec = QuadraticSpec(
-        a_mats=[a_shared.copy() for _ in range(n)],
-        b_mats=[b_shared.copy() for _ in range(n)],
+        a_mats=[a_shared] * n,
+        b_mats=[b_shared] * n,
         c_vecs=[c_bar + hetero * c_off[i] for i in range(n)],
         outer_targets=[a_tgt_bar + hetero * a_off[i] for i in range(n)],
         inner_targets=[b_tgt_bar + hetero * b_off[i] for i in range(n)],
@@ -343,6 +386,11 @@ def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
                 "sine_amp": sine_amp, "target_scale": target_scale,
                 "ball_radius": ball_radius})
     return QuadraticProblem(spec)
+
+
+def _distinct(arrays: list) -> list:
+    """Each array object of ``arrays`` once, in first-seen order."""
+    return list({id(a): a for a in arrays}.values())
 
 
 def _require_quadratic(problem) -> QuadraticProblem:
@@ -392,9 +440,12 @@ def derive_constants(problem) -> ProblemConstants:
     s = p.spec
     rho = s.ball_radius
 
-    mu_g = min(spectral_bounds(a)[0] for a in s.a_mats)
+    # aliased client blocks (make_quadratic shares one A and one B) give
+    # equal values, so each distinct block or pair is decomposed once
+    mu_g = min(spectral_bounds(a)[0] for a in _distinct(s.a_mats))
     joint = 0.0
-    for a, b in zip(s.a_mats, s.b_mats):
+    for a, b in {(id(a), id(b)): (a, b)
+                 for a, b in zip(s.a_mats, s.b_mats)}.values():
         block = np.zeros((p.d1 + p.d2, p.d1 + p.d2))
         block[: p.d2, : p.d2] = a
         block[: p.d2, p.d2:] = b
@@ -402,7 +453,7 @@ def derive_constants(problem) -> ProblemConstants:
         joint = max(joint, spectral_norm(block))
     u_norm = 0.0
     if s.quartic:
-        u_norm = max(spectral_norm(u) for u in s.u_mats)
+        u_norm = max(spectral_norm(u) for u in _distinct(s.u_mats))
     l_g1 = joint + 2.0 * s.quartic * u_norm * rho ** 2
     l_g2 = 6.0 * s.quartic * u_norm * rho
 

@@ -1,6 +1,11 @@
+import dataclasses
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import rabosim.problems.quadratic as quadratic_module
 from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import (
     DimensionMismatch,
@@ -8,7 +13,10 @@ from rabosim.errors import (
     NonFiniteValue,
     UnsupportedProblem,
 )
-from rabosim.linalg import solve_spd, spectral_bounds
+from rabosim.federation import RunConfig, logs_to_csv, run
+from rabosim.hypergrad import EXACT_AID, RAFBO
+from rabosim.linalg import solve_spd, spectral_bounds, spectral_norm
+from rabosim.masking import ClientResource
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
@@ -35,6 +43,150 @@ def one_dim_problem(lam=0.0):
         noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
         ball_radius=10.0)
     return QuadraticProblem(spec)
+
+
+def distinct_copies(spec):
+    """The same spec with every client holding its own copy of each array."""
+    def copies(arrays):
+        return None if arrays is None else [np.array(a) for a in arrays]
+    return dataclasses.replace(
+        spec, a_mats=copies(spec.a_mats), b_mats=copies(spec.b_mats),
+        c_vecs=copies(spec.c_vecs), outer_targets=copies(spec.outer_targets),
+        inner_targets=copies(spec.inner_targets), u_mats=copies(spec.u_mats))
+
+
+def small_spec(n=3, d1=3, d2=2, **fields):
+    """A valid hand-built spec whose clients alias one A, one B and one U."""
+    rng = np.random.default_rng(0)
+    data = dict(
+        a_mats=[np.eye(d2)] * n, b_mats=[rng.standard_normal((d2, d1))] * n,
+        c_vecs=[rng.standard_normal(d2) for _ in range(n)],
+        outer_targets=[rng.standard_normal(d1) for _ in range(n)],
+        inner_targets=[rng.standard_normal(d2) for _ in range(n)],
+        u_mats=[np.eye(d2)] * n, lam=0.5, noise_f=0.0, noise_g=0.0,
+        hetero=0.0, quartic=0.1, sine_amp=0.0, ball_radius=10.0)
+    data.update(fields)
+    return QuadraticSpec(**data)
+
+
+def with_entry(spec, name, i, value):
+    entries = list(getattr(spec, name))
+    entries[i] = value
+    return dataclasses.replace(spec, **{name: entries})
+
+
+class TestSpecValidation:
+    def test_short_client_vector_does_not_broadcast(self):
+        # d2 = 2 and a length-1 c_1: A y + B x + c_1 broadcast to [1, 1]
+        # and moved y_star(0) to [-0.5, -0.5] before the shape check
+        spec = QuadraticSpec(
+            a_mats=[np.eye(2)] * 2, b_mats=[np.zeros((2, 1))] * 2,
+            c_vecs=[np.zeros(2), np.ones(1)], outer_targets=[np.zeros(1)] * 2,
+            inner_targets=[np.zeros(2)] * 2, u_mats=None, lam=0.0,
+            noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
+            ball_radius=10.0)
+        with pytest.raises(InvalidSpec, match=r"client 1: c_vecs"):
+            QuadraticProblem(spec)
+
+    @pytest.mark.parametrize("name,i,value", [
+        ("a_mats", 1, np.eye(3)),
+        ("u_mats", 2, np.ones((2, 3))),
+        ("b_mats", 1, np.ones((2, 2))),
+        ("b_mats", 2, np.ones(2)),
+        ("c_vecs", 1, np.ones(1)),
+        ("c_vecs", 0, np.ones((2, 1))),
+        ("inner_targets", 2, np.ones(3)),
+        ("outer_targets", 1, np.ones(2)),
+    ])
+    def test_mis_shaped_entry_named(self, name, i, value):
+        spec = with_entry(small_spec(), name, i, value)
+        with pytest.raises(InvalidSpec, match=rf"client {i}: {name} has shape"):
+            QuadraticProblem(spec)
+
+    # a_mats sets n, so every other list is checked against its length
+    @pytest.mark.parametrize("name", ["b_mats", "c_vecs", "outer_targets",
+                                      "inner_targets", "u_mats"])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_list_length_named(self, name, count):
+        spec = small_spec()
+        entries = getattr(spec, name)
+        spec = dataclasses.replace(spec, **{name: (entries * 2)[:count]})
+        with pytest.raises(InvalidSpec, match=rf"{name} has {count} entries "
+                                              r"for 3 clients"):
+            QuadraticProblem(spec)
+
+    def test_no_clients(self):
+        spec = dataclasses.replace(
+            small_spec(), a_mats=[], b_mats=[], c_vecs=[], outer_targets=[],
+            inner_targets=[], u_mats=[])
+        with pytest.raises(InvalidSpec, match="at least one client"):
+            QuadraticProblem(spec)
+
+    def test_nan_in_distinct_block_among_aliases(self):
+        spec = small_spec(n=4)
+        shared = spec.a_mats[0]
+        bad = np.eye(2)
+        bad[1, 0] = np.nan
+        spec = dataclasses.replace(spec, a_mats=[shared, shared, bad, shared])
+        with pytest.raises(InvalidSpec, match="client 2: a_mats is not finite"):
+            QuadraticProblem(spec)
+
+
+class TestSharedBlocks:
+    """make_quadratic holds one read-only A and one B for all clients."""
+
+    @pytest.mark.parametrize("eig_range", [(1.0, 1.0), (0.6, 1.8)])
+    def test_clients_alias_read_only_blocks(self, eig_range):
+        prob = make_quadratic(seed=27, n=4, d1=3, d2=5, eig_range=eig_range)
+        spec = prob.spec
+        assert all(a is spec.a_mats[0] for a in spec.a_mats)
+        assert all(b is spec.b_mats[0] for b in spec.b_mats)
+        with pytest.raises(ValueError):
+            spec.a_mats[0][0, 0] = 2.0
+        with pytest.raises(ValueError):
+            spec.b_mats[3][1, 2] = 2.0
+        hess = prob.hess_yy_g(2, np.ones(3), np.ones(5))
+        assert hess is spec.a_mats[0]
+        with pytest.raises(ValueError):
+            hess[0, 0] = 2.0
+
+    def test_memory_held_after_make_quadratic(self):
+        n, d1, d2 = 64, 200, 200
+        # Held: the shared A and B and the problem's client means A_bar
+        # and B_bar, the per-client vectors c_i, b_i (d2 each) and a_i
+        # (d1), and 256 KiB for array headers, the lists and the params
+        # dict. n copies of A and B would hold 41 MB.
+        blocks = 8 * 2 * (d2 * d2 + d2 * d1)
+        vectors = 8 * n * (d1 + 2 * d2)
+        bound = blocks + vectors + 256 * 1024             # 1,849,344 bytes
+        # a first build, so that lazy imports are not counted
+        make_quadratic(seed=28, n=2, d1=3, d2=3, eig_range=(0.8, 1.6))
+        tracemalloc.start()
+        try:
+            prob = make_quadratic(seed=28, n=n, d1=d1, d2=d2, hetero=0.3,
+                                  eig_range=(0.8, 1.6))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.n == n
+        assert held <= bound
+
+    @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
+    def test_aliases_and_copies_give_same_rounds_csv(self, estimator):
+        aliased = make_quadratic(seed=29, n=3, d1=6, d2=5, hetero=0.4,
+                                 noise_f=0.2, noise_g=0.2,
+                                 eig_range=(0.7, 1.5), quartic=0.1)
+        copied = QuadraticProblem(distinct_copies(aliased.spec))
+        assert copied.spec.a_mats[1] is not copied.spec.a_mats[0]
+
+        def rounds_csv(prob):
+            cfg = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=3,
+                            n=3, estimator=estimator,
+                            capacities=[ClientResource(Fraction(1, 2))] * 3,
+                            seed=4, batch_size_f=1, batch_size_g=1)
+            return logs_to_csv(run(prob, cfg).logs)
+
+        assert rounds_csv(aliased) == rounds_csv(copied)
 
 
 class TestMakeQuadratic:
@@ -294,6 +446,40 @@ class TestDeriveConstants:
         logi = make_logistic_tune(seed=0, n=1, imbalance_mu=1.0)
         with pytest.raises(UnsupportedProblem):
             derive_constants(logi)
+
+    @pytest.mark.parametrize("quartic", [0.0, 0.2])
+    def test_aliases_give_constants_of_distinct_copies(self, quartic):
+        prob = make_quadratic(seed=30, n=4, d1=5, d2=6, hetero=0.5,
+                              eig_range=(0.6, 2.2), quartic=quartic)
+        copied = QuadraticProblem(distinct_copies(prob.spec))
+        assert derive_constants(prob) == derive_constants(copied)
+
+    def test_each_distinct_block_decomposed_once(self, monkeypatch):
+        a0, a1 = np.eye(2), 2.0 * np.eye(2)
+        b0, b1 = np.ones((2, 3)), np.zeros((2, 3))
+        u0 = np.eye(2)
+        spec = small_spec(n=5, a_mats=[a0, a0, a1, a1, a0],
+                          b_mats=[b0, b1, b0, b0, b0], u_mats=[u0] * 5)
+        prob = QuadraticProblem(spec)
+        bounds_of, norms_of = [], []
+
+        def bounds(a):
+            bounds_of.append(a)
+            return spectral_bounds(a)
+
+        def norm(a):
+            norms_of.append(a)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(quadratic_module, "spectral_bounds", bounds)
+        monkeypatch.setattr(quadratic_module, "spectral_norm", norm)
+        consts = derive_constants(prob)
+        assert [id(a) for a in bounds_of] == [id(a0), id(a1)]
+        # joint blocks of (a0, b0), (a0, b1), (a1, b0), then U once
+        assert len(norms_of) == 4 and norms_of[-1] is u0
+        assert consts.mu_g == 1.0
+        assert consts == derive_constants(QuadraticProblem(
+            distinct_copies(spec)))
 
 
 class TestDerivativeCallbacks:

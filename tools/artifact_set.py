@@ -1,0 +1,71 @@
+"""Write the standard artifact set of this checkout.
+
+Usage: python tools/artifact_set.py OUT
+
+Runs, with rabosim imported from this checkout's ``src/``:
+
+- ``configs/demo_sweep.json`` into ``OUT/demo_sweep``;
+- ``configs/coverage_pinning.json`` into ``OUT/coverage_pinning``;
+- each benchmark workload of ``perfbench/workloads.py`` at seeds 1 and 5
+  into ``OUT/<workload>-s<seed>``.
+
+BLAS is pinned to one thread before numpy is imported, because artifact
+bytes depend on the thread count. Two checkouts' sets are then compared
+with ``diff -r`` (bytes) or ``tools/compare_artifacts.py`` (the largest
+relative difference per column or key). Exits 3 if a variant diverged.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ("demo_sweep", "coverage_pinning")
+SEEDS = (1, 5)
+
+
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def documents():
+    """(directory name, raw config document) of every run in the set."""
+    for name in CONFIGS:
+        yield name, json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    workloads = _workloads()
+    for name in workloads.NAMES:
+        for seed in SEEDS:
+            yield f"{name}-s{seed}", workloads.raw_config(name, seed)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    # before rabosim imports numpy; a caller that imported it already
+    # keeps its own thread count
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    from rabosim.cli import resolve_config, run_experiment
+
+    out = Path(args[0])
+    failed = 0
+    for name, raw in documents():
+        result = run_experiment(resolve_config(raw), out / name)
+        failed += len(result.failures)
+        print(f"{name}: {len(result.variants)} variant(s)")
+    return 3 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
