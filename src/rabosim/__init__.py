@@ -58,6 +58,6 @@ from .problems import (
     problem_to_config,
     true_hypergradient_oracle,
 )
-from .rng import RngStream, rng_stream
+from .rng import RngStream
 
 __version__ = "0.1.0"

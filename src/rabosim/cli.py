@@ -50,7 +50,7 @@ from .errors import (
 )
 from .federation import RunConfig, logs_to_csv, run
 from .hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from .masking import ClientResource, MaskPolicy, parse_capacity
+from .masking import POLICIES, ClientResource, MaskPolicy, parse_capacity
 from .problems import make_logistic_tune, make_quadratic
 
 OUT_ENV_VAR = "RABOSIM_OUT"
@@ -71,7 +71,7 @@ RUN_DEFAULTS = {
     "policy": "rolling", "block_size": 1, "capacities": "1",
     "download_mode": "masked", "theory_guard": False,
     "batch_size_f": 0, "batch_size_g": 0, "divergence_factor": 1e6,
-    "workers": 1, "log_masks": False, "seed": 0,
+    "log_masks": False, "seed": 0,
     "manual_x": None, "manual_y": None, "x0": None, "y0": None,
 }
 SWEEP_DEFAULTS = {
@@ -149,6 +149,14 @@ LIST_ENTRIES = {
     "y0": (_is_finite, "a list of finite numbers"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
+# Run entries whose type alone does not make them valid: key -> (test, want).
+RUN_RANGES = {
+    "mu": (lambda v: v > 0, "positive"),
+    "coord_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "block_size": (lambda v: v >= 1, "at least 1"),
+    "divergence_factor": (lambda v: v > 0, "positive"),
+    "policy": (lambda v: v in POLICIES, "one of " + ", ".join(POLICIES)),
+}
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
@@ -244,12 +252,26 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if run_cfg["estimator"] not in (EXACT_AID, RAFBO):
         raise ValidationError(
             f"unknown estimator '{run_cfg['estimator']}'", key="estimator")
+    for key, (test, want) in RUN_RANGES.items():
+        if not test(run_cfg[key]):
+            raise ValidationError(
+                f"run.{key} must be {want}, got {run_cfg[key]!r}", key=key)
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
-    if run_cfg["policy"] == "manual" and sweep["manual_tables"] is None and (
-            run_cfg["manual_x"] is None or run_cfg["manual_y"] is None):
-        raise ValidationError(
-            "manual policy requires run.manual_x/manual_y or "
-            "sweep.manual_tables", key="policy")
+    if run_cfg["policy"] == "manual":
+        if sweep["manual_tables"] is None and (
+                run_cfg["manual_x"] is None or run_cfg["manual_y"] is None):
+            raise ValidationError(
+                "manual policy requires run.manual_x/manual_y or "
+                "sweep.manual_tables", key="policy")
+    else:
+        for name, table in (("sweep.manual_tables", sweep["manual_tables"]),
+                            ("run.manual_x", run_cfg["manual_x"]),
+                            ("run.manual_y", run_cfg["manual_y"])):
+            if table is not None:
+                raise ValidationError(
+                    f"{name} takes effect only under run.policy 'manual', "
+                    f"got policy '{run_cfg['policy']}'",
+                    key=name.split(".")[1])
     if sweep["seeds"] is None:
         sweep["seeds"] = [run_cfg["seed"]]
     if sweep["estimators"] is None:
@@ -272,6 +294,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                     "per-client coordinate lists", key="manual_tables")
     n, dims = problem["n"], _problem_dims(problem)
     for level, d in zip("xy", dims):
+        start = run_cfg[f"{level}0"]
+        if start is not None and len(start) != d:
+            raise ValidationError(
+                f"run.{level}0 has {len(start)} entries, but the problem "
+                f"has {d} {level} coordinates", key=f"{level}0")
         if run_cfg[f"manual_{level}"] is not None:
             _check_table(run_cfg[f"manual_{level}"], n, d,
                          f"run.manual_{level}", f"manual_{level}")
@@ -347,7 +374,7 @@ def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,
         batch_size_f=run_cfg["batch_size_f"],
         batch_size_g=run_cfg["batch_size_g"],
         divergence_factor=run_cfg["divergence_factor"],
-        workers=run_cfg["workers"], log_masks=run_cfg["log_masks"],
+        log_masks=run_cfg["log_masks"],
         x0=run_cfg["x0"], y0=run_cfg["y0"])
 
 

@@ -8,14 +8,13 @@ aggregated inner model re-masked per client, per-client hypergradient
 estimation, and parameter-wise outer aggregation. Coordinates covered by
 no client are bit-identical before and after the round at both levels.
 
-Client phases are embarrassingly parallel; the server aggregates in
-ascending client order with a fixed left-to-right summation, so results
-are independent of the worker count and bit-reproducible across runs.
+Clients run one after another in ascending order, and the server
+aggregates in that order with a fixed left-to-right summation, so runs
+are bit-reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -82,7 +81,6 @@ class RunConfig:
     batch_size_f: int = 0      # 0 -> deterministic (no batch object)
     batch_size_g: int = 0
     divergence_factor: float = 1e6
-    workers: int = 1
     log_masks: bool = False
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
@@ -103,8 +101,6 @@ class RunConfig:
             raise InvalidSpec(f"unknown estimator {self.estimator!r}")
         if self.download_mode not in DOWNLOAD_MODES:
             raise InvalidSpec(f"unknown download mode {self.download_mode!r}")
-        if self.workers < 1:
-            raise InvalidSpec("workers must be >= 1")
         if min(self.batch_size_f, self.batch_size_g) < 0:
             raise InvalidSpec("batch sizes must be >= 0")
 
@@ -298,13 +294,6 @@ def stationarity(problem, x: np.ndarray) -> float:
     return float(grad @ grad)
 
 
-def _client_map(fn, n: int, workers: int):
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
-
-
 def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
     if not np.isfinite(v).all():
         raise DivergenceDetected(
@@ -335,7 +324,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     guard = divergence_guard if divergence_guard is not None else \
         cfg.divergence_factor * max(1.0, float(np.linalg.norm(state.y)))
 
-    def inner_phase(i: int) -> ClientReport:
+    reports, client_x = [], []
+    for i in range(cfg.n):
         res = cfg.capacities[i]
         mask_x = generate_mask(state.x, res, cfg.policy, i, q, "x")
         mask_y = generate_mask(state.y, res, cfg.policy, i, q, "y")
@@ -357,16 +347,15 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
             ) from exc
         unit = grad_eval_flops(mask_x.active_count, mask_y.active_count)
         flops = cfg.inner_epochs * (unit + 2 * mask_y.active_count)
-        return ClientReport(client=i, mask_x=mask_x, mask_y=mask_y,
-                            g_delta=g_delta, inner_flops=flops)
+        reports.append(ClientReport(client=i, mask_x=mask_x, mask_y=mask_y,
+                                    g_delta=g_delta, inner_flops=flops))
+        client_x.append(x_i)
 
-    reports = _client_map(inner_phase, cfg.n, cfg.workers)
     y_next = aggregate_inner(state.y, reports, cfg.beta)
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
-    def hyper_phase(i: int) -> HypergradEstimate:
-        rep = reports[i]
-        x_i = apply_mask(state.x, rep.mask_x)
+    for rep, x_i in zip(reports, client_x):
+        i = rep.client
         y_plus = apply_mask(y_next, rep.mask_y)
         batch_f = (SampleBatch("f", cfg.seed, i, q, draw=0, size=cfg.batch_size_f)
                    if cfg.batch_size_f > 0 else None)
@@ -374,16 +363,15 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                                size=cfg.batch_size_g)
                    if cfg.batch_size_g > 0 else None)
         if cfg.estimator == EXACT_AID:
-            return exact_hypergradient(problem, i, x_i, y_plus, rep.mask_x,
-                                       rep.mask_y, batch_f, batch_g,
-                                       round_index=q)
-        rng = RngStream(cfg.seed, i, q, "perturbation-set")
-        return rafbo_hypergradient(problem, i, x_i, y_plus, rep.mask_x,
-                                   rep.mask_y, cfg.rafbo, batch_f, batch_g,
-                                   rng, round_index=q)
+            rep.hypergrad = exact_hypergradient(
+                problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
+                batch_g, round_index=q)
+        else:
+            rep.hypergrad = rafbo_hypergradient(
+                problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,
+                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"),
+                round_index=q)
 
-    for rep, est in zip(reports, _client_map(hyper_phase, cfg.n, cfg.workers)):
-        rep.hypergrad = est
     x_next = aggregate_outer(state.x, reports, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")
 

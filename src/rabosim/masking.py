@@ -106,6 +106,9 @@ class Mask:
         return cls(bits, level, client, round_index)
 
 
+POLICIES = ("static", "rolling", "magnitude_topk", "manual")
+
+
 @dataclass(frozen=True)
 class MaskPolicy:
     """Mask selection rule.
@@ -124,7 +127,7 @@ class MaskPolicy:
     table_y: tuple | None = None
 
     def __post_init__(self):
-        if self.variant not in ("static", "rolling", "magnitude_topk", "manual"):
+        if self.variant not in POLICIES:
             raise ValueError(f"unknown mask policy variant {self.variant!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")

@@ -66,14 +66,3 @@ class RngStream:
     def normal(self, size, scale: float = 1.0) -> np.ndarray:
         key = _derive_key(self.seed, self.client, self.round_index, self.purpose)
         return scale * _rekeyed(key).standard_normal(size)
-
-    def child(self, suffix: str) -> "RngStream":
-        """Derive a sub-stream, e.g. one per inner epoch or per draw."""
-        return RngStream(self.seed, self.client, self.round_index,
-                         f"{self.purpose}/{suffix}")
-
-
-def rng_stream(seed: int, client: int = 0, round_index: int = 0,
-               purpose: str = "") -> RngStream:
-    """Build the stream for a (seed, client, round, purpose) key."""
-    return RngStream(seed, client, round_index, purpose)

@@ -333,6 +333,23 @@ class TestMainEntry:
         (["--override", "run.x0=[1, NaN, 0, 0]"], "x0"),
         (["--override", "sweep.seeds=[0, 1.5]"], "seeds"),
         (["--override", "output.dir=5"], "dir"),
+        (["--override", "run.coord_fraction=0"], "coord_fraction"),
+        (["--override", "run.coord_fraction=1.5"], "coord_fraction"),
+        (["--override", "run.mu=0"], "mu"),
+        (["--override", "run.mu=-1"], "mu"),
+        (["--override", "run.block_size=0"], "block_size"),
+        (["--override", 'run.policy="bogus"'], "policy"),
+        (["--override", "run.x0=[1, 2]"], "x0"),
+        (["--override", "run.y0=[1]"], "y0"),
+        (["--override", "run.divergence_factor=0"], "divergence_factor"),
+        (["--override", "run.divergence_factor=-1"], "divergence_factor"),
+        (["--override", "run.workers=2"], "workers"),
+        # a manual table under the default "rolling" policy has no effect
+        (["--override", "run.manual_x=[[0, 1], [2, 3]]"], "manual_x"),
+        (["--override", "run.manual_y=[[0, 1], [2, 3]]"], "manual_y"),
+        (["--override", 'sweep.manual_tables=[{"x": [[0, 1], [2, 3]], '
+          '"y": [[0], [1]]}, {"x": [[0, 1], [0, 1]], "y": [[0], [1]]}]'],
+         "manual_tables"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
@@ -342,6 +359,7 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"'{key}'" in err or f".{key}" in err
+        assert not (tmp_path / "out" / "variants").exists()
 
     def test_float_entry_accepts_integer_literal(self, tmp_path):
         path = write_config(tmp_path, small_quadratic_config(rounds=1))

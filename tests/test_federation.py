@@ -327,7 +327,7 @@ class TestRun:
         assert res.logs[-1].grad_phi_sq <= 1e-4
         assert res.logs[-1].grad_phi_sq < res.logs[0].grad_phi_sq
 
-    def test_byte_determinism_and_worker_invariance(self):
+    def test_byte_determinism(self):
         prob = make_quadratic(seed=11, n=4, d1=5, d2=5, hetero=0.3,
                               noise_f=0.1, noise_g=0.1, eig_range=(0.8, 1.5))
         base = dict(alpha=0.02, beta=0.2, inner_epochs=2, rounds=20, n=4,
@@ -335,9 +335,7 @@ class TestRun:
                     batch_size_f=2, batch_size_g=2)
         csv_a = logs_to_csv(run(prob, RunConfig(**base)).logs)
         csv_b = logs_to_csv(run(prob, RunConfig(**base)).logs)
-        csv_c = logs_to_csv(run(prob, RunConfig(**base, workers=4)).logs)
         assert csv_a == csv_b
-        assert csv_a == csv_c
 
     def test_divergence_aborts_with_partial_logs(self):
         prob = make_quadratic(seed=12, n=2, d1=4, d2=4, eig_range=(0.9, 1.6))

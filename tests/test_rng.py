@@ -5,26 +5,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.rng import RngStream, _derive_key, rng_stream
+from rabosim.rng import RngStream, _derive_key
 
 
 def test_same_key_identical_draws():
-    a = rng_stream(42, client=3, round_index=7, purpose="grad")
-    b = rng_stream(42, client=3, round_index=7, purpose="grad")
+    a = RngStream(42, client=3, round_index=7, purpose="grad")
+    b = RngStream(42, client=3, round_index=7, purpose="grad")
     assert np.array_equal(a.generator().standard_normal(100),
                           b.generator().standard_normal(100))
 
 
 def test_stateless_replay():
-    s = rng_stream(11, client=0, round_index=0, purpose="grad")
+    s = RngStream(11, client=0, round_index=0, purpose="grad")
     first = s.generator().standard_normal(10)
     again = s.generator().standard_normal(10)
     assert np.array_equal(first, again)
 
 
 def test_client_separation():
-    base = rng_stream(9, client=0, round_index=0, purpose="grad")
-    other = rng_stream(9, client=1, round_index=0, purpose="grad")
+    base = RngStream(9, client=0, round_index=0, purpose="grad")
+    other = RngStream(9, client=1, round_index=0, purpose="grad")
     assert not np.array_equal(base.generator().standard_normal(100),
                               other.generator().standard_normal(100))
 
@@ -44,21 +44,14 @@ def test_round_and_purpose_separation():
 
 def test_gaussian_sample_mean():
     # 1e6 standard normals: |mean| must sit within 5 standard errors of 0
-    draws = rng_stream(123, purpose="stat-check").generator().standard_normal(10 ** 6)
+    draws = RngStream(123, purpose="stat-check").generator().standard_normal(10 ** 6)
     assert abs(draws.mean()) <= 5.0 / 1000.0
-
-
-def test_child_streams_differ_from_parent():
-    parent = rng_stream(3, client=1, round_index=2, purpose="inner")
-    child = parent.child("t0")
-    assert not np.array_equal(parent.generator().standard_normal(20),
-                              child.generator().standard_normal(20))
 
 
 def test_cross_stream_independence_statistics():
     # correlation between two distinct streams should be at noise level
-    a = rng_stream(77, client=0, purpose="a").generator().standard_normal(10 ** 5)
-    b = rng_stream(77, client=1, purpose="a").generator().standard_normal(10 ** 5)
+    a = RngStream(77, client=0, purpose="a").generator().standard_normal(10 ** 5)
+    b = RngStream(77, client=1, purpose="a").generator().standard_normal(10 ** 5)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02
 
@@ -123,11 +116,11 @@ def test_concurrent_threads_equal_fresh_philox():
 
 
 def test_held_generator_unaffected_by_normal():
-    s = rng_stream(21, client=2, round_index=5, purpose="hyper")
+    s = RngStream(21, client=2, round_index=5, purpose="hyper")
     held = s.generator()
     head = held.standard_normal(3)
     s.normal(10)
-    rng_stream(22, purpose="other").normal(6)
+    RngStream(22, purpose="other").normal(6)
     tail = held.standard_normal(5)
     ref = s.generator()
     assert np.array_equal(head, ref.standard_normal(3))
