@@ -21,13 +21,11 @@ from .federation import (
     client_inner_loop,
     rabo_round,
     run,
-    stationarity,
 )
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
     HypergradEstimate,
-    PerturbationSet,
     RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,
@@ -55,7 +53,6 @@ from .problems import (
     inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    problem_to_config,
     true_hypergradient_oracle,
 )
 from .rng import RngStream

@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .federation import RunConfig, logs_to_csv, run
+from .federation import DOWNLOAD_MODES, RunConfig, logs_to_csv, run
 from .hypergrad import EXACT_AID, RAFBO, RAFBOConfig
 from .masking import POLICIES, ClientResource, MaskPolicy, parse_capacity
 from .problems import make_logistic_tune, make_quadratic
@@ -149,13 +149,41 @@ LIST_ENTRIES = {
     "y0": (_is_finite, "a list of finite numbers"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
-# Run entries whose type alone does not make them valid: key -> (test, want).
+# Entries whose type alone does not make them valid: key -> (test, want).
+POSITIVE = (lambda v: v > 0, "positive")
+NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
 RUN_RANGES = {
-    "mu": (lambda v: v > 0, "positive"),
+    "alpha": POSITIVE,
+    "beta": POSITIVE,
+    "inner_epochs": AT_LEAST_ONE,
+    "rounds": NONNEGATIVE,
+    "batch_size_f": NONNEGATIVE,
+    "batch_size_g": NONNEGATIVE,
+    "mu": POSITIVE,
     "coord_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "block_size": (lambda v: v >= 1, "at least 1"),
-    "divergence_factor": (lambda v: v > 0, "positive"),
+    "block_size": AT_LEAST_ONE,
+    "divergence_factor": POSITIVE,
     "policy": (lambda v: v in POLICIES, "one of " + ", ".join(POLICIES)),
+    "download_mode": (lambda v: v in DOWNLOAD_MODES,
+                      "one of " + ", ".join(DOWNLOAD_MODES)),
+}
+# The same for the problem section; a key of the other family is skipped.
+PROBLEM_RANGES = {
+    "n": AT_LEAST_ONE,
+    "d1": AT_LEAST_ONE,
+    "d2": AT_LEAST_ONE,
+    "hetero": NONNEGATIVE,
+    "noise_f": NONNEGATIVE,
+    "noise_g": NONNEGATIVE,
+    "lam": NONNEGATIVE,
+    "quartic": NONNEGATIVE,
+    "sine_amp": NONNEGATIVE,
+    "eig_min": POSITIVE,
+    "ball_radius": NONNEGATIVE,
+    "imbalance_mu": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "classes": (lambda v: v >= 2, "at least 2"),
+    "base_count": AT_LEAST_ONE,
 }
 
 
@@ -187,11 +215,17 @@ def _check_types(section: str, resolved: dict, defaults: dict) -> None:
                 f"{section}.{key} must be {want}, got {value!r}", key=key)
 
 
-def _resolve_section(section: str, data: dict, defaults: dict) -> dict:
+def _resolve_section(section: str, data: dict, defaults: dict,
+                     ranges: dict | None = None) -> dict:
     _reject_unknown(section, data, defaults.keys())
     resolved = dict(defaults)
     resolved.update(data)
     _check_types(section, resolved, defaults)
+    for key, (test, want) in (ranges or {}).items():
+        if key in resolved and not test(resolved[key]):
+            raise ValidationError(
+                f"{section}.{key} must be {want}, got {resolved[key]!r}",
+                key=key)
     return resolved
 
 
@@ -243,19 +277,33 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         defaults = {**PROBLEM_DEFAULTS_COMMON, **LOGISTIC_DEFAULTS}
     else:
         raise ValidationError(f"unknown problem family '{family}'", key="family")
-    problem = _resolve_section("problem", problem_raw, defaults)
+    problem = _resolve_section("problem", problem_raw, defaults,
+                               PROBLEM_RANGES)
     problem["family"] = family
+    if family == "quadratic" and problem["eig_max"] < problem["eig_min"]:
+        raise ValidationError(
+            f"problem.eig_max must be at least eig_min "
+            f"{problem['eig_min']!r}, got {problem['eig_max']!r}",
+            key="eig_max")
+    if family == "logistic" and math.floor(
+            problem["base_count"]
+            * problem["imbalance_mu"] ** (problem["classes"] - 1)) < 1:
+        raise ValidationError(
+            f"problem.base_count {problem['base_count']} leaves the last "
+            f"class empty after decay by imbalance_mu "
+            f"{problem['imbalance_mu']!r}", key="base_count")
 
-    run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_DEFAULTS)
+    run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_DEFAULTS,
+                               RUN_RANGES)
     run_cfg["capacities"] = _normalize_capacities(
         run_cfg["capacities"], "run.capacities")
     if run_cfg["estimator"] not in (EXACT_AID, RAFBO):
         raise ValidationError(
             f"unknown estimator '{run_cfg['estimator']}'", key="estimator")
-    for key, (test, want) in RUN_RANGES.items():
-        if not test(run_cfg[key]):
-            raise ValidationError(
-                f"run.{key} must be {want}, got {run_cfg[key]!r}", key=key)
+    if run_cfg["theory_guard"] and family != "quadratic":
+        raise ValidationError(
+            f"run.theory_guard needs the quadratic family's smoothness "
+            f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
     if run_cfg["policy"] == "manual":
         if sweep["manual_tables"] is None and (
@@ -293,6 +341,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                     "each sweep.manual_tables entry needs 'x' and 'y' "
                     "per-client coordinate lists", key="manual_tables")
     n, dims = problem["n"], _problem_dims(problem)
+    for name, entries in (("run.capacities", [run_cfg["capacities"]]),
+                          ("sweep.capacities", sweep["capacities"])):
+        for entry in entries:
+            if isinstance(entry, list) and len(entry) not in (1, n):
+                raise ValidationError(
+                    f"{name} lists {len(entry)} capacities for {n} clients",
+                    key="capacities")
     for level, d in zip("xy", dims):
         start = run_cfg[f"{level}0"]
         if start is not None and len(start) != d:
@@ -343,13 +398,11 @@ def build_problem(problem_cfg: dict, seed_override: int | None = None):
 
 
 def _capacity_list(entry, n: int) -> list[ClientResource]:
-    values = entry if isinstance(entry, list) else [entry] * n
+    """One resource per client; a scalar or one-entry list is shared.
+    ``resolve_config`` has checked every other list for length n."""
+    values = entry if isinstance(entry, list) else [entry]
     if len(values) == 1:
         values = values * n
-    if len(values) != n:
-        raise ValidationError(
-            f"capacities list has {len(values)} entries for {n} clients",
-            key="capacities")
     return [ClientResource(parse_capacity(v)) for v in values]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceDetected, InvalidSpec, UnsupportedProblem
+from .errors import DimensionMismatch, DivergenceDetected, InvalidSpec
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
@@ -285,15 +285,6 @@ def aggregate_outer(x_q: np.ndarray, reports: list[ClientReport],
         alpha, "outer")
 
 
-def stationarity(problem, x: np.ndarray) -> float:
-    """||grad Phi(x)||^2 via the problem's exact hypergradient oracle."""
-    if not problem.has_oracles():
-        raise UnsupportedProblem(
-            f"{type(problem).__name__} exposes no hypergradient oracle")
-    grad = problem.grad_phi(np.asarray(x, dtype=np.float64))
-    return float(grad @ grad)
-
-
 def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
     if not np.isfinite(v).all():
         raise DivergenceDetected(
@@ -365,12 +356,11 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         if cfg.estimator == EXACT_AID:
             rep.hypergrad = exact_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
-                batch_g, round_index=q)
+                batch_g)
         else:
             rep.hypergrad = rafbo_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,
-                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"),
-                round_index=q)
+                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"))
 
     x_next = aggregate_outer(state.x, reports, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")

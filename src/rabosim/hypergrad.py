@@ -105,25 +105,10 @@ class RAFBOConfig:
 
 
 @dataclass(frozen=True)
-class PerturbationSet:
-    """Ascending active outer coordinates chosen for perturbation."""
-
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-
-@dataclass(frozen=True)
 class HypergradEstimate:
     """One client's hypergradient with its cost tally."""
 
     value: np.ndarray
-    estimator: str
-    client: int
-    round_index: int
-    mask_x: Mask
-    mask_y: Mask
     flops: int
     grad_evals: int
     p_size: int = 0
@@ -149,12 +134,13 @@ def rafbo_flops(d1_active: int, d2_active: int, p_size: int) -> int:
 
 
 def build_perturbation_set(mask_x: Mask, coord_fraction: float,
-                           rng: RngStream | None = None) -> PerturbationSet:
+                           rng: RngStream | None = None) -> np.ndarray:
     """Sample the perturbation coordinates from the active outer support.
 
-    With ``coord_fraction == 1`` every active coordinate is used, in
-    ascending order; below 1 a ceil(fraction * active) subset is drawn
-    uniformly without replacement from ``rng`` and sorted.
+    Returns them as an ascending int64 index array. With
+    ``coord_fraction == 1`` every active coordinate is used; below 1 a
+    ceil(fraction * active) subset is drawn uniformly without replacement
+    from ``rng``.
     """
     active = mask_x.support()
     if active.size == 0:
@@ -162,13 +148,13 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
     if not (0 < coord_fraction <= 1):
         raise ValueError(f"coord_fraction must be in (0, 1], got {coord_fraction}")
     if coord_fraction == 1.0:
-        return PerturbationSet(active.astype(np.int64))
+        return active.astype(np.int64)
     if rng is None:
         raise ValueError("sampling a strict subset requires an rng stream")
     k = math.ceil(coord_fraction * active.size)
     chosen = rng.generator().choice(active, size=k, replace=False)
     chosen.sort()
-    return PerturbationSet(chosen.astype(np.int64))
+    return chosen.astype(np.int64)
 
 
 def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
@@ -198,8 +184,7 @@ def _difference_rows(base: np.ndarray, perturbed: np.ndarray, mu: float,
 
 def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
-                        batch_f=None, batch_g=None,
-                        round_index: int = 0) -> HypergradEstimate:
+                        batch_f=None, batch_g=None) -> HypergradEstimate:
     """Implicit-differentiation hypergradient with a restricted solve.
 
     The inner Hessian system is solved on the client's active inner
@@ -224,37 +209,33 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     correction = problem.cross_xy_g_apply(i, x_masked, y_masked, z, batch_g)
     value = apply_mask(gfx - correction, mask_x)
     return HypergradEstimate(
-        value=value, estimator=EXACT_AID, client=i, round_index=round_index,
-        mask_x=mask_x, mask_y=mask_y,
-        flops=exact_aid_flops(mask_x.active_count, int(active_y.size)),
-        grad_evals=2)
+        value=value, grad_evals=2,
+        flops=exact_aid_flops(mask_x.active_count, int(active_y.size)))
 
 
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
                         cfg: RAFBOConfig, batch_f=None, batch_g=None,
-                        rng: RngStream | None = None,
-                        round_index: int = 0) -> HypergradEstimate:
+                        rng: RngStream | None = None) -> HypergradEstimate:
     """Second-order-free hypergradient via coordinate-wise differences.
 
     value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p, charged as
     2|P| + 2 gradient evaluations and |P| vector-vector inner products;
     the lower gradients come from one ``grad_g_y_perturbed`` call.
     """
-    pset = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
+    coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
     base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked,
-                                            pset.indices, cfg.mu, batch_g)
+                                            coords, cfg.mu, batch_g)
     deltas = _difference_rows(base, rows, cfg.mu, mask_y)
     value = gfx.copy()
-    value[pset.indices] += deltas @ gfy
+    value[coords] += deltas @ gfy
     value = apply_mask(value, mask_x)
+    p_size = coords.shape[0]
     return HypergradEstimate(
-        value=value, estimator=RAFBO, client=i, round_index=round_index,
-        mask_x=mask_x, mask_y=mask_y,
-        flops=rafbo_flops(mask_x.active_count, mask_y.active_count, len(pset)),
-        grad_evals=2 * len(pset) + 2, p_size=len(pset))
+        value=value, grad_evals=2 * p_size + 2, p_size=p_size,
+        flops=rafbo_flops(mask_x.active_count, mask_y.active_count, p_size))
 
 
 def hypergrad_error_bound(p_star: int, l_g1: float, mu: float,

@@ -98,13 +98,6 @@ class Mask:
         """Hex-encoded bitstring for round logs; pads to whole bytes."""
         return np.packbits(self.bits).tobytes().hex()
 
-    @classmethod
-    def from_hex(cls, text: str, d: int, level: str, client: int,
-                 round_index: int) -> "Mask":
-        raw = np.frombuffer(bytes.fromhex(text), dtype=np.uint8)
-        bits = np.unpackbits(raw)[:d]
-        return cls(bits, level, client, round_index)
-
 
 POLICIES = ("static", "rolling", "magnitude_topk", "manual")
 
@@ -212,15 +205,9 @@ def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
 class CoverageStats:
     """Per-coordinate covering counts for one round and level."""
 
-    level: str
-    round_index: int
     counts: np.ndarray                 # d, number of covering clients
     trained: np.ndarray                # indices with counts >= 1
     c_star: int | None                 # min count over trained coords
-
-    @property
-    def trained_count(self) -> int:
-        return int(self.trained.shape[0])
 
 
 def coverage(masks: list[Mask], d: int) -> CoverageStats:
@@ -238,7 +225,7 @@ def coverage(masks: list[Mask], d: int) -> CoverageStats:
     counts = stacked.sum(axis=0, dtype=np.int64)
     trained = np.flatnonzero(counts >= 1)
     c_star = int(counts[trained].min()) if trained.size else None
-    return CoverageStats(level, round_index, counts, trained, c_star)
+    return CoverageStats(counts, trained, c_star)
 
 
 class CoverageTracker:
@@ -247,7 +234,6 @@ class CoverageTracker:
     def __init__(self):
         self.c_star_x: int | None = None
         self.c_star_y: int | None = None
-        self.rounds = 0
 
     def observe(self, stats_x: CoverageStats, stats_y: CoverageStats) -> None:
         if stats_x.c_star is not None:
@@ -256,7 +242,6 @@ class CoverageTracker:
         if stats_y.c_star is not None:
             self.c_star_y = stats_y.c_star if self.c_star_y is None \
                 else min(self.c_star_y, stats_y.c_star)
-        self.rounds += 1
 
 
 def mask_deviation(v: np.ndarray, m: Mask) -> float:

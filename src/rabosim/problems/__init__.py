@@ -1,5 +1,4 @@
 from .base import BilevelProblem, ProblemConstants, SampleBatch
-from .io import problem_to_config
 from .logistic import LogisticTuneProblem, LogisticTuneSpec, make_logistic_tune
 from .quadratic import (
     QuadraticProblem,
@@ -25,5 +24,4 @@ __all__ = [
     "true_hypergradient_oracle",
     "analytic_outer_minimizer",
     "derive_constants",
-    "problem_to_config",
 ]

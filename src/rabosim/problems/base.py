@@ -133,10 +133,6 @@ class BilevelProblem(ABC):
             rows[k] = self.grad_g_y(i, x_pert, y, batch)
         return base, rows
 
-    @abstractmethod
-    def grad_g_x(self, i: int, x: np.ndarray, y: np.ndarray,
-                 batch: SampleBatch | None = None) -> np.ndarray: ...
-
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod
     def hess_yy_g(self, i: int, x: np.ndarray, y: np.ndarray,
@@ -158,13 +154,6 @@ class BilevelProblem(ABC):
     def has_oracles(self) -> bool:
         """Whether closed-form y*(x) and grad Phi(x) are available."""
         return False
-
-    def mean_grad_g_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Client-average lower gradient, noiseless, fixed client order."""
-        total = np.zeros(self.d2)
-        for i in range(self.n):
-            total += self.grad_g_y(i, x, y)
-        return total / self.n
 
     def check_dims(self, x: np.ndarray, y: np.ndarray) -> None:
         if x.shape != (self.d1,):

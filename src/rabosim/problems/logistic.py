@@ -28,7 +28,7 @@ Stochastic evaluations subsample the train split without replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,12 +56,11 @@ class _ClientData:
 
 @dataclass(frozen=True)
 class LogisticTuneSpec:
-    """Per-client datasets plus generation parameters."""
+    """Per-client datasets and their shape."""
 
     clients: list
     classes: int
     features: int
-    params: dict = field(default_factory=dict)
 
 
 class LogisticTuneProblem(BilevelProblem):
@@ -114,26 +113,6 @@ class LogisticTuneProblem(BilevelProblem):
         wr = weights[labels][:, None] * resid
         grad_w = wr.T @ feats / len(labels)
         return grad_w.ravel() + reg * y
-
-    def grad_g_x(self, i, x, y, batch=None):
-        self.check_dims(x, y)
-        weights, offsets, reg = self._unpack_x(x)
-        feats, labels = self._train_slice(i, batch)
-        m = len(labels)
-        logits = feats @ self._weight_matrix(y).T + offsets
-        logp = _log_softmax(logits)
-        ce = -logp[np.arange(m), labels]
-        probs = np.exp(logp)
-        resid = probs.copy()
-        resid[np.arange(m), labels] -= 1.0
-
-        grad = np.zeros(self.d1)
-        np.add.at(grad[: self.classes], labels, weights[labels] * ce)
-        grad[: self.classes] /= m
-        grad[self.classes:2 * self.classes] = \
-            (weights[labels][:, None] * resid).sum(axis=0) / m
-        grad[-1] = 0.5 * reg * float(y @ y)
-        return grad
 
     def hess_yy_g(self, i, x, y, batch=None):
         self.check_dims(x, y)
@@ -229,17 +208,15 @@ def _split_by_class(feats: np.ndarray, labels: np.ndarray,
                        np.concatenate(va_x), np.concatenate(va_y))
 
 
-def make_logistic_tune(seed: int, n: int, clients_data=None,
-                       imbalance_mu: float = 1.0, *, classes: int = 4,
-                       features: int = 5, base_count: int = 100,
+def make_logistic_tune(seed: int, n: int, imbalance_mu: float = 1.0, *,
+                       classes: int = 4, features: int = 5,
+                       base_count: int = 100,
                        class_sep: float = 2.0) -> LogisticTuneProblem:
-    """Build the loss-tuning problem on synthetic or supplied data.
+    """Build the loss-tuning problem on synthetic data.
 
-    Without ``clients_data``, each client draws Gaussian blobs around
-    shared class means with long-tail counts floor(base_count * mu^c),
-    then splits 80/20 into train/validation per class. ``clients_data``
-    may supply explicit per-client ``(features, labels)`` pairs instead;
-    the same decay-free 80/20 split is applied.
+    Each client draws Gaussian blobs around shared class means with
+    long-tail counts floor(base_count * mu^c), then splits 80/20 into
+    train/validation per class.
     """
     if not (0.0 < imbalance_mu <= 1.0):
         raise InvalidSpec(f"imbalance_mu must be in (0, 1], got {imbalance_mu}")
@@ -248,29 +225,16 @@ def make_logistic_tune(seed: int, n: int, clients_data=None,
     if n < 1:
         raise InvalidSpec("need at least 1 client")
 
+    gen = RngStream(seed, purpose="make-logistic").generator()
+    means = class_sep * gen.standard_normal((classes, features))
+    counts = _longtail_counts(base_count, imbalance_mu, classes)
     clients: list[_ClientData] = []
-    if clients_data is not None:
-        for feats, labels in clients_data:
-            feats = np.asarray(feats, dtype=np.float64)
-            labels = np.asarray(labels, dtype=np.int64)
-            clients.append(_split_by_class(feats, labels, classes))
-        params = {}
-    else:
-        gen = RngStream(seed, purpose="make-logistic").generator()
-        means = class_sep * gen.standard_normal((classes, features))
-        counts = _longtail_counts(base_count, imbalance_mu, classes)
-        for _ in range(n):
-            feats_parts, label_parts = [], []
-            for c, cnt in enumerate(counts):
-                feats_parts.append(means[c] + gen.standard_normal((cnt, features)))
-                label_parts.append(np.full(cnt, c, dtype=np.int64))
-            clients.append(_split_by_class(np.concatenate(feats_parts),
-                                           np.concatenate(label_parts), classes))
-        params = {"family": "logistic", "seed": seed, "n": n,
-                  "imbalance_mu": imbalance_mu, "classes": classes,
-                  "features": features, "base_count": base_count,
-                  "class_sep": class_sep}
-
+    for _ in range(n):
+        feats_parts, label_parts = [], []
+        for c, cnt in enumerate(counts):
+            feats_parts.append(means[c] + gen.standard_normal((cnt, features)))
+            label_parts.append(np.full(cnt, c, dtype=np.int64))
+        clients.append(_split_by_class(np.concatenate(feats_parts),
+                                       np.concatenate(label_parts), classes))
     return LogisticTuneProblem(
-        LogisticTuneSpec(clients=clients, classes=classes, features=features,
-                         params=params))
+        LogisticTuneSpec(clients=clients, classes=classes, features=features))

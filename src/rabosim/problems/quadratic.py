@@ -29,7 +29,7 @@ same batch cancels it exactly (common random numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,7 +48,7 @@ from .base import BilevelProblem, ProblemConstants, SampleBatch
 
 @dataclass(frozen=True)
 class QuadraticSpec:
-    """Matrices and generation parameters of one quadratic instance.
+    """Matrices and scalar weights of one quadratic instance.
 
     Every list holds one entry per client. Entries may be the same array:
     ``make_quadratic`` fills ``a_mats`` and ``b_mats`` with n references
@@ -67,11 +67,9 @@ class QuadraticSpec:
     lam: float            # outer quadratic weight, >= 0
     noise_f: float
     noise_g: float
-    hetero: float
     quartic: float        # tau
     sine_amp: float       # amp
     ball_radius: float
-    params: dict = field(default_factory=dict)  # generator arguments, for serialization
 
 
 def _checked_dims(spec: QuadraticSpec) -> tuple[int, int, int]:
@@ -174,17 +172,6 @@ class QuadraticProblem(BilevelProblem):
             growth = (s.quartic / 2.0) * (2.0 * mu * x[coords] + mu * mu)
             rows += np.outer(growth, s.u_mats[i] @ y)
         return base, rows
-
-    def grad_g_x(self, i, x, y, batch=None):
-        self.check_dims(x, y)
-        s = self.spec
-        grad = s.b_mats[i].T @ y
-        if s.quartic:
-            grad = grad + (s.quartic / 2.0) * float(y @ (s.u_mats[i] @ y)) * x
-        noise = self._noise(batch, s.noise_g)
-        if noise is not None:
-            grad = grad + noise[self.d2:]
-        return grad
 
     def hess_yy_g(self, i, x, y, batch=None):
         self.check_dims(x, y)
@@ -290,20 +277,6 @@ class QuadraticProblem(BilevelProblem):
             ys = self.y_star(x)
         return float(np.mean([self.value_f(i, x, ys) for i in range(self.n)]))
 
-    def heterogeneity_bounds(self) -> tuple[float, float]:
-        """Exact Assumption-style bounds (delta_f^2, delta_g^2).
-
-        The joint gradient spread is independent of the evaluation point
-        for this family, so the max over clients at any point is the bound.
-        """
-        s = self.spec
-        dg = max(float(np.sum((c - self._c_bar) ** 2)) for c in s.c_vecs)
-        df = max(
-            s.lam ** 2 * float(np.sum((a - self._a_tgt_bar) ** 2))
-            + float(np.sum((b - self._b_tgt_bar) ** 2))
-            for a, b in zip(s.outer_targets, s.inner_targets))
-        return df, dg
-
 
 def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
                    noise_f: float = 0.0, noise_g: float = 0.0,
@@ -377,14 +350,8 @@ def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
         outer_targets=[a_tgt_bar + hetero * a_off[i] for i in range(n)],
         inner_targets=[b_tgt_bar + hetero * b_off[i] for i in range(n)],
         u_mats=u_mats,
-        lam=lam, noise_f=noise_f, noise_g=noise_g, hetero=hetero,
-        quartic=quartic, sine_amp=sine_amp, ball_radius=ball_radius,
-        params={"family": "quadratic", "seed": seed, "n": n, "d1": d1,
-                "d2": d2, "hetero": hetero, "noise_f": noise_f,
-                "noise_g": noise_g, "eig_min": eig_range[0],
-                "eig_max": eig_range[1], "lam": lam, "coupling": coupling, "quartic": quartic,
-                "sine_amp": sine_amp, "target_scale": target_scale,
-                "ball_radius": ball_radius})
+        lam=lam, noise_f=noise_f, noise_g=noise_g, quartic=quartic,
+        sine_amp=sine_amp, ball_radius=ball_radius)
     return QuadraticProblem(spec)
 
 

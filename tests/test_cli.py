@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabosim
 from rabosim.cli import (
+    LOGISTIC_DEFAULTS,
     apply_override,
     build_problem,
     compare_costs,
@@ -18,6 +22,9 @@ from rabosim.cli import (
     run_experiment,
 )
 from rabosim.errors import MissingBaseline, ParseError, ValidationError
+from rabosim.federation import DOWNLOAD_MODES
+from rabosim.hypergrad import EXACT_AID, RAFBO
+from rabosim.masking import POLICIES
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -32,6 +39,81 @@ def small_quadratic_config(**run_overrides):
     run_cfg.update(run_overrides)
     return {"problem": {"family": "quadratic", "n": 2, "d1": 4, "d2": 4},
             "run": run_cfg}
+
+
+def small_logistic_config():
+    return {"problem": {"family": "logistic", "n": 2, "classes": 3,
+                        "features": 3},
+            "run": {"rounds": 2}}
+
+
+def floats(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+POSITIVE = floats(0, 1e6, exclude_min=True)
+NONNEGATIVE = floats(0, 1e6)
+CAPACITY = st.integers(1, 8).flatmap(
+    lambda q: st.integers(1, q).map(lambda p: f"{p}/{q}"))
+
+
+@st.composite
+def valid_documents(draw):
+    """A config document whose every value lies inside the range tables."""
+    family = draw(st.sampled_from(["quadratic", "logistic"]))
+    n = draw(st.integers(1, 6))
+    problem = {"family": family, "seed": draw(st.integers(0, 2 ** 32)),
+               "n": n}
+    if family == "quadratic":
+        d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        eig_min = draw(POSITIVE)
+        problem.update(
+            d1=d1, d2=d2, eig_min=eig_min, eig_max=draw(floats(eig_min, 2e6)),
+            coupling=draw(floats(-10, 10)),
+            target_scale=draw(floats(-10, 10)),
+            **{key: draw(NONNEGATIVE) for key in (
+                "hetero", "noise_f", "noise_g", "lam", "quartic", "sine_amp",
+                "ball_radius")})
+    else:
+        mu, classes = draw(floats(0.2, 1)), draw(st.integers(2, 5))
+        features = draw(st.integers(1, 6))
+        # at least one sample is left in the last class
+        least = math.ceil(1 / mu ** (classes - 1)) + 1
+        problem.update(imbalance_mu=mu, classes=classes, features=features,
+                       base_count=draw(st.integers(least, least + 500)),
+                       class_sep=draw(floats(-10, 10)))
+        d1, d2 = 2 * classes + 1, classes * features
+    policy = draw(st.sampled_from(POLICIES))
+    run = {
+        "alpha": draw(POSITIVE), "beta": draw(POSITIVE),
+        "inner_epochs": draw(st.integers(1, 10)),
+        "rounds": draw(st.integers(0, 1000)),
+        "estimator": draw(st.sampled_from([EXACT_AID, RAFBO])),
+        "mu": draw(POSITIVE),
+        "coord_fraction": draw(floats(0, 1, exclude_min=True)),
+        "policy": policy, "block_size": draw(st.integers(1, 8)),
+        "capacities": draw(st.one_of(
+            CAPACITY, st.lists(CAPACITY, min_size=n, max_size=n))),
+        "download_mode": draw(st.sampled_from(DOWNLOAD_MODES)),
+        "theory_guard": family == "quadratic" and draw(st.booleans()),
+        "batch_size_f": draw(st.integers(0, 50)),
+        "batch_size_g": draw(st.integers(0, 50)),
+        "divergence_factor": draw(POSITIVE),
+        "log_masks": draw(st.booleans()),
+        "seed": draw(st.integers(0, 1000)),
+        "x0": draw(st.none() | st.lists(floats(-10, 10), min_size=d1,
+                                        max_size=d1)),
+        "y0": draw(st.none() | st.lists(floats(-10, 10), min_size=d2,
+                                        max_size=d2)),
+    }
+    if policy == "manual":
+        for level, d in (("x", d1), ("y", d2)):
+            run[f"manual_{level}"] = draw(st.lists(
+                st.lists(st.integers(0, d - 1), max_size=d),
+                min_size=n, max_size=n))
+    sweep = {"seeds": draw(st.lists(st.integers(0, 1000), min_size=1,
+                                    max_size=3))}
+    return {"problem": problem, "run": run, "sweep": sweep}
 
 
 class TestParseConfig:
@@ -90,6 +172,13 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg.run["capacities"] == "1/4"
         assert resolve_config(cfg.echo()).echo() == cfg.echo()
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=valid_documents())
+    def test_echo_is_fixed_point(self, raw):
+        cfg = resolve_config(raw)
+        echo = cfg.echo()
+        assert resolve_config(json.loads(json.dumps(echo))).echo() == echo
 
     def test_bad_estimator(self, tmp_path):
         path = write_config(tmp_path, small_quadratic_config(estimator="aid2"))
@@ -350,16 +439,55 @@ class TestMainEntry:
         (["--override", 'sweep.manual_tables=[{"x": [[0, 1], [2, 3]], '
           '"y": [[0], [1]]}, {"x": [[0, 1], [0, 1]], "y": [[0], [1]]}]'],
          "manual_tables"),
+        # out of range, caught before anything is written
+        (["--override", "run.alpha=0"], "alpha"),
+        (["--override", "run.beta=-1"], "beta"),
+        (["--override", "run.inner_epochs=0"], "inner_epochs"),
+        (["--override", "run.rounds=-1"], "rounds"),
+        (["--override", "run.batch_size_f=-1"], "batch_size_f"),
+        (["--override", "run.batch_size_g=-1"], "batch_size_g"),
+        (["--override", 'run.download_mode="bogus"'], "download_mode"),
+        (["--override", 'run.capacities=["1", "1", "1"]'], "capacities"),
+        (["--override", 'sweep.capacities=[["1/2", "1", "1"]]'],
+         "capacities"),
+        (["--override", "problem.hetero=-1"], "hetero"),
+        (["--override", "problem.lam=-1"], "lam"),
+        (["--override", "problem.noise_f=-1"], "noise_f"),
+        (["--override", "problem.noise_g=-1"], "noise_g"),
+        (["--override", "problem.quartic=-1"], "quartic"),
+        (["--override", "problem.sine_amp=-1"], "sine_amp"),
+        (["--override", "problem.eig_min=0"], "eig_min"),
+        (["--override", "problem.eig_max=0.5"], "eig_max"),
+        (["--override", "problem.n=0"], "n"),
+        (["--override", "problem.d1=0"], "d1"),
+        (["--override", "problem.d2=0"], "d2"),
+        (["--override", "problem.imbalance_mu=0"], "imbalance_mu"),
+        (["--override", "problem.imbalance_mu=1.5"], "imbalance_mu"),
+        (["--override", "problem.classes=1"], "classes"),
+        (["--override", "problem.base_count=0"], "base_count"),
+        # floor(1 * 0.5^c) leaves classes 1 and 2 empty
+        (["--override", "problem.base_count=1",
+          "--override", "problem.imbalance_mu=0.5"], "base_count"),
+        (["--override", "problem.ball_radius=-1"], "ball_radius"),
+        # the step-size bounds come from the quadratic family's constants
+        (["--override", "run.theory_guard=true",
+          "--override", "problem.classes=2"], "theory_guard"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
-        path = write_config(tmp_path, small_quadratic_config())
+        # flags that set a logistic-only problem key apply to a logistic
+        # problem
+        logistic = {f"problem.{k}" for k in LOGISTIC_DEFAULTS}
+        data = small_logistic_config() \
+            if any(f.partition("=")[0] in logistic for f in flags) \
+            else small_quadratic_config()
+        path = write_config(tmp_path, data)
         code = main(["run", str(path), "--out", str(tmp_path / "out")] + flags)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"'{key}'" in err or f".{key}" in err
-        assert not (tmp_path / "out" / "variants").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_float_entry_accepts_integer_literal(self, tmp_path):
         path = write_config(tmp_path, small_quadratic_config(rounds=1))

@@ -8,7 +8,6 @@ from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
     InvalidSpec,
-    UnsupportedProblem,
 )
 from rabosim.federation import (
     CSV_COLUMNS,
@@ -23,7 +22,6 @@ from rabosim.federation import (
     logs_to_csv,
     rabo_round,
     run,
-    stationarity,
 )
 from rabosim.hypergrad import EXACT_AID, RAFBO, HypergradEstimate, RAFBOConfig
 from rabosim.masking import ClientResource, Mask, MaskPolicy
@@ -60,9 +58,7 @@ def report_with_hyper(client, bits, value):
     mx = mask_of(bits, "x", client)
     my = mask_of([1] * len(bits), "y", client)
     est = HypergradEstimate(
-        value=np.array(value, dtype=np.float64), estimator=EXACT_AID,
-        client=client, round_index=0, mask_x=mx, mask_y=my, flops=0,
-        grad_evals=2)
+        value=np.array(value, dtype=np.float64), flops=0, grad_evals=2)
     return ClientReport(client=client, mask_x=mx, mask_y=my,
                         g_delta=np.zeros(len(bits)), inner_flops=0,
                         hypergrad=est)
@@ -74,7 +70,7 @@ def scalar_quadratic(c=1.0):
         a_mats=[np.array([[1.0]])], b_mats=[np.array([[0.0]])],
         c_vecs=[np.array([-c])], outer_targets=[np.zeros(1)],
         inner_targets=[np.zeros(1)], u_mats=None, lam=0.0,
-        noise_f=0, noise_g=0, hetero=0, quartic=0, sine_amp=0,
+        noise_f=0, noise_g=0, quartic=0, sine_amp=0,
         ball_radius=10.0))
 
 
@@ -210,8 +206,7 @@ class TestCoveringAverageReference:
             mx = mask_of(gen.integers(0, 2, d1), "x", i)
             my = mask_of(gen.integers(0, 2, d2), "y", i)
             est = HypergradEstimate(
-                value=gen.standard_normal(d1), estimator=EXACT_AID, client=i,
-                round_index=0, mask_x=mx, mask_y=my, flops=0, grad_evals=2)
+                value=gen.standard_normal(d1), flops=0, grad_evals=2)
             reports.append(ClientReport(
                 client=i, mask_x=mx, mask_y=my,
                 g_delta=gen.standard_normal(d2), inner_flops=0, hypergrad=est))
@@ -266,8 +261,8 @@ class TestRabobRound:
                         capacities=full_caps(2), seed=0)
         state = GlobalState(np.ones(3), np.zeros(3), 0)
         new_state, log = rabo_round(prob, state, cfg)
-        assert log.grad_phi_sq == pytest.approx(
-            stationarity(prob, new_state.x), rel=1e-12)
+        grad = prob.grad_phi(new_state.x)
+        assert log.grad_phi_sq == pytest.approx(float(grad @ grad), rel=1e-12)
 
     @pytest.mark.parametrize("quartic", [0.0, 0.1])
     def test_one_inner_solve_per_round(self, quartic):
@@ -406,7 +401,7 @@ class TestRun:
             outer_targets=[spec.outer_targets[p] for p in perm],
             inner_targets=[spec.inner_targets[p] for p in perm],
             u_mats=None, lam=spec.lam, noise_f=0, noise_g=0,
-            hetero=spec.hetero, quartic=0, sine_amp=0, ball_radius=10.0))
+            quartic=0, sine_amp=0, ball_radius=10.0))
         tables = [[0, 1], [1, 2], [2, 3]]
         cfg_a = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15, n=3,
                           capacities=full_caps(3), seed=0,
@@ -526,12 +521,14 @@ class TestStationarity:
     def test_at_minimizer(self):
         prob = make_quadratic(seed=17, n=3, d1=4, d2=4, hetero=0.3, lam=0.9,
                               eig_range=(0.8, 1.6))
-        assert stationarity(prob, analytic_outer_minimizer(prob)) <= 1e-16
+        grad = prob.grad_phi(analytic_outer_minimizer(prob))
+        assert grad @ grad <= 1e-16
 
     def test_one_dim_value(self):
         from tests_support import one_dim_tracking_problem
         prob = one_dim_tracking_problem()
-        assert stationarity(prob, np.array([2.0])) == pytest.approx(4.0)
+        grad = prob.grad_phi(np.array([2.0]))
+        assert grad @ grad == pytest.approx(4.0)
 
     def test_matches_oracle_definitionally(self):
         prob = make_quadratic(seed=18, n=2, d1=5, d2=5, hetero=0.2,
@@ -540,13 +537,9 @@ class TestStationarity:
         for _ in range(20):
             x = rng.standard_normal(5)
             grad = true_hypergradient_oracle(prob, x)
-            assert stationarity(prob, x) == pytest.approx(float(grad @ grad),
-                                                          rel=1e-12)
-
-    def test_unsupported_problem(self):
-        prob = make_logistic_tune(seed=0, n=1)
-        with pytest.raises(UnsupportedProblem):
-            stationarity(prob, np.zeros(prob.d1))
+            own = prob.grad_phi(x)
+            assert float(own @ own) == pytest.approx(float(grad @ grad),
+                                                     rel=1e-12)
 
 
 class TestCosts:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import DimensionMismatch, InvalidSpec
-from rabosim.problems import SampleBatch, make_logistic_tune, problem_to_config
+from rabosim.problems import SampleBatch, make_logistic_tune
 
 
 def class_counts(problem, client=0):
@@ -49,24 +51,16 @@ class TestConstruction:
         prob = make_logistic_tune(seed=4, n=2, classes=3, features=6)
         assert prob.d1 == 7 and prob.d2 == 18
 
-    def test_explicit_client_data(self):
-        rng = np.random.default_rng(0)
-        feats = rng.standard_normal((30, 4))
-        labels = np.repeat([0, 1, 2], 10)
-        prob = make_logistic_tune(seed=0, n=1,
-                                  clients_data=[(feats, labels)],
-                                  classes=3, features=4)
-        assert prob.n == 1
-        assert class_counts(prob).sum() == 30
-        with pytest.raises(InvalidSpec):
-            problem_to_config(prob)
-
     def test_config_round_trip(self):
+        # the echoed problem section rebuilds the same instance
         prob = make_logistic_tune(seed=5, n=2, imbalance_mu=0.7, classes=3,
                                   features=4, base_count=40)
-        section = problem_to_config(prob)
-        clone = build_problem(resolve_config({"problem": section}).problem)
-        assert problem_to_config(clone) == section
+        section = {"family": "logistic", "seed": 5, "n": 2,
+                   "imbalance_mu": 0.7, "classes": 3, "features": 4,
+                   "base_count": 40}
+        echo = json.loads(json.dumps(
+            resolve_config({"problem": section}).echo()))
+        clone = build_problem(resolve_config(echo).problem)
         for a, b in zip(prob.spec.clients, clone.spec.clients):
             assert np.array_equal(a.x_train, b.x_train)
             assert np.array_equal(a.y_val, b.y_val)
@@ -160,16 +154,6 @@ class TestDerivatives:
             e = np.zeros(prob.d2)
             e[k] = h
             fd = (prob.value_g(0, x, y + e) - prob.value_g(0, x, y - e)) / (2 * h)
-            assert fd == pytest.approx(grad[k], abs=2e-6)
-
-    def test_grad_g_x_fd(self, setup):
-        prob, x, y = setup
-        grad = prob.grad_g_x(0, x, y)
-        h = 1e-6
-        for k in range(prob.d1):
-            e = np.zeros(prob.d1)
-            e[k] = h
-            fd = (prob.value_g(0, x + e, y) - prob.value_g(0, x - e, y)) / (2 * h)
             assert fd == pytest.approx(grad[k], abs=2e-6)
 
     def test_hessian_fd(self, setup):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from rabosim.problems import (
     inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    problem_to_config,
     true_hypergradient_oracle,
 )
 from rabosim.problems.quadratic import (
@@ -40,7 +40,7 @@ def one_dim_problem(lam=0.0):
         a_mats=[np.array([[1.0]])], b_mats=[np.array([[-1.0]])],
         c_vecs=[np.zeros(1)], outer_targets=[np.zeros(1)],
         inner_targets=[np.zeros(1)], u_mats=None, lam=lam,
-        noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
+        noise_f=0.0, noise_g=0.0, quartic=0.0, sine_amp=0.0,
         ball_radius=10.0)
     return QuadraticProblem(spec)
 
@@ -64,7 +64,7 @@ def small_spec(n=3, d1=3, d2=2, **fields):
         outer_targets=[rng.standard_normal(d1) for _ in range(n)],
         inner_targets=[rng.standard_normal(d2) for _ in range(n)],
         u_mats=[np.eye(d2)] * n, lam=0.5, noise_f=0.0, noise_g=0.0,
-        hetero=0.0, quartic=0.1, sine_amp=0.0, ball_radius=10.0)
+        quartic=0.1, sine_amp=0.0, ball_radius=10.0)
     data.update(fields)
     return QuadraticSpec(**data)
 
@@ -83,7 +83,7 @@ class TestSpecValidation:
             a_mats=[np.eye(2)] * 2, b_mats=[np.zeros((2, 1))] * 2,
             c_vecs=[np.zeros(2), np.ones(1)], outer_targets=[np.zeros(1)] * 2,
             inner_targets=[np.zeros(2)] * 2, u_mats=None, lam=0.0,
-            noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
+            noise_f=0.0, noise_g=0.0, quartic=0.0, sine_amp=0.0,
             ball_radius=10.0)
         with pytest.raises(InvalidSpec, match=r"client 1: c_vecs"):
             QuadraticProblem(spec)
@@ -154,8 +154,8 @@ class TestSharedBlocks:
         n, d1, d2 = 64, 200, 200
         # Held: the shared A and B and the problem's client means A_bar
         # and B_bar, the per-client vectors c_i, b_i (d2 each) and a_i
-        # (d1), and 256 KiB for array headers, the lists and the params
-        # dict. n copies of A and B would hold 41 MB.
+        # (d1), and 256 KiB for array headers and the lists. n copies of
+        # A and B would hold 41 MB.
         blocks = 8 * 2 * (d2 * d2 + d2 * d1)
         vectors = 8 * n * (d1 + 2 * d2)
         bound = blocks + vectors + 256 * 1024             # 1,849,344 bytes
@@ -207,21 +207,6 @@ class TestMakeQuadratic:
         assert np.array_equal(prob.grad_g_y(0, x, y, batch),
                               prob.grad_g_y(0, x, y))
 
-    def test_heterogeneity_bound_by_enumeration(self):
-        prob = make_quadratic(seed=3, n=4, d1=4, d2=4, hetero=1.0,
-                              eig_range=(0.8, 1.5))
-        _, delta_g_sq = prob.heterogeneity_bounds()
-        rng = np.random.default_rng(1)
-        x, y = rng.standard_normal(4), rng.standard_normal(4)
-        mean_y = prob.mean_grad_g_y(x, y)
-        mean_x = sum(prob.grad_g_x(i, x, y) for i in range(4)) / 4
-        spread = np.mean([
-            np.sum((prob.grad_g_y(i, x, y) - mean_y) ** 2)
-            + np.sum((prob.grad_g_x(i, x, y) - mean_x) ** 2)
-            for i in range(4)])
-        assert spread > 0
-        assert spread <= delta_g_sq + 1e-12
-
     def test_zero_hetero_zero_spread(self):
         prob = make_quadratic(seed=4, n=3, d1=3, d2=3, hetero=0.0)
         rng = np.random.default_rng(2)
@@ -231,7 +216,7 @@ class TestMakeQuadratic:
         ref = prob.grad_g_y(0, x, y)
         assert max(np.linalg.norm(prob.grad_g_y(i, x, y) - ref)
                    for i in range(3)) == 0.0
-        mean_y = prob.mean_grad_g_y(x, y)
+        mean_y = sum(prob.grad_g_y(i, x, y) for i in range(3)) / 3
         assert np.linalg.norm(ref - mean_y) <= 1e-14
 
     def test_invalid_eig_range(self):
@@ -247,12 +232,16 @@ class TestMakeQuadratic:
             assert lo >= 0.7 - 1e-9 and hi <= 2.5 + 1e-9
 
     def test_config_round_trip(self):
+        # the echoed problem section rebuilds the same instance
         prob = make_quadratic(seed=6, n=3, d1=4, d2=5, hetero=0.3,
                               noise_f=0.1, noise_g=0.2, eig_range=(0.9, 1.8),
                               quartic=0.05)
-        section = problem_to_config(prob)
-        clone = build_problem(resolve_config({"problem": section}).problem)
-        assert problem_to_config(clone) == section
+        section = {"family": "quadratic", "seed": 6, "n": 3, "d1": 4,
+                   "d2": 5, "hetero": 0.3, "noise_f": 0.1, "noise_g": 0.2,
+                   "eig_min": 0.9, "eig_max": 1.8, "quartic": 0.05}
+        echo = json.loads(json.dumps(
+            resolve_config({"problem": section}).echo()))
+        clone = build_problem(resolve_config(echo).problem)
         assert np.array_equal(prob.spec.a_mats[1], clone.spec.a_mats[1])
         assert np.array_equal(prob.spec.c_vecs[2], clone.spec.c_vecs[2])
         assert np.array_equal(prob.spec.u_mats[0], clone.spec.u_mats[0])
@@ -271,7 +260,7 @@ class TestInnerOptimumOracle:
             a_mats=spec.a_mats, b_mats=spec.b_mats,
             c_vecs=[np.zeros(3)] * 2, outer_targets=spec.outer_targets,
             inner_targets=spec.inner_targets, u_mats=None, lam=spec.lam,
-            noise_f=0, noise_g=0, hetero=0, quartic=0, sine_amp=0,
+            noise_f=0, noise_g=0, quartic=0, sine_amp=0,
             ball_radius=10.0))
         assert np.array_equal(inner_optimum_oracle(zeroed, np.zeros(3)),
                               np.zeros(3))
@@ -281,7 +270,8 @@ class TestInnerOptimumOracle:
                               eig_range=(0.6, 2.0))
         x = np.linspace(-1, 1, 4)
         ys = inner_optimum_oracle(prob, x)
-        assert np.linalg.norm(prob.mean_grad_g_y(x, ys)) <= 1e-9
+        mean_g = sum(prob.grad_g_y(i, x, ys) for i in range(prob.n)) / prob.n
+        assert np.linalg.norm(mean_g) <= 1e-9
 
     def test_matches_gradient_descent(self):
         prob = make_quadratic(seed=9, n=3, d1=4, d2=5, hetero=0.4,
@@ -289,7 +279,7 @@ class TestInnerOptimumOracle:
         x = np.array([0.2, -0.7, 1.1, 0.4])
         y = np.zeros(5)
         for _ in range(4000):  # descend the averaged lower objective
-            g = prob.mean_grad_g_y(x, y)
+            g = sum(prob.grad_g_y(i, x, y) for i in range(prob.n)) / prob.n
             if np.linalg.norm(g) < 1e-12:
                 break
             y = y - 0.5 * g
@@ -346,7 +336,7 @@ class TestTrueHypergradientOracle:
             a_mats=spec.a_mats, b_mats=spec.b_mats, c_vecs=spec.c_vecs,
             outer_targets=spec.outer_targets,
             inner_targets=[ys.copy() for _ in range(3)], u_mats=None,
-            lam=0.0, noise_f=0, noise_g=0, hetero=spec.hetero, quartic=0,
+            lam=0.0, noise_f=0, noise_g=0, quartic=0,
             sine_amp=0, ball_radius=10.0))
         grad = true_hypergradient_oracle(pinned, x_hat)
         assert np.linalg.norm(grad) <= 1e-12

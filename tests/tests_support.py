@@ -13,7 +13,7 @@ def one_dim_tracking_problem(lam=0.0):
         a_mats=[np.array([[1.0]])], b_mats=[np.array([[-1.0]])],
         c_vecs=[np.zeros(1)], outer_targets=[np.zeros(1)],
         inner_targets=[np.zeros(1)], u_mats=None, lam=lam,
-        noise_f=0.0, noise_g=0.0, hetero=0.0, quartic=0.0, sine_amp=0.0,
+        noise_f=0.0, noise_g=0.0, quartic=0.0, sine_amp=0.0,
         ball_radius=10.0))
 
 
