@@ -41,17 +41,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import federation, hypergrad, masking
 from .errors import (
     DivergenceDetected,
     InvalidSpec,
     MissingBaseline,
     ParseError,
-    ValidationError,
+    check_ranges,
 )
-from .federation import DOWNLOAD_MODES, RunConfig, logs_to_csv, run
-from .hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from .masking import POLICIES, ClientResource, MaskPolicy, parse_capacity
-from .problems import make_logistic_tune, make_quadratic
+from .federation import RunConfig, check_theory_guard, logs_to_csv, run
+from .hypergrad import EXACT_AID, RAFBOConfig
+from .masking import ClientResource, MaskPolicy, parse_capacity
+from .problems import logistic, make_logistic_tune, make_quadratic, quadratic
 
 OUT_ENV_VAR = "RABOSIM_OUT"
 
@@ -123,7 +124,7 @@ class SweepResult:
 def _reject_unknown(section: str, data: dict, allowed) -> None:
     for key in data:
         if key not in allowed:
-            raise ValidationError(
+            raise InvalidSpec(
                 f"unknown key '{key}' in section '{section}'", key=key)
 
 
@@ -149,42 +150,11 @@ LIST_ENTRIES = {
     "y0": (_is_finite, "a list of finite numbers"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
-# Entries whose type alone does not make them valid: key -> (test, want).
-POSITIVE = (lambda v: v > 0, "positive")
-NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
-AT_LEAST_ONE = (lambda v: v >= 1, "at least 1")
-RUN_RANGES = {
-    "alpha": POSITIVE,
-    "beta": POSITIVE,
-    "inner_epochs": AT_LEAST_ONE,
-    "rounds": NONNEGATIVE,
-    "batch_size_f": NONNEGATIVE,
-    "batch_size_g": NONNEGATIVE,
-    "mu": POSITIVE,
-    "coord_fraction": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "block_size": AT_LEAST_ONE,
-    "divergence_factor": POSITIVE,
-    "policy": (lambda v: v in POLICIES, "one of " + ", ".join(POLICIES)),
-    "download_mode": (lambda v: v in DOWNLOAD_MODES,
-                      "one of " + ", ".join(DOWNLOAD_MODES)),
-}
-# The same for the problem section; a key of the other family is skipped.
-PROBLEM_RANGES = {
-    "n": AT_LEAST_ONE,
-    "d1": AT_LEAST_ONE,
-    "d2": AT_LEAST_ONE,
-    "hetero": NONNEGATIVE,
-    "noise_f": NONNEGATIVE,
-    "noise_g": NONNEGATIVE,
-    "lam": NONNEGATIVE,
-    "quartic": NONNEGATIVE,
-    "sine_amp": NONNEGATIVE,
-    "eig_min": POSITIVE,
-    "ball_radius": NONNEGATIVE,
-    "imbalance_mu": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "classes": (lambda v: v >= 2, "at least 2"),
-    "base_count": AT_LEAST_ONE,
-}
+# Entries whose type alone does not make them valid are checked against
+# the range tables of the modules that own them.
+RUN_TABLES = (federation.RANGES, hypergrad.RANGES, masking.RANGES)
+FAMILIES = {"quadratic": (QUADRATIC_DEFAULTS, quadratic.RANGES),
+            "logistic": (LOGISTIC_DEFAULTS, logistic.RANGES)}
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
@@ -211,21 +181,18 @@ def _check_types(section: str, resolved: dict, defaults: dict) -> None:
         else:
             continue
         if not ok:
-            raise ValidationError(
+            raise InvalidSpec(
                 f"{section}.{key} must be {want}, got {value!r}", key=key)
 
 
 def _resolve_section(section: str, data: dict, defaults: dict,
-                     ranges: dict | None = None) -> dict:
+                     *tables: dict) -> dict:
     _reject_unknown(section, data, defaults.keys())
     resolved = dict(defaults)
     resolved.update(data)
     _check_types(section, resolved, defaults)
-    for key, (test, want) in (ranges or {}).items():
-        if key in resolved and not test(resolved[key]):
-            raise ValidationError(
-                f"{section}.{key} must be {want}, got {resolved[key]!r}",
-                key=key)
+    for ranges in tables:
+        check_ranges(resolved, ranges, f"{section}.")
     return resolved
 
 
@@ -240,7 +207,7 @@ def _normalize_capacities(value, key: str) -> list | str:
             return [_capacity_echo(v) for v in value]
         return _capacity_echo(value)
     except Exception as exc:
-        raise ValidationError(f"bad capacity in '{key}': {exc}", key=key) from exc
+        raise InvalidSpec(f"bad capacity in '{key}': {exc}", key=key) from exc
 
 
 def _problem_dims(problem: dict) -> tuple[int, int]:
@@ -251,64 +218,61 @@ def _problem_dims(problem: dict) -> tuple[int, int]:
 
 
 def _check_table(table, n: int, d: int, name: str, key: str) -> None:
-    """A manual table lists coordinate indices in [0, d) for each client."""
+    """A manual table lists coordinate indices in [0, d) for each client.
+
+    A capacity is never 0, so every row lists at least one index.
+    """
     if not (isinstance(table, list) and len(table) >= n and all(
-            isinstance(row, list) and all(_is_int(k) and 0 <= k < d
-                                          for k in row)
+            isinstance(row, list) and row and all(_is_int(k) and 0 <= k < d
+                                                  for k in row)
             for row in table)):
-        raise ValidationError(
-            f"{name} must list coordinate indices in [0, {d}) for each of "
-            f"the {n} clients, got {table!r}", key=key)
+        raise InvalidSpec(
+            f"{name} must list one or more coordinate indices in [0, {d}) "
+            f"for each of the {n} clients, got {table!r}", key=key)
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Apply defaults and validate a parsed config document."""
     if not isinstance(raw, dict):
-        raise ValidationError("config root must be an object", key="<root>")
+        raise InvalidSpec("config root must be an object", key="<root>")
     _reject_unknown("<root>", raw, SECTIONS)
 
     problem_raw = dict(raw.get("problem", {}))
     family = problem_raw.pop("family", None)
     if family is None:
-        raise ValidationError("problem.family is required", key="family")
-    if family == "quadratic":
-        defaults = {**PROBLEM_DEFAULTS_COMMON, **QUADRATIC_DEFAULTS}
-    elif family == "logistic":
-        defaults = {**PROBLEM_DEFAULTS_COMMON, **LOGISTIC_DEFAULTS}
-    else:
-        raise ValidationError(f"unknown problem family '{family}'", key="family")
-    problem = _resolve_section("problem", problem_raw, defaults,
-                               PROBLEM_RANGES)
+        raise InvalidSpec("problem.family is required", key="family")
+    if family not in FAMILIES:
+        raise InvalidSpec(f"unknown problem family '{family}'", key="family")
+    defaults, ranges = FAMILIES[family]
+    problem = _resolve_section("problem", problem_raw,
+                               {**PROBLEM_DEFAULTS_COMMON, **defaults}, ranges)
     problem["family"] = family
     if family == "quadratic" and problem["eig_max"] < problem["eig_min"]:
-        raise ValidationError(
+        raise InvalidSpec(
             f"problem.eig_max must be at least eig_min "
             f"{problem['eig_min']!r}, got {problem['eig_max']!r}",
             key="eig_max")
     if family == "logistic" and math.floor(
             problem["base_count"]
             * problem["imbalance_mu"] ** (problem["classes"] - 1)) < 1:
-        raise ValidationError(
+        raise InvalidSpec(
             f"problem.base_count {problem['base_count']} leaves the last "
             f"class empty after decay by imbalance_mu "
             f"{problem['imbalance_mu']!r}", key="base_count")
 
     run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_DEFAULTS,
-                               RUN_RANGES)
+                               *RUN_TABLES)
     run_cfg["capacities"] = _normalize_capacities(
         run_cfg["capacities"], "run.capacities")
-    if run_cfg["estimator"] not in (EXACT_AID, RAFBO):
-        raise ValidationError(
-            f"unknown estimator '{run_cfg['estimator']}'", key="estimator")
     if run_cfg["theory_guard"] and family != "quadratic":
-        raise ValidationError(
+        raise InvalidSpec(
             f"run.theory_guard needs the quadratic family's smoothness "
             f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
     if run_cfg["policy"] == "manual":
         if sweep["manual_tables"] is None and (
                 run_cfg["manual_x"] is None or run_cfg["manual_y"] is None):
-            raise ValidationError(
+            raise InvalidSpec(
                 "manual policy requires run.manual_x/manual_y or "
                 "sweep.manual_tables", key="policy")
     else:
@@ -316,7 +280,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                             ("run.manual_x", run_cfg["manual_x"]),
                             ("run.manual_y", run_cfg["manual_y"])):
             if table is not None:
-                raise ValidationError(
+                raise InvalidSpec(
                     f"{name} takes effect only under run.policy 'manual', "
                     f"got policy '{run_cfg['policy']}'",
                     key=name.split(".")[1])
@@ -324,10 +288,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         sweep["seeds"] = [run_cfg["seed"]]
     if sweep["estimators"] is None:
         sweep["estimators"] = [run_cfg["estimator"]]
+    estimator_rule = {"estimators": federation.RANGES["estimator"]}
     for est in sweep["estimators"]:
-        if est not in (EXACT_AID, RAFBO):
-            raise ValidationError(f"unknown estimator '{est}' in sweep",
-                                  key="estimators")
+        check_ranges({"estimators": est}, estimator_rule, "sweep.")
     if sweep["capacities"] is None:
         sweep["capacities"] = [run_cfg["capacities"]]
     sweep["capacities"] = [
@@ -337,7 +300,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         for entry in sweep["manual_tables"]:
             if not isinstance(entry, dict) or \
                     not {"x", "y"} <= set(entry.keys()):
-                raise ValidationError(
+                raise InvalidSpec(
                     "each sweep.manual_tables entry needs 'x' and 'y' "
                     "per-client coordinate lists", key="manual_tables")
     n, dims = problem["n"], _problem_dims(problem)
@@ -345,13 +308,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                           ("sweep.capacities", sweep["capacities"])):
         for entry in entries:
             if isinstance(entry, list) and len(entry) not in (1, n):
-                raise ValidationError(
+                raise InvalidSpec(
                     f"{name} lists {len(entry)} capacities for {n} clients",
                     key="capacities")
     for level, d in zip("xy", dims):
         start = run_cfg[f"{level}0"]
         if start is not None and len(start) != d:
-            raise ValidationError(
+            raise InvalidSpec(
                 f"run.{level}0 has {len(start)} entries, but the problem "
                 f"has {d} {level} coordinates", key=f"{level}0")
         if run_cfg[f"manual_{level}"] is not None:
@@ -366,7 +329,13 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                               OUTPUT_DEFAULTS)
     for fmt in output["formats"]:
         if fmt not in ("csv", "json"):
-            raise ValidationError(f"unknown output format '{fmt}'", key="formats")
+            raise InvalidSpec(f"unknown output format '{fmt}'", key="formats")
+    baseline = output["compare_baseline"]
+    if baseline is not None and baseline not in {
+            variant[0] for variant in _variants(sweep)}:
+        raise InvalidSpec(
+            f"output.compare_baseline {baseline!r} names no variant of the "
+            f"sweep", key="compare_baseline")
     return ExperimentConfig(problem, run_cfg, sweep, output)
 
 
@@ -437,6 +406,21 @@ def _capacity_label(index: int, entry) -> str:
     return "cap" + str(entry).replace("/", "-")
 
 
+def _variants(sweep: dict):
+    """Yield (key, estimator, group, capacity entry, table entry, seed) for
+    each variant of a resolved ``sweep`` section, in run order."""
+    tables = sweep["manual_tables"] or [None]
+    for estimator in sweep["estimators"]:
+        for cap_index, cap_entry in enumerate(sweep["capacities"]):
+            cap_label = _capacity_label(cap_index, cap_entry)
+            for tbl_index, table_entry in enumerate(tables):
+                group = cap_label if table_entry is None \
+                    else f"{cap_label}__tbl{tbl_index}"
+                for seed in sweep["seeds"]:
+                    yield (f"est_{estimator}__{group}__seed_{seed}", estimator,
+                           group, cap_entry, table_entry, seed)
+
+
 def _aggregate_stats(variants: dict) -> dict:
     """Median/IQR over seeds of final metrics, per (estimator, capacity)."""
     groups: dict = {}
@@ -470,50 +454,53 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     """Run the sweep's cartesian product and emit CSV/JSON artifacts.
 
     Variants that diverge are recorded in the summary without aborting
-    their siblings.
+    their siblings. A step size over the theory guard's bound raises
+    InvalidSpec before anything is written.
     """
+    n = cfg.problem["n"]
+    vary_problem_seed = cfg.sweep["vary_problem_seed"]
+    shared_problem = None if vary_problem_seed else build_problem(cfg.problem)
+    plans = [(key, estimator, group, seed, build_run_config(
+        cfg.run, n, seed, estimator, cap_entry, table_entry))
+        for key, estimator, group, cap_entry, table_entry, seed
+        in _variants(cfg.sweep)]
+    if cfg.run["theory_guard"] and plans:
+        # the bounds read alpha and beta, which every variant shares
+        for problem in ([build_problem(cfg.problem, seed)
+                         for seed in cfg.sweep["seeds"]]
+                        if vary_problem_seed else [shared_problem]):
+            check_theory_guard(plans[0][-1],
+                               quadratic.derive_constants(problem))
+
     out = Path(out_dir) if out_dir is not None else _default_out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(
         json.dumps(cfg.echo(), indent=2, sort_keys=True) + "\n")
 
     result = SweepResult(config=cfg, out_dir=out)
-    n = cfg.problem["n"]
-    vary_problem_seed = cfg.sweep["vary_problem_seed"]
-    shared_problem = None if vary_problem_seed else build_problem(cfg.problem)
     write_csv = "csv" in cfg.output["formats"]
-    table_entries = cfg.sweep["manual_tables"] or [None]
-    for estimator in cfg.sweep["estimators"]:
-        for cap_index, cap_entry in enumerate(cfg.sweep["capacities"]):
-            cap_label = _capacity_label(cap_index, cap_entry)
-            for tbl_index, table_entry in enumerate(table_entries):
-                group = cap_label if table_entry is None \
-                    else f"{cap_label}__tbl{tbl_index}"
-                for seed in cfg.sweep["seeds"]:
-                    key = f"est_{estimator}__{group}__seed_{seed}"
-                    problem = build_problem(cfg.problem, seed) \
-                        if vary_problem_seed else shared_problem
-                    run_config = build_run_config(cfg.run, n, seed, estimator,
-                                                  cap_entry, table_entry)
-                    variant_dir = out / "variants" / key
-                    variant_dir.mkdir(parents=True, exist_ok=True)
-                    try:
-                        run_result = run(problem, run_config)
-                    except DivergenceDetected as exc:
-                        if write_csv:
-                            (variant_dir / "rounds.csv").write_text(
-                                logs_to_csv(exc.partial_logs))
-                        result.variants[key] = VariantResult(
-                            key, seed, estimator, group, None, str(exc))
-                        continue
-                    if write_csv:
-                        (variant_dir / "rounds.csv").write_text(
-                            logs_to_csv(run_result.logs))
-                        if run_config.log_masks:
-                            (variant_dir / "masks.csv").write_text(
-                                _masks_csv(run_result.logs))
-                    result.variants[key] = VariantResult(
-                        key, seed, estimator, group, run_result.summary())
+    for key, estimator, group, seed, run_config in plans:
+        problem = build_problem(cfg.problem, seed) \
+            if vary_problem_seed else shared_problem
+        variant_dir = out / "variants" / key
+        variant_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            run_result = run(problem, run_config)
+        except DivergenceDetected as exc:
+            if write_csv:
+                (variant_dir / "rounds.csv").write_text(
+                    logs_to_csv(exc.partial_logs))
+            result.variants[key] = VariantResult(
+                key, seed, estimator, group, None, str(exc))
+            continue
+        if write_csv:
+            (variant_dir / "rounds.csv").write_text(
+                logs_to_csv(run_result.logs))
+            if run_config.log_masks:
+                (variant_dir / "masks.csv").write_text(
+                    _masks_csv(run_result.logs))
+        result.variants[key] = VariantResult(
+            key, seed, estimator, group, run_result.summary())
 
     result.stats = _aggregate_stats(result.variants)
     if "json" in cfg.output["formats"]:
@@ -528,7 +515,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
         (out / "summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
     baseline = cfg.output["compare_baseline"]
-    if baseline is not None:
+    # a diverged baseline has no costs to compare; it is reported as failed
+    if baseline is not None and baseline not in result.failures:
         rows = compare_costs(result, baseline)
         (out / "cost_ratios.csv").write_text(_ratios_csv(rows))
     return result
@@ -581,11 +569,11 @@ def _default_out_dir(cfg: ExperimentConfig) -> Path:
 def apply_override(raw: dict, spec: str) -> None:
     """Apply one ``section.key=value`` override to a raw config dict."""
     if "=" not in spec:
-        raise ValidationError(f"override '{spec}' is not key=value", key=spec)
+        raise InvalidSpec(f"override '{spec}' is not key=value", key=spec)
     path, _, literal = spec.partition("=")
     parts = path.split(".")
     if len(parts) != 2 or parts[0] not in SECTIONS:
-        raise ValidationError(
+        raise InvalidSpec(
             f"override key '{path}' must be section.key with section in "
             f"{SECTIONS}", key=path)
     try:
@@ -629,18 +617,12 @@ def main(argv=None) -> int:
             try:
                 seeds = [int(s) for s in args.seeds.split(",")]
             except ValueError:
-                raise ValidationError(
+                raise InvalidSpec(
                     f"sweep.seeds: --seeds must be comma-separated integers, "
                     f"got {args.seeds!r}", key="seeds") from None
             raw.setdefault("sweep", {})["seeds"] = seeds
-        cfg = resolve_config(raw)
-    except (ValidationError, ParseError, InvalidSpec) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        result = run_experiment(cfg, args.out)
-    except (ValidationError, InvalidSpec, MissingBaseline) as exc:
+        result = run_experiment(resolve_config(raw), args.out)
+    except InvalidSpec as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if result.failures:

@@ -1,4 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the range check."""
+
+import math
 
 
 class RabosimError(Exception):
@@ -30,8 +32,38 @@ class MaxIterExceeded(RabosimError):
         self.residual = residual
 
 
-class InvalidSpec(RabosimError):
-    """A problem or run specification is malformed."""
+class InvalidSpec(RabosimError, ValueError):
+    """A config entry, problem or run specification is malformed; ``key``
+    names the offending entry when there is one."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
+
+
+# Each module that owns settings tables their range rules as ``RANGES``:
+# key -> the name of a test below, which is also what an error says the
+# value must be, or the tuple of values the setting may take.
+RULES = {
+    "positive": lambda v: 0 < v < math.inf,
+    "nonnegative": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "at least 2": lambda v: v >= 2,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+
+def check_ranges(values: dict, ranges: dict, prefix: str = "") -> None:
+    """Raise InvalidSpec naming the first key of ``ranges`` whose entry in
+    ``values`` breaks its rule; a key absent from ``values`` is skipped.
+    ``prefix`` (such as ``"run."``) leads the message."""
+    for key, rule in ranges.items():
+        value, choices = values.get(key), isinstance(rule, tuple)
+        if key in values and not (
+                value in rule if choices else RULES[rule](value)):
+            want = "one of " + ", ".join(rule) if choices else rule
+            raise InvalidSpec(f"{prefix}{key} must be {want}, got {value!r}",
+                              key=key)
 
 
 class UnsupportedProblem(RabosimError):
@@ -52,10 +84,6 @@ class ZeroNormInput(RabosimError):
 
 class EmptyMask(RabosimError):
     """Mask has no active coordinate where at least one is required."""
-
-
-class NonPositiveMu(RabosimError):
-    """Finite-difference step must be strictly positive."""
 
 
 class SingularRestrictedHessian(RabosimError):
@@ -88,14 +116,3 @@ class ParseError(RabosimError):
         super().__init__(message)
         self.line = line
         self.column = column
-
-
-class ValidationError(RabosimError):
-    """Config document is well-formed but semantically invalid.
-
-    ``key`` names the offending entry.
-    """
-
-    def __init__(self, message, key=None):
-        super().__init__(message)
-        self.key = key

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceDetected, InvalidSpec
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidSpec,
+    check_ranges,
+)
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
@@ -44,6 +49,12 @@ from .rng import RngStream
 
 DOWNLOAD_MODES = ("masked", "full")
 BYTES_PER_COORD = 8  # 64-bit reals on every leg
+RANGES = {
+    "alpha": "positive", "beta": "positive", "inner_epochs": "at least 1",
+    "rounds": "nonnegative", "n": "at least 1", "batch_size_f": "nonnegative",
+    "batch_size_g": "nonnegative", "divergence_factor": "positive",
+    "download_mode": DOWNLOAD_MODES, "estimator": (EXACT_AID, RAFBO),
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +68,7 @@ class GlobalState:
 
 @dataclass
 class RunConfig:
-    """All knobs of one training run.
+    """All knobs of one training run, checked against ``RANGES`` when built.
 
     With ``theory_guard`` set, ``run`` checks the step sizes against the
     instance's smoothness constants: alpha <= 1/(L_f + 4 M_f) and
@@ -85,24 +96,14 @@ class RunConfig:
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if self.alpha <= 0 or self.beta <= 0:
-            raise InvalidSpec("alpha and beta must be positive")
-        if self.inner_epochs < 1:
-            raise InvalidSpec("inner_epochs must be >= 1")
-        if self.rounds < 0:
-            raise InvalidSpec("rounds must be >= 0")
-        if self.n < 1:
-            raise InvalidSpec("need at least one client")
+        check_ranges(vars(self), RANGES)
         if len(self.capacities) != self.n:
             raise InvalidSpec(
                 f"{len(self.capacities)} capacities for {self.n} clients")
-        if self.estimator not in (EXACT_AID, RAFBO):
-            raise InvalidSpec(f"unknown estimator {self.estimator!r}")
-        if self.download_mode not in DOWNLOAD_MODES:
-            raise InvalidSpec(f"unknown download mode {self.download_mode!r}")
-        if min(self.batch_size_f, self.batch_size_g) < 0:
-            raise InvalidSpec("batch sizes must be >= 0")
 
 
 @dataclass
@@ -219,8 +220,7 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     silenced: what overflowed shows up as a non-finite ||y||, which the
     guard reports.
     """
-    if beta <= 0:
-        raise InvalidSpec("beta must be positive")
+    check_ranges({"beta": beta}, RANGES)
     y = y_i0.copy()
     quiet = np.errstate(over="ignore", invalid="ignore") \
         if divergence_guard is not None else nullcontext()
@@ -436,10 +436,12 @@ def check_theory_guard(cfg: RunConfig, constants) -> list:
     beta_cap = min(1.0 / (2.0 * constants.l_g1), 1.0 / constants.mu_g)
     if cfg.alpha > alpha_cap:
         raise InvalidSpec(
-            f"theory guard: alpha {cfg.alpha} > 1/(L_f + 4 M_f) = {alpha_cap:.6g}")
+            f"theory guard: run.alpha {cfg.alpha} > 1/(L_f + 4 M_f) = "
+            f"{alpha_cap:.6g}", key="alpha")
     if cfg.beta > beta_cap:
         raise InvalidSpec(
-            f"theory guard: beta {cfg.beta} > min(1/(2 l_g1), 1/mu_g) = {beta_cap:.6g}")
+            f"theory guard: run.beta {cfg.beta} > min(1/(2 l_g1), 1/mu_g) = "
+            f"{beta_cap:.6g}", key="beta")
     beta_floor = 1.0 / constants.mu_g - 1.0 / (
         2.0 * cfg.alpha * constants.L_y * constants.M_f * constants.mu_g)
     if cfg.beta < beta_floor:

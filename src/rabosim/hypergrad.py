@@ -67,9 +67,9 @@ import numpy as np
 
 from .errors import (
     EmptyMask,
-    NonPositiveMu,
     NotPositiveDefinite,
     SingularRestrictedHessian,
+    check_ranges,
 )
 from .linalg import solve_spd
 from .masking import Mask, apply_mask
@@ -77,11 +77,7 @@ from .rng import RngStream
 
 EXACT_AID = "exact_aid"
 RAFBO = "rafbo"
-
-
-def _require_step(mu: float) -> None:
-    if not (math.isfinite(mu) and mu > 0):
-        raise NonPositiveMu(f"mu must be finite and positive, got {mu}")
+RANGES = {"mu": "positive", "coord_fraction": "in (0, 1]"}
 
 
 @dataclass(frozen=True)
@@ -98,10 +94,7 @@ class RAFBOConfig:
     coord_fraction: float = 1.0
 
     def __post_init__(self):
-        _require_step(self.mu)
-        if not (0 < self.coord_fraction <= 1):
-            raise ValueError(
-                f"coord_fraction must be in (0, 1], got {self.coord_fraction}")
+        check_ranges(vars(self), RANGES)
 
 
 @dataclass(frozen=True)
@@ -110,7 +103,6 @@ class HypergradEstimate:
 
     value: np.ndarray
     flops: int
-    grad_evals: int
     p_size: int = 0
 
 
@@ -145,8 +137,7 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
     active = mask_x.support()
     if active.size == 0:
         raise EmptyMask("outer mask has no active coordinate")
-    if not (0 < coord_fraction <= 1):
-        raise ValueError(f"coord_fraction must be in (0, 1], got {coord_fraction}")
+    check_ranges({"coord_fraction": coord_fraction}, RANGES)
     if coord_fraction == 1.0:
         return active.astype(np.int64)
     if rng is None:
@@ -168,7 +159,7 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
     cross-coupling the difference is exact and independent of mu; curved
     coupling contributes an O(mu) bias.
     """
-    _require_step(mu)
+    check_ranges({"mu": mu}, RANGES)
     x_pert = x.copy()
     x_pert[coord] += mu
     return _difference_rows(problem.grad_g_y(i, x, y, batch),
@@ -209,7 +200,7 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     correction = problem.cross_xy_g_apply(i, x_masked, y_masked, z, batch_g)
     value = apply_mask(gfx - correction, mask_x)
     return HypergradEstimate(
-        value=value, grad_evals=2,
+        value=value,
         flops=exact_aid_flops(mask_x.active_count, int(active_y.size)))
 
 
@@ -234,7 +225,7 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
     value = apply_mask(value, mask_x)
     p_size = coords.shape[0]
     return HypergradEstimate(
-        value=value, grad_evals=2 * p_size + 2, p_size=p_size,
+        value=value, p_size=p_size,
         flops=rafbo_flops(mask_x.active_count, mask_y.active_count, p_size))
 
 

@@ -25,6 +25,7 @@ from .errors import (
     InvalidCapacity,
     MixedRounds,
     ZeroNormInput,
+    check_ranges,
 )
 
 LEVELS = ("x", "y")
@@ -100,6 +101,7 @@ class Mask:
 
 
 POLICIES = ("static", "rolling", "magnitude_topk", "manual")
+RANGES = {"policy": POLICIES, "block_size": "at least 1"}
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,8 @@ class MaskPolicy:
     table_y: tuple | None = None
 
     def __post_init__(self):
-        if self.variant not in POLICIES:
-            raise ValueError(f"unknown mask policy variant {self.variant!r}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        check_ranges({"policy": self.variant, "block_size": self.block_size},
+                     RANGES)
         if self.variant == "manual" and (self.table_x is None or self.table_y is None):
             raise ValueError("manual policy needs table_x and table_y")
         for name in ("table_x", "table_y"):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec
+from ..errors import InvalidSpec, check_ranges
 from ..rng import RngStream
 from .base import BilevelProblem, SampleBatch
 
@@ -208,6 +208,11 @@ def _split_by_class(feats: np.ndarray, labels: np.ndarray,
                        np.concatenate(va_x), np.concatenate(va_y))
 
 
+RANGES = {"n": "at least 1", "imbalance_mu": "in (0, 1]",
+          "classes": "at least 2", "features": "at least 1",
+          "base_count": "at least 1"}
+
+
 def make_logistic_tune(seed: int, n: int, imbalance_mu: float = 1.0, *,
                        classes: int = 4, features: int = 5,
                        base_count: int = 100,
@@ -218,12 +223,7 @@ def make_logistic_tune(seed: int, n: int, imbalance_mu: float = 1.0, *,
     long-tail counts floor(base_count * mu^c), then splits 80/20 into
     train/validation per class.
     """
-    if not (0.0 < imbalance_mu <= 1.0):
-        raise InvalidSpec(f"imbalance_mu must be in (0, 1], got {imbalance_mu}")
-    if classes < 2:
-        raise InvalidSpec("need at least 2 classes")
-    if n < 1:
-        raise InvalidSpec("need at least 1 client")
+    check_ranges(locals(), RANGES)
 
     gen = RngStream(seed, purpose="make-logistic").generator()
     means = class_sep * gen.standard_normal((classes, features))

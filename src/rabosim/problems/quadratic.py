@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import InvalidSpec, UnsupportedProblem
+from ..errors import InvalidSpec, UnsupportedProblem, check_ranges
 from ..linalg import (
     solve_spd,
     spd_solver,
@@ -278,6 +278,15 @@ class QuadraticProblem(BilevelProblem):
         return float(np.mean([self.value_f(i, x, ys) for i in range(self.n)]))
 
 
+# make_quadratic's arguments, with eig_range[0] as "eig_min".
+RANGES = {
+    **dict.fromkeys(("n", "d1", "d2"), "at least 1"),
+    **dict.fromkeys(("hetero", "noise_f", "noise_g", "lam", "quartic",
+                     "sine_amp", "ball_radius"), "nonnegative"),
+    "eig_min": "positive",
+}
+
+
 def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
                    noise_f: float = 0.0, noise_g: float = 0.0,
                    eig_range: tuple[float, float] = (1.0, 1.0), *,
@@ -296,14 +305,9 @@ def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
     optimum exactly at the origin, where masked evaluation is unbiased
     (useful for pruned-training studies).
     """
-    if eig_range[0] <= 0:
-        raise InvalidSpec(f"eig_range minimum must be positive, got {eig_range[0]}")
+    check_ranges({**locals(), "eig_min": eig_range[0]}, RANGES)
     if eig_range[1] < eig_range[0]:
         raise InvalidSpec("eig_range must be (min, max) with min <= max")
-    if min(n, d1, d2) < 1:
-        raise InvalidSpec("n, d1, d2 must all be >= 1")
-    if min(hetero, noise_f, noise_g, lam, quartic, sine_amp) < 0:
-        raise InvalidSpec("scales must be nonnegative")
 
     gen = RngStream(seed, purpose="make-quadratic").generator()
 

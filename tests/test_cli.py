@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabosim
+from rabosim import federation, hypergrad, masking
 from rabosim.cli import (
     LOGISTIC_DEFAULTS,
+    RUN_DEFAULTS,
     apply_override,
     build_problem,
     compare_costs,
@@ -21,10 +23,16 @@ from rabosim.cli import (
     resolve_config,
     run_experiment,
 )
-from rabosim.errors import MissingBaseline, ParseError, ValidationError
-from rabosim.federation import DOWNLOAD_MODES
-from rabosim.hypergrad import EXACT_AID, RAFBO
-from rabosim.masking import POLICIES
+from rabosim.errors import InvalidSpec, MissingBaseline, ParseError
+from rabosim.federation import DOWNLOAD_MODES, RunConfig
+from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
+from rabosim.masking import POLICIES, ClientResource, MaskPolicy
+from rabosim.problems import (
+    logistic,
+    make_logistic_tune,
+    make_quadratic,
+    quadratic,
+)
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -109,7 +117,7 @@ def valid_documents(draw):
     if policy == "manual":
         for level, d in (("x", d1), ("y", d2)):
             run[f"manual_{level}"] = draw(st.lists(
-                st.lists(st.integers(0, d - 1), max_size=d),
+                st.lists(st.integers(0, d - 1), min_size=1, max_size=d),
                 min_size=n, max_size=n))
     sweep = {"seeds": draw(st.lists(st.integers(0, 1000), min_size=1,
                                     max_size=3))}
@@ -129,7 +137,7 @@ class TestParseConfig:
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {
             "problem": {"family": "quadratic"}, "run": {"alhpa": 0.1}})
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSpec) as err:
             parse_config(path)
         assert "alhpa" in str(err.value)
         assert err.value.key == "alhpa"
@@ -137,13 +145,13 @@ class TestParseConfig:
     def test_unknown_problem_key_named(self, tmp_path):
         path = write_config(tmp_path, {
             "problem": {"family": "quadratic", "d3": 7}})
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSpec) as err:
             parse_config(path)
         assert err.value.key == "d3"
 
     def test_missing_family(self, tmp_path):
         path = write_config(tmp_path, {"problem": {"n": 3}})
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(InvalidSpec) as err:
             parse_config(path)
         assert err.value.key == "family"
 
@@ -182,7 +190,7 @@ class TestParseConfig:
 
     def test_bad_estimator(self, tmp_path):
         path = write_config(tmp_path, small_quadratic_config(estimator="aid2"))
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidSpec):
             parse_config(path)
 
     def test_logistic_family_keys(self, tmp_path):
@@ -211,7 +219,7 @@ class TestApplyOverride:
         assert raw["run"]["estimator"] == "rafbo"
 
     def test_bad_override_section(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(InvalidSpec):
             apply_override({}, "nosection.key=1")
 
 
@@ -472,6 +480,13 @@ class TestMainEntry:
         # the step-size bounds come from the quadratic family's constants
         (["--override", "run.theory_guard=true",
           "--override", "problem.classes=2"], "theory_guard"),
+        # caught before anything is written, not by the first variant's run
+        (["--override", "run.theory_guard=true",
+          "--override", "run.alpha=10"], "alpha"),
+        (["--override", "run.theory_guard=true", "--override", "run.beta=10",
+          "--override", "sweep.vary_problem_seed=true"], "beta"),
+        (["--override", 'output.compare_baseline="est_nope"'],
+         "compare_baseline"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
@@ -549,7 +564,14 @@ class TestMainEntry:
         ("run", {"manual_x": [[0], [1]], "manual_y": [[0], [-1]]},
          "manual_y"),
         ("run", {"manual_x": [[0]], "manual_y": [[0], [1]]}, "manual_x"),
-    ], ids=["sweep-table", "run-x", "run-y-negative", "run-x-short"])
+        # every capacity is positive, so every client trains a coordinate
+        ("run", {"manual_x": [[0, 1], []], "manual_y": [[0], [1]],
+                 "estimator": "rafbo"}, "manual_x"),
+        ("sweep", {"manual_tables": [{"x": [[0, 1], [2, 3]],
+                                      "y": [[0, 1], []]}]},
+         "manual_tables"),
+    ], ids=["sweep-table", "run-x", "run-y-negative", "run-x-short",
+            "run-x-empty-row-rafbo", "sweep-y-empty-row"])
     def test_manual_table_out_of_range_exit_two(self, tmp_path, capsys,
                                                 section, entry, key):
         data = small_quadratic_config(policy="manual", capacities="1/2")
@@ -562,11 +584,97 @@ class TestMainEntry:
         assert err.startswith("config error:") and key in err
         assert not (tmp_path / "out" / "variants").exists()
 
+    def test_diverged_baseline_exit_three_without_ratios(self, tmp_path,
+                                                         capsys):
+        data = small_quadratic_config(rounds=60, alpha=60.0, beta=1.9,
+                                      divergence_factor=1e4)
+        data["output"] = {"compare_baseline": "est_exact_aid__cap1__seed_0"}
+        path = write_config(tmp_path, data)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "variant est_exact_aid__cap1__seed_0 failed" in \
+            capsys.readouterr().err
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert not (tmp_path / "out" / "cost_ratios.csv").exists()
+
     def test_env_var_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RABOSIM_OUT", str(tmp_path / "envout"))
         path = write_config(tmp_path, small_quadratic_config())
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def _run_config(**kwargs):
+    return RunConfig(**{"alpha": 0.1, "beta": 0.1,
+                        "capacities": [ClientResource(1)], **kwargs})
+
+
+def _mask_policy(**kwargs):
+    if "policy" in kwargs:
+        kwargs["variant"] = kwargs.pop("policy")
+    return MaskPolicy(**kwargs)
+
+
+def _quadratic(**kwargs):
+    if "eig_min" in kwargs:
+        kwargs["eig_range"] = (kwargs.pop("eig_min"), 1.0)
+    return make_quadratic(**{"seed": 0, "n": 1, "d1": 1, "d2": 1, **kwargs})
+
+
+def _logistic(**kwargs):
+    return make_logistic_tune(**{"seed": 0, "n": 1, **kwargs})
+
+
+# owner -> (range table, constructor)
+RANGE_OWNERS = {
+    "federation": (federation.RANGES, _run_config),
+    "hypergrad": (hypergrad.RANGES, RAFBOConfig),
+    "masking": (masking.RANGES, _mask_policy),
+    "quadratic": (quadratic.RANGES, _quadratic),
+    "logistic": (logistic.RANGES, _logistic),
+}
+# One value outside each tabled range, and what the error says it must be.
+OUT_OF_RANGE = {
+    "alpha": (0, "positive"), "beta": (-1.5, "positive"),
+    "inner_epochs": (0, "at least 1"), "rounds": (-1, "nonnegative"),
+    "batch_size_f": (-1, "nonnegative"), "batch_size_g": (-2, "nonnegative"),
+    "divergence_factor": (0, "positive"),
+    "download_mode": ("bogus", "one of masked, full"),
+    "estimator": ("bogus", "one of exact_aid, rafbo"),
+    "mu": (-1e-3, "positive"), "coord_fraction": (1.5, "in (0, 1]"),
+    "policy": ("bogus", "one of static, rolling, magnitude_topk, manual"),
+    "block_size": (0, "at least 1"), "n": (0, "at least 1"),
+    "d1": (0, "at least 1"), "d2": (0, "at least 1"),
+    "hetero": (-1, "nonnegative"), "noise_f": (-1, "nonnegative"),
+    "noise_g": (-0.5, "nonnegative"), "lam": (-1, "nonnegative"),
+    "quartic": (-1, "nonnegative"), "sine_amp": (-1, "nonnegative"),
+    "eig_min": (0, "positive"), "ball_radius": (-1, "nonnegative"),
+    "imbalance_mu": (0, "in (0, 1]"), "classes": (1, "at least 2"),
+    "features": (0, "at least 1"), "base_count": (0, "at least 1"),
+}
+
+
+@pytest.mark.parametrize("owner,key", [
+    (owner, key) for owner, (table, _) in RANGE_OWNERS.items()
+    for key in table])
+def test_range_rule_holds_at_both_boundaries(tmp_path, capsys, owner, key):
+    # each row of each owner's table: the CLI exits 2 before writing, and
+    # the owner's constructor raises InvalidSpec naming the same key; the
+    # run's client count n is set in the problem section
+    construct = RANGE_OWNERS[owner][1]
+    bad, want = OUT_OF_RANGE[key]
+    section = "run" if key in RUN_DEFAULTS else "problem"
+    data = small_logistic_config() if owner == "logistic" \
+        else small_quadratic_config()
+    path = write_config(tmp_path, data)
+    code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                 "--override", f"{section}.{key}={json.dumps(bad)}"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        f"config error: {section}.{key} must be {want}, got {bad!r}\n"
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(InvalidSpec) as err:
+        construct(**{key: bad})
+    assert err.value.key == key
 
 
 def test_manual_table_sweep_pins_coverage(tmp_path):
@@ -593,7 +701,7 @@ def test_manual_table_sweep_pins_coverage(tmp_path):
 def test_manual_table_sweep_validation(tmp_path):
     data = {"problem": {"family": "quadratic"},
             "sweep": {"manual_tables": [{"x": [[0]]}]}}
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(InvalidSpec) as err:
         parse_config(write_config(tmp_path, data))
     assert err.value.key == "manual_tables"
 

@@ -58,7 +58,7 @@ def report_with_hyper(client, bits, value):
     mx = mask_of(bits, "x", client)
     my = mask_of([1] * len(bits), "y", client)
     est = HypergradEstimate(
-        value=np.array(value, dtype=np.float64), flops=0, grad_evals=2)
+        value=np.array(value, dtype=np.float64), flops=0)
     return ClientReport(client=client, mask_x=mx, mask_y=my,
                         g_delta=np.zeros(len(bits)), inner_flops=0,
                         hypergrad=est)
@@ -206,7 +206,7 @@ class TestCoveringAverageReference:
             mx = mask_of(gen.integers(0, 2, d1), "x", i)
             my = mask_of(gen.integers(0, 2, d2), "y", i)
             est = HypergradEstimate(
-                value=gen.standard_normal(d1), flops=0, grad_evals=2)
+                value=gen.standard_normal(d1), flops=0)
             reports.append(ClientReport(
                 client=i, mask_x=mx, mask_y=my,
                 g_delta=gen.standard_normal(d2), inner_flops=0, hypergrad=est))

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.errors import EmptyMask, NonPositiveMu, SingularRestrictedHessian
+from rabosim.errors import EmptyMask, InvalidSpec, SingularRestrictedHessian
 from rabosim.hypergrad import (
     RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,
     hypergrad_error_bound,
     jacobian_column_fd,
+    rafbo_flops,
     rafbo_hypergradient,
 )
 from rabosim.masking import Mask, apply_mask, mask_deviation
@@ -172,18 +173,21 @@ class TestJacobianColumnFd:
 
     def test_nonpositive_mu(self):
         prob = make_quadratic(seed=7, n=1, d1=2, d2=2)
-        with pytest.raises(NonPositiveMu):
+        with pytest.raises(InvalidSpec) as err:
             jacobian_column_fd(prob, 0, np.zeros(2), np.zeros(2), 0, 0.0)
+        assert err.value.key == "mu"
 
     @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1e-3])
     def test_non_finite_or_negative_mu(self, mu):
         # a NaN step makes every delta NaN and the run then fails blaming
         # alpha; reject it where the step is set and where it is used
         prob = make_quadratic(seed=7, n=1, d1=2, d2=2)
-        with pytest.raises(NonPositiveMu):
+        with pytest.raises(InvalidSpec) as err:
             RAFBOConfig(mu=mu)
-        with pytest.raises(NonPositiveMu):
+        assert err.value.key == "mu"
+        with pytest.raises(InvalidSpec) as err:
             jacobian_column_fd(prob, 0, np.zeros(2), np.zeros(2), 0, mu)
+        assert err.value.key == "mu"
 
     def test_masked_output(self):
         prob = make_quadratic(seed=8, n=1, d1=3, d2=4, eig_range=(0.9, 1.4))
@@ -292,7 +296,8 @@ class TestRafboHypergradient:
         mx, my = full_mask(8, "x"), full_mask(8, "y")
         est = rafbo_hypergradient(prob, 0, np.zeros(8), np.zeros(8), mx, my,
                                   RAFBOConfig(mu=1e-3))
-        assert est.grad_evals == 2 * 8 + 2
+        # 2|P| + 2 gradient evaluations and |P| inner products
+        assert est.flops == rafbo_flops(8, 8, 8)
         assert est.p_size == 8
 
     @pytest.mark.parametrize("mx_bits,my_bits,fraction", [
@@ -430,7 +435,7 @@ class TestRafboBatchedEquivalence:
             # the base default evaluates each row through grad_g_y
             rows = 0 if family == "quadratic" else est.p_size
             assert calls["grad_g_y"] - before["grad_g_y"] == 1 + rows
-            assert est.grad_evals == 2 * est.p_size + 2   # modeled charge
+            assert est.flops == rafbo_flops(prob.d1, prob.d2, est.p_size)
 
 
 @settings(max_examples=40, deadline=None)
