@@ -325,6 +325,18 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                          f"sweep.manual_tables[{index}].{level}",
                          "manual_tables")
 
+    # a variant key joins an estimator, a capacity label, a table index
+    # and a seed, so the keys are distinct when each list's entries are
+    for name, parts in (("seeds", sweep["seeds"]),
+                        ("estimators", sweep["estimators"]),
+                        ("capacities", [_capacity_label(*item) for item
+                                        in enumerate(sweep["capacities"])])):
+        repeats = [p for index, p in enumerate(parts) if p in parts[:index]]
+        if repeats:
+            raise InvalidSpec(
+                f"sweep.{name} repeats the variant key part {repeats[0]!r}; "
+                f"each variant needs its own key", key=name)
+
     output = _resolve_section("output", dict(raw.get("output", {})),
                               OUTPUT_DEFAULTS)
     for fmt in output["formats"]:
@@ -339,14 +351,19 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(problem, run_cfg, sweep, output)
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Load, validate and default-resolve a config file."""
+def parse_config(path, overrides=()) -> ExperimentConfig:
+    """Load a config file, apply ``section.key=value`` overrides in order,
+    then validate and default-resolve it."""
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc.msg}",
-                         line=exc.lineno, column=exc.colno) from exc
+        raise ParseError(
+            f"{path} is not valid JSON at line {exc.lineno} column "
+            f"{exc.colno}: {exc.msg}", line=exc.lineno,
+            column=exc.colno) from exc
+    for spec in overrides:
+        apply_override(raw, spec)
     return resolve_config(raw)
 
 
@@ -387,12 +404,11 @@ def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,
     return RunConfig(
         alpha=run_cfg["alpha"], beta=run_cfg["beta"],
         inner_epochs=run_cfg["inner_epochs"], rounds=run_cfg["rounds"],
-        n=n, estimator=estimator,
+        estimator=estimator,
         rafbo=RAFBOConfig(mu=run_cfg["mu"],
                           coord_fraction=run_cfg["coord_fraction"]),
         policy=policy, capacities=_capacity_list(capacity_entry, n),
         seed=seed, download_mode=run_cfg["download_mode"],
-        theory_guard=run_cfg["theory_guard"],
         batch_size_f=run_cfg["batch_size_f"],
         batch_size_g=run_cfg["batch_size_g"],
         divergence_factor=run_cfg["divergence_factor"],
@@ -454,23 +470,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     """Run the sweep's cartesian product and emit CSV/JSON artifacts.
 
     Variants that diverge are recorded in the summary without aborting
-    their siblings. A step size over the theory guard's bound raises
-    InvalidSpec before anything is written.
+    their siblings. Each problem is built once, and under the theory guard
+    checked once before anything is written; its notes go to the summary.
     """
     n = cfg.problem["n"]
     vary_problem_seed = cfg.sweep["vary_problem_seed"]
-    shared_problem = None if vary_problem_seed else build_problem(cfg.problem)
+    problems = {seed: build_problem(cfg.problem, seed) for seed in
+                (cfg.sweep["seeds"] if vary_problem_seed else [None])}
     plans = [(key, estimator, group, seed, build_run_config(
         cfg.run, n, seed, estimator, cap_entry, table_entry))
         for key, estimator, group, cap_entry, table_entry, seed
         in _variants(cfg.sweep)]
+    guard_notes = {seed: [] for seed in problems}
     if cfg.run["theory_guard"] and plans:
         # the bounds read alpha and beta, which every variant shares
-        for problem in ([build_problem(cfg.problem, seed)
-                         for seed in cfg.sweep["seeds"]]
-                        if vary_problem_seed else [shared_problem]):
-            check_theory_guard(plans[0][-1],
-                               quadratic.derive_constants(problem))
+        for seed, problem in problems.items():
+            guard_notes[seed] = check_theory_guard(
+                plans[0][-1], quadratic.derive_constants(problem))
 
     out = Path(out_dir) if out_dir is not None else _default_out_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -480,12 +496,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     result = SweepResult(config=cfg, out_dir=out)
     write_csv = "csv" in cfg.output["formats"]
     for key, estimator, group, seed, run_config in plans:
-        problem = build_problem(cfg.problem, seed) \
-            if vary_problem_seed else shared_problem
+        problem_seed = seed if vary_problem_seed else None
         variant_dir = out / "variants" / key
         variant_dir.mkdir(parents=True, exist_ok=True)
         try:
-            run_result = run(problem, run_config)
+            run_result = run(problems[problem_seed], run_config)
         except DivergenceDetected as exc:
             if write_csv:
                 (variant_dir / "rounds.csv").write_text(
@@ -500,7 +515,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
                 (variant_dir / "masks.csv").write_text(
                     _masks_csv(run_result.logs))
         result.variants[key] = VariantResult(
-            key, seed, estimator, group, run_result.summary())
+            key, seed, estimator, group,
+            {**run_result.summary(), "guard_notes": guard_notes[problem_seed]})
 
     result.stats = _aggregate_stats(result.variants)
     if "json" in cfg.output["formats"]:
@@ -600,19 +616,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON at line {exc.lineno} column "
-              f"{exc.colno}: {exc.msg}", file=sys.stderr)
-        return 2
-    try:
-        for spec in args.override:
-            apply_override(raw, spec)
+        overrides = list(args.override)
         if args.seeds:
             try:
                 seeds = [int(s) for s in args.seeds.split(",")]
@@ -620,9 +624,9 @@ def main(argv=None) -> int:
                 raise InvalidSpec(
                     f"sweep.seeds: --seeds must be comma-separated integers, "
                     f"got {args.seeds!r}", key="seeds") from None
-            raw.setdefault("sweep", {})["seeds"] = seeds
-        result = run_experiment(resolve_config(raw), args.out)
-    except InvalidSpec as exc:
+            overrides.append(f"sweep.seeds={json.dumps(seeds)}")
+        result = run_experiment(parse_config(args.config, overrides), args.out)
+    except (OSError, ParseError, InvalidSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if result.failures:

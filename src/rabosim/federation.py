@@ -51,7 +51,7 @@ DOWNLOAD_MODES = ("masked", "full")
 BYTES_PER_COORD = 8  # 64-bit reals on every leg
 RANGES = {
     "alpha": "positive", "beta": "positive", "inner_epochs": "at least 1",
-    "rounds": "nonnegative", "n": "at least 1", "batch_size_f": "nonnegative",
+    "rounds": "nonnegative", "batch_size_f": "nonnegative",
     "batch_size_g": "nonnegative", "divergence_factor": "positive",
     "download_mode": DOWNLOAD_MODES, "estimator": (EXACT_AID, RAFBO),
 }
@@ -66,29 +66,24 @@ class GlobalState:
     round_index: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """All knobs of one training run, checked against ``RANGES`` when built.
 
-    With ``theory_guard`` set, ``run`` checks the step sizes against the
-    instance's smoothness constants: alpha <= 1/(L_f + 4 M_f) and
-    beta <= min(1/(2 l_g1), 1/mu_g) are enforced; the lower bound on beta
-    (1/mu_g - 1/(2 alpha L_y M_f mu_g)) can conflict with small-step
-    schedules, so it is only reported as an advisory note.
+    ``capacities`` holds one resource per client of the problem the run
+    trains; ``rabo_round`` checks the count against the problem's.
     """
 
     alpha: float
     beta: float
     inner_epochs: int = 1
     rounds: int = 1
-    n: int = 1
     estimator: str = EXACT_AID
     rafbo: RAFBOConfig = field(default_factory=RAFBOConfig)
     policy: MaskPolicy = field(default_factory=MaskPolicy)
     capacities: list = field(default_factory=list)
     seed: int = 0
     download_mode: str = "masked"
-    theory_guard: bool = False
     batch_size_f: int = 0      # 0 -> deterministic (no batch object)
     batch_size_g: int = 0
     divergence_factor: float = 1e6
@@ -97,13 +92,7 @@ class RunConfig:
     y0: np.ndarray | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         check_ranges(vars(self), RANGES)
-        if len(self.capacities) != self.n:
-            raise InvalidSpec(
-                f"{len(self.capacities)} capacities for {self.n} clients")
 
 
 @dataclass
@@ -297,6 +286,12 @@ def _safe_deviation(v: np.ndarray, mask: Mask) -> float:
     return mask_deviation(v, mask)
 
 
+def _divergence_cap(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
+    """Absolute cap on ||y||: divergence_factor * max(1, ||x||, ||y||)."""
+    return cfg.divergence_factor * max(1.0, float(np.linalg.norm(y)),
+                                       float(np.linalg.norm(x)))
+
+
 def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                tracker: CoverageTracker | None = None,
                ledger: CostLedger | None = None,
@@ -307,17 +302,21 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     aggregation, re-masked broadcast of the aggregated inner model, one
     hypergradient per client, outer aggregation. ``divergence_guard`` is
     an absolute cap on ||y||; ``run`` anchors it to the initial scale so a
-    slowly exploding trajectory cannot outrun it.
+    slowly exploding trajectory cannot outrun it, and without one it is
+    anchored to this round's state.
     """
+    if len(cfg.capacities) != problem.n:
+        raise InvalidSpec(
+            f"{len(cfg.capacities)} capacities for {problem.n} clients",
+            key="capacities")
     tracker = tracker if tracker is not None else CoverageTracker()
     ledger = ledger if ledger is not None else CostLedger()
     q = state.round_index
     guard = divergence_guard if divergence_guard is not None else \
-        cfg.divergence_factor * max(1.0, float(np.linalg.norm(state.y)))
+        _divergence_cap(cfg, state.x, state.y)
 
     reports, client_x = [], []
-    for i in range(cfg.n):
-        res = cfg.capacities[i]
+    for i, res in enumerate(cfg.capacities):
         mask_x = generate_mask(state.x, res, cfg.policy, i, q, "x")
         mask_y = generate_mask(state.y, res, cfg.policy, i, q, "y")
         x_i = apply_mask(state.x, mask_x)
@@ -406,7 +405,6 @@ class RunResult:
     logs: list
     ledger: CostLedger
     coverage: CoverageTracker
-    guard_notes: list = field(default_factory=list)
 
     def summary(self) -> dict:
         return {
@@ -425,12 +423,15 @@ class RunResult:
             "total_flops": self.ledger.total_flops,
             "flops_per_client": {str(k): v for k, v in
                                  sorted(self.ledger.flops_per_client.items())},
-            "guard_notes": list(self.guard_notes),
         }
 
 
 def check_theory_guard(cfg: RunConfig, constants) -> list:
-    """Enforce step-size upper bounds; report the beta lower bound only."""
+    """Enforce alpha <= 1/(L_f + 4 M_f) and beta <= min(1/(2 l_g1), 1/mu_g).
+
+    The beta floor 1/mu_g - 1/(2 alpha L_y M_f mu_g) can conflict with
+    small-step schedules, so it is only returned as an advisory note.
+    """
     notes = []
     alpha_cap = 1.0 / (constants.L_f + 4.0 * constants.M_f)
     beta_cap = min(1.0 / (2.0 * constants.l_g1), 1.0 / constants.mu_g)
@@ -452,12 +453,6 @@ def check_theory_guard(cfg: RunConfig, constants) -> list:
 
 def run(problem, cfg: RunConfig) -> RunResult:
     """Execute cfg.rounds rounds of the double loop from the initial state."""
-    cfg.validate()
-    guard_notes = []
-    if cfg.theory_guard:
-        from .problems.quadratic import derive_constants
-        guard_notes = check_theory_guard(cfg, derive_constants(problem))
-
     x0 = (np.array(cfg.x0, dtype=np.float64) if cfg.x0 is not None
           else np.zeros(problem.d1))
     y0 = (np.array(cfg.y0, dtype=np.float64) if cfg.y0 is not None
@@ -465,8 +460,7 @@ def run(problem, cfg: RunConfig) -> RunResult:
     state = GlobalState(x0, y0, 0)
     tracker = CoverageTracker()
     ledger = CostLedger()
-    guard = cfg.divergence_factor * max(1.0, float(np.linalg.norm(y0)),
-                                        float(np.linalg.norm(x0)))
+    guard = _divergence_cap(cfg, x0, y0)
     logs = []
     for _ in range(cfg.rounds):
         try:
@@ -475,7 +469,7 @@ def run(problem, cfg: RunConfig) -> RunResult:
             exc.partial_logs = logs
             raise
         logs.append(log)
-    return RunResult(state, logs, ledger, tracker, guard_notes)
+    return RunResult(state, logs, ledger, tracker)
 
 
 def _format_value(value) -> str:

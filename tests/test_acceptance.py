@@ -30,6 +30,7 @@ from rabosim.federation import (
     ClientReport,
     GlobalState,
     aggregate_inner,
+    check_theory_guard,
     client_inner_loop,
     rabo_round,
 )
@@ -164,7 +165,8 @@ def test_05_full_mask_convergence_and_centralized_bit_match():
     consts = derive_constants(prob)
     cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f),
                     beta=1.0 / (2 * consts.l_g1), inner_epochs=2, rounds=500,
-                    n=4, capacities=full_caps(4), seed=0, theory_guard=True)
+                    capacities=full_caps(4), seed=0)
+    check_theory_guard(cfg, consts)
     res = run(prob, cfg)
     final = res.logs[-1].grad_phi_sq
 
@@ -193,7 +195,7 @@ def test_05_full_mask_convergence_and_centralized_bit_match():
     x0, y0 = np.full(6, 1.5), np.zeros(6)
     reference = centralized_reference(x0, y0)
     cfg1 = RunConfig(alpha=alpha, beta=beta, inner_epochs=epochs,
-                     rounds=rounds, n=1, capacities=full_caps(1), seed=0)
+                     rounds=rounds, capacities=full_caps(1), seed=0)
     state = GlobalState(x0.copy(), y0.copy(), 0)
     bit_match = True
     for q in range(rounds):
@@ -217,7 +219,7 @@ def test_06_freeze_and_coverage():
                         table_y=[[0], [0, 1]])      # coords 2, 3 never trained
     x0 = 0.1 * np.arange(1.0, 5.0)
     y0 = -0.2 * np.arange(1.0, 5.0)
-    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=50, n=2,
+    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=50,
                     capacities=[ClientResource(Fraction(1, 2))] * 2, seed=0,
                     policy=policy, x0=x0.copy(), y0=y0.copy())
     res = run(prob, cfg)
@@ -250,7 +252,7 @@ def test_07_coverage_speedup_trend():
                               noise_f=0.45, noise_g=0.1,
                               eig_range=(0.8, 1.6), target_scale=0.0)
         cfg = RunConfig(alpha=0.04, beta=0.25, inner_epochs=2,
-                        rounds=max_rounds, n=n,
+                        rounds=max_rounds,
                         capacities=[ClientResource(Fraction(1, 4))] * n,
                         seed=seed,
                         policy=MaskPolicy(variant="manual", table_x=table_x,
@@ -284,7 +286,7 @@ def test_08_cost_accounting():
         prob = make_quadratic(seed=1009, n=n, d1=d, d2=d,
                               eig_range=(1.0, 1.0))
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
-                        n=n, estimator=estimator,
+                        estimator=estimator,
                         rafbo=RAFBOConfig(mu=1e-3, coord_fraction=fraction),
                         capacities=[ClientResource(cap)] * n, seed=0,
                         policy=MaskPolicy(variant=policy))
@@ -339,7 +341,7 @@ def test_09_loss_tuning_efficacy():
         prob = make_logistic_tune(seed=seed, n=4, imbalance_mu=0.5,
                                   classes=4, features=5, base_count=100)
         cfg = RunConfig(alpha=0.8, beta=0.3, inner_epochs=5, rounds=60,
-                        n=4, capacities=full_caps(4), seed=seed)
+                        capacities=full_caps(4), seed=seed)
         res = run(prob, cfg)
         tuned = val_loss(prob, res.final_state.x, res.final_state.y)
         x0 = np.zeros(prob.d1)

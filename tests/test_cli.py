@@ -28,6 +28,7 @@ from rabosim.federation import DOWNLOAD_MODES, RunConfig
 from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
 from rabosim.masking import POLICIES, ClientResource, MaskPolicy
 from rabosim.problems import (
+    derive_constants,
     logistic,
     make_logistic_tune,
     make_quadratic,
@@ -120,7 +121,7 @@ def valid_documents(draw):
                 st.lists(st.integers(0, d - 1), min_size=1, max_size=d),
                 min_size=n, max_size=n))
     sweep = {"seeds": draw(st.lists(st.integers(0, 1000), min_size=1,
-                                    max_size=3))}
+                                    max_size=3, unique=True))}
     return {"problem": problem, "run": run, "sweep": sweep}
 
 
@@ -162,6 +163,13 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.line is not None
         assert err.value.column is not None
+
+    def test_overrides_apply_in_order(self, tmp_path):
+        path = write_config(tmp_path, small_quadratic_config())
+        cfg = parse_config(path, ["run.alpha=0.5", "sweep.seeds=[3, 4]",
+                                  "run.alpha=0.25"])
+        assert cfg.run["alpha"] == 0.25
+        assert cfg.sweep["seeds"] == [3, 4]
 
     def test_capacity_grid_round_trip(self, tmp_path):
         grid = ["1", "1/2", "1/4", "1/8", "1/16"]
@@ -278,23 +286,37 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("vary", [False, True])
     def test_problem_builds_per_sweep(self, tmp_path, monkeypatch, vary):
+        # one problem per sweep, or one per seed under vary_problem_seed;
+        # the theory guard checks each once, and its advisory notes reach
+        # every variant run on that problem
         from rabosim import cli
-        built = []
+        built, derived = [], []
 
         def counting_build(problem_cfg, seed_override=None):
             built.append(seed_override)
             return build_problem(problem_cfg, seed_override)
 
+        def counting_derive(problem):
+            derived.append(problem)
+            return derive_constants(problem)
+
         monkeypatch.setattr(cli, "build_problem", counting_build)
-        data = small_quadratic_config(rounds=1)
+        monkeypatch.setattr(quadratic, "derive_constants", counting_derive)
+        # coupling 10 puts a positive beta floor above beta 0.01
+        data = small_quadratic_config(rounds=1, alpha=0.005, beta=0.01,
+                                      theory_guard=True)
+        data["problem"]["coupling"] = 10.0
         data["sweep"] = {"seeds": [0, 1, 2], "capacities": ["1", "1/2"],
+                         "estimators": ["exact_aid", "rafbo"],
                          "vary_problem_seed": vary}
         result = run_experiment(resolve_config(data), tmp_path / "out")
-        assert len(result.variants) == 6
-        if vary:
-            assert built == [0, 1, 2, 0, 1, 2]   # one build per variant
-        else:
-            assert built == [None]               # one build per sweep
+        assert len(result.variants) == 12 and not result.failures
+        assert built == ([0, 1, 2] if vary else [None])
+        assert len(derived) == len(built)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for variant in summary["variants"].values():
+            notes = variant["guard_notes"]
+            assert len(notes) == 1 and "floor" in notes[0]
 
     def test_divergent_variant_does_not_abort_siblings(self, tmp_path):
         data = small_quadratic_config()
@@ -393,6 +415,16 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_bad_json_one_message_through_both_paths(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"problem": ')
+        with pytest.raises(ParseError) as err:
+            parse_config(path)
+        assert "line 1 column 13" in str(err.value)
+        assert (err.value.line, err.value.column) == (1, 13)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
+
     def test_missing_file_exit_two(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
 
@@ -487,6 +519,14 @@ class TestMainEntry:
           "--override", "sweep.vary_problem_seed=true"], "beta"),
         (["--override", 'output.compare_baseline="est_nope"'],
          "compare_baseline"),
+        # a repeated sweep entry would give two variants one key
+        (["--seeds", "0,0"], "seeds"),
+        (["--override", 'sweep.estimators=["rafbo", "rafbo"]'], "estimators"),
+        # "1/2" and 0.5 are one capacity
+        (["--override", 'sweep.capacities=["1/2", 0.5]'], "capacities"),
+        # a scalar 1 and the per-client list at index 1 share the label cap1
+        (["--override", 'sweep.capacities=["1", ["1/2", "1/2"]]'],
+         "capacities"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
@@ -658,8 +698,7 @@ OUT_OF_RANGE = {
     for key in table])
 def test_range_rule_holds_at_both_boundaries(tmp_path, capsys, owner, key):
     # each row of each owner's table: the CLI exits 2 before writing, and
-    # the owner's constructor raises InvalidSpec naming the same key; the
-    # run's client count n is set in the problem section
+    # the owner's constructor raises InvalidSpec naming the same key
     construct = RANGE_OWNERS[owner][1]
     bad, want = OUT_OF_RANGE[key]
     section = "run" if key in RUN_DEFAULTS else "problem"

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -235,21 +237,37 @@ class TestCoveringAverageReference:
 class TestRabobRound:
     def test_full_capacity_coverage(self):
         prob = make_quadratic(seed=5, n=3, d1=4, d2=4, eig_range=(0.8, 1.5))
-        cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1, n=3,
+        cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1,
                         capacities=full_caps(3), seed=0)
-        cfg.validate()
         state = GlobalState(np.zeros(4), np.zeros(4), 0)
         new_state, log = rabo_round(prob, state, cfg)
         assert log.c_star_x_running == 3
         assert log.c_star_y_running == 3
         assert new_state.round_index == 1
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_capacities_must_match_problem_clients(self, count):
+        # a shorter list used to train a subset of the clients, a longer
+        # one to end in an IndexError
+        prob = make_quadratic(seed=5, n=3, d1=4, d2=4)
+        cfg = RunConfig(alpha=0.02, beta=0.2, capacities=full_caps(count))
+        state = GlobalState(np.zeros(4), np.zeros(4), 0)
+        with pytest.raises(InvalidSpec) as err:
+            rabo_round(prob, state, cfg)
+        assert err.value.key == "capacities"
+        assert f"{count} capacities for 3 clients" in str(err.value)
+
+    def test_run_config_is_frozen(self):
+        cfg = RunConfig(alpha=0.02, beta=0.2, capacities=full_caps(1))
+        with pytest.raises(FrozenInstanceError):
+            cfg.alpha = -1.0
+
     def test_stationary_fixed_point(self):
         prob = make_quadratic(seed=6, n=4, d1=5, d2=5, hetero=0.3, lam=0.8,
                               eig_range=(0.7, 1.8))
         x_star = analytic_outer_minimizer(prob)
         y_star = inner_optimum_oracle(prob, x_star)
-        cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1, n=4,
+        cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1,
                         capacities=full_caps(4), seed=0)
         state = GlobalState(x_star.copy(), y_star.copy(), 0)
         new_state, _ = rabo_round(prob, state, cfg)
@@ -257,7 +275,7 @@ class TestRabobRound:
 
     def test_metrics_are_post_aggregation(self):
         prob = make_quadratic(seed=7, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
-        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1, n=2,
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
                         capacities=full_caps(2), seed=0)
         state = GlobalState(np.ones(3), np.zeros(3), 0)
         new_state, log = rabo_round(prob, state, cfg)
@@ -269,7 +287,7 @@ class TestRabobRound:
         """grad_phi, phi and inner_err share one y*(x_next) solve."""
         prob = make_quadratic(seed=7, n=2, d1=3, d2=3, eig_range=(0.9, 1.4),
                               quartic=quartic)
-        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1, n=2,
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
                         capacities=full_caps(2), seed=0)
         state = GlobalState(np.ones(3), np.zeros(3), 0)
         _, want = rabo_round(prob, state, cfg)
@@ -283,7 +301,7 @@ class TestRabobRound:
         prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)
         cfg = RunConfig(alpha=0.3, beta=0.2, inner_epochs=2, rounds=3,
-                        n=2, estimator=RAFBO, rafbo=RAFBOConfig(mu=1e-4),
+                        estimator=RAFBO, rafbo=RAFBOConfig(mu=1e-4),
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
         assert np.all(np.isfinite(res.final_state.x))
@@ -293,7 +311,7 @@ class TestRabobRound:
         prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)
         cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
-                        n=2, capacities=full_caps(2), seed=0)
+                        capacities=full_caps(2), seed=0)
         state = GlobalState(np.zeros(prob.d1), np.zeros(prob.d2), 0)
         _, log = rabo_round(prob, state, cfg)
         assert np.isnan(log.grad_phi_sq) and np.isnan(log.phi)
@@ -303,7 +321,7 @@ class TestRabobRound:
 class TestRun:
     def test_zero_rounds(self):
         prob = make_quadratic(seed=9, n=2, d1=3, d2=3)
-        cfg = RunConfig(alpha=0.05, beta=0.2, rounds=0, n=2,
+        cfg = RunConfig(alpha=0.05, beta=0.2, rounds=0,
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
         assert res.logs == []
@@ -316,8 +334,8 @@ class TestRun:
         consts = derive_constants(prob)
         cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f),
                         beta=1.0 / (2 * consts.l_g1), inner_epochs=2,
-                        rounds=300, n=4, capacities=full_caps(4), seed=0,
-                        theory_guard=True)
+                        rounds=300, capacities=full_caps(4), seed=0)
+        check_theory_guard(cfg, consts)
         res = run(prob, cfg)
         assert res.logs[-1].grad_phi_sq <= 1e-4
         assert res.logs[-1].grad_phi_sq < res.logs[0].grad_phi_sq
@@ -325,7 +343,7 @@ class TestRun:
     def test_byte_determinism(self):
         prob = make_quadratic(seed=11, n=4, d1=5, d2=5, hetero=0.3,
                               noise_f=0.1, noise_g=0.1, eig_range=(0.8, 1.5))
-        base = dict(alpha=0.02, beta=0.2, inner_epochs=2, rounds=20, n=4,
+        base = dict(alpha=0.02, beta=0.2, inner_epochs=2, rounds=20,
                     capacities=[ClientResource(Fraction(1, 2))] * 4, seed=3,
                     batch_size_f=2, batch_size_g=2)
         csv_a = logs_to_csv(run(prob, RunConfig(**base)).logs)
@@ -334,7 +352,7 @@ class TestRun:
 
     def test_divergence_aborts_with_partial_logs(self):
         prob = make_quadratic(seed=12, n=2, d1=4, d2=4, eig_range=(0.9, 1.6))
-        cfg = RunConfig(alpha=8.0, beta=1.8, inner_epochs=3, rounds=400, n=2,
+        cfg = RunConfig(alpha=8.0, beta=1.8, inner_epochs=3, rounds=400,
                         capacities=full_caps(2), seed=0, divergence_factor=1e4)
         with pytest.raises(DivergenceDetected) as err:
             run(prob, cfg)
@@ -342,7 +360,7 @@ class TestRun:
 
     def test_non_finite_iterate_aborts_with_partial_logs(self):
         prob = make_logistic_tune(seed=0, n=2, classes=3, features=3)
-        cfg = RunConfig(alpha=1e5, beta=0.1, rounds=5, n=2, estimator=RAFBO,
+        cfg = RunConfig(alpha=1e5, beta=0.1, rounds=5, estimator=RAFBO,
                         capacities=full_caps(2), seed=0)
         with np.errstate(all="ignore"), \
                 pytest.raises(DivergenceDetected) as err:
@@ -355,7 +373,7 @@ class TestRun:
         # while y stays finite, and no client-side guard can see it
         from tests_support import one_dim_tracking_problem
         prob = one_dim_tracking_problem()
-        cfg = RunConfig(alpha=10.0, beta=0.5, rounds=1, n=1,
+        cfg = RunConfig(alpha=10.0, beta=0.5, rounds=1,
                         capacities=full_caps(1), seed=0)
         state = GlobalState(np.array([1e308]), np.zeros(1), 0)
         with np.errstate(all="ignore"), \
@@ -366,10 +384,11 @@ class TestRun:
 
     def test_theory_guard_rejects_large_alpha(self):
         prob = make_quadratic(seed=13, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
-        cfg = RunConfig(alpha=10.0, beta=0.01, rounds=1, n=2,
-                        capacities=full_caps(2), seed=0, theory_guard=True)
-        with pytest.raises(InvalidSpec):
-            run(prob, cfg)
+        cfg = RunConfig(alpha=10.0, beta=0.01, rounds=1,
+                        capacities=full_caps(2), seed=0)
+        with pytest.raises(InvalidSpec) as err:
+            check_theory_guard(cfg, derive_constants(prob))
+        assert err.value.key == "alpha"
 
     def test_theory_guard_advisory_note(self):
         # floor = 1/mu_g - 1/(2 a L_y M_f mu_g) is positive only when
@@ -378,7 +397,7 @@ class TestRun:
         consts = ProblemConstants(mu_g=0.5, l_g1=4.0, l_g2=0.0, l_f0=1.0,
                                   l_f1=1.0, M_f=9.0, L_f=81.0, L_y=8.0)
         cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f), beta=1e-6,
-                        rounds=1, n=2, capacities=full_caps(2), seed=0)
+                        rounds=1, capacities=full_caps(2), seed=0)
         notes = check_theory_guard(cfg, consts)
         assert len(notes) == 1 and "floor" in notes[0]
 
@@ -386,7 +405,7 @@ class TestRun:
         prob = make_quadratic(seed=13, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
         consts = derive_constants(prob)
         cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f), beta=1e-6,
-                        rounds=1, n=2, capacities=full_caps(2), seed=0)
+                        rounds=1, capacities=full_caps(2), seed=0)
         assert check_theory_guard(cfg, consts) == []
 
     def test_client_permutation_invariance(self):
@@ -403,12 +422,12 @@ class TestRun:
             u_mats=None, lam=spec.lam, noise_f=0, noise_g=0,
             quartic=0, sine_amp=0, ball_radius=10.0))
         tables = [[0, 1], [1, 2], [2, 3]]
-        cfg_a = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15, n=3,
+        cfg_a = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15,
                           capacities=full_caps(3), seed=0,
                           policy=MaskPolicy(variant="manual", table_x=tables,
                                             table_y=tables))
         perm_tables = [tables[p] for p in perm]
-        cfg_b = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15, n=3,
+        cfg_b = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15,
                           capacities=full_caps(3), seed=0,
                           policy=MaskPolicy(variant="manual",
                                             table_x=perm_tables,
@@ -456,7 +475,7 @@ class TestRun:
             reference.append((x.copy(), y.copy()))
 
         cfg = RunConfig(alpha=alpha, beta=beta, inner_epochs=epochs,
-                        rounds=rounds, n=4, capacities=full_caps(4), seed=0,
+                        rounds=rounds, capacities=full_caps(4), seed=0,
                         x0=np.full(5, 1.2), y0=np.zeros(5))
         res = run(prob, cfg)
         rx, ry = reference[-1]
@@ -547,7 +566,7 @@ class TestCosts:
                       download_mode="masked", coord_fraction=1.0):
         prob = make_quadratic(seed=19, n=4, d1=d, d2=d, eig_range=(1.0, 1.0))
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
-                        n=4, estimator=estimator,
+                        estimator=estimator,
                         rafbo=RAFBOConfig(mu=1e-3, coord_fraction=coord_fraction),
                         capacities=[ClientResource(cap)] * 4, seed=0,
                         download_mode=download_mode,
@@ -614,7 +633,7 @@ class TestCsvRendering:
     def test_fixed_header_and_nan(self):
         prob = make_logistic_tune(seed=20, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)
-        cfg = RunConfig(alpha=0.05, beta=0.2, rounds=2, n=2,
+        cfg = RunConfig(alpha=0.05, beta=0.2, rounds=2,
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
         text = logs_to_csv(res.logs)
@@ -625,7 +644,7 @@ class TestCsvRendering:
 
     def test_round_trip_floats(self):
         prob = make_quadratic(seed=21, n=2, d1=3, d2=3, eig_range=(0.9, 1.3))
-        cfg = RunConfig(alpha=0.05, beta=0.25, rounds=2, n=2,
+        cfg = RunConfig(alpha=0.05, beta=0.25, rounds=2,
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
         text = logs_to_csv(res.logs)
@@ -661,7 +680,7 @@ def test_uncovered_coordinates_bit_frozen(data, n, d1, d2, estimator, seed):
     prob = make_quadratic(seed=seed, n=n, d1=d1, d2=d2, hetero=0.5,
                           noise_f=0.3, noise_g=0.3, eig_range=(0.6, 1.5),
                           quartic=0.1)
-    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=3, n=n,
+    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=3,
                     estimator=estimator, capacities=full_caps(n), seed=seed,
                     batch_size_f=2, batch_size_g=2,
                     policy=MaskPolicy(variant="manual", table_x=table_x,

@@ -181,7 +181,7 @@ class TestSharedBlocks:
 
         def rounds_csv(prob):
             cfg = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=3,
-                            n=3, estimator=estimator,
+                            estimator=estimator,
                             capacities=[ClientResource(Fraction(1, 2))] * 3,
                             seed=4, batch_size_f=1, batch_size_g=1)
             return logs_to_csv(run(prob, cfg).logs)
