@@ -36,7 +36,6 @@ from .hypergrad import (
 from .linalg import cg_solve, solve_spd, spectral_bounds
 from .masking import (
     ClientResource,
-    CoverageStats,
     CoverageTracker,
     Mask,
     MaskPolicy,

@@ -24,9 +24,8 @@ CLI::
 
     rabosim run CONFIG [--out DIR] [--seeds S1,S2,...] [--override k=v]*
 
-Exit codes: 0 success, 2 config error, 3 run divergence. The default
-output directory may also be set with the RABOSIM_OUT environment
-variable.
+Exit codes: 0 success, 2 config error, 3 run divergence. Output goes to
+``--out``, else ``output.dir``, else ``rabosim-out``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,8 +52,6 @@ from .hypergrad import EXACT_AID, RAFBOConfig
 from .masking import ClientResource, MaskPolicy, parse_capacity
 from .problems import logistic, make_logistic_tune, make_quadratic, quadratic
 
-OUT_ENV_VAR = "RABOSIM_OUT"
-
 PROBLEM_DEFAULTS_COMMON = {"seed": 0, "n": 4}
 QUADRATIC_DEFAULTS = {
     "d1": 10, "d2": 10, "hetero": 0.0, "noise_f": 0.0, "noise_g": 0.0,
@@ -72,8 +68,7 @@ RUN_DEFAULTS = {
     "policy": "rolling", "block_size": 1, "capacities": "1",
     "download_mode": "masked", "theory_guard": False,
     "batch_size_f": 0, "batch_size_g": 0, "divergence_factor": 1e6,
-    "log_masks": False, "seed": 0,
-    "manual_x": None, "manual_y": None, "x0": None, "y0": None,
+    "log_masks": False, "seed": 0, "x0": None, "y0": None,
 }
 SWEEP_DEFAULTS = {
     "seeds": None, "estimators": None, "capacities": None,
@@ -217,7 +212,7 @@ def _problem_dims(problem: dict) -> tuple[int, int]:
     return 2 * problem["classes"] + 1, problem["classes"] * problem["features"]
 
 
-def _check_table(table, n: int, d: int, name: str, key: str) -> None:
+def _check_table(table, n: int, d: int, name: str) -> None:
     """A manual table lists coordinate indices in [0, d) for each client.
 
     A capacity is never 0, so every row lists at least one index.
@@ -228,19 +223,33 @@ def _check_table(table, n: int, d: int, name: str, key: str) -> None:
             for row in table)):
         raise InvalidSpec(
             f"{name} must list one or more coordinate indices in [0, {d}) "
-            f"for each of the {n} clients, got {table!r}", key=key)
+            f"for each of the {n} clients, got {table!r}",
+            key="manual_tables")
+
+
+def _check_sections(raw) -> None:
+    """The root and each section are objects, so that overrides and
+    defaults apply to them."""
+    if not isinstance(raw, dict):
+        raise InvalidSpec(f"'<root>' must be an object, got {raw!r}",
+                          key="<root>")
+    _reject_unknown("<root>", raw, SECTIONS)
+    for section, data in raw.items():
+        if not isinstance(data, dict):
+            raise InvalidSpec(f"'{section}' must be an object, got {data!r}",
+                              key=section)
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Apply defaults and validate a parsed config document."""
-    if not isinstance(raw, dict):
-        raise InvalidSpec("config root must be an object", key="<root>")
-    _reject_unknown("<root>", raw, SECTIONS)
-
+    _check_sections(raw)
     problem_raw = dict(raw.get("problem", {}))
     family = problem_raw.pop("family", None)
     if family is None:
         raise InvalidSpec("problem.family is required", key="family")
+    if not _is_str(family):
+        raise InvalidSpec(
+            f"problem.family must be a string, got {family!r}", key="family")
     if family not in FAMILIES:
         raise InvalidSpec(f"unknown problem family '{family}'", key="family")
     defaults, ranges = FAMILIES[family]
@@ -269,21 +278,19 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"run.theory_guard needs the quadratic family's smoothness "
             f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
-    if run_cfg["policy"] == "manual":
-        if sweep["manual_tables"] is None and (
-                run_cfg["manual_x"] is None or run_cfg["manual_y"] is None):
+    # the manual policy needs its tables, and a setting that only another
+    # policy reads is an error rather than a silent no-op
+    policy = run_cfg["policy"]
+    if policy == "manual" and sweep["manual_tables"] is None:
+        raise InvalidSpec("run.policy 'manual' needs sweep.manual_tables",
+                          key="policy")
+    for name, value, unset, owner in (
+            ("sweep.manual_tables", sweep["manual_tables"], None, "manual"),
+            ("run.block_size", run_cfg["block_size"], 1, "magnitude_topk")):
+        if value != unset and policy != owner:
             raise InvalidSpec(
-                "manual policy requires run.manual_x/manual_y or "
-                "sweep.manual_tables", key="policy")
-    else:
-        for name, table in (("sweep.manual_tables", sweep["manual_tables"]),
-                            ("run.manual_x", run_cfg["manual_x"]),
-                            ("run.manual_y", run_cfg["manual_y"])):
-            if table is not None:
-                raise InvalidSpec(
-                    f"{name} takes effect only under run.policy 'manual', "
-                    f"got policy '{run_cfg['policy']}'",
-                    key=name.split(".")[1])
+                f"{name} takes effect only under run.policy '{owner}', "
+                f"got policy '{policy}'", key=name.split(".")[1])
     if sweep["seeds"] is None:
         sweep["seeds"] = [run_cfg["seed"]]
     if sweep["estimators"] is None:
@@ -293,21 +300,26 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         check_ranges({"estimators": est}, estimator_rule, "sweep.")
     if sweep["capacities"] is None:
         sweep["capacities"] = [run_cfg["capacities"]]
+    if not isinstance(sweep["capacities"], list):
+        raise InvalidSpec(
+            f"sweep.capacities must be a list of capacity entries, got "
+            f"{sweep['capacities']!r}", key="capacities")
     sweep["capacities"] = [
         _normalize_capacities(entry, "sweep.capacities")
         for entry in sweep["capacities"]]
-    if sweep["manual_tables"] is not None:
-        for entry in sweep["manual_tables"]:
-            if not isinstance(entry, dict) or \
-                    not {"x", "y"} <= set(entry.keys()):
-                raise InvalidSpec(
-                    "each sweep.manual_tables entry needs 'x' and 'y' "
-                    "per-client coordinate lists", key="manual_tables")
+    tables = sweep["manual_tables"]
+    if tables is not None and not (isinstance(tables, list) and tables and all(
+            isinstance(entry, dict) and {"x", "y"} <= entry.keys()
+            for entry in tables)):
+        raise InvalidSpec(
+            f"sweep.manual_tables must be a non-empty list of objects, each "
+            f"with 'x' and 'y' per-client coordinate lists, got {tables!r}",
+            key="manual_tables")
     n, dims = problem["n"], _problem_dims(problem)
     for name, entries in (("run.capacities", [run_cfg["capacities"]]),
                           ("sweep.capacities", sweep["capacities"])):
         for entry in entries:
-            if isinstance(entry, list) and len(entry) not in (1, n):
+            if isinstance(entry, list) and len(entry) != n:
                 raise InvalidSpec(
                     f"{name} lists {len(entry)} capacities for {n} clients",
                     key="capacities")
@@ -317,13 +329,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             raise InvalidSpec(
                 f"run.{level}0 has {len(start)} entries, but the problem "
                 f"has {d} {level} coordinates", key=f"{level}0")
-        if run_cfg[f"manual_{level}"] is not None:
-            _check_table(run_cfg[f"manual_{level}"], n, d,
-                         f"run.manual_{level}", f"manual_{level}")
-        for index, entry in enumerate(sweep["manual_tables"] or []):
+        for index, entry in enumerate(tables or []):
             _check_table(entry[level], n, d,
-                         f"sweep.manual_tables[{index}].{level}",
-                         "manual_tables")
+                         f"sweep.manual_tables[{index}].{level}")
 
     # a variant key joins an estimator, a capacity label, a table index
     # and a seed, so the keys are distinct when each list's entries are
@@ -354,14 +362,18 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 def parse_config(path, overrides=()) -> ExperimentConfig:
     """Load a config file, apply ``section.key=value`` overrides in order,
     then validate and default-resolve it."""
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path} is not valid JSON at line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}", line=exc.lineno,
             column=exc.colno) from exc
+    _check_sections(raw)
     for spec in overrides:
         apply_override(raw, spec)
     return resolve_config(raw)
@@ -384,20 +396,16 @@ def build_problem(problem_cfg: dict, seed_override: int | None = None):
 
 
 def _capacity_list(entry, n: int) -> list[ClientResource]:
-    """One resource per client; a scalar or one-entry list is shared.
-    ``resolve_config`` has checked every other list for length n."""
-    values = entry if isinstance(entry, list) else [entry]
-    if len(values) == 1:
-        values = values * n
+    """One resource per client: a scalar is shared by all n, and a list
+    (``resolve_config`` has checked it has n entries) is per client."""
+    values = entry if isinstance(entry, list) else [entry] * n
     return [ClientResource(parse_capacity(v)) for v in values]
 
 
 def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,
                      capacity_entry, table_entry: dict | None = None) -> RunConfig:
-    table_x = run_cfg["manual_x"]
-    table_y = run_cfg["manual_y"]
-    if table_entry is not None:
-        table_x, table_y = table_entry["x"], table_entry["y"]
+    table_x, table_y = (None, None) if table_entry is None \
+        else (table_entry["x"], table_entry["y"])
     policy = MaskPolicy(
         variant=run_cfg["policy"], block_size=run_cfg["block_size"],
         table_x=table_x, table_y=table_y)
@@ -488,7 +496,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
             guard_notes[seed] = check_theory_guard(
                 plans[0][-1], quadratic.derive_constants(problem))
 
-    out = Path(out_dir) if out_dir is not None else _default_out_dir(cfg)
+    out = Path(out_dir if out_dir is not None
+               else cfg.output["dir"] or "rabosim-out")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(
         json.dumps(cfg.echo(), indent=2, sort_keys=True) + "\n")
@@ -574,12 +583,6 @@ def _ratios_csv(rows: list[dict]) -> str:
         lines.append(f"{row['variant']},{row['compute_ratio']!r},"
                      f"{row['comm_ratio']!r}")
     return "\n".join(lines) + "\n"
-
-
-def _default_out_dir(cfg: ExperimentConfig) -> Path:
-    if cfg.output["dir"]:
-        return Path(cfg.output["dir"])
-    return Path(os.environ.get(OUT_ENV_VAR, "rabosim-out"))
 
 
 def apply_override(raw: dict, spec: str) -> None:

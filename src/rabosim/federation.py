@@ -364,9 +364,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     x_next = aggregate_outer(state.x, reports, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")
 
-    stats_x = coverage([rep.mask_x for rep in reports], problem.d1)
-    stats_y = coverage([rep.mask_y for rep in reports], problem.d2)
-    tracker.observe(stats_x, stats_y)
+    tracker.observe(coverage([rep.mask_x for rep in reports], problem.d1),
+                    coverage([rep.mask_y for rep in reports], problem.d2))
     bytes_up, bytes_down, flops = ledger.add(
         reports, cfg.download_mode, problem.d1, problem.d2)
 

@@ -201,17 +201,10 @@ def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
     return v * m.bits
 
 
-@dataclass(frozen=True)
-class CoverageStats:
-    """Per-coordinate covering counts for one round and level."""
-
-    counts: np.ndarray                 # d, number of covering clients
-    trained: np.ndarray                # indices with counts >= 1
-    c_star: int | None                 # min count over trained coords
-
-
-def coverage(masks: list[Mask], d: int) -> CoverageStats:
-    """Covering counts for one round; raises MixedRounds on mismatch."""
+def coverage(masks: list[Mask], d: int) -> int | None:
+    """C* of one round and level: the fewest clients covering any trained
+    coordinate, or None when no coordinate is trained. Raises MixedRounds
+    on masks from different rounds or levels."""
     if not masks:
         raise MixedRounds("coverage needs at least one mask")
     level = masks[0].level
@@ -221,11 +214,9 @@ def coverage(masks: list[Mask], d: int) -> CoverageStats:
             raise MixedRounds("masks span multiple rounds or levels")
         if len(m) != d:
             raise DimensionMismatch(f"mask dim {len(m)} != {d}")
-    stacked = np.stack([m.bits for m in masks])
-    counts = stacked.sum(axis=0, dtype=np.int64)
-    trained = np.flatnonzero(counts >= 1)
-    c_star = int(counts[trained].min()) if trained.size else None
-    return CoverageStats(counts, trained, c_star)
+    counts = np.stack([m.bits for m in masks]).sum(axis=0, dtype=np.int64)
+    trained = counts[counts >= 1]
+    return int(trained.min()) if trained.size else None
 
 
 class CoverageTracker:
@@ -235,13 +226,14 @@ class CoverageTracker:
         self.c_star_x: int | None = None
         self.c_star_y: int | None = None
 
-    def observe(self, stats_x: CoverageStats, stats_y: CoverageStats) -> None:
-        if stats_x.c_star is not None:
-            self.c_star_x = stats_x.c_star if self.c_star_x is None \
-                else min(self.c_star_x, stats_x.c_star)
-        if stats_y.c_star is not None:
-            self.c_star_y = stats_y.c_star if self.c_star_y is None \
-                else min(self.c_star_y, stats_y.c_star)
+    def observe(self, c_star_x: int | None, c_star_y: int | None) -> None:
+        """Fold in one round's C* per level (None: nothing trained)."""
+        if c_star_x is not None:
+            self.c_star_x = c_star_x if self.c_star_x is None \
+                else min(self.c_star_x, c_star_x)
+        if c_star_y is not None:
+            self.c_star_y = c_star_y if self.c_star_y is None \
+                else min(self.c_star_y, c_star_y)
 
 
 def mask_deviation(v: np.ndarray, m: Mask) -> float:

@@ -100,7 +100,9 @@ def valid_documents(draw):
         "estimator": draw(st.sampled_from([EXACT_AID, RAFBO])),
         "mu": draw(POSITIVE),
         "coord_fraction": draw(floats(0, 1, exclude_min=True)),
-        "policy": policy, "block_size": draw(st.integers(1, 8)),
+        # only magnitude_topk reads block_size
+        "policy": policy, "block_size": draw(st.integers(1, 8))
+        if policy == "magnitude_topk" else 1,
         "capacities": draw(st.one_of(
             CAPACITY, st.lists(CAPACITY, min_size=n, max_size=n))),
         "download_mode": draw(st.sampled_from(DOWNLOAD_MODES)),
@@ -115,13 +117,12 @@ def valid_documents(draw):
         "y0": draw(st.none() | st.lists(floats(-10, 10), min_size=d2,
                                         max_size=d2)),
     }
-    if policy == "manual":
-        for level, d in (("x", d1), ("y", d2)):
-            run[f"manual_{level}"] = draw(st.lists(
-                st.lists(st.integers(0, d - 1), min_size=1, max_size=d),
-                min_size=n, max_size=n))
     sweep = {"seeds": draw(st.lists(st.integers(0, 1000), min_size=1,
                                     max_size=3, unique=True))}
+    if policy == "manual":
+        sweep["manual_tables"] = [{level: draw(st.lists(
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=d),
+            min_size=n, max_size=n)) for level, d in (("x", d1), ("y", d2))}]
     return {"problem": problem, "run": run, "sweep": sweep}
 
 
@@ -155,6 +156,16 @@ class TestParseConfig:
         with pytest.raises(InvalidSpec) as err:
             parse_config(path)
         assert err.value.key == "family"
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ParseError) as err:
+            parse_config(path)
+        assert str(path) in str(err.value) and "UTF-8" in str(err.value)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_parse_error_carries_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -473,9 +484,10 @@ class TestMainEntry:
         (["--override", "run.divergence_factor=0"], "divergence_factor"),
         (["--override", "run.divergence_factor=-1"], "divergence_factor"),
         (["--override", "run.workers=2"], "workers"),
-        # a manual table under the default "rolling" policy has no effect
+        # manual tables are set in sweep.manual_tables only
         (["--override", "run.manual_x=[[0, 1], [2, 3]]"], "manual_x"),
         (["--override", "run.manual_y=[[0, 1], [2, 3]]"], "manual_y"),
+        # a manual table under the default "rolling" policy has no effect
         (["--override", 'sweep.manual_tables=[{"x": [[0, 1], [2, 3]], '
           '"y": [[0], [1]]}, {"x": [[0, 1], [0, 1]], "y": [[0], [1]]}]'],
          "manual_tables"),
@@ -527,15 +539,39 @@ class TestMainEntry:
         # a scalar 1 and the per-client list at index 1 share the label cap1
         (["--override", 'sweep.capacities=["1", ["1/2", "1/2"]]'],
          "capacities"),
+        # a case that opens with a document runs it in place of the small
+        # config; a document of the wrong shape is named, not a traceback
+        ([{"problem": {"family": "quadratic"}, "run": 5}], "run"),
+        ([{"problem": {"family": "quadratic"}, "output": [1]}], "output"),
+        ([{"problem": "quadratic"}], "problem"),
+        ([[1], "--override", "run.alpha=1"], "<root>"),
+        ([{"problem": {"family": ["quadratic"]}}], "family"),
+        (["--override", "sweep.capacities=3"], "capacities"),
+        (["--override", "run.policy=manual",
+          "--override", "sweep.manual_tables=3"], "manual_tables"),
+        (["--override", "run.policy=manual",
+          "--override", "sweep.manual_tables=[]"], "manual_tables"),
+        # a capacities list has one entry per client; the scalar is shared
+        (["--override", 'run.capacities=["1/2"]'], "capacities"),
+        (["--override", 'sweep.capacities=["1/2", ["1/2"]]'], "capacities"),
+        # only magnitude_topk ranks blocks
+        (["--override", "run.block_size=2"], "block_size"),
+        (["--override", "run.policy=static",
+          "--override", "run.block_size=4"], "block_size"),
+        # the manual policy reads its tables from sweep.manual_tables only
+        (["--override", "run.policy=manual"], "policy"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
         # flags that set a logistic-only problem key apply to a logistic
         # problem
         logistic = {f"problem.{k}" for k in LOGISTIC_DEFAULTS}
-        data = small_logistic_config() \
-            if any(f.partition("=")[0] in logistic for f in flags) \
-            else small_quadratic_config()
+        if not isinstance(flags[0], str):
+            data, flags = flags[0], flags[1:]
+        elif any(f.partition("=")[0] in logistic for f in flags):
+            data = small_logistic_config()
+        else:
+            data = small_quadratic_config()
         path = write_config(tmp_path, data)
         code = main(["run", str(path), "--out", str(tmp_path / "out")] + flags)
         assert code == 2
@@ -595,28 +631,25 @@ class TestMainEntry:
             "client outer iterate ||x|| = 5.306e+04 after steps of alpha "
             "100000.0\n")
 
-    @pytest.mark.parametrize("section,entry,key", [
-        ("sweep", {"manual_tables": [{"x": [[0, 1], [2, 9]],
-                                      "y": [[0, 1], [2, 3]]}]},
+    @pytest.mark.parametrize("run_entry,tables,key", [
+        ({}, [{"x": [[0, 1], [2, 9]], "y": [[0, 1], [2, 3]]}],
          "manual_tables"),
-        ("run", {"manual_x": [[0, 1], [2, 9]], "manual_y": [[0], [1]]},
-         "manual_x"),
-        ("run", {"manual_x": [[0], [1]], "manual_y": [[0], [-1]]},
-         "manual_y"),
-        ("run", {"manual_x": [[0]], "manual_y": [[0], [1]]}, "manual_x"),
+        # the run section takes no table, even under the manual policy
+        ({"manual_x": [[0, 1], [2, 3]], "manual_y": [[0], [1]]},
+         [{"x": [[0, 1], [2, 3]], "y": [[0], [1]]}], "manual_x"),
+        ({}, [{"x": [[0], [1]], "y": [[0], [-1]]}], "manual_tables"),
+        ({}, [{"x": [[0]], "y": [[0], [1]]}], "manual_tables"),
         # every capacity is positive, so every client trains a coordinate
-        ("run", {"manual_x": [[0, 1], []], "manual_y": [[0], [1]],
-                 "estimator": "rafbo"}, "manual_x"),
-        ("sweep", {"manual_tables": [{"x": [[0, 1], [2, 3]],
-                                      "y": [[0, 1], []]}]},
+        ({"estimator": "rafbo"}, [{"x": [[0, 1], []], "y": [[0], [1]]}],
          "manual_tables"),
-    ], ids=["sweep-table", "run-x", "run-y-negative", "run-x-short",
-            "run-x-empty-row-rafbo", "sweep-y-empty-row"])
+        ({}, [{"x": [[0, 1], [2, 3]], "y": [[0, 1], []]}], "manual_tables"),
+    ], ids=["sweep-table", "run-x", "sweep-y-negative", "sweep-x-short",
+            "sweep-x-empty-row-rafbo", "sweep-y-empty-row"])
     def test_manual_table_out_of_range_exit_two(self, tmp_path, capsys,
-                                                section, entry, key):
-        data = small_quadratic_config(policy="manual", capacities="1/2")
-        data.setdefault(section, {}).update(entry)
-        data["sweep"] = {**data.get("sweep", {}), "seeds": [0, 1]}
+                                                run_entry, tables, key):
+        data = small_quadratic_config(policy="manual", capacities="1/2",
+                                      **run_entry)
+        data["sweep"] = {"seeds": [0, 1], "manual_tables": tables}
         path = write_config(tmp_path, data)
         code = main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
@@ -636,11 +669,22 @@ class TestMainEntry:
         assert (tmp_path / "out" / "summary.json").exists()
         assert not (tmp_path / "out" / "cost_ratios.csv").exists()
 
-    def test_env_var_default_out(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("RABOSIM_OUT", str(tmp_path / "envout"))
-        path = write_config(tmp_path, small_quadratic_config())
-        assert main(["run", str(path)]) == 0
-        assert (tmp_path / "envout" / "summary.json").exists()
+    def test_out_dir_precedence(self, tmp_path, monkeypatch):
+        # --out, else output.dir, else rabosim-out in the working directory
+        monkeypatch.chdir(tmp_path)
+        data = small_quadratic_config(rounds=1)
+        bare = write_config(tmp_path, data, "bare.json")
+        data["output"] = {"dir": str(tmp_path / "from-config")}
+        with_dir = write_config(tmp_path, data, "with-dir.json")
+        for argv, out in (
+                ([str(with_dir), "--out", str(tmp_path / "from-flag")],
+                 "from-flag"),
+                ([str(with_dir)], "from-config"),
+                ([str(bare)], "rabosim-out")):
+            assert main(["run"] + argv) == 0
+            assert (tmp_path / out / "summary.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == [
+            "from-config", "from-flag", "rabosim-out"]
 
 
 def _run_config(**kwargs):

@@ -175,32 +175,21 @@ class TestApplyMask:
 class TestCoverage:
     def test_full_masks(self):
         masks = [mask_of([1, 1, 1], client=i) for i in range(4)]
-        stats = coverage(masks, 3)
-        assert np.array_equal(stats.counts, [4, 4, 4])
-        assert stats.c_star == 4
-        assert np.array_equal(stats.trained, [0, 1, 2])
+        assert coverage(masks, 3) == 4
 
     def test_disjoint_partition(self):
         masks = [mask_of([1, 1, 0, 0], client=0), mask_of([0, 0, 1, 1], client=1)]
-        stats = coverage(masks, 4)
-        assert np.array_equal(stats.counts, [1, 1, 1, 1])
-        assert stats.c_star == 1
-        assert np.array_equal(stats.trained, [0, 1, 2, 3])
+        assert coverage(masks, 4) == 1
 
     def test_untrained_coordinates_excluded(self):
         masks = [mask_of([1, 1, 0, 0], client=0), mask_of([1, 0, 0, 0], client=1)]
-        stats = coverage(masks, 4)
-        assert np.array_equal(stats.counts, [2, 1, 0, 0])
-        assert np.array_equal(stats.trained, [0, 1])
-        assert stats.c_star == 1
+        assert coverage(masks, 4) == 1
+        assert coverage([mask_of([0, 0, 0, 0])], 4) is None
 
     def test_permutation_invariance(self):
         masks = [mask_of([1, 0, 1], client=0), mask_of([0, 1, 1], client=1),
                  mask_of([1, 1, 0], client=2)]
-        a = coverage(masks, 3)
-        b = coverage(masks[::-1], 3)
-        assert np.array_equal(a.counts, b.counts)
-        assert a.c_star == b.c_star
+        assert coverage(masks, 3) == coverage(masks[::-1], 3) == 2
 
     def test_mixed_rounds_rejected(self):
         masks = [mask_of([1, 0], round_index=0), mask_of([0, 1], round_index=1)]
@@ -215,9 +204,8 @@ class TestCoverage:
         for rnd in range(6):
             masks = [generate_mask(np.zeros(d), res, policy, c, rnd, "y")
                      for c in range(n)]
-            stats = coverage(masks, d)
-            assert len(stats.trained) == d
-            assert stats.c_star >= n // k
+            assert np.stack([m.bits for m in masks]).sum(axis=0).min() >= 1
+            assert coverage(masks, d) >= n // k
 
     def test_tracker_running_minima(self):
         tracker = CoverageTracker()
