@@ -334,11 +334,16 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                          f"sweep.manual_tables[{index}].{level}")
 
     # a variant key joins an estimator, a capacity label, a table index
-    # and a seed, so the keys are distinct when each list's entries are
+    # and a seed, so the sweep runs a variant when no list is empty and
+    # the keys are distinct when each list's entries are
     for name, parts in (("seeds", sweep["seeds"]),
                         ("estimators", sweep["estimators"]),
                         ("capacities", [_capacity_label(*item) for item
                                         in enumerate(sweep["capacities"])])):
+        if not parts:
+            raise InvalidSpec(
+                f"sweep.{name} is empty; the sweep would run no variant",
+                key=name)
         repeats = [p for index, p in enumerate(parts) if p in parts[:index]]
         if repeats:
             raise InvalidSpec(

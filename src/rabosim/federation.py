@@ -344,6 +344,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     y_next = aggregate_inner(state.y, reports, cfg.beta)
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
+    solvers = {}   # this round's restricted-block solvers, shared by clients
     for rep, x_i in zip(reports, client_x):
         i = rep.client
         y_plus = apply_mask(y_next, rep.mask_y)
@@ -355,7 +356,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         if cfg.estimator == EXACT_AID:
             rep.hypergrad = exact_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
-                batch_g)
+                batch_g, solvers)
         else:
             rep.hypergrad = rafbo_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,

@@ -55,7 +55,11 @@ strictly cheaper whenever the perturbation set is no larger than the
 active inner dimension, with the gap widening as coordinates are
 sampled out. The difference route stays charged 2|P| + 2 gradient
 evaluations although the simulator evaluates the base gradient once, so
-the modeled cost describes the method, not the simulator.
+the modeled cost describes the method, not the simulator. Likewise a
+round factors each distinct read-only inner Hessian block and active
+set once and reuses the factor for every client holding the pair (the
+``solvers`` memo of ``exact_hypergradient``), while ``exact_aid_flops``
+still charges every client its own solve.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ from .errors import (
     SingularRestrictedHessian,
     check_ranges,
 )
-from .linalg import solve_spd
+# solve_spd stays bound here: perfbench/spans.py wraps hypergrad.solve_spd
+from .linalg import solve_spd, spd_solver
 from .masking import Mask, apply_mask
 from .rng import RngStream
 
@@ -175,7 +180,8 @@ def _difference_rows(base: np.ndarray, perturbed: np.ndarray, mu: float,
 
 def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
-                        batch_f=None, batch_g=None) -> HypergradEstimate:
+                        batch_f=None, batch_g=None,
+                        solvers: dict | None = None) -> HypergradEstimate:
     """Implicit-differentiation hypergradient with a restricted solve.
 
     The inner Hessian system is solved on the client's active inner
@@ -183,6 +189,12 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     full-dimension Hessian at masked parameters can be singular off the
     active block. Raises SingularRestrictedHessian when the restricted
     block is not SPD (the mask killed strong convexity there).
+
+    ``solvers`` is a memo that one round's calls share. When the Hessian
+    is read-only (a block the problem shares and never changes), the
+    solver of its restricted block is kept there, keyed by the array's
+    identity and the active set, and every client with the same pair
+    reuses it; the bits are those of a factor per client.
     """
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
@@ -190,9 +202,9 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     z = np.zeros(problem.d2)
     if active_y.size:
         hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g)
-        block = hess[np.ix_(active_y, active_y)]
         try:
-            z[active_y] = solve_spd(block, gfy[active_y])
+            z[active_y] = _restricted_solver(hess, active_y, solvers)(
+                gfy[active_y])
         except NotPositiveDefinite as exc:
             raise SingularRestrictedHessian(
                 f"client {i}: restricted inner Hessian is not SPD "
@@ -202,6 +214,19 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     return HypergradEstimate(
         value=value,
         flops=exact_aid_flops(mask_x.active_count, int(active_y.size)))
+
+
+def _restricted_solver(hess: np.ndarray, active_y: np.ndarray,
+                       solvers: dict | None):
+    """Solver of ``hess`` restricted to ``active_y``, memoized in
+    ``solvers`` when ``hess`` is read-only. An entry holds ``hess`` itself,
+    so its id is not reused while the memo lives."""
+    if solvers is None or hess.flags.writeable:
+        return spd_solver(hess[np.ix_(active_y, active_y)])
+    key = (id(hess), active_y.tobytes())
+    if key not in solvers:
+        solvers[key] = (hess, spd_solver(hess[np.ix_(active_y, active_y)]))
+    return solvers[key][1]
 
 
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,

@@ -82,28 +82,28 @@ def spd_solver(a, direct_limit: int = DIRECT_SOLVE_LIMIT
     right-hand side. These are LAPACK's ``potrf``/``potrs``, called
     directly: the same routines, and so the same bits, as scipy's
     ``cho_factor``/``cho_solve`` without their wrappers' overhead. ``a`` is
-    checked here and each ``b`` on its call.
+    checked here and each ``b`` on its call. The direct solver holds only
+    the factor, the CG solver only ``a``.
     """
     a = as_matrix(a, "a")
     _require_symmetric(a, "a")
     dim = a.shape[0]
-    # potrs rejects a 0 x 0 system; CG returns its empty solution at once
-    direct = 0 < dim <= direct_limit
-    if direct:
-        factor, info = dpotrf(a, lower=1, clean=0)
-        if info > 0:
-            raise NotPositiveDefinite(
-                f"{info}-th leading minor of the matrix is not positive definite")
 
-    def solve(b) -> np.ndarray:
+    def rhs(b) -> np.ndarray:
         b = as_vector(b, "b")
         if b.shape[0] != dim:
             raise DimensionMismatch(f"matrix dim {dim} != rhs dim {b.shape[0]}")
-        if direct:
-            return dpotrs(factor, b, lower=1)[0]
-        return cg_solve(lambda v: a @ v, b, tol=1e-12, max_iter=10 * dim)
+        return b
 
-    return solve
+    # potrs rejects a 0 x 0 system; CG returns its empty solution at once
+    if not 0 < dim <= direct_limit:
+        return lambda b: cg_solve(lambda v: a @ v, rhs(b), tol=1e-12,
+                                  max_iter=10 * dim)
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(
+            f"{info}-th leading minor of the matrix is not positive definite")
+    return lambda b: dpotrs(factor, rhs(b), lower=1)[0]
 
 
 def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], b, tol: float,

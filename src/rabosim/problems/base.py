@@ -137,7 +137,13 @@ class BilevelProblem(ABC):
     @abstractmethod
     def hess_yy_g(self, i: int, x: np.ndarray, y: np.ndarray,
                   batch: SampleBatch | None = None) -> np.ndarray:
-        """Dense d2 x d2 Hessian of g_i with respect to y."""
+        """Dense d2 x d2 Hessian of g_i with respect to y.
+
+        A read-only result is a block the problem shares and never
+        changes while it lives, so callers may reuse work derived from
+        it; ``exact_hypergradient`` reuses one factor per active set for
+        the round.
+        """
 
     @abstractmethod
     def cross_xy_g_apply(self, i: int, x: np.ndarray, y: np.ndarray,

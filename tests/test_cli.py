@@ -560,6 +560,10 @@ class TestMainEntry:
           "--override", "run.block_size=4"], "block_size"),
         # the manual policy reads its tables from sweep.manual_tables only
         (["--override", "run.policy=manual"], "policy"),
+        # an empty sweep list would run no variant and still exit 0
+        (["--override", "sweep.seeds=[]"], "seeds"),
+        (["--override", "sweep.estimators=[]"], "estimators"),
+        (["--override", "sweep.capacities=[]"], "capacities"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):

@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -6,10 +6,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabosim import federation, hypergrad
 from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
     InvalidSpec,
+    SingularRestrictedHessian,
 )
 from rabosim.federation import (
     CSV_COLUMNS,
@@ -316,6 +318,88 @@ class TestRabobRound:
         _, log = rabo_round(prob, state, cfg)
         assert np.isnan(log.grad_phi_sq) and np.isnan(log.phi)
         assert np.isnan(log.inner_err_sq)
+
+
+def shared_block_quadratic(**kwargs):
+    """make_quadratic's clients share one read-only A."""
+    return make_quadratic(seed=11, n=6, d1=8, d2=8, hetero=0.3,
+                          eig_range=(0.8, 1.6), **kwargs)
+
+
+def per_client_blocks(writeable):
+    """The shared-block problem with a distinct A_i per client."""
+    spec = shared_block_quadratic().spec
+    a_mats = []
+    for i, a in enumerate(spec.a_mats):
+        a_i = a + 0.01 * i * np.eye(a.shape[0])
+        a_i.setflags(write=writeable)
+        a_mats.append(a_i)
+    return QuadraticProblem(replace(spec, a_mats=a_mats))
+
+
+class TestRoundSolverMemo:
+    """exact_aid factors each distinct read-only (Hessian, active set) pair
+    once per round, with the bits of a factor per client."""
+
+    CASES = {
+        "shared": (shared_block_quadratic, 2),   # rolling at 1/2: 2 windows
+        "writable-per-client": (lambda: per_client_blocks(True), 6),
+        "read-only-per-client": (lambda: per_client_blocks(False), 6),
+        "quartic": (lambda: shared_block_quadratic(quartic=0.1), 6),
+    }
+
+    @staticmethod
+    def rounds(prob, monkeypatch, memo):
+        """Three rounds; returns (factorizations per round, states, logs)."""
+        builds, counts, states, logs = [], [], [], []
+        build = hypergrad.spd_solver
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2,
+                        capacities=[ClientResource(Fraction(1, 2))] * prob.n,
+                        log_masks=True)
+        state = GlobalState(np.ones(prob.d1), np.zeros(prob.d2), 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(hypergrad, "spd_solver",
+                          lambda a: builds.append(a.shape) or build(a))
+            if not memo:
+                # the round's memo is exact_hypergradient's ninth argument
+                patch.setattr(federation, "exact_hypergradient",
+                              lambda *args: hypergrad.exact_hypergradient(
+                                  *args[:8]))
+            for _ in range(3):
+                before = len(builds)
+                state, log = federation.rabo_round(prob, state, cfg)
+                counts.append(len(builds) - before)
+                states.append(state)
+                logs.append(log)
+        return counts, states, logs
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_factors_each_distinct_block_once_per_round(self, monkeypatch,
+                                                        case):
+        make, factored = self.CASES[case]
+        prob = make()
+        counts, states, logs = self.rounds(prob, monkeypatch, memo=True)
+        want_counts, want_states, want_logs = self.rounds(
+            prob, monkeypatch, memo=False)
+        assert counts == [factored] * 3
+        assert want_counts == [prob.n] * 3
+        for got, want in zip(states, want_states):
+            assert np.array_equal(got.x, want.x)
+            assert np.array_equal(got.y, want.y)
+        assert logs == want_logs
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_singular_block_raises_through_round(self, writeable):
+        a = np.diag([1.0, -1.0])
+        a.setflags(write=writeable)
+        prob = QuadraticProblem(QuadraticSpec(
+            a_mats=[a, a], b_mats=[np.zeros((2, 2))] * 2,
+            c_vecs=[np.zeros(2)] * 2, outer_targets=[np.zeros(2)] * 2,
+            inner_targets=[np.zeros(2)] * 2, u_mats=None, lam=0.0,
+            noise_f=0, noise_g=0, quartic=0, sine_amp=0, ball_radius=10.0))
+        cfg = RunConfig(alpha=0.05, beta=0.2, capacities=full_caps(2))
+        with pytest.raises(SingularRestrictedHessian, match="client 0"):
+            rabo_round(prob, GlobalState(np.zeros(2), np.zeros(2), 0), cfg)
 
 
 class TestRun:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -128,6 +131,17 @@ class TestSolveSpd:
             solve(np.ones(23))
         with pytest.raises(NonFiniteValue):
             solve(np.full(24, np.nan))
+
+    @pytest.mark.parametrize("direct_limit, kept", [(512, False), (8, True)])
+    def test_kept_solver_holds_matrix_only_for_cg(self, direct_limit, kept):
+        # the direct solver needs only its factor; CG applies the matrix
+        a = random_spd(np.random.default_rng(6), 24)
+        ref = weakref.ref(a)
+        solve = spd_solver(a, direct_limit)
+        del a
+        gc.collect()
+        assert (ref() is not None) == kept
+        assert solve(np.ones(24)).shape == (24,)
 
 
 @settings(max_examples=40, deadline=None)
