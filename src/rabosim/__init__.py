@@ -49,10 +49,8 @@ from .problems import (
     ProblemConstants,
     SampleBatch,
     derive_constants,
-    inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    true_hypergradient_oracle,
 )
 from .rng import RngStream
 

@@ -75,7 +75,7 @@ SWEEP_DEFAULTS = {
     "manual_tables": None, "vary_problem_seed": False,
 }
 OUTPUT_DEFAULTS = {
-    "dir": None, "formats": ["csv", "json"], "compare_baseline": None,
+    "dir": None, "compare_baseline": None,
 }
 SECTIONS = ("problem", "run", "sweep", "output")
 
@@ -140,7 +140,6 @@ def _is_str(v) -> bool:
 LIST_ENTRIES = {
     "seeds": (_is_int, "a list of integers"),
     "estimators": (_is_str, "a list of strings"),
-    "formats": (_is_str, "a list of strings"),
     "x0": (_is_finite, "a list of finite numbers"),
     "y0": (_is_finite, "a list of finite numbers"),
 }
@@ -352,9 +351,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     output = _resolve_section("output", dict(raw.get("output", {})),
                               OUTPUT_DEFAULTS)
-    for fmt in output["formats"]:
-        if fmt not in ("csv", "json"):
-            raise InvalidSpec(f"unknown output format '{fmt}'", key="formats")
     baseline = output["compare_baseline"]
     if baseline is not None and baseline not in {
             variant[0] for variant in _variants(sweep)}:
@@ -508,7 +504,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
         json.dumps(cfg.echo(), indent=2, sort_keys=True) + "\n")
 
     result = SweepResult(config=cfg, out_dir=out)
-    write_csv = "csv" in cfg.output["formats"]
     for key, estimator, group, seed, run_config in plans:
         problem_seed = seed if vary_problem_seed else None
         variant_dir = out / "variants" / key
@@ -516,34 +511,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
         try:
             run_result = run(problems[problem_seed], run_config)
         except DivergenceDetected as exc:
-            if write_csv:
-                (variant_dir / "rounds.csv").write_text(
-                    logs_to_csv(exc.partial_logs))
+            (variant_dir / "rounds.csv").write_text(
+                logs_to_csv(exc.partial_logs))
             result.variants[key] = VariantResult(
                 key, seed, estimator, group, None, str(exc))
             continue
-        if write_csv:
-            (variant_dir / "rounds.csv").write_text(
-                logs_to_csv(run_result.logs))
-            if run_config.log_masks:
-                (variant_dir / "masks.csv").write_text(
-                    _masks_csv(run_result.logs))
+        (variant_dir / "rounds.csv").write_text(logs_to_csv(run_result.logs))
+        if run_config.log_masks:
+            (variant_dir / "masks.csv").write_text(_masks_csv(run_result.logs))
         result.variants[key] = VariantResult(
             key, seed, estimator, group,
             {**run_result.summary(), "guard_notes": guard_notes[problem_seed]})
 
     result.stats = _aggregate_stats(result.variants)
-    if "json" in cfg.output["formats"]:
-        summary = {
-            "variants": {k: (v.summary if v.summary is not None
-                             else {"error": v.error})
-                         for k, v in sorted(result.variants.items())},
-            "stats": result.stats,
-            "failures": result.failures,
-            "config_echo": cfg.echo(),
-        }
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary = {
+        "variants": {k: (v.summary if v.summary is not None
+                         else {"error": v.error})
+                     for k, v in sorted(result.variants.items())},
+        "stats": result.stats,
+        "failures": result.failures,
+        "config_echo": cfg.echo(),
+    }
+    (out / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True) + "\n")
     baseline = cfg.output["compare_baseline"]
     # a diverged baseline has no costs to compare; it is reported as failed
     if baseline is not None and baseline not in result.failures:

@@ -131,7 +131,6 @@ class RoundLog:
     flops: int
     mean_w1sq: float
     mean_w2sq: float
-    p_star: int | None = None
     masks_x_hex: tuple | None = None
     masks_y_hex: tuple | None = None
 
@@ -380,8 +379,6 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     else:
         grad_phi_sq = phi = inner_err_sq = float("nan")
 
-    p_sizes = [rep.hypergrad.p_size for rep in reports
-               if rep.hypergrad is not None and rep.hypergrad.p_size]
     log = RoundLog(
         round_index=q,
         grad_phi_sq=grad_phi_sq, phi=phi, inner_err_sq=inner_err_sq,
@@ -391,7 +388,6 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                                  for rep in reports])),
         mean_w2sq=float(np.mean([_safe_deviation(state.y, rep.mask_y)
                                  for rep in reports])),
-        p_star=max(p_sizes) if p_sizes else None,
         masks_x_hex=tuple(rep.mask_x.to_hex() for rep in reports)
         if cfg.log_masks else None,
         masks_y_hex=tuple(rep.mask_y.to_hex() for rep in reports)

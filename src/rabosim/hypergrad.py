@@ -39,7 +39,9 @@ does not shrink with mu, and rafbo converges to a point where this
 biased hypergradient, not the true one, vanishes. The exception is an
 outer optimum where grad_y f is zero (``target_scale`` 0 on the
 quadratic family), which is a fixed point for both estimators. This
-form is the simulator's own choice; ROADMAP item 1 measures the bias.
+form is the simulator's own choice; ROADMAP item 3 tracks the bias. On
+the noiseless quadratic family, rafbo's stall point is the fixed point
+of the exact round map in ``tests/linear_oracle.py``.
 
 Both evaluations inside a difference share one batch (common random
 numbers), so additive gradient noise cancels to first order.
@@ -108,7 +110,6 @@ class HypergradEstimate:
 
     value: np.ndarray
     flops: int
-    p_size: int = 0
 
 
 def grad_eval_flops(d1_active: int, d2_active: int) -> int:
@@ -247,11 +248,10 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
     deltas = _difference_rows(base, rows, cfg.mu, mask_y)
     value = gfx.copy()
     value[coords] += deltas @ gfy
-    value = apply_mask(value, mask_x)
-    p_size = coords.shape[0]
     return HypergradEstimate(
-        value=value, p_size=p_size,
-        flops=rafbo_flops(mask_x.active_count, mask_y.active_count, p_size))
+        value=apply_mask(value, mask_x),
+        flops=rafbo_flops(mask_x.active_count, mask_y.active_count,
+                          coords.shape[0]))
 
 
 def hypergrad_error_bound(p_star: int, l_g1: float, mu: float,

@@ -3,11 +3,8 @@ from .logistic import LogisticTuneProblem, LogisticTuneSpec, make_logistic_tune
 from .quadratic import (
     QuadraticProblem,
     QuadraticSpec,
-    analytic_outer_minimizer,
     derive_constants,
-    inner_optimum_oracle,
     make_quadratic,
-    true_hypergradient_oracle,
 )
 
 __all__ = [
@@ -20,8 +17,5 @@ __all__ = [
     "LogisticTuneSpec",
     "make_quadratic",
     "make_logistic_tune",
-    "inner_optimum_oracle",
-    "true_hypergradient_oracle",
-    "analytic_outer_minimizer",
     "derive_constants",
 ]

@@ -364,40 +364,6 @@ def _distinct(arrays: list) -> list:
     return list({id(a): a for a in arrays}.values())
 
 
-def _require_quadratic(problem) -> QuadraticProblem:
-    if not isinstance(problem, QuadraticProblem):
-        raise UnsupportedProblem(
-            f"{type(problem).__name__} has no closed-form inner optimum")
-    return problem
-
-
-def inner_optimum_oracle(problem, x: np.ndarray) -> np.ndarray:
-    """Closed-form y*(x) for the quadratic family."""
-    return _require_quadratic(problem).y_star(np.asarray(x, dtype=np.float64))
-
-
-def true_hypergradient_oracle(problem, x: np.ndarray) -> np.ndarray:
-    """Exact grad Phi(x) for the quadratic family."""
-    return _require_quadratic(problem).grad_phi(np.asarray(x, dtype=np.float64))
-
-
-def analytic_outer_minimizer(problem) -> np.ndarray:
-    """Unique minimizer of Phi for the plain quadratic family.
-
-    Only defined with the quartic and sinusoidal flags off and a strongly
-    convex outer objective.
-    """
-    p = _require_quadratic(problem)
-    s = p.spec
-    if s.quartic or s.sine_amp:
-        raise UnsupportedProblem("minimizer is closed-form only for tau=amp=0")
-    resp = p.jac_y_star(np.zeros(p.d1))             # y*(x) = resp @ x + r
-    r = -np.linalg.solve(p._a_bar, p._c_bar)
-    lhs = s.lam * np.eye(p.d1) + resp.T @ resp
-    rhs = s.lam * p._a_tgt_bar + resp.T @ (p._b_tgt_bar - r)
-    return np.linalg.solve(lhs, rhs)
-
-
 def derive_constants(problem) -> ProblemConstants:
     """Smoothness constants of a quadratic instance over its operating ball.
 
@@ -407,8 +373,10 @@ def derive_constants(problem) -> ProblemConstants:
     quadratic is unbounded on all of R^d, so a compact domain is required
     for finite constants).
     """
-    p = _require_quadratic(problem)
-    s = p.spec
+    if not isinstance(problem, QuadraticProblem):
+        raise UnsupportedProblem(
+            f"{type(problem).__name__} has no closed-form constants")
+    p, s = problem, problem.spec
     rho = s.ball_radius
 
     # aliased client blocks (make_quadratic shares one A and one B) give

@@ -134,7 +134,6 @@ class TestParseConfig:
         assert cfg.run["alpha"] == 0.05
         assert cfg.run["capacities"] == "1"
         assert cfg.sweep["seeds"] == [0]
-        assert cfg.output["formats"] == ["csv", "json"]
 
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {
@@ -590,14 +589,15 @@ class TestMainEntry:
                      "--override", "run.alpha=1"])
         assert code == 0
 
-    def test_formats_string_names_list_requirement(self, tmp_path, capsys):
+    def test_formats_is_unknown_key(self, tmp_path, capsys):
+        # runs always write CSV and JSON; the option that chose is gone
         data = small_quadratic_config()
-        data["output"] = {"formats": "csv"}
+        data["output"] = {"formats": ["csv"]}
         path = write_config(tmp_path, data)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "formats" in err and "list of strings" in err
-        assert "'c'" not in err
+        assert "unknown key 'formats' in section 'output'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_outer_divergence_names_alpha_and_x(self, tmp_path, capsys):
         # round 0's outer step pushes ||x|| to ~4e4; the inner blow-up in

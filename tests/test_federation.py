@@ -31,16 +31,12 @@ from rabosim.hypergrad import EXACT_AID, RAFBO, HypergradEstimate, RAFBOConfig
 from rabosim.masking import ClientResource, Mask, MaskPolicy
 from rabosim.problems import (
     derive_constants,
-    inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    true_hypergradient_oracle,
 )
-from rabosim.problems.quadratic import (
-    QuadraticProblem,
-    QuadraticSpec,
-    analytic_outer_minimizer,
-)
+from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
+from linear_oracle import outer_minimizer
+from tests_support import one_dim_tracking_problem, partial_tables
 
 
 def mask_of(bits, level="y", client=0, round_index=0):
@@ -267,8 +263,8 @@ class TestRabobRound:
     def test_stationary_fixed_point(self):
         prob = make_quadratic(seed=6, n=4, d1=5, d2=5, hetero=0.3, lam=0.8,
                               eig_range=(0.7, 1.8))
-        x_star = analytic_outer_minimizer(prob)
-        y_star = inner_optimum_oracle(prob, x_star)
+        x_star = outer_minimizer(prob)
+        y_star = prob.y_star(x_star)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1,
                         capacities=full_caps(4), seed=0)
         state = GlobalState(x_star.copy(), y_star.copy(), 0)
@@ -455,7 +451,6 @@ class TestRun:
     def test_non_finite_outer_aggregate_names_level(self):
         # grad Phi(x) = x here; a step of 10 * 0.5e308 overflows x to -inf
         # while y stays finite, and no client-side guard can see it
-        from tests_support import one_dim_tracking_problem
         prob = one_dim_tracking_problem()
         cfg = RunConfig(alpha=10.0, beta=0.5, rounds=1,
                         capacities=full_caps(1), seed=0)
@@ -575,7 +570,7 @@ class TestRun:
         beta = 1.0 / (2 * consts.l_g1)
         x = np.array([0.4, -0.3, 0.2, 0.6])
         y = 2.0 * np.ones(4)
-        y_star = inner_optimum_oracle(prob, x)
+        y_star = prob.y_star(x)
         masks = [mask_of([1, 1, 1, 1], "y", i) for i in range(4)]
         factor = 1.0 - beta * consts.mu_g
         for _ in range(50):
@@ -624,25 +619,13 @@ class TestStationarity:
     def test_at_minimizer(self):
         prob = make_quadratic(seed=17, n=3, d1=4, d2=4, hetero=0.3, lam=0.9,
                               eig_range=(0.8, 1.6))
-        grad = prob.grad_phi(analytic_outer_minimizer(prob))
+        grad = prob.grad_phi(outer_minimizer(prob))
         assert grad @ grad <= 1e-16
 
     def test_one_dim_value(self):
-        from tests_support import one_dim_tracking_problem
         prob = one_dim_tracking_problem()
         grad = prob.grad_phi(np.array([2.0]))
         assert grad @ grad == pytest.approx(4.0)
-
-    def test_matches_oracle_definitionally(self):
-        prob = make_quadratic(seed=18, n=2, d1=5, d2=5, hetero=0.2,
-                              eig_range=(0.7, 1.9))
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            x = rng.standard_normal(5)
-            grad = true_hypergradient_oracle(prob, x)
-            own = prob.grad_phi(x)
-            assert float(own @ own) == pytest.approx(float(grad @ grad),
-                                                     rel=1e-12)
 
 
 class TestCosts:
@@ -734,23 +717,6 @@ class TestCsvRendering:
         text = logs_to_csv(res.logs)
         value = text.strip().split("\n")[1].split(",")[1]
         assert float(value) == res.logs[0].grad_phi_sq
-
-
-@st.composite
-def partial_tables(draw, n, d, nonempty):
-    """Per-client coordinate rows that leave at least one coordinate
-    uncovered; with ``nonempty`` every row has a coordinate."""
-    gap = draw(st.integers(0, d - 1))
-    pool = [c for c in range(d) if c != gap]
-    rows = []
-    for _ in range(n):
-        keep = draw(st.lists(st.booleans(), min_size=len(pool),
-                             max_size=len(pool)))
-        row = [c for c, k in zip(pool, keep) if k]
-        if nonempty and not row:
-            row = [draw(st.sampled_from(pool))]
-        rows.append(row)
-    return rows
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,10 +17,8 @@ from rabosim.masking import Mask, apply_mask, mask_deviation
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
-    inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    true_hypergradient_oracle,
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
@@ -58,7 +56,7 @@ class TestExactHypergradient:
             est = exact_hypergradient(prob, 0, x, x.copy(),
                                       full_mask(1, "x"), full_mask(1, "y"))
             assert est.value[0] == pytest.approx(xv, abs=1e-12)
-            oracle = true_hypergradient_oracle(prob, x)
+            oracle = prob.grad_phi(x)
             assert est.value[0] == pytest.approx(oracle[0], abs=1e-12)
 
     def test_correction_vanishes_when_f_ignores_y(self):
@@ -75,12 +73,12 @@ class TestExactHypergradient:
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.standard_normal(8)
-            y = inner_optimum_oracle(prob, x)
+            y = prob.y_star(x)
             avg = np.mean([
                 exact_hypergradient(prob, i, x, y, full_mask(8, "x", i),
                                     full_mask(8, "y", i)).value
                 for i in range(4)], axis=0)
-            oracle = true_hypergradient_oracle(prob, x)
+            oracle = prob.grad_phi(x)
             assert np.linalg.norm(avg - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_support_containment(self):
@@ -296,9 +294,8 @@ class TestRafboHypergradient:
         mx, my = full_mask(8, "x"), full_mask(8, "y")
         est = rafbo_hypergradient(prob, 0, np.zeros(8), np.zeros(8), mx, my,
                                   RAFBOConfig(mu=1e-3))
-        # 2|P| + 2 gradient evaluations and |P| inner products
+        # 2|P| + 2 gradient evaluations and |P| inner products, |P| = 8
         assert est.flops == rafbo_flops(8, 8, 8)
-        assert est.p_size == 8
 
     @pytest.mark.parametrize("mx_bits,my_bits,fraction", [
         ([1] * 8, [1] * 8, 0.5),            # |P| = 4 < 8 active inner
@@ -317,7 +314,9 @@ class TestRafboHypergradient:
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my,
                                      RAFBOConfig(mu=1e-3, coord_fraction=fraction),
                                      rng=rng)
-        assert approx.p_size < my.active_count
+        coords = build_perturbation_set(mx, fraction,
+                                        RngStream(1, 0, 0, "pset"))
+        assert coords.size < my.active_count
         assert approx.flops < exact.flops
 
 
@@ -386,7 +385,7 @@ class TestRafboBatchedEquivalence:
                                   batch_g, RngStream(3, 1, 0, "pset"))
         ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                              RngStream(3, 1, 0, "pset"))
-        assert est.p_size == (5 if fraction == 1.0 else 3)
+        assert est.flops == rafbo_flops(5, 4, 5 if fraction == 1.0 else 3)
         assert_within(est.value, ref)
 
     @pytest.mark.parametrize("size", [10 ** 6, 8])
@@ -429,13 +428,12 @@ class TestRafboBatchedEquivalence:
             est = rafbo_hypergradient(prob, i, np.zeros(prob.d1),
                                       np.zeros(prob.d2), mx, my,
                                       RAFBOConfig(mu=1e-3))
-            assert est.p_size == prob.d1
             assert calls["grad_g_y_perturbed"] \
                 - before["grad_g_y_perturbed"] == 1
             # the base default evaluates each row through grad_g_y
-            rows = 0 if family == "quadratic" else est.p_size
+            rows = 0 if family == "quadratic" else prob.d1
             assert calls["grad_g_y"] - before["grad_g_y"] == 1 + rows
-            assert est.flops == rafbo_flops(prob.d1, prob.d2, est.p_size)
+            assert est.flops == rafbo_flops(prob.d1, prob.d2, prob.d1)
 
 
 @settings(max_examples=40, deadline=None)

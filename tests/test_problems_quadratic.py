@@ -21,16 +21,11 @@ from rabosim.masking import ClientResource
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
-    inner_optimum_oracle,
     make_logistic_tune,
     make_quadratic,
-    true_hypergradient_oracle,
 )
-from rabosim.problems.quadratic import (
-    QuadraticProblem,
-    QuadraticSpec,
-    analytic_outer_minimizer,
-)
+from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
+from linear_oracle import outer_minimizer
 from tests_support import grad_g_y_row_bound
 
 
@@ -251,7 +246,7 @@ class TestInnerOptimumOracle:
     def test_one_dim_tracking(self):
         prob = one_dim_problem()
         for x in (-2.0, 0.3, 5.0):
-            assert inner_optimum_oracle(prob, np.array([x]))[0] == pytest.approx(x)
+            assert prob.y_star(np.array([x]))[0] == pytest.approx(x)
 
     def test_zero_offsets_zero_optimum(self):
         prob = make_quadratic(seed=7, n=2, d1=3, d2=3)
@@ -262,14 +257,14 @@ class TestInnerOptimumOracle:
             inner_targets=spec.inner_targets, u_mats=None, lam=spec.lam,
             noise_f=0, noise_g=0, quartic=0, sine_amp=0,
             ball_radius=10.0))
-        assert np.array_equal(inner_optimum_oracle(zeroed, np.zeros(3)),
+        assert np.array_equal(zeroed.y_star(np.zeros(3)),
                               np.zeros(3))
 
     def test_stationarity_of_oracle(self):
         prob = make_quadratic(seed=8, n=4, d1=4, d2=5, hetero=0.5,
                               eig_range=(0.6, 2.0))
         x = np.linspace(-1, 1, 4)
-        ys = inner_optimum_oracle(prob, x)
+        ys = prob.y_star(x)
         mean_g = sum(prob.grad_g_y(i, x, ys) for i in range(prob.n)) / prob.n
         assert np.linalg.norm(mean_g) <= 1e-9
 
@@ -283,13 +278,8 @@ class TestInnerOptimumOracle:
             if np.linalg.norm(g) < 1e-12:
                 break
             y = y - 0.5 * g
-        oracle = inner_optimum_oracle(prob, x)
+        oracle = prob.y_star(x)
         assert np.linalg.norm(y - oracle) <= 1e-8
-
-    def test_unsupported_problem(self):
-        logi = make_logistic_tune(seed=0, n=1, imbalance_mu=1.0)
-        with pytest.raises(UnsupportedProblem):
-            inner_optimum_oracle(logi, np.zeros(logi.d1))
 
     @pytest.mark.parametrize("quartic", [0.0, 0.3])
     def test_reused_solves_bit_identical(self, quartic):
@@ -324,13 +314,13 @@ class TestTrueHypergradientOracle:
     def test_one_dim_closed_form(self):
         prob = one_dim_problem()
         for x in (-1.5, 0.0, 2.0):
-            grad = true_hypergradient_oracle(prob, np.array([x]))
+            grad = prob.grad_phi(np.array([x]))
             assert grad[0] == pytest.approx(x, abs=1e-12)
 
     def test_stationary_by_construction(self):
         base = make_quadratic(seed=10, n=3, d1=4, d2=4, hetero=0.2, lam=0.0)
         x_hat = np.array([0.5, -0.3, 0.8, 0.0])
-        ys = inner_optimum_oracle(base, x_hat)
+        ys = base.y_star(x_hat)
         spec = base.spec
         pinned = QuadraticProblem(QuadraticSpec(
             a_mats=spec.a_mats, b_mats=spec.b_mats, c_vecs=spec.c_vecs,
@@ -338,7 +328,7 @@ class TestTrueHypergradientOracle:
             inner_targets=[ys.copy() for _ in range(3)], u_mats=None,
             lam=0.0, noise_f=0, noise_g=0, quartic=0,
             sine_amp=0, ball_radius=10.0))
-        grad = true_hypergradient_oracle(pinned, x_hat)
+        grad = pinned.grad_phi(x_hat)
         assert np.linalg.norm(grad) <= 1e-12
 
     @pytest.mark.parametrize("kwargs", [
@@ -351,7 +341,7 @@ class TestTrueHypergradientOracle:
         prob = make_quadratic(seed=11, n=4, d1=6, d2=6, lam=0.7, **kwargs)
         rng = np.random.default_rng(3)
         x = 0.5 * rng.standard_normal(6)
-        oracle = true_hypergradient_oracle(prob, x)
+        oracle = prob.grad_phi(x)
         h = 1e-5
         fd = np.zeros(6)
         for k in range(6):
@@ -365,7 +355,7 @@ class TestTrueHypergradientOracle:
                               eig_range=(0.8, 1.6))
         rng = np.random.default_rng(4)
         x = rng.standard_normal(6) * 0.3
-        oracle = true_hypergradient_oracle(prob, x)
+        oracle = prob.grad_phi(x)
         h = 1e-5
         for _ in range(20):
             u = rng.standard_normal(6)
@@ -377,8 +367,8 @@ class TestTrueHypergradientOracle:
     def test_analytic_minimizer_is_stationary(self):
         prob = make_quadratic(seed=13, n=4, d1=5, d2=5, hetero=0.4, lam=0.8,
                               eig_range=(0.7, 1.9))
-        x_star = analytic_outer_minimizer(prob)
-        grad = true_hypergradient_oracle(prob, x_star)
+        x_star = outer_minimizer(prob)
+        grad = prob.grad_phi(x_star)
         assert float(grad @ grad) <= 1e-16
 
 
@@ -402,8 +392,8 @@ class TestDeriveConstants:
         prob = make_quadratic(seed=15, n=2, d1=3, d2=3, coupling=0.0)
         consts = derive_constants(prob)
         assert consts.L_y >= 0
-        y1 = inner_optimum_oracle(prob, np.zeros(3))
-        y2 = inner_optimum_oracle(prob, np.ones(3))
+        y1 = prob.y_star(np.zeros(3))
+        y2 = prob.y_star(np.ones(3))
         assert np.linalg.norm(y1 - y2) == 0.0
 
     def test_lipschitz_probe_100_pairs(self):
@@ -413,8 +403,7 @@ class TestDeriveConstants:
         rng = np.random.default_rng(5)
         for _ in range(100):
             x1, x2 = rng.standard_normal((2, 5))
-            lhs = np.linalg.norm(inner_optimum_oracle(prob, x1)
-                                 - inner_optimum_oracle(prob, x2))
+            lhs = np.linalg.norm(prob.y_star(x1) - prob.y_star(x2))
             assert lhs <= consts.L_y * np.linalg.norm(x1 - x2) + 1e-12
 
     def test_sector_bounds_on_probes(self):

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 
@@ -85,3 +86,20 @@ def topk_indices_loop(params, target, block_size):
         inner = np.lexsort((coords, -mags[coords]))
         ranked.extend(coords[inner])
     return np.array(ranked[:target])
+
+
+@st.composite
+def partial_tables(draw, n, d, nonempty):
+    """Per-client coordinate rows that leave at least one coordinate
+    uncovered; with ``nonempty`` every row has a coordinate."""
+    gap = draw(st.integers(0, d - 1))
+    pool = [c for c in range(d) if c != gap]
+    rows = []
+    for _ in range(n):
+        keep = draw(st.lists(st.booleans(), min_size=len(pool),
+                             max_size=len(pool)))
+        row = [c for c, k in zip(pool, keep) if k]
+        if nonempty and not row:
+            row = [draw(st.sampled_from(pool))]
+        rows.append(row)
+    return rows
