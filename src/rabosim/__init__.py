@@ -25,7 +25,6 @@ from .federation import (
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
-    HypergradEstimate,
     RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,

@@ -212,17 +212,19 @@ def _problem_dims(problem: dict) -> tuple[int, int]:
 
 
 def _check_table(table, n: int, d: int, name: str) -> None:
-    """A manual table lists coordinate indices in [0, d) for each client.
+    """A manual table has one row of coordinate indices in [0, d) per
+    client, no more and no fewer.
 
     A capacity is never 0, so every row lists at least one index.
     """
-    if not (isinstance(table, list) and len(table) >= n and all(
+    if not (isinstance(table, list) and len(table) == n and all(
             isinstance(row, list) and row and all(_is_int(k) and 0 <= k < d
                                                   for k in row)
             for row in table)):
         raise InvalidSpec(
-            f"{name} must list one or more coordinate indices in [0, {d}) "
-            f"for each of the {n} clients, got {table!r}",
+            f"{name} must have exactly {n} rows, one per client, each "
+            f"listing one or more coordinate indices in [0, {d}), "
+            f"got {table!r}",
             key="manual_tables")
 
 

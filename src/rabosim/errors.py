@@ -74,14 +74,6 @@ class InvalidCapacity(RabosimError):
     """Client capacity outside (0, 1]."""
 
 
-class MixedRounds(RabosimError):
-    """Coverage computed over masks from different rounds or levels."""
-
-
-class ZeroNormInput(RabosimError):
-    """Mask deviation requested for a zero-norm vector."""
-
-
 class EmptyMask(RabosimError):
     """Mask has no active coordinate where at least one is required."""
 

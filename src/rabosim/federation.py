@@ -29,10 +29,9 @@ from .errors import (
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
-    HypergradEstimate,
     RAFBOConfig,
     exact_hypergradient,
-    grad_eval_flops,
+    perturbation_size,
     rafbo_hypergradient,
 )
 from .masking import (
@@ -97,19 +96,13 @@ class RunConfig:
 
 @dataclass
 class ClientReport:
-    """One client's round output."""
+    """One client's round output: its masks and what it uploads."""
 
     client: int
     mask_x: Mask
     mask_y: Mask
     g_delta: np.ndarray                      # (y_0 - y_T) / beta, d2
-    inner_flops: int
-    hypergrad: HypergradEstimate | None = None
-
-    @property
-    def compute_flops(self) -> int:
-        hyper = self.hypergrad.flops if self.hypergrad is not None else 0
-        return self.inner_flops + hyper
+    hypergrad: np.ndarray | None = None      # d1, zero off mask_x
 
 
 @dataclass(frozen=True)
@@ -140,12 +133,59 @@ CSV_COLUMNS = ("round", "grad_phi_sq", "phi", "inner_err_sq",
                "bytes_down", "flops", "mean_w1sq", "mean_w2sq")
 
 
+# The flop charges of the cost model in ``CostLedger``.
+
+def grad_eval_flops(d1_active: int, d2_active: int) -> int:
+    """Flop charge for one gradient evaluation on the active submodel."""
+    return 2 * (d1_active + d2_active) ** 2
+
+
+def inner_loop_flops(d1_active: int, d2_active: int, inner_epochs: int) -> int:
+    return inner_epochs * (grad_eval_flops(d1_active, d2_active)
+                           + 2 * d2_active)
+
+
+def exact_aid_flops(d1_active: int, d2_active: int) -> int:
+    unit = grad_eval_flops(d1_active, d2_active)
+    assemble = d2_active ** 2                       # materialize the block
+    solve = d2_active ** 3 // 3 + 2 * d2_active ** 2
+    cross = 2 * d1_active * d2_active               # dense operator apply
+    return (2 + d2_active + d1_active) * unit + assemble + solve + cross \
+        + 2 * d1_active
+
+
+def rafbo_flops(d1_active: int, d2_active: int, p_size: int) -> int:
+    unit = grad_eval_flops(d1_active, d2_active)
+    return (2 + 2 * p_size) * unit + p_size * (2 * d2_active + 1) + 2 * d1_active
+
+
 @dataclass
 class CostLedger:
     """Cumulative exact-integer cost tallies.
 
-    Bytes per leg are 8 x transferred coordinate count; uploads always
-    carry only active coordinates, downloads depend on the mode.
+    ``add`` prices each client's round from its masks and the run's
+    settings (estimator, inner epochs, perturbation fraction, download
+    mode). Bytes per leg are 8 x transferred coordinate count; uploads
+    always carry only active coordinates, downloads depend on the mode.
+
+    Cost model: gradient evaluations on the active submodel are the atomic
+    unit, ``2 * (d1_active + d2_active)^2`` flops each. An inner epoch is
+    one gradient evaluation plus the masked step on the active inner
+    block. The exact route is additionally charged one gradient-equivalent
+    per Hessian row and per cross-derivative column (the price of
+    obtaining second derivatives by differentiating the gradient oracle),
+    the materialization of the restricted block, the cubic cost of the
+    solve, and the dense cross-operator application. Under this model the
+    difference route is strictly cheaper whenever the perturbation set is
+    no larger than the active inner dimension, with the gap widening as
+    coordinates are sampled out. The difference route stays charged
+    2|P| + 2 gradient evaluations although the simulator evaluates the
+    base gradient once, so the modeled cost describes the method, not the
+    simulator. Likewise a round factors each distinct read-only inner
+    Hessian block and active set once and reuses the factor for every
+    client holding the pair (the ``solvers`` memo of
+    ``exact_hypergradient``), while ``exact_aid_flops`` still charges
+    every client its own solve.
     """
 
     x_down: int = 0
@@ -172,24 +212,29 @@ class CostLedger:
                 "g_up": self.g_up, "y_plus_down": self.y_plus_down,
                 "h_up": self.h_up}
 
-    def add(self, reports: list[ClientReport], download_mode: str,
-            d1: int, d2: int) -> tuple[int, int, int]:
+    def add(self, reports: list[ClientReport],
+            cfg: RunConfig) -> tuple[int, int, int]:
         """Charge one round; returns its (bytes_up, bytes_down, flops)."""
         up = down = flops = 0
         for rep in reports:
             ax = rep.mask_x.active_count
             ay = rep.mask_y.active_count
-            dx, dy = (ax, ay) if download_mode == "masked" else (d1, d2)
+            dx, dy = (ax, ay) if cfg.download_mode == "masked" \
+                else (len(rep.mask_x), len(rep.mask_y))
             self.x_down += BYTES_PER_COORD * dx
             self.y_down += BYTES_PER_COORD * dy
             self.y_plus_down += BYTES_PER_COORD * dy
             self.g_up += BYTES_PER_COORD * ay
             self.h_up += BYTES_PER_COORD * ax
+            hyper = exact_aid_flops(ax, ay) if cfg.estimator == EXACT_AID \
+                else rafbo_flops(ax, ay, perturbation_size(
+                    ax, cfg.rafbo.coord_fraction))
+            charge = inner_loop_flops(ax, ay, cfg.inner_epochs) + hyper
             self.flops_per_client[rep.client] = \
-                self.flops_per_client.get(rep.client, 0) + rep.compute_flops
+                self.flops_per_client.get(rep.client, 0) + charge
             up += BYTES_PER_COORD * (ay + ax)
             down += BYTES_PER_COORD * (dx + 2 * dy)
-            flops += rep.compute_flops
+            flops += charge
         return up, down, flops
 
 
@@ -269,7 +314,7 @@ def aggregate_outer(x_q: np.ndarray, reports: list[ClientReport],
         if rep.hypergrad is None:
             raise InvalidSpec(f"client {rep.client} report carries no hypergradient")
     return _covering_step(
-        x_q, ((rep.mask_x, rep.hypergrad.value) for rep in reports),
+        x_q, ((rep.mask_x, rep.hypergrad) for rep in reports),
         alpha, "outer")
 
 
@@ -277,12 +322,6 @@ def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
     if not np.isfinite(v).all():
         raise DivergenceDetected(
             f"round {q}: aggregated {what} is non-finite ({step} too large?)")
-
-
-def _safe_deviation(v: np.ndarray, mask: Mask) -> float:
-    if float(v @ v) == 0.0:
-        return 0.0
-    return mask_deviation(v, mask)
 
 
 def _divergence_cap(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
@@ -334,10 +373,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                 f"round {q}: {exc}; client outer iterate ||x|| = "
                 f"{np.linalg.norm(x_i):.3e} after steps of alpha {cfg.alpha}"
             ) from exc
-        unit = grad_eval_flops(mask_x.active_count, mask_y.active_count)
-        flops = cfg.inner_epochs * (unit + 2 * mask_y.active_count)
         reports.append(ClientReport(client=i, mask_x=mask_x, mask_y=mask_y,
-                                    g_delta=g_delta, inner_flops=flops))
+                                    g_delta=g_delta))
         client_x.append(x_i)
 
     y_next = aggregate_inner(state.y, reports, cfg.beta)
@@ -366,8 +403,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
 
     tracker.observe(coverage([rep.mask_x for rep in reports], problem.d1),
                     coverage([rep.mask_y for rep in reports], problem.d2))
-    bytes_up, bytes_down, flops = ledger.add(
-        reports, cfg.download_mode, problem.d1, problem.d2)
+    bytes_up, bytes_down, flops = ledger.add(reports, cfg)
 
     if problem.has_oracles():
         ys = problem.y_star(x_next)
@@ -384,9 +420,9 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         grad_phi_sq=grad_phi_sq, phi=phi, inner_err_sq=inner_err_sq,
         c_star_x_running=tracker.c_star_x, c_star_y_running=tracker.c_star_y,
         bytes_up=bytes_up, bytes_down=bytes_down, flops=flops,
-        mean_w1sq=float(np.mean([_safe_deviation(state.x, rep.mask_x)
+        mean_w1sq=float(np.mean([mask_deviation(state.x, rep.mask_x)
                                  for rep in reports])),
-        mean_w2sq=float(np.mean([_safe_deviation(state.y, rep.mask_y)
+        mean_w2sq=float(np.mean([mask_deviation(state.y, rep.mask_y)
                                  for rep in reports])),
         masks_x_hex=tuple(rep.mask_x.to_hex() for rep in reports)
         if cfg.log_masks else None,

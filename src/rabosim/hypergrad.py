@@ -46,22 +46,8 @@ of the exact round map in ``tests/linear_oracle.py``.
 Both evaluations inside a difference share one batch (common random
 numbers), so additive gradient noise cancels to first order.
 
-Cost model: gradient evaluations are the atomic unit,
-``2 * (d1_active + d2_active)^2`` flops each. The exact route is
-additionally charged one gradient-equivalent per Hessian row and per
-cross-derivative column (the price of obtaining second derivatives by
-differentiating the gradient oracle), the materialization of the
-restricted block, the cubic cost of the solve, and the dense
-cross-operator application. Under this model the difference route is
-strictly cheaper whenever the perturbation set is no larger than the
-active inner dimension, with the gap widening as coordinates are
-sampled out. The difference route stays charged 2|P| + 2 gradient
-evaluations although the simulator evaluates the base gradient once, so
-the modeled cost describes the method, not the simulator. Likewise a
-round factors each distinct read-only inner Hessian block and active
-set once and reuses the factor for every client holding the pair (the
-``solvers`` memo of ``exact_hypergradient``), while ``exact_aid_flops``
-still charges every client its own solve.
+The modeled cost of both routes is priced by ``federation.CostLedger``
+from the client's masks; the estimators return only the hypergradient.
 """
 
 from __future__ import annotations
@@ -104,31 +90,9 @@ class RAFBOConfig:
         check_ranges(vars(self), RANGES)
 
 
-@dataclass(frozen=True)
-class HypergradEstimate:
-    """One client's hypergradient with its cost tally."""
-
-    value: np.ndarray
-    flops: int
-
-
-def grad_eval_flops(d1_active: int, d2_active: int) -> int:
-    """Flop charge for one gradient evaluation on the active submodel."""
-    return 2 * (d1_active + d2_active) ** 2
-
-
-def exact_aid_flops(d1_active: int, d2_active: int) -> int:
-    unit = grad_eval_flops(d1_active, d2_active)
-    assemble = d2_active ** 2                       # materialize the block
-    solve = d2_active ** 3 // 3 + 2 * d2_active ** 2
-    cross = 2 * d1_active * d2_active               # dense operator apply
-    return (2 + d2_active + d1_active) * unit + assemble + solve + cross \
-        + 2 * d1_active
-
-
-def rafbo_flops(d1_active: int, d2_active: int, p_size: int) -> int:
-    unit = grad_eval_flops(d1_active, d2_active)
-    return (2 + 2 * p_size) * unit + p_size * (2 * d2_active + 1) + 2 * d1_active
+def perturbation_size(active: int, coord_fraction: float) -> int:
+    """|P|: ceil(coord_fraction * active) of the active outer coordinates."""
+    return math.ceil(coord_fraction * active)
 
 
 def build_perturbation_set(mask_x: Mask, coord_fraction: float,
@@ -137,7 +101,7 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
 
     Returns them as an ascending int64 index array. With
     ``coord_fraction == 1`` every active coordinate is used; below 1 a
-    ceil(fraction * active) subset is drawn uniformly without replacement
+    ``perturbation_size`` subset is drawn uniformly without replacement
     from ``rng``.
     """
     active = mask_x.support()
@@ -148,8 +112,9 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
         return active.astype(np.int64)
     if rng is None:
         raise ValueError("sampling a strict subset requires an rng stream")
-    k = math.ceil(coord_fraction * active.size)
-    chosen = rng.generator().choice(active, size=k, replace=False)
+    chosen = rng.generator().choice(
+        active, size=perturbation_size(active.size, coord_fraction),
+        replace=False)
     chosen.sort()
     return chosen.astype(np.int64)
 
@@ -182,7 +147,7 @@ def _difference_rows(base: np.ndarray, perturbed: np.ndarray, mu: float,
 def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
                         batch_f=None, batch_g=None,
-                        solvers: dict | None = None) -> HypergradEstimate:
+                        solvers: dict | None = None) -> np.ndarray:
     """Implicit-differentiation hypergradient with a restricted solve.
 
     The inner Hessian system is solved on the client's active inner
@@ -211,10 +176,7 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
                 f"client {i}: restricted inner Hessian is not SPD "
                 f"({active_y.size} active coordinates)") from exc
     correction = problem.cross_xy_g_apply(i, x_masked, y_masked, z, batch_g)
-    value = apply_mask(gfx - correction, mask_x)
-    return HypergradEstimate(
-        value=value,
-        flops=exact_aid_flops(mask_x.active_count, int(active_y.size)))
+    return apply_mask(gfx - correction, mask_x)
 
 
 def _restricted_solver(hess: np.ndarray, active_y: np.ndarray,
@@ -233,12 +195,11 @@ def _restricted_solver(hess: np.ndarray, active_y: np.ndarray,
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
                         cfg: RAFBOConfig, batch_f=None, batch_g=None,
-                        rng: RngStream | None = None) -> HypergradEstimate:
+                        rng: RngStream | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 
-    value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p, charged as
-    2|P| + 2 gradient evaluations and |P| vector-vector inner products;
-    the lower gradients come from one ``grad_g_y_perturbed`` call.
+    value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the lower
+    gradients come from one ``grad_g_y_perturbed`` call.
     """
     coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
@@ -248,10 +209,7 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
     deltas = _difference_rows(base, rows, cfg.mu, mask_y)
     value = gfx.copy()
     value[coords] += deltas @ gfy
-    return HypergradEstimate(
-        value=apply_mask(value, mask_x),
-        flops=rafbo_flops(mask_x.active_count, mask_y.active_count,
-                          coords.shape[0]))
+    return apply_mask(value, mask_x)
 
 
 def hypergrad_error_bound(p_star: int, l_g1: float, mu: float,

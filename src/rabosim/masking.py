@@ -20,15 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidCapacity,
-    MixedRounds,
-    ZeroNormInput,
-    check_ranges,
-)
-
-LEVELS = ("x", "y")
+from .errors import DimensionMismatch, InvalidCapacity, check_ranges
 
 
 def parse_capacity(value) -> Fraction:
@@ -67,12 +59,9 @@ class ClientResource:
 
 @dataclass(frozen=True)
 class Mask:
-    """Binary inclusion vector for one client, one round, one level."""
+    """Read-only 0/1 inclusion vector over one level's parameters."""
 
     bits: np.ndarray
-    level: str
-    client: int
-    round_index: int
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -80,8 +69,6 @@ class Mask:
             raise DimensionMismatch("mask bits must be 1-D")
         if bits.size and bits.max() > 1:
             raise ValueError("mask bits must be 0/1")
-        if self.level not in LEVELS:
-            raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
 
@@ -175,11 +162,11 @@ def generate_mask(params: np.ndarray, resource: ClientResource,
         if idx.size and (idx.min() < 0 or idx.max() >= d):
             raise DimensionMismatch("manual table index out of range")
         bits[idx] = 1
-        return Mask(bits, level, client, round_index)
+        return Mask(bits)
 
     if target >= d:
         bits[:] = 1
-        return Mask(bits, level, client, round_index)
+        return Mask(bits)
 
     period = resource.period
     if policy.variant == "static":
@@ -189,7 +176,7 @@ def generate_mask(params: np.ndarray, resource: ClientResource,
     else:  # magnitude_topk
         idx = _topk_indices(params, target, policy.block_size)
     bits[idx] = 1
-    return Mask(bits, level, client, round_index)
+    return Mask(bits)
 
 
 def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
@@ -203,15 +190,9 @@ def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
 
 def coverage(masks: list[Mask], d: int) -> int | None:
     """C* of one round and level: the fewest clients covering any trained
-    coordinate, or None when no coordinate is trained. Raises MixedRounds
-    on masks from different rounds or levels."""
-    if not masks:
-        raise MixedRounds("coverage needs at least one mask")
-    level = masks[0].level
-    round_index = masks[0].round_index
+    coordinate, or None when no coordinate is trained. ``masks`` holds the
+    round's masks of one level, one per client."""
     for m in masks:
-        if m.level != level or m.round_index != round_index:
-            raise MixedRounds("masks span multiple rounds or levels")
         if len(m) != d:
             raise DimensionMismatch(f"mask dim {len(m)} != {d}")
     counts = np.stack([m.bits for m in masks]).sum(axis=0, dtype=np.int64)
@@ -237,10 +218,13 @@ class CoverageTracker:
 
 
 def mask_deviation(v: np.ndarray, m: Mask) -> float:
-    """Squared relative norm lost to pruning: ||v - v*m||^2 / ||v||^2."""
+    """Squared relative norm lost to pruning: ||v - v*m||^2 / ||v||^2.
+
+    A zero vector loses nothing, so its deviation is 0.0.
+    """
     v = np.asarray(v, dtype=np.float64)
     denom = float(v @ v)
     if denom == 0.0:
-        raise ZeroNormInput("mask deviation undefined for zero-norm input")
+        return 0.0
     residual = v - apply_mask(v, m)
     return float(residual @ residual) / denom

@@ -43,9 +43,9 @@ def report(num, passed, detail):
     assert passed, f"criterion {num}: {detail}"
 
 
-def full_masks(d1, d2, client=0, round_index=0):
-    return (Mask(np.ones(d1, dtype=np.uint8), "x", client, round_index),
-            Mask(np.ones(d2, dtype=np.uint8), "y", client, round_index))
+def full_masks(d1, d2):
+    return (Mask(np.ones(d1, dtype=np.uint8)),
+            Mask(np.ones(d2, dtype=np.uint8)))
 
 
 def full_caps(n):
@@ -63,8 +63,8 @@ def test_01_hypergradient_exactness():
         y = prob.y_star(x)
         avg = np.zeros(10)
         for i in range(4):
-            mx, my = full_masks(10, 10, i)
-            avg += exact_hypergradient(prob, i, x, y, mx, my).value
+            mx, my = full_masks(10, 10)
+            avg += exact_hypergradient(prob, i, x, y, mx, my)
         avg /= 4
         oracle = prob.grad_phi(x)
         worst = max(worst, np.linalg.norm(avg - oracle) / np.linalg.norm(oracle))
@@ -85,12 +85,12 @@ def test_02_rafbo_equals_exact_aid_on_quadratics():
         y = prob.y_star(x)
         for mu in (1.0, 1e-3, 1e-6):
             for i in range(4):
-                mx, my = full_masks(10, 10, i)
+                mx, my = full_masks(10, 10)
                 exact = exact_hypergradient(prob, i, x, y, mx, my)
                 approx = rafbo_hypergradient(prob, i, x, y, mx, my,
                                              RAFBOConfig(mu=mu))
-                rel = np.linalg.norm(approx.value - exact.value) \
-                    / np.linalg.norm(exact.value)
+                rel = np.linalg.norm(approx - exact) \
+                    / np.linalg.norm(exact)
                 worst = max(worst, rel)
     elapsed = time.monotonic() - t0
     report(2, worst <= 1e-8 and elapsed < 10.0,
@@ -112,7 +112,7 @@ def test_03_fd_error_bound_and_scaling():
     for mu in mus:
         exact = exact_hypergradient(prob, 0, x, y, mx, my)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
-        err = float(np.linalg.norm(approx.value - exact.value))
+        err = float(np.linalg.norm(approx - exact))
         bound = float(np.sqrt(hypergrad_error_bound(
             len(mx.support()), consts.l_g1, mu, consts.l_f0)))
         below = below and err <= bound
@@ -134,8 +134,8 @@ def test_04_inner_contraction():
     x = np.array([0.4, -0.3, 0.2, 0.6])
     y = np.full(4, 5.0)
     y_star = prob.y_star(x)
-    masks_y = [Mask(np.ones(4, dtype=np.uint8), "y", i, 0) for i in range(4)]
-    mask_x = Mask(np.ones(4, dtype=np.uint8), "x", 0, 0)
+    masks_y = [Mask(np.ones(4, dtype=np.uint8))] * 4
+    mask_x = Mask(np.ones(4, dtype=np.uint8))
     ok = True
     worst_ratio = 0.0
     for _ in range(100):
@@ -144,7 +144,7 @@ def test_04_inner_contraction():
         for i in range(4):
             _, g = client_inner_loop(prob, i, x, y.copy(), masks_y[i], beta,
                                      inner_epochs=2)
-            reports.append(ClientReport(i, mask_x, masks_y[i], g, 0))
+            reports.append(ClientReport(i, mask_x, masks_y[i], g))
         y = aggregate_inner(y, reports, beta)
         ratio = float(np.sum((y - y_star) ** 2)) / err_before
         worst_ratio = max(worst_ratio, ratio)
@@ -322,15 +322,14 @@ def test_09_loss_tuning_efficacy():
 
     def inner_only(prob, x, beta, epochs, rounds):
         y = np.zeros(prob.d2)
-        masks = [Mask(np.ones(prob.d2, dtype=np.uint8), "y", i, 0)
-                 for i in range(prob.n)]
-        mask_x = Mask(np.ones(prob.d1, dtype=np.uint8), "x", 0, 0)
+        masks = [Mask(np.ones(prob.d2, dtype=np.uint8))] * prob.n
+        mask_x = Mask(np.ones(prob.d1, dtype=np.uint8))
         for _ in range(rounds):
             reports = []
             for i in range(prob.n):
                 _, g = client_inner_loop(prob, i, x, y.copy(), masks[i],
                                          beta, epochs)
-                reports.append(ClientReport(i, mask_x, masks[i], g, 0))
+                reports.append(ClientReport(i, mask_x, masks[i], g))
             y = aggregate_inner(y, reports, beta)
         return y
 

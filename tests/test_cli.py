@@ -647,8 +647,11 @@ class TestMainEntry:
         ({"estimator": "rafbo"}, [{"x": [[0, 1], []], "y": [[0], [1]]}],
          "manual_tables"),
         ({}, [{"x": [[0, 1], [2, 3]], "y": [[0, 1], []]}], "manual_tables"),
+        # a row past the last client belongs to no client
+        ({}, [{"x": [[0, 1], [2, 3], [0]], "y": [[0], [1]]}],
+         "manual_tables"),
     ], ids=["sweep-table", "run-x", "sweep-y-negative", "sweep-x-short",
-            "sweep-x-empty-row-rafbo", "sweep-y-empty-row"])
+            "sweep-x-empty-row-rafbo", "sweep-y-empty-row", "sweep-x-long"])
     def test_manual_table_out_of_range_exit_two(self, tmp_path, capsys,
                                                 run_entry, tables, key):
         data = small_quadratic_config(policy="manual", capacities="1/2",

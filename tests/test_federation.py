@@ -27,7 +27,7 @@ from rabosim.federation import (
     rabo_round,
     run,
 )
-from rabosim.hypergrad import EXACT_AID, RAFBO, HypergradEstimate, RAFBOConfig
+from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
 from rabosim.masking import ClientResource, Mask, MaskPolicy
 from rabosim.problems import (
     derive_constants,
@@ -39,8 +39,8 @@ from linear_oracle import outer_minimizer
 from tests_support import one_dim_tracking_problem, partial_tables
 
 
-def mask_of(bits, level="y", client=0, round_index=0):
-    return Mask(np.array(bits, dtype=np.uint8), level, client, round_index)
+def mask_of(bits):
+    return Mask(np.array(bits, dtype=np.uint8))
 
 
 def full_caps(n):
@@ -49,19 +49,17 @@ def full_caps(n):
 
 def report_with_delta(client, bits, g_delta, d1=2):
     return ClientReport(
-        client=client, mask_x=mask_of([1] * d1, "x", client),
-        mask_y=mask_of(bits, "y", client),
-        g_delta=np.array(g_delta, dtype=np.float64), inner_flops=0)
+        client=client, mask_x=mask_of([1] * d1),
+        mask_y=mask_of(bits),
+        g_delta=np.array(g_delta, dtype=np.float64))
 
 
 def report_with_hyper(client, bits, value):
-    mx = mask_of(bits, "x", client)
-    my = mask_of([1] * len(bits), "y", client)
-    est = HypergradEstimate(
-        value=np.array(value, dtype=np.float64), flops=0)
+    mx = mask_of(bits)
+    my = mask_of([1] * len(bits))
     return ClientReport(client=client, mask_x=mx, mask_y=my,
-                        g_delta=np.zeros(len(bits)), inner_flops=0,
-                        hypergrad=est)
+                        g_delta=np.zeros(len(bits)),
+                        hypergrad=np.array(value, dtype=np.float64))
 
 
 def scalar_quadratic(c=1.0):
@@ -79,7 +77,7 @@ class TestClientInnerLoop:
         prob = make_quadratic(seed=1, n=2, d1=4, d2=4, eig_range=(0.8, 1.6))
         x = np.array([0.3, -0.2, 0.5, 0.1])
         y0 = np.zeros(4)
-        my = mask_of([1, 0, 1, 1], "y")
+        my = mask_of([1, 0, 1, 1])
         y1, g = client_inner_loop(prob, 0, x, y0, my, beta=0.5, inner_epochs=1)
         expected = prob.grad_g_y(0, x, y0) * my.bits
         assert np.array_equal(g, expected)
@@ -91,7 +89,7 @@ class TestClientInnerLoop:
         spec = prob.spec
         y_opt = np.linalg.solve(spec.a_mats[0],
                                 -(spec.b_mats[0] @ x + spec.c_vecs[0]))
-        my = mask_of([1, 1, 1], "y")
+        my = mask_of([1, 1, 1])
         y_t, g = client_inner_loop(prob, 0, x, y_opt, my, beta=0.25,
                                    inner_epochs=3)
         assert np.allclose(y_t, y_opt, atol=1e-12)
@@ -101,7 +99,7 @@ class TestClientInnerLoop:
         # g = 0.5 (y-1)^2, beta = 0.5, y0 = 0: y1 = 0.5, y2 = 0.75;
         # delta-gradient is oriented like a gradient: (y0 - y2)/beta = -1.5
         prob = scalar_quadratic(c=1.0)
-        my = mask_of([1], "y")
+        my = mask_of([1])
         y2, g = client_inner_loop(prob, 0, np.zeros(1), np.zeros(1), my,
                                   beta=0.5, inner_epochs=2)
         assert y2[0] == pytest.approx(0.75)
@@ -109,7 +107,7 @@ class TestClientInnerLoop:
 
     def test_divergence_guard(self):
         prob = scalar_quadratic(c=0.0)
-        my = mask_of([1], "y")
+        my = mask_of([1])
         with pytest.raises(DivergenceDetected):
             client_inner_loop(prob, 0, np.zeros(1), np.array([1.0]), my,
                               beta=5.0, inner_epochs=50, divergence_guard=100.0)
@@ -117,14 +115,14 @@ class TestClientInnerLoop:
     def test_non_finite_iterate_is_divergence(self):
         # nan > guard is False, so a NaN iterate must be caught explicitly
         prob = scalar_quadratic(c=0.0)
-        my = mask_of([1], "y")
+        my = mask_of([1])
         with pytest.raises(DivergenceDetected):
             client_inner_loop(prob, 0, np.zeros(1), np.array([np.nan]), my,
                               beta=0.5, inner_epochs=1, divergence_guard=100.0)
 
     def test_support_containment(self):
         prob = make_quadratic(seed=3, n=1, d1=4, d2=4, eig_range=(0.7, 1.5))
-        my = mask_of([0, 1, 0, 1], "y")
+        my = mask_of([0, 1, 0, 1])
         y_t, g = client_inner_loop(prob, 0, np.ones(4), np.zeros(4), my,
                                    beta=0.3, inner_epochs=4)
         assert np.all(g[my.bits == 0] == 0.0)
@@ -134,11 +132,11 @@ class TestClientInnerLoop:
 class TestAggregateInner:
     def test_single_client_collapse(self):
         prob = make_quadratic(seed=4, n=1, d1=3, d2=3, eig_range=(0.8, 1.4))
-        my = mask_of([1, 1, 1], "y")
+        my = mask_of([1, 1, 1])
         y_q = np.zeros(3)
         y_t, g = client_inner_loop(prob, 0, np.ones(3), y_q, my, beta=0.5,
                                    inner_epochs=2)
-        rep = ClientReport(0, mask_of([1, 1, 1], "x"), my, g, 0)
+        rep = ClientReport(0, mask_of([1, 1, 1]), my, g)
         y_next = aggregate_inner(y_q, [rep], beta=0.5)
         assert np.array_equal(y_next, y_t)
 
@@ -203,13 +201,12 @@ class TestCoveringAverageReference:
         n, d1, d2 = 5, 7, 9
         reports = []
         for i in range(n):
-            mx = mask_of(gen.integers(0, 2, d1), "x", i)
-            my = mask_of(gen.integers(0, 2, d2), "y", i)
-            est = HypergradEstimate(
-                value=gen.standard_normal(d1), flops=0)
+            mx = mask_of(gen.integers(0, 2, d1))
+            my = mask_of(gen.integers(0, 2, d2))
+            hyper = gen.standard_normal(d1)
             reports.append(ClientReport(
                 client=i, mask_x=mx, mask_y=my,
-                g_delta=gen.standard_normal(d2), inner_flops=0, hypergrad=est))
+                g_delta=gen.standard_normal(d2), hypergrad=hyper))
         x_q, y_q = gen.standard_normal(d1), gen.standard_normal(d2)
         shuffled = [reports[j] for j in gen.permutation(n)]
         y_next = aggregate_inner(y_q, shuffled, beta=0.3)
@@ -219,7 +216,7 @@ class TestCoveringAverageReference:
             0.3))
         assert np.array_equal(x_next, covering_average_reference(
             x_q, [r.mask_x for r in reports],
-            [r.hypergrad.value for r in reports], 0.7))
+            [r.hypergrad for r in reports], 0.7))
 
     def test_dimension_and_missing_hypergradient_checks(self):
         rep = report_with_delta(0, [1, 1], [1.0, 1.0])
@@ -571,7 +568,7 @@ class TestRun:
         x = np.array([0.4, -0.3, 0.2, 0.6])
         y = 2.0 * np.ones(4)
         y_star = prob.y_star(x)
-        masks = [mask_of([1, 1, 1, 1], "y", i) for i in range(4)]
+        masks = [mask_of([1, 1, 1, 1])] * 4
         factor = 1.0 - beta * consts.mu_g
         for _ in range(50):
             err_before = float(np.sum((y - y_star) ** 2))
@@ -579,8 +576,8 @@ class TestRun:
             for i in range(4):
                 _, g = client_inner_loop(prob, i, x, y.copy(), masks[i],
                                          beta, inner_epochs=2)
-                reports.append(ClientReport(i, mask_of([1] * 4, "x", i),
-                                            masks[i], g, 0))
+                reports.append(ClientReport(i, mask_of([1] * 4),
+                                            masks[i], g))
             y = aggregate_inner(y, reports, beta)
             err_after = float(np.sum((y - y_star) ** 2))
             if err_before < 1e-26:
@@ -667,33 +664,59 @@ class TestCosts:
         reports = [report_with_delta(0, [1, 0], [1.0, 0.0]),
                    report_with_delta(1, [1, 1], [1.0, 1.0])]
         ledger = CostLedger()
-        ledger.add(reports, "masked", d1=2, d2=2)
+        ledger.add(reports, RunConfig(alpha=0.1, beta=0.1))
         assert ledger.g_up == 8 * (1 + 2)
         assert ledger.x_down == 8 * (2 + 2)   # helper uses full x masks
 
     def test_full_download_increment(self):
         reports = [report_with_delta(0, [1, 0, 0], [1.0, 0.0, 0.0], d1=4),
                    report_with_delta(1, [0, 1, 1], [0.0, 1.0, 1.0], d1=4)]
-        for rep, flops in zip(reports, (5, 7)):
-            rep.inner_flops = flops
         ledger = CostLedger()
-        ledger.add(reports, "full", d1=4, d2=3)
+        ledger.add(reports, RunConfig(alpha=0.1, beta=0.1,
+                                      download_mode="full"))
         assert ledger.legs() == {"x_down": 8 * 4 * 2, "y_down": 8 * 3 * 2,
                                  "y_plus_down": 8 * 3 * 2,
                                  "g_up": 8 * (1 + 2), "h_up": 8 * (4 + 4)}
-        assert ledger.flops_per_client == {0: 5, 1: 7}
+        # one exact_aid epoch: (ax, ay) = (4, 1) and (4, 2)
+        assert ledger.flops_per_client == {0: 421, 1: 690}
 
     def test_round_increment_equals_ledger_change(self):
         reports = [report_with_delta(0, [1, 0, 1], [1.0, 0.0, 2.0], d1=2),
                    report_with_delta(1, [0, 1, 0], [0.0, 3.0, 0.0], d1=2)]
-        reports[1].inner_flops = 11
+        cfg = RunConfig(alpha=0.1, beta=0.1, estimator=RAFBO)
+        once = CostLedger()
+        once.add(reports, cfg)
         ledger = CostLedger()
         for mode in ("masked", "full", "masked"):
             before = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
-            inc = ledger.add(reports, mode, d1=2, d2=3)
+            inc = ledger.add(reports, replace(cfg, download_mode=mode))
             after = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
             assert inc == tuple(b - a for a, b in zip(before, after))
-        assert ledger.flops_per_client == {0: 0, 1: 33}
+        assert ledger.flops_per_client == {
+            client: 3 * flops for client, flops in once.flops_per_client.items()}
+
+    @pytest.mark.parametrize("estimator,fraction,want", [
+        (EXACT_AID, 1.0, {0: 141, 1: 792}),
+        (RAFBO, 1.0, {0: 158, 1: 759}),     # |P| = 2, 3
+        (RAFBO, 0.5, {0: 119, 1: 608}),     # |P| = 1, 2
+    ])
+    def test_flops_per_client_hand_values(self, estimator, fraction, want):
+        # (ax, ay) = (2, 1) and (3, 3); with T = 2 inner epochs the inner
+        # loop costs 2 (2 (ax + ay)^2 + 2 ay) = 40 and 156, and the
+        # hypergradient the rest: exact 101 and 636, rafbo 118 and 603 at
+        # |P| = ax, 79 and 452 at |P| = ceil(ax / 2)
+        prob = make_quadratic(seed=23, n=2, d1=4, d2=4, eig_range=(0.8, 1.5))
+        policy = MaskPolicy(variant="manual", table_x=((0, 1), (1, 2, 3)),
+                            table_y=((2,), (0, 1, 3)))
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2,
+                        estimator=estimator,
+                        rafbo=RAFBOConfig(coord_fraction=fraction),
+                        capacities=full_caps(2), policy=policy)
+        ledger = CostLedger()
+        _, log = rabo_round(prob, GlobalState(np.ones(4), np.ones(4), 0),
+                            cfg, ledger=ledger)
+        assert ledger.flops_per_client == want
+        assert log.flops == sum(want.values())
 
 
 class TestCsvRendering:

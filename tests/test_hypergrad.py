@@ -4,13 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabosim.errors import EmptyMask, InvalidSpec, SingularRestrictedHessian
+from rabosim.federation import (
+    ClientReport,
+    CostLedger,
+    RunConfig,
+    inner_loop_flops,
+    rafbo_flops,
+)
 from rabosim.hypergrad import (
+    EXACT_AID,
+    RAFBO,
     RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,
     hypergrad_error_bound,
     jacobian_column_fd,
-    rafbo_flops,
     rafbo_hypergradient,
 )
 from rabosim.masking import Mask, apply_mask, mask_deviation
@@ -25,12 +33,22 @@ from rabosim.rng import RngStream
 from tests_support import EPS, grad_g_y_row_bound
 
 
-def full_mask(d, level, client=0):
-    return Mask(np.ones(d, dtype=np.uint8), level, client, 0)
+def full_mask(d):
+    return Mask(np.ones(d, dtype=np.uint8))
 
 
-def mask_from(bits, level, client=0):
-    return Mask(np.array(bits, dtype=np.uint8), level, client, 0)
+def mask_from(bits):
+    return Mask(np.array(bits, dtype=np.uint8))
+
+
+def ledger_hypergrad_flops(mx, my, estimator, rafbo=RAFBOConfig()):
+    """The ledger's hypergradient charge for a client holding ``mx``, ``my``:
+    its round's charge less the inner loop's."""
+    cfg = RunConfig(alpha=0.1, beta=0.1, estimator=estimator, rafbo=rafbo)
+    ledger = CostLedger()
+    ledger.add([ClientReport(0, mx, my, np.zeros(len(my)))], cfg)
+    return ledger.flops_per_client[0] - inner_loop_flops(
+        mx.active_count, my.active_count, cfg.inner_epochs)
 
 
 def one_dim_problem():
@@ -54,18 +72,18 @@ class TestExactHypergradient:
         for xv in (-1.0, 0.5, 2.0):
             x = np.array([xv])
             est = exact_hypergradient(prob, 0, x, x.copy(),
-                                      full_mask(1, "x"), full_mask(1, "y"))
-            assert est.value[0] == pytest.approx(xv, abs=1e-12)
+                                      full_mask(1), full_mask(1))
+            assert est[0] == pytest.approx(xv, abs=1e-12)
             oracle = prob.grad_phi(x)
-            assert est.value[0] == pytest.approx(oracle[0], abs=1e-12)
+            assert est[0] == pytest.approx(oracle[0], abs=1e-12)
 
     def test_correction_vanishes_when_f_ignores_y(self):
         prob = make_quadratic(seed=1, n=2, d1=4, d2=4, eig_range=(0.5, 2.0))
         x = np.array([0.3, -0.1, 0.7, 0.2])
         y = prob.spec.inner_targets[0].copy()   # grad_f_y == 0 here
-        est = exact_hypergradient(prob, 0, x, y, full_mask(4, "x"),
-                                  full_mask(4, "y"))
-        assert np.array_equal(est.value, prob.grad_f_x(0, x, y))
+        est = exact_hypergradient(prob, 0, x, y, full_mask(4),
+                                  full_mask(4))
+        assert np.array_equal(est, prob.grad_f_x(0, x, y))
 
     def test_matches_oracle_at_inner_optimum(self):
         prob = make_quadratic(seed=2, n=4, d1=8, d2=8, hetero=0.4,
@@ -75,21 +93,21 @@ class TestExactHypergradient:
             x = rng.standard_normal(8)
             y = prob.y_star(x)
             avg = np.mean([
-                exact_hypergradient(prob, i, x, y, full_mask(8, "x", i),
-                                    full_mask(8, "y", i)).value
+                exact_hypergradient(prob, i, x, y, full_mask(8),
+                                    full_mask(8))
                 for i in range(4)], axis=0)
             oracle = prob.grad_phi(x)
             assert np.linalg.norm(avg - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_support_containment(self):
         prob = make_quadratic(seed=3, n=2, d1=6, d2=6, eig_range=(0.8, 1.5))
-        mx = mask_from([1, 0, 1, 1, 0, 0], "x")
-        my = mask_from([0, 1, 1, 0, 1, 1], "y")
+        mx = mask_from([1, 0, 1, 1, 0, 0])
+        my = mask_from([0, 1, 1, 0, 1, 1])
         rng = np.random.default_rng(1)
         x = rng.standard_normal(6) * mx.bits
         y = rng.standard_normal(6) * my.bits
         est = exact_hypergradient(prob, 0, x, y, mx, my)
-        assert np.all(est.value[mx.bits == 0] == 0.0)
+        assert np.all(est[mx.bits == 0] == 0.0)
 
     def test_singular_restricted_hessian(self):
         indefinite = QuadraticProblem(QuadraticSpec(
@@ -98,26 +116,26 @@ class TestExactHypergradient:
             inner_targets=[np.zeros(2)], u_mats=None, lam=0.0,
             noise_f=0, noise_g=0, quartic=0, sine_amp=0,
             ball_radius=10.0))
-        mx = full_mask(2, "x")
-        my = mask_from([0, 1], "y")   # restricts to the negative block
+        mx = full_mask(2)
+        my = mask_from([0, 1])   # restricts to the negative block
         with pytest.raises(SingularRestrictedHessian):
             exact_hypergradient(indefinite, 0, np.zeros(2), np.zeros(2), mx, my)
 
 
 class TestPerturbationSet:
     def test_full_mask_all_coordinates(self):
-        coords = build_perturbation_set(full_mask(3, "x"), 1.0)
+        coords = build_perturbation_set(full_mask(3), 1.0)
         assert np.array_equal(coords, [0, 1, 2])
         assert coords.dtype == np.int64
 
     def test_respects_support(self):
-        coords = build_perturbation_set(mask_from([1, 0, 1, 1], "x"), 1.0)
+        coords = build_perturbation_set(mask_from([1, 0, 1, 1]), 1.0)
         assert np.array_equal(coords, [0, 2, 3])
 
     def test_sampled_subset_reproducible(self):
         rng = RngStream(7, 0, 0, "pset")
-        a = build_perturbation_set(full_mask(10, "x"), 0.5, rng)
-        b = build_perturbation_set(full_mask(10, "x"), 0.5, rng)
+        a = build_perturbation_set(full_mask(10), 0.5, rng)
+        b = build_perturbation_set(full_mask(10), 0.5, rng)
         assert len(a) == 5
         assert len(set(a.tolist())) == 5
         assert np.array_equal(a, b)
@@ -126,11 +144,11 @@ class TestPerturbationSet:
 
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyMask):
-            build_perturbation_set(mask_from([0, 0], "x"), 1.0)
+            build_perturbation_set(mask_from([0, 0]), 1.0)
 
     def test_subset_requires_rng(self):
         with pytest.raises(ValueError):
-            build_perturbation_set(full_mask(4, "x"), 0.5)
+            build_perturbation_set(full_mask(4), 0.5)
 
 
 class TestJacobianColumnFd:
@@ -189,7 +207,7 @@ class TestJacobianColumnFd:
 
     def test_masked_output(self):
         prob = make_quadratic(seed=8, n=1, d1=3, d2=4, eig_range=(0.9, 1.4))
-        my = mask_from([1, 0, 1, 0], "y")
+        my = mask_from([1, 0, 1, 0])
         delta = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 0, 1e-3,
                                    mask_y=my)
         assert np.all(delta[my.bits == 0] == 0.0)
@@ -209,67 +227,67 @@ class TestRafboHypergradient:
     def test_agreement_with_exact_on_unit_curvature(self, mu):
         prob = unit_curvature_problem()
         rng = np.random.default_rng(4)
-        mx, my = full_mask(8, "x"), full_mask(8, "y")
+        mx, my = full_mask(8), full_mask(8)
         for i in range(prob.n):
             x = rng.standard_normal(8)
             y = rng.standard_normal(8)
             exact = exact_hypergradient(prob, i, x, y, mx, my)
             approx = rafbo_hypergradient(prob, i, x, y, mx, my, RAFBOConfig(mu=mu))
-            rel = np.linalg.norm(approx.value - exact.value) \
-                / np.linalg.norm(exact.value)
+            rel = np.linalg.norm(approx - exact) \
+                / np.linalg.norm(exact)
             assert rel <= 1e-9
 
     def test_agreement_under_partial_masks(self):
         prob = unit_curvature_problem(seed=10, d=6)
-        mx = mask_from([1, 1, 0, 1, 0, 0], "x")
-        my = mask_from([0, 1, 1, 1, 0, 1], "y")
+        mx = mask_from([1, 1, 0, 1, 0, 0])
+        my = mask_from([0, 1, 1, 1, 0, 1])
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6) * mx.bits
         y = rng.standard_normal(6) * my.bits
         exact = exact_hypergradient(prob, 0, x, y, mx, my)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=1e-3))
-        assert np.allclose(approx.value, exact.value, atol=1e-10)
+        assert np.allclose(approx, exact, atol=1e-10)
 
     def test_agreement_with_shared_noisy_batches(self):
         prob = make_quadratic(seed=11, n=2, d1=5, d2=5, noise_f=0.3,
                               noise_g=0.4, eig_range=(1.0, 1.0))
-        mx, my = full_mask(5, "x"), full_mask(5, "y")
+        mx, my = full_mask(5), full_mask(5)
         batch_f = SampleBatch("f", seed=3, client=0, draw=0)
         batch_g = SampleBatch("g", seed=3, client=0, draw=1)
         x, y = np.ones(5), -np.ones(5)
         exact = exact_hypergradient(prob, 0, x, y, mx, my, batch_f, batch_g)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my,
                                      RAFBOConfig(mu=1e-3), batch_f, batch_g)
-        assert np.allclose(approx.value, exact.value, atol=1e-9)
+        assert np.allclose(approx, exact, atol=1e-9)
 
     def test_reduces_to_direct_term_when_f_ignores_y(self):
         prob = make_quadratic(seed=12, n=2, d1=4, d2=4, eig_range=(0.6, 1.9))
         x = np.array([0.2, -0.4, 0.1, 0.9])
         y = prob.spec.inner_targets[1].copy()
         for mu in (1.0, 1e-4):
-            est = rafbo_hypergradient(prob, 1, x, y, full_mask(4, "x"),
-                                      full_mask(4, "y"), RAFBOConfig(mu=mu))
-            assert np.allclose(est.value, prob.grad_f_x(1, x, y), atol=1e-14)
+            est = rafbo_hypergradient(prob, 1, x, y, full_mask(4),
+                                      full_mask(4), RAFBOConfig(mu=mu))
+            assert np.allclose(est, prob.grad_f_x(1, x, y), atol=1e-14)
 
     def test_support_containment(self):
         prob = unit_curvature_problem(seed=13, d=6)
-        mx = mask_from([0, 1, 1, 0, 1, 0], "x")
-        my = full_mask(6, "y")
+        mx = mask_from([0, 1, 1, 0, 1, 0])
+        my = full_mask(6)
         est = rafbo_hypergradient(prob, 0, np.zeros(6), np.ones(6), mx, my,
                                   RAFBOConfig(mu=1e-3))
-        assert np.all(est.value[mx.bits == 0] == 0.0)
+        assert np.all(est[mx.bits == 0] == 0.0)
 
     def test_quartic_error_below_analytic_bound(self):
         prob = make_quadratic(seed=14, n=2, d1=6, d2=6, quartic=0.1,
                               eig_range=(1.0, 1.0))
         consts = derive_constants(prob)
-        mx, my = full_mask(6, "x"), full_mask(6, "y")
+        mx, my = full_mask(6), full_mask(6)
         x = np.zeros(6)
         y = 0.5 * np.ones(6)
         for mu in (1e-1, 1e-2, 1e-3):
             exact = exact_hypergradient(prob, 0, x, y, mx, my)
             approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
-            err = np.linalg.norm(approx.value - exact.value)
+            err = np.linalg.norm(approx - exact)
             bound = np.sqrt(hypergrad_error_bound(
                 len(mx.support()), consts.l_g1, mu, consts.l_f0))
             assert err <= bound
@@ -277,7 +295,7 @@ class TestRafboHypergradient:
     def test_fd_bias_scaling_slope(self):
         prob = make_quadratic(seed=15, n=2, d1=6, d2=6, quartic=0.1,
                               eig_range=(1.0, 1.0))
-        mx, my = full_mask(6, "x"), full_mask(6, "y")
+        mx, my = full_mask(6), full_mask(6)
         x = np.zeros(6)
         y = 0.4 * np.arange(1.0, 7.0) / 6.0
         mus = np.array([1e-1, 1e-2, 1e-3, 1e-4])
@@ -285,17 +303,15 @@ class TestRafboHypergradient:
         for mu in mus:
             exact = exact_hypergradient(prob, 0, x, y, mx, my)
             approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
-            errs.append(np.linalg.norm(approx.value - exact.value))
+            errs.append(np.linalg.norm(approx - exact))
         slope = np.polyfit(np.log(mus), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.15
 
     def test_cost_tally(self):
-        prob = unit_curvature_problem(seed=16, d=8)
-        mx, my = full_mask(8, "x"), full_mask(8, "y")
-        est = rafbo_hypergradient(prob, 0, np.zeros(8), np.zeros(8), mx, my,
-                                  RAFBOConfig(mu=1e-3))
+        mx, my = full_mask(8), full_mask(8)
         # 2|P| + 2 gradient evaluations and |P| inner products, |P| = 8
-        assert est.flops == rafbo_flops(8, 8, 8)
+        assert ledger_hypergrad_flops(mx, my, RAFBO, RAFBOConfig(mu=1e-3)) \
+            == rafbo_flops(8, 8, 8)
 
     @pytest.mark.parametrize("mx_bits,my_bits,fraction", [
         ([1] * 8, [1] * 8, 0.5),            # |P| = 4 < 8 active inner
@@ -305,19 +321,15 @@ class TestRafboHypergradient:
     ])
     def test_rafbo_cheaper_when_sampling_below_inner_dim(self, mx_bits,
                                                          my_bits, fraction):
-        prob = unit_curvature_problem(seed=17, d=8)
-        mx, my = mask_from(mx_bits, "x"), mask_from(my_bits, "y")
-        rng = RngStream(1, 0, 0, "pset")
-        x = np.zeros(8)
-        y = np.zeros(8)
-        exact = exact_hypergradient(prob, 0, x, y, mx, my)
-        approx = rafbo_hypergradient(prob, 0, x, y, mx, my,
-                                     RAFBOConfig(mu=1e-3, coord_fraction=fraction),
-                                     rng=rng)
+        mx, my = mask_from(mx_bits), mask_from(my_bits)
         coords = build_perturbation_set(mx, fraction,
                                         RngStream(1, 0, 0, "pset"))
         assert coords.size < my.active_count
-        assert approx.flops < exact.flops
+        rafbo = ledger_hypergrad_flops(
+            mx, my, RAFBO, RAFBOConfig(mu=1e-3, coord_fraction=fraction))
+        assert rafbo == rafbo_flops(mx.active_count, my.active_count,
+                                    coords.size)
+        assert rafbo < ledger_hypergrad_flops(mx, my, EXACT_AID)
 
 
 def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
@@ -373,8 +385,8 @@ class TestRafboBatchedEquivalence:
     def test_quadratic_matches_loop(self, fraction, kwargs):
         prob = make_quadratic(seed=30, n=2, d1=7, d2=6, hetero=0.3,
                               eig_range=(0.7, 1.6), **kwargs)
-        mx = mask_from([1, 1, 0, 1, 1, 0, 1], "x")
-        my = mask_from([0, 1, 1, 1, 0, 1], "y")
+        mx = mask_from([1, 1, 0, 1, 1, 0, 1])
+        my = mask_from([0, 1, 1, 1, 0, 1])
         rng = np.random.default_rng(10)
         x = rng.standard_normal(7) * mx.bits
         y = rng.standard_normal(6) * my.bits
@@ -385,15 +397,16 @@ class TestRafboBatchedEquivalence:
                                   batch_g, RngStream(3, 1, 0, "pset"))
         ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                              RngStream(3, 1, 0, "pset"))
-        assert est.flops == rafbo_flops(5, 4, 5 if fraction == 1.0 else 3)
-        assert_within(est.value, ref)
+        assert ledger_hypergrad_flops(mx, my, RAFBO, cfg) \
+            == rafbo_flops(5, 4, 5 if fraction == 1.0 else 3)
+        assert_within(est, ref)
 
     @pytest.mark.parametrize("size", [10 ** 6, 8])
     def test_logistic_matches_loop(self, size):
         prob = make_logistic_tune(seed=3, n=2, imbalance_mu=0.7, classes=3,
                                   features=3, base_count=30)
-        mx = full_mask(prob.d1, "x")
-        my = mask_from([1, 0, 1, 1, 1, 0, 1, 1, 0], "y")
+        mx = full_mask(prob.d1)
+        my = mask_from([1, 0, 1, 1, 1, 0, 1, 1, 0])
         rng = np.random.default_rng(11)
         x = rng.standard_normal(prob.d1) * 0.3
         y = rng.standard_normal(prob.d2) * 0.3 * my.bits
@@ -404,7 +417,7 @@ class TestRafboBatchedEquivalence:
                                       batch_g, RngStream(4, 0, 0, "pset"))
             ref, _ = loop_reference(prob, 0, x, y, mx, my, cfg, None,
                                     batch_g, RngStream(4, 0, 0, "pset"))
-            assert np.array_equal(est.value, ref)
+            assert np.array_equal(est, ref)
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic"])
     def test_one_base_gradient_and_one_batch_call(self, family, monkeypatch):
@@ -422,18 +435,19 @@ class TestRafboBatchedEquivalence:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(prob, name, counted)
-        mx, my = full_mask(prob.d1, "x"), full_mask(prob.d2, "y")
+        mx, my = full_mask(prob.d1), full_mask(prob.d2)
         for i in range(prob.n):
             before = dict(calls)
-            est = rafbo_hypergradient(prob, i, np.zeros(prob.d1),
-                                      np.zeros(prob.d2), mx, my,
-                                      RAFBOConfig(mu=1e-3))
+            rafbo_hypergradient(prob, i, np.zeros(prob.d1),
+                                np.zeros(prob.d2), mx, my,
+                                RAFBOConfig(mu=1e-3))
             assert calls["grad_g_y_perturbed"] \
                 - before["grad_g_y_perturbed"] == 1
             # the base default evaluates each row through grad_g_y
             rows = 0 if family == "quadratic" else prob.d1
             assert calls["grad_g_y"] - before["grad_g_y"] == 1 + rows
-            assert est.flops == rafbo_flops(prob.d1, prob.d2, prob.d1)
+            assert ledger_hypergrad_flops(mx, my, RAFBO) \
+                == rafbo_flops(prob.d1, prob.d2, prob.d1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,7 +463,7 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
     prob = make_quadratic(seed=seed, n=2, d1=d1, d2=d2, hetero=0.5,
                           eig_range=(0.5, 2.0), quartic=quartic,
                           noise_f=0.2, noise_g=noise_g)
-    mx, my = mask_from(bits_x, "x"), mask_from(bits_y, "y")
+    mx, my = mask_from(bits_x), mask_from(bits_y)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(d1) * mx.bits
     y = rng.standard_normal(d2) * my.bits
@@ -460,7 +474,7 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
                               RngStream(seed, 1, 0, "pset"))
     ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                          RngStream(seed, 1, 0, "pset"))
-    assert_within(est.value, ref)
+    assert_within(est, ref)
 
 
 class TestErrorBound:
@@ -491,8 +505,8 @@ class TestMaskDriftDiagnostic:
         for _ in range(30):
             x = rng.standard_normal(6)
             y = rng.standard_normal(6)
-            mx = mask_from(rng.integers(0, 2, size=6), "x")
-            my = mask_from(rng.integers(0, 2, size=6), "y")
+            mx = mask_from(rng.integers(0, 2, size=6))
+            my = mask_from(rng.integers(0, 2, size=6))
             if not mx.bits.any() or not my.bits.any():
                 continue
             i = int(rng.integers(0, 3))

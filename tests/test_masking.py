@@ -6,12 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.errors import (
-    DimensionMismatch,
-    InvalidCapacity,
-    MixedRounds,
-    ZeroNormInput,
-)
+from rabosim.errors import DimensionMismatch, InvalidCapacity
 from rabosim.masking import (
     ClientResource,
     CoverageTracker,
@@ -27,8 +22,8 @@ from rabosim.masking import (
 from tests_support import topk_indices_loop
 
 
-def mask_of(bits, level="y", client=0, round_index=0):
-    return Mask(np.array(bits, dtype=np.uint8), level, client, round_index)
+def mask_of(bits):
+    return Mask(np.array(bits, dtype=np.uint8))
 
 
 class TestClientResource:
@@ -174,27 +169,22 @@ class TestApplyMask:
 
 class TestCoverage:
     def test_full_masks(self):
-        masks = [mask_of([1, 1, 1], client=i) for i in range(4)]
+        masks = [mask_of([1, 1, 1])] * 4
         assert coverage(masks, 3) == 4
 
     def test_disjoint_partition(self):
-        masks = [mask_of([1, 1, 0, 0], client=0), mask_of([0, 0, 1, 1], client=1)]
+        masks = [mask_of([1, 1, 0, 0]), mask_of([0, 0, 1, 1])]
         assert coverage(masks, 4) == 1
 
     def test_untrained_coordinates_excluded(self):
-        masks = [mask_of([1, 1, 0, 0], client=0), mask_of([1, 0, 0, 0], client=1)]
+        masks = [mask_of([1, 1, 0, 0]), mask_of([1, 0, 0, 0])]
         assert coverage(masks, 4) == 1
         assert coverage([mask_of([0, 0, 0, 0])], 4) is None
 
     def test_permutation_invariance(self):
-        masks = [mask_of([1, 0, 1], client=0), mask_of([0, 1, 1], client=1),
-                 mask_of([1, 1, 0], client=2)]
+        masks = [mask_of([1, 0, 1]), mask_of([0, 1, 1]),
+                 mask_of([1, 1, 0])]
         assert coverage(masks, 3) == coverage(masks[::-1], 3) == 2
-
-    def test_mixed_rounds_rejected(self):
-        masks = [mask_of([1, 0], round_index=0), mask_of([0, 1], round_index=1)]
-        with pytest.raises(MixedRounds):
-            coverage(masks, 2)
 
     def test_rolling_staggered_full_coverage(self):
         # capacity 1/K with n >= K staggered clients trains every coordinate
@@ -209,11 +199,9 @@ class TestCoverage:
 
     def test_tracker_running_minima(self):
         tracker = CoverageTracker()
-        for rnd, bits in enumerate([([1, 1], [1, 0]), ([1, 1], [1, 1])]):
-            mx = [mask_of(bits[0], level="x", client=0, round_index=rnd),
-                  mask_of(bits[1], level="x", client=1, round_index=rnd)]
-            my = [mask_of([1, 1], level="y", client=0, round_index=rnd),
-                  mask_of([1, 1], level="y", client=1, round_index=rnd)]
+        for bits in [([1, 1], [1, 0]), ([1, 1], [1, 1])]:
+            mx = [mask_of(bits[0]), mask_of(bits[1])]
+            my = [mask_of([1, 1]), mask_of([1, 1])]
             tracker.observe(coverage(mx, 2), coverage(my, 2))
         assert tracker.c_star_x == 1
         assert tracker.c_star_y == 2
@@ -231,9 +219,9 @@ class TestMaskDeviation:
         assert mask_deviation(np.array([3.0, 4.0]),
                               mask_of([0, 1])) == pytest.approx(0.36)
 
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ZeroNormInput):
-            mask_deviation(np.zeros(3), mask_of([1, 0, 1]))
+    def test_zero_norm_is_zero(self):
+        # a zero vector loses nothing to pruning
+        assert mask_deviation(np.zeros(3), mask_of([1, 0, 1])) == 0.0
 
     def test_zero_iff_support_contained(self):
         rng = np.random.default_rng(1)
@@ -255,7 +243,7 @@ def test_hex_round_trip():
     # masks.csv stores to_hex(); its bytes unpack to the bits, zero-padded
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, size=19)
-    m = mask_of(bits, level="x", client=3, round_index=5)
+    m = mask_of(bits)
     raw = np.frombuffer(bytes.fromhex(m.to_hex()), dtype=np.uint8)
     unpacked = np.unpackbits(raw)
     assert np.array_equal(unpacked[:19], m.bits)
@@ -267,19 +255,15 @@ class TestMaskValidation:
         with pytest.raises(ValueError):
             mask_of([0, 2, 1])
         with pytest.raises(ValueError):
-            Mask(np.array([1, -1]), "x", 0, 0)  # wraps to 255 as uint8
+            Mask(np.array([1, -1]))  # wraps to 255 as uint8
 
     def test_rejects_2d_bits(self):
         with pytest.raises(DimensionMismatch):
-            Mask(np.ones((2, 2), dtype=np.uint8), "x", 0, 0)
+            Mask(np.ones((2, 2), dtype=np.uint8))
 
     def test_accepts_empty_vector(self):
         m = mask_of([])
         assert len(m) == 0 and m.active_count == 0
-
-    def test_rejects_unknown_level(self):
-        with pytest.raises(ValueError):
-            mask_of([1, 0], level="z")
 
 
 capacities = st.builds(
