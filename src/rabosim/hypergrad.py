@@ -18,12 +18,15 @@ Two routes to the same quantity:
 direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
 every delta_p of its perturbation set at once: one
 ``grad_g_y_perturbed`` call returns the base gradient and the gradient
-at every x + mu e_p (on the quadratic family each row is the base plus
-mu B_i[:, p], O(d2) work), then the difference step on all rows and one
-matrix-vector product for the inner products. That sums in another
-order than one ``jacobian_column_fd`` call per coordinate, so the two
-agree to rounding, not bit for bit; at a fixed BLAS thread count the
-result is still deterministic. The orientation matters: delta
+at every x + mu e_p, then the difference step on all rows and one
+matrix-vector product for the inner products. On the quadratic family
+each row is the base plus mu B_i[:, p], O(d2) work, which sums in
+another order than a ``grad_g_y`` call at the perturbed point, so each
+delta_p agrees with ``jacobian_column_fd`` to rounding, not bit for bit.
+On the logistic family the points go through one stacked pass that
+reruns the softmax only for offset perturbations, and each delta_p
+equals ``jacobian_column_fd`` bit for bit. At a fixed BLAS thread count
+the result is deterministic on both. The orientation matters: delta
 already carries the sign of the inner-optimum response, so on problems
 with unit inner curvature it equals the Jacobian column of x -> y*(x)
 exactly for every step size, and the two estimators coincide. With
@@ -48,6 +51,8 @@ numbers), so additive gradient noise cancels to first order.
 
 The modeled cost of both routes is priced by ``federation.CostLedger``
 from the client's masks; the estimators return only the hypergradient.
+The rafbo charge stays ``2|P| + 2`` gradient evaluations whichever way a
+family evaluates its perturbed points.
 """
 
 from __future__ import annotations

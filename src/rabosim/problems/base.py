@@ -119,9 +119,12 @@ class BilevelProblem(ABC):
         and row k of the ``(len(coords), d2)`` array ``rows`` is
         ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
         uses the same batch. This default makes one ``grad_g_y`` call per
-        point. Families may override it to build each row from the base
-        and the perturbation's structure; rows then equal the single call
-        to rounding, not bit for bit, and repeated calls stay
+        point. Families may override it. The quadratic family builds each
+        row from the base and the perturbation's structure, so its rows
+        equal the single call to rounding, not bit for bit. The logistic
+        family evaluates every point in one stacked pass with the single
+        call's operations, so its rows equal the single call bit for bit;
+        only offset perturbations rerun the softmax. Repeated calls stay
         bit-identical at a fixed BLAS thread count.
         """
         self.check_coords(coords)

@@ -78,8 +78,10 @@ class LogisticTuneProblem(BilevelProblem):
 
     # -- parameter unpacking -------------------------------------------------
     def _unpack_x(self, x: np.ndarray):
+        """(weights, offsets, reg) of one outer point, or of each row of a
+        stack of them."""
         c = self.classes
-        return np.exp(x[:c]), x[c:2 * c], np.exp(x[2 * c])
+        return np.exp(x[..., :c]), x[..., c:2 * c], np.exp(x[..., 2 * c])
 
     def _weight_matrix(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(self.classes, self.features)
@@ -113,6 +115,32 @@ class LogisticTuneProblem(BilevelProblem):
         wr = weights[labels][:, None] * resid
         grad_w = wr.T @ feats / len(labels)
         return grad_w.ravel() + reg * y
+
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+        # grad_g_y's operations on a stack of the base and every x + mu e_p,
+        # elementwise or reduced along the last axis, so each row equals
+        # its single call bit for bit. Weight and reg perturbations leave
+        # the logits alone and reuse the base softmax; only offsets rerun it.
+        self.check_dims(x, y)
+        self.check_coords(coords)
+        c = self.classes
+        points = np.repeat(x[None, :], coords.size + 1, axis=0)
+        points[np.arange(1, coords.size + 1), coords] += mu
+        weights, offsets, reg = self._unpack_x(points)
+        feats, labels = self._train_slice(i, batch)
+        m = len(labels)
+        # the points with logits of their own: the base and each offset
+        own = np.r_[0, 1 + np.flatnonzero((coords >= c) & (coords < 2 * c))]
+        softmax_of = np.zeros(coords.size + 1, dtype=np.intp)
+        softmax_of[own] = np.arange(own.size)
+        resid = _softmax(feats @ self._weight_matrix(y).T
+                         + offsets[own, None, :])
+        resid[:, np.arange(m), labels] -= 1.0
+        wr = resid[softmax_of]
+        wr *= weights[:, labels, None]
+        grad_w = np.matmul(wr.transpose(0, 2, 1), feats) / m
+        grads = grad_w.reshape(coords.size + 1, self.d2) + reg[:, None] * y
+        return grads[0], grads[1:]
 
     def hess_yy_g(self, i, x, y, batch=None):
         self.check_dims(x, y)

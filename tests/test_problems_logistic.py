@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from rabosim.cli import build_problem, resolve_config
 from rabosim.errors import DimensionMismatch, InvalidSpec
-from rabosim.problems import SampleBatch, make_logistic_tune
+from rabosim.problems import (
+    BilevelProblem,
+    LogisticTuneProblem,
+    SampleBatch,
+    make_logistic_tune,
+)
 
 
 def class_counts(problem, client=0):
@@ -269,9 +274,29 @@ class TestHessianForm:
                            atol=1e-12 * np.abs(ref).max())
 
 
+def assert_rows_are_single_calls(perturbed, prob, i, x, y, coords, mu,
+                                 batch):
+    """``perturbed``'s base and every row equal ``grad_g_y`` calls, bit
+    for bit; returns them."""
+    base, rows = perturbed(prob, i, x, y, coords, mu, batch)
+    assert np.array_equal(base, prob.grad_g_y(i, x, y, batch))
+    assert rows.shape == (coords.size, prob.d2)
+    for p, row in zip(coords, rows):
+        x_pert = x.copy()
+        x_pert[p] += mu
+        assert np.array_equal(row, prob.grad_g_y(i, x_pert, y, batch))
+    return base, rows
+
+
+# the logistic override and the base default it replaces
+PERTURBED = (LogisticTuneProblem.grad_g_y_perturbed,
+             BilevelProblem.grad_g_y_perturbed)
+
+
 class TestGradGyBatch:
-    """The base default of ``grad_g_y_perturbed``: the base and every row
-    equal separate ``grad_g_y`` calls, bit for bit."""
+    """``grad_g_y_perturbed``, both the logistic override and the base
+    default: the base and every row equal separate ``grad_g_y`` calls, bit
+    for bit."""
 
     @pytest.mark.parametrize("batch", [
         None,
@@ -284,17 +309,51 @@ class TestGradGyBatch:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(prob.d1) * 0.4
         y = rng.standard_normal(prob.d2) * 0.3
-        coords = np.array([0, 2, 2, prob.d1 - 1])
-        base, rows = prob.grad_g_y_perturbed(1, x, y, coords, 1e-3, batch)
-        assert np.array_equal(base, prob.grad_g_y(1, x, y, batch))
-        assert rows.shape == (4, prob.d2)
-        for p, row in zip(coords, rows):
-            x_pert = x.copy()
-            x_pert[p] += 1e-3
-            assert np.array_equal(row, prob.grad_g_y(1, x_pert, y, batch))
-        again = prob.grad_g_y_perturbed(1, x, y, coords, 1e-3, batch)
-        assert np.array_equal(again[0], base)
-        assert np.array_equal(again[1], rows)
+        # weights, a repeated weight, an offset and reg
+        coords = np.array([0, 2, 2, 4, prob.d1 - 1])
+        for perturbed in PERTURBED:
+            base, rows = assert_rows_are_single_calls(
+                perturbed, prob, 1, x, y, coords, 1e-3, batch)
+            again = perturbed(prob, 1, x, y, coords, 1e-3, batch)
+            assert np.array_equal(again[0], base)
+            assert np.array_equal(again[1], rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), classes=st.integers(2, 5),
+           features=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+           mu=st.sampled_from([1e-6, 1e-3, 0.5]),
+           kind=st.sampled_from(["noiseless", "full-batch", "subsampled"]))
+    def test_override_matches_single_calls_property(self, data, classes,
+                                                    features, seed, mu, kind):
+        prob = make_logistic_tune(seed=seed, n=2, imbalance_mu=0.8,
+                                  classes=classes, features=features,
+                                  base_count=30)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(prob.d1) * 0.5
+        y = rng.standard_normal(prob.d2) * 0.4
+        # at least one weight, one offset and reg, then any coordinates,
+        # then a repeat, in a drawn order
+        mixed = [data.draw(st.integers(0, classes - 1)),
+                 data.draw(st.integers(classes, 2 * classes - 1)),
+                 2 * classes]
+        mixed += data.draw(st.lists(st.integers(0, prob.d1 - 1),
+                                    max_size=2 * prob.d1))
+        mixed.append(data.draw(st.sampled_from(mixed)))
+        coords = np.array(data.draw(st.permutations(mixed)))
+        m = prob.spec.clients[1].x_train.shape[0]
+        batch = {"noiseless": None,
+                 "full-batch": SampleBatch("g", seed=seed, client=1,
+                                           size=10 ** 6),
+                 "subsampled": SampleBatch(
+                     "g", seed=seed, client=1,
+                     size=data.draw(st.integers(1, m - 1)))}[kind]
+        base, rows = assert_rows_are_single_calls(
+            LogisticTuneProblem.grad_g_y_perturbed, prob, 1, x, y, coords,
+            mu, batch)
+        default = BilevelProblem.grad_g_y_perturbed(prob, 1, x, y, coords,
+                                                    mu, batch)
+        assert np.array_equal(default[0], base)
+        assert np.array_equal(default[1], rows)
 
     @pytest.mark.parametrize("coords,y_len", [
         (np.array([[0]]), None), (np.array([99]), None),
@@ -303,5 +362,6 @@ class TestGradGyBatch:
         prob = make_logistic_tune(seed=9, n=2, classes=3, features=4,
                                   base_count=40)
         y = np.zeros(prob.d2 if y_len is None else y_len)
-        with pytest.raises(DimensionMismatch):
-            prob.grad_g_y_perturbed(0, np.zeros(prob.d1), y, coords, 1e-3)
+        for perturbed in PERTURBED:
+            with pytest.raises(DimensionMismatch):
+                perturbed(prob, 0, np.zeros(prob.d1), y, coords, 1e-3)
