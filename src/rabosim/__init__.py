@@ -32,7 +32,7 @@ from .hypergrad import (
     jacobian_column_fd,
     rafbo_hypergradient,
 )
-from .linalg import cg_solve, solve_spd, spectral_bounds
+from .linalg import solve_spd, spectral_bounds
 from .masking import (
     ClientResource,
     CoverageTracker,

@@ -19,19 +19,6 @@ class NotPositiveDefinite(RabosimError):
     """A matrix expected to be SPD failed factorization."""
 
 
-class MaxIterExceeded(RabosimError):
-    """Iterative solver hit its iteration cap.
-
-    Carries the last iterate and its residual so callers can inspect or
-    accept a partially converged solution.
-    """
-
-    def __init__(self, message, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-
-
 class InvalidSpec(RabosimError, ValueError):
     """A config entry, problem or run specification is malformed; ``key``
     names the offending entry when there is one."""
@@ -78,15 +65,9 @@ class EmptyMask(RabosimError):
     """Mask has no active coordinate where at least one is required."""
 
 
-class SingularRestrictedHessian(RabosimError):
-    """Inner Hessian restricted to the active block is not SPD.
-
-    Signals a mask that kills strong convexity on the active coordinates.
-    """
-
-
 class DivergenceDetected(RabosimError):
-    """Inner iterate norm exceeded the divergence guard.
+    """A round failed numerically: an iterate left the divergence guard or
+    became non-finite.
 
     ``partial_logs`` holds the round logs accumulated before the abort when
     raised from a full run.
@@ -95,6 +76,14 @@ class DivergenceDetected(RabosimError):
     def __init__(self, message, partial_logs=None):
         super().__init__(message)
         self.partial_logs = partial_logs if partial_logs is not None else []
+
+
+class SingularRestrictedHessian(DivergenceDetected):
+    """Inner Hessian restricted to the active block is not SPD.
+
+    Signals a mask or an iterate that kills strong convexity on the active
+    coordinates; a run reports it as a failed variant, like a divergence.
+    """
 
 
 class MissingBaseline(RabosimError):

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     InvalidSpec,
+    SingularRestrictedHessian,
     check_ranges,
 )
 from .hypergrad import (
@@ -390,9 +391,12 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                                size=cfg.batch_size_g)
                    if cfg.batch_size_g > 0 else None)
         if cfg.estimator == EXACT_AID:
-            rep.hypergrad = exact_hypergradient(
-                problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
-                batch_g, solvers)
+            try:
+                rep.hypergrad = exact_hypergradient(
+                    problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
+                    batch_g, solvers)
+            except SingularRestrictedHessian as exc:
+                raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
         else:
             rep.hypergrad = rafbo_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,

@@ -460,6 +460,29 @@ class TestMainEntry:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["failures"]) == 1
 
+    def test_singular_restricted_hessian_exit_three(self, tmp_path, capsys):
+        # a log-regularization of -800 underflows the l2 coefficient to 0,
+        # and the softmax Hessian alone is singular: exact_aid fails, and
+        # rafbo, which solves nothing, still runs
+        data = {"problem": {"family": "logistic", "n": 2, "classes": 3,
+                            "features": 4},
+                "run": {"rounds": 2, "x0": [0, 0, 0, 0, 0, 0, -800]},
+                "sweep": {"seeds": [0, 1],
+                          "estimators": ["exact_aid", "rafbo"]}}
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "round 0: client 0: restricted inner Hessian" in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert sorted(summary["failures"]) == [
+            "est_exact_aid__cap1__seed_0", "est_exact_aid__cap1__seed_1"]
+        for seed in (0, 1):
+            assert (out / "variants" / f"est_rafbo__cap1__seed_{seed}"
+                    / "rounds.csv").exists()
+            assert (out / "variants" / f"est_exact_aid__cap1__seed_{seed}"
+                    / "rounds.csv").read_text().count("\n") == 1
+
     @pytest.mark.parametrize("flags,key", [
         (["--seeds", "a"], "seeds"),
         (["--override", "run.rounds=2.5"], "rounds"),
