@@ -18,8 +18,10 @@ Two routes to the same quantity:
 direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
 every delta_p of its perturbation set at once: one
 ``grad_g_y_perturbed`` call returns the base gradient and the gradient
-at every x + mu e_p, then the difference step on all rows and one
-matrix-vector product for the inner products. On the quadratic family
+at every x + mu e_p, the difference step runs in place on those rows,
+and one matrix-vector product takes the inner products with the masked
+grad_y f. Masking the d2-vector grad_y f instead of the |P| x d2 deltas
+gives the same bits, as the bits are 0 or 1. On the quadratic family
 each row is the base plus mu B_i[:, p], O(d2) work, which sums in
 another order than a ``grad_g_y`` call at the perturbed point, so each
 delta_p agrees with ``jacobian_column_fd`` to rounding, not bit for bit.
@@ -138,14 +140,8 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
     check_ranges({"mu": mu}, RANGES)
     x_pert = x.copy()
     x_pert[coord] += mu
-    return _difference_rows(problem.grad_g_y(i, x, y, batch),
-                            problem.grad_g_y(i, x_pert, y, batch), mu, mask_y)
-
-
-def _difference_rows(base: np.ndarray, perturbed: np.ndarray, mu: float,
-                     mask_y: Mask | None) -> np.ndarray:
-    """(base - perturbed) / mu per row (or for one vector), masked by mask_y."""
-    delta = (base - perturbed) / mu
+    delta = (problem.grad_g_y(i, x, y, batch)
+             - problem.grad_g_y(i, x_pert, y, batch)) / mu
     return delta if mask_y is None else apply_mask(delta, mask_y)
 
 
@@ -205,15 +201,21 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
 
     value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the lower
     gradients come from one ``grad_g_y_perturbed`` call.
+
+    The difference step runs in place on the returned rows, which the
+    caller owns. The inner mask multiplies grad_y f (d2 products), not
+    every delta_p (|P| d2); with 0/1 bits (delta * b) * g and
+    delta * (b * g) are the same float, signed zeros included.
     """
     coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
     base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked,
                                             coords, cfg.mu, batch_g)
-    deltas = _difference_rows(base, rows, cfg.mu, mask_y)
+    np.subtract(base, rows, out=rows)
+    rows /= cfg.mu
     value = gfx.copy()
-    value[coords] += deltas @ gfy
+    value[coords] += rows @ apply_mask(gfy, mask_y)
     return apply_mask(value, mask_x)
 
 

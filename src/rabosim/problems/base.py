@@ -126,6 +126,11 @@ class BilevelProblem(ABC):
         call's operations, so its rows equal the single call bit for bit;
         only offset perturbations rerun the softmax. Repeated calls stay
         bit-identical at a fixed BLAS thread count.
+
+        ``rows`` is a fresh array that the caller owns and may overwrite:
+        it shares no memory with the problem's state, and writing to it
+        changes neither ``base`` nor a later call's result
+        (``rafbo_hypergradient`` runs its difference step in place on it).
         """
         self.check_coords(coords)
         base = self.grad_g_y(i, x, y, batch)

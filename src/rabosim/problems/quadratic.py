@@ -164,10 +164,14 @@ class QuadraticProblem(BilevelProblem):
         # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
         # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
         # the base plus O(d2) work. Every row keeps the base's noise draw.
+        # The rows are built in place on a float64 copy of B_i^T[coords],
+        # with the operations of base + mu * B_i^T[coords].
         self.check_coords(coords)
         base = self.grad_g_y(i, x, y, batch)
         s = self.spec
-        rows = base + mu * s.b_mats[i].T[coords]
+        rows = s.b_mats[i].T[coords].astype(np.float64, copy=False)
+        rows *= mu
+        rows += base
         if s.quartic:
             growth = (s.quartic / 2.0) * (2.0 * mu * x[coords] + mu * mu)
             rows += np.outer(growth, s.u_mats[i] @ y)

@@ -30,7 +30,11 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
-from tests_support import EPS, grad_g_y_row_bound
+from tests_support import (
+    EPS,
+    grad_g_y_row_bound,
+    rafbo_masked_deltas_reference,
+)
 
 
 def full_mask(d):
@@ -476,6 +480,48 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
     ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
                          RngStream(seed, 1, 0, "pset"))
     assert_within(est, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), family=st.sampled_from(["quadratic", "logistic"]),
+       mu=st.floats(1e-6, 1.0),
+       fraction=st.one_of(st.just(1.0), st.floats(0.1, 0.95)),
+       seed=st.integers(0, 2 ** 16))
+def test_rafbo_equals_masked_deltas_bit_for_bit(data, family, mu, fraction,
+                                                seed):
+    """Masking grad_y f and working in place on the rows gives the bits of
+    masking every delta_p out of place."""
+    if family == "quadratic":
+        d1, d2 = data.draw(st.integers(1, 7)), data.draw(st.integers(2, 7))
+        prob = make_quadratic(
+            seed=seed, n=2, d1=d1, d2=d2, hetero=0.5, eig_range=(0.5, 2.0),
+            quartic=data.draw(st.sampled_from([0.0, 0.3])), noise_f=0.2,
+            noise_g=0.5)
+        size = 1
+    else:
+        prob = make_logistic_tune(
+            seed=seed, n=2, imbalance_mu=0.8,
+            classes=data.draw(st.integers(2, 4)),
+            features=data.draw(st.integers(1, 4)), base_count=30)
+        m = prob.spec.clients[1].x_train.shape[0]
+        size = data.draw(st.one_of(st.just(10 ** 6), st.integers(1, m - 1)))
+    bits_x = data.draw(st.lists(st.integers(0, 1), min_size=prob.d1,
+                                max_size=prob.d1).filter(any))
+    # at least one inner coordinate inactive
+    bits_y = data.draw(st.lists(st.integers(0, 1), min_size=prob.d2,
+                                max_size=prob.d2).filter(lambda b: not all(b)))
+    mx, my = mask_from(bits_x), mask_from(bits_y)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(prob.d1) * 0.5 * mx.bits
+    y = rng.standard_normal(prob.d2) * 0.5 * my.bits
+    batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
+    batch_g = SampleBatch("g", seed=seed, client=1, draw=1, size=size)
+    cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
+    est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
+                              RngStream(seed, 1, 0, "pset"))
+    ref = rafbo_masked_deltas_reference(prob, 1, x, y, mx, my, cfg, batch_f,
+                                        batch_g, RngStream(seed, 1, 0, "pset"))
+    assert np.array_equal(est, ref)
 
 
 class TestErrorBound:

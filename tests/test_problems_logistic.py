@@ -14,6 +14,7 @@ from rabosim.problems import (
     SampleBatch,
     make_logistic_tune,
 )
+from tests_support import assert_caller_owns_rows
 
 
 def class_counts(problem, client=0):
@@ -317,6 +318,18 @@ class TestGradGyBatch:
             again = perturbed(prob, 1, x, y, coords, 1e-3, batch)
             assert np.array_equal(again[0], base)
             assert np.array_equal(again[1], rows)
+
+    @pytest.mark.parametrize("perturbed", PERTURBED,
+                             ids=["override", "default"])
+    def test_caller_owns_rows(self, perturbed):
+        prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
+                                  features=4, base_count=40)
+        rng = np.random.default_rng(6)
+        batch = SampleBatch("g", seed=52, client=1, draw=2, size=8)
+        assert_caller_owns_rows(perturbed, prob, 1,
+                                rng.standard_normal(prob.d1) * 0.4,
+                                rng.standard_normal(prob.d2) * 0.3,
+                                np.array([0, 4, prob.d1 - 1]), 1e-3, batch)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), classes=st.integers(2, 5),

@@ -19,6 +19,7 @@ from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.linalg import solve_spd, spectral_bounds, spectral_norm
 from rabosim.masking import ClientResource
 from rabosim.problems import (
+    BilevelProblem,
     SampleBatch,
     derive_constants,
     make_logistic_tune,
@@ -26,7 +27,7 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from linear_oracle import outer_minimizer
-from tests_support import grad_g_y_row_bound
+from tests_support import assert_caller_owns_rows, grad_g_y_row_bound
 
 
 def one_dim_problem(lam=0.0):
@@ -607,6 +608,23 @@ class TestGradGyBatch:
         second = prob.grad_g_y_perturbed(1, x, y, self.COORDS, 1e-3, batch)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+    @pytest.mark.parametrize("perturbed", [
+        QuadraticProblem.grad_g_y_perturbed,
+        BilevelProblem.grad_g_y_perturbed], ids=["override", "default"])
+    def test_caller_owns_rows(self, perturbed):
+        # every client holds its own writable B_i, which the rows start as
+        # a copy of; overwriting them must leave B_i as it was
+        spec = distinct_copies(small_spec(n=2, d1=5, d2=4, noise_g=0.3))
+        assert spec.b_mats[1].flags.writeable
+        b_before = spec.b_mats[1].copy()
+        prob = QuadraticProblem(spec)
+        rng = np.random.default_rng(13)
+        batch = SampleBatch("g", seed=8, client=1, draw=1)
+        assert_caller_owns_rows(perturbed, prob, 1, rng.standard_normal(5),
+                                rng.standard_normal(4), np.array([0, 3, 4]),
+                                1e-3, batch)
+        assert np.array_equal(spec.b_mats[1], b_before)
 
     def test_rejects_wrong_row_width(self):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)

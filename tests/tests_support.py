@@ -67,6 +67,41 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
     return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
 
 
+def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, cfg,
+                                  batch_f=None, batch_g=None, rng=None):
+    """``rafbo_hypergradient`` with the mask on every delta_p, out of place.
+
+    The deltas are formed from copies of ``grad_g_y_perturbed``'s output as
+    fresh arrays, masked row by row, and contracted with the unmasked
+    grad_y f. The estimator masks grad_y f instead and works in place on
+    the rows; with 0/1 mask bits both give the same bits.
+    """
+    from rabosim.hypergrad import build_perturbation_set
+
+    coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
+    gfx = prob.grad_f_x(i, x, y, batch_f)
+    gfy = prob.grad_f_y(i, x, y, batch_f)
+    base, rows = (a.copy() for a in prob.grad_g_y_perturbed(
+        i, x, y, coords, cfg.mu, batch_g))
+    value = gfx.copy()
+    value[coords] += (((base - rows) / cfg.mu) * mask_y.bits) @ gfy
+    return value * mask_x.bits
+
+
+def assert_caller_owns_rows(perturbed, prob, i, x, y, coords, mu,
+                            batch=None):
+    """``perturbed`` (a ``grad_g_y_perturbed``) returns rows that the caller
+    may overwrite: filling them with NaN leaves ``base`` as it was, and a
+    second call returns the first call's bits."""
+    base, rows = perturbed(prob, i, x, y, coords, mu, batch)
+    first = base.copy(), rows.copy()
+    rows[...] = np.nan
+    assert np.array_equal(base, first[0])
+    again = perturbed(prob, i, x, y, coords, mu, batch)
+    assert np.array_equal(again[0], first[0])
+    assert np.array_equal(again[1], first[1])
+
+
 def topk_indices_loop(params, target, block_size):
     """Magnitude top-k as a loop over blocks: the reference ranking.
 
