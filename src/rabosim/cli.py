@@ -9,8 +9,9 @@ Experiments are described by a JSON document with four sections::
       "output":  {"dir": "out"}
     }
 
-Every field has a documented default (see the ``*_DEFAULTS`` tables
-below); unknown keys are a hard error so typos never pass silently.
+Every field has a documented default: the family builder's keyword
+arguments in ``problem``, the ``*_DEFAULTS`` tables below in the other
+sections. Unknown keys are a hard error so typos never pass silently.
 Capacities are accepted as fractions ("1/4"), decimals or integers and
 held internally as exact rationals. The resolved config is echoed next to
 the outputs and re-parsing the echo reproduces the same resolved config.
@@ -31,8 +32,10 @@ Exit codes: 0 success, 2 config error, 3 run divergence. Output goes to
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,16 +55,6 @@ from .hypergrad import EXACT_AID, RAFBOConfig
 from .masking import ClientResource, MaskPolicy, parse_capacity
 from .problems import logistic, make_logistic_tune, make_quadratic, quadratic
 
-PROBLEM_DEFAULTS_COMMON = {"seed": 0, "n": 4}
-QUADRATIC_DEFAULTS = {
-    "d1": 10, "d2": 10, "hetero": 0.0, "noise_f": 0.0, "noise_g": 0.0,
-    "eig_min": 1.0, "eig_max": 1.0, "lam": 0.5, "coupling": 0.5,
-    "quartic": 0.0, "sine_amp": 0.0, "target_scale": 1.0, "ball_radius": 10.0,
-}
-LOGISTIC_DEFAULTS = {
-    "imbalance_mu": 1.0, "classes": 4, "features": 5, "base_count": 100,
-    "class_sep": 2.0,
-}
 RUN_DEFAULTS = {
     "alpha": 0.05, "beta": 0.1, "inner_epochs": 1, "rounds": 50,
     "estimator": EXACT_AID, "mu": 1e-3, "coord_fraction": 1.0,
@@ -147,8 +140,15 @@ OPTIONAL_STRINGS = ("dir", "compare_baseline")
 # Entries whose type alone does not make them valid are checked against
 # the range tables of the modules that own them.
 RUN_TABLES = (federation.RANGES, hypergrad.RANGES, masking.RANGES)
-FAMILIES = {"quadratic": (QUADRATIC_DEFAULTS, quadratic.RANGES),
-            "logistic": (LOGISTIC_DEFAULTS, logistic.RANGES)}
+# family -> (builder, the rules of its arguments)
+FAMILIES = {"quadratic": (make_quadratic, quadratic.check_args),
+            "logistic": (make_logistic_tune, logistic.check_args)}
+# family -> its builder's keyword arguments and their defaults, which are
+# the keys and defaults of the family's problem section
+FAMILY_ARGUMENTS = {
+    family: {name: param.default for name, param
+             in inspect.signature(builder).parameters.items()}
+    for family, (builder, _) in FAMILIES.items()}
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
@@ -248,27 +248,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     family = problem_raw.pop("family", None)
     if family is None:
         raise InvalidSpec("problem.family is required", key="family")
-    if not _is_str(family):
-        raise InvalidSpec(
-            f"problem.family must be a string, got {family!r}", key="family")
-    if family not in FAMILIES:
-        raise InvalidSpec(f"unknown problem family '{family}'", key="family")
-    defaults, ranges = FAMILIES[family]
+    check_ranges({"family": family}, {"family": tuple(FAMILIES)}, "problem.")
     problem = _resolve_section("problem", problem_raw,
-                               {**PROBLEM_DEFAULTS_COMMON, **defaults}, ranges)
+                               FAMILY_ARGUMENTS[family])
+    _, check_args = FAMILIES[family]
+    check_args(problem, "problem.")
     problem["family"] = family
-    if family == "quadratic" and problem["eig_max"] < problem["eig_min"]:
-        raise InvalidSpec(
-            f"problem.eig_max must be at least eig_min "
-            f"{problem['eig_min']!r}, got {problem['eig_max']!r}",
-            key="eig_max")
-    if family == "logistic" and math.floor(
-            problem["base_count"]
-            * problem["imbalance_mu"] ** (problem["classes"] - 1)) < 1:
-        raise InvalidSpec(
-            f"problem.base_count {problem['base_count']} leaves the last "
-            f"class empty after decay by imbalance_mu "
-            f"{problem['imbalance_mu']!r}", key="base_count")
 
     run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_DEFAULTS,
                                *RUN_TABLES)
@@ -359,6 +344,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise InvalidSpec(
             f"output.compare_baseline {baseline!r} names no variant of the "
             f"sweep", key="compare_baseline")
+    if baseline is not None and run_cfg["rounds"] == 0:
+        raise InvalidSpec(
+            "output.compare_baseline needs run.rounds of at least 1: a run "
+            "of 0 rounds has no cost to divide by", key="compare_baseline")
     return ExperimentConfig(problem, run_cfg, sweep, output)
 
 
@@ -383,19 +372,13 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 
 def build_problem(problem_cfg: dict, seed_override: int | None = None):
-    cfg = dict(problem_cfg)
-    family = cfg.pop("family")
-    seed = seed_override if seed_override is not None else cfg.pop("seed")
-    cfg.pop("seed", None)
-    if family == "quadratic":
-        eig_range = (cfg.pop("eig_min"), cfg.pop("eig_max"))
-        return make_quadratic(seed=seed, n=cfg.pop("n"), d1=cfg.pop("d1"),
-                              d2=cfg.pop("d2"), hetero=cfg.pop("hetero"),
-                              noise_f=cfg.pop("noise_f"),
-                              noise_g=cfg.pop("noise_g"),
-                              eig_range=eig_range, **cfg)
-    return make_logistic_tune(seed=seed, n=cfg.pop("n"),
-                              imbalance_mu=cfg.pop("imbalance_mu"), **cfg)
+    """The problem a resolved ``problem`` section describes, built with
+    ``seed_override`` as its seed when one is given."""
+    args = dict(problem_cfg)
+    builder = FAMILIES[args.pop("family")][0]
+    if seed_override is not None:
+        args["seed"] = seed_override
+    return builder(**args)
 
 
 def _capacity_list(entry, n: int) -> list[ClientResource]:
@@ -483,6 +466,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     Variants that diverge are recorded in the summary without aborting
     their siblings. Each problem is built once, and under the theory guard
     checked once before anything is written; its notes go to the summary.
+    A rerun into the same directory first removes what the last run left
+    under the paths this one owns: ``variants/`` and ``cost_ratios.csv``.
     """
     n = cfg.problem["n"]
     vary_problem_seed = cfg.sweep["vary_problem_seed"]
@@ -502,6 +487,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
     out = Path(out_dir if out_dir is not None
                else cfg.output["dir"] or "rabosim-out")
     out.mkdir(parents=True, exist_ok=True)
+    if (out / "variants").exists():
+        shutil.rmtree(out / "variants")
+    (out / "cost_ratios.csv").unlink(missing_ok=True)
     (out / "config_echo.json").write_text(
         json.dumps(cfg.echo(), indent=2, sort_keys=True) + "\n")
 

@@ -36,6 +36,7 @@ RULES = {
     "nonnegative": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
     "at least 2": lambda v: v >= 2,
+    "at least 5": lambda v: v >= 5,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
 

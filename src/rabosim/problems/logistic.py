@@ -28,6 +28,7 @@ Stochastic evaluations subsample the train split without replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,57 +213,55 @@ class LogisticTuneProblem(BilevelProblem):
         return (resid.T @ data.x_val / len(data.y_val)).ravel()
 
 
-def _longtail_counts(base_count: int, mu: float, classes: int) -> list[int]:
-    counts = [int(np.floor(base_count * mu ** c)) for c in range(classes)]
-    for c, cnt in enumerate(counts):
-        if cnt < 1:
-            raise InvalidSpec(
-                f"class {c} is empty after decay (mu={mu}, base={base_count})")
-    return counts
-
-
-def _split_by_class(feats: np.ndarray, labels: np.ndarray,
-                    classes: int) -> _ClientData:
-    tr_x, tr_y, va_x, va_y = [], [], [], []
-    for c in range(classes):
-        idx = np.flatnonzero(labels == c)
-        n_val = len(idx) // 5
-        cut = len(idx) - n_val
-        tr_x.append(feats[idx[:cut]])
-        tr_y.append(labels[idx[:cut]])
-        va_x.append(feats[idx[cut:]])
-        va_y.append(labels[idx[cut:]])
-    return _ClientData(np.concatenate(tr_x), np.concatenate(tr_y),
-                       np.concatenate(va_x), np.concatenate(va_y))
-
-
+# make_logistic_tune's arguments. Class 0 holds base_count samples and
+# gives len // 5 of them to validation, so 5 leaves the split nonempty.
 RANGES = {"n": "at least 1", "imbalance_mu": "in (0, 1]",
           "classes": "at least 2", "features": "at least 1",
-          "base_count": "at least 1"}
+          "base_count": "at least 5"}
 
 
-def make_logistic_tune(seed: int, n: int, imbalance_mu: float = 1.0, *,
-                       classes: int = 4, features: int = 5,
+def check_args(args: dict, prefix: str = "") -> None:
+    """Raise InvalidSpec naming the first argument in ``args`` that breaks
+    a rule of ``make_logistic_tune``; ``prefix`` leads the message."""
+    check_ranges(args, RANGES, prefix)
+    # the decay leaves the last class the fewest samples
+    if math.floor(args["base_count"]
+                  * args["imbalance_mu"] ** (args["classes"] - 1)) < 1:
+        raise InvalidSpec(
+            f"{prefix}base_count {args['base_count']} leaves the last class "
+            f"empty after decay by imbalance_mu {args['imbalance_mu']!r}",
+            key="base_count")
+
+
+def make_logistic_tune(seed: int = 0, n: int = 4, imbalance_mu: float = 1.0,
+                       *, classes: int = 4, features: int = 5,
                        base_count: int = 100,
                        class_sep: float = 2.0) -> LogisticTuneProblem:
-    """Build the loss-tuning problem on synthetic data.
+    """Build the loss-tuning problem on synthetic data from the arguments,
+    and defaults, of a config's logistic ``problem`` section.
 
     Each client draws Gaussian blobs around shared class means with
     long-tail counts floor(base_count * mu^c), then splits 80/20 into
     train/validation per class.
     """
-    check_ranges(locals(), RANGES)
+    check_args(locals())
 
     gen = RngStream(seed, purpose="make-logistic").generator()
     means = class_sep * gen.standard_normal((classes, features))
-    counts = _longtail_counts(base_count, imbalance_mu, classes)
+    counts = [math.floor(base_count * imbalance_mu ** c)
+              for c in range(classes)]
     clients: list[_ClientData] = []
     for _ in range(n):
-        feats_parts, label_parts = [], []
+        # train x, train y, validation x, validation y: the first 80% of
+        # each class's samples train
+        parts = ([], [], [], [])
         for c, cnt in enumerate(counts):
-            feats_parts.append(means[c] + gen.standard_normal((cnt, features)))
-            label_parts.append(np.full(cnt, c, dtype=np.int64))
-        clients.append(_split_by_class(np.concatenate(feats_parts),
-                                       np.concatenate(label_parts), classes))
+            feats = means[c] + gen.standard_normal((cnt, features))
+            labels = np.full(cnt, c, dtype=np.int64)
+            cut = cnt - cnt // 5
+            for part, arr in zip(parts, (feats[:cut], labels[:cut],
+                                         feats[cut:], labels[cut:])):
+                part.append(arr)
+        clients.append(_ClientData(*map(np.concatenate, parts)))
     return LogisticTuneProblem(
         LogisticTuneSpec(clients=clients, classes=classes, features=features))

@@ -282,7 +282,7 @@ class QuadraticProblem(BilevelProblem):
         return float(np.mean([self.value_f(i, x, ys) for i in range(self.n)]))
 
 
-# make_quadratic's arguments, with eig_range[0] as "eig_min".
+# make_quadratic's arguments.
 RANGES = {
     **dict.fromkeys(("n", "d1", "d2"), "at least 1"),
     **dict.fromkeys(("hetero", "noise_f", "noise_g", "lam", "quartic",
@@ -291,37 +291,46 @@ RANGES = {
 }
 
 
-def make_quadratic(seed: int, n: int, d1: int, d2: int, hetero: float = 0.0,
-                   noise_f: float = 0.0, noise_g: float = 0.0,
-                   eig_range: tuple[float, float] = (1.0, 1.0), *,
-                   lam: float = 0.5, coupling: float = 0.5,
-                   quartic: float = 0.0, sine_amp: float = 0.0,
-                   target_scale: float = 1.0,
-                   ball_radius: float = 10.0) -> QuadraticProblem:
-    """Construct a quadratic bilevel instance.
+def check_args(args: dict, prefix: str = "") -> None:
+    """Raise InvalidSpec naming the first argument in ``args`` that breaks
+    a rule of ``make_quadratic``; ``prefix`` leads the message."""
+    check_ranges(args, RANGES, prefix)
+    if args["eig_max"] < args["eig_min"]:
+        raise InvalidSpec(f"{prefix}eig_max must be at least eig_min "
+                          f"{args['eig_min']!r}, got {args['eig_max']!r}",
+                          key="eig_max")
 
-    ``eig_range`` brackets the eigenvalues of every A_i; an equal pair
-    (s, s) yields exactly s * I. ``coupling`` sets the spectral norm of the
-    shared cross block B. ``hetero`` scales mean-centered per-client
+
+def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
+                   hetero: float = 0.0, noise_f: float = 0.0,
+                   noise_g: float = 0.0, *, eig_min: float = 1.0,
+                   eig_max: float = 1.0, lam: float = 0.5,
+                   coupling: float = 0.5, quartic: float = 0.0,
+                   sine_amp: float = 0.0, target_scale: float = 1.0,
+                   ball_radius: float = 10.0) -> QuadraticProblem:
+    """Construct a quadratic bilevel instance from the arguments, and
+    defaults, of a config's quadratic ``problem`` section.
+
+    ``eig_min`` and ``eig_max`` bracket the eigenvalues of every A_i; equal
+    bounds s yield exactly s * I. ``coupling`` sets the spectral norm of
+    the shared cross block B. ``hetero`` scales mean-centered per-client
     offsets of the linear targets, so ``hetero == 0`` makes all clients
     identical while the client average is unchanged for any value.
     ``target_scale`` scales the mean linear targets; 0 puts the outer
     optimum exactly at the origin, where masked evaluation is unbiased
     (useful for pruned-training studies).
     """
-    check_ranges({**locals(), "eig_min": eig_range[0]}, RANGES)
-    if eig_range[1] < eig_range[0]:
-        raise InvalidSpec("eig_range must be (min, max) with min <= max")
+    check_args(locals())
 
     gen = RngStream(seed, purpose="make-quadratic").generator()
 
-    if eig_range[0] == eig_range[1]:
-        a_shared = eig_range[0] * np.eye(d2)
+    if eig_min == eig_max:
+        a_shared = eig_min * np.eye(d2)
     else:
         raw = gen.standard_normal((d2, d2))
         q, r = np.linalg.qr(raw)
         q = q * np.sign(np.diag(r))  # fix sign convention for determinism
-        eigs = gen.uniform(eig_range[0], eig_range[1], size=d2)
+        eigs = gen.uniform(eig_min, eig_max, size=d2)
         a_shared = symmetrize(q @ np.diag(eigs) @ q.T)
 
     b_shared = gen.standard_normal((d2, d1))

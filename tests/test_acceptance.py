@@ -55,7 +55,7 @@ def full_caps(n):
 def test_01_hypergradient_exactness():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1001, n=4, d1=10, d2=10, hetero=0.5,
-                          eig_range=(0.6, 2.0), lam=0.7)
+                          eig_min=0.6, eig_max=2.0, lam=0.7)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(50):
@@ -77,7 +77,7 @@ def test_01_hypergradient_exactness():
 def test_02_rafbo_equals_exact_aid_on_quadratics():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1002, n=4, d1=10, d2=10, hetero=0.5,
-                          eig_range=(1.0, 1.0), lam=0.7)
+                          eig_min=1.0, eig_max=1.0, lam=0.7)
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(50):
@@ -102,7 +102,7 @@ def test_02_rafbo_equals_exact_aid_on_quadratics():
 def test_03_fd_error_bound_and_scaling():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1003, n=2, d1=6, d2=6, quartic=0.1,
-                          eig_range=(1.0, 1.0))
+                          eig_min=1.0, eig_max=1.0)
     consts = derive_constants(prob)
     mx, my = full_masks(6, 6)
     x = np.zeros(6)
@@ -127,7 +127,7 @@ def test_03_fd_error_bound_and_scaling():
 def test_04_inner_contraction():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1004, n=4, d1=4, d2=4, hetero=0.0,
-                          eig_range=(0.05, 2.0))
+                          eig_min=0.05, eig_max=2.0)
     consts = derive_constants(prob)
     beta = 1.0 / (2.0 * consts.l_g1)
     factor = (1.0 - beta * consts.mu_g) * (1.0 + 1e-6)
@@ -159,7 +159,7 @@ def test_05_full_mask_convergence_and_centralized_bit_match():
     t0 = time.monotonic()
     # part 1: n = 4 full-mask run converges to stationarity under the guard
     prob = make_quadratic(seed=1005, n=4, d1=6, d2=6, hetero=0.4, lam=0.7,
-                          eig_range=(0.8, 1.7))
+                          eig_min=0.8, eig_max=1.7)
     consts = derive_constants(prob)
     cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f),
                     beta=1.0 / (2 * consts.l_g1), inner_epochs=2, rounds=500,
@@ -171,7 +171,7 @@ def test_05_full_mask_convergence_and_centralized_bit_match():
     # part 2: n = 1 trajectory bit-matches a standalone centralized
     # implementation built directly on the problem callbacks
     single = make_quadratic(seed=1006, n=1, d1=6, d2=6, lam=0.7,
-                            eig_range=(0.7, 1.7))
+                            eig_min=0.7, eig_max=1.7)
     alpha, beta, epochs, rounds = 0.04, 0.25, 3, 100
 
     def centralized_reference(x0, y0):
@@ -211,7 +211,7 @@ def test_05_full_mask_convergence_and_centralized_bit_match():
 def test_06_freeze_and_coverage():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1007, n=2, d1=4, d2=4, hetero=0.3,
-                          eig_range=(0.8, 1.5))
+                          eig_min=0.8, eig_max=1.5)
     policy = MaskPolicy(variant="manual",
                         table_x=[[0, 1], [1, 2]],   # coord 3 never trained
                         table_y=[[0], [0, 1]])      # coords 2, 3 never trained
@@ -248,7 +248,7 @@ def test_07_coverage_speedup_trend():
     def rounds_to_threshold(table_x, seed):
         prob = make_quadratic(seed=1008, n=n, d1=d, d2=d, hetero=0.0, lam=0.8,
                               noise_f=0.45, noise_g=0.1,
-                              eig_range=(0.8, 1.6), target_scale=0.0)
+                              eig_min=0.8, eig_max=1.6, target_scale=0.0)
         cfg = RunConfig(alpha=0.04, beta=0.25, inner_epochs=2,
                         rounds=max_rounds,
                         capacities=[ClientResource(Fraction(1, 4))] * n,
@@ -282,7 +282,7 @@ def test_08_cost_accounting():
 
     def run_with(cap, estimator, policy="rolling", fraction=1.0):
         prob = make_quadratic(seed=1009, n=n, d1=d, d2=d,
-                              eig_range=(1.0, 1.0))
+                              eig_min=1.0, eig_max=1.0)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
                         estimator=estimator,
                         rafbo=RAFBOConfig(mu=1e-3, coord_fraction=fraction),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import rabosim
 from rabosim import federation, hypergrad, masking
 from rabosim.cli import (
-    LOGISTIC_DEFAULTS,
     RUN_DEFAULTS,
     apply_override,
     build_problem,
@@ -48,6 +47,20 @@ def small_quadratic_config(**run_overrides):
     run_cfg.update(run_overrides)
     return {"problem": {"family": "quadratic", "n": 2, "d1": 4, "d2": 4},
             "run": run_cfg}
+
+
+# The resolved problem section of each family when the document sets only
+# the family: its builder's keyword arguments and their defaults.
+QUADRATIC_SECTION = {
+    "family": "quadratic", "seed": 0, "n": 4, "d1": 10, "d2": 10,
+    "hetero": 0.0, "noise_f": 0.0, "noise_g": 0.0, "eig_min": 1.0,
+    "eig_max": 1.0, "lam": 0.5, "coupling": 0.5, "quartic": 0.0,
+    "sine_amp": 0.0, "target_scale": 1.0, "ball_radius": 10.0,
+}
+LOGISTIC_SECTION = {
+    "family": "logistic", "seed": 0, "n": 4, "imbalance_mu": 1.0,
+    "classes": 4, "features": 5, "base_count": 100, "class_sep": 2.0,
+}
 
 
 def small_logistic_config():
@@ -86,8 +99,9 @@ def valid_documents(draw):
     else:
         mu, classes = draw(floats(0.2, 1)), draw(st.integers(2, 5))
         features = draw(st.integers(1, 6))
-        # at least one sample is left in the last class
-        least = math.ceil(1 / mu ** (classes - 1)) + 1
+        # at least one sample is left in the last class, and class 0 has
+        # one for validation
+        least = max(5, math.ceil(1 / mu ** (classes - 1)) + 1)
         problem.update(imbalance_mu=mu, classes=classes, features=features,
                        base_count=draw(st.integers(least, least + 500)),
                        class_sep=draw(floats(-10, 10)))
@@ -134,6 +148,16 @@ class TestParseConfig:
         assert cfg.run["alpha"] == 0.05
         assert cfg.run["capacities"] == "1"
         assert cfg.sweep["seeds"] == [0]
+
+    @pytest.mark.parametrize("section", [QUADRATIC_SECTION, LOGISTIC_SECTION],
+                             ids=["quadratic", "logistic"])
+    def test_problem_defaults_are_pinned(self, section):
+        # a builder default that drifts changes the echo; compared as JSON
+        # text, so that 1.0 turning into 1 shows too
+        problem = resolve_config(
+            {"problem": {"family": section["family"]}}).problem
+        assert json.dumps(problem, sort_keys=True) == \
+            json.dumps(section, sort_keys=True)
 
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {
@@ -277,6 +301,24 @@ class TestRunExperiment:
         for csv_a in csvs:
             csv_b = tmp_path / "b" / "variants" / csv_a.parent.name / "rounds.csv"
             assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    def test_rerun_into_used_dir_equals_fresh_run(self, tmp_path):
+        # a rerun leaves no variant, masks.csv or cost_ratios.csv of the
+        # run before it: its tree is a fresh directory's, byte for byte
+        first = small_quadratic_config(rounds=2, log_masks=True)
+        first["sweep"] = {"seeds": [0, 1], "estimators": ["exact_aid", "rafbo"]}
+        first["output"] = {"compare_baseline": "est_exact_aid__cap1__seed_0"}
+        second = small_quadratic_config(rounds=2)
+        run_experiment(resolve_config(first), tmp_path / "used")
+        for name in ("used", "fresh"):
+            run_experiment(resolve_config(second), tmp_path / name)
+
+        def tree(root):
+            return {path.relative_to(root).as_posix():
+                    path.read_bytes() if path.is_file() else None
+                    for path in root.rglob("*")}
+
+        assert tree(tmp_path / "used") == tree(tmp_path / "fresh")
 
     def test_echo_reparse_fixed_point(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, small_quadratic_config()))
@@ -539,9 +581,9 @@ class TestMainEntry:
         (["--override", "problem.imbalance_mu=1.5"], "imbalance_mu"),
         (["--override", "problem.classes=1"], "classes"),
         (["--override", "problem.base_count=0"], "base_count"),
-        # floor(1 * 0.5^c) leaves classes 1 and 2 empty
-        (["--override", "problem.base_count=1",
-          "--override", "problem.imbalance_mu=0.5"], "base_count"),
+        # floor(5 * 0.4^2) leaves class 2 empty
+        (["--override", "problem.base_count=5",
+          "--override", "problem.imbalance_mu=0.4"], "base_count"),
         (["--override", "problem.ball_radius=-1"], "ball_radius"),
         # the step-size bounds come from the quadratic family's constants
         (["--override", "run.theory_guard=true",
@@ -586,12 +628,17 @@ class TestMainEntry:
         (["--override", "sweep.seeds=[]"], "seeds"),
         (["--override", "sweep.estimators=[]"], "estimators"),
         (["--override", "sweep.capacities=[]"], "capacities"),
+        # a run of 0 rounds has no cost to compare against
+        (["--override", "run.rounds=0", "--override",
+          'output.compare_baseline="est_exact_aid__cap1__seed_0"'],
+         "compare_baseline"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
         # flags that set a logistic-only problem key apply to a logistic
         # problem
-        logistic = {f"problem.{k}" for k in LOGISTIC_DEFAULTS}
+        logistic = {f"problem.{k}" for k
+                    in LOGISTIC_SECTION.keys() - QUADRATIC_SECTION.keys()}
         if not isinstance(flags[0], str):
             data, flags = flags[0], flags[1:]
         elif any(f.partition("=")[0] in logistic for f in flags):
@@ -728,23 +775,13 @@ def _mask_policy(**kwargs):
     return MaskPolicy(**kwargs)
 
 
-def _quadratic(**kwargs):
-    if "eig_min" in kwargs:
-        kwargs["eig_range"] = (kwargs.pop("eig_min"), 1.0)
-    return make_quadratic(**{"seed": 0, "n": 1, "d1": 1, "d2": 1, **kwargs})
-
-
-def _logistic(**kwargs):
-    return make_logistic_tune(**{"seed": 0, "n": 1, **kwargs})
-
-
 # owner -> (range table, constructor)
 RANGE_OWNERS = {
     "federation": (federation.RANGES, _run_config),
     "hypergrad": (hypergrad.RANGES, RAFBOConfig),
     "masking": (masking.RANGES, _mask_policy),
-    "quadratic": (quadratic.RANGES, _quadratic),
-    "logistic": (logistic.RANGES, _logistic),
+    "quadratic": (quadratic.RANGES, make_quadratic),
+    "logistic": (logistic.RANGES, make_logistic_tune),
 }
 # One value outside each tabled range, and what the error says it must be.
 OUT_OF_RANGE = {
@@ -763,7 +800,7 @@ OUT_OF_RANGE = {
     "quartic": (-1, "nonnegative"), "sine_amp": (-1, "nonnegative"),
     "eig_min": (0, "positive"), "ball_radius": (-1, "nonnegative"),
     "imbalance_mu": (0, "in (0, 1]"), "classes": (1, "at least 2"),
-    "features": (0, "at least 1"), "base_count": (0, "at least 1"),
+    "features": (0, "at least 1"), "base_count": (4, "at least 5"),
 }
 
 

@@ -74,7 +74,8 @@ def scalar_quadratic(c=1.0):
 
 class TestClientInnerLoop:
     def test_single_step_returns_masked_gradient(self):
-        prob = make_quadratic(seed=1, n=2, d1=4, d2=4, eig_range=(0.8, 1.6))
+        prob = make_quadratic(seed=1, n=2, d1=4, d2=4,
+                              eig_min=0.8, eig_max=1.6)
         x = np.array([0.3, -0.2, 0.5, 0.1])
         y0 = np.zeros(4)
         my = mask_of([1, 0, 1, 1])
@@ -84,7 +85,8 @@ class TestClientInnerLoop:
         assert np.array_equal(y1, y0 - 0.5 * expected)
 
     def test_stationary_start(self):
-        prob = make_quadratic(seed=2, n=2, d1=3, d2=3, eig_range=(0.9, 1.3))
+        prob = make_quadratic(seed=2, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.3)
         x = np.array([0.1, 0.4, -0.2])
         spec = prob.spec
         y_opt = np.linalg.solve(spec.a_mats[0],
@@ -121,7 +123,8 @@ class TestClientInnerLoop:
                               beta=0.5, inner_epochs=1, divergence_guard=100.0)
 
     def test_support_containment(self):
-        prob = make_quadratic(seed=3, n=1, d1=4, d2=4, eig_range=(0.7, 1.5))
+        prob = make_quadratic(seed=3, n=1, d1=4, d2=4,
+                              eig_min=0.7, eig_max=1.5)
         my = mask_of([0, 1, 0, 1])
         y_t, g = client_inner_loop(prob, 0, np.ones(4), np.zeros(4), my,
                                    beta=0.3, inner_epochs=4)
@@ -131,7 +134,8 @@ class TestClientInnerLoop:
 
 class TestAggregateInner:
     def test_single_client_collapse(self):
-        prob = make_quadratic(seed=4, n=1, d1=3, d2=3, eig_range=(0.8, 1.4))
+        prob = make_quadratic(seed=4, n=1, d1=3, d2=3,
+                              eig_min=0.8, eig_max=1.4)
         my = mask_of([1, 1, 1])
         y_q = np.zeros(3)
         y_t, g = client_inner_loop(prob, 0, np.ones(3), y_q, my, beta=0.5,
@@ -231,7 +235,8 @@ class TestCoveringAverageReference:
 
 class TestRabobRound:
     def test_full_capacity_coverage(self):
-        prob = make_quadratic(seed=5, n=3, d1=4, d2=4, eig_range=(0.8, 1.5))
+        prob = make_quadratic(seed=5, n=3, d1=4, d2=4,
+                              eig_min=0.8, eig_max=1.5)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1,
                         capacities=full_caps(3), seed=0)
         state = GlobalState(np.zeros(4), np.zeros(4), 0)
@@ -259,7 +264,7 @@ class TestRabobRound:
 
     def test_stationary_fixed_point(self):
         prob = make_quadratic(seed=6, n=4, d1=5, d2=5, hetero=0.3, lam=0.8,
-                              eig_range=(0.7, 1.8))
+                              eig_min=0.7, eig_max=1.8)
         x_star = outer_minimizer(prob)
         y_star = prob.y_star(x_star)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=1,
@@ -269,7 +274,8 @@ class TestRabobRound:
         assert np.linalg.norm(new_state.x - x_star) <= 1e-12
 
     def test_metrics_are_post_aggregation(self):
-        prob = make_quadratic(seed=7, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
+        prob = make_quadratic(seed=7, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.4)
         cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
                         capacities=full_caps(2), seed=0)
         state = GlobalState(np.ones(3), np.zeros(3), 0)
@@ -280,8 +286,8 @@ class TestRabobRound:
     @pytest.mark.parametrize("quartic", [0.0, 0.1])
     def test_one_inner_solve_per_round(self, quartic):
         """grad_phi, phi and inner_err share one y*(x_next) solve."""
-        prob = make_quadratic(seed=7, n=2, d1=3, d2=3, eig_range=(0.9, 1.4),
-                              quartic=quartic)
+        prob = make_quadratic(seed=7, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.4, quartic=quartic)
         cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
                         capacities=full_caps(2), seed=0)
         state = GlobalState(np.ones(3), np.zeros(3), 0)
@@ -316,7 +322,7 @@ class TestRabobRound:
 def shared_block_quadratic(**kwargs):
     """make_quadratic's clients share one read-only A."""
     return make_quadratic(seed=11, n=6, d1=8, d2=8, hetero=0.3,
-                          eig_range=(0.8, 1.6), **kwargs)
+                          eig_min=0.8, eig_max=1.6, **kwargs)
 
 
 def per_client_blocks(writeable):
@@ -407,7 +413,7 @@ class TestRun:
 
     def test_convergence_under_guard(self):
         prob = make_quadratic(seed=10, n=4, d1=6, d2=6, hetero=0.4, lam=0.7,
-                              eig_range=(0.8, 1.7))
+                              eig_min=0.8, eig_max=1.7)
         consts = derive_constants(prob)
         cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f),
                         beta=1.0 / (2 * consts.l_g1), inner_epochs=2,
@@ -419,7 +425,8 @@ class TestRun:
 
     def test_byte_determinism(self):
         prob = make_quadratic(seed=11, n=4, d1=5, d2=5, hetero=0.3,
-                              noise_f=0.1, noise_g=0.1, eig_range=(0.8, 1.5))
+                              noise_f=0.1, noise_g=0.1,
+                              eig_min=0.8, eig_max=1.5)
         base = dict(alpha=0.02, beta=0.2, inner_epochs=2, rounds=20,
                     capacities=[ClientResource(Fraction(1, 2))] * 4, seed=3,
                     batch_size_f=2, batch_size_g=2)
@@ -428,7 +435,8 @@ class TestRun:
         assert csv_a == csv_b
 
     def test_divergence_aborts_with_partial_logs(self):
-        prob = make_quadratic(seed=12, n=2, d1=4, d2=4, eig_range=(0.9, 1.6))
+        prob = make_quadratic(seed=12, n=2, d1=4, d2=4,
+                              eig_min=0.9, eig_max=1.6)
         cfg = RunConfig(alpha=8.0, beta=1.8, inner_epochs=3, rounds=400,
                         capacities=full_caps(2), seed=0, divergence_factor=1e4)
         with pytest.raises(DivergenceDetected) as err:
@@ -459,7 +467,8 @@ class TestRun:
         assert "outer" in str(err.value)
 
     def test_theory_guard_rejects_large_alpha(self):
-        prob = make_quadratic(seed=13, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
+        prob = make_quadratic(seed=13, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.4)
         cfg = RunConfig(alpha=10.0, beta=0.01, rounds=1,
                         capacities=full_caps(2), seed=0)
         with pytest.raises(InvalidSpec) as err:
@@ -478,7 +487,8 @@ class TestRun:
         assert len(notes) == 1 and "floor" in notes[0]
 
     def test_theory_guard_no_note_when_floor_negative(self):
-        prob = make_quadratic(seed=13, n=2, d1=3, d2=3, eig_range=(0.9, 1.4))
+        prob = make_quadratic(seed=13, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.4)
         consts = derive_constants(prob)
         cfg = RunConfig(alpha=1.0 / (consts.L_f + 4 * consts.M_f), beta=1e-6,
                         rounds=1, capacities=full_caps(2), seed=0)
@@ -486,7 +496,7 @@ class TestRun:
 
     def test_client_permutation_invariance(self):
         base = make_quadratic(seed=14, n=3, d1=4, d2=4, hetero=0.6,
-                              eig_range=(0.8, 1.5))
+                              eig_min=0.8, eig_max=1.5)
         perm = [2, 0, 1]
         spec = base.spec
         permuted = QuadraticProblem(QuadraticSpec(
@@ -519,7 +529,7 @@ class TestRun:
         # or coverage machinery
         from rabosim.linalg import solve_spd
         prob = make_quadratic(seed=22, n=4, d1=5, d2=5, hetero=0.4, lam=0.6,
-                              eig_range=(0.8, 1.6))
+                              eig_min=0.8, eig_max=1.6)
         alpha, beta, epochs, rounds = 0.03, 0.25, 2, 30
 
         x = np.full(5, 1.2)
@@ -562,7 +572,7 @@ class TestRun:
         # frozen x, full masks, identical clients, beta = 1/(2 l_g1):
         # squared inner error contracts at least by (1 - beta mu_g) per round
         prob = make_quadratic(seed=15, n=4, d1=4, d2=4, hetero=0.0,
-                              eig_range=(0.6, 1.8))
+                              eig_min=0.6, eig_max=1.8)
         consts = derive_constants(prob)
         beta = 1.0 / (2 * consts.l_g1)
         x = np.array([0.4, -0.3, 0.2, 0.6])
@@ -615,7 +625,7 @@ class TestRun:
 class TestStationarity:
     def test_at_minimizer(self):
         prob = make_quadratic(seed=17, n=3, d1=4, d2=4, hetero=0.3, lam=0.9,
-                              eig_range=(0.8, 1.6))
+                              eig_min=0.8, eig_max=1.6)
         grad = prob.grad_phi(outer_minimizer(prob))
         assert grad @ grad <= 1e-16
 
@@ -628,7 +638,8 @@ class TestStationarity:
 class TestCosts:
     def run_with_caps(self, cap, estimator=EXACT_AID, d=8, rounds=3,
                       download_mode="masked", coord_fraction=1.0):
-        prob = make_quadratic(seed=19, n=4, d1=d, d2=d, eig_range=(1.0, 1.0))
+        prob = make_quadratic(seed=19, n=4, d1=d, d2=d,
+                              eig_min=1.0, eig_max=1.0)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
                         estimator=estimator,
                         rafbo=RAFBOConfig(mu=1e-3, coord_fraction=coord_fraction),
@@ -705,7 +716,8 @@ class TestCosts:
         # loop costs 2 (2 (ax + ay)^2 + 2 ay) = 40 and 156, and the
         # hypergradient the rest: exact 101 and 636, rafbo 118 and 603 at
         # |P| = ax, 79 and 452 at |P| = ceil(ax / 2)
-        prob = make_quadratic(seed=23, n=2, d1=4, d2=4, eig_range=(0.8, 1.5))
+        prob = make_quadratic(seed=23, n=2, d1=4, d2=4,
+                              eig_min=0.8, eig_max=1.5)
         policy = MaskPolicy(variant="manual", table_x=((0, 1), (1, 2, 3)),
                             table_y=((2,), (0, 1, 3)))
         cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2,
@@ -733,7 +745,8 @@ class TestCsvRendering:
         assert lines[1].split(",")[1] == "nan"
 
     def test_round_trip_floats(self):
-        prob = make_quadratic(seed=21, n=2, d1=3, d2=3, eig_range=(0.9, 1.3))
+        prob = make_quadratic(seed=21, n=2, d1=3, d2=3,
+                              eig_min=0.9, eig_max=1.3)
         cfg = RunConfig(alpha=0.05, beta=0.25, rounds=2,
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
@@ -751,7 +764,7 @@ def test_uncovered_coordinates_bit_frozen(data, n, d1, d2, estimator, seed):
     table_x = data.draw(partial_tables(n, d1, nonempty=True))
     table_y = data.draw(partial_tables(n, d2, nonempty=False))
     prob = make_quadratic(seed=seed, n=n, d1=d1, d2=d2, hetero=0.5,
-                          noise_f=0.3, noise_g=0.3, eig_range=(0.6, 1.5),
+                          noise_f=0.3, noise_g=0.3, eig_min=0.6, eig_max=1.5,
                           quartic=0.1)
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=3,
                     estimator=estimator, capacities=full_caps(n), seed=seed,

@@ -67,7 +67,7 @@ def one_dim_problem():
 
 def unit_curvature_problem(seed=5, n=3, d=8, hetero=0.3):
     return make_quadratic(seed=seed, n=n, d1=d, d2=d, hetero=hetero,
-                          eig_range=(1.0, 1.0))
+                          eig_min=1.0, eig_max=1.0)
 
 
 class TestExactHypergradient:
@@ -82,7 +82,8 @@ class TestExactHypergradient:
             assert est[0] == pytest.approx(oracle[0], abs=1e-12)
 
     def test_correction_vanishes_when_f_ignores_y(self):
-        prob = make_quadratic(seed=1, n=2, d1=4, d2=4, eig_range=(0.5, 2.0))
+        prob = make_quadratic(seed=1, n=2, d1=4, d2=4,
+                              eig_min=0.5, eig_max=2.0)
         x = np.array([0.3, -0.1, 0.7, 0.2])
         y = prob.spec.inner_targets[0].copy()   # grad_f_y == 0 here
         est = exact_hypergradient(prob, 0, x, y, full_mask(4),
@@ -91,7 +92,7 @@ class TestExactHypergradient:
 
     def test_matches_oracle_at_inner_optimum(self):
         prob = make_quadratic(seed=2, n=4, d1=8, d2=8, hetero=0.4,
-                              eig_range=(0.6, 2.1))
+                              eig_min=0.6, eig_max=2.1)
         rng = np.random.default_rng(0)
         for _ in range(10):
             x = rng.standard_normal(8)
@@ -104,7 +105,8 @@ class TestExactHypergradient:
             assert np.linalg.norm(avg - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
     def test_support_containment(self):
-        prob = make_quadratic(seed=3, n=2, d1=6, d2=6, eig_range=(0.8, 1.5))
+        prob = make_quadratic(seed=3, n=2, d1=6, d2=6,
+                              eig_min=0.8, eig_max=1.5)
         mx = mask_from([1, 0, 1, 1, 0, 0])
         my = mask_from([0, 1, 1, 0, 1, 1])
         rng = np.random.default_rng(1)
@@ -157,7 +159,8 @@ class TestPerturbationSet:
 
 class TestJacobianColumnFd:
     def test_quadratic_exact_any_mu(self):
-        prob = make_quadratic(seed=4, n=2, d1=4, d2=5, eig_range=(0.7, 1.8))
+        prob = make_quadratic(seed=4, n=2, d1=4, d2=5,
+                              eig_min=0.7, eig_max=1.8)
         b = prob.spec.b_mats[0]
         rng = np.random.default_rng(2)
         x, y = rng.standard_normal(4), rng.standard_normal(5)
@@ -210,7 +213,8 @@ class TestJacobianColumnFd:
         assert err.value.key == "mu"
 
     def test_masked_output(self):
-        prob = make_quadratic(seed=8, n=1, d1=3, d2=4, eig_range=(0.9, 1.4))
+        prob = make_quadratic(seed=8, n=1, d1=3, d2=4,
+                              eig_min=0.9, eig_max=1.4)
         my = mask_from([1, 0, 1, 0])
         delta = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 0, 1e-3,
                                    mask_y=my)
@@ -218,7 +222,7 @@ class TestJacobianColumnFd:
 
     def test_common_random_numbers_cancel_noise(self):
         prob = make_quadratic(seed=9, n=1, d1=3, d2=4, noise_g=2.0,
-                              eig_range=(1.0, 1.0))
+                              eig_min=1.0, eig_max=1.0)
         batch = SampleBatch("g", seed=11, client=0, draw=0)
         clean = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 1, 1e-3)
         noisy = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 1, 1e-3,
@@ -254,7 +258,7 @@ class TestRafboHypergradient:
 
     def test_agreement_with_shared_noisy_batches(self):
         prob = make_quadratic(seed=11, n=2, d1=5, d2=5, noise_f=0.3,
-                              noise_g=0.4, eig_range=(1.0, 1.0))
+                              noise_g=0.4, eig_min=1.0, eig_max=1.0)
         mx, my = full_mask(5), full_mask(5)
         batch_f = SampleBatch("f", seed=3, client=0, draw=0)
         batch_g = SampleBatch("g", seed=3, client=0, draw=1)
@@ -265,7 +269,8 @@ class TestRafboHypergradient:
         assert np.allclose(approx, exact, atol=1e-9)
 
     def test_reduces_to_direct_term_when_f_ignores_y(self):
-        prob = make_quadratic(seed=12, n=2, d1=4, d2=4, eig_range=(0.6, 1.9))
+        prob = make_quadratic(seed=12, n=2, d1=4, d2=4,
+                              eig_min=0.6, eig_max=1.9)
         x = np.array([0.2, -0.4, 0.1, 0.9])
         y = prob.spec.inner_targets[1].copy()
         for mu in (1.0, 1e-4):
@@ -283,7 +288,7 @@ class TestRafboHypergradient:
 
     def test_quartic_error_below_analytic_bound(self):
         prob = make_quadratic(seed=14, n=2, d1=6, d2=6, quartic=0.1,
-                              eig_range=(1.0, 1.0))
+                              eig_min=1.0, eig_max=1.0)
         consts = derive_constants(prob)
         mx, my = full_mask(6), full_mask(6)
         x = np.zeros(6)
@@ -298,7 +303,7 @@ class TestRafboHypergradient:
 
     def test_fd_bias_scaling_slope(self):
         prob = make_quadratic(seed=15, n=2, d1=6, d2=6, quartic=0.1,
-                              eig_range=(1.0, 1.0))
+                              eig_min=1.0, eig_max=1.0)
         mx, my = full_mask(6), full_mask(6)
         x = np.zeros(6)
         y = 0.4 * np.arange(1.0, 7.0) / 6.0
@@ -388,7 +393,7 @@ class TestRafboBatchedEquivalence:
         ids=["plain", "quartic-noisy"])
     def test_quadratic_matches_loop(self, fraction, kwargs):
         prob = make_quadratic(seed=30, n=2, d1=7, d2=6, hetero=0.3,
-                              eig_range=(0.7, 1.6), **kwargs)
+                              eig_min=0.7, eig_max=1.6, **kwargs)
         mx = mask_from([1, 1, 0, 1, 1, 0, 1])
         my = mask_from([0, 1, 1, 1, 0, 1])
         rng = np.random.default_rng(10)
@@ -466,7 +471,7 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
                        .filter(any))
     bits_y = data.draw(st.lists(st.integers(0, 1), min_size=d2, max_size=d2))
     prob = make_quadratic(seed=seed, n=2, d1=d1, d2=d2, hetero=0.5,
-                          eig_range=(0.5, 2.0), quartic=quartic,
+                          eig_min=0.5, eig_max=2.0, quartic=quartic,
                           noise_f=0.2, noise_g=noise_g)
     mx, my = mask_from(bits_x), mask_from(bits_y)
     rng = np.random.default_rng(seed)
@@ -494,7 +499,7 @@ def test_rafbo_equals_masked_deltas_bit_for_bit(data, family, mu, fraction,
     if family == "quadratic":
         d1, d2 = data.draw(st.integers(1, 7)), data.draw(st.integers(2, 7))
         prob = make_quadratic(
-            seed=seed, n=2, d1=d1, d2=d2, hetero=0.5, eig_range=(0.5, 2.0),
+            seed=seed, n=2, d1=d1, d2=d2, hetero=0.5, eig_min=0.5, eig_max=2.0,
             quartic=data.draw(st.sampled_from([0.0, 0.3])), noise_f=0.2,
             noise_g=0.5)
         size = 1
@@ -545,7 +550,7 @@ class TestMaskDriftDiagnostic:
         # ||grad f_i(x*m, y*m) - grad f_i(x, y)||^2
         #   <= 2 M_f^2 w1^2 ||x||^2 + 2 M_f^2 w2^2 ||y||^2
         prob = make_quadratic(seed=18, n=3, d1=6, d2=6, hetero=0.4, lam=0.8,
-                              eig_range=(0.7, 1.6))
+                              eig_min=0.7, eig_max=1.6)
         consts = derive_constants(prob)
         rng = np.random.default_rng(6)
         from rabosim.masking import apply_mask

@@ -130,7 +130,7 @@ FLOOR_RTOL = 1e-5
 ])
 def test_run_settles_on_the_map_floor(capacity, floors):
     prob = make_quadratic(seed=0, n=4, d1=10, d2=10, hetero=0.3,
-                          eig_range=(0.8, 1.6))
+                          eig_min=0.8, eig_max=1.6)
     for estimator, reference in floors.items():
         cfg = RunConfig(alpha=0.1, beta=0.3, inner_epochs=5, rounds=320,
                         estimator=estimator, policy=MaskPolicy("rolling"),
@@ -144,7 +144,7 @@ def test_run_settles_on_the_map_floor(capacity, floors):
 
 def test_full_capacity_floors():
     prob = make_quadratic(seed=0, n=4, d1=10, d2=10, hetero=0.3,
-                          eig_range=(0.8, 1.6))
+                          eig_min=0.8, eig_max=1.6)
     caps = [ClientResource(1)] * 4
     exact = period_map(prob, RunConfig(alpha=0.1, beta=0.3, inner_epochs=5,
                                        capacities=caps))

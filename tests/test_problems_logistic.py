@@ -35,9 +35,23 @@ class TestConstruction:
         assert np.array_equal(class_counts(prob), [100, 50, 25, 12])
 
     def test_empty_class_raises(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec) as err:
             make_logistic_tune(seed=2, n=1, imbalance_mu=0.1, classes=4,
                                base_count=100)
+        assert err.value.key == "base_count"
+        assert str(err.value) == ("base_count 100 leaves the last class "
+                                  "empty after decay by imbalance_mu 0.1")
+
+    def test_fewest_samples_leave_a_validation_split(self):
+        # class 0 gives len // 5 of its base_count samples to validation
+        with pytest.raises(InvalidSpec) as err:
+            make_logistic_tune(n=2, classes=2, features=2, base_count=4)
+        assert err.value.key == "base_count"
+        prob = make_logistic_tune(n=2, classes=2, features=2, base_count=5)
+        for i, data in enumerate(prob.spec.clients):
+            assert len(data.y_val) == 2
+            grad = prob.grad_f_y(i, np.zeros(prob.d1), np.ones(prob.d2))
+            assert np.all(np.isfinite(grad))
 
     def test_mu_out_of_range(self):
         with pytest.raises(InvalidSpec):

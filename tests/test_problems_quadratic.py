@@ -131,9 +131,10 @@ class TestSpecValidation:
 class TestSharedBlocks:
     """make_quadratic holds one read-only A and one B for all clients."""
 
-    @pytest.mark.parametrize("eig_range", [(1.0, 1.0), (0.6, 1.8)])
-    def test_clients_alias_read_only_blocks(self, eig_range):
-        prob = make_quadratic(seed=27, n=4, d1=3, d2=5, eig_range=eig_range)
+    @pytest.mark.parametrize("eig_min,eig_max", [(1.0, 1.0), (0.6, 1.8)])
+    def test_clients_alias_read_only_blocks(self, eig_min, eig_max):
+        prob = make_quadratic(seed=27, n=4, d1=3, d2=5, eig_min=eig_min,
+                              eig_max=eig_max)
         spec = prob.spec
         assert all(a is spec.a_mats[0] for a in spec.a_mats)
         assert all(b is spec.b_mats[0] for b in spec.b_mats)
@@ -156,11 +157,11 @@ class TestSharedBlocks:
         vectors = 8 * n * (d1 + 2 * d2)
         bound = blocks + vectors + 256 * 1024             # 1,849,344 bytes
         # a first build, so that lazy imports are not counted
-        make_quadratic(seed=28, n=2, d1=3, d2=3, eig_range=(0.8, 1.6))
+        make_quadratic(seed=28, n=2, d1=3, d2=3, eig_min=0.8, eig_max=1.6)
         tracemalloc.start()
         try:
             prob = make_quadratic(seed=28, n=n, d1=d1, d2=d2, hetero=0.3,
-                                  eig_range=(0.8, 1.6))
+                                  eig_min=0.8, eig_max=1.6)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -171,7 +172,7 @@ class TestSharedBlocks:
     def test_aliases_and_copies_give_same_rounds_csv(self, estimator):
         aliased = make_quadratic(seed=29, n=3, d1=6, d2=5, hetero=0.4,
                                  noise_f=0.2, noise_g=0.2,
-                                 eig_range=(0.7, 1.5), quartic=0.1)
+                                 eig_min=0.7, eig_max=1.5, quartic=0.1)
         copied = QuadraticProblem(distinct_copies(aliased.spec))
         assert copied.spec.a_mats[1] is not copied.spec.a_mats[0]
 
@@ -188,7 +189,7 @@ class TestSharedBlocks:
 class TestMakeQuadratic:
     def test_zero_hetero_identical_clients(self):
         prob = make_quadratic(seed=1, n=4, d1=3, d2=5, hetero=0.0,
-                              eig_range=(0.5, 2.0))
+                              eig_min=0.5, eig_max=2.0)
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(3), rng.standard_normal(5)
         for i in range(1, 4):
@@ -215,14 +216,19 @@ class TestMakeQuadratic:
         mean_y = sum(prob.grad_g_y(i, x, y) for i in range(3)) / 3
         assert np.linalg.norm(ref - mean_y) <= 1e-14
 
-    def test_invalid_eig_range(self):
-        with pytest.raises(InvalidSpec):
-            make_quadratic(seed=0, n=2, d1=2, d2=2, eig_range=(0.0, 1.0))
-        with pytest.raises(InvalidSpec):
-            make_quadratic(seed=0, n=2, d1=2, d2=2, eig_range=(2.0, 1.0))
+    def test_invalid_eig_bounds(self):
+        # each error names the argument that breaks its rule
+        with pytest.raises(InvalidSpec) as err:
+            make_quadratic(seed=0, n=2, d1=2, d2=2, eig_min=0.0, eig_max=1.0)
+        assert err.value.key == "eig_min"
+        with pytest.raises(InvalidSpec) as err:
+            make_quadratic(eig_min=2, eig_max=1)
+        assert err.value.key == "eig_max"
+        assert str(err.value) == "eig_max must be at least eig_min 2, got 1"
 
     def test_eigenvalues_inside_range(self):
-        prob = make_quadratic(seed=5, n=3, d1=4, d2=6, eig_range=(0.7, 2.5))
+        prob = make_quadratic(seed=5, n=3, d1=4, d2=6,
+                              eig_min=0.7, eig_max=2.5)
         for a in prob.spec.a_mats:
             lo, hi = spectral_bounds(a)
             assert lo >= 0.7 - 1e-9 and hi <= 2.5 + 1e-9
@@ -230,7 +236,8 @@ class TestMakeQuadratic:
     def test_config_round_trip(self):
         # the echoed problem section rebuilds the same instance
         prob = make_quadratic(seed=6, n=3, d1=4, d2=5, hetero=0.3,
-                              noise_f=0.1, noise_g=0.2, eig_range=(0.9, 1.8),
+                              noise_f=0.1, noise_g=0.2,
+                              eig_min=0.9, eig_max=1.8,
                               quartic=0.05)
         section = {"family": "quadratic", "seed": 6, "n": 3, "d1": 4,
                    "d2": 5, "hetero": 0.3, "noise_f": 0.1, "noise_g": 0.2,
@@ -263,7 +270,7 @@ class TestInnerOptimumOracle:
 
     def test_stationarity_of_oracle(self):
         prob = make_quadratic(seed=8, n=4, d1=4, d2=5, hetero=0.5,
-                              eig_range=(0.6, 2.0))
+                              eig_min=0.6, eig_max=2.0)
         x = np.linspace(-1, 1, 4)
         ys = prob.y_star(x)
         mean_g = sum(prob.grad_g_y(i, x, ys) for i in range(prob.n)) / prob.n
@@ -271,7 +278,7 @@ class TestInnerOptimumOracle:
 
     def test_matches_gradient_descent(self):
         prob = make_quadratic(seed=9, n=3, d1=4, d2=5, hetero=0.4,
-                              eig_range=(0.5, 1.5))
+                              eig_min=0.5, eig_max=1.5)
         x = np.array([0.2, -0.7, 1.1, 0.4])
         y = np.zeros(5)
         for _ in range(4000):  # descend the averaged lower objective
@@ -287,7 +294,7 @@ class TestInnerOptimumOracle:
         # without the quartic term the factor of A_bar and the Jacobian are
         # computed once and reused; every call must equal a fresh solve
         prob = make_quadratic(seed=12, n=3, d1=6, d2=9, hetero=0.4,
-                              eig_range=(0.6, 1.8), quartic=quartic)
+                              eig_min=0.6, eig_max=1.8, quartic=quartic)
         rng = np.random.default_rng(4)
         for _ in range(3):
             x = rng.standard_normal(6)
@@ -303,7 +310,8 @@ class TestInnerOptimumOracle:
             prob.y_star(np.full(6, np.nan))
 
     def test_cached_jacobian_read_only(self):
-        prob = make_quadratic(seed=12, n=2, d1=4, d2=5, eig_range=(0.6, 1.8))
+        prob = make_quadratic(seed=12, n=2, d1=4, d2=5,
+                              eig_min=0.6, eig_max=1.8)
         jac = prob.jac_y_star(np.zeros(4))
         assert not jac.flags.writeable
         with pytest.raises(ValueError):
@@ -336,7 +344,7 @@ class TestTrueHypergradientOracle:
         {},
         {"quartic": 0.1},
         {"sine_amp": 0.3},
-        {"eig_range": (0.6, 1.8), "hetero": 0.5},
+        {"eig_min": 0.6, "eig_max": 1.8, "hetero": 0.5},
     ])
     def test_central_difference_consistency(self, kwargs):
         prob = make_quadratic(seed=11, n=4, d1=6, d2=6, lam=0.7, **kwargs)
@@ -353,7 +361,7 @@ class TestTrueHypergradientOracle:
 
     def test_directional_differences_20_directions(self):
         prob = make_quadratic(seed=12, n=3, d1=6, d2=6, hetero=0.3, lam=0.5,
-                              eig_range=(0.8, 1.6))
+                              eig_min=0.8, eig_max=1.6)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(6) * 0.3
         oracle = prob.grad_phi(x)
@@ -367,7 +375,7 @@ class TestTrueHypergradientOracle:
 
     def test_analytic_minimizer_is_stationary(self):
         prob = make_quadratic(seed=13, n=4, d1=5, d2=5, hetero=0.4, lam=0.8,
-                              eig_range=(0.7, 1.9))
+                              eig_min=0.7, eig_max=1.9)
         x_star = outer_minimizer(prob)
         grad = prob.grad_phi(x_star)
         assert float(grad @ grad) <= 1e-16
@@ -375,7 +383,8 @@ class TestTrueHypergradientOracle:
 
 class TestDeriveConstants:
     def test_identity_curvature(self):
-        prob = make_quadratic(seed=14, n=3, d1=4, d2=4, eig_range=(1.0, 1.0))
+        prob = make_quadratic(seed=14, n=3, d1=4, d2=4,
+                              eig_min=1.0, eig_max=1.0)
         consts = derive_constants(prob)
         assert consts.mu_g == pytest.approx(1.0, abs=1e-12)
         assert consts.l_g2 == 0.0
@@ -399,7 +408,7 @@ class TestDeriveConstants:
 
     def test_lipschitz_probe_100_pairs(self):
         prob = make_quadratic(seed=16, n=4, d1=5, d2=6, hetero=0.5,
-                              eig_range=(0.6, 2.2))
+                              eig_min=0.6, eig_max=2.2)
         consts = derive_constants(prob)
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -409,7 +418,7 @@ class TestDeriveConstants:
 
     def test_sector_bounds_on_probes(self):
         prob = make_quadratic(seed=17, n=3, d1=4, d2=5, hetero=0.3,
-                              eig_range=(0.5, 2.0))
+                              eig_min=0.5, eig_max=2.0)
         consts = derive_constants(prob)
         rng = np.random.default_rng(6)
         for _ in range(50):
@@ -430,7 +439,7 @@ class TestDeriveConstants:
     @pytest.mark.parametrize("quartic", [0.0, 0.2])
     def test_aliases_give_constants_of_distinct_copies(self, quartic):
         prob = make_quadratic(seed=30, n=4, d1=5, d2=6, hetero=0.5,
-                              eig_range=(0.6, 2.2), quartic=quartic)
+                              eig_min=0.6, eig_max=2.2, quartic=quartic)
         copied = QuadraticProblem(distinct_copies(prob.spec))
         assert derive_constants(prob) == derive_constants(copied)
 
@@ -464,7 +473,8 @@ class TestDeriveConstants:
 
 class TestDerivativeCallbacks:
     def test_hessian_is_curvature_block(self):
-        prob = make_quadratic(seed=18, n=2, d1=3, d2=4, eig_range=(0.5, 1.5))
+        prob = make_quadratic(seed=18, n=2, d1=3, d2=4,
+                              eig_min=0.5, eig_max=1.5)
         x1, y1 = np.ones(3), np.ones(4)
         x2, y2 = -np.ones(3), np.zeros(4)
         h1 = prob.hess_yy_g(0, x1, y1)
@@ -473,7 +483,8 @@ class TestDerivativeCallbacks:
         assert np.array_equal(h1, h2)
 
     def test_cross_apply_matches_columns_and_fd(self):
-        prob = make_quadratic(seed=19, n=2, d1=3, d2=4, eig_range=(0.7, 1.4))
+        prob = make_quadratic(seed=19, n=2, d1=3, d2=4,
+                              eig_min=0.7, eig_max=1.4)
         b = prob.spec.b_mats[0]
         x, y = np.array([0.1, -0.2, 0.4]), np.array([0.3, 0.1, -0.5, 0.2])
         for k in range(4):
@@ -581,7 +592,7 @@ class TestGradGyBatch:
     ], ids=["plain", "quartic", "noisy"])
     def test_rows_equal_single_calls(self, kwargs, batch):
         prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
-                              eig_range=(0.6, 1.7), **kwargs)
+                              eig_min=0.6, eig_max=1.7, **kwargs)
         rng = np.random.default_rng(9)
         x = rng.standard_normal(37)
         y = rng.standard_normal(23)
@@ -599,7 +610,8 @@ class TestGradGyBatch:
 
     def test_repeated_calls_bit_identical(self):
         prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
-                              eig_range=(0.6, 1.7), quartic=0.2, noise_g=0.7)
+                              eig_min=0.6, eig_max=1.7, quartic=0.2,
+                              noise_g=0.7)
         rng = np.random.default_rng(9)
         x = rng.standard_normal(37)
         y = rng.standard_normal(23)
