@@ -140,15 +140,16 @@ OPTIONAL_STRINGS = ("dir", "compare_baseline")
 # Entries whose type alone does not make them valid are checked against
 # the range tables of the modules that own them.
 RUN_TABLES = (federation.RANGES, hypergrad.RANGES, masking.RANGES)
-# family -> (builder, the rules of its arguments)
-FAMILIES = {"quadratic": (make_quadratic, quadratic.check_args),
-            "logistic": (make_logistic_tune, logistic.check_args)}
+# family -> (builder, the rules of its arguments, the (d1, d2) they give)
+FAMILIES = {
+    "quadratic": (make_quadratic, quadratic.check_args, quadratic.dims),
+    "logistic": (make_logistic_tune, logistic.check_args, logistic.dims)}
 # family -> its builder's keyword arguments and their defaults, which are
 # the keys and defaults of the family's problem section
 FAMILY_ARGUMENTS = {
     family: {name: param.default for name, param
              in inspect.signature(builder).parameters.items()}
-    for family, (builder, _) in FAMILIES.items()}
+    for family, (builder, *_) in FAMILIES.items()}
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
@@ -204,13 +205,6 @@ def _normalize_capacities(value, key: str) -> list | str:
         raise InvalidSpec(f"bad capacity in '{key}': {exc}", key=key) from exc
 
 
-def _problem_dims(problem: dict) -> tuple[int, int]:
-    """(d1, d2) of the problem a resolved ``problem`` section builds."""
-    if problem["family"] == "quadratic":
-        return problem["d1"], problem["d2"]
-    return 2 * problem["classes"] + 1, problem["classes"] * problem["features"]
-
-
 def _check_table(table, n: int, d: int, name: str) -> None:
     """A manual table has one row of coordinate indices in [0, d) per
     client, no more and no fewer.
@@ -251,7 +245,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     check_ranges({"family": family}, {"family": tuple(FAMILIES)}, "problem.")
     problem = _resolve_section("problem", problem_raw,
                                FAMILY_ARGUMENTS[family])
-    _, check_args = FAMILIES[family]
+    _, check_args, dims_of = FAMILIES[family]
     check_args(problem, "problem.")
     problem["family"] = family
 
@@ -301,7 +295,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"sweep.manual_tables must be a non-empty list of objects, each "
             f"with 'x' and 'y' per-client coordinate lists, got {tables!r}",
             key="manual_tables")
-    n, dims = problem["n"], _problem_dims(problem)
+    n, dims = problem["n"], dims_of(problem)
     for name, entries in (("run.capacities", [run_cfg["capacities"]]),
                           ("sweep.capacities", sweep["capacities"])):
         for entry in entries:
@@ -544,12 +538,16 @@ def _masks_csv(logs) -> str:
 
 
 def compare_costs(results: SweepResult, baseline_key: str) -> list[dict]:
-    """Compute per-variant compute/communication ratios vs a baseline."""
+    """Compute per-variant compute/communication ratios vs a baseline;
+    raises MissingBaseline if it is absent, failed or cost nothing."""
     base = results.variants.get(baseline_key)
     if base is None or base.summary is None:
         raise MissingBaseline(f"baseline variant '{baseline_key}' not in sweep")
     base_flops = base.summary["total_flops"]
     base_bytes = base.summary["bytes_up"] + base.summary["bytes_down"]
+    if not (base_flops and base_bytes):
+        raise MissingBaseline(
+            f"baseline variant '{baseline_key}' has no cost to divide by")
     rows = []
     for key, var in sorted(results.variants.items()):
         if var.summary is None:

@@ -183,10 +183,10 @@ class CostLedger:
     2|P| + 2 gradient evaluations although the simulator evaluates the
     base gradient once, so the modeled cost describes the method, not the
     simulator. Likewise a round factors each distinct read-only inner
-    Hessian block and active set once and reuses the factor for every
-    client holding the pair (the ``solvers`` memo of
-    ``exact_hypergradient``), while ``exact_aid_flops`` still charges
-    every client its own solve.
+    Hessian block and active set once, and computes each product of a
+    read-only block with a distinct vector once (``rabo_round``'s memo),
+    while ``exact_aid_flops`` still charges every client its own solve
+    and ``grad_eval_flops`` every client each gradient evaluation.
     """
 
     x_down: int = 0
@@ -241,7 +241,8 @@ class CostLedger:
 
 def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
                       mask_y: Mask, beta: float, inner_epochs: int,
-                      batches=None, divergence_guard: float | None = None):
+                      batches=None, divergence_guard: float | None = None,
+                      memo: dict | None = None):
     """T masked stochastic gradient steps on y; returns (y_T, G).
 
     ``batches`` supplies one SampleBatch per epoch (None for noiseless /
@@ -249,6 +250,7 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     update as the sum of the masked step gradients, oriented like a
     gradient so the server's ``y - beta * mean(G)`` update replays the
     clients' parameter deltas; its support stays inside the mask.
+    Every ``grad_g_y`` call is handed ``memo``, the round's shared dict.
     Raises DivergenceDetected when ||y|| exceeds the guard or is NaN.
     Under a guard, numpy's overflow and invalid-value warnings are
     silenced: what overflowed shows up as a non-finite ||y||, which the
@@ -261,7 +263,7 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     with quiet:
         for t in range(inner_epochs):
             batch = batches[t] if batches is not None else None
-            grad = apply_mask(problem.grad_g_y(i, x_i, y, batch), mask_y)
+            grad = apply_mask(problem.grad_g_y(i, x_i, y, batch, memo), mask_y)
             y = y - beta * grad
             norm = np.linalg.norm(y)
             if divergence_guard is not None and not norm <= divergence_guard:
@@ -354,6 +356,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     guard = divergence_guard if divergence_guard is not None else \
         _divergence_cap(cfg, state.x, state.y)
 
+    memo = {}   # read-only blocks' work for this round's clients to share
     reports, client_x = [], []
     for i, res in enumerate(cfg.capacities):
         mask_x = generate_mask(state.x, res, cfg.policy, i, q, "x")
@@ -368,7 +371,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         try:
             y_t, g_delta = client_inner_loop(
                 problem, i, x_i, y_i0, mask_y, cfg.beta, cfg.inner_epochs,
-                batches, guard)
+                batches, guard, memo=memo)
         except DivergenceDetected as exc:
             raise DivergenceDetected(
                 f"round {q}: {exc}; client outer iterate ||x|| = "
@@ -381,7 +384,6 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     y_next = aggregate_inner(state.y, reports, cfg.beta)
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
-    solvers = {}   # this round's restricted-block solvers, shared by clients
     for rep, x_i in zip(reports, client_x):
         i = rep.client
         y_plus = apply_mask(y_next, rep.mask_y)
@@ -394,13 +396,14 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
             try:
                 rep.hypergrad = exact_hypergradient(
                     problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
-                    batch_g, solvers)
+                    batch_g, memo=memo)
             except SingularRestrictedHessian as exc:
                 raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
         else:
             rep.hypergrad = rafbo_hypergradient(
                 problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,
-                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"))
+                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"),
+                memo=memo)
 
     x_next = aggregate_outer(state.x, reports, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")

@@ -71,7 +71,7 @@ from .errors import (
     check_ranges,
 )
 # solve_spd stays bound here: perfbench/spans.py wraps hypergrad.solve_spd
-from .linalg import solve_spd, spd_solver
+from .linalg import memoized, solve_spd, spd_solver
 from .masking import Mask, apply_mask
 from .rng import RngStream
 
@@ -148,7 +148,7 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
 def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
                         batch_f=None, batch_g=None,
-                        solvers: dict | None = None) -> np.ndarray:
+                        memo: dict | None = None) -> np.ndarray:
     """Implicit-differentiation hypergradient with a restricted solve.
 
     The inner Hessian system is solved on the client's active inner
@@ -157,11 +157,10 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     active block. Raises SingularRestrictedHessian when the restricted
     block is not SPD (the mask killed strong convexity there).
 
-    ``solvers`` is a memo that one round's calls share. When the Hessian
-    is read-only (a block the problem shares and never changes), the
-    solver of its restricted block is kept there, keyed by the array's
-    identity and the active set, and every client with the same pair
-    reuses it; the bits are those of a factor per client.
+    ``memo`` is the dict one round's calls share (``linalg.memoized``).
+    The solver of a read-only Hessian's restricted block is kept there
+    per active set, so the round's clients with the same pair share one
+    factor, with the bits of a factor per client.
     """
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
@@ -170,8 +169,9 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     if active_y.size:
         hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g)
         try:
-            z[active_y] = _restricted_solver(hess, active_y, solvers)(
-                gfy[active_y])
+            solve = memoized(memo, "solver", hess, active_y,
+                             lambda h, a: spd_solver(h[np.ix_(a, a)]))
+            z[active_y] = solve(gfy[active_y])
         except NotPositiveDefinite as exc:
             raise SingularRestrictedHessian(
                 f"client {i}: restricted inner Hessian is not SPD "
@@ -180,27 +180,15 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     return apply_mask(gfx - correction, mask_x)
 
 
-def _restricted_solver(hess: np.ndarray, active_y: np.ndarray,
-                       solvers: dict | None):
-    """Solver of ``hess`` restricted to ``active_y``, memoized in
-    ``solvers`` when ``hess`` is read-only. An entry holds ``hess`` itself,
-    so its id is not reused while the memo lives."""
-    if solvers is None or hess.flags.writeable:
-        return spd_solver(hess[np.ix_(active_y, active_y)])
-    key = (id(hess), active_y.tobytes())
-    if key not in solvers:
-        solvers[key] = (hess, spd_solver(hess[np.ix_(active_y, active_y)]))
-    return solvers[key][1]
-
-
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
                         cfg: RAFBOConfig, batch_f=None, batch_g=None,
-                        rng: RngStream | None = None) -> np.ndarray:
+                        rng: RngStream | None = None,
+                        memo: dict | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 
     value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the lower
-    gradients come from one ``grad_g_y_perturbed`` call.
+    gradients come from one ``grad_g_y_perturbed`` call, given ``memo``.
 
     The difference step runs in place on the returned rows, which the
     caller owns. The inner mask multiplies grad_y f (d2 products), not
@@ -210,8 +198,8 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
     coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
-    base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked,
-                                            coords, cfg.mu, batch_g)
+    base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked, coords,
+                                            cfg.mu, batch_g, memo=memo)
     np.subtract(base, rows, out=rows)
     rows /= cfg.mu
     value = gfx.copy()

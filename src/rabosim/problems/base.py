@@ -107,33 +107,42 @@ class BilevelProblem(ABC):
 
     @abstractmethod
     def grad_g_y(self, i: int, x: np.ndarray, y: np.ndarray,
-                 batch: SampleBatch | None = None) -> np.ndarray: ...
+                 batch: SampleBatch | None = None,
+                 memo: dict | None = None) -> np.ndarray:
+        """Lower gradient in y, a fresh array the caller may overwrite.
+
+        ``memo`` is the caller's dict of work shared between calls
+        (``rabo_round`` keeps one per round; see ``linalg.memoized``), and
+        leaves the bits of a call without it. The logistic family ignores
+        it."""
 
     def grad_g_y_perturbed(self, i: int, x: np.ndarray, y: np.ndarray,
                            coords: np.ndarray, mu: float,
-                           batch: SampleBatch | None = None
+                           batch: SampleBatch | None = None,
+                           memo: dict | None = None
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Lower gradient at x and at every x + mu e_p, p in ``coords``.
 
         Returns ``(base, rows)``: ``base`` is ``grad_g_y(i, x, y, batch)``
         and row k of the ``(len(coords), d2)`` array ``rows`` is
         ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
-        uses the same batch. This default makes one ``grad_g_y`` call per
-        point. Families may override it. The quadratic family builds each
-        row from the base and the perturbation's structure, so its rows
-        equal the single call to rounding, not bit for bit. The logistic
+        uses the same batch, and ``base`` is evaluated with ``memo``.
+        This default makes one ``grad_g_y`` call per point. Families may
+        override it. The quadratic family builds each row from the base
+        and the perturbation's structure, so its rows equal the single
+        call to rounding, not bit for bit. The logistic
         family evaluates every point in one stacked pass with the single
         call's operations, so its rows equal the single call bit for bit;
         only offset perturbations rerun the softmax. Repeated calls stay
         bit-identical at a fixed BLAS thread count.
 
         ``rows`` is a fresh array that the caller owns and may overwrite:
-        it shares no memory with the problem's state, and writing to it
-        changes neither ``base`` nor a later call's result
+        it shares no memory with the problem's state or ``memo``, and
+        writing to it changes neither ``base`` nor a later call's result
         (``rafbo_hypergradient`` runs its difference step in place on it).
         """
         self.check_coords(coords)
-        base = self.grad_g_y(i, x, y, batch)
+        base = self.grad_g_y(i, x, y, batch, memo)
         rows = np.empty((coords.shape[0], self.d2))
         for k, p in enumerate(coords):
             x_pert = x.copy()

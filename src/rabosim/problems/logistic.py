@@ -74,8 +74,7 @@ class LogisticTuneProblem(BilevelProblem):
         self.n = len(spec.clients)
         self.classes = spec.classes
         self.features = spec.features
-        self.d1 = 2 * spec.classes + 1
-        self.d2 = spec.classes * spec.features
+        self.d1, self.d2 = dims(vars(spec))
 
     # -- parameter unpacking -------------------------------------------------
     def _unpack_x(self, x: np.ndarray):
@@ -106,7 +105,7 @@ class LogisticTuneProblem(BilevelProblem):
         ce = -_log_softmax(logits)[np.arange(len(labels)), labels]
         return float(np.mean(weights[labels] * ce)) + 0.5 * reg * float(y @ y)
 
-    def grad_g_y(self, i, x, y, batch=None):
+    def grad_g_y(self, i, x, y, batch=None, memo=None):
         self.check_dims(x, y)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
@@ -117,7 +116,7 @@ class LogisticTuneProblem(BilevelProblem):
         grad_w = wr.T @ feats / len(labels)
         return grad_w.ravel() + reg * y
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None, memo=None):
         # grad_g_y's operations on a stack of the base and every x + mu e_p,
         # elementwise or reduced along the last axis, so each row equals
         # its single call bit for bit. Weight and reg perturbations leave
@@ -231,6 +230,11 @@ def check_args(args: dict, prefix: str = "") -> None:
             f"{prefix}base_count {args['base_count']} leaves the last class "
             f"empty after decay by imbalance_mu {args['imbalance_mu']!r}",
             key="base_count")
+
+
+def dims(args: dict) -> tuple[int, int]:
+    """(d1, d2) of ``make_logistic_tune(**args)``, or of a spec's fields."""
+    return 2 * args["classes"] + 1, args["classes"] * args["features"]
 
 
 def make_logistic_tune(seed: int = 0, n: int = 4, imbalance_mu: float = 1.0,

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import matmul
 
 import numpy as np
 
 from ..errors import InvalidSpec, UnsupportedProblem, check_ranges
 from ..linalg import (
+    memoized,
     solve_spd,
     spd_solver,
     spectral_bounds,
@@ -149,10 +151,12 @@ class QuadraticProblem(BilevelProblem):
             val += (s.quartic / 4.0) * float(x @ x) * float(y @ (s.u_mats[i] @ y))
         return val
 
-    def grad_g_y(self, i, x, y, batch=None):
+    def grad_g_y(self, i, x, y, batch=None, memo=None):
+        # the sum is a fresh array, never a memo entry
         self.check_dims(x, y)
         s = self.spec
-        grad = s.a_mats[i] @ y + s.b_mats[i] @ x + s.c_vecs[i]
+        grad = memoized(memo, "product", s.a_mats[i], y, matmul) \
+            + memoized(memo, "product", s.b_mats[i], x, matmul) + s.c_vecs[i]
         if s.quartic:
             grad = grad + (s.quartic / 2.0) * float(x @ x) * (s.u_mats[i] @ y)
         noise = self._noise(batch, s.noise_g)
@@ -160,14 +164,14 @@ class QuadraticProblem(BilevelProblem):
             grad = grad + noise[: self.d2]
         return grad
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None, memo=None):
         # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
         # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
         # the base plus O(d2) work. Every row keeps the base's noise draw.
         # The rows are built in place on a float64 copy of B_i^T[coords],
         # with the operations of base + mu * B_i^T[coords].
         self.check_coords(coords)
-        base = self.grad_g_y(i, x, y, batch)
+        base = self.grad_g_y(i, x, y, batch, memo)
         s = self.spec
         rows = s.b_mats[i].T[coords].astype(np.float64, copy=False)
         rows *= mu
@@ -299,6 +303,11 @@ def check_args(args: dict, prefix: str = "") -> None:
         raise InvalidSpec(f"{prefix}eig_max must be at least eig_min "
                           f"{args['eig_min']!r}, got {args['eig_max']!r}",
                           key="eig_max")
+
+
+def dims(args: dict) -> tuple[int, int]:
+    """(d1, d2) of the problem ``make_quadratic(**args)`` builds."""
+    return args["d1"], args["d2"]
 
 
 def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,

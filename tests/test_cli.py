@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import rabosim
 from rabosim import federation, hypergrad, masking
 from rabosim.cli import (
+    FAMILIES,
     RUN_DEFAULTS,
     apply_override,
     build_problem,
@@ -158,6 +159,15 @@ class TestParseConfig:
             {"problem": {"family": section["family"]}}).problem
         assert json.dumps(problem, sort_keys=True) == \
             json.dumps(section, sort_keys=True)
+
+    @pytest.mark.parametrize("family, shape", [
+        ("quadratic", {"d1": 3, "d2": 5}),
+        ("logistic", {"classes": 3, "features": 2})])
+    def test_family_dims_match_the_built_problem(self, family, shape):
+        problem = resolve_config(
+            {"problem": {"family": family, "n": 2, **shape}}).problem
+        built = build_problem(problem)
+        assert FAMILIES[family][2](problem) == (built.d1, built.d2)
 
     def test_unknown_key_named(self, tmp_path):
         path = write_config(tmp_path, {
@@ -417,6 +427,15 @@ class TestCompareCosts:
         result = self.build_sweep(tmp_path)
         with pytest.raises(MissingBaseline):
             compare_costs(result, "est_exact_aid__cap9__seed_0")
+
+    def test_zero_cost_baseline_is_missing(self, tmp_path):
+        # resolve_config rejects a baseline option over 0 rounds, but a
+        # library caller can still name one after the run
+        cfg = resolve_config(small_quadratic_config(rounds=0))
+        result = run_experiment(cfg, tmp_path / "out")
+        baseline = "est_exact_aid__cap1__seed_0"
+        with pytest.raises(MissingBaseline, match=baseline):
+            compare_costs(result, baseline)
 
     def test_ratio_csv_emitted(self, tmp_path):
         data = small_quadratic_config()

@@ -638,6 +638,48 @@ class TestGradGyBatch:
                                 1e-3, batch)
         assert np.array_equal(spec.b_mats[1], b_before)
 
+    @pytest.mark.parametrize("quartic", [0.0, 0.2])
+    def test_memo_entries_never_reach_the_caller(self, quartic):
+        # make_quadratic's A and B are read-only, so their products with
+        # x and y are kept in the memo; overwriting what a call returns
+        # must leave a later memoized call's bits as they were
+        prob = make_quadratic(seed=25, n=3, d1=6, d2=5, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7, quartic=quartic,
+                              noise_g=0.7)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal(6), rng.standard_normal(5)
+        batch = SampleBatch("g", seed=4, client=1, draw=3)
+        want = prob.grad_g_y(1, x, y, batch)
+        memo = {}
+        for _ in range(2):
+            got = prob.grad_g_y(1, x, y, batch, memo=memo)
+            assert np.array_equal(got, want)
+            got[...] = np.nan
+        assert len(memo) == 2
+        base, rows = prob.grad_g_y_perturbed(1, x, y, self.COORDS[:3], 1e-3,
+                                             batch, memo=memo)
+        assert np.array_equal(base, want)
+        base[...] = np.nan
+        assert np.array_equal(prob.grad_g_y(1, x, y, batch, memo=memo), want)
+        assert_caller_owns_rows(
+            lambda *args: QuadraticProblem.grad_g_y_perturbed(
+                *args, memo=memo),
+            prob, 1, x, y, self.COORDS[:3], 1e-3, batch)
+        assert len(memo) == 2
+
+    def test_memo_skips_writable_blocks(self):
+        # a writable block may change between calls, so a product kept
+        # for it could go stale
+        spec = distinct_copies(small_spec(n=2, d1=3, d2=2))
+        prob = QuadraticProblem(spec)
+        x, y, memo = np.ones(3), np.ones(2), {}
+        prob.grad_g_y(1, x, y, memo=memo)
+        spec.a_mats[1][0, 0] += 1.0
+        spec.b_mats[1][0, 0] += 1.0
+        assert np.array_equal(prob.grad_g_y(1, x, y, memo=memo),
+                              prob.grad_g_y(1, x, y))
+        assert memo == {}
+
     def test_rejects_wrong_row_width(self):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
         with pytest.raises(DimensionMismatch):

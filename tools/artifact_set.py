@@ -7,7 +7,8 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``configs/demo_sweep.json`` into ``OUT/demo_sweep``;
 - ``configs/coverage_pinning.json`` into ``OUT/coverage_pinning``;
 - each benchmark workload of ``perfbench/workloads.py`` at seeds 1 and 5
-  into ``OUT/<workload>-s<seed>``.
+  into ``OUT/<workload>-s<seed>``;
+- ``WINDOW_GROUPS`` below into ``OUT/window_groups``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -26,6 +27,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("demo_sweep", "coverage_pinning")
 SEEDS = (1, 5)
+# Rolling masks put 6 of the 12 clients on each window at capacity 1/2
+# and 3 at 1/4, so the clients of a window share a round's memoized block
+# products, with noise on. The demo gives each of its 4 clients a window
+# of its own at 1/4.
+WINDOW_GROUPS = {
+    "problem": {"family": "quadratic", "seed": 3, "n": 12, "d1": 16,
+                "d2": 16, "hetero": 0.3, "noise_f": 0.2, "noise_g": 0.2,
+                "eig_min": 0.8, "eig_max": 1.6},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 20,
+            "policy": "rolling", "batch_size_f": 2, "batch_size_g": 2},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": ["1/2", "1/4"]},
+}
 
 
 def _workloads():
@@ -44,6 +58,7 @@ def documents():
     for name in workloads.NAMES:
         for seed in SEEDS:
             yield f"{name}-s{seed}", workloads.raw_config(name, seed)
+    yield "window_groups", WINDOW_GROUPS
 
 
 def main(argv=None) -> int:
