@@ -6,6 +6,9 @@ Two routes to the same quantity:
   restricted to its active inner coordinates (implicit differentiation
   with a direct solve), then applies the mixed second derivative:
   value = grad_x f - (d^2 g/dx dy) @ z with z = [d^2 g/dy^2]^{-1} grad_y f.
+  ``hess_yy_g`` is asked for the active block only, so a client forms
+  d2_active^2 Hessian entries, not d2^2, as ``federation.exact_aid_flops``
+  charges.
 
 * ``rafbo_hypergradient`` is second-order free: it forward-differences
   the inner descent direction -grad_y g along unit perturbations of the
@@ -157,20 +160,23 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     active block. Raises SingularRestrictedHessian when the restricted
     block is not SPD (the mask killed strong convexity there).
 
-    ``memo`` is the dict one round's calls share (``linalg.memoized``).
-    The solver of a read-only Hessian's restricted block is kept there
-    per active set, so the round's clients with the same pair share one
-    factor, with the bits of a factor per client.
+    ``hess_yy_g`` forms only the restricted block. ``memo`` is the dict
+    one round's calls share (``linalg.memoized``): the family keeps one
+    read-only block there per distinct (Hessian, active set) pair, and the
+    solver of a read-only block is kept beside it, so the round's clients
+    with the same pair share one factor, with the bits of a factor per
+    client.
     """
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
     active_y = mask_y.support()
     z = np.zeros(problem.d2)
     if active_y.size:
-        hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g)
+        hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g,
+                                 active=active_y, memo=memo)
         try:
             solve = memoized(memo, "solver", hess, active_y,
-                             lambda h, a: spd_solver(h[np.ix_(a, a)]))
+                             lambda h, _: spd_solver(h))
             z[active_y] = solve(gfy[active_y])
         except NotPositiveDefinite as exc:
             raise SingularRestrictedHessian(

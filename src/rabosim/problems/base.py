@@ -153,13 +153,24 @@ class BilevelProblem(ABC):
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod
     def hess_yy_g(self, i: int, x: np.ndarray, y: np.ndarray,
-                  batch: SampleBatch | None = None) -> np.ndarray:
-        """Dense d2 x d2 Hessian of g_i with respect to y.
+                  batch: SampleBatch | None = None,
+                  active: np.ndarray | None = None,
+                  memo: dict | None = None) -> np.ndarray:
+        """Dense Hessian of g_i in y, on the rows and columns ``active``.
 
-        A read-only result is a block the problem shares and never
-        changes while it lives, so callers may reuse work derived from
-        it; ``exact_hypergradient`` reuses one factor per active set for
-        the round.
+        ``active`` is a strictly ascending array of inner indices, as
+        ``Mask.support()`` returns, and the family forms only that
+        |active| x |active| block; ``None`` means all d2 of them. The
+        quadratic block equals ``hess[np.ix_(active, active)]`` of the
+        full Hessian bit for bit; the logistic one sums its Gram product
+        over fewer columns, so it agrees to rounding, exactly symmetric.
+
+        A read-only result never changes, so callers may reuse work
+        derived from it while ``memo`` lives: ``exact_hypergradient``
+        keeps its factor there. ``memo`` is the caller's dict of shared
+        work (``linalg.memoized``); the quadratic family keeps in it one
+        read-only restriction of a read-only A_i per active set. A
+        writable result is a fresh array.
         """
 
     @abstractmethod
@@ -194,3 +205,13 @@ class BilevelProblem(ABC):
             raise DimensionMismatch(
                 f"coords must lie in [0, {self.d1}), got "
                 f"[{coords.min()}, {coords.max()}]")
+
+    def check_active(self, active: np.ndarray) -> None:
+        """Inner indices must be a strictly ascending 1-D integer array in
+        range; ascending, the ends bound the rest."""
+        if active.ndim != 1 or active.dtype.kind not in "iu" or (
+                active.size and not (0 <= active[0] and active[-1] < self.d2
+                                     and (active[1:] > active[:-1]).all())):
+            raise DimensionMismatch(
+                f"active must be a strictly ascending 1-D integer array in "
+                f"[0, {self.d2}), got {active!r}")

@@ -142,8 +142,11 @@ class LogisticTuneProblem(BilevelProblem):
         grads = grad_w.reshape(coords.size + 1, self.d2) + reg[:, None] * y
         return grads[0], grads[1:]
 
-    def hess_yy_g(self, i, x, y, batch=None):
+    def hess_yy_g(self, i, x, y, batch=None, active=None, memo=None):
         self.check_dims(x, y)
+        if active is None:
+            active = np.arange(self.d2)
+        self.check_active(active)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
         m = len(labels)
@@ -153,20 +156,29 @@ class LogisticTuneProblem(BilevelProblem):
         # is a rank-one part -Z^T diag(w) Z, row j of Z being p_j kron phi_j
         # (scaled by sqrt(w_j) here, as w > 0, so one copy of Z suffices),
         # plus one block F^T diag(w * p_{.a}) F per class a on the diagonal.
-        z = ((np.sqrt(w)[:, None] * probs)[:, :, None]
-             * feats[:, None, :]).reshape(m, self.d2)
+        # Only the columns in active are formed. Coordinate k is class
+        # k // p, feature k % p; ascending indices put class a's in
+        # bounds[a]:bounds[a + 1]. The gathers are C-ordered (x[:, idx]
+        # is not), so with every column the products give the bits of
+        # the full form.
+        p = self.features
+        cls, feat = np.divmod(active, p)
+        bounds = np.searchsorted(cls, np.arange(self.classes + 1))
+        phi = np.take(feats, feat, axis=1)
+        z = np.repeat(np.sqrt(w)[:, None] * probs, np.diff(bounds), axis=1)
+        z *= phi
         hess = z.T @ z
         np.negative(hess, out=hess)
         wp = w[:, None] * probs
-        p = self.features
-        for a in range(self.classes):
-            hess[a * p:(a + 1) * p, a * p:(a + 1) * p] += \
-                (wp[:, a, None] * feats).T @ feats
+        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if lo < hi:
+                f = phi[:, lo:hi]
+                hess[lo:hi, lo:hi] += (wp[:, a, None] * f).T @ f
         hess /= m
         # solve_spd needs exact symmetry, which the GEMMs do not promise
         hess += hess.T
         hess /= 2.0
-        hess.flat[::self.d2 + 1] += reg
+        hess.flat[::active.size + 1] += reg
         return hess
 
     def cross_xy_g_apply(self, i, x, y, v, batch=None):

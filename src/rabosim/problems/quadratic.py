@@ -136,12 +136,6 @@ class QuadraticProblem(BilevelProblem):
         return joint * (scale / np.sqrt(batch.size))
 
     # -- lower level --------------------------------------------------------
-    def _hess_i(self, i: int, x: np.ndarray) -> np.ndarray:
-        h = self.spec.a_mats[i]
-        if self.spec.quartic:
-            h = h + (self.spec.quartic / 2.0) * float(x @ x) * self.spec.u_mats[i]
-        return h
-
     def value_g(self, i, x, y, batch=None):
         self.check_dims(x, y)
         s = self.spec
@@ -181,9 +175,27 @@ class QuadraticProblem(BilevelProblem):
             rows += np.outer(growth, s.u_mats[i] @ y)
         return base, rows
 
-    def hess_yy_g(self, i, x, y, batch=None):
+    def hess_yy_g(self, i, x, y, batch=None, active=None, memo=None):
+        # restricting before the quartic sum is elementwise, so the bits
+        # are those of restricting the full sum
         self.check_dims(x, y)
-        return self._hess_i(i, x)
+        s = self.spec
+        h = s.a_mats[i]
+        if active is not None:
+            h = memoized(memo, "restriction", h, active, self._restriction)
+        if s.quartic:
+            u = s.u_mats[i] if active is None \
+                else self._restriction(s.u_mats[i], active)
+            h = h + (s.quartic / 2.0) * float(x @ x) * u
+        return h
+
+    def _restriction(self, block: np.ndarray, active: np.ndarray
+                     ) -> np.ndarray:
+        """``block[np.ix_(active, active)]``, read-only when ``block`` is."""
+        self.check_active(active)
+        out = block[np.ix_(active, active)]
+        out.flags.writeable = block.flags.writeable
+        return out
 
     def cross_xy_g_apply(self, i, x, y, v, batch=None):
         self.check_dims(x, y)

@@ -102,6 +102,42 @@ def assert_caller_owns_rows(perturbed, prob, i, x, y, coords, mu,
     assert np.array_equal(again[1], first[1])
 
 
+def full_hessian_reference(prob, i, x, y, batch=None):
+    """The full d2 x d2 ``hess_yy_g`` of either family, transcribed from
+    the code that formed every entry before ``active`` existed.
+    ``hess_yy_g(i, x, y, batch)`` must keep these bits: the centralized
+    references and the finite-difference checks call it that way."""
+    from rabosim.problems.quadratic import QuadraticProblem
+
+    if isinstance(prob, QuadraticProblem):
+        s = prob.spec
+        h = s.a_mats[i]
+        if s.quartic:
+            h = h + (s.quartic / 2.0) * float(x @ x) * s.u_mats[i]
+        return h
+    from rabosim.problems.logistic import _softmax
+
+    weights, offsets, reg = prob._unpack_x(x)
+    feats, labels = prob._train_slice(i, batch)
+    m = len(labels)
+    probs = _softmax(feats @ prob._weight_matrix(y).T + offsets)
+    w = weights[labels]
+    z = ((np.sqrt(w)[:, None] * probs)[:, :, None]
+         * feats[:, None, :]).reshape(m, prob.d2)
+    hess = z.T @ z
+    np.negative(hess, out=hess)
+    wp = w[:, None] * probs
+    p = prob.features
+    for a in range(prob.classes):
+        hess[a * p:(a + 1) * p, a * p:(a + 1) * p] += \
+            (wp[:, a, None] * feats).T @ feats
+    hess /= m
+    hess += hess.T
+    hess /= 2.0
+    hess.flat[::prob.d2 + 1] += reg
+    return hess
+
+
 def topk_indices_loop(params, target, block_size):
     """Magnitude top-k as a loop over blocks: the reference ranking.
 

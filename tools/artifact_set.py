@@ -8,7 +8,8 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``configs/coverage_pinning.json`` into ``OUT/coverage_pinning``;
 - each benchmark workload of ``perfbench/workloads.py`` at seeds 1 and 5
   into ``OUT/<workload>-s<seed>``;
-- ``WINDOW_GROUPS`` below into ``OUT/window_groups``.
+- ``WINDOW_GROUPS`` below into ``OUT/window_groups``;
+- ``QUARTIC`` below into ``OUT/quartic``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -41,6 +42,19 @@ WINDOW_GROUPS = {
               "capacities": ["1/2", "1/4"]},
 }
 
+# The quartic term makes every client's inner Hessian a fresh sum, so
+# exact_aid restricts A_i and U_i to the active set before adding them;
+# rolling masks at 1/2 and 1/4 keep that set a strict subset.
+QUARTIC = {
+    "problem": {"family": "quadratic", "seed": 4, "n": 8, "d1": 12,
+                "d2": 12, "hetero": 0.3, "eig_min": 0.8, "eig_max": 1.6,
+                "quartic": 0.1},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 20,
+            "policy": "rolling"},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": ["1/2", "1/4"]},
+}
+
 
 def _workloads():
     path = ROOT / "perfbench" / "workloads.py"
@@ -59,6 +73,7 @@ def documents():
         for seed in SEEDS:
             yield f"{name}-s{seed}", workloads.raw_config(name, seed)
     yield "window_groups", WINDOW_GROUPS
+    yield "quartic", QUARTIC
 
 
 def main(argv=None) -> int:
