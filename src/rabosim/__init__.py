@@ -10,7 +10,6 @@ reproducible bit-for-bit from a seed and a config document.
 
 from . import errors
 from .federation import (
-    ClientReport,
     CostLedger,
     GlobalState,
     RoundLog,
@@ -36,7 +35,6 @@ from .linalg import solve_spd, spectral_bounds
 from .masking import (
     ClientResource,
     CoverageTracker,
-    Mask,
     MaskPolicy,
     apply_mask,
     coverage,

@@ -1,16 +1,19 @@
 """Round orchestration: masked inner training, parameter-wise aggregation,
 hypergradient collection, coverage tracking and cost ledgers.
 
-One round executes, in order: mask generation from the current global
-model, submodel extraction, T local inner gradient steps per client,
-parameter-wise inner aggregation over covering clients, broadcast of the
-aggregated inner model re-masked per client, per-client hypergradient
-estimation, and parameter-wise outer aggregation. Coordinates covered by
-no client are bit-identical before and after the round at both levels.
+Clients are rows: a round's masks of one level, its inner deltas and its
+hypergradients are (n, d) arrays, row i for client i. One round executes,
+in order: mask generation from the current global model (one
+``generate_mask`` call per level), submodel extraction, T local inner
+gradient steps per client, parameter-wise inner aggregation over covering
+clients, broadcast of the aggregated inner model re-masked per client,
+per-client hypergradient estimation, and parameter-wise outer
+aggregation. Coordinates covered by no client are bit-identical before
+and after the round at both levels.
 
 Clients run one after another in ascending order, and the server
-aggregates in that order with a fixed left-to-right summation, so runs
-are bit-reproducible.
+aggregates the rows in that order with a fixed left-to-right summation,
+so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from .hypergrad import (
 )
 from .masking import (
     CoverageTracker,
-    Mask,
     MaskPolicy,
     apply_mask,
+    check_masks,
     coverage,
     generate_mask,
     mask_deviation,
@@ -93,17 +96,6 @@ class RunConfig:
 
     def __post_init__(self):
         check_ranges(vars(self), RANGES)
-
-
-@dataclass
-class ClientReport:
-    """One client's round output: its masks and what it uploads."""
-
-    client: int
-    mask_x: Mask
-    mask_y: Mask
-    g_delta: np.ndarray                      # (y_0 - y_T) / beta, d2
-    hypergrad: np.ndarray | None = None      # d1, zero off mask_x
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ def rafbo_flops(d1_active: int, d2_active: int, p_size: int) -> int:
 class CostLedger:
     """Cumulative exact-integer cost tallies.
 
-    ``add`` prices each client's round from its masks and the run's
+    ``add`` prices each client's round from its mask rows and the run's
     settings (estimator, inner epochs, perturbation fraction, download
     mode). Bytes per leg are 8 x transferred coordinate count; uploads
     always carry only active coordinates, downloads depend on the mode.
@@ -213,34 +205,36 @@ class CostLedger:
                 "g_up": self.g_up, "y_plus_down": self.y_plus_down,
                 "h_up": self.h_up}
 
-    def add(self, reports: list[ClientReport],
+    def add(self, masks_x: np.ndarray, masks_y: np.ndarray,
             cfg: RunConfig) -> tuple[int, int, int]:
-        """Charge one round; returns its (bytes_up, bytes_down, flops)."""
-        up = down = flops = 0
-        for rep in reports:
-            ax = rep.mask_x.active_count
-            ay = rep.mask_y.active_count
-            dx, dy = (ax, ay) if cfg.download_mode == "masked" \
-                else (len(rep.mask_x), len(rep.mask_y))
-            self.x_down += BYTES_PER_COORD * dx
-            self.y_down += BYTES_PER_COORD * dy
-            self.y_plus_down += BYTES_PER_COORD * dy
-            self.g_up += BYTES_PER_COORD * ay
-            self.h_up += BYTES_PER_COORD * ax
+        """Charge one round of the (n, d1) and (n, d2) masks, row i for
+        client i; returns its (bytes_up, bytes_down, flops)."""
+        masks_x = check_masks(masks_x, "outer")
+        masks_y = check_masks(masks_y, "inner", n=len(masks_x))
+        flops = 0
+        for client, (ax, ay) in enumerate(zip(masks_x.sum(axis=1).tolist(),
+                                              masks_y.sum(axis=1).tolist())):
             hyper = exact_aid_flops(ax, ay) if cfg.estimator == EXACT_AID \
                 else rafbo_flops(ax, ay, perturbation_size(
                     ax, cfg.rafbo.coord_fraction))
             charge = inner_loop_flops(ax, ay, cfg.inner_epochs) + hyper
-            self.flops_per_client[rep.client] = \
-                self.flops_per_client.get(rep.client, 0) + charge
-            up += BYTES_PER_COORD * (ay + ax)
-            down += BYTES_PER_COORD * (dx + 2 * dy)
+            self.flops_per_client[client] = \
+                self.flops_per_client.get(client, 0) + charge
             flops += charge
-        return up, down, flops
+        up_x, up_y = int(masks_x.sum()), int(masks_y.sum())
+        dx, dy = (up_x, up_y) if cfg.download_mode == "masked" \
+            else (masks_x.size, masks_y.size)
+        self.x_down += BYTES_PER_COORD * dx
+        self.y_down += BYTES_PER_COORD * dy
+        self.y_plus_down += BYTES_PER_COORD * dy
+        self.g_up += BYTES_PER_COORD * up_y
+        self.h_up += BYTES_PER_COORD * up_x
+        return (BYTES_PER_COORD * (up_x + up_y),
+                BYTES_PER_COORD * (dx + 2 * dy), flops)
 
 
 def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
-                      mask_y: Mask, beta: float, inner_epochs: int,
+                      mask_y: np.ndarray, beta: float, inner_epochs: int,
                       batches=None, divergence_guard: float | None = None,
                       memo: dict | None = None):
     """T masked stochastic gradient steps on y; returns (y_T, G).
@@ -275,50 +269,41 @@ def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
     return y, (y_i0 - y) / beta
 
 
-def _covering_step(v_q: np.ndarray, pairs, step: float,
+def _covering_step(v_q: np.ndarray, masks, vecs: np.ndarray, step: float,
                    level: str) -> np.ndarray:
     """v_q - step * (per-coordinate mean over covering clients).
 
-    ``pairs`` yields (mask, vector) in ascending client order; the fixed
-    left-to-right summation keeps the result bit-reproducible. Uncovered
-    coordinates are returned untouched.
+    Row i of ``masks`` and of ``vecs`` is client i's; rows are summed
+    left to right in client order, which keeps the result
+    bit-reproducible. Uncovered coordinates are returned untouched.
     """
     d = v_q.shape[0]
-    counts = np.zeros(d, dtype=np.int64)
+    masks = check_masks(masks, level, d=d)
+    if np.shape(vecs) != masks.shape:
+        raise DimensionMismatch(f"{level} updates have shape "
+                                f"{np.shape(vecs)}, masks {masks.shape}")
+    counts = masks.sum(axis=0, dtype=np.int64)
     total = np.zeros(d)
-    for mask, vec in pairs:
-        if vec.shape[0] != d:
-            raise DimensionMismatch(f"{level} report dimension mismatch")
-        counts += mask.bits
-        total += mask.bits * vec
+    for mask, vec in zip(masks, vecs):
+        total += mask * vec
     v_next = v_q.copy()
     covered = counts > 0
     v_next[covered] = v_q[covered] - step * (total[covered] / counts[covered])
     return v_next
 
 
-def _sorted_by_client(reports):
-    return sorted(reports, key=lambda r: r.client)
+def aggregate_inner(y_q: np.ndarray, masks_y: np.ndarray,
+                    g_deltas: np.ndarray, beta: float) -> np.ndarray:
+    """Covering-average inner update over the (n, d2) masks and deltas;
+    uncovered coordinates untouched."""
+    return _covering_step(y_q, masks_y, g_deltas, beta, "inner")
 
 
-def aggregate_inner(y_q: np.ndarray, reports: list[ClientReport],
-                    beta: float) -> np.ndarray:
-    """Covering-average inner update; uncovered coordinates untouched."""
-    return _covering_step(
-        y_q, ((rep.mask_y, rep.g_delta) for rep in _sorted_by_client(reports)),
-        beta, "inner")
-
-
-def aggregate_outer(x_q: np.ndarray, reports: list[ClientReport],
-                    alpha: float) -> np.ndarray:
-    """Covering-average hypergradient step; uncovered coordinates untouched."""
-    reports = _sorted_by_client(reports)
-    for rep in reports:
-        if rep.hypergrad is None:
-            raise InvalidSpec(f"client {rep.client} report carries no hypergradient")
-    return _covering_step(
-        x_q, ((rep.mask_x, rep.hypergrad) for rep in reports),
-        alpha, "outer")
+def aggregate_outer(x_q: np.ndarray, masks_x: np.ndarray,
+                    hypergrads: np.ndarray, alpha: float) -> np.ndarray:
+    """Covering-average hypergradient step over the (n, d1) masks and
+    hypergradients; uncovered coordinates untouched."""
+    return _covering_step(x_q, masks_x, hypergrads, alpha, "outer")
 
 
 def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
@@ -357,19 +342,18 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         _divergence_cap(cfg, state.x, state.y)
 
     memo = {}   # read-only blocks' work for this round's clients to share
-    reports, client_x = [], []
-    for i, res in enumerate(cfg.capacities):
-        mask_x = generate_mask(state.x, res, cfg.policy, i, q, "x")
-        mask_y = generate_mask(state.y, res, cfg.policy, i, q, "y")
-        x_i = apply_mask(state.x, mask_x)
-        y_i0 = apply_mask(state.y, mask_y)
+    masks_x = generate_mask(state.x, cfg.capacities, cfg.policy, q, "x")
+    masks_y = generate_mask(state.y, cfg.capacities, cfg.policy, q, "y")
+    xs, ys0 = apply_mask(state.x, masks_x), apply_mask(state.y, masks_y)
+    g_deltas = np.empty((problem.n, problem.d2))
+    for i, (x_i, y_i0, mask_y) in enumerate(zip(xs, ys0, masks_y)):
         batches = None
         if cfg.batch_size_g > 0:
             batches = [SampleBatch("g", cfg.seed, i, q, draw=t,
                                    size=cfg.batch_size_g)
                        for t in range(cfg.inner_epochs)]
         try:
-            y_t, g_delta = client_inner_loop(
+            _, g_deltas[i] = client_inner_loop(
                 problem, i, x_i, y_i0, mask_y, cfg.beta, cfg.inner_epochs,
                 batches, guard, memo=memo)
         except DivergenceDetected as exc:
@@ -377,16 +361,13 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                 f"round {q}: {exc}; client outer iterate ||x|| = "
                 f"{np.linalg.norm(x_i):.3e} after steps of alpha {cfg.alpha}"
             ) from exc
-        reports.append(ClientReport(client=i, mask_x=mask_x, mask_y=mask_y,
-                                    g_delta=g_delta))
-        client_x.append(x_i)
 
-    y_next = aggregate_inner(state.y, reports, cfg.beta)
+    y_next = aggregate_inner(state.y, masks_y, g_deltas, cfg.beta)
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
-    for rep, x_i in zip(reports, client_x):
-        i = rep.client
-        y_plus = apply_mask(y_next, rep.mask_y)
+    hypergrads = np.empty((problem.n, problem.d1))
+    ys_plus = apply_mask(y_next, masks_y)
+    for i, (x_i, y_plus) in enumerate(zip(xs, ys_plus)):
         batch_f = (SampleBatch("f", cfg.seed, i, q, draw=0, size=cfg.batch_size_f)
                    if cfg.batch_size_f > 0 else None)
         batch_g = (SampleBatch("g", cfg.seed, i, q, draw=cfg.inner_epochs,
@@ -394,23 +375,22 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                    if cfg.batch_size_g > 0 else None)
         if cfg.estimator == EXACT_AID:
             try:
-                rep.hypergrad = exact_hypergradient(
-                    problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, batch_f,
+                hypergrads[i] = exact_hypergradient(
+                    problem, i, x_i, y_plus, masks_x[i], masks_y[i], batch_f,
                     batch_g, memo=memo)
             except SingularRestrictedHessian as exc:
                 raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
         else:
-            rep.hypergrad = rafbo_hypergradient(
-                problem, i, x_i, y_plus, rep.mask_x, rep.mask_y, cfg.rafbo,
+            hypergrads[i] = rafbo_hypergradient(
+                problem, i, x_i, y_plus, masks_x[i], masks_y[i], cfg.rafbo,
                 batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"),
                 memo=memo)
 
-    x_next = aggregate_outer(state.x, reports, cfg.alpha)
+    x_next = aggregate_outer(state.x, masks_x, hypergrads, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")
 
-    tracker.observe(coverage([rep.mask_x for rep in reports], problem.d1),
-                    coverage([rep.mask_y for rep in reports], problem.d2))
-    bytes_up, bytes_down, flops = ledger.add(reports, cfg)
+    tracker.observe(coverage(masks_x), coverage(masks_y))
+    bytes_up, bytes_down, flops = ledger.add(masks_x, masks_y, cfg)
 
     if problem.has_oracles():
         ys = problem.y_star(x_next)
@@ -427,15 +407,16 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         grad_phi_sq=grad_phi_sq, phi=phi, inner_err_sq=inner_err_sq,
         c_star_x_running=tracker.c_star_x, c_star_y_running=tracker.c_star_y,
         bytes_up=bytes_up, bytes_down=bytes_down, flops=flops,
-        mean_w1sq=float(np.mean([mask_deviation(state.x, rep.mask_x)
-                                 for rep in reports])),
-        mean_w2sq=float(np.mean([mask_deviation(state.y, rep.mask_y)
-                                 for rep in reports])),
-        masks_x_hex=tuple(rep.mask_x.to_hex() for rep in reports)
-        if cfg.log_masks else None,
-        masks_y_hex=tuple(rep.mask_y.to_hex() for rep in reports)
-        if cfg.log_masks else None)
+        mean_w1sq=mask_deviation(state.x, masks_x),
+        mean_w2sq=mask_deviation(state.y, masks_y),
+        masks_x_hex=_hex_rows(masks_x) if cfg.log_masks else None,
+        masks_y_hex=_hex_rows(masks_y) if cfg.log_masks else None)
     return GlobalState(x_next, y_next, q + 1), log
+
+
+def _hex_rows(masks: np.ndarray) -> tuple:
+    """Each mask row as a hex bitstring, padded to whole bytes."""
+    return tuple(row.tobytes().hex() for row in np.packbits(masks, axis=1))
 
 
 @dataclass

@@ -54,8 +54,8 @@ of the exact round map in ``tests/linear_oracle.py``.
 Both evaluations inside a difference share one batch (common random
 numbers), so additive gradient noise cancels to first order.
 
-The modeled cost of both routes is priced by ``federation.CostLedger``
-from the client's masks; the estimators return only the hypergradient.
+``federation.CostLedger`` prices both routes from the round's mask arrays;
+an estimator takes its client's mask rows and returns the hypergradient.
 The rafbo charge stays ``2|P| + 2`` gradient evaluations whichever way a
 family evaluates its perturbed points.
 """
@@ -75,7 +75,7 @@ from .errors import (
 )
 # solve_spd stays bound here: perfbench/spans.py wraps hypergrad.solve_spd
 from .linalg import memoized, solve_spd, spd_solver
-from .masking import Mask, apply_mask
+from .masking import apply_mask
 from .rng import RngStream
 
 EXACT_AID = "exact_aid"
@@ -105,7 +105,7 @@ def perturbation_size(active: int, coord_fraction: float) -> int:
     return math.ceil(coord_fraction * active)
 
 
-def build_perturbation_set(mask_x: Mask, coord_fraction: float,
+def build_perturbation_set(mask_x: np.ndarray, coord_fraction: float,
                            rng: RngStream | None = None) -> np.ndarray:
     """Sample the perturbation coordinates from the active outer support.
 
@@ -114,7 +114,7 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
     ``perturbation_size`` subset is drawn uniformly without replacement
     from ``rng``.
     """
-    active = mask_x.support()
+    active = np.flatnonzero(mask_x)
     if active.size == 0:
         raise EmptyMask("outer mask has no active coordinate")
     check_ranges({"coord_fraction": coord_fraction}, RANGES)
@@ -131,7 +131,7 @@ def build_perturbation_set(mask_x: Mask, coord_fraction: float,
 
 def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
                        coord: int, mu: float, batch=None,
-                       mask_y: Mask | None = None) -> np.ndarray:
+                       mask_y: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference response of the inner descent direction.
 
     Returns delta = (-grad_y g(x + mu e_p, y) + grad_y g(x, y)) / mu in
@@ -149,8 +149,8 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
 
 
 def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
-                        y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
-                        batch_f=None, batch_g=None,
+                        y_masked: np.ndarray, mask_x: np.ndarray,
+                        mask_y: np.ndarray, batch_f=None, batch_g=None,
                         memo: dict | None = None) -> np.ndarray:
     """Implicit-differentiation hypergradient with a restricted solve.
 
@@ -169,7 +169,7 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
     """
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
-    active_y = mask_y.support()
+    active_y = np.flatnonzero(mask_y)
     z = np.zeros(problem.d2)
     if active_y.size:
         hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g,
@@ -187,9 +187,9 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
 
 
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
-                        y_masked: np.ndarray, mask_x: Mask, mask_y: Mask,
-                        cfg: RAFBOConfig, batch_f=None, batch_g=None,
-                        rng: RngStream | None = None,
+                        y_masked: np.ndarray, mask_x: np.ndarray,
+                        mask_y: np.ndarray, cfg: RAFBOConfig, batch_f=None,
+                        batch_g=None, rng: RngStream | None = None,
                         memo: dict | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 

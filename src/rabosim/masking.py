@@ -1,16 +1,17 @@
 """Per-client binary masks, submodel extraction and coverage statistics.
 
-A mask is a {0,1} vector over the flat parameter vector of one level
-(outer "x" or inner "y"); the submodel is the parameter vector with
-inactive coordinates zeroed. Policies select ceil(capacity * d)
-coordinates deterministically from the global parameters, the client's
-capacity, the round index and the policy's own table, so server and
-clients always agree on the mask without transmitting it.
+One round's masks of one level (outer "x" or inner "y") are a read-only
+(n, d) uint8 array of 0/1: row i is client i's mask over the flat
+parameter vector, and the column sums count each coordinate's covering
+clients. A client's submodel zeroes the coordinates off its row. Policies
+select ceil(capacity * d) coordinates per row deterministically from the
+global parameters, the client's capacity, the round index and the
+policy's own table, so server and clients agree on the masks without
+transmitting them.
 
 Structured pruning is realized as block-contiguous selection with a
 configurable ``block_size``; magnitude ranking breaks ties toward the
-lower coordinate index. All functions are pure and masks are immutable
-values.
+lower coordinate index. All functions are pure.
 """
 
 from __future__ import annotations
@@ -57,36 +58,6 @@ class ClientResource:
         return -(-self.capacity.denominator // self.capacity.numerator)
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Read-only 0/1 inclusion vector over one level's parameters."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.ndim != 1:
-            raise DimensionMismatch("mask bits must be 1-D")
-        if bits.size and bits.max() > 1:
-            raise ValueError("mask bits must be 0/1")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def active_count(self) -> int:
-        return int(self.bits.sum())
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
-
-    def to_hex(self) -> str:
-        """Hex-encoded bitstring for round logs; pads to whole bytes."""
-        return np.packbits(self.bits).tobytes().hex()
-
-
 POLICIES = ("static", "rolling", "magnitude_topk", "manual")
 RANGES = {"policy": POLICIES, "block_size": "at least 1"}
 
@@ -125,9 +96,9 @@ def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
     return (offset + np.arange(target)) % d
 
 
-def _topk_indices(params: np.ndarray, target: int, block_size: int) -> np.ndarray:
-    # Rank by (block rank, -|param|, index): blocks by descending summed
-    # magnitude, ties to the lower block, then coordinates inside a block.
+def _topk_order(params: np.ndarray, block_size: int) -> np.ndarray:
+    # Every coordinate, best first, by (block rank, -|param|, index): blocks
+    # by descending summed magnitude, ties to the lower block.
     d = len(params)
     mags = np.abs(params)
     if block_size == 1:
@@ -139,63 +110,73 @@ def _topk_indices(params: np.ndarray, target: int, block_size: int) -> np.ndarra
     block_rank = np.empty(n_blocks, dtype=np.int64)
     block_rank[np.lexsort((np.arange(n_blocks), -scores))] = np.arange(n_blocks)
     coords = np.arange(d)
-    return np.lexsort((coords, -mags, block_rank[coords // block_size]))[:target]
+    return np.lexsort((coords, -mags, block_rank[coords // block_size]))
 
 
-def generate_mask(params: np.ndarray, resource: ClientResource,
-                  policy: MaskPolicy, client: int, round_index: int,
-                  level: str = "x") -> Mask:
-    """Mask for one client/round/level with popcount == ceil(capacity * d).
+def generate_mask(params: np.ndarray, capacities: list[ClientResource],
+                  policy: MaskPolicy, round_index: int,
+                  level: str = "x") -> np.ndarray:
+    """One round's masks of one level: a read-only (n, d) uint8 array
+    whose row i has popcount ceil(capacities[i] * d).
 
     Deterministic in all arguments; no built-in variant draws randomness.
+    The magnitude ranking is computed once and cut at each row's popcount.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[0]
-    target = resource.active_count(d)
-    bits = np.zeros(d, dtype=np.uint8)
-
-    if policy.variant == "manual":
-        table = policy.table_x if level == "x" else policy.table_y
-        if client >= len(table):
-            raise InvalidCapacity(f"manual table has no entry for client {client}")
-        idx = np.asarray(table[client], dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= d):
-            raise DimensionMismatch("manual table index out of range")
-        bits[idx] = 1
-        return Mask(bits)
-
-    if target >= d:
-        bits[:] = 1
-        return Mask(bits)
-
-    period = resource.period
-    if policy.variant == "static":
-        idx = _window_indices(d, target, client, period)
-    elif policy.variant == "rolling":
-        idx = _window_indices(d, target, round_index + client, period)
-    else:  # magnitude_topk
-        idx = _topk_indices(params, target, policy.block_size)
-    bits[idx] = 1
-    return Mask(bits)
+    masks = np.zeros((len(capacities), d), dtype=np.uint8)
+    table = policy.table_x if level == "x" else policy.table_y
+    ranking = (_topk_order(params, policy.block_size)
+               if policy.variant == "magnitude_topk" else None)
+    for i, res in enumerate(capacities):
+        target = res.active_count(d)
+        if policy.variant == "manual":
+            if i >= len(table):
+                raise InvalidCapacity(f"manual table has no entry for client {i}")
+            idx = np.asarray(table[i], dtype=np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= d):
+                raise DimensionMismatch("manual table index out of range")
+        elif policy.variant == "static":
+            idx = _window_indices(d, target, i, res.period)
+        elif policy.variant == "rolling":
+            idx = _window_indices(d, target, round_index + i, res.period)
+        else:  # magnitude_topk
+            idx = ranking[:target]
+        masks[i, idx] = 1
+    masks.setflags(write=False)
+    return masks
 
 
-def apply_mask(v: np.ndarray, m: Mask) -> np.ndarray:
-    """Elementwise product v * m (per row of a 2-D v); inactive
-    coordinates become exactly zero."""
+def check_masks(masks, level: str, n: int | None = None,
+                d: int | None = None) -> np.ndarray:
+    """``masks`` as an array, after checking that it is a 2-D array of 0/1
+    with ``n`` rows and ``d`` columns where those are given; raises
+    DimensionMismatch naming ``level`` when it is not."""
+    masks = np.asarray(masks)
+    shaped = masks.ndim == 2 and all(
+        want in (None, got) for want, got in zip((n, d), masks.shape))
+    if not shaped or ((masks != 0) & (masks != 1)).any():
+        raise DimensionMismatch(
+            f"{level} masks must be a 2-D 0/1 array with n = {n} rows and "
+            f"d = {d} columns (None: any), got shape {masks.shape}")
+    return masks
+
+
+def apply_mask(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v * m, broadcast: v's rows by a client's mask row, or v by each row
+    of a level's (n, d) masks; inactive coordinates become exactly zero."""
     v = np.asarray(v, dtype=np.float64)
-    if v.shape[-1] != len(m):
-        raise DimensionMismatch(f"vector dim {v.shape[-1]} != mask dim {len(m)}")
-    return v * m.bits
+    if v.shape[-1] != m.shape[-1]:
+        raise DimensionMismatch(
+            f"vector dim {v.shape[-1]} != mask dim {m.shape[-1]}")
+    return v * m
 
 
-def coverage(masks: list[Mask], d: int) -> int | None:
+def coverage(masks: np.ndarray) -> int | None:
     """C* of one round and level: the fewest clients covering any trained
-    coordinate, or None when no coordinate is trained. ``masks`` holds the
-    round's masks of one level, one per client."""
-    for m in masks:
-        if len(m) != d:
-            raise DimensionMismatch(f"mask dim {len(m)} != {d}")
-    counts = np.stack([m.bits for m in masks]).sum(axis=0, dtype=np.int64)
+    coordinate, or None when no coordinate is trained. ``masks`` is the
+    round's (n, d) array of one level."""
+    counts = check_masks(masks, "coverage").sum(axis=0, dtype=np.int64)
     trained = counts[counts >= 1]
     return int(trained.min()) if trained.size else None
 
@@ -217,8 +198,8 @@ class CoverageTracker:
                 else min(self.c_star_y, c_star_y)
 
 
-def mask_deviation(v: np.ndarray, m: Mask) -> float:
-    """Squared relative norm lost to pruning: ||v - v*m||^2 / ||v||^2.
+def mask_deviation(v: np.ndarray, masks: np.ndarray) -> float:
+    """Mean over the mask rows m of ||v - v*m||^2 / ||v||^2, pruning's loss.
 
     A zero vector loses nothing, so its deviation is 0.0.
     """
@@ -226,5 +207,5 @@ def mask_deviation(v: np.ndarray, m: Mask) -> float:
     denom = float(v @ v)
     if denom == 0.0:
         return 0.0
-    residual = v - apply_mask(v, m)
-    return float(residual @ residual) / denom
+    residuals = v - apply_mask(v, masks)
+    return float(np.mean([float(r @ r) / denom for r in residuals]))

@@ -159,7 +159,7 @@ class BilevelProblem(ABC):
         """Dense Hessian of g_i in y, on the rows and columns ``active``.
 
         ``active`` is a strictly ascending array of inner indices, as
-        ``Mask.support()`` returns, and the family forms only that
+        ``np.flatnonzero`` of a client's mask row returns, and the family forms only that
         |active| x |active| block; ``None`` means all d2 of them. The
         quadratic block equals ``hess[np.ix_(active, active)]`` of the
         full Hessian bit for bit; the logistic one sums its Gram product

@@ -96,10 +96,9 @@ def round_map(problem, cfg: RunConfig, q: int):
     def constant(v):
         return np.outer(v, one)
 
-    masks = [tuple(generate_mask(np.zeros(d), res, cfg.policy, i, q, level)
-                   .bits.astype(np.float64)
-                   for d, level in ((d1, "x"), (d2, "y")))
-             for i, res in enumerate(cfg.capacities)]
+    masks = list(zip(*(
+        generate_mask(np.zeros(d), cfg.capacities, cfg.policy, q, level)
+        .astype(np.float64) for d, level in ((d1, "x"), (d2, "y")))))
 
     deltas = []
     for i, (mx, my) in enumerate(masks):

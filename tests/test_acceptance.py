@@ -12,7 +12,6 @@ import numpy as np
 
 from rabosim import (
     ClientResource,
-    Mask,
     MaskPolicy,
     RAFBOConfig,
     RunConfig,
@@ -25,7 +24,6 @@ from rabosim import (
 )
 from rabosim.cli import parse_config, run_experiment
 from rabosim.federation import (
-    ClientReport,
     GlobalState,
     aggregate_inner,
     check_theory_guard,
@@ -44,8 +42,7 @@ def report(num, passed, detail):
 
 
 def full_masks(d1, d2):
-    return (Mask(np.ones(d1, dtype=np.uint8)),
-            Mask(np.ones(d2, dtype=np.uint8)))
+    return np.ones(d1, dtype=np.uint8), np.ones(d2, dtype=np.uint8)
 
 
 def full_caps(n):
@@ -114,7 +111,7 @@ def test_03_fd_error_bound_and_scaling():
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
         err = float(np.linalg.norm(approx - exact))
         bound = float(np.sqrt(hypergrad_error_bound(
-            len(mx.support()), consts.l_g1, mu, consts.l_f0)))
+            np.count_nonzero(mx), consts.l_g1, mu, consts.l_f0)))
         below = below and err <= bound
         errs.append(err)
     slope = float(np.polyfit(np.log(mus), np.log(errs), 1)[0])
@@ -134,18 +131,15 @@ def test_04_inner_contraction():
     x = np.array([0.4, -0.3, 0.2, 0.6])
     y = np.full(4, 5.0)
     y_star = prob.y_star(x)
-    masks_y = [Mask(np.ones(4, dtype=np.uint8))] * 4
-    mask_x = Mask(np.ones(4, dtype=np.uint8))
+    masks_y = np.ones((4, 4), dtype=np.uint8)
     ok = True
     worst_ratio = 0.0
     for _ in range(100):
         err_before = float(np.sum((y - y_star) ** 2))
-        reports = []
-        for i in range(4):
-            _, g = client_inner_loop(prob, i, x, y.copy(), masks_y[i], beta,
-                                     inner_epochs=2)
-            reports.append(ClientReport(i, mask_x, masks_y[i], g))
-        y = aggregate_inner(y, reports, beta)
+        g_deltas = np.array([
+            client_inner_loop(prob, i, x, y.copy(), masks_y[i], beta,
+                              inner_epochs=2)[1] for i in range(4)])
+        y = aggregate_inner(y, masks_y, g_deltas, beta)
         ratio = float(np.sum((y - y_star) ** 2)) / err_before
         worst_ratio = max(worst_ratio, ratio)
         ok = ok and ratio <= factor
@@ -322,15 +316,12 @@ def test_09_loss_tuning_efficacy():
 
     def inner_only(prob, x, beta, epochs, rounds):
         y = np.zeros(prob.d2)
-        masks = [Mask(np.ones(prob.d2, dtype=np.uint8))] * prob.n
-        mask_x = Mask(np.ones(prob.d1, dtype=np.uint8))
+        masks = np.ones((prob.n, prob.d2), dtype=np.uint8)
         for _ in range(rounds):
-            reports = []
-            for i in range(prob.n):
-                _, g = client_inner_loop(prob, i, x, y.copy(), masks[i],
-                                         beta, epochs)
-                reports.append(ClientReport(i, mask_x, masks[i], g))
-            y = aggregate_inner(y, reports, beta)
+            g_deltas = np.array([
+                client_inner_loop(prob, i, x, y.copy(), masks[i], beta,
+                                  epochs)[1] for i in range(prob.n)])
+            y = aggregate_inner(y, masks, g_deltas, beta)
         return y
 
     improvements = []

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim import federation, hypergrad
+from rabosim import federation, hypergrad, masking
 from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -15,7 +15,6 @@ from rabosim.errors import (
 )
 from rabosim.federation import (
     CSV_COLUMNS,
-    ClientReport,
     CostLedger,
     GlobalState,
     RunConfig,
@@ -28,7 +27,7 @@ from rabosim.federation import (
     run,
 )
 from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from rabosim.masking import ClientResource, Mask, MaskPolicy
+from rabosim.masking import ClientResource, MaskPolicy, coverage
 from rabosim.problems import (
     derive_constants,
     make_logistic_tune,
@@ -40,26 +39,22 @@ from tests_support import one_dim_tracking_problem, partial_tables
 
 
 def mask_of(bits):
-    return Mask(np.array(bits, dtype=np.uint8))
+    """One client's mask row."""
+    return np.array(bits, dtype=np.uint8)
+
+
+def masks_of(*rows):
+    """One level's (n, d) masks, row i for client i."""
+    return np.array(rows, dtype=np.uint8)
+
+
+def rows_of(*rows):
+    """(n, d) per-client vectors: inner deltas or hypergradients."""
+    return np.array(rows, dtype=np.float64)
 
 
 def full_caps(n):
     return [ClientResource(Fraction(1))] * n
-
-
-def report_with_delta(client, bits, g_delta, d1=2):
-    return ClientReport(
-        client=client, mask_x=mask_of([1] * d1),
-        mask_y=mask_of(bits),
-        g_delta=np.array(g_delta, dtype=np.float64))
-
-
-def report_with_hyper(client, bits, value):
-    mx = mask_of(bits)
-    my = mask_of([1] * len(bits))
-    return ClientReport(client=client, mask_x=mx, mask_y=my,
-                        g_delta=np.zeros(len(bits)),
-                        hypergrad=np.array(value, dtype=np.float64))
 
 
 def scalar_quadratic(c=1.0):
@@ -80,7 +75,7 @@ class TestClientInnerLoop:
         y0 = np.zeros(4)
         my = mask_of([1, 0, 1, 1])
         y1, g = client_inner_loop(prob, 0, x, y0, my, beta=0.5, inner_epochs=1)
-        expected = prob.grad_g_y(0, x, y0) * my.bits
+        expected = prob.grad_g_y(0, x, y0) * my
         assert np.array_equal(g, expected)
         assert np.array_equal(y1, y0 - 0.5 * expected)
 
@@ -128,8 +123,8 @@ class TestClientInnerLoop:
         my = mask_of([0, 1, 0, 1])
         y_t, g = client_inner_loop(prob, 0, np.ones(4), np.zeros(4), my,
                                    beta=0.3, inner_epochs=4)
-        assert np.all(g[my.bits == 0] == 0.0)
-        assert np.all(y_t[my.bits == 0] == 0.0)
+        assert np.all(g[my == 0] == 0.0)
+        assert np.all(y_t[my == 0] == 0.0)
 
 
 class TestAggregateInner:
@@ -140,26 +135,23 @@ class TestAggregateInner:
         y_q = np.zeros(3)
         y_t, g = client_inner_loop(prob, 0, np.ones(3), y_q, my, beta=0.5,
                                    inner_epochs=2)
-        rep = ClientReport(0, mask_of([1, 1, 1]), my, g)
-        y_next = aggregate_inner(y_q, [rep], beta=0.5)
+        y_next = aggregate_inner(y_q, my[None], g[None], beta=0.5)
         assert np.array_equal(y_next, y_t)
 
     def test_disjoint_masks(self):
-        reports = [report_with_delta(0, [1, 0], [2.0, 0.0]),
-                   report_with_delta(1, [0, 1], [0.0, 4.0])]
-        y_next = aggregate_inner(np.zeros(2), reports, beta=0.1)
+        y_next = aggregate_inner(np.zeros(2), masks_of([1, 0], [0, 1]),
+                                 rows_of([2.0, 0.0], [0.0, 4.0]), beta=0.1)
         assert np.allclose(y_next, [-0.2, -0.4])
 
     def test_shared_coordinate_mean(self):
-        reports = [report_with_delta(0, [1], [2.0], d1=1),
-                   report_with_delta(1, [1], [4.0], d1=1)]
-        y_next = aggregate_inner(np.zeros(1), reports, beta=0.1)
+        y_next = aggregate_inner(np.zeros(1), masks_of([1], [1]),
+                                 rows_of([2.0], [4.0]), beta=0.1)
         assert y_next[0] == pytest.approx(-0.3)
 
     def test_uncovered_coordinate_bit_frozen(self):
         y_q = np.array([0.1, -0.7, 0.3])
-        reports = [report_with_delta(0, [1, 0, 1], [1.0, 0.0, 2.0], d1=3)]
-        y_next = aggregate_inner(y_q, reports, beta=0.2)
+        y_next = aggregate_inner(y_q, masks_of([1, 0, 1]),
+                                 rows_of([1.0, 0.0, 2.0]), beta=0.2)
         assert y_next[1] == y_q[1]
         assert np.float64(y_next[1]).tobytes() == np.float64(y_q[1]).tobytes()
 
@@ -167,20 +159,18 @@ class TestAggregateInner:
 class TestAggregateOuter:
     def test_identical_full_reports(self):
         h = [0.5, -1.0, 2.0]
-        reports = [report_with_hyper(i, [1, 1, 1], h) for i in range(3)]
-        x_next = aggregate_outer(np.zeros(3), reports, alpha=0.1)
+        x_next = aggregate_outer(np.zeros(3), np.ones((3, 3), np.uint8),
+                                 rows_of(h, h, h), alpha=0.1)
         assert np.allclose(x_next, -0.1 * np.array(h))
 
     def test_zero_hypergradients(self):
         x_q = np.array([1.0, -2.0])
-        reports = [report_with_hyper(0, [1, 1], [0.0, 0.0])]
-        assert np.array_equal(aggregate_outer(x_q, reports, 0.5), x_q)
+        assert np.array_equal(aggregate_outer(
+            x_q, masks_of([1, 1]), rows_of([0.0, 0.0]), 0.5), x_q)
 
     def test_partial_coverage_mean(self):
-        reports = [report_with_hyper(0, [1], [1.0]),
-                   report_with_hyper(1, [1], [3.0]),
-                   report_with_hyper(2, [0], [9.0])]
-        x_next = aggregate_outer(np.zeros(1), reports, alpha=0.1)
+        x_next = aggregate_outer(np.zeros(1), masks_of([1], [1], [0]),
+                                 rows_of([1.0], [3.0], [9.0]), alpha=0.1)
         assert x_next[0] == pytest.approx(-0.2)
 
 
@@ -190,7 +180,7 @@ def covering_average_reference(v_q, masks, vectors, step):
     for k in range(len(v_q)):
         total, count = 0.0, 0
         for mask, vec in zip(masks, vectors):
-            if mask.bits[k]:
+            if mask[k]:
                 total += vec[k]
                 count += 1
         if count:
@@ -203,34 +193,83 @@ class TestCoveringAverageReference:
     def test_both_levels_match_plain_loop(self, seed):
         gen = np.random.default_rng(seed)
         n, d1, d2 = 5, 7, 9
-        reports = []
-        for i in range(n):
-            mx = mask_of(gen.integers(0, 2, d1))
-            my = mask_of(gen.integers(0, 2, d2))
-            hyper = gen.standard_normal(d1)
-            reports.append(ClientReport(
-                client=i, mask_x=mx, mask_y=my,
-                g_delta=gen.standard_normal(d2), hypergrad=hyper))
+        masks_x = gen.integers(0, 2, (n, d1)).astype(np.uint8)
+        masks_y = gen.integers(0, 2, (n, d2)).astype(np.uint8)
+        hypergrads = gen.standard_normal((n, d1))
+        g_deltas = gen.standard_normal((n, d2))
         x_q, y_q = gen.standard_normal(d1), gen.standard_normal(d2)
-        shuffled = [reports[j] for j in gen.permutation(n)]
-        y_next = aggregate_inner(y_q, shuffled, beta=0.3)
-        x_next = aggregate_outer(x_q, shuffled, alpha=0.7)
+        y_next = aggregate_inner(y_q, masks_y, g_deltas, beta=0.3)
+        x_next = aggregate_outer(x_q, masks_x, hypergrads, alpha=0.7)
         assert np.array_equal(y_next, covering_average_reference(
-            y_q, [r.mask_y for r in reports], [r.g_delta for r in reports],
-            0.3))
+            y_q, masks_y, g_deltas, 0.3))
         assert np.array_equal(x_next, covering_average_reference(
-            x_q, [r.mask_x for r in reports],
-            [r.hypergrad for r in reports], 0.7))
+            x_q, masks_x, hypergrads, 0.7))
 
-    def test_dimension_and_missing_hypergradient_checks(self):
-        rep = report_with_delta(0, [1, 1], [1.0, 1.0])
+    def test_update_rows_must_match_mask_rows(self):
+        with pytest.raises(DimensionMismatch, match="inner"):
+            aggregate_inner(np.zeros(2), masks_of([1, 1]),
+                            rows_of([1.0, 1.0], [1.0, 1.0]), beta=0.1)
+        with pytest.raises(DimensionMismatch, match="outer"):
+            aggregate_outer(np.zeros(2), masks_of([1, 1]), rows_of([1.0]),
+                            alpha=0.1)
+
+
+# Mask arrays every reader rejects. The first three are the inputs the
+# old per-client ``Mask`` value rejected (a bit of 2, a -1 that wrapped
+# to 255 as uint8, a second axis where one was expected), lifted to the
+# (n, d) layout.
+BAD_MASKS = {
+    "non-binary": [[0, 2, 1]],
+    "negative": [[1, -1, 1]],
+    "3-D": np.ones((2, 2, 3), dtype=np.uint8),
+    "1-D": np.ones(3, dtype=np.uint8),
+}
+
+
+class TestMaskArrayCheck:
+    """A mask array enters the aggregators, ``coverage`` and the ledger
+    through one shape and 0/1 check, which names the level."""
+
+    def test_wrong_width_is_a_dimension_mismatch(self):
+        # two-wide masks against three-wide iterates and updates used to
+        # reach numpy's broadcasting and raise a bare ValueError
+        with pytest.raises(DimensionMismatch, match="inner"):
+            aggregate_inner(np.zeros(3), np.ones((1, 2), np.uint8),
+                            np.ones((1, 3)), beta=0.1)
+        with pytest.raises(DimensionMismatch, match="outer"):
+            aggregate_outer(np.zeros(3), np.ones((1, 2), np.uint8),
+                            np.ones((1, 3)), alpha=0.1)
+
+    @pytest.mark.parametrize("name", BAD_MASKS)
+    def test_every_reader_rejects(self, name):
+        bad, good = BAD_MASKS[name], np.ones((1, 3), np.uint8)
+        with pytest.raises(DimensionMismatch, match="inner"):
+            aggregate_inner(np.zeros(3), bad, np.ones((1, 3)), beta=0.1)
+        with pytest.raises(DimensionMismatch, match="outer"):
+            aggregate_outer(np.zeros(3), bad, np.ones((1, 3)), alpha=0.1)
         with pytest.raises(DimensionMismatch):
-            aggregate_inner(np.zeros(3), [rep], beta=0.1)
-        with pytest.raises(InvalidSpec):
-            aggregate_outer(np.zeros(2), [rep], alpha=0.1)
-        hyper = report_with_hyper(0, [1, 1], [1.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            aggregate_outer(np.zeros(3), [hyper], alpha=0.1)
+            coverage(bad)
+        ledger, cfg = CostLedger(), RunConfig(alpha=0.1, beta=0.1)
+        with pytest.raises(DimensionMismatch, match="outer"):
+            ledger.add(bad, good, cfg)
+        with pytest.raises(DimensionMismatch, match="inner"):
+            ledger.add(good, bad, cfg)
+        assert ledger.legs() == CostLedger().legs()
+
+    def test_ledger_rows_must_pair_up(self):
+        with pytest.raises(DimensionMismatch, match="inner"):
+            CostLedger().add(np.ones((2, 3), np.uint8),
+                             np.ones((3, 3), np.uint8),
+                             RunConfig(alpha=0.1, beta=0.1))
+
+    def test_accepts_bool_and_empty_levels(self):
+        masks = np.array([[True, False], [True, True]])
+        assert coverage(masks) == 1
+        assert np.array_equal(
+            aggregate_inner(np.zeros(2), masks, rows_of([1.0, 0.0],
+                                                        [3.0, 2.0]), 1.0),
+            [-2.0, -2.0])
+        assert coverage(np.zeros((2, 0), np.uint8)) is None
 
 
 class TestRabobRound:
@@ -256,6 +295,25 @@ class TestRabobRound:
             rabo_round(prob, state, cfg)
         assert err.value.key == "capacities"
         assert f"{count} capacities for 3 clients" in str(err.value)
+
+    def test_one_generate_mask_call_per_level(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(masking.generate_mask(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(federation, "generate_mask", spy)
+        prob = make_quadratic(seed=5, n=3, d1=4, d2=5)
+        cfg = RunConfig(alpha=0.02, beta=0.2,
+                        capacities=[ClientResource(Fraction(1, 2))] * 3)
+        rabo_round(prob, GlobalState(np.zeros(4), np.zeros(5), 0), cfg)
+        assert [masks.shape for masks in calls] == [(3, 4), (3, 5)]
+        for masks in calls:
+            with pytest.raises(ValueError, match="read-only"):
+                masks[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                masks[1][0] = 1
 
     def test_run_config_is_frozen(self):
         cfg = RunConfig(alpha=0.02, beta=0.2, capacities=full_caps(1))
@@ -656,17 +714,14 @@ class TestRun:
         x = np.array([0.4, -0.3, 0.2, 0.6])
         y = 2.0 * np.ones(4)
         y_star = prob.y_star(x)
-        masks = [mask_of([1, 1, 1, 1])] * 4
+        masks = np.ones((4, 4), dtype=np.uint8)
         factor = 1.0 - beta * consts.mu_g
         for _ in range(50):
             err_before = float(np.sum((y - y_star) ** 2))
-            reports = []
-            for i in range(4):
-                _, g = client_inner_loop(prob, i, x, y.copy(), masks[i],
-                                         beta, inner_epochs=2)
-                reports.append(ClientReport(i, mask_of([1] * 4),
-                                            masks[i], g))
-            y = aggregate_inner(y, reports, beta)
+            g_deltas = np.array([
+                client_inner_loop(prob, i, x, y.copy(), masks[i], beta,
+                                  inner_epochs=2)[1] for i in range(4)])
+            y = aggregate_inner(y, masks, g_deltas, beta)
             err_after = float(np.sum((y - y_star) ** 2))
             if err_before < 1e-26:
                 break
@@ -693,9 +748,8 @@ class TestRun:
             bits = rng.random(3) < p_active
             if not bits.any():
                 continue
-            reports = [report_with_delta(i, [int(bits[i])], [deltas[i]], d1=1)
-                       for i in range(3)]
-            y_next = aggregate_inner(np.zeros(1), reports, beta)
+            y_next = aggregate_inner(np.zeros(1), bits[:, None],
+                                     deltas[:, None], beta)
             updates.append(-y_next[0] / beta)
         assert np.mean(updates) == pytest.approx(expected, rel=0.05)
 
@@ -750,19 +804,16 @@ class TestCosts:
         assert rafbo.ledger.total_flops < exact.ledger.total_flops
 
     def test_tally_increment_structure(self):
-        reports = [report_with_delta(0, [1, 0], [1.0, 0.0]),
-                   report_with_delta(1, [1, 1], [1.0, 1.0])]
         ledger = CostLedger()
-        ledger.add(reports, RunConfig(alpha=0.1, beta=0.1))
+        ledger.add(np.ones((2, 2), np.uint8), masks_of([1, 0], [1, 1]),
+                   RunConfig(alpha=0.1, beta=0.1))
         assert ledger.g_up == 8 * (1 + 2)
-        assert ledger.x_down == 8 * (2 + 2)   # helper uses full x masks
+        assert ledger.x_down == 8 * (2 + 2)   # full x masks
 
     def test_full_download_increment(self):
-        reports = [report_with_delta(0, [1, 0, 0], [1.0, 0.0, 0.0], d1=4),
-                   report_with_delta(1, [0, 1, 1], [0.0, 1.0, 1.0], d1=4)]
         ledger = CostLedger()
-        ledger.add(reports, RunConfig(alpha=0.1, beta=0.1,
-                                      download_mode="full"))
+        ledger.add(np.ones((2, 4), np.uint8), masks_of([1, 0, 0], [0, 1, 1]),
+                   RunConfig(alpha=0.1, beta=0.1, download_mode="full"))
         assert ledger.legs() == {"x_down": 8 * 4 * 2, "y_down": 8 * 3 * 2,
                                  "y_plus_down": 8 * 3 * 2,
                                  "g_up": 8 * (1 + 2), "h_up": 8 * (4 + 4)}
@@ -770,15 +821,14 @@ class TestCosts:
         assert ledger.flops_per_client == {0: 421, 1: 690}
 
     def test_round_increment_equals_ledger_change(self):
-        reports = [report_with_delta(0, [1, 0, 1], [1.0, 0.0, 2.0], d1=2),
-                   report_with_delta(1, [0, 1, 0], [0.0, 3.0, 0.0], d1=2)]
+        masks = np.ones((2, 2), np.uint8), masks_of([1, 0, 1], [0, 1, 0])
         cfg = RunConfig(alpha=0.1, beta=0.1, estimator=RAFBO)
         once = CostLedger()
-        once.add(reports, cfg)
+        once.add(*masks, cfg)
         ledger = CostLedger()
         for mode in ("masked", "full", "masked"):
             before = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
-            inc = ledger.add(reports, replace(cfg, download_mode=mode))
+            inc = ledger.add(*masks, replace(cfg, download_mode=mode))
             after = (ledger.bytes_up, ledger.bytes_down, ledger.total_flops)
             assert inc == tuple(b - a for a, b in zip(before, after))
         assert ledger.flops_per_client == {

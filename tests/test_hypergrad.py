@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rabosim.errors import EmptyMask, InvalidSpec, SingularRestrictedHessian
 from rabosim.federation import (
-    ClientReport,
     CostLedger,
     RunConfig,
     inner_loop_flops,
@@ -21,7 +20,7 @@ from rabosim.hypergrad import (
     jacobian_column_fd,
     rafbo_hypergradient,
 )
-from rabosim.masking import Mask, apply_mask, mask_deviation
+from rabosim.masking import apply_mask, mask_deviation
 from rabosim.problems import (
     SampleBatch,
     derive_constants,
@@ -38,11 +37,11 @@ from tests_support import (
 
 
 def full_mask(d):
-    return Mask(np.ones(d, dtype=np.uint8))
+    return np.ones(d, dtype=np.uint8)
 
 
 def mask_from(bits):
-    return Mask(np.array(bits, dtype=np.uint8))
+    return np.array(bits, dtype=np.uint8)
 
 
 def ledger_hypergrad_flops(mx, my, estimator, rafbo=RAFBOConfig()):
@@ -50,9 +49,9 @@ def ledger_hypergrad_flops(mx, my, estimator, rafbo=RAFBOConfig()):
     its round's charge less the inner loop's."""
     cfg = RunConfig(alpha=0.1, beta=0.1, estimator=estimator, rafbo=rafbo)
     ledger = CostLedger()
-    ledger.add([ClientReport(0, mx, my, np.zeros(len(my)))], cfg)
+    ledger.add(mx[None], my[None], cfg)
     return ledger.flops_per_client[0] - inner_loop_flops(
-        mx.active_count, my.active_count, cfg.inner_epochs)
+        np.count_nonzero(mx), np.count_nonzero(my), cfg.inner_epochs)
 
 
 def one_dim_problem():
@@ -110,10 +109,10 @@ class TestExactHypergradient:
         mx = mask_from([1, 0, 1, 1, 0, 0])
         my = mask_from([0, 1, 1, 0, 1, 1])
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(6) * mx.bits
-        y = rng.standard_normal(6) * my.bits
+        x = rng.standard_normal(6) * mx
+        y = rng.standard_normal(6) * my
         est = exact_hypergradient(prob, 0, x, y, mx, my)
-        assert np.all(est[mx.bits == 0] == 0.0)
+        assert np.all(est[mx == 0] == 0.0)
 
     def test_singular_restricted_hessian(self):
         indefinite = QuadraticProblem(QuadraticSpec(
@@ -218,7 +217,7 @@ class TestJacobianColumnFd:
         my = mask_from([1, 0, 1, 0])
         delta = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 0, 1e-3,
                                    mask_y=my)
-        assert np.all(delta[my.bits == 0] == 0.0)
+        assert np.all(delta[my == 0] == 0.0)
 
     def test_common_random_numbers_cancel_noise(self):
         prob = make_quadratic(seed=9, n=1, d1=3, d2=4, noise_g=2.0,
@@ -250,8 +249,8 @@ class TestRafboHypergradient:
         mx = mask_from([1, 1, 0, 1, 0, 0])
         my = mask_from([0, 1, 1, 1, 0, 1])
         rng = np.random.default_rng(5)
-        x = rng.standard_normal(6) * mx.bits
-        y = rng.standard_normal(6) * my.bits
+        x = rng.standard_normal(6) * mx
+        y = rng.standard_normal(6) * my
         exact = exact_hypergradient(prob, 0, x, y, mx, my)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=1e-3))
         assert np.allclose(approx, exact, atol=1e-10)
@@ -284,7 +283,7 @@ class TestRafboHypergradient:
         my = full_mask(6)
         est = rafbo_hypergradient(prob, 0, np.zeros(6), np.ones(6), mx, my,
                                   RAFBOConfig(mu=1e-3))
-        assert np.all(est[mx.bits == 0] == 0.0)
+        assert np.all(est[mx == 0] == 0.0)
 
     def test_quartic_error_below_analytic_bound(self):
         prob = make_quadratic(seed=14, n=2, d1=6, d2=6, quartic=0.1,
@@ -298,7 +297,7 @@ class TestRafboHypergradient:
             approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
             err = np.linalg.norm(approx - exact)
             bound = np.sqrt(hypergrad_error_bound(
-                len(mx.support()), consts.l_g1, mu, consts.l_f0))
+                np.count_nonzero(mx), consts.l_g1, mu, consts.l_f0))
             assert err <= bound
 
     def test_fd_bias_scaling_slope(self):
@@ -333,10 +332,10 @@ class TestRafboHypergradient:
         mx, my = mask_from(mx_bits), mask_from(my_bits)
         coords = build_perturbation_set(mx, fraction,
                                         RngStream(1, 0, 0, "pset"))
-        assert coords.size < my.active_count
+        assert coords.size < np.count_nonzero(my)
         rafbo = ledger_hypergrad_flops(
             mx, my, RAFBO, RAFBOConfig(mu=1e-3, coord_fraction=fraction))
-        assert rafbo == rafbo_flops(mx.active_count, my.active_count,
+        assert rafbo == rafbo_flops(np.count_nonzero(mx), np.count_nonzero(my),
                                     coords.size)
         assert rafbo < ledger_hypergrad_flops(mx, my, EXACT_AID)
 
@@ -397,8 +396,8 @@ class TestRafboBatchedEquivalence:
         mx = mask_from([1, 1, 0, 1, 1, 0, 1])
         my = mask_from([0, 1, 1, 1, 0, 1])
         rng = np.random.default_rng(10)
-        x = rng.standard_normal(7) * mx.bits
-        y = rng.standard_normal(6) * my.bits
+        x = rng.standard_normal(7) * mx
+        y = rng.standard_normal(6) * my
         batch_f = SampleBatch("f", seed=6, client=1, draw=0)
         batch_g = SampleBatch("g", seed=6, client=1, draw=2)
         cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
@@ -418,7 +417,7 @@ class TestRafboBatchedEquivalence:
         my = mask_from([1, 0, 1, 1, 1, 0, 1, 1, 0])
         rng = np.random.default_rng(11)
         x = rng.standard_normal(prob.d1) * 0.3
-        y = rng.standard_normal(prob.d2) * 0.3 * my.bits
+        y = rng.standard_normal(prob.d2) * 0.3 * my
         batch_g = SampleBatch("g", seed=7, client=0, draw=1, size=size)
         for fraction in (1.0, 0.5):
             cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
@@ -475,8 +474,8 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
                           noise_f=0.2, noise_g=noise_g)
     mx, my = mask_from(bits_x), mask_from(bits_y)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(d1) * mx.bits
-    y = rng.standard_normal(d2) * my.bits
+    x = rng.standard_normal(d1) * mx
+    y = rng.standard_normal(d2) * my
     batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
     batch_g = SampleBatch("g", seed=seed, client=1, draw=1)
     cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
@@ -517,8 +516,8 @@ def test_rafbo_equals_masked_deltas_bit_for_bit(data, family, mu, fraction,
                                 max_size=prob.d2).filter(lambda b: not all(b)))
     mx, my = mask_from(bits_x), mask_from(bits_y)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(prob.d1) * 0.5 * mx.bits
-    y = rng.standard_normal(prob.d2) * 0.5 * my.bits
+    x = rng.standard_normal(prob.d1) * 0.5 * mx
+    y = rng.standard_normal(prob.d2) * 0.5 * my
     batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
     batch_g = SampleBatch("g", seed=seed, client=1, draw=1, size=size)
     cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
@@ -559,14 +558,14 @@ class TestMaskDriftDiagnostic:
             y = rng.standard_normal(6)
             mx = mask_from(rng.integers(0, 2, size=6))
             my = mask_from(rng.integers(0, 2, size=6))
-            if not mx.bits.any() or not my.bits.any():
+            if not mx.any() or not my.any():
                 continue
             i = int(rng.integers(0, 3))
             xm, ym = apply_mask(x, mx), apply_mask(y, my)
             drift = (np.sum((prob.grad_f_x(i, xm, ym) - prob.grad_f_x(i, x, y)) ** 2)
                      + np.sum((prob.grad_f_y(i, xm, ym) - prob.grad_f_y(i, x, y)) ** 2))
-            w1sq = mask_deviation(x, mx)
-            w2sq = mask_deviation(y, my)
+            w1sq = mask_deviation(x, mx[None])
+            w2sq = mask_deviation(y, my[None])
             bound = 2 * consts.M_f ** 2 * (w1sq * np.sum(x ** 2)
                                            + w2sq * np.sum(y ** 2))
             assert drift <= bound + 1e-12

@@ -84,8 +84,8 @@ def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, cfg,
     base, rows = (a.copy() for a in prob.grad_g_y_perturbed(
         i, x, y, coords, cfg.mu, batch_g))
     value = gfx.copy()
-    value[coords] += (((base - rows) / cfg.mu) * mask_y.bits) @ gfy
-    return value * mask_x.bits
+    value[coords] += (((base - rows) / cfg.mu) * mask_y) @ gfy
+    return value * mask_x
 
 
 def assert_caller_owns_rows(perturbed, prob, i, x, y, coords, mu,

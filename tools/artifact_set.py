@@ -9,7 +9,9 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - each benchmark workload of ``perfbench/workloads.py`` at seeds 1 and 5
   into ``OUT/<workload>-s<seed>``;
 - ``WINDOW_GROUPS`` below into ``OUT/window_groups``;
-- ``QUARTIC`` below into ``OUT/quartic``.
+- ``QUARTIC`` below into ``OUT/quartic``;
+- ``STATIC_LISTS`` below into ``OUT/static_lists``;
+- ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -56,6 +58,37 @@ QUARTIC = {
 }
 
 
+# Static windows under per-client capacity lists: each client's row has
+# its own popcount and period, downloads are priced at full width, and
+# masks.csv logs every row.
+STATIC_LISTS = {
+    "problem": {"family": "quadratic", "seed": 6, "n": 6, "d1": 10,
+                "d2": 9, "hetero": 0.3, "noise_f": 0.1, "noise_g": 0.1,
+                "eig_min": 0.8, "eig_max": 1.6},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 12,
+            "policy": "static", "download_mode": "full", "log_masks": True,
+            "batch_size_f": 2, "batch_size_g": 2},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": [["1/3", "1/2", "1", "1/4", "1/2", "1/3"],
+                             "1/3"]},
+}
+
+# Magnitude ranking by blocks of 2 from a start with distinct and tied
+# magnitudes, so masks differ across rounds, and one ranking is cut at
+# each client's own popcount under the capacity list.
+TOPK_BLOCKS = {
+    "problem": {"family": "logistic", "seed": 2, "n": 4, "classes": 3,
+                "features": 4, "imbalance_mu": 0.8},
+    "run": {"inner_epochs": 2, "rounds": 6, "policy": "magnitude_topk",
+            "block_size": 2, "log_masks": True,
+            "x0": [0.3, -0.1, 0.2, 0.2, -0.5, 0.05, 0.4],
+            "y0": [0.1, -0.2, 0.3, 0.0, 0.25, -0.25, 0.05, 0.6, -0.1, 0.0,
+                   0.2, -0.4]},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": ["1/2", ["1/4", "1/2", "3/4", "1"]]},
+}
+
+
 def _workloads():
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -74,6 +107,8 @@ def documents():
             yield f"{name}-s{seed}", workloads.raw_config(name, seed)
     yield "window_groups", WINDOW_GROUPS
     yield "quartic", QUARTIC
+    yield "static_lists", STATIC_LISTS
+    yield "topk_blocks", TOPK_BLOCKS
 
 
 def main(argv=None) -> int:
