@@ -24,7 +24,6 @@ from .federation import (
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
-    RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,
     hypergrad_error_bound,
@@ -33,9 +32,7 @@ from .hypergrad import (
 )
 from .linalg import solve_spd, spectral_bounds
 from .masking import (
-    ClientResource,
     CoverageTracker,
-    MaskPolicy,
     apply_mask,
     coverage,
     generate_mask,

@@ -10,8 +10,10 @@ Experiments are described by a JSON document with four sections::
     }
 
 Every field has a documented default: the family builder's keyword
-arguments in ``problem``, the ``*_DEFAULTS`` tables below in the other
-sections. Unknown keys are a hard error so typos never pass silently.
+arguments in ``problem``, ``RunConfig``'s fields in ``run`` (plus
+``theory_guard``, which only the sweep runner reads), the ``*_DEFAULTS``
+tables below in the other sections. Unknown keys are a hard error so
+typos never pass silently.
 Capacities are accepted as fractions ("1/4"), decimals or integers and
 held internally as exact rationals. The resolved config is echoed next to
 the outputs and re-parsing the echo reproduces the same resolved config.
@@ -32,6 +34,7 @@ Exit codes: 0 success, 2 config error, 3 run divergence. Output goes to
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import math
@@ -42,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import federation, hypergrad, masking
+from . import federation
 from .errors import (
     DivergenceDetected,
     InvalidSpec,
@@ -50,19 +53,23 @@ from .errors import (
     ParseError,
     check_ranges,
 )
-from .federation import RunConfig, check_theory_guard, logs_to_csv, run
-from .hypergrad import EXACT_AID, RAFBOConfig
-from .masking import ClientResource, MaskPolicy, parse_capacity
+from .federation import (
+    RunConfig,
+    check_run,
+    check_theory_guard,
+    logs_to_csv,
+    run,
+)
+from .masking import parse_capacities
 from .problems import logistic, make_logistic_tune, make_quadratic, quadratic
 
-RUN_DEFAULTS = {
-    "alpha": 0.05, "beta": 0.1, "inner_epochs": 1, "rounds": 50,
-    "estimator": EXACT_AID, "mu": 1e-3, "coord_fraction": 1.0,
-    "policy": "rolling", "block_size": 1, "capacities": "1",
-    "download_mode": "masked", "theory_guard": False,
-    "batch_size_f": 0, "batch_size_g": 0, "divergence_factor": 1e6,
-    "log_masks": False, "seed": 0, "x0": None, "y0": None,
-}
+# The run section's keys and their defaults: RunConfig's fields but the
+# variant's manual tables, which the sweep section lists, and the theory
+# guard, which only the sweep runner reads.
+RUN_ARGUMENTS = {
+    **{f.name: f.default for f in dataclasses.fields(RunConfig)
+       if f.name != "manual_tables"},
+    "theory_guard": False}
 SWEEP_DEFAULTS = {
     "seeds": None, "estimators": None, "capacities": None,
     "manual_tables": None, "vary_problem_seed": False,
@@ -137,9 +144,6 @@ LIST_ENTRIES = {
     "y0": (_is_finite, "a list of finite numbers"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
-# Entries whose type alone does not make them valid are checked against
-# the range tables of the modules that own them.
-RUN_TABLES = (federation.RANGES, hypergrad.RANGES, masking.RANGES)
 # family -> (builder, the rules of its arguments, the (d1, d2) they give)
 FAMILIES = {
     "quadratic": (make_quadratic, quadratic.check_args, quadratic.dims),
@@ -180,45 +184,32 @@ def _check_types(section: str, resolved: dict, defaults: dict) -> None:
                 f"{section}.{key} must be {want}, got {value!r}", key=key)
 
 
-def _resolve_section(section: str, data: dict, defaults: dict,
-                     *tables: dict) -> dict:
+def _resolve_section(section: str, data: dict, defaults: dict) -> dict:
     _reject_unknown(section, data, defaults.keys())
     resolved = dict(defaults)
     resolved.update(data)
     _check_types(section, resolved, defaults)
-    for ranges in tables:
-        check_ranges(resolved, ranges, f"{section}.")
     return resolved
 
 
-def _capacity_echo(value) -> str:
-    return str(parse_capacity(value))
-
-
-def _normalize_capacities(value, key: str) -> list | str:
-    """Validate and echo-normalize a capacities entry (scalar or list)."""
-    try:
-        if isinstance(value, list):
-            return [_capacity_echo(v) for v in value]
-        return _capacity_echo(value)
-    except Exception as exc:
-        raise InvalidSpec(f"bad capacity in '{key}': {exc}", key=key) from exc
+def _normalize_capacities(entry, name: str) -> list | str:
+    """A capacities entry (scalar or list) as its echo: each capacity as
+    its reduced fraction string."""
+    parsed = parse_capacities(entry, name)
+    return [str(c) for c in parsed] if isinstance(parsed, tuple) \
+        else str(parsed)
 
 
 def _check_table(table, n: int, d: int, name: str) -> None:
     """A manual table has one row of coordinate indices in [0, d) per
-    client, no more and no fewer.
-
-    A capacity is never 0, so every row lists at least one index.
-    """
+    client, no more and no fewer; ``check_run`` rejects an empty row."""
     if not (isinstance(table, list) and len(table) == n and all(
-            isinstance(row, list) and row and all(_is_int(k) and 0 <= k < d
-                                                  for k in row)
+            isinstance(row, list) and all(_is_int(k) and 0 <= k < d
+                                          for k in row)
             for row in table)):
         raise InvalidSpec(
             f"{name} must have exactly {n} rows, one per client, each "
-            f"listing one or more coordinate indices in [0, {d}), "
-            f"got {table!r}",
+            f"listing coordinate indices in [0, {d}), got {table!r}",
             key="manual_tables")
 
 
@@ -249,8 +240,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     check_args(problem, "problem.")
     problem["family"] = family
 
-    run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_DEFAULTS,
-                               *RUN_TABLES)
+    run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_ARGUMENTS)
     run_cfg["capacities"] = _normalize_capacities(
         run_cfg["capacities"], "run.capacities")
     if run_cfg["theory_guard"] and family != "quadratic":
@@ -258,19 +248,29 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"run.theory_guard needs the quadratic family's smoothness "
             f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
-    # the manual policy needs its tables, and a setting that only another
-    # policy reads is an error rather than a silent no-op
-    policy = run_cfg["policy"]
-    if policy == "manual" and sweep["manual_tables"] is None:
-        raise InvalidSpec("run.policy 'manual' needs sweep.manual_tables",
-                          key="policy")
-    for name, value, unset, owner in (
-            ("sweep.manual_tables", sweep["manual_tables"], None, "manual"),
-            ("run.block_size", run_cfg["block_size"], 1, "magnitude_topk")):
-        if value != unset and policy != owner:
+    tables = sweep["manual_tables"]
+    if tables is not None and not (isinstance(tables, list) and tables and all(
+            isinstance(entry, dict) and {"x", "y"} <= entry.keys()
+            for entry in tables)):
+        raise InvalidSpec(
+            f"sweep.manual_tables must be a non-empty list of objects, each "
+            f"with 'x' and 'y' per-client coordinate lists, got {tables!r}",
+            key="manual_tables")
+    n, dims = problem["n"], dims_of(problem)
+    for level, d in zip("xy", dims):
+        start = run_cfg[f"{level}0"]
+        if start is not None and len(start) != d:
             raise InvalidSpec(
-                f"{name} takes effect only under run.policy '{owner}', "
-                f"got policy '{policy}'", key=name.split(".")[1])
+                f"run.{level}0 has {len(start)} entries, but the problem "
+                f"has {d} {level} coordinates", key=f"{level}0")
+        for index, entry in enumerate(tables or []):
+            _check_table(entry[level], n, d,
+                         f"sweep.manual_tables[{index}].{level}")
+    for index, entry in enumerate(tables or [None]):
+        check_run({**run_cfg, "manual_tables": entry}, "run.",
+                  "sweep.manual_tables" if entry is None
+                  else f"sweep.manual_tables[{index}]")
+
     if sweep["seeds"] is None:
         sweep["seeds"] = [run_cfg["seed"]]
     if sweep["estimators"] is None:
@@ -287,15 +287,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     sweep["capacities"] = [
         _normalize_capacities(entry, "sweep.capacities")
         for entry in sweep["capacities"]]
-    tables = sweep["manual_tables"]
-    if tables is not None and not (isinstance(tables, list) and tables and all(
-            isinstance(entry, dict) and {"x", "y"} <= entry.keys()
-            for entry in tables)):
-        raise InvalidSpec(
-            f"sweep.manual_tables must be a non-empty list of objects, each "
-            f"with 'x' and 'y' per-client coordinate lists, got {tables!r}",
-            key="manual_tables")
-    n, dims = problem["n"], dims_of(problem)
     for name, entries in (("run.capacities", [run_cfg["capacities"]]),
                           ("sweep.capacities", sweep["capacities"])):
         for entry in entries:
@@ -303,15 +294,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                 raise InvalidSpec(
                     f"{name} lists {len(entry)} capacities for {n} clients",
                     key="capacities")
-    for level, d in zip("xy", dims):
-        start = run_cfg[f"{level}0"]
-        if start is not None and len(start) != d:
-            raise InvalidSpec(
-                f"run.{level}0 has {len(start)} entries, but the problem "
-                f"has {d} {level} coordinates", key=f"{level}0")
-        for index, entry in enumerate(tables or []):
-            _check_table(entry[level], n, d,
-                         f"sweep.manual_tables[{index}].{level}")
 
     # a variant key joins an estimator, a capacity label, a table index
     # and a seed, so the sweep runs a variant when no list is empty and
@@ -375,33 +357,19 @@ def build_problem(problem_cfg: dict, seed_override: int | None = None):
     return builder(**args)
 
 
-def _capacity_list(entry, n: int) -> list[ClientResource]:
-    """One resource per client: a scalar is shared by all n, and a list
-    (``resolve_config`` has checked it has n entries) is per client."""
-    values = entry if isinstance(entry, list) else [entry] * n
-    return [ClientResource(parse_capacity(v)) for v in values]
-
-
 def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,
                      capacity_entry, table_entry: dict | None = None) -> RunConfig:
-    table_x, table_y = (None, None) if table_entry is None \
-        else (table_entry["x"], table_entry["y"])
-    policy = MaskPolicy(
-        variant=run_cfg["policy"], block_size=run_cfg["block_size"],
-        table_x=table_x, table_y=table_y)
-    return RunConfig(
-        alpha=run_cfg["alpha"], beta=run_cfg["beta"],
-        inner_epochs=run_cfg["inner_epochs"], rounds=run_cfg["rounds"],
-        estimator=estimator,
-        rafbo=RAFBOConfig(mu=run_cfg["mu"],
-                          coord_fraction=run_cfg["coord_fraction"]),
-        policy=policy, capacities=_capacity_list(capacity_entry, n),
-        seed=seed, download_mode=run_cfg["download_mode"],
-        batch_size_f=run_cfg["batch_size_f"],
-        batch_size_g=run_cfg["batch_size_g"],
-        divergence_factor=run_cfg["divergence_factor"],
-        log_masks=run_cfg["log_masks"],
-        x0=run_cfg["x0"], y0=run_cfg["y0"])
+    """The RunConfig of one variant of a resolved ``run`` section.
+
+    ``n`` is the problem's client count, which ``resolve_config`` has
+    checked a per-client capacity list against; ``rabo_round`` expands a
+    shared capacity to it.
+    """
+    args = {key: value for key, value in run_cfg.items()
+            if key != "theory_guard"}
+    return RunConfig(**{**args, "seed": seed, "estimator": estimator,
+                        "capacities": capacity_entry,
+                        "manual_tables": table_entry})
 
 
 def _capacity_label(index: int, entry) -> str:

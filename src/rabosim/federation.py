@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import hypergrad, masking
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -33,19 +34,18 @@ from .errors import (
 from .hypergrad import (
     EXACT_AID,
     RAFBO,
-    RAFBOConfig,
     exact_hypergradient,
     perturbation_size,
     rafbo_hypergradient,
 )
 from .masking import (
     CoverageTracker,
-    MaskPolicy,
     apply_mask,
     check_masks,
     coverage,
     generate_mask,
     mask_deviation,
+    parse_capacities,
 )
 from .problems.base import SampleBatch
 from .rng import RngStream
@@ -71,20 +71,30 @@ class GlobalState:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All knobs of one training run, checked against ``RANGES`` when built.
+    """All settings of one training run.
 
-    ``capacities`` holds one resource per client of the problem the run
-    trains; ``rabo_round`` checks the count against the problem's.
+    The fields other than ``manual_tables`` are the keys of a config's
+    ``run`` section, and their defaults are the section's defaults.
+    ``capacities`` takes a config's forms: one capacity shared by every
+    client, or a list with one per client, each a Fraction, a "1/4"
+    string, a decimal or an integer; it holds them parsed, as one Fraction
+    or a tuple of them. ``manual_tables`` is the manual policy's table
+    entry, ``{"x": rows, "y": rows}`` with one row of coordinate indices
+    per client and level. ``check_run`` holds the rules; the ones that
+    need the problem's client count or dimensions are checked by
+    ``rabo_round``, ``run`` and ``generate_mask``.
     """
 
-    alpha: float
-    beta: float
+    alpha: float = 0.05
+    beta: float = 0.1
     inner_epochs: int = 1
-    rounds: int = 1
+    rounds: int = 50
     estimator: str = EXACT_AID
-    rafbo: RAFBOConfig = field(default_factory=RAFBOConfig)
-    policy: MaskPolicy = field(default_factory=MaskPolicy)
-    capacities: list = field(default_factory=list)
+    mu: float = 1e-3
+    coord_fraction: float = 1.0
+    policy: str = "rolling"
+    block_size: int = 1
+    capacities: object = "1"
     seed: int = 0
     download_mode: str = "masked"
     batch_size_f: int = 0      # 0 -> deterministic (no batch object)
@@ -93,9 +103,46 @@ class RunConfig:
     log_masks: bool = False
     x0: np.ndarray | None = None
     y0: np.ndarray | None = None
+    manual_tables: dict | None = None
 
     def __post_init__(self):
-        check_ranges(vars(self), RANGES)
+        check_run(vars(self))
+        object.__setattr__(self, "capacities",
+                           parse_capacities(self.capacities))
+
+
+def check_run(args: dict, prefix: str = "",
+              tables: str = "manual_tables") -> None:
+    """Raise InvalidSpec naming the first setting in ``args`` that breaks
+    a rule of ``RunConfig``: the range tables of this module, ``hypergrad``
+    and ``masking``, then the rules between the mask settings.
+
+    ``prefix`` (such as ``"run."``) leads each setting's name in a
+    message, and ``tables`` names ``args["manual_tables"]``, which a
+    config sets under ``sweep.manual_tables``.
+    """
+    for ranges in (RANGES, hypergrad.RANGES, masking.RANGES):
+        check_ranges(args, ranges, prefix)
+    policy, table = args["policy"], args["manual_tables"]
+    if policy == "manual" and table is None:
+        raise InvalidSpec(f"{prefix}policy 'manual' needs {tables}",
+                          key="policy")
+    # a setting that only another policy reads is an error rather than a
+    # silent no-op
+    for name, key, value, unset, owner in (
+            (tables, "manual_tables", table, None, "manual"),
+            (f"{prefix}block_size", "block_size", args["block_size"], 1,
+             "magnitude_topk")):
+        if value != unset and policy != owner:
+            raise InvalidSpec(
+                f"{name} takes effect only under {prefix}policy '{owner}', "
+                f"got policy '{policy}'", key=key)
+    # a capacity is never 0, so every client trains a coordinate
+    for level, rows in (table or {}).items():
+        if any(len(row) == 0 for row in rows):
+            raise InvalidSpec(
+                f"{tables}.{level} has an empty row; every client trains "
+                f"at least one coordinate", key="manual_tables")
 
 
 @dataclass(frozen=True)
@@ -216,7 +263,7 @@ class CostLedger:
                                               masks_y.sum(axis=1).tolist())):
             hyper = exact_aid_flops(ax, ay) if cfg.estimator == EXACT_AID \
                 else rafbo_flops(ax, ay, perturbation_size(
-                    ax, cfg.rafbo.coord_fraction))
+                    ax, cfg.coord_fraction))
             charge = inner_loop_flops(ax, ay, cfg.inner_epochs) + hyper
             self.flops_per_client[client] = \
                 self.flops_per_client.get(client, 0) + charge
@@ -331,10 +378,16 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     slowly exploding trajectory cannot outrun it, and without one it is
     anchored to this round's state.
     """
-    if len(cfg.capacities) != problem.n:
-        raise InvalidSpec(
-            f"{len(cfg.capacities)} capacities for {problem.n} clients",
-            key="capacities")
+    capacities = cfg.capacities if isinstance(cfg.capacities, tuple) \
+        else (cfg.capacities,) * problem.n
+    tables = cfg.manual_tables or {}
+    counts = {"capacities": len(capacities), **{
+        f"manual_tables.{level} rows": len(rows)
+        for level, rows in tables.items()}}
+    for name, count in counts.items():
+        if count != problem.n:
+            raise InvalidSpec(f"{count} {name} for {problem.n} clients",
+                              key=name.partition(".")[0])
     tracker = tracker if tracker is not None else CoverageTracker()
     ledger = ledger if ledger is not None else CostLedger()
     q = state.round_index
@@ -342,8 +395,10 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         _divergence_cap(cfg, state.x, state.y)
 
     memo = {}   # read-only blocks' work for this round's clients to share
-    masks_x = generate_mask(state.x, cfg.capacities, cfg.policy, q, "x")
-    masks_y = generate_mask(state.y, cfg.capacities, cfg.policy, q, "y")
+    masks_x = generate_mask(state.x, capacities, cfg.policy, q,
+                            cfg.block_size, tables.get("x"))
+    masks_y = generate_mask(state.y, capacities, cfg.policy, q,
+                            cfg.block_size, tables.get("y"))
     xs, ys0 = apply_mask(state.x, masks_x), apply_mask(state.y, masks_y)
     g_deltas = np.empty((problem.n, problem.d2))
     for i, (x_i, y_i0, mask_y) in enumerate(zip(xs, ys0, masks_y)):
@@ -382,9 +437,9 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
                 raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
         else:
             hypergrads[i] = rafbo_hypergradient(
-                problem, i, x_i, y_plus, masks_x[i], masks_y[i], cfg.rafbo,
-                batch_f, batch_g, RngStream(cfg.seed, i, q, "perturbation-set"),
-                memo=memo)
+                problem, i, x_i, y_plus, masks_x[i], masks_y[i], cfg.mu,
+                cfg.coord_fraction, batch_f, batch_g,
+                RngStream(cfg.seed, i, q, "perturbation-set"), memo=memo)
 
     x_next = aggregate_outer(state.x, masks_x, hypergrads, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")

@@ -63,7 +63,6 @@ family evaluates its perturbed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,24 +79,11 @@ from .rng import RngStream
 
 EXACT_AID = "exact_aid"
 RAFBO = "rafbo"
+# ``mu`` is the forward-difference step of the second-order-free estimator
+# (kept well above float cancellation, well below curvature scale), and
+# ``coord_fraction`` the fraction of active outer coordinates sampled into
+# its perturbation set (1.0 perturbs every active coordinate).
 RANGES = {"mu": "positive", "coord_fraction": "in (0, 1]"}
-
-
-@dataclass(frozen=True)
-class RAFBOConfig:
-    """Knobs of the second-order-free estimator.
-
-    ``mu`` is the forward-difference step (kept well above float
-    cancellation, well below curvature scale). ``coord_fraction`` is the
-    fraction of active outer coordinates sampled into the perturbation
-    set; 1.0 (the default) perturbs every active coordinate.
-    """
-
-    mu: float = 1e-3
-    coord_fraction: float = 1.0
-
-    def __post_init__(self):
-        check_ranges(vars(self), RANGES)
 
 
 def perturbation_size(active: int, coord_fraction: float) -> int:
@@ -188,8 +174,9 @@ def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
 
 def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: np.ndarray,
-                        mask_y: np.ndarray, cfg: RAFBOConfig, batch_f=None,
-                        batch_g=None, rng: RngStream | None = None,
+                        mask_y: np.ndarray, mu: float, coord_fraction: float,
+                        batch_f=None, batch_g=None,
+                        rng: RngStream | None = None,
                         memo: dict | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 
@@ -201,13 +188,14 @@ def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
     every delta_p (|P| d2); with 0/1 bits (delta * b) * g and
     delta * (b * g) are the same float, signed zeros included.
     """
-    coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
+    check_ranges({"mu": mu}, RANGES)
+    coords = build_perturbation_set(mask_x, coord_fraction, rng)
     gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
     gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
     base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked, coords,
-                                            cfg.mu, batch_g, memo=memo)
+                                            mu, batch_g, memo=memo)
     np.subtract(base, rows, out=rows)
-    rows /= cfg.mu
+    rows /= mu
     value = gfx.copy()
     value[coords] += rows @ apply_mask(gfy, mask_y)
     return apply_mask(value, mask_x)

@@ -16,12 +16,11 @@ lower coordinate index. All functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidCapacity, check_ranges
+from .errors import DimensionMismatch, InvalidCapacity, InvalidSpec
 
 
 def parse_capacity(value) -> Fraction:
@@ -39,56 +38,39 @@ def parse_capacity(value) -> Fraction:
     return cap
 
 
-@dataclass(frozen=True)
-class ClientResource:
-    """Fraction of the full model one client can train."""
+def parse_capacities(value, name: str = "capacities"):
+    """A capacities entry parsed once: a scalar shared by every client as
+    one Fraction, or a list with one entry per client as a tuple of them.
 
-    capacity: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "capacity", parse_capacity(self.capacity))
-
-    def active_count(self, d: int) -> int:
-        """ceil(capacity * d), in integers."""
-        return -(-self.capacity.numerator * d // self.capacity.denominator)
-
-    @property
-    def period(self) -> int:
-        """ceil(1 / capacity), the period of the window policies, in integers."""
-        return -(-self.capacity.denominator // self.capacity.numerator)
+    Raises InvalidSpec with key ``capacities``, naming ``name``, for an
+    entry ``parse_capacity`` rejects.
+    """
+    try:
+        if isinstance(value, (list, tuple)):
+            return tuple(parse_capacity(v) for v in value)
+        return parse_capacity(value)
+    except (InvalidCapacity, ValueError, ArithmeticError) as exc:
+        raise InvalidSpec(f"bad capacity in '{name}': {exc}",
+                          key="capacities") from exc
 
 
+def active_count(capacity: Fraction, d: int) -> int:
+    """ceil(capacity * d), in integers."""
+    return -(-capacity.numerator * d // capacity.denominator)
+
+
+def period(capacity: Fraction) -> int:
+    """ceil(1 / capacity), the period of the window policies, in integers."""
+    return -(-capacity.denominator // capacity.numerator)
+
+
+# Mask selection rules: ``static`` (client-staggered fixed window),
+# ``rolling`` (the window rotates each round with period ceil(1/capacity)),
+# ``magnitude_topk`` (largest-|param| blocks of the current global model)
+# and ``manual`` (explicit per-client coordinate tables, used to pin
+# coverage counts; they bypass capacity rounding).
 POLICIES = ("static", "rolling", "magnitude_topk", "manual")
 RANGES = {"policy": POLICIES, "block_size": "at least 1"}
-
-
-@dataclass(frozen=True)
-class MaskPolicy:
-    """Mask selection rule.
-
-    Variants: ``static`` (client-staggered fixed window), ``rolling``
-    (window rotates each round with period ceil(1/capacity)),
-    ``magnitude_topk`` (largest-|param| blocks of the current global
-    model) and ``manual`` (explicit per-client coordinate tables, used to
-    pin coverage counts). Manual tables bypass capacity rounding; the
-    caller is responsible for sizing them.
-    """
-
-    variant: str = "rolling"
-    block_size: int = 1
-    table_x: tuple | None = None   # per-client tuples of coordinate indices
-    table_y: tuple | None = None
-
-    def __post_init__(self):
-        check_ranges({"policy": self.variant, "block_size": self.block_size},
-                     RANGES)
-        if self.variant == "manual" and (self.table_x is None or self.table_y is None):
-            raise ValueError("manual policy needs table_x and table_y")
-        for name in ("table_x", "table_y"):
-            table = getattr(self, name)
-            if table is not None:
-                object.__setattr__(
-                    self, name, tuple(tuple(int(c) for c in row) for row in table))
 
 
 def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
@@ -96,50 +78,54 @@ def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
     return (offset + np.arange(target)) % d
 
 
+def _block_scores(mags: np.ndarray, block_size: int) -> np.ndarray:
+    """Summed magnitude of each block of ``block_size`` coordinates; the
+    last block holds the ragged tail."""
+    full = len(mags) - len(mags) % block_size
+    scores = mags[:full].reshape(-1, block_size).sum(axis=1)
+    return np.append(scores, mags[full:].sum()) if full < len(mags) \
+        else scores
+
+
 def _topk_order(params: np.ndarray, block_size: int) -> np.ndarray:
     # Every coordinate, best first, by (block rank, -|param|, index): blocks
     # by descending summed magnitude, ties to the lower block.
-    d = len(params)
     mags = np.abs(params)
-    if block_size == 1:
-        scores = mags
-    else:
-        scores = np.array([mags[b:b + block_size].sum()
-                           for b in range(0, d, block_size)])
+    scores = _block_scores(mags, block_size)
     n_blocks = scores.shape[0]
     block_rank = np.empty(n_blocks, dtype=np.int64)
     block_rank[np.lexsort((np.arange(n_blocks), -scores))] = np.arange(n_blocks)
-    coords = np.arange(d)
+    coords = np.arange(len(params))
     return np.lexsort((coords, -mags, block_rank[coords // block_size]))
 
 
-def generate_mask(params: np.ndarray, capacities: list[ClientResource],
-                  policy: MaskPolicy, round_index: int,
-                  level: str = "x") -> np.ndarray:
+def generate_mask(params: np.ndarray, capacities, policy: str,
+                  round_index: int, block_size: int = 1,
+                  table=None) -> np.ndarray:
     """One round's masks of one level: a read-only (n, d) uint8 array
-    whose row i has popcount ceil(capacities[i] * d).
+    whose row i has popcount ceil(capacities[i] * d), or lists the
+    coordinates of ``table[i]`` under the manual policy.
 
-    Deterministic in all arguments; no built-in variant draws randomness.
-    The magnitude ranking is computed once and cut at each row's popcount.
+    ``capacities`` holds one Fraction per client, and ``table`` one row of
+    coordinate indices per client of this level. Deterministic in all
+    arguments; no built-in policy draws randomness. The magnitude ranking
+    is computed once and cut at each row's popcount.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[0]
     masks = np.zeros((len(capacities), d), dtype=np.uint8)
-    table = policy.table_x if level == "x" else policy.table_y
-    ranking = (_topk_order(params, policy.block_size)
-               if policy.variant == "magnitude_topk" else None)
-    for i, res in enumerate(capacities):
-        target = res.active_count(d)
-        if policy.variant == "manual":
-            if i >= len(table):
-                raise InvalidCapacity(f"manual table has no entry for client {i}")
+    ranking = (_topk_order(params, block_size)
+               if policy == "magnitude_topk" else None)
+    for i, capacity in enumerate(capacities):
+        target = active_count(capacity, d)
+        if policy == "manual":
             idx = np.asarray(table[i], dtype=np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= d):
                 raise DimensionMismatch("manual table index out of range")
-        elif policy.variant == "static":
-            idx = _window_indices(d, target, i, res.period)
-        elif policy.variant == "rolling":
-            idx = _window_indices(d, target, round_index + i, res.period)
+        elif policy == "static":
+            idx = _window_indices(d, target, i, period(capacity))
+        elif policy == "rolling":
+            idx = _window_indices(d, target, round_index + i, period(capacity))
         else:  # magnitude_topk
             idx = ranking[:target]
         masks[i, idx] = 1

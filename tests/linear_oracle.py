@@ -36,7 +36,7 @@ import numpy as np
 from rabosim.errors import UnsupportedProblem
 from rabosim.federation import RunConfig
 from rabosim.hypergrad import EXACT_AID, RAFBO
-from rabosim.masking import ClientResource, generate_mask
+from rabosim.masking import generate_mask, period
 from rabosim.problems.quadratic import QuadraticProblem
 
 
@@ -55,9 +55,9 @@ def check_affine(problem, cfg: RunConfig) -> None:
     if (cfg.batch_size_f and s.noise_f) or (cfg.batch_size_g and s.noise_g):
         raise UnsupportedProblem(
             "gradient noise adds a random term to every round")
-    if cfg.policy.variant == "magnitude_topk":
+    if cfg.policy == "magnitude_topk":
         raise UnsupportedProblem("magnitude_topk masks read the iterates")
-    if cfg.estimator == RAFBO and cfg.rafbo.coord_fraction < 1:
+    if cfg.estimator == RAFBO and cfg.coord_fraction < 1:
         raise UnsupportedProblem(
             "coord_fraction < 1 draws a new perturbation set every round, "
             "so the rounds are not periodic")
@@ -65,9 +65,11 @@ def check_affine(problem, cfg: RunConfig) -> None:
 
 def mask_period(cfg: RunConfig) -> int:
     """Rounds after which every client's masks repeat."""
-    if cfg.policy.variant != "rolling":
+    if cfg.policy != "rolling":
         return 1
-    return math.lcm(*(res.period for res in cfg.capacities))
+    caps = cfg.capacities if isinstance(cfg.capacities, tuple) \
+        else (cfg.capacities,)
+    return math.lcm(*map(period, caps))
 
 
 def _covering_step(v, masks, vecs, step):
@@ -96,9 +98,13 @@ def round_map(problem, cfg: RunConfig, q: int):
     def constant(v):
         return np.outer(v, one)
 
+    caps = cfg.capacities if isinstance(cfg.capacities, tuple) \
+        else (cfg.capacities,) * problem.n
+    tables = cfg.manual_tables or {}
     masks = list(zip(*(
-        generate_mask(np.zeros(d), cfg.capacities, cfg.policy, q, level)
-        .astype(np.float64) for d, level in ((d1, "x"), (d2, "y")))))
+        generate_mask(np.zeros(d), caps, cfg.policy, q,
+                      table=tables.get(level)).astype(np.float64)
+        for d, level in ((d1, "x"), (d2, "y")))))
 
     deltas = []
     for i, (mx, my) in enumerate(masks):
@@ -175,6 +181,5 @@ def outer_minimizer(problem) -> np.ndarray:
     inner fixed point is y*(x) and the outer one solves grad Phi(x) = 0,
     whatever the step sizes, so this is the minimizer of Phi.
     """
-    cfg = RunConfig(alpha=0.5, beta=0.5,
-                    capacities=[ClientResource(1)] * problem.n)
+    cfg = RunConfig(alpha=0.5, beta=0.5)
     return period_map(problem, cfg).fixed_point[:problem.d1]

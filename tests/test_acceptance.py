@@ -11,9 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from rabosim import (
-    ClientResource,
-    MaskPolicy,
-    RAFBOConfig,
     RunConfig,
     exact_hypergradient,
     hypergrad_error_bound,
@@ -46,7 +43,7 @@ def full_masks(d1, d2):
 
 
 def full_caps(n):
-    return [ClientResource(Fraction(1))] * n
+    return [Fraction(1)] * n
 
 
 def test_01_hypergradient_exactness():
@@ -84,8 +81,7 @@ def test_02_rafbo_equals_exact_aid_on_quadratics():
             for i in range(4):
                 mx, my = full_masks(10, 10)
                 exact = exact_hypergradient(prob, i, x, y, mx, my)
-                approx = rafbo_hypergradient(prob, i, x, y, mx, my,
-                                             RAFBOConfig(mu=mu))
+                approx = rafbo_hypergradient(prob, i, x, y, mx, my, mu, 1.0)
                 rel = np.linalg.norm(approx - exact) \
                     / np.linalg.norm(exact)
                 worst = max(worst, rel)
@@ -108,7 +104,7 @@ def test_03_fd_error_bound_and_scaling():
     errs, below = [], True
     for mu in mus:
         exact = exact_hypergradient(prob, 0, x, y, mx, my)
-        approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
+        approx = rafbo_hypergradient(prob, 0, x, y, mx, my, mu, 1.0)
         err = float(np.linalg.norm(approx - exact))
         bound = float(np.sqrt(hypergrad_error_bound(
             np.count_nonzero(mx), consts.l_g1, mu, consts.l_f0)))
@@ -206,14 +202,14 @@ def test_06_freeze_and_coverage():
     t0 = time.monotonic()
     prob = make_quadratic(seed=1007, n=2, d1=4, d2=4, hetero=0.3,
                           eig_min=0.8, eig_max=1.5)
-    policy = MaskPolicy(variant="manual",
-                        table_x=[[0, 1], [1, 2]],   # coord 3 never trained
-                        table_y=[[0], [0, 1]])      # coords 2, 3 never trained
+    tables = {"x": [[0, 1], [1, 2]],     # coord 3 never trained
+              "y": [[0], [0, 1]]}        # coords 2, 3 never trained
     x0 = 0.1 * np.arange(1.0, 5.0)
     y0 = -0.2 * np.arange(1.0, 5.0)
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=50,
-                    capacities=[ClientResource(Fraction(1, 2))] * 2, seed=0,
-                    policy=policy, x0=x0.copy(), y0=y0.copy())
+                    capacities=[Fraction(1, 2)] * 2, seed=0,
+                    policy="manual", manual_tables=tables, x0=x0.copy(),
+                    y0=y0.copy())
     res = run(prob, cfg)
     frozen_x = res.final_state.x[3].tobytes() == np.float64(x0[3]).tobytes()
     frozen_y = (res.final_state.y[2].tobytes() == np.float64(y0[2]).tobytes()
@@ -245,10 +241,10 @@ def test_07_coverage_speedup_trend():
                               eig_min=0.8, eig_max=1.6, target_scale=0.0)
         cfg = RunConfig(alpha=0.04, beta=0.25, inner_epochs=2,
                         rounds=max_rounds,
-                        capacities=[ClientResource(Fraction(1, 4))] * n,
+                        capacities=[Fraction(1, 4)] * n,
                         seed=seed,
-                        policy=MaskPolicy(variant="manual", table_x=table_x,
-                                          table_y=table_y),
+                        policy="manual",
+                        manual_tables={"x": table_x, "y": table_y},
                         batch_size_f=1, batch_size_g=1,
                         x0=np.full(d, 2.0), y0=np.zeros(d))
         res = run(prob, cfg)
@@ -278,10 +274,8 @@ def test_08_cost_accounting():
         prob = make_quadratic(seed=1009, n=n, d1=d, d2=d,
                               eig_min=1.0, eig_max=1.0)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
-                        estimator=estimator,
-                        rafbo=RAFBOConfig(mu=1e-3, coord_fraction=fraction),
-                        capacities=[ClientResource(cap)] * n, seed=0,
-                        policy=MaskPolicy(variant=policy))
+                        estimator=estimator, coord_fraction=fraction,
+                        capacities=[cap] * n, seed=0, policy=policy)
         return run(prob, cfg)
 
     quarter = run_with(Fraction(1, 4), EXACT_AID)

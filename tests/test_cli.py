@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,9 +15,10 @@ import rabosim
 from rabosim import federation, hypergrad, masking
 from rabosim.cli import (
     FAMILIES,
-    RUN_DEFAULTS,
+    RUN_ARGUMENTS,
     apply_override,
     build_problem,
+    build_run_config,
     compare_costs,
     main,
     parse_config,
@@ -25,8 +27,8 @@ from rabosim.cli import (
 )
 from rabosim.errors import InvalidSpec, MissingBaseline, ParseError
 from rabosim.federation import DOWNLOAD_MODES, RunConfig
-from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from rabosim.masking import POLICIES, ClientResource, MaskPolicy
+from rabosim.hypergrad import EXACT_AID, RAFBO
+from rabosim.masking import POLICIES
 from rabosim.problems import (
     derive_constants,
     logistic,
@@ -783,22 +785,11 @@ class TestMainEntry:
             "from-config", "from-flag", "rabosim-out"]
 
 
-def _run_config(**kwargs):
-    return RunConfig(**{"alpha": 0.1, "beta": 0.1,
-                        "capacities": [ClientResource(1)], **kwargs})
-
-
-def _mask_policy(**kwargs):
-    if "policy" in kwargs:
-        kwargs["variant"] = kwargs.pop("policy")
-    return MaskPolicy(**kwargs)
-
-
-# owner -> (range table, constructor)
+# owner -> (range table, constructor); every run setting is RunConfig's
 RANGE_OWNERS = {
-    "federation": (federation.RANGES, _run_config),
-    "hypergrad": (hypergrad.RANGES, RAFBOConfig),
-    "masking": (masking.RANGES, _mask_policy),
+    "federation": (federation.RANGES, RunConfig),
+    "hypergrad": (hypergrad.RANGES, RunConfig),
+    "masking": (masking.RANGES, RunConfig),
     "quadratic": (quadratic.RANGES, make_quadratic),
     "logistic": (logistic.RANGES, make_logistic_tune),
 }
@@ -831,7 +822,7 @@ def test_range_rule_holds_at_both_boundaries(tmp_path, capsys, owner, key):
     # the owner's constructor raises InvalidSpec naming the same key
     construct = RANGE_OWNERS[owner][1]
     bad, want = OUT_OF_RANGE[key]
-    section = "run" if key in RUN_DEFAULTS else "problem"
+    section = "run" if key in RUN_ARGUMENTS else "problem"
     data = small_logistic_config() if owner == "logistic" \
         else small_quadratic_config()
     path = write_config(tmp_path, data)
@@ -844,6 +835,69 @@ def test_range_rule_holds_at_both_boundaries(tmp_path, capsys, owner, key):
     with pytest.raises(InvalidSpec) as err:
         construct(**{key: bad})
     assert err.value.key == key
+
+
+TWO_CLIENT_TABLES = {"x": [[0, 1], [2, 3]], "y": [[0, 1], [2, 3]]}
+EMPTY_ROW_TABLES = {"x": [[0, 1], [2, 3]], "y": [[0, 1], []]}
+# rule -> (RunConfig settings, overrides of the small config, the key, the
+# name the CLI's message gives the setting)
+CROSS_KEY_RULES = {
+    "block-size-outside-topk": (
+        {"block_size": 3}, ["run.block_size=3"], "block_size",
+        "run.block_size"),
+    "manual-without-tables": (
+        {"policy": "manual"}, ["run.policy=manual"], "policy", "run.policy"),
+    "tables-outside-manual": (
+        {"manual_tables": TWO_CLIENT_TABLES},
+        [f"sweep.manual_tables={json.dumps([TWO_CLIENT_TABLES])}"],
+        "manual_tables", "sweep.manual_tables"),
+    "empty-table-row": (
+        {"policy": "manual", "manual_tables": EMPTY_ROW_TABLES},
+        ["run.policy=manual",
+         f"sweep.manual_tables={json.dumps([EMPTY_ROW_TABLES])}"],
+        "manual_tables", "sweep.manual_tables[0].y"),
+    "zero-capacity": (
+        {"capacities": 0}, ["run.capacities=0"], "capacities",
+        "run.capacities"),
+    "unparsable-capacity": (
+        {"capacities": ["1/2", "abc"]}, ['run.capacities=["1/2", "abc"]'],
+        "capacities", "run.capacities"),
+}
+
+
+@pytest.mark.parametrize("rule", CROSS_KEY_RULES)
+def test_run_rule_holds_in_library_and_cli(tmp_path, capsys, rule):
+    # RunConfig and resolve_config share each rule: the constructor raises
+    # InvalidSpec with the rule's key, and the CLI exits 2 naming it
+    # before anything is written
+    settings, overrides, key, name = CROSS_KEY_RULES[rule]
+    with pytest.raises(InvalidSpec) as err:
+        RunConfig(**settings)
+    assert err.value.key == key
+    path = write_config(tmp_path, small_quadratic_config())
+    flags = [flag for spec in overrides for flag in ("--override", spec)]
+    code = main(["run", str(path), "--out", str(tmp_path / "out")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(InvalidSpec) as resolved:
+        parse_config(path, overrides)
+    assert resolved.value.key == key
+
+
+def test_run_section_is_run_config(tmp_path):
+    # the run section's keys and defaults are RunConfig's fields but the
+    # manual tables, plus the theory guard; a resolved section builds the
+    # RunConfig a library caller gets from the same settings
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert RUN_ARGUMENTS.keys() - fields.keys() == {"theory_guard"}
+    assert fields.keys() - RUN_ARGUMENTS.keys() == {"manual_tables"}
+    cfg = resolve_config({"problem": {"family": "quadratic"}})
+    assert {k: v for k, v in cfg.run.items() if k != "theory_guard"} == {
+        k: v for k, v in fields.items() if k != "manual_tables"}
+    built = build_run_config(cfg.run, 4, 0, EXACT_AID, "1")
+    assert built == RunConfig()
 
 
 def test_manual_table_sweep_pins_coverage(tmp_path):

@@ -26,8 +26,8 @@ from rabosim.federation import (
     rabo_round,
     run,
 )
-from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from rabosim.masking import ClientResource, MaskPolicy, coverage
+from rabosim.hypergrad import EXACT_AID, RAFBO
+from rabosim.masking import coverage
 from rabosim.problems import (
     derive_constants,
     make_logistic_tune,
@@ -54,7 +54,7 @@ def rows_of(*rows):
 
 
 def full_caps(n):
-    return [ClientResource(Fraction(1))] * n
+    return [Fraction(1)] * n
 
 
 def scalar_quadratic(c=1.0):
@@ -306,7 +306,7 @@ class TestRabobRound:
         monkeypatch.setattr(federation, "generate_mask", spy)
         prob = make_quadratic(seed=5, n=3, d1=4, d2=5)
         cfg = RunConfig(alpha=0.02, beta=0.2,
-                        capacities=[ClientResource(Fraction(1, 2))] * 3)
+                        capacities=[Fraction(1, 2)] * 3)
         rabo_round(prob, GlobalState(np.zeros(4), np.zeros(5), 0), cfg)
         assert [masks.shape for masks in calls] == [(3, 4), (3, 5)]
         for masks in calls:
@@ -319,6 +319,30 @@ class TestRabobRound:
         cfg = RunConfig(alpha=0.02, beta=0.2, capacities=full_caps(1))
         with pytest.raises(FrozenInstanceError):
             cfg.alpha = -1.0
+
+    @pytest.mark.parametrize("capacities", [
+        [Fraction(1, 2)] * 2, ["1/2"] * 2, [0.5, 0.5], "1/2"],
+        ids=["fractions", "strings", "decimals", "shared"])
+    def test_capacity_forms_run_alike(self, capacities):
+        # a list of Fraction, string or decimal capacities used to end in
+        # AttributeError: 'Fraction' object has no attribute 'active_count'
+        prob = make_quadratic(seed=1, n=2, d1=4, d2=4)
+        cfg = RunConfig(capacities=capacities, rounds=3)
+        want = run(prob, RunConfig(capacities=[Fraction(1, 2)] * 2, rounds=3))
+        assert logs_to_csv(run(prob, cfg).logs) == logs_to_csv(want.logs)
+
+    @pytest.mark.parametrize("level", ["x", "y"])
+    def test_manual_table_rows_must_match_problem_clients(self, level):
+        # a third row for two clients used to be ignored
+        prob = make_quadratic(seed=1, n=2, d1=4, d2=4)
+        tables = {"x": [[0], [1]], "y": [[0], [1]]}
+        tables[level] = [[0], [1], [2]]
+        cfg = RunConfig(policy="manual", manual_tables=tables)
+        with pytest.raises(InvalidSpec) as err:
+            rabo_round(prob, GlobalState(np.zeros(4), np.zeros(4), 0), cfg)
+        assert err.value.key == "manual_tables"
+        assert f"3 manual_tables.{level} rows for 2 clients" in \
+            str(err.value)
 
     def test_stationary_fixed_point(self):
         prob = make_quadratic(seed=6, n=4, d1=5, d2=5, hetero=0.3, lam=0.8,
@@ -360,7 +384,7 @@ class TestRabobRound:
         prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)
         cfg = RunConfig(alpha=0.3, beta=0.2, inner_epochs=2, rounds=3,
-                        estimator=RAFBO, rafbo=RAFBOConfig(mu=1e-4),
+                        estimator=RAFBO, mu=1e-4,
                         capacities=full_caps(2), seed=0)
         res = run(prob, cfg)
         assert np.all(np.isfinite(res.final_state.x))
@@ -439,7 +463,7 @@ def memo_rounds(prob, monkeypatch, memo, capacity=Fraction(1, 2),
     build = hypergrad.spd_solver
     batch = 2 if noise else 0
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
-                    capacities=[ClientResource(capacity)] * prob.n,
+                    capacities=[capacity] * prob.n,
                     batch_size_f=batch, batch_size_g=batch, log_masks=True)
     state = GlobalState(np.ones(prob.d1), np.zeros(prob.d2), 0)
     with monkeypatch.context() as patch:
@@ -564,7 +588,7 @@ class TestRun:
                               noise_f=0.1, noise_g=0.1,
                               eig_min=0.8, eig_max=1.5)
         base = dict(alpha=0.02, beta=0.2, inner_epochs=2, rounds=20,
-                    capacities=[ClientResource(Fraction(1, 2))] * 4, seed=3,
+                    capacities=[Fraction(1, 2)] * 4, seed=3,
                     batch_size_f=2, batch_size_g=2)
         csv_a = logs_to_csv(run(prob, RunConfig(**base)).logs)
         csv_b = logs_to_csv(run(prob, RunConfig(**base)).logs)
@@ -646,14 +670,13 @@ class TestRun:
         tables = [[0, 1], [1, 2], [2, 3]]
         cfg_a = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15,
                           capacities=full_caps(3), seed=0,
-                          policy=MaskPolicy(variant="manual", table_x=tables,
-                                            table_y=tables))
+                          policy="manual",
+                          manual_tables={"x": tables, "y": tables})
         perm_tables = [tables[p] for p in perm]
         cfg_b = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=15,
                           capacities=full_caps(3), seed=0,
-                          policy=MaskPolicy(variant="manual",
-                                            table_x=perm_tables,
-                                            table_y=perm_tables))
+                          policy="manual",
+                          manual_tables={"x": perm_tables, "y": perm_tables})
         res_a = run(base, cfg_a)
         res_b = run(permuted, cfg_b)
         assert np.allclose(res_a.final_state.x, res_b.final_state.x, atol=1e-12)
@@ -773,11 +796,9 @@ class TestCosts:
         prob = make_quadratic(seed=19, n=4, d1=d, d2=d,
                               eig_min=1.0, eig_max=1.0)
         cfg = RunConfig(alpha=0.02, beta=0.2, inner_epochs=2, rounds=rounds,
-                        estimator=estimator,
-                        rafbo=RAFBOConfig(mu=1e-3, coord_fraction=coord_fraction),
-                        capacities=[ClientResource(cap)] * 4, seed=0,
-                        download_mode=download_mode,
-                        policy=MaskPolicy(variant="rolling"))
+                        estimator=estimator, coord_fraction=coord_fraction,
+                        capacities=[cap] * 4, seed=0,
+                        download_mode=download_mode, policy="rolling")
         return run(prob, cfg)
 
     def test_full_capacity_modes_agree(self):
@@ -846,12 +867,11 @@ class TestCosts:
         # |P| = ax, 79 and 452 at |P| = ceil(ax / 2)
         prob = make_quadratic(seed=23, n=2, d1=4, d2=4,
                               eig_min=0.8, eig_max=1.5)
-        policy = MaskPolicy(variant="manual", table_x=((0, 1), (1, 2, 3)),
-                            table_y=((2,), (0, 1, 3)))
+        tables = {"x": ((0, 1), (1, 2, 3)), "y": ((2,), (0, 1, 3))}
         cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2,
-                        estimator=estimator,
-                        rafbo=RAFBOConfig(coord_fraction=fraction),
-                        capacities=full_caps(2), policy=policy)
+                        estimator=estimator, coord_fraction=fraction,
+                        capacities=full_caps(2), policy="manual",
+                        manual_tables=tables)
         ledger = CostLedger()
         _, log = rabo_round(prob, GlobalState(np.ones(4), np.ones(4), 0),
                             cfg, ledger=ledger)
@@ -889,16 +909,16 @@ class TestCsvRendering:
        seed=st.integers(0, 2 ** 16))
 def test_uncovered_coordinates_bit_frozen(data, n, d1, d2, estimator, seed):
     """A coordinate no client's manual table covers keeps its exact bits."""
-    table_x = data.draw(partial_tables(n, d1, nonempty=True))
-    table_y = data.draw(partial_tables(n, d2, nonempty=False))
+    table_x = data.draw(partial_tables(n, d1))
+    table_y = data.draw(partial_tables(n, d2))
     prob = make_quadratic(seed=seed, n=n, d1=d1, d2=d2, hetero=0.5,
                           noise_f=0.3, noise_g=0.3, eig_min=0.6, eig_max=1.5,
                           quartic=0.1)
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, rounds=3,
                     estimator=estimator, capacities=full_caps(n), seed=seed,
                     batch_size_f=2, batch_size_g=2,
-                    policy=MaskPolicy(variant="manual", table_x=table_x,
-                                      table_y=table_y))
+                    policy="manual",
+                    manual_tables={"x": table_x, "y": table_y})
     rng = np.random.default_rng(seed)
     state = GlobalState(rng.standard_normal(d1), rng.standard_normal(d2), 0)
     free_x = ~np.isin(np.arange(d1), sum(table_x, []))

@@ -13,7 +13,6 @@ from rabosim.federation import (
 from rabosim.hypergrad import (
     EXACT_AID,
     RAFBO,
-    RAFBOConfig,
     build_perturbation_set,
     exact_hypergradient,
     hypergrad_error_bound,
@@ -44,10 +43,10 @@ def mask_from(bits):
     return np.array(bits, dtype=np.uint8)
 
 
-def ledger_hypergrad_flops(mx, my, estimator, rafbo=RAFBOConfig()):
+def ledger_hypergrad_flops(mx, my, estimator, coord_fraction=1.0):
     """The ledger's hypergradient charge for a client holding ``mx``, ``my``:
     its round's charge less the inner loop's."""
-    cfg = RunConfig(alpha=0.1, beta=0.1, estimator=estimator, rafbo=rafbo)
+    cfg = RunConfig(estimator=estimator, coord_fraction=coord_fraction)
     ledger = CostLedger()
     ledger.add(mx[None], my[None], cfg)
     return ledger.flops_per_client[0] - inner_loop_flops(
@@ -205,10 +204,14 @@ class TestJacobianColumnFd:
         # alpha; reject it where the step is set and where it is used
         prob = make_quadratic(seed=7, n=1, d1=2, d2=2)
         with pytest.raises(InvalidSpec) as err:
-            RAFBOConfig(mu=mu)
+            RunConfig(mu=mu)
         assert err.value.key == "mu"
         with pytest.raises(InvalidSpec) as err:
             jacobian_column_fd(prob, 0, np.zeros(2), np.zeros(2), 0, mu)
+        assert err.value.key == "mu"
+        with pytest.raises(InvalidSpec) as err:
+            rafbo_hypergradient(prob, 0, np.zeros(2), np.zeros(2),
+                                full_mask(2), full_mask(2), mu, 1.0)
         assert err.value.key == "mu"
 
     def test_masked_output(self):
@@ -239,7 +242,7 @@ class TestRafboHypergradient:
             x = rng.standard_normal(8)
             y = rng.standard_normal(8)
             exact = exact_hypergradient(prob, i, x, y, mx, my)
-            approx = rafbo_hypergradient(prob, i, x, y, mx, my, RAFBOConfig(mu=mu))
+            approx = rafbo_hypergradient(prob, i, x, y, mx, my, mu, 1.0)
             rel = np.linalg.norm(approx - exact) \
                 / np.linalg.norm(exact)
             assert rel <= 1e-9
@@ -252,7 +255,7 @@ class TestRafboHypergradient:
         x = rng.standard_normal(6) * mx
         y = rng.standard_normal(6) * my
         exact = exact_hypergradient(prob, 0, x, y, mx, my)
-        approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=1e-3))
+        approx = rafbo_hypergradient(prob, 0, x, y, mx, my, 1e-3, 1.0)
         assert np.allclose(approx, exact, atol=1e-10)
 
     def test_agreement_with_shared_noisy_batches(self):
@@ -264,7 +267,7 @@ class TestRafboHypergradient:
         x, y = np.ones(5), -np.ones(5)
         exact = exact_hypergradient(prob, 0, x, y, mx, my, batch_f, batch_g)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my,
-                                     RAFBOConfig(mu=1e-3), batch_f, batch_g)
+                                     1e-3, 1.0, batch_f, batch_g)
         assert np.allclose(approx, exact, atol=1e-9)
 
     def test_reduces_to_direct_term_when_f_ignores_y(self):
@@ -274,7 +277,7 @@ class TestRafboHypergradient:
         y = prob.spec.inner_targets[1].copy()
         for mu in (1.0, 1e-4):
             est = rafbo_hypergradient(prob, 1, x, y, full_mask(4),
-                                      full_mask(4), RAFBOConfig(mu=mu))
+                                      full_mask(4), mu, 1.0)
             assert np.allclose(est, prob.grad_f_x(1, x, y), atol=1e-14)
 
     def test_support_containment(self):
@@ -282,7 +285,7 @@ class TestRafboHypergradient:
         mx = mask_from([0, 1, 1, 0, 1, 0])
         my = full_mask(6)
         est = rafbo_hypergradient(prob, 0, np.zeros(6), np.ones(6), mx, my,
-                                  RAFBOConfig(mu=1e-3))
+                                  1e-3, 1.0)
         assert np.all(est[mx == 0] == 0.0)
 
     def test_quartic_error_below_analytic_bound(self):
@@ -294,7 +297,7 @@ class TestRafboHypergradient:
         y = 0.5 * np.ones(6)
         for mu in (1e-1, 1e-2, 1e-3):
             exact = exact_hypergradient(prob, 0, x, y, mx, my)
-            approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
+            approx = rafbo_hypergradient(prob, 0, x, y, mx, my, mu, 1.0)
             err = np.linalg.norm(approx - exact)
             bound = np.sqrt(hypergrad_error_bound(
                 np.count_nonzero(mx), consts.l_g1, mu, consts.l_f0))
@@ -310,7 +313,7 @@ class TestRafboHypergradient:
         errs = []
         for mu in mus:
             exact = exact_hypergradient(prob, 0, x, y, mx, my)
-            approx = rafbo_hypergradient(prob, 0, x, y, mx, my, RAFBOConfig(mu=mu))
+            approx = rafbo_hypergradient(prob, 0, x, y, mx, my, mu, 1.0)
             errs.append(np.linalg.norm(approx - exact))
         slope = np.polyfit(np.log(mus), np.log(errs), 1)[0]
         assert abs(slope - 1.0) <= 0.15
@@ -318,7 +321,7 @@ class TestRafboHypergradient:
     def test_cost_tally(self):
         mx, my = full_mask(8), full_mask(8)
         # 2|P| + 2 gradient evaluations and |P| inner products, |P| = 8
-        assert ledger_hypergrad_flops(mx, my, RAFBO, RAFBOConfig(mu=1e-3)) \
+        assert ledger_hypergrad_flops(mx, my, RAFBO) \
             == rafbo_flops(8, 8, 8)
 
     @pytest.mark.parametrize("mx_bits,my_bits,fraction", [
@@ -333,15 +336,14 @@ class TestRafboHypergradient:
         coords = build_perturbation_set(mx, fraction,
                                         RngStream(1, 0, 0, "pset"))
         assert coords.size < np.count_nonzero(my)
-        rafbo = ledger_hypergrad_flops(
-            mx, my, RAFBO, RAFBOConfig(mu=1e-3, coord_fraction=fraction))
+        rafbo = ledger_hypergrad_flops(mx, my, RAFBO, fraction)
         assert rafbo == rafbo_flops(np.count_nonzero(mx), np.count_nonzero(my),
                                     coords.size)
         assert rafbo < ledger_hypergrad_flops(mx, my, EXACT_AID)
 
 
-def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
-                   rng=None):
+def loop_reference(prob, i, x, y, mx, my, mu, coord_fraction, batch_f=None,
+                   batch_g=None, rng=None):
     """The estimator as one jacobian_column_fd call per perturbed coordinate.
 
     The deltas come from the loop; their inner products with grad_y f are
@@ -356,18 +358,17 @@ def loop_reference(prob, i, x, y, mx, my, cfg, batch_f=None, batch_g=None,
     differently, by up to d2 eps of |delta_p| @ |grad_y f| each, and the
     final add by eps of the value.
     """
-    coords = build_perturbation_set(mx, cfg.coord_fraction, rng)
+    coords = build_perturbation_set(mx, coord_fraction, rng)
     gfy = prob.grad_f_y(i, x, y, batch_f)
     value = prob.grad_f_x(i, x, y, batch_f).copy()
     deltas = np.empty((len(coords), prob.d2))
     bound = np.zeros_like(value)
     for k, p in enumerate(coords):
-        deltas[k] = jacobian_column_fd(prob, i, x, y, int(p), cfg.mu, batch_g,
-                                       my)
+        deltas[k] = jacobian_column_fd(prob, i, x, y, int(p), mu, batch_g, my)
         x_pert = x.copy()
-        x_pert[p] += cfg.mu
+        x_pert[p] += mu
         rows = grad_g_y_row_bound(prob, i, x_pert, y, batch_g, x_base=x)[0]
-        bound[p] = (rows / cfg.mu) @ np.abs(gfy) \
+        bound[p] = (rows / mu) @ np.abs(gfy) \
             + (2 * prob.d2 + 8) * EPS * (np.abs(deltas[k]) @ np.abs(gfy))
     value[coords] += deltas @ gfy
     bound += 2 * EPS * np.abs(value)
@@ -400,12 +401,11 @@ class TestRafboBatchedEquivalence:
         y = rng.standard_normal(6) * my
         batch_f = SampleBatch("f", seed=6, client=1, draw=0)
         batch_g = SampleBatch("g", seed=6, client=1, draw=2)
-        cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
-        est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f,
-                                  batch_g, RngStream(3, 1, 0, "pset"))
-        ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
-                             RngStream(3, 1, 0, "pset"))
-        assert ledger_hypergrad_flops(mx, my, RAFBO, cfg) \
+        est = rafbo_hypergradient(prob, 1, x, y, mx, my, 1e-3, fraction,
+                                  batch_f, batch_g, RngStream(3, 1, 0, "pset"))
+        ref = loop_reference(prob, 1, x, y, mx, my, 1e-3, fraction, batch_f,
+                             batch_g, RngStream(3, 1, 0, "pset"))
+        assert ledger_hypergrad_flops(mx, my, RAFBO, fraction) \
             == rafbo_flops(5, 4, 5 if fraction == 1.0 else 3)
         assert_within(est, ref)
 
@@ -420,11 +420,10 @@ class TestRafboBatchedEquivalence:
         y = rng.standard_normal(prob.d2) * 0.3 * my
         batch_g = SampleBatch("g", seed=7, client=0, draw=1, size=size)
         for fraction in (1.0, 0.5):
-            cfg = RAFBOConfig(mu=1e-3, coord_fraction=fraction)
-            est = rafbo_hypergradient(prob, 0, x, y, mx, my, cfg, None,
-                                      batch_g, RngStream(4, 0, 0, "pset"))
-            ref, _ = loop_reference(prob, 0, x, y, mx, my, cfg, None,
-                                    batch_g, RngStream(4, 0, 0, "pset"))
+            est = rafbo_hypergradient(prob, 0, x, y, mx, my, 1e-3, fraction,
+                                      None, batch_g, RngStream(4, 0, 0, "pset"))
+            ref, _ = loop_reference(prob, 0, x, y, mx, my, 1e-3, fraction,
+                                    None, batch_g, RngStream(4, 0, 0, "pset"))
             assert np.array_equal(est, ref)
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic"])
@@ -447,8 +446,7 @@ class TestRafboBatchedEquivalence:
         for i in range(prob.n):
             before = dict(calls)
             rafbo_hypergradient(prob, i, np.zeros(prob.d1),
-                                np.zeros(prob.d2), mx, my,
-                                RAFBOConfig(mu=1e-3))
+                                np.zeros(prob.d2), mx, my, 1e-3, 1.0)
             assert calls["grad_g_y_perturbed"] \
                 - before["grad_g_y_perturbed"] == 1
             # the quadratic override builds its rows on one grad_g_y call;
@@ -478,11 +476,10 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
     y = rng.standard_normal(d2) * my
     batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
     batch_g = SampleBatch("g", seed=seed, client=1, draw=1)
-    cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
-    est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
-                              RngStream(seed, 1, 0, "pset"))
-    ref = loop_reference(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
-                         RngStream(seed, 1, 0, "pset"))
+    est = rafbo_hypergradient(prob, 1, x, y, mx, my, mu, fraction, batch_f,
+                              batch_g, RngStream(seed, 1, 0, "pset"))
+    ref = loop_reference(prob, 1, x, y, mx, my, mu, fraction, batch_f,
+                         batch_g, RngStream(seed, 1, 0, "pset"))
     assert_within(est, ref)
 
 
@@ -520,11 +517,11 @@ def test_rafbo_equals_masked_deltas_bit_for_bit(data, family, mu, fraction,
     y = rng.standard_normal(prob.d2) * 0.5 * my
     batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
     batch_g = SampleBatch("g", seed=seed, client=1, draw=1, size=size)
-    cfg = RAFBOConfig(mu=mu, coord_fraction=fraction)
-    est = rafbo_hypergradient(prob, 1, x, y, mx, my, cfg, batch_f, batch_g,
-                              RngStream(seed, 1, 0, "pset"))
-    ref = rafbo_masked_deltas_reference(prob, 1, x, y, mx, my, cfg, batch_f,
-                                        batch_g, RngStream(seed, 1, 0, "pset"))
+    est = rafbo_hypergradient(prob, 1, x, y, mx, my, mu, fraction, batch_f,
+                              batch_g, RngStream(seed, 1, 0, "pset"))
+    ref = rafbo_masked_deltas_reference(prob, 1, x, y, mx, my, mu, fraction,
+                                        batch_f, batch_g,
+                                        RngStream(seed, 1, 0, "pset"))
     assert np.array_equal(est, ref)
 
 

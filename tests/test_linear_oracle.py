@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from rabosim.errors import UnsupportedProblem
 from rabosim.federation import GlobalState, RunConfig, rabo_round, run
-from rabosim.hypergrad import EXACT_AID, RAFBO, RAFBOConfig
-from rabosim.masking import ClientResource, MaskPolicy
+from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.problems import make_logistic_tune, make_quadratic
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from linear_oracle import mask_period, period_map, round_map
@@ -35,7 +34,7 @@ def round_bound(prob, cfg, z, z_next, c_q):
                      for a, b, c in zip(s.a_mats, s.b_mats, s.c_vecs))
         grad_f = np.linalg.norm(z_next[d1:]) \
             + max(np.linalg.norm(t) for t in s.inner_targets)
-        bound += (2 * np.sqrt(d1) * cfg.alpha * EPS / cfg.rafbo.mu
+        bound += (2 * np.sqrt(d1) * cfg.alpha * EPS / cfg.mu
                   * grad_g * grad_f)
     return bound
 
@@ -71,13 +70,14 @@ def assert_round_agrees(prob, cfg, z, q):
     assert err <= round_bound(prob, cfg, z, z_next, c_q)
 
 
+# policy -> its RunConfig settings
 POLICIES = {
-    "rolling": MaskPolicy("rolling"),
-    "static": MaskPolicy("static"),
+    "rolling": {"policy": "rolling"},
+    "static": {"policy": "static"},
     # outer coordinate 5 and inner coordinate 4 are left uncovered
-    "manual": MaskPolicy("manual",
-                         table_x=((0, 1, 2), (2, 3), (1, 4), (0, 3)),
-                         table_y=((0, 1), (1, 2, 3), (0,), (2, 3))),
+    "manual": {"policy": "manual", "manual_tables": {
+        "x": ((0, 1, 2), (2, 3), (1, 4), (0, 3)),
+        "y": ((0, 1), (1, 2, 3), (0,), (2, 3))}},
 }
 
 
@@ -86,8 +86,7 @@ POLICIES = {
 def test_one_round_matches_rabo_round(estimator, policy):
     prob = distinct_curvature_problem(seed=3, n=4, d1=6, d2=5)
     cfg = RunConfig(alpha=0.1, beta=0.3, inner_epochs=3, estimator=estimator,
-                    policy=POLICIES[policy],
-                    capacities=[ClientResource(c) for c in CAPACITIES[1:]])
+                    capacities=CAPACITIES[1:], **POLICIES[policy])
     rng = np.random.default_rng(7)
     for q in range(mask_period(cfg)):
         assert_round_agrees(prob, cfg, rng.standard_normal(11), q)
@@ -106,14 +105,14 @@ def test_round_map_property(data, n, d1, d2, estimator, policy, inner_epochs,
     levels uncovered."""
     caps = data.draw(st.lists(st.sampled_from(CAPACITIES), min_size=n,
                               max_size=n))
-    tables = {}
+    tables = None
     if policy == "manual":
-        tables = {"table_x": data.draw(partial_tables(n, d1, nonempty=True)),
-                  "table_y": data.draw(partial_tables(n, d2, nonempty=False))}
+        tables = {"x": data.draw(partial_tables(n, d1)),
+                  "y": data.draw(partial_tables(n, d2))}
     prob = distinct_curvature_problem(seed, n, d1, d2)
     cfg = RunConfig(alpha=0.1, beta=0.3, inner_epochs=inner_epochs,
-                    estimator=estimator, policy=MaskPolicy(policy, **tables),
-                    capacities=[ClientResource(c) for c in caps])
+                    estimator=estimator, policy=policy, capacities=caps,
+                    manual_tables=tables)
     z = scale * np.random.default_rng(seed).standard_normal(d1 + d2)
     assert_round_agrees(prob, cfg, z, q)
 
@@ -133,8 +132,8 @@ def test_run_settles_on_the_map_floor(capacity, floors):
                           eig_min=0.8, eig_max=1.6)
     for estimator, reference in floors.items():
         cfg = RunConfig(alpha=0.1, beta=0.3, inner_epochs=5, rounds=320,
-                        estimator=estimator, policy=MaskPolicy("rolling"),
-                        capacities=[ClientResource(capacity)] * 4,
+                        estimator=estimator, policy="rolling",
+                        capacities=[capacity] * 4,
                         x0=np.ones(10))
         floor = period_map(prob, cfg).floor()
         assert floor == pytest.approx(reference, abs=5e-7)
@@ -145,7 +144,7 @@ def test_run_settles_on_the_map_floor(capacity, floors):
 def test_full_capacity_floors():
     prob = make_quadratic(seed=0, n=4, d1=10, d2=10, hetero=0.3,
                           eig_min=0.8, eig_max=1.6)
-    caps = [ClientResource(1)] * 4
+    caps = [1] * 4
     exact = period_map(prob, RunConfig(alpha=0.1, beta=0.3, inner_epochs=5,
                                        capacities=caps))
     rafbo = period_map(prob, RunConfig(alpha=0.1, beta=0.3, inner_epochs=5,
@@ -159,14 +158,13 @@ def test_full_capacity_floors():
     ({"quartic": 0.1}, {}, "quartic"),
     ({"sine_amp": 0.2}, {}, "sine"),
     ({"noise_g": 0.1}, {"batch_size_g": 2}, "noise"),
-    ({}, {"policy": MaskPolicy("magnitude_topk")}, "magnitude_topk"),
-    ({}, {"estimator": RAFBO, "rafbo": RAFBOConfig(coord_fraction=0.5)},
-     "coord_fraction"),
+    ({}, {"policy": "magnitude_topk"}, "magnitude_topk"),
+    ({}, {"estimator": RAFBO, "coord_fraction": 0.5}, "coord_fraction"),
 ])
 def test_rejects_what_is_not_affine(problem_kwargs, run_kwargs, reason):
     prob = make_quadratic(seed=1, n=2, d1=3, d2=3, **problem_kwargs)
     cfg = RunConfig(alpha=0.1, beta=0.3,
-                    capacities=[ClientResource(Fraction(1, 2))] * 2,
+                    capacities=[Fraction(1, 2)] * 2,
                     **run_kwargs)
     with pytest.raises(UnsupportedProblem, match=reason):
         period_map(prob, cfg)
@@ -174,6 +172,6 @@ def test_rejects_what_is_not_affine(problem_kwargs, run_kwargs, reason):
 
 def test_rejects_logistic():
     prob = make_logistic_tune(seed=0, n=1, imbalance_mu=1.0)
-    cfg = RunConfig(alpha=0.1, beta=0.3, capacities=[ClientResource(1)])
+    cfg = RunConfig(alpha=0.1, beta=0.3, capacities=[1])
     with pytest.raises(UnsupportedProblem, match="not a quadratic"):
         round_map(prob, cfg, 0)

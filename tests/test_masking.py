@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from rabosim.errors import DimensionMismatch, InvalidCapacity
 from rabosim.masking import (
-    ClientResource,
     CoverageTracker,
-    MaskPolicy,
+    _block_scores,
     _topk_order,
+    active_count,
     apply_mask,
     check_masks,
     coverage,
     generate_mask,
     mask_deviation,
+    parse_capacities,
     parse_capacity,
+    period,
 )
 from rabosim.federation import _hex_rows
 from tests_support import topk_indices_loop
@@ -33,7 +35,7 @@ def masks_of(*rows):
     return np.array(rows, dtype=np.uint8)
 
 
-class TestClientResource:
+class TestCapacity:
     def test_parse_fraction_string(self):
         assert parse_capacity("1/4") == Fraction(1, 4)
         assert parse_capacity(0.25) == Fraction(1, 4)
@@ -41,60 +43,62 @@ class TestClientResource:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidCapacity):
-            ClientResource(Fraction(0))
+            parse_capacity(Fraction(0))
         with pytest.raises(InvalidCapacity):
-            ClientResource(Fraction(3, 2))
+            parse_capacity(Fraction(3, 2))
+
+    def test_parse_capacities_keeps_the_entry_form(self):
+        assert parse_capacities("1/2") == Fraction(1, 2)
+        assert parse_capacities(["1/2", 0.25, 1]) == (
+            Fraction(1, 2), Fraction(1, 4), Fraction(1))
 
     def test_active_count_rounds_up(self):
-        assert ClientResource(Fraction(1, 4)).active_count(10) == 3
-        assert ClientResource(Fraction(1)).active_count(10) == 10
+        assert active_count(Fraction(1, 4), 10) == 3
+        assert active_count(Fraction(1), 10) == 10
 
     @pytest.mark.parametrize("capacity", [
         Fraction(1, 7), Fraction(1, 3), 0.3, Fraction(2, 3), 1])
     def test_integer_ceilings_match_fraction_forms(self, capacity):
-        res = ClientResource(capacity)
-        assert res.period == math.ceil(Fraction(1) / res.capacity)
+        cap = parse_capacity(capacity)
+        assert period(cap) == math.ceil(Fraction(1) / cap)
         for d in range(1, 65):
-            assert res.active_count(d) == math.ceil(res.capacity * d)
+            assert active_count(cap, d) == math.ceil(cap * d)
 
 
 def caps(*values):
-    return [ClientResource(Fraction(v)) for v in values]
+    return [Fraction(v) for v in values]
 
 
-# (params, capacities, policy, round, level, expected masks): each case
-# of the former per-client tests, as rows of one round-level call.
-TOPK = MaskPolicy(variant="magnitude_topk")
-MANUAL = MaskPolicy(variant="manual", table_x=[[0, 2], [1]],
-                    table_y=[[3], [0, 1]])
+# (params, capacities, policy, round, block size, table, expected masks):
+# each case of the former per-client tests, as rows of one round-level
+# call.
+MANUAL_X, MANUAL_Y = [[0, 2], [1]], [[3], [0, 1]]
 MASK_CASES = {
-    **{f"full-capacity-{variant}": (
-        [3.0, -1.0, 2.0, 0.5], caps(1, 1), MaskPolicy(variant=variant), 5,
-        "x", [[1, 1, 1, 1]] * 2)
-       for variant in ("static", "rolling", "magnitude_topk")},
-    "topk-example": ([5.0, 1.0, 4.0, 2.0], caps("1/2"), TOPK, 0, "x",
-                     [[1, 0, 1, 0]]),
-    "topk-blockwise": (
-        [1.0, 1.0, 9.0, 9.0], caps("1/2"),
-        MaskPolicy(variant="magnitude_topk", block_size=2), 0, "x",
-        [[0, 0, 1, 1]]),
-    "topk-ties-prefer-lower-index": ([2.0] * 4, caps("1/2"), TOPK, 0, "x",
+    **{f"full-capacity-{policy}": (
+        [3.0, -1.0, 2.0, 0.5], caps(1, 1), policy, 5, 1, None,
+        [[1, 1, 1, 1]] * 2)
+       for policy in ("static", "rolling", "magnitude_topk")},
+    "topk-example": ([5.0, 1.0, 4.0, 2.0], caps("1/2"), "magnitude_topk", 0,
+                     1, None, [[1, 0, 1, 0]]),
+    "topk-blockwise": ([1.0, 1.0, 9.0, 9.0], caps("1/2"), "magnitude_topk",
+                       0, 2, None, [[0, 0, 1, 1]]),
+    "topk-ties-prefer-lower-index": ([2.0] * 4, caps("1/2"),
+                                     "magnitude_topk", 0, 1, None,
                                      [[1, 1, 0, 0]]),
     # one ranking, cut at each row's own popcount
     "topk-per-client-popcounts": (
-        [0.5, -3.0, 2.0, 0.0], caps("1/4", "1/2", "3/4", 1), TOPK, 0, "y",
+        [0.5, -3.0, 2.0, 0.0], caps("1/4", "1/2", "3/4", 1),
+        "magnitude_topk", 0, 1, None,
         [[0, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 1]]),
     **{f"rolling-period-two-round-{rnd}": (
-        np.zeros(4), caps("1/2"),
-        MaskPolicy(variant="rolling", block_size=2), rnd, "x", [bits])
+        np.zeros(4), caps("1/2"), "rolling", rnd, 1, None, [bits])
        for rnd, bits in {0: [1, 1, 0, 0], 1: [0, 0, 1, 1],
                          2: [1, 1, 0, 0]}.items()},
-    "rolling-client-stagger": (np.zeros(4), caps("1/2", "1/2"),
-                               MaskPolicy(variant="rolling"), 0, "x",
-                               [[1, 1, 0, 0], [0, 0, 1, 1]]),
-    "manual-x": (np.zeros(4), caps("1/2", "1/2"), MANUAL, 0, "x",
+    "rolling-client-stagger": (np.zeros(4), caps("1/2", "1/2"), "rolling",
+                               0, 1, None, [[1, 1, 0, 0], [0, 0, 1, 1]]),
+    "manual-x": (np.zeros(4), caps("1/2", "1/2"), "manual", 0, 1, MANUAL_X,
                  [[1, 0, 1, 0], [0, 1, 0, 0]]),
-    "manual-y": (np.zeros(4), caps("1/2", "1/2"), MANUAL, 0, "y",
+    "manual-y": (np.zeros(4), caps("1/2", "1/2"), "manual", 0, 1, MANUAL_Y,
                  [[0, 0, 0, 1], [1, 1, 0, 0]]),
 }
 
@@ -102,16 +106,16 @@ MASK_CASES = {
 class TestGenerateMask:
     @pytest.mark.parametrize("case", MASK_CASES)
     def test_round_masks(self, case):
-        params, capacities, policy, rnd, level, expected = MASK_CASES[case]
+        params, capacities, policy, rnd, block_size, table, expected = \
+            MASK_CASES[case]
         masks = generate_mask(np.asarray(params, dtype=np.float64),
-                              capacities, policy, rnd, level)
+                              capacities, policy, rnd, block_size, table)
         assert masks.dtype == np.uint8
         assert np.array_equal(masks, expected)
 
     def test_static_ignores_round(self):
         params = np.arange(8.0)
-        policy = MaskPolicy(variant="static")
-        rounds = [generate_mask(params, caps("1/4", "1/4"), policy, rnd)
+        rounds = [generate_mask(params, caps("1/4", "1/4"), "static", rnd)
                   for rnd in range(5)]
         for masks in rounds[1:]:
             assert np.array_equal(masks, rounds[0])
@@ -119,27 +123,22 @@ class TestGenerateMask:
     def test_popcount_matches_ceiling(self):
         params = np.arange(10.0)
         capacities = caps("1/3", "2/7", "1/2")
-        for variant in ("static", "rolling", "magnitude_topk"):
-            masks = generate_mask(params, capacities,
-                                  MaskPolicy(variant=variant), 3)
+        for policy in ("static", "rolling", "magnitude_topk"):
+            masks = generate_mask(params, capacities, policy, 3)
             assert masks.sum(axis=1).tolist() == [
-                math.ceil(res.capacity * 10) for res in capacities]
+                math.ceil(cap * 10) for cap in capacities]
 
     def test_deterministic(self):
         params = np.linspace(-1, 1, 12)
         capacities = caps(*["1/4"] * 4)
-        a = generate_mask(params, capacities, MaskPolicy(variant="rolling"), 7)
-        b = generate_mask(params, capacities, MaskPolicy(variant="rolling"), 7)
+        a = generate_mask(params, capacities, "rolling", 7)
+        b = generate_mask(params, capacities, "rolling", 7)
         assert np.array_equal(a, b)
 
-    def test_manual_table_needs_a_row_per_client(self):
-        policy = MaskPolicy(variant="manual", table_x=[[0]], table_y=[[0]])
-        with pytest.raises(InvalidCapacity, match="client 1"):
-            generate_mask(np.zeros(2), caps(1, 1), policy, 0)
-
-    def test_manual_requires_tables(self):
-        with pytest.raises(ValueError):
-            MaskPolicy(variant="manual")
+    def test_manual_table_index_out_of_range(self):
+        with pytest.raises(DimensionMismatch, match="out of range"):
+            generate_mask(np.zeros(2), caps(1, 1), "manual", 0,
+                          table=[[0], [2]])
 
 
 class TestApplyMask:
@@ -193,10 +192,9 @@ class TestCoverage:
     def test_rolling_staggered_full_coverage(self):
         # capacity 1/K with n >= K staggered clients trains every coordinate
         d, k, n = 8, 4, 6
-        policy = MaskPolicy(variant="rolling")
         for rnd in range(6):
             masks = generate_mask(np.zeros(d), caps(*[Fraction(1, k)] * n),
-                                  policy, rnd, "y")
+                                  "rolling", rnd)
             assert masks.sum(axis=0).min() >= 1
             assert coverage(masks) >= n // k
 
@@ -290,18 +288,17 @@ capacities = st.builds(
 @settings(max_examples=80)
 @given(d=st.integers(1, 120), capacity_list=st.lists(capacities, min_size=1,
                                                      max_size=41),
-       variant=st.sampled_from(["static", "rolling", "magnitude_topk"]),
+       policy=st.sampled_from(["static", "rolling", "magnitude_topk"]),
        block_size=st.integers(1, 5), round_index=st.integers(0, 500),
        seed=st.integers(0, 2 ** 32), ties=st.booleans())
 def test_generated_masks_are_binary_readonly_with_ceiling_popcount(
-        d, capacity_list, variant, block_size, round_index, seed, ties):
+        d, capacity_list, policy, block_size, round_index, seed, ties):
     rng = np.random.default_rng(seed)
     # small integer magnitudes give ties, the zero start's worst case
     params = (rng.integers(-2, 3, size=d).astype(np.float64) if ties
               else rng.standard_normal(d))
-    policy = MaskPolicy(variant=variant, block_size=block_size)
-    masks = generate_mask(params, [ClientResource(c) for c in capacity_list],
-                          policy, round_index, level="y")
+    masks = generate_mask(params, capacity_list, policy, round_index,
+                          block_size)
     assert masks.sum(axis=1).tolist() == [
         math.ceil(c * d) for c in capacity_list]
     assert masks.dtype == np.uint8 and masks.shape == (len(capacity_list), d)
@@ -330,3 +327,25 @@ def test_topk_ranking_matches_block_loop(d, block_size, kind, data, seed):
     target = data.draw(st.integers(1, d))
     assert np.array_equal(_topk_order(params, block_size)[:target],
                           topk_indices_loop(params, target, block_size))
+
+
+def block_scores_loop(mags, block_size):
+    """The block scores as the slice loop ``_topk_order`` used to run."""
+    return np.array([mags[b:b + block_size].sum()
+                     for b in range(0, len(mags), block_size)])
+
+
+@pytest.mark.parametrize("d", [1, 7, 12, 23, 24, 25, 64, 119])
+@pytest.mark.parametrize("block_size", [1, 2, 3, 5, 8, 9, 16, 24])
+def test_block_scores_equal_the_slice_loop(d, block_size):
+    # ragged tails (d not a multiple of the block size), a block wider than
+    # d, and signed zeros among the magnitudes, compared bit for bit
+    rng = np.random.default_rng(1000 * d + block_size)
+    params = rng.standard_normal(d) * np.exp(rng.uniform(-20, 20, d))
+    params[rng.random(d) < 0.3] = -0.0
+    params[rng.random(d) < 0.2] = 0.0
+    mags = np.abs(params)
+    got, want = _block_scores(mags, block_size), block_scores_loop(
+        mags, block_size)
+    assert got.shape == want.shape == (math.ceil(d / block_size),)
+    assert got.tobytes() == want.tobytes()

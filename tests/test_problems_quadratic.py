@@ -17,7 +17,6 @@ from rabosim.errors import (
 from rabosim.federation import RunConfig, logs_to_csv, run
 from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.linalg import solve_spd, spectral_bounds, spectral_norm
-from rabosim.masking import ClientResource
 from rabosim.problems import (
     BilevelProblem,
     SampleBatch,
@@ -179,7 +178,7 @@ class TestSharedBlocks:
         def rounds_csv(prob):
             cfg = RunConfig(alpha=0.03, beta=0.2, inner_epochs=2, rounds=3,
                             estimator=estimator,
-                            capacities=[ClientResource(Fraction(1, 2))] * 3,
+                            capacities=[Fraction(1, 2)] * 3,
                             seed=4, batch_size_f=1, batch_size_g=1)
             return logs_to_csv(run(prob, cfg).logs)
 

@@ -8,7 +8,6 @@ import pytest
 from rabosim.errors import DimensionMismatch
 from rabosim.federation import GlobalState, RunConfig, rabo_round
 from rabosim.hypergrad import EXACT_AID
-from rabosim.masking import ClientResource, MaskPolicy
 from rabosim.problems import (
     LogisticTuneProblem,
     SampleBatch,
@@ -130,8 +129,8 @@ def test_exact_aid_asks_for_the_active_block_only(monkeypatch):
 
     monkeypatch.setattr(LogisticTuneProblem, "hess_yy_g", spy)
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=EXACT_AID,
-                    policy=MaskPolicy(variant="magnitude_topk"),
-                    capacities=[ClientResource(Fraction(1, 2))] * prob.n)
+                    policy="magnitude_topk",
+                    capacities=[Fraction(1, 2)] * prob.n)
     y0 = np.random.default_rng(2).standard_normal(prob.d2)
     rabo_round(prob, GlobalState(np.zeros(prob.d1), y0, 0), cfg)
     assert len(calls) == prob.n

@@ -67,8 +67,9 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
     return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
 
 
-def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, cfg,
-                                  batch_f=None, batch_g=None, rng=None):
+def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, mu,
+                                  coord_fraction, batch_f=None, batch_g=None,
+                                  rng=None):
     """``rafbo_hypergradient`` with the mask on every delta_p, out of place.
 
     The deltas are formed from copies of ``grad_g_y_perturbed``'s output as
@@ -78,13 +79,13 @@ def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, cfg,
     """
     from rabosim.hypergrad import build_perturbation_set
 
-    coords = build_perturbation_set(mask_x, cfg.coord_fraction, rng)
+    coords = build_perturbation_set(mask_x, coord_fraction, rng)
     gfx = prob.grad_f_x(i, x, y, batch_f)
     gfy = prob.grad_f_y(i, x, y, batch_f)
     base, rows = (a.copy() for a in prob.grad_g_y_perturbed(
-        i, x, y, coords, cfg.mu, batch_g))
+        i, x, y, coords, mu, batch_g))
     value = gfx.copy()
-    value[coords] += (((base - rows) / cfg.mu) * mask_y) @ gfy
+    value[coords] += (((base - rows) / mu) * mask_y) @ gfy
     return value * mask_x
 
 
@@ -160,9 +161,9 @@ def topk_indices_loop(params, target, block_size):
 
 
 @st.composite
-def partial_tables(draw, n, d, nonempty):
-    """Per-client coordinate rows that leave at least one coordinate
-    uncovered; with ``nonempty`` every row has a coordinate."""
+def partial_tables(draw, n, d):
+    """Per-client coordinate rows, none empty, that leave at least one
+    coordinate uncovered."""
     gap = draw(st.integers(0, d - 1))
     pool = [c for c in range(d) if c != gap]
     rows = []
@@ -170,7 +171,7 @@ def partial_tables(draw, n, d, nonempty):
         keep = draw(st.lists(st.booleans(), min_size=len(pool),
                              max_size=len(pool)))
         row = [c for c, k in zip(pool, keep) if k]
-        if nonempty and not row:
+        if not row:
             row = [draw(st.sampled_from(pool))]
         rows.append(row)
     return rows
