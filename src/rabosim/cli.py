@@ -571,9 +571,9 @@ def main(argv=None) -> int:
 
     try:
         overrides = list(args.override)
-        if args.seeds:
-            try:
-                seeds = [int(s) for s in args.seeds.split(",")]
+        if args.seeds is not None:
+            try:   # "" is the empty list, which sweep.seeds rejects
+                seeds = [int(s) for s in args.seeds.split(",") if args.seeds]
             except ValueError:
                 raise InvalidSpec(
                     f"sweep.seeds: --seeds must be comma-separated integers, "

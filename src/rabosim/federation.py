@@ -11,9 +11,10 @@ per-client hypergradient estimation, and parameter-wise outer
 aggregation. Coordinates covered by no client are bit-identical before
 and after the round at both levels.
 
-Clients run one after another in ascending order, and the server
-aggregates the rows in that order with a fixed left-to-right summation,
-so runs are bit-reproducible.
+Each phase is one call over all clients as rows with the bits, and the
+failures, of clients run one after another in ascending order. The
+server aggregates the rows in that order with a fixed left-to-right
+summation, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -221,11 +222,10 @@ class CostLedger:
     coordinates are sampled out. The difference route stays charged
     2|P| + 2 gradient evaluations although the simulator evaluates the
     base gradient once, so the modeled cost describes the method, not the
-    simulator. Likewise a round factors each distinct read-only inner
-    Hessian block and active set once, and computes each product of a
-    read-only block with a distinct vector once (``rabo_round``'s memo),
-    while ``exact_aid_flops`` still charges every client its own solve
-    and ``grad_eval_flops`` every client each gradient evaluation.
+    simulator. Likewise a round's row calls multiply each distinct row of
+    a block once and factor a shared inner Hessian block once per active
+    set, while ``exact_aid_flops`` still charges every client its own
+    solve and ``grad_eval_flops`` every client each gradient evaluation.
     """
 
     x_down: int = 0
@@ -280,40 +280,50 @@ class CostLedger:
                 BYTES_PER_COORD * (dx + 2 * dy), flops)
 
 
-def client_inner_loop(problem, i: int, x_i: np.ndarray, y_i0: np.ndarray,
+def client_inner_loop(problem, i, x_i: np.ndarray, y_i0: np.ndarray,
                       mask_y: np.ndarray, beta: float, inner_epochs: int,
-                      batches=None, divergence_guard: float | None = None,
-                      memo: dict | None = None):
+                      batches=None, divergence_guard: float | None = None):
     """T masked stochastic gradient steps on y; returns (y_T, G).
 
-    ``batches`` supplies one SampleBatch per epoch (None for noiseless /
-    full-data evaluation). G = (y_0 - y_T) / beta summarizes the local
-    update as the sum of the masked step gradients, oriented like a
-    gradient so the server's ``y - beta * mean(G)`` update replays the
-    clients' parameter deltas; its support stays inside the mask.
-    Every ``grad_g_y`` call is handed ``memo``, the round's shared dict.
-    Raises DivergenceDetected when ||y|| exceeds the guard or is NaN.
-    Under a guard, numpy's overflow and invalid-value warnings are
-    silenced: what overflowed shows up as a non-finite ||y||, which the
-    guard reports.
+    Clients are rows, as in ``BilevelProblem``, one ``grad_g_y`` call
+    per epoch; a row of ``batches`` has one SampleBatch per epoch (None:
+    noiseless / full-data evaluation). G = (y_0 - y_T) / beta summarizes
+    the local update as the sum of the masked step gradients, oriented
+    like a gradient so the server's ``y - beta * mean(G)`` update replays
+    the clients' parameter deltas; its support stays inside the mask.
+    Raises DivergenceDetected when ||y|| exceeds the guard or is NaN for
+    the lowest such client, at its first such epoch; the rows from it on
+    stop stepping. Under a guard, numpy's overflow and invalid-value
+    warnings are silenced: what overflowed shows up as a non-finite
+    ||y||, which the guard reports.
     """
     check_ranges({"beta": beta}, RANGES)
-    y = y_i0.copy()
+    one, i, x, y0, masks, batches = problem.rows(i, x_i, y_i0, mask_y, batches)
+    y, live, failure = y0.copy(), len(i), None
     quiet = np.errstate(over="ignore", invalid="ignore") \
         if divergence_guard is not None else nullcontext()
     with quiet:
         for t in range(inner_epochs):
-            batch = batches[t] if batches is not None else None
-            grad = apply_mask(problem.grad_g_y(i, x_i, y, batch, memo), mask_y)
-            y = y - beta * grad
-            norm = np.linalg.norm(y)
-            if divergence_guard is not None and not norm <= divergence_guard:
-                verdict = "is non-finite" if np.isnan(norm) else \
-                    f"exceeded guard {divergence_guard:.3e}"
-                raise DivergenceDetected(
-                    f"client {i}: ||y|| = {norm:.3e} {verdict} at inner "
-                    f"epoch {t} with beta {beta}")
-    return y, (y_i0 - y) / beta
+            if not live:
+                break
+            batch = [b if b is None else b[t] for b in batches[:live]]
+            y[:live] -= beta * apply_mask(problem.grad_g_y(
+                i[:live], x[:live], y[:live], batch), masks[:live])
+            if divergence_guard is not None:
+                norms = np.sqrt(np.vecdot(y[:live], y[:live]))
+                bad = np.flatnonzero(~(norms <= divergence_guard))
+                if bad.size:
+                    live = r = bad[0]
+                    verdict = "is non-finite" if np.isnan(norms[r]) else \
+                        f"exceeded guard {divergence_guard:.3e}"
+                    failure = DivergenceDetected(
+                        f"client {i[r]}: ||y|| = {norms[r]:.3e} {verdict} at "
+                        f"inner epoch {t} with beta {beta}; client outer "
+                        f"iterate ||x|| = {np.linalg.norm(x[r]):.3e}")
+    if failure is not None:
+        raise failure
+    delta = (y0 - y) / beta
+    return (y[0], delta[0]) if one else (y, delta)
 
 
 def _covering_step(v_q: np.ndarray, masks, vecs: np.ndarray, step: float,
@@ -394,52 +404,47 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     guard = divergence_guard if divergence_guard is not None else \
         _divergence_cap(cfg, state.x, state.y)
 
-    memo = {}   # read-only blocks' work for this round's clients to share
     masks_x = generate_mask(state.x, capacities, cfg.policy, q,
                             cfg.block_size, tables.get("x"))
     masks_y = generate_mask(state.y, capacities, cfg.policy, q,
                             cfg.block_size, tables.get("y"))
     xs, ys0 = apply_mask(state.x, masks_x), apply_mask(state.y, masks_y)
-    g_deltas = np.empty((problem.n, problem.d2))
-    for i, (x_i, y_i0, mask_y) in enumerate(zip(xs, ys0, masks_y)):
-        batches = None
-        if cfg.batch_size_g > 0:
-            batches = [SampleBatch("g", cfg.seed, i, q, draw=t,
-                                   size=cfg.batch_size_g)
-                       for t in range(cfg.inner_epochs)]
-        try:
-            _, g_deltas[i] = client_inner_loop(
-                problem, i, x_i, y_i0, mask_y, cfg.beta, cfg.inner_epochs,
-                batches, guard, memo=memo)
-        except DivergenceDetected as exc:
-            raise DivergenceDetected(
-                f"round {q}: {exc}; client outer iterate ||x|| = "
-                f"{np.linalg.norm(x_i):.3e} after steps of alpha {cfg.alpha}"
-            ) from exc
+    clients = np.arange(problem.n)
+
+    def batches(level: str, draw: int, size: int):   # None: exact
+        return [SampleBatch(level, cfg.seed, c, q, draw, size)
+                for c in clients.tolist()] if size > 0 else None
+
+    # each client's batches of its inner epochs
+    g_batches = None if cfg.batch_size_g == 0 else list(zip(*(
+        batches("g", t, cfg.batch_size_g) for t in range(cfg.inner_epochs))))
+    try:
+        _, g_deltas = client_inner_loop(
+            problem, clients, xs, ys0, masks_y, cfg.beta, cfg.inner_epochs,
+            g_batches, guard)
+    except DivergenceDetected as exc:
+        raise DivergenceDetected(
+            f"round {q}: {exc} after steps of alpha {cfg.alpha}") from exc
 
     y_next = aggregate_inner(state.y, masks_y, g_deltas, cfg.beta)
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
-    hypergrads = np.empty((problem.n, problem.d1))
     ys_plus = apply_mask(y_next, masks_y)
-    for i, (x_i, y_plus) in enumerate(zip(xs, ys_plus)):
-        batch_f = (SampleBatch("f", cfg.seed, i, q, draw=0, size=cfg.batch_size_f)
-                   if cfg.batch_size_f > 0 else None)
-        batch_g = (SampleBatch("g", cfg.seed, i, q, draw=cfg.inner_epochs,
-                               size=cfg.batch_size_g)
-                   if cfg.batch_size_g > 0 else None)
-        if cfg.estimator == EXACT_AID:
-            try:
-                hypergrads[i] = exact_hypergradient(
-                    problem, i, x_i, y_plus, masks_x[i], masks_y[i], batch_f,
-                    batch_g, memo=memo)
-            except SingularRestrictedHessian as exc:
-                raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
-        else:
-            hypergrads[i] = rafbo_hypergradient(
-                problem, i, x_i, y_plus, masks_x[i], masks_y[i], cfg.mu,
-                cfg.coord_fraction, batch_f, batch_g,
-                RngStream(cfg.seed, i, q, "perturbation-set"), memo=memo)
+    batch_f = batches("f", 0, cfg.batch_size_f)
+    batch_g = batches("g", cfg.inner_epochs, cfg.batch_size_g)
+    if cfg.estimator == EXACT_AID:
+        try:
+            hypergrads = exact_hypergradient(
+                problem, clients, xs, ys_plus, masks_x, masks_y, batch_f,
+                batch_g)
+        except SingularRestrictedHessian as exc:
+            raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
+    else:
+        hypergrads = rafbo_hypergradient(
+            problem, clients, xs, ys_plus, masks_x, masks_y, cfg.mu,
+            cfg.coord_fraction, batch_f, batch_g,
+            [RngStream(cfg.seed, c, q, "perturbation-set")
+             for c in clients.tolist()])
 
     x_next = aggregate_outer(state.x, masks_x, hypergrads, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")

@@ -1,4 +1,4 @@
-"""Per-client hypergradient estimators.
+"""Per-client hypergradient estimators; clients are rows.
 
 Two routes to the same quantity:
 
@@ -19,10 +19,10 @@ Two routes to the same quantity:
 
 ``jacobian_column_fd`` returns delta_p, the response of the descent
 direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
-every delta_p of its perturbation set at once: one
-``grad_g_y_perturbed`` call returns the base gradient and the gradient
-at every x + mu e_p, the difference step runs in place on those rows,
-and one matrix-vector product takes the inner products with the masked
+every delta_p of a client's perturbation set at once: one
+``grad_g_y_perturbed`` call yields each client's base gradient and the
+gradient at every x + mu e_p, the difference step runs in place on those
+rows, and one matrix-vector product takes the inner products with the masked
 grad_y f. Masking the d2-vector grad_y f instead of the |P| x d2 deltas
 gives the same bits, as the bits are 0 or 1. On the quadratic family
 each row is the base plus mu B_i[:, p], O(d2) work, which sums in
@@ -73,7 +73,7 @@ from .errors import (
     check_ranges,
 )
 # solve_spd stays bound here: perfbench/spans.py wraps hypergrad.solve_spd
-from .linalg import memoized, solve_spd, spd_solver
+from .linalg import solve_spd, spd_solver
 from .masking import apply_mask
 from .rng import RngStream
 
@@ -134,71 +134,73 @@ def jacobian_column_fd(problem, i: int, x: np.ndarray, y: np.ndarray,
     return delta if mask_y is None else apply_mask(delta, mask_y)
 
 
-def exact_hypergradient(problem, i: int, x_masked: np.ndarray,
+def exact_hypergradient(problem, i, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: np.ndarray,
-                        mask_y: np.ndarray, batch_f=None, batch_g=None,
-                        memo: dict | None = None) -> np.ndarray:
+                        mask_y: np.ndarray, batch_f=None,
+                        batch_g=None) -> np.ndarray:
     """Implicit-differentiation hypergradient with a restricted solve.
 
     The inner Hessian system is solved on the client's active inner
     coordinates only, treating inactive coordinates as frozen at zero; a
     full-dimension Hessian at masked parameters can be singular off the
     active block. Raises SingularRestrictedHessian when the restricted
-    block is not SPD (the mask killed strong convexity there).
+    block is not SPD (the mask killed strong convexity there), naming
+    the lowest such client.
 
-    ``hess_yy_g`` forms only the restricted block. ``memo`` is the dict
-    one round's calls share (``linalg.memoized``): the family keeps one
-    read-only block there per distinct (Hessian, active set) pair, and the
-    solver of a read-only block is kept beside it, so the round's clients
-    with the same pair share one factor, with the bits of a factor per
-    client.
+    Clients are rows, as in ``BilevelProblem``. ``hess_yy_g`` forms the
+    restricted blocks one at a time, each factored once for the rows it
+    serves (a shared A's clients on one active set), one solve per row.
     """
-    gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
-    gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
-    active_y = np.flatnonzero(mask_y)
-    z = np.zeros(problem.d2)
-    if active_y.size:
-        hess = problem.hess_yy_g(i, x_masked, y_masked, batch_g,
-                                 active=active_y, memo=memo)
+    one, i, x, y, mask_x, mask_y, batch_f, batch_g = problem.rows(
+        i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g)
+    gfx = problem.grad_f_x(i, x, y, batch_f)
+    gfy = problem.grad_f_y(i, x, y, batch_f)
+    active = [np.flatnonzero(m) for m in mask_y]
+    z = np.zeros(y.shape)
+    for rows, hess in problem.hess_yy_g(i, x, y, batch_g, active=active):
         try:
-            solve = memoized(memo, "solver", hess, active_y,
-                             lambda h, _: spd_solver(h))
-            z[active_y] = solve(gfy[active_y])
+            solve = spd_solver(hess)
         except NotPositiveDefinite as exc:
             raise SingularRestrictedHessian(
-                f"client {i}: restricted inner Hessian is not SPD "
-                f"({active_y.size} active coordinates)") from exc
-    correction = problem.cross_xy_g_apply(i, x_masked, y_masked, z, batch_g)
-    return apply_mask(gfx - correction, mask_x)
+                f"client {i[rows[0]]}: restricted inner Hessian is not SPD "
+                f"({active[rows[0]].size} active coordinates)") from exc
+        for r in rows:
+            z[r, active[r]] = solve(gfy[r, active[r]])
+    value = apply_mask(gfx - problem.cross_xy_g_apply(i, x, y, z, batch_g),
+                       mask_x)
+    return value[0] if one else value
 
 
-def rafbo_hypergradient(problem, i: int, x_masked: np.ndarray,
+def rafbo_hypergradient(problem, i, x_masked: np.ndarray,
                         y_masked: np.ndarray, mask_x: np.ndarray,
                         mask_y: np.ndarray, mu: float, coord_fraction: float,
                         batch_f=None, batch_g=None,
-                        rng: RngStream | None = None,
-                        memo: dict | None = None) -> np.ndarray:
+                        rng: RngStream | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 
     value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the lower
-    gradients come from one ``grad_g_y_perturbed`` call, given ``memo``.
+    gradients come from one ``grad_g_y_perturbed`` call. Clients are
+    rows, as in ``exact_hypergradient``, with one ``rng`` per row.
 
-    The difference step runs in place on the returned rows, which the
-    caller owns. The inner mask multiplies grad_y f (d2 products), not
-    every delta_p (|P| d2); with 0/1 bits (delta * b) * g and
-    delta * (b * g) are the same float, signed zeros included.
+    The difference step runs in place on each client's rows, which the
+    caller owns, in turn. The inner mask multiplies grad_y f (d2
+    products), not every delta_p (|P| d2); with 0/1 bits (delta * b) * g
+    and delta * (b * g) are the same float, signed zeros included.
     """
     check_ranges({"mu": mu}, RANGES)
-    coords = build_perturbation_set(mask_x, coord_fraction, rng)
-    gfx = problem.grad_f_x(i, x_masked, y_masked, batch_f)
-    gfy = problem.grad_f_y(i, x_masked, y_masked, batch_f)
-    base, rows = problem.grad_g_y_perturbed(i, x_masked, y_masked, coords,
-                                            mu, batch_g, memo=memo)
-    np.subtract(base, rows, out=rows)
-    rows /= mu
-    value = gfx.copy()
-    value[coords] += rows @ apply_mask(gfy, mask_y)
-    return apply_mask(value, mask_x)
+    one, i, x, y, mask_x, mask_y, batch_f, batch_g, rng = problem.rows(
+        i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g, rng)
+    coords = [build_perturbation_set(m, coord_fraction, stream)
+              for m, stream in zip(mask_x, rng)]
+    value = problem.grad_f_x(i, x, y, batch_f).copy()
+    gfy = apply_mask(problem.grad_f_y(i, x, y, batch_f), mask_y)
+    pairs = problem.grad_g_y_perturbed(i, x, y, coords, mu, batch_g)
+    for r, (base, rows) in enumerate(pairs):
+        np.subtract(base, rows, out=rows)
+        rows /= mu
+        value[r, coords[r]] += rows @ gfy[r]
+    value = apply_mask(value, mask_x)
+    return value[0] if one else value
 
 
 def hypergrad_error_bound(p_star: int, l_g1: float, mu: float,

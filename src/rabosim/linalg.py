@@ -91,20 +91,6 @@ def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
     return lambda b: dpotrs(factor, rhs(b), lower=1)[0]
 
 
-def memoized(memo: dict | None, kind: str, block: np.ndarray,
-             data: np.ndarray, compute: Callable):
-    """``compute(block, data)``, a pure function, kept in ``memo`` under
-    ``kind``, ``id(block)`` and the bytes of ``data`` (not its id: arrays
-    are mutable) when ``block`` is read-only. An entry holds ``block``, so
-    that its id is not reused while the memo lives."""
-    if memo is None or block.flags.writeable:
-        return compute(block, data)
-    key = (kind, id(block), data.tobytes())
-    if key not in memo:
-        memo[key] = (block, compute(block, data))
-    return memo[key][1]
-
-
 def spectral_bounds(a) -> tuple[float, float]:
     """Extreme eigenvalues (min, max) of a symmetric matrix."""
     a = as_matrix(a, "a")

@@ -24,12 +24,12 @@ from .errors import DimensionMismatch, InvalidCapacity, InvalidSpec
 
 
 def parse_capacity(value) -> Fraction:
-    """Parse a capacity given as Fraction, float, int or a "1/4" string."""
+    """Parse a capacity given as Fraction, float, int (not bool) or "1/4"."""
     if isinstance(value, Fraction):
         cap = value
     elif isinstance(value, str):
         cap = Fraction(value.strip())
-    elif isinstance(value, (int, float)):
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
         cap = Fraction(value).limit_denominator(10 ** 9)
     else:
         raise InvalidCapacity(f"cannot parse capacity from {value!r}")

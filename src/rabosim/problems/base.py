@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -79,6 +80,9 @@ class ProblemConstants:
 class BilevelProblem(ABC):
     """Per-client access to a distributed bilevel objective.
 
+    Clients are rows: a derivative callback takes one client's index and
+    vectors, or k clients' indices, vectors as (k, d) rows and batches one
+    per row (or None), row r equal to row r's one-client call bit for bit.
     Implementations are immutable after construction; every method is a
     pure function of its arguments and safe to call concurrently.
     """
@@ -98,35 +102,28 @@ class BilevelProblem(ABC):
 
     # -- first derivatives ------------------------------------------------
     @abstractmethod
-    def grad_f_x(self, i: int, x: np.ndarray, y: np.ndarray,
+    def grad_f_x(self, i, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...
 
     @abstractmethod
-    def grad_f_y(self, i: int, x: np.ndarray, y: np.ndarray,
+    def grad_f_y(self, i, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...
 
     @abstractmethod
-    def grad_g_y(self, i: int, x: np.ndarray, y: np.ndarray,
-                 batch: SampleBatch | None = None,
-                 memo: dict | None = None) -> np.ndarray:
-        """Lower gradient in y, a fresh array the caller may overwrite.
+    def grad_g_y(self, i, x: np.ndarray, y: np.ndarray,
+                 batch: SampleBatch | None = None) -> np.ndarray:
+        """Lower gradient in y, a fresh array the caller may overwrite."""
 
-        ``memo`` is the caller's dict of work shared between calls
-        (``rabo_round`` keeps one per round; see ``linalg.memoized``), and
-        leaves the bits of a call without it. The logistic family ignores
-        it."""
-
-    def grad_g_y_perturbed(self, i: int, x: np.ndarray, y: np.ndarray,
+    def grad_g_y_perturbed(self, i, x: np.ndarray, y: np.ndarray,
                            coords: np.ndarray, mu: float,
-                           batch: SampleBatch | None = None,
-                           memo: dict | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           batch: SampleBatch | None = None):
         """Lower gradient at x and at every x + mu e_p, p in ``coords``.
 
         Returns ``(base, rows)``: ``base`` is ``grad_g_y(i, x, y, batch)``
         and row k of the ``(len(coords), d2)`` array ``rows`` is
         ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
-        uses the same batch, and ``base`` is evaluated with ``memo``.
+        uses the same batch. A row call takes one ``coords`` per row and
+        returns an iterator of each client's pair, each made when reached.
         This default makes one ``grad_g_y`` call per point. Families may
         override it. The quadratic family builds each row from the base
         and the perturbation's structure, so its rows equal the single
@@ -137,12 +134,16 @@ class BilevelProblem(ABC):
         bit-identical at a fixed BLAS thread count.
 
         ``rows`` is a fresh array that the caller owns and may overwrite:
-        it shares no memory with the problem's state or ``memo``, and
-        writing to it changes neither ``base`` nor a later call's result
+        it shares no memory with the problem's state, and writing to it
+        changes neither ``base`` nor a later call's result
         (``rafbo_hypergradient`` runs its difference step in place on it).
         """
+        if np.ndim(i):
+            _, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
+            return map(self.grad_g_y_perturbed, i, x, y, coords,
+                       repeat(mu), batch)
         self.check_coords(coords)
-        base = self.grad_g_y(i, x, y, batch, memo)
+        base = self.grad_g_y(i, x, y, batch)
         rows = np.empty((coords.shape[0], self.d2))
         for k, p in enumerate(coords):
             x_pert = x.copy()
@@ -152,10 +153,9 @@ class BilevelProblem(ABC):
 
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod
-    def hess_yy_g(self, i: int, x: np.ndarray, y: np.ndarray,
+    def hess_yy_g(self, i, x: np.ndarray, y: np.ndarray,
                   batch: SampleBatch | None = None,
-                  active: np.ndarray | None = None,
-                  memo: dict | None = None) -> np.ndarray:
+                  active: np.ndarray | None = None) -> np.ndarray:
         """Dense Hessian of g_i in y, on the rows and columns ``active``.
 
         ``active`` is a strictly ascending array of inner indices, as
@@ -165,16 +165,14 @@ class BilevelProblem(ABC):
         full Hessian bit for bit; the logistic one sums its Gram product
         over fewer columns, so it agrees to rounding, exactly symmetric.
 
-        A read-only result never changes, so callers may reuse work
-        derived from it while ``memo`` lives: ``exact_hypergradient``
-        keeps its factor there. ``memo`` is the caller's dict of shared
-        work (``linalg.memoized``); the quadratic family keeps in it one
-        read-only restriction of a read-only A_i per active set. A
-        writable result is a fresh array.
+        A row call takes one active set per row and yields ``(rows,
+        block)`` by first row, each block formed when reached with the
+        rows it serves: one shared block (the quadratic A on one active
+        set, without the quartic term) is one pair, factored once.
         """
 
     @abstractmethod
-    def cross_xy_g_apply(self, i: int, x: np.ndarray, y: np.ndarray,
+    def cross_xy_g_apply(self, i, x: np.ndarray, y: np.ndarray,
                          v: np.ndarray,
                          batch: SampleBatch | None = None) -> np.ndarray:
         """Apply the mixed second derivative: returns (d^2 g_i/dx dy) @ v.
@@ -189,11 +187,22 @@ class BilevelProblem(ABC):
         """Whether closed-form y*(x) and grad Phi(x) are available."""
         return False
 
-    def check_dims(self, x: np.ndarray, y: np.ndarray) -> None:
-        if x.shape != (self.d1,):
-            raise DimensionMismatch(f"x has shape {x.shape}, want ({self.d1},)")
-        if y.shape != (self.d2,):
-            raise DimensionMismatch(f"y has shape {y.shape}, want ({self.d2},)")
+    def check_dims(self, x: np.ndarray, y: np.ndarray, k=None) -> None:
+        for name, v, d in (("x", x, self.d1), ("y", y, self.d2)):
+            if v.shape != ((d,) if k is None else (k, d)):
+                raise DimensionMismatch(f"{name} has shape {v.shape}, want "
+                                        f"{(d,) if k is None else (k, d)}")
+
+    def rows(self, i, *args):
+        """``(one, i, *args)`` with one entry of each arg (x and y first,
+        checked) per row: a one-client call (``one``) as one row, a row
+        call's None as None for every row."""
+        one = np.ndim(i) == 0
+        i = np.array([i]) if one else np.asarray(i)
+        args = [a[None] if isinstance(a, np.ndarray) else [a] for a in args] \
+            if one else [[None] * len(i) if a is None else a for a in args]
+        self.check_dims(args[0], args[1], len(i))
+        return (one, i, *args)
 
     def check_coords(self, coords: np.ndarray) -> None:
         """Outer coordinate indices must be a 1-D integer array in range."""

@@ -76,6 +76,10 @@ class LogisticTuneProblem(BilevelProblem):
         self.features = spec.features
         self.d1, self.d2 = dims(vars(spec))
 
+    def each_row(self, callback, i, x, y, *more) -> np.ndarray:
+        """A row call as its rows' one-client calls, stacked."""
+        return np.array([*map(callback, *self.rows(i, x, y, *more)[1:])])
+
     # -- parameter unpacking -------------------------------------------------
     def _unpack_x(self, x: np.ndarray):
         """(weights, offsets, reg) of one outer point, or of each row of a
@@ -105,7 +109,9 @@ class LogisticTuneProblem(BilevelProblem):
         ce = -_log_softmax(logits)[np.arange(len(labels)), labels]
         return float(np.mean(weights[labels] * ce)) + 0.5 * reg * float(y @ y)
 
-    def grad_g_y(self, i, x, y, batch=None, memo=None):
+    def grad_g_y(self, i, x, y, batch=None):
+        if np.ndim(i):
+            return self.each_row(self.grad_g_y, i, x, y, batch)
         self.check_dims(x, y)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
@@ -116,7 +122,9 @@ class LogisticTuneProblem(BilevelProblem):
         grad_w = wr.T @ feats / len(labels)
         return grad_w.ravel() + reg * y
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None, memo=None):
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+        if np.ndim(i):   # the base's loop over rows, which calls this
+            return super().grad_g_y_perturbed(i, x, y, coords, mu, batch)
         # grad_g_y's operations on a stack of the base and every x + mu e_p,
         # elementwise or reduced along the last axis, so each row equals
         # its single call bit for bit. Weight and reg perturbations leave
@@ -142,7 +150,11 @@ class LogisticTuneProblem(BilevelProblem):
         grads = grad_w.reshape(coords.size + 1, self.d2) + reg[:, None] * y
         return grads[0], grads[1:]
 
-    def hess_yy_g(self, i, x, y, batch=None, active=None, memo=None):
+    def hess_yy_g(self, i, x, y, batch=None, active=None):
+        if np.ndim(i):   # each row's block, formed when reached
+            _, i, x, y, batch, active = self.rows(i, x, y, batch, active)
+            return (([r], block) for r, block in enumerate(
+                map(self.hess_yy_g, i, x, y, batch, active)))
         self.check_dims(x, y)
         if active is None:
             active = np.arange(self.d2)
@@ -182,6 +194,8 @@ class LogisticTuneProblem(BilevelProblem):
         return hess
 
     def cross_xy_g_apply(self, i, x, y, v, batch=None):
+        if np.ndim(i):
+            return self.each_row(self.cross_xy_g_apply, i, x, y, v, batch)
         self.check_dims(x, y)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
@@ -212,10 +226,14 @@ class LogisticTuneProblem(BilevelProblem):
         return float(np.mean(ce))
 
     def grad_f_x(self, i, x, y, batch=None):
+        if np.ndim(i):
+            return self.each_row(self.grad_f_x, i, x, y, batch)
         self.check_dims(x, y)
         return np.zeros(self.d1)
 
     def grad_f_y(self, i, x, y, batch=None):
+        if np.ndim(i):
+            return self.each_row(self.grad_f_y, i, x, y, batch)
         self.check_dims(x, y)
         data = self.spec.clients[i]
         probs = _softmax(data.x_val @ self._weight_matrix(y).T)

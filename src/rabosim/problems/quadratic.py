@@ -31,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import matmul
+from itertools import repeat
 
 import numpy as np
 
 from ..errors import InvalidSpec, UnsupportedProblem, check_ranges
 from ..linalg import (
-    memoized,
     solve_spd,
     spd_solver,
     spectral_bounds,
@@ -45,7 +44,7 @@ from ..linalg import (
     symmetrize,
 )
 from ..rng import RngStream
-from .base import BilevelProblem, ProblemConstants, SampleBatch
+from .base import BilevelProblem, ProblemConstants
 
 
 @dataclass(frozen=True)
@@ -128,12 +127,31 @@ class QuadraticProblem(BilevelProblem):
         else:
             self._u_bar = None
 
-    # -- noise -------------------------------------------------------------
-    def _noise(self, batch: SampleBatch | None, scale: float) -> np.ndarray | None:
-        if batch is None or scale == 0.0:
-            return None
-        joint = batch.stream().normal(self.d1 + self.d2)
-        return joint * (scale / np.sqrt(batch.size))
+    # -- noise and rows ------------------------------------------------------
+    def _add_noise(self, out, batches, scale: float, part: slice) -> None:
+        """Add to each row ``part`` of its batch's joint draw of d1 + d2."""
+        for row, batch in zip(out, batches):
+            if batch is not None and scale:
+                joint = batch.stream().normal(self.d1 + self.d2)
+                row += (joint * (scale / np.sqrt(batch.size)))[part]
+
+    @staticmethod
+    def _apply(mats: list, i: np.ndarray, vecs: np.ndarray,
+               transpose: bool = False) -> np.ndarray:
+        """Row r is ``mats[i[r]] @ vecs[r]`` (block transposed) with that
+        product's bits, as ``np.matvec`` runs one GEMV per row; a block
+        multiplies each distinct row (by its bytes) once."""
+        first = {}   # (block, row bytes) -> the first row holding them
+        src = [first.setdefault((id(mats[j]), v.tobytes()), r)
+               for r, (j, v) in enumerate(zip(i.tolist(), vecs))]
+        blocks, out = {}, {}
+        for r in first.values():
+            blocks.setdefault(id(mats[i[r]]), []).append(r)
+        for rows in blocks.values():
+            block = mats[i[rows[0]]]
+            out.update(zip(rows, np.matvec(block.T if transpose else block,
+                                           vecs[rows])))
+        return np.array([out[r] for r in src])
 
     # -- lower level --------------------------------------------------------
     def value_g(self, i, x, y, batch=None):
@@ -145,27 +163,30 @@ class QuadraticProblem(BilevelProblem):
             val += (s.quartic / 4.0) * float(x @ x) * float(y @ (s.u_mats[i] @ y))
         return val
 
-    def grad_g_y(self, i, x, y, batch=None, memo=None):
-        # the sum is a fresh array, never a memo entry
-        self.check_dims(x, y)
+    def grad_g_y(self, i, x, y, batch=None):
+        one, i, x, y, batch = self.rows(i, x, y, batch)
         s = self.spec
-        grad = memoized(memo, "product", s.a_mats[i], y, matmul) \
-            + memoized(memo, "product", s.b_mats[i], x, matmul) + s.c_vecs[i]
+        grad = self._apply(s.a_mats, i, y) + self._apply(s.b_mats, i, x) \
+            + np.array([s.c_vecs[j] for j in i])
         if s.quartic:
-            grad = grad + (s.quartic / 2.0) * float(x @ x) * (s.u_mats[i] @ y)
-        noise = self._noise(batch, s.noise_g)
-        if noise is not None:
-            grad = grad + noise[: self.d2]
-        return grad
+            grad += ((s.quartic / 2.0) * np.vecdot(x, x))[:, None] \
+                * self._apply(s.u_mats, i, y)
+        self._add_noise(grad, batch, s.noise_g, slice(None, self.d2))
+        return grad[0] if one else grad
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None, memo=None):
+    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+        one, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
+        pairs = map(self._perturbed, i.tolist(), x, y, coords, repeat(mu),
+                    self.grad_g_y(i, x, y, batch))
+        return next(pairs) if one else pairs
+
+    def _perturbed(self, i, x, y, coords, mu, base):
         # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
         # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
         # the base plus O(d2) work. Every row keeps the base's noise draw.
         # The rows are built in place on a float64 copy of B_i^T[coords],
         # with the operations of base + mu * B_i^T[coords].
         self.check_coords(coords)
-        base = self.grad_g_y(i, x, y, batch, memo)
         s = self.spec
         rows = s.b_mats[i].T[coords].astype(np.float64, copy=False)
         rows *= mu
@@ -175,35 +196,39 @@ class QuadraticProblem(BilevelProblem):
             rows += np.outer(growth, s.u_mats[i] @ y)
         return base, rows
 
-    def hess_yy_g(self, i, x, y, batch=None, active=None, memo=None):
+    def hess_yy_g(self, i, x, y, batch=None, active=None):
+        one, i, x, y, active = self.rows(i, x, y, active)
+        s = self.spec
+        pairs = {}
+        for r, (j, a) in enumerate(zip(i.tolist(), active)):
+            key = r if s.quartic else \
+                (id(s.a_mats[j]), None if a is None else (a.dtype, a.tobytes()))
+            pairs.setdefault(key, []).append(r)
+        blocks = ((rows, self._block(i[rows[0]], x[rows[0]], active[rows[0]]))
+                  for rows in pairs.values())
+        return next(blocks)[1] if one else blocks
+
+    def _block(self, i, x, active):
         # restricting before the quartic sum is elementwise, so the bits
         # are those of restricting the full sum
-        self.check_dims(x, y)
         s = self.spec
-        h = s.a_mats[i]
         if active is not None:
-            h = memoized(memo, "restriction", h, active, self._restriction)
+            self.check_active(active)
+        cut = (lambda m: m) if active is None else \
+            (lambda m: m[np.ix_(active, active)])
+        h = cut(s.a_mats[i])
         if s.quartic:
-            u = s.u_mats[i] if active is None \
-                else self._restriction(s.u_mats[i], active)
-            h = h + (s.quartic / 2.0) * float(x @ x) * u
+            h = h + (s.quartic / 2.0) * float(x @ x) * cut(s.u_mats[i])
         return h
 
-    def _restriction(self, block: np.ndarray, active: np.ndarray
-                     ) -> np.ndarray:
-        """``block[np.ix_(active, active)]``, read-only when ``block`` is."""
-        self.check_active(active)
-        out = block[np.ix_(active, active)]
-        out.flags.writeable = block.flags.writeable
-        return out
-
     def cross_xy_g_apply(self, i, x, y, v, batch=None):
-        self.check_dims(x, y)
+        one, i, x, y, v = self.rows(i, x, y, v)
         s = self.spec
-        out = s.b_mats[i].T @ v
+        out = self._apply(s.b_mats, i, v, transpose=True)
         if s.quartic:
-            out = out + s.quartic * float(y @ (s.u_mats[i] @ v)) * x
-        return out
+            out += (s.quartic * np.vecdot(y, self._apply(s.u_mats, i, v))
+                    )[:, None] * x
+        return out[0] if one else out
 
     # -- upper level ---------------------------------------------------------
     def value_f(self, i, x, y, batch=None):
@@ -217,23 +242,19 @@ class QuadraticProblem(BilevelProblem):
         return val
 
     def grad_f_x(self, i, x, y, batch=None):
-        self.check_dims(x, y)
+        one, i, x, y, batch = self.rows(i, x, y, batch)
         s = self.spec
-        grad = s.lam * (x - s.outer_targets[i])
+        grad = s.lam * (x - np.array([s.outer_targets[j] for j in i]))
         if s.sine_amp:
-            grad = grad + s.sine_amp * np.cos(x)
-        noise = self._noise(batch, s.noise_f)
-        if noise is not None:
-            grad = grad + noise[: self.d1]
-        return grad
+            grad += s.sine_amp * np.cos(x)
+        self._add_noise(grad, batch, s.noise_f, slice(None, self.d1))
+        return grad[0] if one else grad
 
     def grad_f_y(self, i, x, y, batch=None):
-        self.check_dims(x, y)
-        grad = y - self.spec.inner_targets[i]
-        noise = self._noise(batch, self.spec.noise_f)
-        if noise is not None:
-            grad = grad + noise[self.d1:]
-        return grad
+        one, i, x, y, batch = self.rows(i, x, y, batch)
+        grad = y - np.array([self.spec.inner_targets[j] for j in i])
+        self._add_noise(grad, batch, self.spec.noise_f, slice(self.d1, None))
+        return grad[0] if one else grad
 
     # -- oracles --------------------------------------------------------------
     def has_oracles(self) -> bool:

@@ -647,6 +647,12 @@ class TestMainEntry:
         (["--override", "run.policy=manual"], "policy"),
         # an empty sweep list would run no variant and still exit 0
         (["--override", "sweep.seeds=[]"], "seeds"),
+        # an empty --seeds used to be ignored: the sweep's seeds all ran
+        (["--seeds", ""], "seeds"),
+        # true used to run as capacity 1, false to fail as capacity 0
+        (["--override", "run.capacities=true"], "run.capacities"),
+        (["--override", 'run.capacities=["1/2", true]'], "run.capacities"),
+        (["--override", "sweep.capacities=[true]"], "sweep.capacities"),
         (["--override", "sweep.estimators=[]"], "estimators"),
         (["--override", "sweep.capacities=[]"], "capacities"),
         # a run of 0 rounds has no cost to compare against

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim import federation, hypergrad, masking
+from rabosim import federation, masking
 from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -101,21 +101,6 @@ class TestClientInnerLoop:
                                   beta=0.5, inner_epochs=2)
         assert y2[0] == pytest.approx(0.75)
         assert g[0] == pytest.approx(-1.5)
-
-    def test_divergence_guard(self):
-        prob = scalar_quadratic(c=0.0)
-        my = mask_of([1])
-        with pytest.raises(DivergenceDetected):
-            client_inner_loop(prob, 0, np.zeros(1), np.array([1.0]), my,
-                              beta=5.0, inner_epochs=50, divergence_guard=100.0)
-
-    def test_non_finite_iterate_is_divergence(self):
-        # nan > guard is False, so a NaN iterate must be caught explicitly
-        prob = scalar_quadratic(c=0.0)
-        my = mask_of([1])
-        with pytest.raises(DivergenceDetected):
-            client_inner_loop(prob, 0, np.zeros(1), np.array([np.nan]), my,
-                              beta=0.5, inner_epochs=1, divergence_guard=100.0)
 
     def test_support_containment(self):
         prob = make_quadratic(seed=3, n=1, d1=4, d2=4,
@@ -390,128 +375,6 @@ class TestRabobRound:
         assert np.all(np.isfinite(res.final_state.x))
         assert np.all(np.isfinite(res.final_state.y))
 
-    def test_logistic_round_uses_nan_sentinels(self):
-        prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
-                                  features=3, base_count=30)
-        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
-                        capacities=full_caps(2), seed=0)
-        state = GlobalState(np.zeros(prob.d1), np.zeros(prob.d2), 0)
-        _, log = rabo_round(prob, state, cfg)
-        assert np.isnan(log.grad_phi_sq) and np.isnan(log.phi)
-        assert np.isnan(log.inner_err_sq)
-
-
-class CountedBlock(np.ndarray):
-    """A block that records the input bytes of each product ``block @ v``
-    taken with it (a view of it records nothing), and computes it as a
-    plain array would."""
-
-    inputs = None
-
-    def __matmul__(self, other):
-        if self.inputs is not None:
-            self.inputs.append(other.tobytes())
-        return np.asarray(self) @ other
-
-
-def counted(block, writeable=False):
-    out = np.array(block).view(CountedBlock)
-    out.inputs = []
-    out.setflags(write=writeable)
-    return out
-
-
-def shared_block_quadratic(**kwargs):
-    """make_quadratic's clients share one read-only A and one read-only B,
-    both counted."""
-    spec = make_quadratic(seed=11, n=8, d1=8, d2=8, hetero=0.3,
-                          eig_min=0.8, eig_max=1.6, **kwargs).spec
-    n = len(spec.a_mats)
-    return QuadraticProblem(replace(spec, a_mats=[counted(spec.a_mats[0])] * n,
-                                    b_mats=[counted(spec.b_mats[0])] * n))
-
-
-def per_client_blocks(writeable, **kwargs):
-    """The shared-block problem with a distinct counted A_i per client."""
-    spec = shared_block_quadratic(**kwargs).spec
-    a_mats = [counted(a + 0.01 * i * np.eye(a.shape[0]), writeable)
-              for i, a in enumerate(spec.a_mats)]
-    return QuadraticProblem(replace(spec, a_mats=a_mats))
-
-
-MEMO_CASES = {
-    "shared": shared_block_quadratic,
-    "writable-per-client": lambda **kw: per_client_blocks(True, **kw),
-    "read-only-per-client": lambda **kw: per_client_blocks(False, **kw),
-    "quartic": lambda **kw: shared_block_quadratic(quartic=0.1, **kw),
-}
-
-
-def dropping_memo(fn):
-    """``fn`` called without the round's memo, so that it computes afresh."""
-    return lambda *args, memo=None, **kwargs: fn(*args, **kwargs)
-
-
-def memo_rounds(prob, monkeypatch, memo, capacity=Fraction(1, 2),
-                estimator=EXACT_AID, noise=False):
-    """Three rounds, with the round's memo or with every call it is handed
-    to patched to drop it; returns (factorizations per round, states,
-    logs, products per round), where products maps each distinct counted
-    block to the inputs of its products that round."""
-    builds, counts, states, logs, products = [], [], [], [], []
-    blocks = {id(b): b for b in prob.spec.a_mats + prob.spec.b_mats}
-    build = hypergrad.spd_solver
-    batch = 2 if noise else 0
-    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
-                    capacities=[capacity] * prob.n,
-                    batch_size_f=batch, batch_size_g=batch, log_masks=True)
-    state = GlobalState(np.ones(prob.d1), np.zeros(prob.d2), 0)
-    with monkeypatch.context() as patch:
-        patch.setattr(hypergrad, "spd_solver",
-                      lambda a: builds.append(a.shape) or build(a))
-        if not memo:
-            for name in ("client_inner_loop", "exact_hypergradient",
-                         "rafbo_hypergradient"):
-                patch.setattr(federation, name,
-                              dropping_memo(getattr(federation, name)))
-        for _ in range(3):
-            before = len(builds)
-            for block in blocks.values():
-                block.inputs.clear()
-            state, log = federation.rabo_round(prob, state, cfg)
-            counts.append(len(builds) - before)
-            states.append(state)
-            logs.append(log)
-            products.append({key: list(block.inputs)
-                             for key, block in blocks.items()})
-    return counts, states, logs, products
-
-
-def assert_same_rounds(got, want):
-    _, states, logs, _ = got
-    _, want_states, want_logs, _ = want
-    for state, want_state in zip(states, want_states, strict=True):
-        assert np.array_equal(state.x, want_state.x)
-        assert np.array_equal(state.y, want_state.y)
-    assert logs == want_logs
-
-
-class TestRoundSolverMemo:
-    """exact_aid factors each distinct read-only (Hessian, active set) pair
-    once per round, with the bits of a factor per client."""
-
-    FACTORED = {"shared": 2}   # rolling at 1/2: 2 windows; else one each
-
-    @pytest.mark.parametrize("case", MEMO_CASES)
-    def test_factors_each_distinct_block_once_per_round(self, monkeypatch,
-                                                        case):
-        prob = MEMO_CASES[case]()
-        got = memo_rounds(prob, monkeypatch, memo=True)
-        want = memo_rounds(prob, monkeypatch, memo=False)
-        assert got[0] == [self.FACTORED.get(case, prob.n)] * 3
-        assert want[0] == [prob.n] * 3
-        assert_same_rounds(got, want)
-
     @pytest.mark.parametrize("writeable", [True, False])
     def test_singular_block_raises_through_round(self, writeable):
         a = np.diag([1.0, -1.0])
@@ -525,40 +388,15 @@ class TestRoundSolverMemo:
         with pytest.raises(SingularRestrictedHessian, match="client 0"):
             rabo_round(prob, GlobalState(np.zeros(2), np.zeros(2), 0), cfg)
 
-
-class TestRoundProductMemo:
-    """A round computes each product of a read-only block once per distinct
-    input, with the bits of rounds that compute every product."""
-
-    @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
-    @pytest.mark.parametrize("noise", [False, True], ids=["exact", "noisy"])
-    @pytest.mark.parametrize("capacity", [Fraction(1, 2), Fraction(1, 4)],
-                             ids=["1-2", "1-4"])
-    @pytest.mark.parametrize("case", MEMO_CASES)
-    def test_read_only_products_once_per_distinct_input(
-            self, monkeypatch, case, capacity, noise, estimator):
-        scale = 0.1 if noise else 0.0
-        prob = MEMO_CASES[case](noise_f=scale, noise_g=scale)
-        run = dict(capacity=capacity, estimator=estimator, noise=noise)
-        got = memo_rounds(prob, monkeypatch, memo=True, **run)
-        want = memo_rounds(prob, monkeypatch, memo=False, **run)
-        assert_same_rounds(got, want)
-        blocks = {id(b): b for b in prob.spec.a_mats + prob.spec.b_mats}
-        # without the memo each lower gradient takes one product with A_i
-        # and one with B_i: two inner epochs, and rafbo's base gradient
-        calls = prob.n * (2 + (estimator == RAFBO))
-        for products, want_products in zip(got[3], want[3], strict=True):
-            assert sum(map(len, want_products.values())) == 2 * calls
-            for key, inputs in products.items():
-                if blocks[key].flags.writeable:
-                    assert inputs == want_products[key]
-                else:
-                    assert sorted(inputs) == sorted(set(want_products[key]))
-        if case == "shared":
-            # a window's clients repeat their products without the memo
-            for want_products in want[3]:
-                for inputs in want_products.values():
-                    assert len(inputs) > len(set(inputs))
+    def test_logistic_round_uses_nan_sentinels(self):
+        prob = make_logistic_tune(seed=8, n=2, imbalance_mu=0.5, classes=3,
+                                  features=3, base_count=30)
+        cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=1, rounds=1,
+                        capacities=full_caps(2), seed=0)
+        state = GlobalState(np.zeros(prob.d1), np.zeros(prob.d2), 0)
+        _, log = rabo_round(prob, state, cfg)
+        assert np.isnan(log.grad_phi_sq) and np.isnan(log.phi)
+        assert np.isnan(log.inner_err_sq)
 
 
 class TestRun:

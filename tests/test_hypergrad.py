@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.errors import EmptyMask, InvalidSpec, SingularRestrictedHessian
+from rabosim.errors import EmptyMask, InvalidSpec
 from rabosim.federation import (
     CostLedger,
     RunConfig,
@@ -112,18 +112,6 @@ class TestExactHypergradient:
         y = rng.standard_normal(6) * my
         est = exact_hypergradient(prob, 0, x, y, mx, my)
         assert np.all(est[mx == 0] == 0.0)
-
-    def test_singular_restricted_hessian(self):
-        indefinite = QuadraticProblem(QuadraticSpec(
-            a_mats=[np.diag([1.0, -1.0])], b_mats=[np.zeros((2, 2))],
-            c_vecs=[np.zeros(2)], outer_targets=[np.zeros(2)],
-            inner_targets=[np.zeros(2)], u_mats=None, lam=0.0,
-            noise_f=0, noise_g=0, quartic=0, sine_amp=0,
-            ball_radius=10.0))
-        mx = full_mask(2)
-        my = mask_from([0, 1])   # restricts to the negative block
-        with pytest.raises(SingularRestrictedHessian):
-            exact_hypergradient(indefinite, 0, np.zeros(2), np.zeros(2), mx, my)
 
 
 class TestPerturbationSet:
@@ -433,28 +421,27 @@ class TestRafboBatchedEquivalence:
         else:
             prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
                                       base_count=20)
-        calls = {"grad_g_y": 0, "grad_g_y_perturbed": 0}
-        for name in calls:
+        calls = []   # (callback, clients): an index array or one client
+        for name in ("grad_g_y", "grad_g_y_perturbed"):
             original = getattr(prob, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(i, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, list(i) if np.ndim(i) else int(i)))
+                return _original(i, *args, **kwargs)
 
             monkeypatch.setattr(prob, name, counted)
-        mx, my = full_mask(prob.d1), full_mask(prob.d2)
-        for i in range(prob.n):
-            before = dict(calls)
-            rafbo_hypergradient(prob, i, np.zeros(prob.d1),
-                                np.zeros(prob.d2), mx, my, 1e-3, 1.0)
-            assert calls["grad_g_y_perturbed"] \
-                - before["grad_g_y_perturbed"] == 1
-            # the quadratic override builds its rows on one grad_g_y call;
-            # the logistic one evaluates every point in its own stacked pass
-            base = 1 if family == "quadratic" else 0
-            assert calls["grad_g_y"] - before["grad_g_y"] == base
-            assert ledger_hypergrad_flops(mx, my, RAFBO) \
-                == rafbo_flops(prob.d1, prob.d2, prob.d1)
+        mx, my = (np.ones((prob.n, d), np.uint8) for d in (prob.d1, prob.d2))
+        clients = list(range(prob.n))
+        rafbo_hypergradient(prob, clients, np.zeros(mx.shape),
+                            np.zeros(my.shape), mx, my, 1e-3, 1.0)
+        # the quadratic override builds every client's rows on one row
+        # call of grad_g_y for their bases; the logistic one evaluates each
+        # client's points, base included, in that client's stacked pass
+        inner = [("grad_g_y", clients)] if family == "quadratic" else \
+            [("grad_g_y_perturbed", i) for i in clients]
+        assert calls == [("grad_g_y_perturbed", clients)] + inner
+        assert ledger_hypergrad_flops(mx[0], my[0], RAFBO) \
+            == rafbo_flops(prob.d1, prob.d2, prob.d1)
 
 
 @settings(max_examples=40, deadline=None)

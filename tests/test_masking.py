@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.errors import DimensionMismatch, InvalidCapacity
+from rabosim.errors import DimensionMismatch, InvalidCapacity, InvalidSpec
 from rabosim.masking import (
     CoverageTracker,
     _block_scores,
@@ -21,7 +21,7 @@ from rabosim.masking import (
     parse_capacity,
     period,
 )
-from rabosim.federation import _hex_rows
+from rabosim.federation import RunConfig, _hex_rows
 from tests_support import topk_indices_loop
 
 
@@ -46,6 +46,14 @@ class TestCapacity:
             parse_capacity(Fraction(0))
         with pytest.raises(InvalidCapacity):
             parse_capacity(Fraction(3, 2))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_booleans(self, value):
+        # True used to parse as capacity 1, False to fail as capacity 0
+        for entry in (value, ["1/2", value]):
+            with pytest.raises(InvalidSpec, match="cannot parse") as err:
+                RunConfig(capacities=entry)
+            assert err.value.key == "capacities"
 
     def test_parse_capacities_keeps_the_entry_form(self):
         assert parse_capacities("1/2") == Fraction(1, 2)

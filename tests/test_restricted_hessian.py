@@ -75,56 +75,31 @@ def test_no_active_set_keeps_the_full_hessian_bits(family, batch):
                                                       BATCHES[batch]))
 
 
-class TestReadOnlyContract:
-    """A read-only A_i gives a read-only restriction, one per active set
-    while the memo lives; everything else is a fresh writable array."""
-
-    def test_shared_block_restriction_is_kept_per_active_set(self):
-        prob = FAMILIES["quadratic"]()
-        x, y = point(prob)
-        memo = {}
-        first = prob.hess_yy_g(0, x, y, active=np.array([1, 2, 9]), memo=memo)
-        again = prob.hess_yy_g(2, x, y, active=np.array([1, 2, 9]), memo=memo)
-        other = prob.hess_yy_g(0, x, y, active=np.array([1, 9]), memo=memo)
-        assert again is first and other is not first
-        assert not first.flags.writeable and not other.flags.writeable
-        fresh = prob.hess_yy_g(0, x, y, active=np.array([1, 2, 9]))
-        assert fresh is not first and not fresh.flags.writeable
-        assert np.array_equal(fresh, first)
-
-    @pytest.mark.parametrize("family", ["quartic", "logistic"])
-    def test_curved_hessians_are_fresh(self, family):
-        prob = FAMILIES[family]()
-        x, y = point(prob)
-        memo = {}
-        first = prob.hess_yy_g(0, x, y, active=np.array([1, 2]), memo=memo)
-        again = prob.hess_yy_g(0, x, y, active=np.array([1, 2]), memo=memo)
-        assert first.flags.writeable and again is not first
-        assert all(first is not entry[1] for entry in memo.values())
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("active", [[2, 1], [1, 1], [0, 12], [-1, 0]],
-                             ids=["descending", "repeated", "above",
-                                  "negative"])
-    def test_bad_active_set_raises(self, family, active):
-        prob = FAMILIES[family]()
-        x, y = point(prob)
-        with pytest.raises(DimensionMismatch, match="active"):
-            prob.hess_yy_g(0, x, y, active=np.array(active))
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("active", [[2, 1], [1, 1], [0, 12], [-1, 0]],
+                         ids=["descending", "repeated", "above", "negative"])
+def test_bad_active_set_raises(family, active):
+    prob = FAMILIES[family]()
+    x, y = point(prob)
+    with pytest.raises(DimensionMismatch, match="active"):
+        prob.hess_yy_g(0, x, y, active=np.array(active))
 
 
 def test_exact_aid_asks_for_the_active_block_only(monkeypatch):
     """One logistic exact_aid round at capacity 1/2 under magnitude_topk:
-    every Hessian is asked for with the client's active set and comes
-    back |a| x |a|, never d2 x d2."""
+    the round asks for every client's Hessian in one row call, with each
+    client's active set, and every block comes back |a| x |a|, never
+    d2 x d2."""
     prob = make_logistic_tune(seed=4, n=4, imbalance_mu=0.8, classes=4,
                               features=6, base_count=30)
     calls = []
     hess = LogisticTuneProblem.hess_yy_g
 
-    def spy(self, i, x, y, batch=None, active=None, memo=None):
-        out = hess(self, i, x, y, batch, active=active, memo=memo)
-        calls.append((active, out.shape))
+    def spy(self, i, x, y, batch=None, active=None):
+        out = hess(self, i, x, y, batch, active=active)
+        if np.ndim(i):   # a row call, not its rows' one-client calls
+            out = list(out)
+            calls.append((list(i), active, out))
         return out
 
     monkeypatch.setattr(LogisticTuneProblem, "hess_yy_g", spy)
@@ -133,8 +108,10 @@ def test_exact_aid_asks_for_the_active_block_only(monkeypatch):
                     capacities=[Fraction(1, 2)] * prob.n)
     y0 = np.random.default_rng(2).standard_normal(prob.d2)
     rabo_round(prob, GlobalState(np.zeros(prob.d1), y0, 0), cfg)
-    assert len(calls) == prob.n
-    for active, shape in calls:
+    [(clients, actives, pairs)] = calls
+    assert clients == list(range(prob.n))
+    assert [rows for rows, _ in pairs] == [[r] for r in range(prob.n)]
+    for active, (_, block) in zip(actives, pairs, strict=True):
         assert active is not None
         assert 0 < active.size < prob.d2
-        assert shape == (active.size, active.size)
+        assert block.shape == (active.size, active.size)

@@ -61,9 +61,9 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
             sq = sq + np.abs(sq - float(x_base @ x_base))
         terms = terms + np.outer((s.quartic / 2.0) * sq,
                                  np.abs(s.u_mats[i]) @ np.abs(y))
-    noise = prob._noise(batch, s.noise_g)
-    if noise is not None:
-        terms = terms + np.abs(noise[: prob.d2])
+    if batch is not None and s.noise_g:
+        noise = batch.stream().normal(prob.d1 + prob.d2)[: prob.d2]
+        terms = terms + np.abs(noise) * (s.noise_g / np.sqrt(batch.size))
     return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
 
 

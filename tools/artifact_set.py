@@ -31,8 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ("demo_sweep", "coverage_pinning")
 SEEDS = (1, 5)
 # Rolling masks put 6 of the 12 clients on each window at capacity 1/2
-# and 3 at 1/4, so the clients of a window share a round's memoized block
-# products, with noise on. The demo gives each of its 4 clients a window
+# and 3 at 1/4, so the clients of a window share a call's block products
+# and a round's factors, with noise on. The demo gives each of its 4 clients a window
 # of its own at 1/4.
 WINDOW_GROUPS = {
     "problem": {"family": "quadratic", "seed": 3, "n": 12, "d1": 16,
