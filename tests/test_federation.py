@@ -1,4 +1,6 @@
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim import federation, masking
+from rabosim import federation, hypergrad, masking
 from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -397,6 +399,118 @@ class TestRabobRound:
         _, log = rabo_round(prob, state, cfg)
         assert np.isnan(log.grad_phi_sq) and np.isnan(log.phi)
         assert np.isnan(log.inner_err_sq)
+
+
+def round_problem(case, **kwargs):
+    """make_quadratic's 8 clients, which share one A and one B, or with a
+    distinct writable or read-only A_i per client."""
+    prob = make_quadratic(seed=11, n=8, d1=8, d2=8, hetero=0.3, eig_min=0.8,
+                          eig_max=1.6, quartic=0.1 * (case == "quartic"),
+                          **kwargs)
+    if case.endswith("per-client"):
+        a_mats = [a + 0.01 * i * np.eye(8)
+                  for i, a in enumerate(prob.spec.a_mats)]
+        for a in a_mats:
+            a.setflags(write=case.startswith("writable"))
+        prob = QuadraticProblem(replace(prob.spec, a_mats=a_mats))
+    return prob
+
+
+def one_by_one(fn):
+    """``fn`` over clients as rows, called one client at a time."""
+    def call(problem, i, *args):
+        outs = [fn(problem, c, *(a[r] if isinstance(a, (list, np.ndarray))
+                                 else a for a in args))
+                for r, c in enumerate(i.tolist())]
+        return tuple(map(np.array, zip(*outs))) \
+            if isinstance(outs[0], tuple) else np.array(outs)
+    return call
+
+
+def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
+                 estimator=EXACT_AID, noise=False):
+    """Three rounds, with clients as rows or with every round phase called
+    one client at a time; returns (factorizations per round, each round's
+    bytes of x and y and log, products per round), where products lists
+    each ``np.matvec`` with an A_i or a B_i as (block id, its rows' bytes)."""
+    built, counts, rounds, products = [], [], [], []
+    blocks = {id(b) for b in prob.spec.a_mats + prob.spec.b_mats}
+    build, matvec = hypergrad.spd_solver, np.matvec
+    batch = 2 if noise else 0
+    cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
+                    capacities=[capacity] * prob.n,
+                    batch_size_f=batch, batch_size_g=batch, log_masks=True)
+    state = GlobalState(np.ones(prob.d1), np.zeros(prob.d2), 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(hypergrad, "spd_solver",
+                      lambda a: built.append(a.shape) or build(a))
+        patch.setattr(np, "matvec", lambda a, v: id(a) in blocks and products[
+            -1].append((id(a), [r.tobytes() for r in v])) or matvec(a, v))
+        for name in [] if rows else ["client_inner_loop",
+                                     "exact_hypergradient",
+                                     "rafbo_hypergradient"]:
+            patch.setattr(federation, name,
+                          one_by_one(getattr(federation, name)))
+        for _ in range(3):
+            before = len(built)
+            products.append([])
+            state, log = federation.rabo_round(prob, state, cfg)
+            counts.append(len(built) - before)
+            rounds.append((state.x.tobytes(), state.y.tobytes(), log))
+    return counts, rounds, products
+
+
+class TestRoundSharing:
+    """A round's call factors a shared A once per active set and
+    multiplies each block once over its distinct rows, with the bits of a
+    round that runs its clients one at a time."""
+
+    CASES = ["shared", "writable-per-client", "read-only-per-client",
+             "quartic"]
+    FACTORED = {"shared": 2}   # rolling at 1/2: 2 windows; else one each
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_factors_each_distinct_block_once_per_round(self, monkeypatch,
+                                                        case):
+        prob = round_problem(case)
+        got = three_rounds(prob, monkeypatch, rows=True)
+        want = three_rounds(prob, monkeypatch, rows=False)
+        assert got[0] == [self.FACTORED.get(case, prob.n)] * 3
+        assert want[0] == [prob.n] * 3
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
+    @pytest.mark.parametrize("noise", [False, True], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("capacity", [Fraction(1, 2), Fraction(1, 4)],
+                             ids=["1-2", "1-4"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_products_once_per_distinct_row_per_call(
+            self, monkeypatch, case, capacity, noise, estimator):
+        scale = 0.1 if noise else 0.0
+        prob = round_problem(case, noise_f=scale, noise_g=scale)
+        run = dict(capacity=capacity, estimator=estimator, noise=noise)
+        _, rounds, got = three_rounds(prob, monkeypatch, rows=True, **run)
+        _, want_rounds, want = three_rounds(prob, monkeypatch, rows=False,
+                                            **run)
+        assert rounds == want_rounds
+        # each lower gradient takes one product with its client's A_i and
+        # one with its B_i: two inner epochs, and rafbo's base gradients
+        calls = 2 + (estimator == RAFBO)
+        users = Counter(map(id, prob.spec.a_mats + prob.spec.b_mats))
+        for products, want_products in zip(got, want, strict=True):
+            assert Counter(key for key, _ in want_products) \
+                == {key: n * calls for key, n in users.items()}
+            assert Counter(key for key, _ in products) \
+                == dict.fromkeys(users, calls)
+            for key in users:
+                inputs = [rows for k, rows in products if k == key]
+                assert all(len(set(rows)) == len(rows) for rows in inputs)
+                assert set(chain(*inputs)) \
+                    == {row for k, [row] in want_products if k == key}
+            if case == "shared":
+                # a window's clients repeat their products one at a time
+                assert sum(len(rows) for _, rows in products) \
+                    < len(want_products)
 
 
 class TestRun:

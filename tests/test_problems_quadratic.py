@@ -637,6 +637,44 @@ class TestGradGyBatch:
                                 1e-3, batch)
         assert np.array_equal(spec.b_mats[1], b_before)
 
+    @pytest.mark.parametrize("quartic", [0.0, 0.2])
+    def test_shared_products_never_reach_the_caller(self, quartic):
+        # equal rows of a call share their products with A and B;
+        # overwriting one returned row, or one base, must leave the other
+        # rows and a later call's bits as they were
+        prob = make_quadratic(seed=25, n=3, d1=6, d2=5, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7, quartic=quartic,
+                              noise_g=0.7)
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal(6), rng.standard_normal(5)
+        batch = SampleBatch("g", seed=4, client=1, draw=3)
+        want = prob.grad_g_y(1, x, y, batch)
+        rows = (np.array([1, 1, 1]), np.tile(x, (3, 1)), np.tile(y, (3, 1)))
+        for _ in range(2):
+            got = prob.grad_g_y(*rows, [batch] * 3)
+            assert all(np.array_equal(row, want) for row in got)
+            got[0] = np.nan
+            assert all(np.array_equal(row, want) for row in got[1:])
+        pairs = list(prob.grad_g_y_perturbed(*rows, [self.COORDS[:3]] * 3,
+                                             1e-3, [batch] * 3))
+        pairs[0][0][...] = np.nan
+        assert all(np.array_equal(base, want) for base, _ in pairs[1:])
+        assert np.array_equal(prob.grad_g_y(1, x, y, batch), want)
+
+    def test_writable_blocks_are_read_at_each_call(self):
+        # nothing is kept between calls: a block that changes between
+        # them gives the second call the changed block's bits
+        spec = distinct_copies(small_spec(n=2, d1=3, d2=2))
+        prob = QuadraticProblem(spec)
+        x, y = np.ones((2, 3)), np.ones((2, 2))
+        before = prob.grad_g_y(np.array([1, 1]), x, y)
+        spec.a_mats[1][0, 0] += 1.0
+        spec.b_mats[1][0, 0] += 1.0
+        after = prob.grad_g_y(np.array([1, 1]), x, y)
+        assert not np.array_equal(after, before)
+        assert all(np.array_equal(row, prob.grad_g_y(1, x[0], y[0]))
+                   for row in after)
+
     def test_rejects_wrong_row_width(self):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
         with pytest.raises(DimensionMismatch):

@@ -75,6 +75,40 @@ def test_no_active_set_keeps_the_full_hessian_bits(family, batch):
                                                       BATCHES[batch]))
 
 
+def test_shared_block_restriction_is_formed_once_per_active_set():
+    # make_quadratic's clients share one A: a row call forms its block once
+    # per distinct active set, in order of first use, as a fresh array
+    prob = FAMILIES["quadratic"]()
+    x, y = point(prob)
+    active = [np.array([1, 2, 9]), np.array([1, 9]), np.array([1, 2, 9])]
+    xs, ys = np.tile(x, (3, 1)), np.tile(y, (3, 1))
+    clients = np.array([0, 2, 1])
+    pairs = list(prob.hess_yy_g(clients, xs, ys, active=active))
+    assert [rows for rows, _ in pairs] == [[0, 2], [1]]
+    for rows, block in pairs:
+        c, a = clients[rows[0]], active[rows[0]]
+        assert block.flags.writeable
+        assert not np.shares_memory(block, prob.spec.a_mats[c])
+        assert np.array_equal(block, prob.hess_yy_g(c, x, y, active=a))
+
+
+@pytest.mark.parametrize("family", ["quartic", "logistic"])
+def test_curved_hessians_are_fresh(family):
+    # the quartic term and the logistic Hessian depend on the row's point,
+    # so every row gets a block of its own, even on one active set
+    prob = FAMILIES[family]()
+    x, y = point(prob)
+    active = [np.array([1, 2])] * 2
+    xs, ys = np.tile(x, (2, 1)), np.tile(y, (2, 1))
+    want = prob.hess_yy_g(0, x, y, active=active[0])
+    pairs = list(prob.hess_yy_g(np.array([0, 0]), xs, ys, active=active))
+    assert [rows for rows, _ in pairs] == [[0], [1]]
+    assert all(np.array_equal(block, want) for _, block in pairs)
+    pairs[0][1][...] = np.nan
+    assert np.array_equal(pairs[1][1], want)
+    assert np.array_equal(prob.hess_yy_g(0, x, y, active=active[0]), want)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("active", [[2, 1], [1, 1], [0, 12], [-1, 0]],
                          ids=["descending", "repeated", "above", "negative"])
