@@ -349,12 +349,19 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 def build_problem(problem_cfg: dict, seed_override: int | None = None):
     """The problem a resolved ``problem`` section describes, built with
-    ``seed_override`` as its seed when one is given."""
+    ``seed_override`` as its seed when one is given. A builder's
+    InvalidSpec that names its argument is raised again naming the
+    ``problem.`` key."""
     args = dict(problem_cfg)
     builder = FAMILIES[args.pop("family")][0]
     if seed_override is not None:
         args["seed"] = seed_override
-    return builder(**args)
+    try:
+        return builder(**args)
+    except InvalidSpec as exc:   # a builder's message opens with its key
+        if exc.key is None:
+            raise
+        raise InvalidSpec(f"problem.{exc}", key=exc.key) from None
 
 
 def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,

@@ -19,6 +19,7 @@ summation, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     InvalidSpec,
+    NonFiniteValue,
     SingularRestrictedHessian,
     check_ranges,
 )
@@ -369,6 +371,30 @@ def _require_finite(v: np.ndarray, q: int, what: str, step: str) -> None:
             f"round {q}: aggregated {what} is non-finite ({step} too large?)")
 
 
+def _oracle_metrics(problem, x: np.ndarray, y: np.ndarray, q: int,
+                    alpha: float) -> tuple[float, float, float]:
+    """(grad_phi_sq, phi, inner_err_sq) of round q's next state; raises
+    DivergenceDetected naming the round and the first oracle value that
+    is not finite, with numpy's overflow warnings silenced."""
+    def failure(what: str) -> DivergenceDetected:
+        return DivergenceDetected(
+            f"round {q}: oracle {what} is non-finite at ||x|| = "
+            f"{math.hypot(*x):.3e} after steps of alpha {alpha}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            ys = problem.y_star(x)
+        except NonFiniteValue:
+            raise failure("y_star(x)") from None
+        grad_phi, err = problem.grad_phi(x, ys), y - ys
+        values = {"grad_phi_sq": float(grad_phi @ grad_phi),
+                  "phi": problem.phi(x, ys), "inner_err_sq": float(err @ err)}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise failure(f"{name} = {value}")
+    return tuple(values.values())
+
+
 def _divergence_cap(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
     """Absolute cap on ||y||: divergence_factor * max(1, ||x||, ||y||)."""
     return cfg.divergence_factor * max(1.0, float(np.linalg.norm(y)),
@@ -453,12 +479,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     bytes_up, bytes_down, flops = ledger.add(masks_x, masks_y, cfg)
 
     if problem.has_oracles():
-        ys = problem.y_star(x_next)
-        grad_phi = problem.grad_phi(x_next, ys)
-        grad_phi_sq = float(grad_phi @ grad_phi)
-        phi = problem.phi(x_next, ys)
-        err = y_next - ys
-        inner_err_sq = float(err @ err)
+        grad_phi_sq, phi, inner_err_sq = _oracle_metrics(
+            problem, x_next, y_next, q, cfg.alpha)
     else:
         grad_phi_sq = phi = inner_err_sq = float("nan")
 

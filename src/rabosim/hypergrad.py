@@ -25,9 +25,12 @@ gradient at every x + mu e_p, the difference step runs in place on those
 rows, and one matrix-vector product takes the inner products with the masked
 grad_y f. Masking the d2-vector grad_y f instead of the |P| x d2 deltas
 gives the same bits, as the bits are 0 or 1. On the quadratic family
-each row is the base plus mu B_i[:, p], O(d2) work, which sums in
-another order than a ``grad_g_y`` call at the perturbed point, so each
-delta_p agrees with ``jacobian_column_fd`` to rounding, not bit for bit.
+each row is the base plus mu B_i[:, p], O(d2) work; the scaled block
+mu B_i^T[P] is formed once per distinct (B_i, P) of the call and
+released after its last client, so the clients of one mask window
+share it. That sums in another order than a ``grad_g_y`` call at the
+perturbed point, so each delta_p agrees with ``jacobian_column_fd`` to
+rounding, not bit for bit.
 On the logistic family the points go through one stacked pass that
 reruns the softmax only for offset perturbations, and each delta_p
 equals ``jacobian_column_fd`` bit for bit. At a fixed BLAS thread count

@@ -127,15 +127,18 @@ class BilevelProblem(ABC):
         This default makes one ``grad_g_y`` call per point. Families may
         override it. The quadratic family builds each row from the base
         and the perturbation's structure, so its rows equal the single
-        call to rounding, not bit for bit. The logistic
+        call to rounding, not bit for bit; a row call forms the scaled
+        block mu B_i^T[coords] once per distinct (B_i, coords) and
+        releases it after the last row that uses it. The logistic
         family evaluates every point in one stacked pass with the single
         call's operations, so its rows equal the single call bit for bit;
         only offset perturbations rerun the softmax. Repeated calls stay
         bit-identical at a fixed BLAS thread count.
 
         ``rows`` is a fresh array that the caller owns and may overwrite:
-        it shares no memory with the problem's state, and writing to it
-        changes neither ``base`` nor a later call's result
+        it shares no memory with the problem's state or with another
+        client's rows, and writing to it changes neither ``base`` nor a
+        later call's result
         (``rafbo_hypergradient`` runs its difference step in place on it).
         """
         if np.ndim(i):

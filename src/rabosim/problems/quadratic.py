@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -175,26 +174,40 @@ class QuadraticProblem(BilevelProblem):
         return grad[0] if one else grad
 
     def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
-        one, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
-        pairs = map(self._perturbed, i.tolist(), x, y, coords, repeat(mu),
-                    self.grad_g_y(i, x, y, batch))
-        return next(pairs) if one else pairs
-
-    def _perturbed(self, i, x, y, coords, mu, base):
         # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
         # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
         # the base plus O(d2) work. Every row keeps the base's noise draw.
-        # The rows are built in place on a float64 copy of B_i^T[coords],
-        # with the operations of base + mu * B_i^T[coords].
-        self.check_coords(coords)
+        # The rows of one (B_i, P) share one scaled block mu * B_i^T[P],
+        # formed at their first row and dropped after their last, and each
+        # client gets a fresh block + base: the operations of
+        # base + mu * B_i^T[P]. The block is a C-ordered gather, so the
+        # rows are C-ordered too: rafbo's rows @ grad_y f would take
+        # another GEMV path, and other bits, on F-ordered rows.
+        one, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
+        for c in coords:
+            self.check_coords(c)
         s = self.spec
-        rows = s.b_mats[i].T[coords].astype(np.float64, copy=False)
-        rows *= mu
-        rows += base
-        if s.quartic:
-            growth = (s.quartic / 2.0) * (2.0 * mu * x[coords] + mu * mu)
-            rows += np.outer(growth, s.u_mats[i] @ y)
-        return base, rows
+        keys = [(id(s.b_mats[j]), c.dtype, c.tobytes())
+                for j, c in zip(i.tolist(), coords)]
+        last = {key: r for r, key in enumerate(keys)}
+        base = self.grad_g_y(i, x, y, batch)
+
+        def pairs():
+            blocks = {}
+            for r, (j, key) in enumerate(zip(i.tolist(), keys)):
+                if key not in blocks:
+                    blocks[key] = s.b_mats[j].T[coords[r]].astype(
+                        np.float64, copy=False)
+                    blocks[key] *= mu
+                rows = blocks[key] + base[r]
+                if last[key] == r:
+                    del blocks[key]
+                if s.quartic:
+                    growth = (s.quartic / 2.0) * (
+                        2.0 * mu * x[r, coords[r]] + mu * mu)
+                    rows += np.outer(growth, s.u_mats[j] @ y[r])
+                yield base[r], rows
+        return next(pairs()) if one else pairs()
 
     def hess_yy_g(self, i, x, y, batch=None, active=None):
         one, i, x, y, active = self.rows(i, x, y, active)
@@ -343,6 +356,7 @@ def dims(args: dict) -> tuple[int, int]:
     return args["d1"], args["d2"]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
                    hetero: float = 0.0, noise_f: float = 0.0,
                    noise_g: float = 0.0, *, eig_min: float = 1.0,
@@ -361,8 +375,22 @@ def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
     ``target_scale`` scales the mean linear targets; 0 puts the outer
     optimum exactly at the origin, where masked evaluation is unbiased
     (useful for pruned-training studies).
+
+    A value so large that a block or target it scales, or the client mean
+    the problem forms of it, overflows raises InvalidSpec naming it
+    (eig_max for A), without numpy's overflow warnings.
     """
-    check_args(locals())
+    args = dict(locals())
+    check_args(args)
+
+    def finite(key, *arrays):
+        # the problem sums n clients' entries into means and symmetrizes
+        # A's, so 2 n |entry| must stay finite too
+        if not all(np.isfinite(2.0 * n * np.abs(a).max()) for a in arrays):
+            raise InvalidSpec(
+                f"{key} must keep the problem's entries and their client "
+                f"means finite, got {args[key]!r}", key=key)
+        return arrays[0]
 
     gen = RngStream(seed, purpose="make-quadratic").generator()
 
@@ -373,16 +401,18 @@ def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
         q, r = np.linalg.qr(raw)
         q = q * np.sign(np.diag(r))  # fix sign convention for determinism
         eigs = gen.uniform(eig_min, eig_max, size=d2)
-        a_shared = symmetrize(q @ np.diag(eigs) @ q.T)
+        a_shared = q @ np.diag(eigs) @ q.T
+    a_shared = symmetrize(finite("eig_max", a_shared))
 
     b_shared = gen.standard_normal((d2, d1))
     norm = spectral_norm(b_shared)
     if norm > 0:
-        b_shared = b_shared * (coupling / norm)
+        b_shared = finite("coupling", b_shared * (coupling / norm))
 
     c_bar = target_scale * gen.standard_normal(d2)
     a_tgt_bar = target_scale * gen.standard_normal(d1)
     b_tgt_bar = target_scale * gen.standard_normal(d2)
+    finite("target_scale", c_bar, a_tgt_bar, b_tgt_bar)
 
     def centered(shape):
         offs = gen.standard_normal((n,) + shape)
@@ -402,12 +432,13 @@ def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
 
     a_shared.flags.writeable = False
     b_shared.flags.writeable = False
+    c_vecs, outer, inner = (
+        list(finite("hetero", bar + hetero * off)) for bar, off in
+        ((c_bar, c_off), (a_tgt_bar, a_off), (b_tgt_bar, b_off)))
     spec = QuadraticSpec(
         a_mats=[a_shared] * n,
         b_mats=[b_shared] * n,
-        c_vecs=[c_bar + hetero * c_off[i] for i in range(n)],
-        outer_targets=[a_tgt_bar + hetero * a_off[i] for i in range(n)],
-        inner_targets=[b_tgt_bar + hetero * b_off[i] for i in range(n)],
+        c_vecs=c_vecs, outer_targets=outer, inner_targets=inner,
         u_mats=u_mats,
         lam=lam, noise_f=noise_f, noise_g=noise_g, quartic=quartic,
         sine_amp=sine_amp, ball_radius=ball_radius)

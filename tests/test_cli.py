@@ -732,6 +732,55 @@ class TestMainEntry:
             "client outer iterate ||x|| = 5.306e+04 after steps of alpha "
             "100000.0\n")
 
+    @staticmethod
+    def demo_run(tmp_path, *overrides):
+        """``rabosim run configs/demo_sweep.json`` for seed 0 and 2 rounds,
+        in a subprocess so that stderr holds everything the run prints."""
+        demo = Path(__file__).resolve().parents[1] / "configs" \
+            / "demo_sweep.json"
+        flags = ["--seeds", "0", "--override", "run.rounds=2", "--override",
+                 "output.compare_baseline=null"]
+        for entry in overrides:
+            flags += ["--override", entry]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rabosim.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "rabosim.cli", "run", str(demo), "--out",
+             str(tmp_path / "out")] + flags,
+            capture_output=True, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("entry", [
+        "problem.coupling=1e300", "problem.quartic=1e308"])
+    def test_non_finite_oracle_exit_three(self, tmp_path, entry):
+        # round 0's outer step is finite, but the oracle solve at the new x
+        # overflows; each such variant fails naming the round and the
+        # oracle value instead of the run ending in a traceback (exact_aid
+        # under the quartic term is caught by the inner guard in round 1)
+        proc = self.demo_run(tmp_path, entry)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 6
+        oracle = [line for line in lines if " failed: round 0: oracle y_star"
+                  "(x) is non-finite at ||x|| = " in line]
+        assert all(line.startswith("variant est_") and " failed: round "
+                   in line for line in lines)
+        assert len(oracle) == (6 if "coupling" in entry else 3)
+        assert "||x|| = inf" not in proc.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(summary["failures"]) == 6
+
+    @pytest.mark.parametrize("key", [
+        "eig_max", "coupling", "hetero", "target_scale"])
+    def test_overflowing_problem_exit_two_names_key(self, tmp_path, key):
+        # the blocks or targets the value scales, or the client means the
+        # problem forms of them, overflow while the problem is built
+        proc = self.demo_run(tmp_path, f"problem.{key}=1e308")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"config error: problem.{key} must keep the problem's entries "
+            f"and their client means finite, got 1e+308\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("run_entry,tables,key", [
         ({}, [{"x": [[0, 1], [2, 9]], "y": [[0, 1], [2, 3]]}],
          "manual_tables"),

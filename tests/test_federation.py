@@ -578,6 +578,19 @@ class TestRun:
         assert "non-finite" in str(err.value)
         assert "outer" in str(err.value)
 
+    def test_overflowing_oracle_metric_names_round_and_value(self):
+        # lam 1e300 moves round 0's x to about 1e299, which is finite, but
+        # lam (x - a) squared overflows grad_phi_sq; the run fails naming
+        # the round and the value instead of logging inf
+        prob = make_quadratic(seed=3, n=2, d1=3, d2=3, lam=1e300)
+        cfg = RunConfig(rounds=3, capacities=full_caps(2))
+        with pytest.raises(DivergenceDetected) as err:
+            run(prob, cfg)
+        assert str(err.value) == (
+            "round 0: oracle grad_phi_sq = inf is non-finite at ||x|| = "
+            "1.242e+299 after steps of alpha 0.05")
+        assert err.value.partial_logs == []
+
     def test_theory_guard_rejects_large_alpha(self):
         prob = make_quadratic(seed=13, n=2, d1=3, d2=3,
                               eig_min=0.9, eig_max=1.4)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rabosim.errors import (
 from rabosim.federation import RunConfig, logs_to_csv, run
 from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.linalg import solve_spd, spectral_bounds, spectral_norm
+from rabosim.masking import generate_mask
 from rabosim.problems import (
     BilevelProblem,
     SampleBatch,
@@ -26,7 +28,11 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from linear_oracle import outer_minimizer
-from tests_support import assert_caller_owns_rows, grad_g_y_row_bound
+from tests_support import (
+    assert_caller_owns_rows,
+    counted,
+    grad_g_y_row_bound,
+)
 
 
 def one_dim_problem(lam=0.0):
@@ -224,6 +230,25 @@ class TestMakeQuadratic:
             make_quadratic(eig_min=2, eig_max=1)
         assert err.value.key == "eig_max"
         assert str(err.value) == "eig_max must be at least eig_min 2, got 1"
+
+    @pytest.mark.parametrize("kwargs,key", [
+        ({"eig_max": 1e308}, "eig_max"),
+        ({"eig_min": 1e308, "eig_max": 1e308}, "eig_max"),
+        ({"coupling": 1e308}, "coupling"),
+        # B is finite, but its sum over 64 clients overflows
+        ({"n": 64, "coupling": 1e307}, "coupling"),
+        ({"target_scale": 1e308}, "target_scale"),
+        ({"hetero": 1e308}, "hetero"),
+    ])
+    def test_overflowing_value_named(self, kwargs, key):
+        # a numpy overflow warning on the way would fail the test, as
+        # pytest turns warnings into errors here
+        with pytest.raises(InvalidSpec) as err:
+            make_quadratic(**{"seed": 0, "d1": 5, "d2": 5, **kwargs})
+        assert err.value.key == key
+        assert str(err.value) == (
+            f"{key} must keep the problem's entries and their client means "
+            f"finite, got {kwargs[key]!r}")
 
     def test_eigenvalues_inside_range(self):
         prob = make_quadratic(seed=5, n=3, d1=4, d2=6,
@@ -688,3 +713,111 @@ class TestGradGyBatch:
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
         with pytest.raises(DimensionMismatch):
             prob.grad_g_y_perturbed(0, np.zeros(3), np.zeros(2), coords, 1e-3)
+
+
+def rolling_call(prob, noise=False):
+    """A row call's arguments for every client of ``prob`` at rolling
+    capacity 1/2 in round 0: masked x and y rows, each client's
+    perturbation set (all its active outer coordinates) and, with
+    ``noise``, a batch per client. Even clients share one window's set,
+    odd ones the other's."""
+    rng = np.random.default_rng(31)
+    caps = [Fraction(1, 2)] * prob.n
+    mx, my = (generate_mask(np.zeros(d), caps, "rolling", 0)
+              for d in (prob.d1, prob.d2))
+    x = rng.standard_normal(mx.shape) * mx
+    y = rng.standard_normal(my.shape) * my
+    batch = [SampleBatch("g", seed=4, client=c, draw=2)
+             for c in range(prob.n)] if noise else [None] * prob.n
+    return np.arange(prob.n), x, y, [np.flatnonzero(m) for m in mx], batch
+
+
+class TestScaledBlocks:
+    """A row call of ``grad_g_y_perturbed`` forms mu * B_i^T[P] once per
+    distinct (B_i, P), gives every client fresh C-ordered rows made from
+    it, and drops it after the last row that uses it."""
+
+    @pytest.mark.parametrize("quartic", [0.0, 0.2])
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_rows_on_one_set_equal_one_client_calls(self, quartic, noise):
+        prob = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7, quartic=quartic,
+                              noise_g=0.5)
+        i, x, y, coords, batch = rolling_call(prob, noise)
+        assert len({c.tobytes() for c in coords}) == 2
+        for mu in (1e-3, 0.7):
+            pairs = prob.grad_g_y_perturbed(i, x, y, coords, mu, batch)
+            for r, (base, rows) in enumerate(pairs):
+                want = prob.grad_g_y_perturbed(r, x[r], y[r], coords[r], mu,
+                                               batch[r])
+                assert np.array_equal(base, want[0])
+                assert np.array_equal(rows, want[1])
+                if not quartic:   # the operations of base + mu B_i^T[P]
+                    scaled = prob.spec.b_mats[r].T[coords[r]] * mu
+                    assert np.array_equal(rows, scaled + base)
+
+    @pytest.mark.parametrize("quartic", [0.0, 0.2])
+    def test_each_client_owns_its_rows(self, quartic):
+        prob = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7, quartic=quartic)
+        i, x, y, coords, _ = rolling_call(prob)
+        pairs = list(prob.grad_g_y_perturbed(i, x, y, coords, 1e-3))
+        want = [rows.copy() for _, rows in pairs]
+        for _, rows in pairs:
+            assert rows.flags.c_contiguous and rows.flags.writeable
+        assert not any(np.shares_memory(a, b) for (_, a), (_, b)
+                       in combinations(pairs, 2))
+        # client 0 shares its (B, P) with clients 2, 4 and 6
+        pairs[0][1][...] = np.nan
+        for (_, rows), w in zip(pairs[1:], want[1:]):
+            assert np.array_equal(rows, w)
+        again = prob.grad_g_y_perturbed(i, x, y, coords, 1e-3)
+        for (_, rows), w in zip(again, want):
+            assert np.array_equal(rows, w)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_one_scaled_block_per_distinct_set(self, shared):
+        # make_quadratic's one B with 2 windows' sets, or a hand-built B_i
+        # per client with the same 2 sets
+        spec = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7).spec
+        gathers = []
+        b_mats = [counted(spec.b_mats[0], gathers)] * 8 if shared else \
+            [counted(np.array(b), gathers) for b in spec.b_mats]
+        prob = QuadraticProblem(dataclasses.replace(spec, b_mats=b_mats))
+        i, x, y, coords, _ = rolling_call(prob)
+        for _ in range(2):   # per call, nothing kept between calls
+            gathers.clear()
+            for _ in prob.grad_g_y_perturbed(i, x, y, coords, 1e-3):
+                pass
+            assert len(gathers) == (2 if shared else 8)
+            assert set(gathers) == {c.tobytes() for c in coords}
+
+    def test_distinct_sets_hold_one_block(self):
+        n, d1, d2, size = 8, 64, 512, 32
+        # While a client's rows are built, the call holds them and one
+        # scaled block (size x d2 float64 each), and the caller's loop
+        # still holds the last client's rows. Adding base to a block
+        # broadcasts, which takes numpy's ufunc buffer (8192 float64);
+        # 16 KiB covers the small objects. Keeping every block would add
+        # one per client.
+        block = 8 * size * d2                             # 131,072 bytes
+        bound = 3 * block + 8 * np.getbufsize() + 16 * 1024   # 475,136
+        prob = make_quadratic(seed=30, n=n, d1=d1, d2=d2, eig_min=0.8,
+                              eig_max=1.6)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        coords = [np.arange(r, r + size) for r in range(n)]
+        # a first call, so that lazy imports are not counted
+        prob.grad_g_y_perturbed(0, x[0], y[0], coords[0], 1e-3)
+        tracemalloc.start()
+        try:
+            pairs = prob.grad_g_y_perturbed(np.arange(n), x, y, coords, 1e-3)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            for _, rows in pairs:
+                assert rows.shape == (size, d2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= bound

@@ -103,6 +103,29 @@ def assert_caller_owns_rows(perturbed, prob, i, x, y, coords, mu,
     assert np.array_equal(again[1], first[1])
 
 
+class CountedGathers(np.ndarray):
+    """A block that logs the bytes of each index array it is indexed by,
+    as ``B_i.T[P]`` gathers a perturbation set's columns; its views (the
+    transpose) log to the same list. Build one with ``counted``."""
+
+    def __array_finalize__(self, obj):
+        self.gathers = getattr(obj, "gathers", None)
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and self.gathers is not None:
+            self.gathers.append(key.tobytes())
+            return np.asarray(super().__getitem__(key))
+        return super().__getitem__(key)
+
+
+def counted(block, gathers):
+    """A read-only view of ``block`` that logs its gathers to ``gathers``."""
+    view = block.view(CountedGathers)
+    view.gathers = gathers
+    view.flags.writeable = False
+    return view
+
+
 def full_hessian_reference(prob, i, x, y, batch=None):
     """The full d2 x d2 ``hess_yy_g`` of either family, transcribed from
     the code that formed every entry before ``active`` existed.

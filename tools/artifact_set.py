@@ -11,7 +11,8 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``WINDOW_GROUPS`` below into ``OUT/window_groups``;
 - ``QUARTIC`` below into ``OUT/quartic``;
 - ``STATIC_LISTS`` below into ``OUT/static_lists``;
-- ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``.
+- ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``;
+- ``SAMPLED_SETS`` below into ``OUT/sampled_sets``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -88,6 +89,20 @@ TOPK_BLOCKS = {
               "capacities": ["1/2", ["1/4", "1/2", "3/4", "1"]]},
 }
 
+# rafbo perturbs a sampled half of each client's active outer
+# coordinates, so the 4 clients of a rolling window draw their own
+# perturbation sets: in 16 of the 20 rounds no two rows of a call share a
+# scaled block of B, and in the other 4 one pair does. Noise is on.
+SAMPLED_SETS = {
+    "problem": {"family": "quadratic", "seed": 7, "n": 8, "d1": 16,
+                "d2": 12, "hetero": 0.3, "noise_f": 0.2, "noise_g": 0.2,
+                "eig_min": 0.8, "eig_max": 1.6},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 20,
+            "policy": "rolling", "capacities": "1/2", "coord_fraction": 0.5,
+            "batch_size_f": 2, "batch_size_g": 2},
+    "sweep": {"seeds": [1], "estimators": ["rafbo"]},
+}
+
 
 def _workloads():
     path = ROOT / "perfbench" / "workloads.py"
@@ -109,6 +124,7 @@ def documents():
     yield "quartic", QUARTIC
     yield "static_lists", STATIC_LISTS
     yield "topk_blocks", TOPK_BLOCKS
+    yield "sampled_sets", SAMPLED_SETS
 
 
 def main(argv=None) -> int:
