@@ -334,7 +334,9 @@ def _covering_step(v_q: np.ndarray, masks, vecs: np.ndarray, step: float,
 
     Row i of ``masks`` and of ``vecs`` is client i's; rows are summed
     left to right in client order, which keeps the result
-    bit-reproducible. Uncovered coordinates are returned untouched.
+    bit-reproducible. Uncovered coordinates are returned untouched. A sum
+    that overflows gives a non-finite result without numpy's warning;
+    ``rabo_round`` reports it.
     """
     d = v_q.shape[0]
     masks = check_masks(masks, level, d=d)
@@ -343,11 +345,13 @@ def _covering_step(v_q: np.ndarray, masks, vecs: np.ndarray, step: float,
                                 f"{np.shape(vecs)}, masks {masks.shape}")
     counts = masks.sum(axis=0, dtype=np.int64)
     total = np.zeros(d)
-    for mask, vec in zip(masks, vecs):
-        total += mask * vec
     v_next = v_q.copy()
     covered = counts > 0
-    v_next[covered] = v_q[covered] - step * (total[covered] / counts[covered])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask, vec in zip(masks, vecs):
+            total += mask * vec
+        mean = total[covered] / counts[covered]
+        v_next[covered] = v_q[covered] - step * mean
     return v_next
 
 

@@ -769,6 +769,18 @@ class TestMainEntry:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["failures"]) == 6
 
+    def test_overflowing_outer_aggregate_exit_three_without_warning(
+            self, tmp_path):
+        # the clients' hypergradients are finite but their sum overflows;
+        # the finite-iterate check reports it, and numpy's overflow warning
+        # used to reach stderr before the failures
+        proc = self.demo_run(tmp_path, "problem.lam=1e308")
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("variant est_") for line in lines)
+
     @pytest.mark.parametrize("key", [
         "eig_max", "coupling", "hetero", "target_scale"])
     def test_overflowing_problem_exit_two_names_key(self, tmp_path, key):

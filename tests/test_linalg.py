@@ -1,5 +1,10 @@
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rabosim
 from rabosim.errors import DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 from rabosim.linalg import (
     as_vector,
@@ -136,6 +142,36 @@ def test_direct_solver_matches_scipy_cholesky(dim, eig_lo, seed):
     factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
     want = scipy.linalg.cho_solve(factor, b, check_finite=False)
     assert np.array_equal(spd_solver(a)(b), want)
+
+
+def test_round_leaves_scipy_linalg_unimported():
+    """A fresh interpreter imports the CLI, factors with ``spd_solver``'s
+    ``dpotrf`` in an exact_aid round and solves ``y_star`` for its oracle
+    metrics, all without ``scipy.linalg``'s package import."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from rabosim import cli, linalg
+        from rabosim.federation import GlobalState, RunConfig, rabo_round
+
+        calls = []
+        def counted(a, **kwargs):
+            calls.append(a.shape)
+            return dpotrf(a, **kwargs)
+        dpotrf, linalg.dpotrf = linalg.dpotrf, counted
+        cfg = cli.resolve_config({"problem": {
+            "family": "quadratic", "n": 2, "d1": 3, "d2": 4}})
+        problem = cli.build_problem(cfg.problem)
+        _, log = rabo_round(problem, GlobalState(np.zeros(3), np.zeros(4)),
+                            RunConfig(estimator="exact_aid"))
+        assert np.isfinite(log.grad_phi_sq) and calls, (log, calls)
+        print("scipy.linalg" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=str(Path(rabosim.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestSpectralBounds:
