@@ -400,9 +400,11 @@ def _oracle_metrics(problem, x: np.ndarray, y: np.ndarray, q: int,
 
 
 def _divergence_cap(cfg: RunConfig, x: np.ndarray, y: np.ndarray) -> float:
-    """Absolute cap on ||y||: divergence_factor * max(1, ||x||, ||y||)."""
-    return cfg.divergence_factor * max(1.0, float(np.linalg.norm(y)),
-                                       float(np.linalg.norm(x)))
+    """Absolute cap on ||y||: divergence_factor * max(1, ||x||, ||y||),
+    with numpy's overflow warnings silenced (a huge start caps at inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return cfg.divergence_factor * max(1.0, float(np.linalg.norm(y)),
+                                           float(np.linalg.norm(x)))
 
 
 def rabo_round(problem, state: GlobalState, cfg: RunConfig,

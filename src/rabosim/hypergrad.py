@@ -152,7 +152,8 @@ def exact_hypergradient(problem, i, x_masked: np.ndarray,
 
     Clients are rows, as in ``BilevelProblem``. ``hess_yy_g`` forms the
     restricted blocks one at a time, each factored once for the rows it
-    serves (a shared A's clients on one active set), one solve per row.
+    serves (a shared A's clients on one active set) and solved once for
+    all of them, their right-hand sides gathered as rows of one call.
     """
     one, i, x, y, mask_x, mask_y, batch_f, batch_g = problem.rows(
         i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g)
@@ -167,8 +168,8 @@ def exact_hypergradient(problem, i, x_masked: np.ndarray,
             raise SingularRestrictedHessian(
                 f"client {i[rows[0]]}: restricted inner Hessian is not SPD "
                 f"({active[rows[0]].size} active coordinates)") from exc
-        for r in rows:
-            z[r, active[r]] = solve(gfy[r, active[r]])
+        cut = np.ix_(rows, active[rows[0]])
+        z[cut] = solve(gfy[cut])
     value = apply_mask(gfx - problem.cross_xy_g_apply(i, x, y, z, batch_g),
                        mask_x)
     return value[0] if one else value

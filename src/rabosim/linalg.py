@@ -3,10 +3,11 @@
 Vectors and matrices are plain float64 numpy arrays. The helpers here are
 the only linear-algebra entry points used by the rest of the simulator:
 ``solve_spd`` for symmetric positive definite systems and ``spd_solver``
-for many right-hand sides against one such matrix, both by a Cholesky
-factorization at every size, and ``spectral_bounds`` for extreme
-eigenvalues. All operations are pure functions of their inputs;
-summations happen in a fixed order so results are bit-reproducible.
+for many right-hand sides, one at a time or as rows, against one such
+matrix, both by a Cholesky factorization at every size, and
+``spectral_bounds`` for extreme eigenvalues. All operations are pure
+functions of their inputs; summations happen in a fixed order so results
+are bit-reproducible.
 
 The Cholesky routines are LAPACK's ``dpotrf``/``dpotrs`` from scipy's
 compiled extension ``scipy.linalg._flapack``, the module that
@@ -47,16 +48,6 @@ _flapack = _load_flapack()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
-def as_vector(values, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite float64 1-D array."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{name} contains NaN or Inf")
-    return arr
-
-
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite float64 2-D array."""
     arr = np.asarray(values, dtype=np.float64)
@@ -93,22 +84,31 @@ def solve_spd(a, b) -> np.ndarray:
 def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
     """``b -> solve_spd(a, b)`` for a fixed SPD ``a``, bit for bit.
 
-    The Cholesky factor is formed here, once, so a caller that keeps the
-    solver pays one pair of triangular solves per right-hand side. These
-    are LAPACK's ``potrf``/``potrs`` from scipy's ``_flapack`` extension
-    (see the module docstring), called directly: the same routines, and so
-    the same bits, as scipy's ``cho_factor``/``cho_solve`` without their
-    wrappers' overhead. ``a`` is checked here and each ``b`` on its call.
-    The solver holds only the factor.
+    ``b`` is one right-hand side of length d, or a (k, d) stack of them as
+    rows, which returns the (k, d) stack of solutions. The Cholesky
+    factor is formed here, once, and each call is one pair of triangular
+    solves over all of its rows: a stack goes to ``potrs`` as one
+    (d, k) right-hand side. These are LAPACK's ``potrf``/``potrs`` from
+    scipy's ``_flapack`` extension (see the module docstring), called
+    directly: the same routines, and so the same bits, as scipy's
+    ``cho_factor``/``cho_solve`` of ``b.T`` without their wrappers'
+    overhead. A row of a stack has the bits of its one-row solve when
+    d <= 384 or d is a multiple of 8 (OpenBLAS 0.3.31, which blocks its
+    triangular solve by 384 columns); otherwise it agrees to rounding.
+    ``a`` is checked here and every row of ``b`` on its call. The solver
+    holds only the factor.
     """
     a = as_matrix(a, "a")
     _require_symmetric(a, "a")
     dim = a.shape[0]
 
     def rhs(b) -> np.ndarray:
-        b = as_vector(b, "b")
-        if b.shape[0] != dim:
-            raise DimensionMismatch(f"matrix dim {dim} != rhs dim {b.shape[0]}")
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim not in (1, 2) or b.shape[-1] != dim:
+            raise DimensionMismatch(
+                f"rhs must be ({dim},) or (k, {dim}), got shape {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise NonFiniteValue("b contains NaN or Inf")
         return b
 
     if dim == 0:   # potrs rejects a 0 x 0 system
@@ -117,7 +117,8 @@ def spd_solver(a) -> Callable[[np.ndarray], np.ndarray]:
     if info > 0:
         raise NotPositiveDefinite(
             f"{info}-th leading minor of the matrix is not positive definite")
-    return lambda b: dpotrs(factor, rhs(b), lower=1)[0]
+    # .T is the identity on a vector; rows become one (d, k) F-ordered rhs
+    return lambda b: dpotrs(factor, rhs(b).T, lower=1)[0].T
 
 
 def spectral_bounds(a) -> tuple[float, float]:

@@ -781,6 +781,18 @@ class TestMainEntry:
         assert len(lines) == 6
         assert all(line.startswith("variant est_") for line in lines)
 
+    @pytest.mark.parametrize("entry", [
+        "run.x0=[1e308,0,0,0,0,0,0,0]", "run.y0=[1e200,0,0,0,0,0,0,0]"])
+    def test_huge_start_exit_three_without_warning(self, tmp_path, entry):
+        # the start is finite, but the square of its norm overflows in the
+        # divergence cap, whose numpy warning used to reach stderr first
+        proc = self.demo_run(tmp_path, entry)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("variant est_") and " failed: round 0: "
+                   in line for line in lines)
+
     @pytest.mark.parametrize("key", [
         "eig_max", "coupling", "hetero", "target_scale"])
     def test_overflowing_problem_exit_two_names_key(self, tmp_path, key):

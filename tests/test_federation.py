@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim import federation, hypergrad, masking
+from rabosim import federation, hypergrad, linalg, masking
 from rabosim.errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -430,12 +430,13 @@ def one_by_one(fn):
 def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
                  estimator=EXACT_AID, noise=False):
     """Three rounds, with clients as rows or with every round phase called
-    one client at a time; returns (factorizations per round, each round's
-    bytes of x and y and log, products per round), where products lists
-    each ``np.matvec`` with an A_i or a B_i as (block id, its rows' bytes)."""
-    built, counts, rounds, products = [], [], [], []
+    one client at a time; returns ((factorizations, LAPACK ``potrs``
+    calls) per round, each round's bytes of x and y and log, products per
+    round), where products lists each ``np.matvec`` with an A_i or a B_i
+    as (block id, its rows' bytes)."""
+    built, solved, counts, rounds, products = [], [], [], [], []
     blocks = {id(b) for b in prob.spec.a_mats + prob.spec.b_mats}
-    build, matvec = hypergrad.spd_solver, np.matvec
+    build, potrs, matvec = hypergrad.spd_solver, linalg.dpotrs, np.matvec
     batch = 2 if noise else 0
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
                     capacities=[capacity] * prob.n,
@@ -444,6 +445,8 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
     with monkeypatch.context() as patch:
         patch.setattr(hypergrad, "spd_solver",
                       lambda a: built.append(a.shape) or build(a))
+        patch.setattr(linalg, "dpotrs", lambda c, b, **kwargs:
+                      solved.append(b.shape) or potrs(c, b, **kwargs))
         patch.setattr(np, "matvec", lambda a, v: id(a) in blocks and products[
             -1].append((id(a), [r.tobytes() for r in v])) or matvec(a, v))
         for name in [] if rows else ["client_inner_loop",
@@ -452,18 +455,19 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
             patch.setattr(federation, name,
                           one_by_one(getattr(federation, name)))
         for _ in range(3):
-            before = len(built)
+            before = len(built), len(solved)
             products.append([])
             state, log = federation.rabo_round(prob, state, cfg)
-            counts.append(len(built) - before)
+            counts.append((len(built) - before[0], len(solved) - before[1]))
             rounds.append((state.x.tobytes(), state.y.tobytes(), log))
     return counts, rounds, products
 
 
 class TestRoundSharing:
-    """A round's call factors a shared A once per active set and
-    multiplies each block once over its distinct rows, with the bits of a
-    round that runs its clients one at a time."""
+    """A round's call factors a shared A once per active set, solves each
+    factor once for all of its rows and multiplies each block once over
+    its distinct rows, with the bits of a round that runs its clients one
+    at a time."""
 
     CASES = ["shared", "writable-per-client", "read-only-per-client",
              "quartic"]
@@ -475,8 +479,11 @@ class TestRoundSharing:
         prob = round_problem(case)
         got = three_rounds(prob, monkeypatch, rows=True)
         want = three_rounds(prob, monkeypatch, rows=False)
-        assert got[0] == [self.FACTORED.get(case, prob.n)] * 3
-        assert want[0] == [prob.n] * 3
+        factored = self.FACTORED.get(case, prob.n)
+        # one potrs call per factor, and one more for the oracle metrics'
+        # y_star, against the client-average A
+        assert got[0] == [(factored, factored + 1)] * 3
+        assert want[0] == [(prob.n, prob.n + 1)] * 3
         assert got[1] == want[1]
 
     @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
@@ -511,6 +518,39 @@ class TestRoundSharing:
                 # a window's clients repeat their products one at a time
                 assert sum(len(rows) for _, rows in products) \
                     < len(want_products)
+
+    def test_large_shared_block_rows_agree_to_rounding(self):
+        # one 397 x 397 A shared by 16 clients at capacity 1: a single
+        # potrs call solves all 16 rows, and OpenBLAS blocks its triangular
+        # solve by 384 columns, so a size that is not a multiple of 8 may
+        # round otherwise than 16 one-row solves; the rows are backward
+        # stable solves of one system, so they agree within c eps kappa(A)
+        rng = np.random.default_rng(397)
+        n, d1, d2 = 16, 6, 397
+        q, _ = np.linalg.qr(rng.standard_normal((d2, d2)))
+        a = linalg.symmetrize(q @ np.diag(rng.uniform(0.5, 3.0, d2)) @ q.T)
+        b = rng.standard_normal((d2, d1))
+        for m in a, b:
+            m.setflags(write=False)
+        prob = QuadraticProblem(QuadraticSpec(
+            a_mats=[a] * n, b_mats=[b] * n,
+            c_vecs=list(rng.standard_normal((n, d2))),
+            outer_targets=list(rng.standard_normal((n, d1))),
+            inner_targets=list(rng.standard_normal((n, d2))), u_mats=None,
+            lam=1.0, noise_f=0, noise_g=0, quartic=0, sine_amp=0,
+            ball_radius=10.0))
+        clients = np.arange(n)
+        x, y = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
+        mask_x, mask_y = np.ones((n, d1)), np.ones((n, d2))
+        got = hypergrad.exact_hypergradient(prob, clients, x, y, mask_x,
+                                            mask_y)
+        want = one_by_one(hypergrad.exact_hypergradient)(
+            prob, clients, x, y, mask_x, mask_y)
+        lo, hi = linalg.spectral_bounds(a)
+        z = [linalg.solve_spd(a, g) for g in prob.grad_f_y(clients, x, y)]
+        bound = 32 * np.finfo(float).eps * (hi / lo) \
+            * linalg.spectral_norm(b) * np.linalg.norm(z, axis=1)
+        assert np.all(np.linalg.norm(got - want, axis=1) <= bound)
 
 
 class TestRun:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import rabosim
 from rabosim.errors import DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 from rabosim.linalg import (
-    as_vector,
     solve_spd,
     spd_solver,
     spectral_bounds,
@@ -131,17 +130,60 @@ class TestSolveSpd:
         assert solve(np.ones(dim)).shape == (dim,)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(dim=st.one_of(st.integers(1, 64), st.just(512), st.just(600)),
+       k=st.one_of(st.none(), st.integers(1, 40)),
        eig_lo=st.sampled_from([1e-6, 0.1, 0.8]), seed=st.integers(0, 2 ** 32))
-def test_direct_solver_matches_scipy_cholesky(dim, eig_lo, seed):
-    """The solver returns scipy's cho_factor/cho_solve bits at every size."""
+def test_direct_solver_matches_scipy_cholesky(dim, k, eig_lo, seed):
+    """The solver returns scipy's cho_factor/cho_solve bits at every size,
+    for one right-hand side (k None) and for a (k, d) stack of rows, which
+    is one cho_solve of its transpose: both call potrs on the same (d, k)
+    right-hand side."""
     rng = np.random.default_rng(seed)
     a = random_spd(rng, dim, eig_lo=eig_lo, eig_hi=4.0)
-    b = rng.standard_normal(dim)
+    b = rng.standard_normal(dim if k is None else (k, dim))
     factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    want = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    assert np.array_equal(spd_solver(a)(b), want)
+    want = scipy.linalg.cho_solve(factor, b.T, check_finite=False).T
+    got = spd_solver(a)(b)
+    assert got.shape == b.shape
+    assert np.array_equal(got, want)
+
+
+class TestRowSolve:
+    @pytest.mark.parametrize("dim", [1, 7, 33, 64])
+    def test_each_row_has_its_one_row_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        solve = spd_solver(random_spd(rng, dim))
+        rows = rng.standard_normal((17, dim))
+        got = solve(rows)
+        for row, z in zip(rows, got, strict=True):
+            assert np.array_equal(z, solve(row))
+
+    def test_nonfinite_rhs_is_rejected(self):
+        solve = spd_solver(np.eye(2))
+        for b in [[1.0, np.nan], [np.inf, 0.0], [[1.0, 1.0], [-np.inf, 1.0]]]:
+            with pytest.raises(NonFiniteValue):
+                solve(b)
+        solve = spd_solver(np.eye(4))
+        for r in range(3):   # a NaN in any one row
+            rows = np.ones((3, 4))
+            rows[r, 2] = np.nan
+            with pytest.raises(NonFiniteValue):
+                solve(rows)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 3), (2, 3, 4), ()])
+    def test_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            spd_solver(np.eye(4))(np.ones(shape))
+
+    def test_empty_system_returns_empty_rows(self):
+        solve = spd_solver(np.zeros((0, 0)))
+        z = solve(np.zeros((5, 0)))
+        assert z.shape == (5, 0) and z.dtype == np.float64
+        with pytest.raises(DimensionMismatch):
+            solve(np.ones((5, 1)))
+        with pytest.raises(DimensionMismatch):
+            solve(np.zeros((2, 5, 0)))
 
 
 def test_round_leaves_scipy_linalg_unimported():
@@ -195,10 +237,3 @@ class TestSpectralBounds:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             spectral_bounds(np.ones((2, 3)))
-
-
-def test_as_vector_rejects_nonfinite():
-    with pytest.raises(NonFiniteValue):
-        as_vector([1.0, np.nan])
-    with pytest.raises(NonFiniteValue):
-        as_vector([np.inf, 0.0])
