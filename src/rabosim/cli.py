@@ -13,7 +13,8 @@ Every field has a documented default: the family builder's keyword
 arguments in ``problem``, ``RunConfig``'s fields in ``run`` (plus
 ``theory_guard``, which only the sweep runner reads), the ``*_DEFAULTS``
 tables below in the other sections. Unknown keys are a hard error so
-typos never pass silently.
+typos never pass silently. The run section with each manual table obeys
+``federation.check_run`` and, fit to the problem section, ``check_fit``.
 Capacities are accepted as fractions ("1/4"), decimals or integers and
 held internally as exact rationals. The resolved config is echoed next to
 the outputs and re-parsing the echo reproduces the same resolved config.
@@ -55,6 +56,7 @@ from .errors import (
 )
 from .federation import (
     RunConfig,
+    check_fit,
     check_run,
     check_theory_guard,
     logs_to_csv,
@@ -140,8 +142,6 @@ def _is_str(v) -> bool:
 LIST_ENTRIES = {
     "seeds": (_is_int, "a list of integers"),
     "estimators": (_is_str, "a list of strings"),
-    "x0": (_is_finite, "a list of finite numbers"),
-    "y0": (_is_finite, "a list of finite numbers"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
 # family -> (builder, the rules of its arguments, the (d1, d2) they give)
@@ -159,7 +159,8 @@ FAMILY_ARGUMENTS = {
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
     """Type, integer-ness and finiteness of each entry, judged by its default.
 
-    ``capacities`` and the manual tables have their own checks.
+    ``capacities``, ``x0``, ``y0`` and the manual tables have their own
+    checks.
     """
     for key, value in resolved.items():
         default = defaults[key]
@@ -200,19 +201,6 @@ def _normalize_capacities(entry, name: str) -> list | str:
         else str(parsed)
 
 
-def _check_table(table, n: int, d: int, name: str) -> None:
-    """A manual table has one row of coordinate indices in [0, d) per
-    client, no more and no fewer; ``check_run`` rejects an empty row."""
-    if not (isinstance(table, list) and len(table) == n and all(
-            isinstance(row, list) and all(_is_int(k) and 0 <= k < d
-                                          for k in row)
-            for row in table)):
-        raise InvalidSpec(
-            f"{name} must have exactly {n} rows, one per client, each "
-            f"listing coordinate indices in [0, {d}), got {table!r}",
-            key="manual_tables")
-
-
 def _check_sections(raw) -> None:
     """The root and each section are objects, so that overrides and
     defaults apply to them."""
@@ -249,27 +237,17 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
     tables = sweep["manual_tables"]
-    if tables is not None and not (isinstance(tables, list) and tables and all(
-            isinstance(entry, dict) and {"x", "y"} <= entry.keys()
-            for entry in tables)):
+    if tables is not None and not (isinstance(tables, list) and tables):
         raise InvalidSpec(
-            f"sweep.manual_tables must be a non-empty list of objects, each "
-            f"with 'x' and 'y' per-client coordinate lists, got {tables!r}",
-            key="manual_tables")
-    n, dims = problem["n"], dims_of(problem)
-    for level, d in zip("xy", dims):
-        start = run_cfg[f"{level}0"]
-        if start is not None and len(start) != d:
-            raise InvalidSpec(
-                f"run.{level}0 has {len(start)} entries, but the problem "
-                f"has {d} {level} coordinates", key=f"{level}0")
-        for index, entry in enumerate(tables or []):
-            _check_table(entry[level], n, d,
-                         f"sweep.manual_tables[{index}].{level}")
+            f"sweep.manual_tables must be a non-empty list of table "
+            f"entries, got {tables!r}", key="manual_tables")
+    n, (d1, d2) = problem["n"], dims_of(problem)
     for index, entry in enumerate(tables or [None]):
-        check_run({**run_cfg, "manual_tables": entry}, "run.",
-                  "sweep.manual_tables" if entry is None
-                  else f"sweep.manual_tables[{index}]")
+        args = {**run_cfg, "manual_tables": entry}
+        name = "sweep.manual_tables" if entry is None \
+            else f"sweep.manual_tables[{index}]"
+        check_run(args, "run.", name)
+        check_fit(args, n, d1, d2, "run.", name)
 
     if sweep["seeds"] is None:
         sweep["seeds"] = [run_cfg["seed"]]
@@ -287,13 +265,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     sweep["capacities"] = [
         _normalize_capacities(entry, "sweep.capacities")
         for entry in sweep["capacities"]]
-    for name, entries in (("run.capacities", [run_cfg["capacities"]]),
-                          ("sweep.capacities", sweep["capacities"])):
-        for entry in entries:
-            if isinstance(entry, list) and len(entry) != n:
-                raise InvalidSpec(
-                    f"{name} lists {len(entry)} capacities for {n} clients",
-                    key="capacities")
+    for entry in sweep["capacities"]:
+        check_fit({"capacities": entry}, n, d1, d2, "sweep.")
 
     # a variant key joins an estimator, a capacity label, a table index
     # and a seed, so the sweep runs a variant when no list is empty and
@@ -366,12 +339,8 @@ def build_problem(problem_cfg: dict, seed_override: int | None = None):
 
 def build_run_config(run_cfg: dict, n: int, seed: int, estimator: str,
                      capacity_entry, table_entry: dict | None = None) -> RunConfig:
-    """The RunConfig of one variant of a resolved ``run`` section.
-
-    ``n`` is the problem's client count, which ``resolve_config`` has
-    checked a per-client capacity list against; ``rabo_round`` expands a
-    shared capacity to it.
-    """
+    """The RunConfig of one variant of a resolved ``run`` section. ``n``
+    goes unread: ``run`` fits the RunConfig to its problem."""
     args = {key: value for key, value in run_cfg.items()
             if key != "theory_guard"}
     return RunConfig(**{**args, "seed": seed, "estimator": estimator,

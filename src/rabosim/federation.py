@@ -20,8 +20,11 @@ summation, so runs are bit-reproducible.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -83,9 +86,9 @@ class RunConfig:
     string, a decimal or an integer; it holds them parsed, as one Fraction
     or a tuple of them. ``manual_tables`` is the manual policy's table
     entry, ``{"x": rows, "y": rows}`` with one row of coordinate indices
-    per client and level. ``check_run`` holds the rules; the ones that
-    need the problem's client count or dimensions are checked by
-    ``rabo_round``, ``run`` and ``generate_mask``.
+    per client and level. ``check_run`` holds the rules of the settings
+    alone, and ``check_fit`` those that fit them to a problem's client
+    count and dimensions, which ``run`` and ``rabo_round`` apply.
     """
 
     alpha: float = 0.05
@@ -117,8 +120,9 @@ class RunConfig:
 def check_run(args: dict, prefix: str = "",
               tables: str = "manual_tables") -> None:
     """Raise InvalidSpec naming the first setting in ``args`` that breaks
-    a rule of ``RunConfig``: the range tables of this module, ``hypergrad``
-    and ``masking``, then the rules between the mask settings.
+    a rule of ``RunConfig`` that needs no problem: the range tables of
+    this module, ``hypergrad`` and ``masking``, then the rules between the
+    mask settings and ``masking.check_table``.
 
     ``prefix`` (such as ``"run."``) leads each setting's name in a
     message, and ``tables`` names ``args["manual_tables"]``, which a
@@ -140,12 +144,33 @@ def check_run(args: dict, prefix: str = "",
             raise InvalidSpec(
                 f"{name} takes effect only under {prefix}policy '{owner}', "
                 f"got policy '{policy}'", key=key)
-    # a capacity is never 0, so every client trains a coordinate
-    for level, rows in (table or {}).items():
-        if any(len(row) == 0 for row in rows):
+    if table is not None:
+        masking.check_table(table, tables)
+
+
+def check_fit(args: dict, n: int, d1: int, d2: int, prefix: str = "",
+              tables: str = "manual_tables") -> None:
+    """Raise InvalidSpec naming the first setting in ``args`` that does
+    not fit a problem of ``n`` clients and dimensions (d1, d2): the
+    capacities count, ``x0``/``y0`` as lists of d1/d2 finite numbers, and
+    ``masking.check_table``. A key absent from ``args`` is skipped;
+    ``prefix`` and ``tables`` are as in ``check_run``."""
+    capacities = args.get("capacities")
+    if isinstance(capacities, (list, tuple)) and len(capacities) != n:
+        raise InvalidSpec(f"{prefix}capacities lists {len(capacities)} "
+                          f"capacities for {n} clients", key="capacities")
+    for level, d in zip("xy", (d1, d2)):
+        start = args.get(f"{level}0")
+        if start is not None and not (
+                (isinstance(start, (list, tuple)) or np.ndim(start) == 1)
+                and len(start) == d and all(
+                    isinstance(k, numbers.Real) and not isinstance(k, bool)
+                    and abs(k) <= sys.float_info.max for k in start)):
             raise InvalidSpec(
-                f"{tables}.{level} has an empty row; every client trains "
-                f"at least one coordinate", key="manual_tables")
+                f"{prefix}{level}0 must list {d} finite numbers, one per "
+                f"{level} coordinate, got {start!r}", key=f"{level}0")
+    if args.get("manual_tables") is not None:
+        masking.check_table(args["manual_tables"], tables, n, (d1, d2))
 
 
 @dataclass(frozen=True)
@@ -171,6 +196,7 @@ class RoundLog:
     masks_y_hex: tuple | None = None
 
 
+# The names of RoundLog's fields before the mask rows, in order.
 CSV_COLUMNS = ("round", "grad_phi_sq", "phi", "inner_err_sq",
                "C_star_x_running", "C_star_y_running", "bytes_up",
                "bytes_down", "flops", "mean_w1sq", "mean_w2sq")
@@ -420,16 +446,10 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     slowly exploding trajectory cannot outrun it, and without one it is
     anchored to this round's state.
     """
+    check_fit(vars(cfg), problem.n, problem.d1, problem.d2)
     capacities = cfg.capacities if isinstance(cfg.capacities, tuple) \
         else (cfg.capacities,) * problem.n
     tables = cfg.manual_tables or {}
-    counts = {"capacities": len(capacities), **{
-        f"manual_tables.{level} rows": len(rows)
-        for level, rows in tables.items()}}
-    for name, count in counts.items():
-        if count != problem.n:
-            raise InvalidSpec(f"{count} {name} for {problem.n} clients",
-                              key=name.partition(".")[0])
     tracker = tracker if tracker is not None else CoverageTracker()
     ledger = ledger if ledger is not None else CostLedger()
     q = state.round_index
@@ -561,10 +581,9 @@ def check_theory_guard(cfg: RunConfig, constants) -> list:
 
 def run(problem, cfg: RunConfig) -> RunResult:
     """Execute cfg.rounds rounds of the double loop from the initial state."""
-    x0 = (np.array(cfg.x0, dtype=np.float64) if cfg.x0 is not None
-          else np.zeros(problem.d1))
-    y0 = (np.array(cfg.y0, dtype=np.float64) if cfg.y0 is not None
-          else np.zeros(problem.d2))
+    check_fit(vars(cfg), problem.n, problem.d1, problem.d2)
+    x0, y0 = (np.zeros(d) if v is None else np.array(v, dtype=np.float64)
+              for v, d in ((cfg.x0, problem.d1), (cfg.y0, problem.d2)))
     state = GlobalState(x0, y0, 0)
     tracker = CoverageTracker()
     ledger = CostLedger()
@@ -580,20 +599,12 @@ def run(problem, cfg: RunConfig) -> RunResult:
     return RunResult(state, logs, ledger, tracker)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def logs_to_csv(logs: list) -> str:
-    """Render round logs with the fixed column set, byte-deterministically."""
+    """Render round logs with the fixed column set, byte-deterministically:
+    each column is the ``RoundLog`` field in its place, None as nan."""
+    row = attrgetter(*[f.name for f in fields(RoundLog)][:len(CSV_COLUMNS)])
     lines = [",".join(CSV_COLUMNS)]
     for log in logs:
-        row = (log.round_index, log.grad_phi_sq, log.phi, log.inner_err_sq,
-               log.c_star_x_running, log.c_star_y_running, log.bytes_up,
-               log.bytes_down, log.flops, log.mean_w1sq, log.mean_w2sq)
-        lines.append(",".join(_format_value(v) for v in row))
+        lines.append(",".join("nan" if v is None else repr(v)
+                              for v in row(log)))
     return "\n".join(lines) + "\n"

@@ -17,6 +17,7 @@ lower coordinate index. All functions are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,39 @@ POLICIES = ("static", "rolling", "magnitude_topk", "manual")
 RANGES = {"policy": POLICIES, "block_size": "at least 1"}
 
 
+def check_table(entry, name: str = "manual_tables", n: int | None = None,
+                dims: tuple = (float("inf"),) * 2) -> None:
+    """Raise InvalidSpec with key ``manual_tables`` unless the manual
+    table ``entry`` has exactly the levels "x" and "y", each passing
+    ``check_rows`` with ``n`` and its dimension in ``dims``."""
+    if not (isinstance(entry, dict) and sorted(entry) == ["x", "y"]):
+        raise InvalidSpec(f"{name} must have exactly the levels 'x' and "
+                          f"'y', got {entry!r}", key="manual_tables")
+    for level, d in zip("xy", dims):
+        check_rows(entry[level], n, d, f"{name}.{level}")
+
+
+def check_rows(rows, n: int | None, d: float, name: str = "table") -> None:
+    """Raise InvalidSpec with key ``manual_tables``, naming ``name``,
+    unless ``rows`` has ``n`` rows (None: any number), each a non-empty
+    set of integer indices, not bools, in [0, d). A repeated index would
+    be charged once by a mask and twice by a count of the row."""
+    if not isinstance(rows, (list, tuple)):
+        raise InvalidSpec(f"{name} must be a list of rows, one per client, "
+                          f"got {rows!r}", key="manual_tables")
+    if n not in (None, len(rows)):
+        raise InvalidSpec(f"{name} has {len(rows)} rows for {n} clients",
+                          key="manual_tables")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and row and all(
+                type(k) is int or isinstance(k, np.integer) for k in row)
+                and 0 <= min(row) and max(row) < d
+                and len(set(row)) == len(row)):
+            raise InvalidSpec(
+                f"{name} row {i} must list one or more distinct integer "
+                f"indices in [0, {d}), got {row!r}", key="manual_tables")
+
+
 def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
     offset = (phase % period) * target
     return (offset + np.arange(target)) % d
@@ -114,15 +148,15 @@ def generate_mask(params: np.ndarray, capacities, policy: str,
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[0]
     masks = np.zeros((len(capacities), d), dtype=np.uint8)
+    if policy == "manual":
+        check_rows(table, len(capacities), d)
+        rows = np.repeat(np.arange(len(table)), list(map(len, table)))
+        masks[rows, list(chain.from_iterable(table))] = 1
     ranking = (_topk_order(params, block_size)
                if policy == "magnitude_topk" else None)
-    for i, capacity in enumerate(capacities):
+    for i, capacity in enumerate(capacities if policy != "manual" else ()):
         target = active_count(capacity, d)
-        if policy == "manual":
-            idx = np.asarray(table[i], dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= d):
-                raise DimensionMismatch("manual table index out of range")
-        elif policy == "static":
+        if policy == "static":
             idx = _window_indices(d, target, i, period(capacity))
         elif policy == "rolling":
             idx = _window_indices(d, target, round_index + i, period(capacity))
@@ -176,12 +210,9 @@ class CoverageTracker:
 
     def observe(self, c_star_x: int | None, c_star_y: int | None) -> None:
         """Fold in one round's C* per level (None: nothing trained)."""
-        if c_star_x is not None:
-            self.c_star_x = c_star_x if self.c_star_x is None \
-                else min(self.c_star_x, c_star_x)
-        if c_star_y is not None:
-            self.c_star_y = c_star_y if self.c_star_y is None \
-                else min(self.c_star_y, c_star_y)
+        for name, c_star in (("c_star_x", c_star_x), ("c_star_y", c_star_y)):
+            known = [v for v in (getattr(self, name), c_star) if v is not None]
+            setattr(self, name, min(known) if known else None)
 
 
 def mask_deviation(v: np.ndarray, masks: np.ndarray) -> float:

@@ -6,16 +6,3 @@ from .quadratic import (
     derive_constants,
     make_quadratic,
 )
-
-__all__ = [
-    "BilevelProblem",
-    "ProblemConstants",
-    "SampleBatch",
-    "QuadraticProblem",
-    "QuadraticSpec",
-    "LogisticTuneProblem",
-    "LogisticTuneSpec",
-    "make_quadratic",
-    "make_logistic_tune",
-    "derive_constants",
-]

@@ -26,7 +26,7 @@ from rabosim.cli import (
     run_experiment,
 )
 from rabosim.errors import InvalidSpec, MissingBaseline, ParseError
-from rabosim.federation import DOWNLOAD_MODES, RunConfig
+from rabosim.federation import DOWNLOAD_MODES, GlobalState, RunConfig
 from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.masking import POLICIES
 from rabosim.problems import (
@@ -138,7 +138,8 @@ def valid_documents(draw):
                                     max_size=3, unique=True))}
     if policy == "manual":
         sweep["manual_tables"] = [{level: draw(st.lists(
-            st.lists(st.integers(0, d - 1), min_size=1, max_size=d),
+            st.lists(st.integers(0, d - 1), min_size=1, max_size=d,
+                     unique=True),
             min_size=n, max_size=n)) for level, d in (("x", d1), ("y", d2))}]
     return {"problem": problem, "run": run, "sweep": sweep}
 
@@ -944,15 +945,53 @@ CROSS_KEY_RULES = {
 }
 
 
-@pytest.mark.parametrize("rule", CROSS_KEY_RULES)
-def test_run_rule_holds_in_library_and_cli(tmp_path, capsys, rule):
-    # RunConfig and resolve_config share each rule: the constructor raises
-    # InvalidSpec with the rule's key, and the CLI exits 2 naming it
-    # before anything is written
-    settings, overrides, key, name = CROSS_KEY_RULES[rule]
-    with pytest.raises(InvalidSpec) as err:
-        RunConfig(**settings)
-    assert err.value.key == key
+
+
+def manual_rule(table: dict, level: str = "") -> tuple:
+    """A FIT_RULES entry for a manual table that breaks a rule at
+    ``level`` ("" for the entry itself)."""
+    return ({"policy": "manual", "manual_tables": table},
+            ["run.policy=manual", f"sweep.manual_tables={json.dumps([table])}"],
+            "manual_tables", f"sweep.manual_tables[0]{level}")
+
+
+# The rules that fit a run to the small config's problem (n = 2, d1 = d2
+# = 4), in the same form as CROSS_KEY_RULES
+FIT_RULES = {
+    "capacities-count": (
+        {"capacities": ["1"] * 3}, ['run.capacities=["1", "1", "1"]'],
+        "capacities", "run.capacities"),
+    "sweep-capacities-count": (
+        {"capacities": ["1"] * 3}, ['sweep.capacities=[["1", "1", "1"]]'],
+        "capacities", "sweep.capacities"),
+    "table-rows": manual_rule(
+        {**TWO_CLIENT_TABLES, "x": [[0], [1], [2]]}, ".x"),
+    "table-index-range": manual_rule(
+        {**TWO_CLIENT_TABLES, "x": [[0], [4]]}, ".x"),
+    # a float index used to be truncated, and a bool to run as 0 or 1
+    "float-entry": manual_rule({**TWO_CLIENT_TABLES, "x": [[0.5], [1]]}, ".x"),
+    "bool-entry": manual_rule({**TWO_CLIENT_TABLES, "y": [[True], [1]]}, ".y"),
+    # a table with no y level used to end in a TypeError, and an extra
+    # level used to run
+    "missing-level": manual_rule({"x": TWO_CLIENT_TABLES["x"]}),
+    "extra-level": manual_rule({**TWO_CLIENT_TABLES, "Y": [[2], [2]]}),
+    # the ledger charged the row's popcount, a row-length count its length
+    "repeated-index": manual_rule(
+        {**TWO_CLIENT_TABLES, "x": [[0, 0], [1]]}, ".x"),
+    # a short x0 used to fail naming no setting, a non-finite one to run
+    # until the divergence guard stopped it
+    "x0-length": ({"x0": [0.0] * 3}, ["run.x0=[0, 0, 0]"], "x0", "run.x0"),
+    "y0-length": ({"y0": [0.0] * 5}, ["run.y0=[0, 0, 0, 0, 0]"], "y0",
+                  "run.y0"),
+    "non-finite-x0": ({"x0": [math.nan, 0.0, 0.0, 0.0]},
+                      ["run.x0=[NaN, 0, 0, 0]"], "x0", "run.x0"),
+}
+
+
+def assert_cli_rejects(tmp_path, capsys, overrides, key, name):
+    """The small config with ``overrides`` exits 2 naming ``name`` before
+    anything is written, and resolving it raises InvalidSpec with
+    ``key``."""
     path = write_config(tmp_path, small_quadratic_config())
     flags = [flag for spec in overrides for flag in ("--override", spec)]
     code = main(["run", str(path), "--out", str(tmp_path / "out")] + flags)
@@ -963,6 +1002,33 @@ def test_run_rule_holds_in_library_and_cli(tmp_path, capsys, rule):
     with pytest.raises(InvalidSpec) as resolved:
         parse_config(path, overrides)
     assert resolved.value.key == key
+
+
+@pytest.mark.parametrize("rule", CROSS_KEY_RULES)
+def test_run_rule_holds_in_library_and_cli(tmp_path, capsys, rule):
+    # RunConfig and resolve_config share each rule: the constructor raises
+    # InvalidSpec with the rule's key, and the CLI exits 2 naming it
+    settings, overrides, key, name = CROSS_KEY_RULES[rule]
+    with pytest.raises(InvalidSpec) as err:
+        RunConfig(**settings)
+    assert err.value.key == key
+    assert_cli_rejects(tmp_path, capsys, overrides, key, name)
+
+
+@pytest.mark.parametrize("rule", FIT_RULES)
+def test_fit_rule_holds_in_library_and_cli(tmp_path, capsys, rule):
+    # run, rabo_round and resolve_config share each rule that fits a run
+    # to its problem: the library raises InvalidSpec with the rule's key,
+    # and the CLI exits 2 naming the entry
+    settings, overrides, key, name = FIT_RULES[rule]
+    problem = make_quadratic(n=2, d1=4, d2=4)
+    for call in (lambda cfg: federation.run(problem, cfg),
+                 lambda cfg: federation.rabo_round(
+                     problem, GlobalState(np.zeros(4), np.zeros(4)), cfg)):
+        with pytest.raises(InvalidSpec) as err:
+            call(RunConfig(**settings))
+        assert err.value.key == key
+    assert_cli_rejects(tmp_path, capsys, overrides, key, name)
 
 
 def test_run_section_is_run_config(tmp_path):

@@ -19,6 +19,7 @@ from rabosim.federation import (
     CSV_COLUMNS,
     CostLedger,
     GlobalState,
+    RoundLog,
     RunConfig,
     aggregate_inner,
     aggregate_outer,
@@ -281,7 +282,8 @@ class TestRabobRound:
         with pytest.raises(InvalidSpec) as err:
             rabo_round(prob, state, cfg)
         assert err.value.key == "capacities"
-        assert f"{count} capacities for 3 clients" in str(err.value)
+        assert str(err.value) == \
+            f"capacities lists {count} capacities for 3 clients"
 
     def test_one_generate_mask_call_per_level(self, monkeypatch):
         calls = []
@@ -328,8 +330,7 @@ class TestRabobRound:
         with pytest.raises(InvalidSpec) as err:
             rabo_round(prob, GlobalState(np.zeros(4), np.zeros(4), 0), cfg)
         assert err.value.key == "manual_tables"
-        assert f"3 manual_tables.{level} rows for 2 clients" in \
-            str(err.value)
+        assert str(err.value) == f"manual_tables.{level} has 3 rows for 2 clients"
 
     def test_stationary_fixed_point(self):
         prob = make_quadratic(seed=6, n=4, d1=5, d2=5, hetero=0.3, lam=0.8,
@@ -885,6 +886,15 @@ class TestCosts:
 
 
 class TestCsvRendering:
+    def test_columns_are_round_log_fields_in_order(self):
+        # each column is the RoundLog field in its place; the mask rows
+        # stay out
+        log = RoundLog(3, 0.5, 1.5, 2.5, None, 2, 64, 128, 1000, 0.25, 0.75,
+                       ("ff",), ("0f",))
+        assert logs_to_csv([log]) == (",".join(CSV_COLUMNS) + "\n"
+                                      "3,0.5,1.5,2.5,nan,2,64,128,1000,0.25,"
+                                      "0.75\n")
+
     def test_fixed_header_and_nan(self):
         prob = make_logistic_tune(seed=20, n=2, imbalance_mu=0.5, classes=3,
                                   features=3, base_count=30)

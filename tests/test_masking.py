@@ -144,9 +144,24 @@ class TestGenerateMask:
         assert np.array_equal(a, b)
 
     def test_manual_table_index_out_of_range(self):
-        with pytest.raises(DimensionMismatch, match="out of range"):
+        with pytest.raises(InvalidSpec, match=r"table row 1 must list one or "
+                           r"more distinct integer indices in \[0, 2\)") as err:
             generate_mask(np.zeros(2), caps(1, 1), "manual", 0,
                           table=[[0], [2]])
+        assert err.value.key == "manual_tables"
+
+    @pytest.mark.parametrize("table", [
+        None, [[0], [1], [0]], [[0]], [[0], 1], [[0], []], [[-1], [1]],
+        [[0.5], [1]], [[True], [1]], [[0, 0], [1]]],
+        ids=["none", "long", "short", "row-not-list", "empty-row", "negative",
+             "float", "bool", "repeated"])
+    def test_manual_table_rule(self, table):
+        # a float index used to be truncated, a bool to run as 0 or 1, a
+        # repeated index to be charged twice by a row-length count and a
+        # missing table to end in a TypeError
+        with pytest.raises(InvalidSpec) as err:
+            generate_mask(np.zeros(2), caps(1, 1), "manual", 0, table=table)
+        assert err.value.key == "manual_tables"
 
 
 class TestApplyMask:
