@@ -38,7 +38,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import shutil
 import sys
 from dataclasses import dataclass, field
@@ -130,8 +129,9 @@ def _is_int(v) -> bool:
 
 
 def _is_finite(v) -> bool:
+    # not math.isfinite, which raises OverflowError on an int past floats
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
+        and abs(v) <= sys.float_info.max
 
 
 def _is_str(v) -> bool:

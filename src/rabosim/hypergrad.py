@@ -18,28 +18,21 @@ Two routes to the same quantity:
   the lower-level gradient.
 
 ``jacobian_column_fd`` returns delta_p, the response of the descent
-direction to a unit outer perturbation. ``rafbo_hypergradient`` forms
-every delta_p of a client's perturbation set at once: one
-``grad_g_y_perturbed`` call yields each client's base gradient and the
-gradient at every x + mu e_p, the difference step runs in place on those
-rows, and one matrix-vector product takes the inner products with the masked
-grad_y f. Masking the d2-vector grad_y f instead of the |P| x d2 deltas
-gives the same bits, as the bits are 0 or 1. On the quadratic family
-each row is the base plus mu B_i[:, p], O(d2) work; the scaled block
-mu B_i^T[P] is formed once per distinct (B_i, P) of the call and
-released after its last client, so the clients of one mask window
-share it. That sums in another order than a ``grad_g_y`` call at the
-perturbed point, so each delta_p agrees with ``jacobian_column_fd`` to
-rounding, not bit for bit.
-On the logistic family the points go through one stacked pass that
-reruns the softmax only for offset perturbations, and each delta_p
-equals ``jacobian_column_fd`` bit for bit. At a fixed BLAS thread count
-the result is deterministic on both. The orientation matters: delta
-already carries the sign of the inner-optimum response, so on problems
-with unit inner curvature it equals the Jacobian column of x -> y*(x)
-exactly for every step size, and the two estimators coincide. With
-curved cross-coupling the finite difference picks up an O(mu) bias whose
-magnitude is bounded by ``hypergrad_error_bound``.
+direction to a unit outer perturbation. ``rafbo_hypergradient`` takes
+every <delta_p, v> from one ``implicit_term`` row call, with v the
+masked grad_y f (masking v, not every delta_p, gives the same bits, as
+the bits are 0 or 1). On the logistic family each delta_p equals
+``jacobian_column_fd`` bit for bit. On the quadratic family it is the
+exact difference, -B_i[:, p] - (tau/2)(2 x_p + mu) U_i y, in closed
+form: one B_i^T v product per distinct row, no perturbed gradient, and
+none of the difference's rounding of order eps ||grad_y g|| / mu. At a
+fixed BLAS thread count the result is deterministic on both. The
+orientation matters: delta already carries the sign of the inner-optimum
+response, so on problems with unit inner curvature it equals the
+Jacobian column of x -> y*(x) exactly for every step size, and the two
+estimators coincide. With curved cross-coupling the finite difference
+picks up an O(mu) bias whose magnitude is bounded by
+``hypergrad_error_bound``.
 
 Regime. The implicit term sum_p <delta_p, grad_y f> e_p equals
 -(d^2 g/dx dy) grad_y f, while the true one is
@@ -55,12 +48,12 @@ the noiseless quadratic family, rafbo's stall point is the fixed point
 of the exact round map in ``tests/linear_oracle.py``.
 
 Both evaluations inside a difference share one batch (common random
-numbers), so additive gradient noise cancels to first order.
+numbers); the quadratic closed form cancels additive noise exactly.
 
 ``federation.CostLedger`` prices both routes from the round's mask arrays;
 an estimator takes its client's mask rows and returns the hypergradient.
-The rafbo charge stays ``2|P| + 2`` gradient evaluations whichever way a
-family evaluates its perturbed points.
+The rafbo charge stays ``2|P| + 2`` gradient evaluations on both
+families; the quadratic closed form is their exact difference.
 """
 
 from __future__ import annotations
@@ -182,14 +175,13 @@ def rafbo_hypergradient(problem, i, x_masked: np.ndarray,
                         rng: RngStream | None = None) -> np.ndarray:
     """Second-order-free hypergradient via coordinate-wise differences.
 
-    value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the lower
-    gradients come from one ``grad_g_y_perturbed`` call. Clients are
-    rows, as in ``exact_hypergradient``, with one ``rng`` per row.
+    value = grad_x f + sum_{p in P} <delta_p, grad_y f> e_p; the inner
+    products come from one ``implicit_term`` call. Clients are rows, as
+    in ``exact_hypergradient``, with one ``rng`` per row.
 
-    The difference step runs in place on each client's rows, which the
-    caller owns, in turn. The inner mask multiplies grad_y f (d2
-    products), not every delta_p (|P| d2); with 0/1 bits (delta * b) * g
-    and delta * (b * g) are the same float, signed zeros included.
+    The inner mask multiplies grad_y f (d2 products), not every delta_p
+    (|P| d2); with 0/1 bits (delta * b) * g and delta * (b * g) are the
+    same float, signed zeros included.
     """
     check_ranges({"mu": mu}, RANGES)
     one, i, x, y, mask_x, mask_y, batch_f, batch_g, rng = problem.rows(
@@ -198,11 +190,9 @@ def rafbo_hypergradient(problem, i, x_masked: np.ndarray,
               for m, stream in zip(mask_x, rng)]
     value = problem.grad_f_x(i, x, y, batch_f).copy()
     gfy = apply_mask(problem.grad_f_y(i, x, y, batch_f), mask_y)
-    pairs = problem.grad_g_y_perturbed(i, x, y, coords, mu, batch_g)
-    for r, (base, rows) in enumerate(pairs):
-        np.subtract(base, rows, out=rows)
-        rows /= mu
-        value[r, coords[r]] += rows @ gfy[r]
+    terms = problem.implicit_term(i, x, y, coords, mu, gfy, batch_g)
+    for r, term in enumerate(terms):
+        value[r, coords[r]] += term
     value = apply_mask(value, mask_x)
     return value[0] if one else value
 

@@ -124,22 +124,17 @@ class BilevelProblem(ABC):
         ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
         uses the same batch. A row call takes one ``coords`` per row and
         returns an iterator of each client's pair, each made when reached.
-        This default makes one ``grad_g_y`` call per point. Families may
-        override it. The quadratic family builds each row from the base
-        and the perturbation's structure, so its rows equal the single
-        call to rounding, not bit for bit; a row call forms the scaled
-        block mu B_i^T[coords] once per distinct (B_i, coords) and
-        releases it after the last row that uses it. The logistic
-        family evaluates every point in one stacked pass with the single
-        call's operations, so its rows equal the single call bit for bit;
-        only offset perturbations rerun the softmax. Repeated calls stay
-        bit-identical at a fixed BLAS thread count.
+        This default makes one ``grad_g_y`` call per point, so its rows
+        equal those calls bit for bit. The logistic family overrides it
+        with one stacked pass of the single call's operations, so its
+        rows equal them bit for bit too; only offset perturbations rerun
+        the softmax.
 
         ``rows`` is a fresh array that the caller owns and may overwrite:
         it shares no memory with the problem's state or with another
         client's rows, and writing to it changes neither ``base`` nor a
-        later call's result
-        (``rafbo_hypergradient`` runs its difference step in place on it).
+        later call's result (``implicit_term`` runs its difference step
+        in place on it).
         """
         if np.ndim(i):
             _, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
@@ -153,6 +148,27 @@ class BilevelProblem(ABC):
             x_pert[p] += mu
             rows[k] = self.grad_g_y(i, x_pert, y, batch)
         return base, rows
+
+    def implicit_term(self, i, x: np.ndarray, y: np.ndarray,
+                      coords: np.ndarray, mu: float, v: np.ndarray,
+                      batch: SampleBatch | None = None) -> np.ndarray:
+        """Each ``<delta_p, v>``, p in ``coords``, as a ``len(coords)`` array.
+
+        delta_p = (grad_g_y(x) - grad_g_y(x + mu e_p)) / mu under one
+        batch; ``v`` lives in R^{d2}. A row call takes one ``coords`` and
+        one ``v`` per row and returns a list of each row's array. This
+        default differences ``grad_g_y_perturbed``'s rows in place and
+        takes one product with ``v``; the quadratic family overrides it
+        with the exact difference in closed form.
+        """
+        one, i, x, y, coords, v, batch = self.rows(i, x, y, coords, v, batch)
+        terms = []
+        for (base, rows), w in zip(
+                self.grad_g_y_perturbed(i, x, y, coords, mu, batch), v):
+            np.subtract(base, rows, out=rows)
+            rows /= mu
+            terms.append(rows @ w)
+        return terms[0] if one else terms
 
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod

@@ -173,41 +173,23 @@ class QuadraticProblem(BilevelProblem):
         self._add_noise(grad, batch, s.noise_g, slice(None, self.d2))
         return grad[0] if one else grad
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+    def implicit_term(self, i, x, y, coords, mu, v, batch=None):
         # x + mu e_p changes the gradient by mu B_i[:, p] and, with the
-        # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so each row is
-        # the base plus O(d2) work. Every row keeps the base's noise draw.
-        # The rows of one (B_i, P) share one scaled block mu * B_i^T[P],
-        # formed at their first row and dropped after their last, and each
-        # client gets a fresh block + base: the operations of
-        # base + mu * B_i^T[P]. The block is a C-ordered gather, so the
-        # rows are C-ordered too: rafbo's rows @ grad_y f would take
-        # another GEMV path, and other bits, on F-ordered rows.
-        one, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
+        # quartic term, by (tau/2)(2 mu x_p + mu^2) U_i y, so the exact
+        # difference is delta_p = -B_i[:, p] - (tau/2)(2 x_p + mu) U_i y:
+        # the terms are -(B_i^T v)[P] - (tau/2)(2 x_P + mu) <U_i y, v>.
+        # The batch's noise is the same at every point and cancels.
+        one, i, x, y, coords, v = self.rows(i, x, y, coords, v)
         for c in coords:
             self.check_coords(c)
         s = self.spec
-        keys = [(id(s.b_mats[j]), c.dtype, c.tobytes())
-                for j, c in zip(i.tolist(), coords)]
-        last = {key: r for r, key in enumerate(keys)}
-        base = self.grad_g_y(i, x, y, batch)
-
-        def pairs():
-            blocks = {}
-            for r, (j, key) in enumerate(zip(i.tolist(), keys)):
-                if key not in blocks:
-                    blocks[key] = s.b_mats[j].T[coords[r]].astype(
-                        np.float64, copy=False)
-                    blocks[key] *= mu
-                rows = blocks[key] + base[r]
-                if last[key] == r:
-                    del blocks[key]
-                if s.quartic:
-                    growth = (s.quartic / 2.0) * (
-                        2.0 * mu * x[r, coords[r]] + mu * mu)
-                    rows += np.outer(growth, s.u_mats[j] @ y[r])
-                yield base[r], rows
-        return next(pairs()) if one else pairs()
+        terms = [-row[c] for row, c in
+                 zip(self._apply(s.b_mats, i, v, transpose=True), coords)]
+        if s.quartic:
+            uy_v = np.vecdot(self._apply(s.u_mats, i, y), v)
+            for r, c in enumerate(coords):
+                terms[r] -= (s.quartic / 2.0) * (2.0 * x[r, c] + mu) * uy_v[r]
+        return terms[0] if one else terms
 
     def hess_yy_g(self, i, x, y, batch=None, active=None):
         one, i, x, y, active = self.rows(i, x, y, active)

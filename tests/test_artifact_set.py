@@ -1,15 +1,12 @@
 """tools/artifact_set.py: which runs make up the standard artifact set."""
 
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from rabosim.cli import build_problem, build_run_config, resolve_config
 from rabosim.federation import GlobalState, rabo_round
-from rabosim.problems import QuadraticProblem
-from tests_support import counted
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_set.py"
 spec = importlib.util.spec_from_file_location("artifact_set", TOOL)
@@ -30,26 +27,23 @@ def test_documents_name_the_standard_set():
         resolve_config(raw)
 
 
-def test_sampled_sets_form_a_block_per_client():
-    # the clients mostly draw their own perturbation sets, so most rafbo
-    # row calls form one scaled block of the shared B per client
+def test_sampled_sets_take_one_bt_product_per_client(monkeypatch):
+    # the clients mostly draw their own perturbation sets, and each
+    # round's implicit term still takes one product with the shared B^T,
+    # over one distinct grad_y f row per client, whatever the sets
     cfg = resolve_config(artifact_set.SAMPLED_SETS)
-    spec = build_problem(cfg.problem).spec
-    gathers = []
-    prob = QuadraticProblem(replace(
-        spec, b_mats=[counted(spec.b_mats[0], gathers)] * len(spec.b_mats)))
+    prob = build_problem(cfg.problem)
+    b = prob.spec.b_mats[0]
+    products, matvec = [], np.matvec
+    monkeypatch.setattr(np, "matvec", lambda a, v: (
+        a.base is b and products.append(len(v))) or matvec(a, v))
     run_cfg = build_run_config(cfg.run, prob.n, 1, "rafbo",
                                cfg.run["capacities"])
     state = GlobalState(np.zeros(prob.d1), np.zeros(prob.d2), 0)
-    counts = []
     for _ in range(cfg.run["rounds"]):
-        gathers.clear()
+        products.clear()
         state, _ = rabo_round(prob, state, run_cfg)
-        assert len(set(gathers)) == len(gathers)
-        counts.append(len(gathers))
-    # each round forms one block per distinct set: one per client in 16
-    # rounds, and 7 in the 4 rounds where two clients draw one set
-    assert sorted(counts) == [7] * 4 + [8] * 16
+        assert products == [prob.n]
 
 
 def test_usage_exit_two(capsys):

@@ -660,6 +660,9 @@ class TestMainEntry:
         (["--override", "run.rounds=0", "--override",
           'output.compare_baseline="est_exact_aid__cap1__seed_0"'],
          "compare_baseline"),
+        # an integer past the float range used to raise OverflowError
+        (["--override", "run.alpha=1" + "0" * 400], "alpha"),
+        (["--override", "problem.lam=-1" + "0" * 400], "lam"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):

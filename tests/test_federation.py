@@ -433,10 +433,15 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
     """Three rounds, with clients as rows or with every round phase called
     one client at a time; returns ((factorizations, LAPACK ``potrs``
     calls) per round, each round's bytes of x and y and log, products per
-    round), where products lists each ``np.matvec`` with an A_i or a B_i
-    as (block id, its rows' bytes)."""
+    round), where products lists each ``np.matvec`` with an A_i, a B_i or
+    a B_i^T as ((block id, transposed), its rows' bytes)."""
     built, solved, counts, rounds, products = [], [], [], [], []
     blocks = {id(b) for b in prob.spec.a_mats + prob.spec.b_mats}
+
+    def block_key(a):
+        """(block id, transposed) of an A_i, a B_i or a B_i^T, else None."""
+        return (id(a), False) if id(a) in blocks else \
+            (id(a.base), True) if id(a.base) in blocks else None
     build, potrs, matvec = hypergrad.spd_solver, linalg.dpotrs, np.matvec
     batch = 2 if noise else 0
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
@@ -448,8 +453,9 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
                       lambda a: built.append(a.shape) or build(a))
         patch.setattr(linalg, "dpotrs", lambda c, b, **kwargs:
                       solved.append(b.shape) or potrs(c, b, **kwargs))
-        patch.setattr(np, "matvec", lambda a, v: id(a) in blocks and products[
-            -1].append((id(a), [r.tobytes() for r in v])) or matvec(a, v))
+        patch.setattr(np, "matvec", lambda a, v: (key := block_key(a)) and
+                      products[-1].append((key, [r.tobytes() for r in v]))
+                      or matvec(a, v))
         for name in [] if rows else ["client_inner_loop",
                                      "exact_hypergradient",
                                      "rafbo_hypergradient"]:
@@ -501,15 +507,17 @@ class TestRoundSharing:
         _, want_rounds, want = three_rounds(prob, monkeypatch, rows=False,
                                             **run)
         assert rounds == want_rounds
-        # each lower gradient takes one product with its client's A_i and
-        # one with its B_i: two inner epochs, and rafbo's base gradients
-        calls = 2 + (estimator == RAFBO)
-        users = Counter(map(id, prob.spec.a_mats + prob.spec.b_mats))
+        # each of the two inner epochs' lower gradients takes one product
+        # with its client's A_i and one with its B_i, and the hypergradient
+        # one with B_i^T: exact_aid's cross term, rafbo's implicit term
+        users = Counter([(id(a), False) for a in prob.spec.a_mats]
+                        + [(id(b), t) for b in prob.spec.b_mats
+                           for t in (False, True)])
+        calls = {key: 1 if key[1] else 2 for key in users}
         for products, want_products in zip(got, want, strict=True):
             assert Counter(key for key, _ in want_products) \
-                == {key: n * calls for key, n in users.items()}
-            assert Counter(key for key, _ in products) \
-                == dict.fromkeys(users, calls)
+                == {key: n * calls[key] for key, n in users.items()}
+            assert Counter(key for key, _ in products) == calls
             for key in users:
                 inputs = [rows for k, rows in products if k == key]
                 assert all(len(set(rows)) == len(rows) for rows in inputs)

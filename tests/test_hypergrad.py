@@ -335,16 +335,15 @@ def loop_reference(prob, i, x, y, mx, my, mu, coord_fraction, batch_f=None,
     """The estimator as one jacobian_column_fd call per perturbed coordinate.
 
     The deltas come from the loop; their inner products with grad_y f are
-    taken in one matrix-vector product, as the estimator takes them, so a
-    family whose batched rows equal the single call bit for bit matches
-    the estimator bit for bit. Returns the value and an entrywise bound on
-    how far another summation order of the rows may move it. A perturbed
-    row within ``grad_g_y_row_bound`` of the loop's (with ``x_base``, as
-    the rows are built from the base gradient) moves delta_p by that
-    bound over mu, plus the rounding of the difference and the division (a
-    few eps of |delta_p|); the product then rounds the two sets of deltas
-    differently, by up to d2 eps of |delta_p| @ |grad_y f| each, and the
-    final add by eps of the value.
+    taken in one matrix-vector product, as the default ``implicit_term``
+    takes them, so a family that keeps the default matches the estimator
+    bit for bit. Returns the value and an entrywise bound on how far the
+    quadratic closed form may lie from it. The loop's delta_p lies within
+    ``grad_g_y_row_bound`` (with ``x_base``, for the two evaluations it
+    differences) over mu of the exact difference, plus the rounding of
+    the difference and the division (a few eps of |delta_p|); the two
+    products then round differently, by up to d2 eps of
+    |delta_p| @ |grad_y f| each, and the final add by eps of the value.
     """
     coords = build_perturbation_set(mx, coord_fraction, rng)
     gfy = prob.grad_f_y(i, x, y, batch_f)
@@ -369,10 +368,10 @@ def assert_within(value, ref_and_bound):
 
 
 class TestRafboBatchedEquivalence:
-    """The batched estimator equals the per-coordinate loop to rounding.
-
-    The batched lower gradient and the contraction sum in another order
-    than the loop, so equality holds within ``loop_reference``'s bound.
+    """The batched estimator equals the per-coordinate loop: bit for bit on
+    the logistic family, within ``loop_reference``'s bound on the
+    quadratic one, whose implicit term is the exact difference the loop
+    rounds.
     """
 
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
@@ -415,14 +414,14 @@ class TestRafboBatchedEquivalence:
             assert np.array_equal(est, ref)
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic"])
-    def test_one_base_gradient_and_one_batch_call(self, family, monkeypatch):
+    def test_one_implicit_term_call(self, family, monkeypatch):
         if family == "quadratic":
             prob = make_quadratic(seed=31, n=3, d1=6, d2=5)
         else:
             prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
                                       base_count=20)
         calls = []   # (callback, clients): an index array or one client
-        for name in ("grad_g_y", "grad_g_y_perturbed"):
+        for name in ("implicit_term", "grad_g_y", "grad_g_y_perturbed"):
             original = getattr(prob, name)
 
             def counted(i, *args, _name=name, _original=original, **kwargs):
@@ -434,12 +433,14 @@ class TestRafboBatchedEquivalence:
         clients = list(range(prob.n))
         rafbo_hypergradient(prob, clients, np.zeros(mx.shape),
                             np.zeros(my.shape), mx, my, 1e-3, 1.0)
-        # the quadratic override builds every client's rows on one row
-        # call of grad_g_y for their bases; the logistic one evaluates each
-        # client's points, base included, in that client's stacked pass
-        inner = [("grad_g_y", clients)] if family == "quadratic" else \
+        # the quadratic closed form evaluates no lower gradient; the
+        # logistic default takes one row call of grad_g_y_perturbed, which
+        # evaluates each client's points, base included, in that client's
+        # stacked pass
+        inner = [] if family == "quadratic" else \
+            [("grad_g_y_perturbed", clients)] + \
             [("grad_g_y_perturbed", i) for i in clients]
-        assert calls == [("grad_g_y_perturbed", clients)] + inner
+        assert calls == [("implicit_term", clients)] + inner
         assert ledger_hypergrad_flops(mx[0], my[0], RAFBO) \
             == rafbo_flops(prob.d1, prob.d2, prob.d1)
 
@@ -471,28 +472,21 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=st.data(), family=st.sampled_from(["quadratic", "logistic"]),
-       mu=st.floats(1e-6, 1.0),
+@given(data=st.data(), mu=st.floats(1e-6, 1.0),
        fraction=st.one_of(st.just(1.0), st.floats(0.1, 0.95)),
        seed=st.integers(0, 2 ** 16))
-def test_rafbo_equals_masked_deltas_bit_for_bit(data, family, mu, fraction,
-                                                seed):
+def test_rafbo_equals_masked_deltas_bit_for_bit(data, mu, fraction, seed):
     """Masking grad_y f and working in place on the rows gives the bits of
-    masking every delta_p out of place."""
-    if family == "quadratic":
-        d1, d2 = data.draw(st.integers(1, 7)), data.draw(st.integers(2, 7))
-        prob = make_quadratic(
-            seed=seed, n=2, d1=d1, d2=d2, hetero=0.5, eig_min=0.5, eig_max=2.0,
-            quartic=data.draw(st.sampled_from([0.0, 0.3])), noise_f=0.2,
-            noise_g=0.5)
-        size = 1
-    else:
-        prob = make_logistic_tune(
-            seed=seed, n=2, imbalance_mu=0.8,
-            classes=data.draw(st.integers(2, 4)),
-            features=data.draw(st.integers(1, 4)), base_count=30)
-        m = prob.spec.clients[1].x_train.shape[0]
-        size = data.draw(st.one_of(st.just(10 ** 6), st.integers(1, m - 1)))
+    masking every delta_p out of place, on the logistic family, whose
+    implicit term is the default difference of rows. The quadratic closed
+    form is checked against those rows to rounding in
+    ``test_quadratic_implicit_term_within_rounding_of_rows``."""
+    prob = make_logistic_tune(
+        seed=seed, n=2, imbalance_mu=0.8,
+        classes=data.draw(st.integers(2, 4)),
+        features=data.draw(st.integers(1, 4)), base_count=30)
+    m = prob.spec.clients[1].x_train.shape[0]
+    size = data.draw(st.one_of(st.just(10 ** 6), st.integers(1, m - 1)))
     bits_x = data.draw(st.lists(st.integers(0, 1), min_size=prob.d1,
                                 max_size=prob.d1).filter(any))
     # at least one inner coordinate inactive

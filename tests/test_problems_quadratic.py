@@ -2,7 +2,6 @@ import dataclasses
 import json
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,11 +27,7 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from linear_oracle import outer_minimizer
-from tests_support import (
-    assert_caller_owns_rows,
-    counted,
-    grad_g_y_row_bound,
-)
+from tests_support import EPS, assert_caller_owns_rows
 
 
 def one_dim_problem(lam=0.0):
@@ -597,14 +592,10 @@ class TestDerivativeCallbacks:
 
 
 class TestGradGyBatch:
-    """``grad_g_y_perturbed``: the base is ``grad_g_y`` bit for bit, and
-    each row equals a separate ``grad_g_y`` call at x + mu e_p to rounding.
-
-    Row k is the base plus mu B_i[:, p] (and the quartic term's change),
-    which sums in another order than the single call at the perturbed
-    point; ``grad_g_y_row_bound`` with ``x_base`` states how far that may
-    move a row.
-    """
+    """``grad_g_y_perturbed``, the base default on the quadratic family:
+    the base and every row equal separate ``grad_g_y`` calls bit for bit.
+    ``tests/test_problems_logistic.py`` checks the same default, and the
+    logistic override, on the logistic family."""
 
     COORDS = np.array([0, 5, 5, 36, 17, 2, 30])  # a repeat, both ends
 
@@ -625,39 +616,22 @@ class TestGradGyBatch:
                                                  batch)
             assert np.array_equal(base, prob.grad_g_y(1, x, y, batch))
             assert rows.shape == (7, 23)
-            xs = np.tile(x, (7, 1))
-            xs[np.arange(7), self.COORDS] += mu
-            bound = grad_g_y_row_bound(prob, 1, xs, y, batch, x_base=x)
-            for x_pert, row, tol in zip(xs, rows, bound):
-                assert np.all(
-                    np.abs(row - prob.grad_g_y(1, x_pert, y, batch)) <= tol)
+            for p, row in zip(self.COORDS, rows):
+                x_pert = x.copy()
+                x_pert[p] += mu
+                assert np.array_equal(row, prob.grad_g_y(1, x_pert, y, batch))
 
-    def test_repeated_calls_bit_identical(self):
-        prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
-                              eig_min=0.6, eig_max=1.7, quartic=0.2,
-                              noise_g=0.7)
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(37)
-        y = rng.standard_normal(23)
-        batch = SampleBatch("g", seed=4, client=1, round_index=2, draw=3)
-        first = prob.grad_g_y_perturbed(1, x, y, self.COORDS, 1e-3, batch)
-        second = prob.grad_g_y_perturbed(1, x, y, self.COORDS, 1e-3, batch)
-        assert np.array_equal(first[0], second[0])
-        assert np.array_equal(first[1], second[1])
-
-    @pytest.mark.parametrize("perturbed", [
-        QuadraticProblem.grad_g_y_perturbed,
-        BilevelProblem.grad_g_y_perturbed], ids=["override", "default"])
-    def test_caller_owns_rows(self, perturbed):
-        # every client holds its own writable B_i, which the rows start as
-        # a copy of; overwriting them must leave B_i as it was
+    def test_caller_owns_rows(self):
+        # every client holds its own writable B_i; overwriting the rows
+        # must leave B_i as it was
         spec = distinct_copies(small_spec(n=2, d1=5, d2=4, noise_g=0.3))
         assert spec.b_mats[1].flags.writeable
         b_before = spec.b_mats[1].copy()
         prob = QuadraticProblem(spec)
         rng = np.random.default_rng(13)
         batch = SampleBatch("g", seed=8, client=1, draw=1)
-        assert_caller_owns_rows(perturbed, prob, 1, rng.standard_normal(5),
+        assert_caller_owns_rows(BilevelProblem.grad_g_y_perturbed, prob, 1,
+                                rng.standard_normal(5),
                                 rng.standard_normal(4), np.array([0, 3, 4]),
                                 1e-3, batch)
         assert np.array_equal(spec.b_mats[1], b_before)
@@ -700,20 +674,6 @@ class TestGradGyBatch:
         assert all(np.array_equal(row, prob.grad_g_y(1, x[0], y[0]))
                    for row in after)
 
-    def test_rejects_wrong_row_width(self):
-        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
-        with pytest.raises(DimensionMismatch):
-            prob.grad_g_y_perturbed(0, np.zeros(3), np.zeros(3),
-                                    np.array([0, 2]), 1e-3)
-
-    @pytest.mark.parametrize("coords", [
-        np.array([[0, 1]]), np.array([0, 3]), np.array([-1]),
-        np.array([0.0, 1.0])], ids=["2-d", "past-end", "negative", "float"])
-    def test_rejects_bad_coords(self, coords):
-        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
-        with pytest.raises(DimensionMismatch):
-            prob.grad_g_y_perturbed(0, np.zeros(3), np.zeros(2), coords, 1e-3)
-
 
 def rolling_call(prob, noise=False):
     """A row call's arguments for every client of ``prob`` at rolling
@@ -732,92 +692,68 @@ def rolling_call(prob, noise=False):
     return np.arange(prob.n), x, y, [np.flatnonzero(m) for m in mx], batch
 
 
-class TestScaledBlocks:
-    """A row call of ``grad_g_y_perturbed`` forms mu * B_i^T[P] once per
-    distinct (B_i, P), gives every client fresh C-ordered rows made from
-    it, and drops it after the last row that uses it."""
+class TestImplicitTerm:
+    """``implicit_term``: the closed form -(B_i^T v)[P] - (tau/2)(2 x_P +
+    mu) <U_i y, v> of the exact difference, against the base default's
+    difference of ``grad_g_y`` rows. ``tests/test_rows.py`` checks that a
+    row call gives its rows' one-client bits."""
 
-    @pytest.mark.parametrize("quartic", [0.0, 0.2])
-    @pytest.mark.parametrize("noise", [False, True])
-    def test_rows_on_one_set_equal_one_client_calls(self, quartic, noise):
-        prob = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
-                              eig_min=0.6, eig_max=1.7, quartic=quartic,
+    # c of the bound c eps ||grad_y g|| ||v|| / mu, fixed before the first
+    # run: each delta_p of the rows carries the rounding of two lower
+    # gradients, each within about (d + 4) eps of terms of the order of
+    # ||grad_y g||, over mu; the closed form rounds far less
+    C = 64
+
+    @pytest.mark.parametrize("quartic", [0.0, 0.3])
+    @pytest.mark.parametrize("mu", [1e-6, 1e-3, 0.1])
+    def test_within_rounding_of_difference_rows(self, quartic, mu):
+        prob = make_quadratic(seed=29, n=8, d1=9, d2=7, hetero=0.4,
+                              eig_min=0.5, eig_max=2.0, quartic=quartic,
                               noise_g=0.5)
-        i, x, y, coords, batch = rolling_call(prob, noise)
-        assert len({c.tobytes() for c in coords}) == 2
-        for mu in (1e-3, 0.7):
-            pairs = prob.grad_g_y_perturbed(i, x, y, coords, mu, batch)
-            for r, (base, rows) in enumerate(pairs):
-                want = prob.grad_g_y_perturbed(r, x[r], y[r], coords[r], mu,
-                                               batch[r])
-                assert np.array_equal(base, want[0])
-                assert np.array_equal(rows, want[1])
-                if not quartic:   # the operations of base + mu B_i^T[P]
-                    scaled = prob.spec.b_mats[r].T[coords[r]] * mu
-                    assert np.array_equal(rows, scaled + base)
+        i, x, y, coords, batch = rolling_call(prob, noise=True)
+        v = np.random.default_rng(7).standard_normal((prob.n, prob.d2))
+        closed = prob.implicit_term(i, x, y, coords, mu, v, batch)
+        rows = BilevelProblem.implicit_term(prob, i, x, y, coords, mu, v,
+                                            batch)
+        grad = prob.grad_g_y(i, x, y, batch)
+        for r in range(prob.n):
+            bound = self.C * EPS * np.linalg.norm(grad[r]) \
+                * np.linalg.norm(v[r]) / mu
+            assert closed[r].shape == coords[r].shape
+            assert np.max(np.abs(closed[r] - rows[r])) <= bound
 
-    @pytest.mark.parametrize("quartic", [0.0, 0.2])
-    def test_each_client_owns_its_rows(self, quartic):
-        prob = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
-                              eig_min=0.6, eig_max=1.7, quartic=quartic)
-        i, x, y, coords, _ = rolling_call(prob)
-        pairs = list(prob.grad_g_y_perturbed(i, x, y, coords, 1e-3))
-        want = [rows.copy() for _, rows in pairs]
-        for _, rows in pairs:
-            assert rows.flags.c_contiguous and rows.flags.writeable
-        assert not any(np.shares_memory(a, b) for (_, a), (_, b)
-                       in combinations(pairs, 2))
-        # client 0 shares its (B, P) with clients 2, 4 and 6
-        pairs[0][1][...] = np.nan
-        for (_, rows), w in zip(pairs[1:], want[1:]):
-            assert np.array_equal(rows, w)
-        again = prob.grad_g_y_perturbed(i, x, y, coords, 1e-3)
-        for (_, rows), w in zip(again, want):
-            assert np.array_equal(rows, w)
+    @pytest.mark.parametrize("quartic", [0.0, 0.3])
+    def test_closed_form_draws_no_noise(self, quartic):
+        # the batch's additive noise cancels exactly: the terms under a
+        # batch are the noiseless terms, bit for bit
+        prob = make_quadratic(seed=29, n=8, d1=9, d2=7, hetero=0.4,
+                              eig_min=0.5, eig_max=2.0, quartic=quartic,
+                              noise_g=0.5)
+        i, x, y, coords, batch = rolling_call(prob, noise=True)
+        v = np.random.default_rng(7).standard_normal((prob.n, prob.d2))
+        noisy = prob.implicit_term(i, x, y, coords, 1e-3, v, batch)
+        clean = prob.implicit_term(i, x, y, coords, 1e-3, v)
+        for r in range(prob.n):
+            assert np.array_equal(noisy[r], clean[r])
+            if not quartic:
+                want = -(prob.spec.b_mats[r].T @ v[r])[coords[r]]
+                assert np.array_equal(clean[r], want)
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_one_scaled_block_per_distinct_set(self, shared):
-        # make_quadratic's one B with 2 windows' sets, or a hand-built B_i
-        # per client with the same 2 sets
-        spec = make_quadratic(seed=29, n=8, d1=10, d2=7, hetero=0.4,
-                              eig_min=0.6, eig_max=1.7).spec
-        gathers = []
-        b_mats = [counted(spec.b_mats[0], gathers)] * 8 if shared else \
-            [counted(np.array(b), gathers) for b in spec.b_mats]
-        prob = QuadraticProblem(dataclasses.replace(spec, b_mats=b_mats))
-        i, x, y, coords, _ = rolling_call(prob)
-        for _ in range(2):   # per call, nothing kept between calls
-            gathers.clear()
-            for _ in prob.grad_g_y_perturbed(i, x, y, coords, 1e-3):
-                pass
-            assert len(gathers) == (2 if shared else 8)
-            assert set(gathers) == {c.tobytes() for c in coords}
+    @pytest.mark.parametrize("call", ["grad_g_y_perturbed", "implicit_term"])
+    def test_rejects_wrong_row_width(self, call):
+        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
+        args = (np.zeros(2),) if call == "implicit_term" else ()
+        with pytest.raises(DimensionMismatch):
+            getattr(prob, call)(0, np.zeros(3), np.zeros(3),
+                                np.array([0, 2]), 1e-3, *args)
 
-    def test_distinct_sets_hold_one_block(self):
-        n, d1, d2, size = 8, 64, 512, 32
-        # While a client's rows are built, the call holds them and one
-        # scaled block (size x d2 float64 each), and the caller's loop
-        # still holds the last client's rows. Adding base to a block
-        # broadcasts, which takes numpy's ufunc buffer (8192 float64);
-        # 16 KiB covers the small objects. Keeping every block would add
-        # one per client.
-        block = 8 * size * d2                             # 131,072 bytes
-        bound = 3 * block + 8 * np.getbufsize() + 16 * 1024   # 475,136
-        prob = make_quadratic(seed=30, n=n, d1=d1, d2=d2, eig_min=0.8,
-                              eig_max=1.6)
-        rng = np.random.default_rng(3)
-        x, y = rng.standard_normal((n, d1)), rng.standard_normal((n, d2))
-        coords = [np.arange(r, r + size) for r in range(n)]
-        # a first call, so that lazy imports are not counted
-        prob.grad_g_y_perturbed(0, x[0], y[0], coords[0], 1e-3)
-        tracemalloc.start()
-        try:
-            pairs = prob.grad_g_y_perturbed(np.arange(n), x, y, coords, 1e-3)
-            start, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            for _, rows in pairs:
-                assert rows.shape == (size, d2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start <= bound
+    @pytest.mark.parametrize("call", ["grad_g_y_perturbed", "implicit_term"])
+    @pytest.mark.parametrize("coords", [
+        np.array([[0, 1]]), np.array([0, 3]), np.array([-1]),
+        np.array([0.0, 1.0])], ids=["2-d", "past-end", "negative", "float"])
+    def test_rejects_bad_coords(self, coords, call):
+        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
+        args = (np.zeros(2),) if call == "implicit_term" else ()
+        with pytest.raises(DimensionMismatch):
+            getattr(prob, call)(0, np.zeros(3), np.zeros(2), coords, 1e-3,
+                                *args)

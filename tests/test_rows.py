@@ -77,6 +77,7 @@ def test_row_calls_equal_one_client_calls(data, prob):
               for r in rows}
     check(prob.hess_yy_g, x, y, bg, active, rows=map(blocks.get, range(k)))
     check(prob.grad_g_y_perturbed, x, y, coords, 0.1, bg)
+    check(prob.implicit_term, x, y, coords, 0.1, v, bg)
     loop = partial(inner_loop, prob)
     check(loop, x, y, my, 0.1, 2, epochs,
           rows=zip(*loop(ids, x, y, my, 0.1, 2, epochs)))

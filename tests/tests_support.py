@@ -35,14 +35,16 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
         2 (max(d1, d2) + 4) eps (|A_i||y| + |B_i||x_k| + |c_i|
                                  + (tau/2) ||x_k||^2 |U_i||y| + |noise|).
 
-    ``grad_g_y_perturbed`` builds row k from the gradient at ``x_base``
-    plus the change to x_k, so that row also carries the base's rounding,
-    relative to the terms at ``x_base``. Those exceed the terms at x_k by
-    at most |B_i||x_k - x_base| + (tau/2) |(||x_k||^2 - ||x_base||^2)| |U_i||y|;
-    with ``x_base`` given, that excess joins the terms above.
+    With ``x_base`` given, the bound covers the rounding of two
+    evaluations, one at ``x_base`` and one at x_k: their difference then
+    lies within it of the exact difference, which the quadratic
+    ``implicit_term`` computes in closed form. The terms at ``x_base``
+    exceed those at x_k by at most |B_i||x_k - x_base| +
+    (tau/2) |(||x_k||^2 - ||x_base||^2)| |U_i||y|; that excess joins the
+    terms above.
 
-    Returns a (k, d2) array; families without an override evaluate the
-    rows through ``grad_g_y`` itself, so their bound is zero.
+    Returns a (k, d2) array; the logistic family's implicit term
+    differences ``grad_g_y`` rows itself, so its bound is zero.
     """
     from rabosim.problems.quadratic import QuadraticProblem
 
@@ -74,8 +76,9 @@ def rafbo_masked_deltas_reference(prob, i, x, y, mask_x, mask_y, mu,
 
     The deltas are formed from copies of ``grad_g_y_perturbed``'s output as
     fresh arrays, masked row by row, and contracted with the unmasked
-    grad_y f. The estimator masks grad_y f instead and works in place on
-    the rows; with 0/1 mask bits both give the same bits.
+    grad_y f. The default ``implicit_term`` masks grad_y f instead and
+    works in place on the rows; with 0/1 mask bits both give the same
+    bits.
     """
     from rabosim.hypergrad import build_perturbation_set
 
@@ -101,29 +104,6 @@ def assert_caller_owns_rows(perturbed, prob, i, x, y, coords, mu,
     again = perturbed(prob, i, x, y, coords, mu, batch)
     assert np.array_equal(again[0], first[0])
     assert np.array_equal(again[1], first[1])
-
-
-class CountedGathers(np.ndarray):
-    """A block that logs the bytes of each index array it is indexed by,
-    as ``B_i.T[P]`` gathers a perturbation set's columns; its views (the
-    transpose) log to the same list. Build one with ``counted``."""
-
-    def __array_finalize__(self, obj):
-        self.gathers = getattr(obj, "gathers", None)
-
-    def __getitem__(self, key):
-        if isinstance(key, np.ndarray) and self.gathers is not None:
-            self.gathers.append(key.tobytes())
-            return np.asarray(super().__getitem__(key))
-        return super().__getitem__(key)
-
-
-def counted(block, gathers):
-    """A read-only view of ``block`` that logs its gathers to ``gathers``."""
-    view = block.view(CountedGathers)
-    view.gathers = gathers
-    view.flags.writeable = False
-    return view
 
 
 def full_hessian_reference(prob, i, x, y, batch=None):

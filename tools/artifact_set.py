@@ -91,8 +91,8 @@ TOPK_BLOCKS = {
 
 # rafbo perturbs a sampled half of each client's active outer
 # coordinates, so the 4 clients of a rolling window draw their own
-# perturbation sets: in 16 of the 20 rounds no two rows of a call share a
-# scaled block of B, and in the other 4 one pair does. Noise is on.
+# perturbation sets, which index each client's B^T grad_y f product.
+# Noise is on.
 SAMPLED_SETS = {
     "problem": {"family": "quadratic", "seed": 7, "n": 8, "d1": 16,
                 "d2": 12, "hetero": 0.3, "noise_f": 0.2, "noise_g": 0.2,
