@@ -52,6 +52,8 @@ from .errors import (
     MissingBaseline,
     ParseError,
     check_ranges,
+    check_types,
+    is_int,
 )
 from .federation import (
     RunConfig,
@@ -124,23 +126,13 @@ def _reject_unknown(section: str, data: dict, allowed) -> None:
                 f"unknown key '{key}' in section '{section}'", key=key)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    # not math.isfinite, which raises OverflowError on an int past floats
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and abs(v) <= sys.float_info.max
-
-
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
 # Entries whose default does not show their type: key -> (item test, want).
 LIST_ENTRIES = {
-    "seeds": (_is_int, "a list of integers"),
+    "seeds": (is_int, "a list of integers"),
     "estimators": (_is_str, "a list of strings"),
 }
 OPTIONAL_STRINGS = ("dir", "compare_baseline")
@@ -157,27 +149,21 @@ FAMILY_ARGUMENTS = {
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
-    """Type, integer-ness and finiteness of each entry, judged by its default.
+    """Each entry's type: ``check_types`` by its default, then the list
+    and optional-string entries, whose None default does not show theirs.
 
     ``capacities``, ``x0``, ``y0`` and the manual tables have their own
     checks.
     """
+    check_types(resolved, {k: v for k, v in defaults.items()
+                           if k != "capacities"}, f"{section}.")
     for key, value in resolved.items():
-        default = defaults[key]
         if key in LIST_ENTRIES:
             test, want = LIST_ENTRIES[key]
-            ok = (value is None and default is None) or (
+            ok = (value is None and defaults[key] is None) or (
                 isinstance(value, list) and all(map(test, value)))
         elif key in OPTIONAL_STRINGS:
             ok, want = value is None or _is_str(value), "a string"
-        elif isinstance(default, bool):
-            ok, want = isinstance(value, bool), "true or false"
-        elif isinstance(default, int):
-            ok, want = _is_int(value), "an integer"
-        elif isinstance(default, float):
-            ok, want = _is_finite(value), "a finite number"
-        elif _is_str(default) and key != "capacities":
-            ok, want = _is_str(value), "a string"
         else:
             continue
         if not ok:

@@ -1,6 +1,8 @@
-"""Exception types shared across the simulator, and the range check."""
+"""Exception types shared across the simulator, and the value checks."""
 
 import math
+import numbers
+import sys
 
 
 class RabosimError(Exception):
@@ -39,6 +41,35 @@ RULES = {
     "at least 5": lambda v: v >= 5,
     "in (0, 1]": lambda v: 0 < v <= 1,
 }
+
+
+def is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    # abs, not math.isfinite, which raises OverflowError on an int past floats
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+# A setting's type is its default's (bool before int, its base class):
+# the type, the test of a value and what an error says the value must be.
+TYPES = ((bool, lambda v: isinstance(v, bool), "true or false"),
+         (int, is_int, "an integer"), (float, is_finite, "a finite number"),
+         (str, lambda v: isinstance(v, str), "a string"))
+
+
+def check_types(values: dict, defaults: dict, prefix: str = "") -> None:
+    """Raise InvalidSpec naming the first key of ``defaults`` whose entry in
+    ``values`` fails its default's test in ``TYPES``; a key absent from
+    ``values``, or whose default (None, say) is of no type there, is
+    skipped. ``prefix`` is as in ``check_ranges``."""
+    for key, default in defaults.items():
+        rule = next((t for t in TYPES if isinstance(default, t[0])), None)
+        if rule and key in values and not rule[1](values[key]):
+            raise InvalidSpec(f"{prefix}{key} must be {rule[2]}, got "
+                              f"{values[key]!r}", key=key)
 
 
 def check_ranges(values: dict, ranges: dict, prefix: str = "") -> None:

@@ -20,8 +20,6 @@ summation, so runs are bit-reproducible.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -36,6 +34,8 @@ from .errors import (
     NonFiniteValue,
     SingularRestrictedHessian,
     check_ranges,
+    check_types,
+    is_finite,
 )
 from .hypergrad import (
     EXACT_AID,
@@ -120,14 +120,17 @@ class RunConfig:
 def check_run(args: dict, prefix: str = "",
               tables: str = "manual_tables") -> None:
     """Raise InvalidSpec naming the first setting in ``args`` that breaks
-    a rule of ``RunConfig`` that needs no problem: the range tables of
-    this module, ``hypergrad`` and ``masking``, then the rules between the
-    mask settings and ``masking.check_table``.
+    a rule of ``RunConfig`` that needs no problem: each field's type, by
+    its default (``capacities`` has ``parse_capacities``'s forms), the
+    range tables of this module, ``hypergrad`` and ``masking``, then the
+    rules between the mask settings and ``masking.check_table``.
 
     ``prefix`` (such as ``"run."``) leads each setting's name in a
     message, and ``tables`` names ``args["manual_tables"]``, which a
     config sets under ``sweep.manual_tables``.
     """
+    check_types(args, {f.name: f.default for f in fields(RunConfig)
+                       if f.name != "capacities"}, prefix)
     for ranges in (RANGES, hypergrad.RANGES, masking.RANGES):
         check_ranges(args, ranges, prefix)
     policy, table = args["policy"], args["manual_tables"]
@@ -163,9 +166,7 @@ def check_fit(args: dict, n: int, d1: int, d2: int, prefix: str = "",
         start = args.get(f"{level}0")
         if start is not None and not (
                 (isinstance(start, (list, tuple)) or np.ndim(start) == 1)
-                and len(start) == d and all(
-                    isinstance(k, numbers.Real) and not isinstance(k, bool)
-                    and abs(k) <= sys.float_info.max for k in start)):
+                and len(start) == d and all(map(is_finite, start))):
             raise InvalidSpec(
                 f"{prefix}{level}0 must list {d} finite numbers, one per "
                 f"{level} coordinate, got {start!r}", key=f"{level}0")

@@ -19,20 +19,20 @@ Two routes to the same quantity:
 
 ``jacobian_column_fd`` returns delta_p, the response of the descent
 direction to a unit outer perturbation. ``rafbo_hypergradient`` takes
-every <delta_p, v> from one ``implicit_term`` row call, with v the
-masked grad_y f (masking v, not every delta_p, gives the same bits, as
-the bits are 0 or 1). On the logistic family each delta_p equals
-``jacobian_column_fd`` bit for bit. On the quadratic family it is the
-exact difference, -B_i[:, p] - (tau/2)(2 x_p + mu) U_i y, in closed
-form: one B_i^T v product per distinct row, no perturbed gradient, and
-none of the difference's rounding of order eps ||grad_y g|| / mu. At a
-fixed BLAS thread count the result is deterministic on both. The
-orientation matters: delta already carries the sign of the inner-optimum
-response, so on problems with unit inner curvature it equals the
-Jacobian column of x -> y*(x) exactly for every step size, and the two
-estimators coincide. With curved cross-coupling the finite difference
-picks up an O(mu) bias whose magnitude is bounded by
-``hypergrad_error_bound``.
+every <delta_p, v> from one row call of ``implicit_term``, the problem's
+one perturbed-gradient callback, with v the masked grad_y f (masking v,
+not every delta_p, gives the same bits, as they are 0 or 1). On the
+logistic family each delta_p equals ``jacobian_column_fd`` bit for bit.
+On the quadratic family it is the exact difference, -B_i[:, p] -
+(tau/2)(2 x_p + mu) U_i y, in closed form: one B_i^T v product per
+distinct row, no perturbed gradient, and none of the difference's
+rounding of order eps ||grad_y g|| / mu. At a fixed BLAS thread count
+the result is deterministic on both. The orientation matters: delta
+already carries the sign of the inner-optimum response, so on problems
+with unit inner curvature it equals the Jacobian column of x -> y*(x)
+exactly for every step size, and the two estimators coincide. With
+curved cross-coupling the finite difference picks up an O(mu) bias
+whose magnitude is bounded by ``hypergrad_error_bound``.
 
 Regime. The implicit term sum_p <delta_p, grad_y f> e_p equals
 -(d^2 g/dx dy) grad_y f, while the true one is

@@ -77,6 +77,15 @@ class ProblemConstants:
             raise ValueError("constants must be finite and nonnegative")
 
 
+def _difference(base: np.ndarray, rows: np.ndarray, mu: float,
+                v: np.ndarray) -> np.ndarray:
+    """``((base - rows) / mu) @ v``, the difference step in place on
+    ``rows``, a fresh array of the perturbed points' lower gradients."""
+    np.subtract(base, rows, out=rows)
+    rows /= mu
+    return rows @ v
+
+
 class BilevelProblem(ABC):
     """Per-client access to a distributed bilevel objective.
 
@@ -114,41 +123,6 @@ class BilevelProblem(ABC):
                  batch: SampleBatch | None = None) -> np.ndarray:
         """Lower gradient in y, a fresh array the caller may overwrite."""
 
-    def grad_g_y_perturbed(self, i, x: np.ndarray, y: np.ndarray,
-                           coords: np.ndarray, mu: float,
-                           batch: SampleBatch | None = None):
-        """Lower gradient at x and at every x + mu e_p, p in ``coords``.
-
-        Returns ``(base, rows)``: ``base`` is ``grad_g_y(i, x, y, batch)``
-        and row k of the ``(len(coords), d2)`` array ``rows`` is
-        ``grad_g_y(i, x + mu e_{coords[k]}, y, batch)``; every evaluation
-        uses the same batch. A row call takes one ``coords`` per row and
-        returns an iterator of each client's pair, each made when reached.
-        This default makes one ``grad_g_y`` call per point, so its rows
-        equal those calls bit for bit. The logistic family overrides it
-        with one stacked pass of the single call's operations, so its
-        rows equal them bit for bit too; only offset perturbations rerun
-        the softmax.
-
-        ``rows`` is a fresh array that the caller owns and may overwrite:
-        it shares no memory with the problem's state or with another
-        client's rows, and writing to it changes neither ``base`` nor a
-        later call's result (``implicit_term`` runs its difference step
-        in place on it).
-        """
-        if np.ndim(i):
-            _, i, x, y, batch, coords = self.rows(i, x, y, batch, coords)
-            return map(self.grad_g_y_perturbed, i, x, y, coords,
-                       repeat(mu), batch)
-        self.check_coords(coords)
-        base = self.grad_g_y(i, x, y, batch)
-        rows = np.empty((coords.shape[0], self.d2))
-        for k, p in enumerate(coords):
-            x_pert = x.copy()
-            x_pert[p] += mu
-            rows[k] = self.grad_g_y(i, x_pert, y, batch)
-        return base, rows
-
     def implicit_term(self, i, x: np.ndarray, y: np.ndarray,
                       coords: np.ndarray, mu: float, v: np.ndarray,
                       batch: SampleBatch | None = None) -> np.ndarray:
@@ -156,19 +130,26 @@ class BilevelProblem(ABC):
 
         delta_p = (grad_g_y(x) - grad_g_y(x + mu e_p)) / mu under one
         batch; ``v`` lives in R^{d2}. A row call takes one ``coords`` and
-        one ``v`` per row and returns a list of each row's array. This
-        default differences ``grad_g_y_perturbed``'s rows in place and
-        takes one product with ``v``; the quadratic family overrides it
-        with the exact difference in closed form.
+        one ``v`` per row and returns a list of each row's array, made
+        one row at a time. This default makes one ``grad_g_y`` call per
+        point, runs the difference step in place on the perturbed rows
+        and takes one product with ``v``. The logistic family overrides
+        it with one stacked pass of ``grad_g_y``'s operations, ending in
+        the same step, so its terms keep these bits; the quadratic
+        family overrides it with the exact difference in closed form.
         """
-        one, i, x, y, coords, v, batch = self.rows(i, x, y, coords, v, batch)
-        terms = []
-        for (base, rows), w in zip(
-                self.grad_g_y_perturbed(i, x, y, coords, mu, batch), v):
-            np.subtract(base, rows, out=rows)
-            rows /= mu
-            terms.append(rows @ w)
-        return terms[0] if one else terms
+        if np.ndim(i):
+            _, i, x, y, coords, v, batch = self.rows(i, x, y, coords, v, batch)
+            return list(map(self.implicit_term, i, x, y, coords, repeat(mu),
+                            v, batch))
+        self.check_coords(coords)
+        base = self.grad_g_y(i, x, y, batch)
+        rows = np.empty((coords.shape[0], self.d2))
+        for k, p in enumerate(coords):
+            x_pert = x.copy()
+            x_pert[p] += mu
+            rows[k] = self.grad_g_y(i, x_pert, y, batch)
+        return _difference(base, rows, mu, v)
 
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..errors import InvalidSpec, check_ranges
 from ..rng import RngStream
-from .base import BilevelProblem, SampleBatch
+from .base import BilevelProblem, SampleBatch, _difference
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -122,13 +122,13 @@ class LogisticTuneProblem(BilevelProblem):
         grad_w = wr.T @ feats / len(labels)
         return grad_w.ravel() + reg * y
 
-    def grad_g_y_perturbed(self, i, x, y, coords, mu, batch=None):
+    def implicit_term(self, i, x, y, coords, mu, v, batch=None):
         if np.ndim(i):   # the base's loop over rows, which calls this
-            return super().grad_g_y_perturbed(i, x, y, coords, mu, batch)
+            return super().implicit_term(i, x, y, coords, mu, v, batch)
         # grad_g_y's operations on a stack of the base and every x + mu e_p,
-        # elementwise or reduced along the last axis, so each row equals
-        # its single call bit for bit. Weight and reg perturbations leave
-        # the logits alone and reuse the base softmax; only offsets rerun it.
+        # elementwise or reduced along the last axis, so each row equals its
+        # single call bit for bit, then the base's difference step. Weight
+        # and reg perturbations reuse the base softmax; only offsets rerun it.
         self.check_dims(x, y)
         self.check_coords(coords)
         c = self.classes
@@ -148,7 +148,7 @@ class LogisticTuneProblem(BilevelProblem):
         wr *= weights[:, labels, None]
         grad_w = np.matmul(wr.transpose(0, 2, 1), feats) / m
         grads = grad_w.reshape(coords.size + 1, self.d2) + reg[:, None] * y
-        return grads[0], grads[1:]
+        return _difference(grads[0], grads[1:], mu, v)
 
     def hess_yy_g(self, i, x, y, batch=None, active=None):
         if np.ndim(i):   # each row's block, formed when reached

@@ -945,6 +945,27 @@ CROSS_KEY_RULES = {
     "unparsable-capacity": (
         {"capacities": ["1/2", "abc"]}, ['run.capacities=["1/2", "abc"]'],
         "capacities", "run.capacities"),
+    # a setting's type is its default's; in the library these used to end
+    # in TypeError in run or check_ranges, the huge int in OverflowError
+    "fractional-rounds": (
+        {"rounds": 2.5}, ["run.rounds=2.5"], "rounds", "run.rounds"),
+    "fractional-epochs": (
+        {"inner_epochs": 1.5}, ["run.inner_epochs=1.5"], "inner_epochs",
+        "run.inner_epochs"),
+    "string-alpha": (
+        {"alpha": "0.1"}, ['run.alpha="0.1"'], "alpha", "run.alpha"),
+    "fractional-block-size": (
+        {"policy": "magnitude_topk", "block_size": 2.0},
+        ["run.policy=magnitude_topk", "run.block_size=2.0"], "block_size",
+        "run.block_size"),
+    "huge-int-divergence-factor": (
+        {"divergence_factor": 10 ** 400},
+        ["run.divergence_factor=1" + "0" * 400], "divergence_factor",
+        "run.divergence_factor"),
+    # these two used to run in the library
+    "fractional-seed": ({"seed": 1.5}, ["run.seed=1.5"], "seed", "run.seed"),
+    "integer-log-masks": (
+        {"log_masks": 1}, ["run.log_masks=1"], "log_masks", "run.log_masks"),
 }
 
 

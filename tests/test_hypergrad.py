@@ -28,11 +28,7 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
-from tests_support import (
-    EPS,
-    grad_g_y_row_bound,
-    rafbo_masked_deltas_reference,
-)
+from tests_support import EPS, grad_g_y_row_bound
 
 
 def full_mask(d):
@@ -421,7 +417,7 @@ class TestRafboBatchedEquivalence:
             prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
                                       base_count=20)
         calls = []   # (callback, clients): an index array or one client
-        for name in ("implicit_term", "grad_g_y", "grad_g_y_perturbed"):
+        for name in ("implicit_term", "grad_g_y"):
             original = getattr(prob, name)
 
             def counted(i, *args, _name=name, _original=original, **kwargs):
@@ -434,12 +430,11 @@ class TestRafboBatchedEquivalence:
         rafbo_hypergradient(prob, clients, np.zeros(mx.shape),
                             np.zeros(my.shape), mx, my, 1e-3, 1.0)
         # the quadratic closed form evaluates no lower gradient; the
-        # logistic default takes one row call of grad_g_y_perturbed, which
-        # evaluates each client's points, base included, in that client's
-        # stacked pass
+        # logistic row call reaches its override once per client, which
+        # evaluates the client's points, base included, in one stacked
+        # pass, without a grad_g_y call
         inner = [] if family == "quadratic" else \
-            [("grad_g_y_perturbed", clients)] + \
-            [("grad_g_y_perturbed", i) for i in clients]
+            [("implicit_term", i) for i in clients]
         assert calls == [("implicit_term", clients)] + inner
         assert ledger_hypergrad_flops(mx[0], my[0], RAFBO) \
             == rafbo_flops(prob.d1, prob.d2, prob.d1)
@@ -477,10 +472,11 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
        seed=st.integers(0, 2 ** 16))
 def test_rafbo_equals_masked_deltas_bit_for_bit(data, mu, fraction, seed):
     """Masking grad_y f and working in place on the rows gives the bits of
-    masking every delta_p out of place, on the logistic family, whose
-    implicit term is the default difference of rows. The quadratic closed
-    form is checked against those rows to rounding in
-    ``test_quadratic_implicit_term_within_rounding_of_rows``."""
+    masking every delta_p out of place, as ``loop_reference``'s
+    ``jacobian_column_fd`` calls do, on the logistic family, whose
+    stacked pass ends in the default's difference step. The quadratic
+    closed form is checked against the default's rows to rounding in
+    ``tests/test_problems_quadratic.py``'s ``TestImplicitTerm``."""
     prob = make_logistic_tune(
         seed=seed, n=2, imbalance_mu=0.8,
         classes=data.draw(st.integers(2, 4)),
@@ -500,9 +496,8 @@ def test_rafbo_equals_masked_deltas_bit_for_bit(data, mu, fraction, seed):
     batch_g = SampleBatch("g", seed=seed, client=1, draw=1, size=size)
     est = rafbo_hypergradient(prob, 1, x, y, mx, my, mu, fraction, batch_f,
                               batch_g, RngStream(seed, 1, 0, "pset"))
-    ref = rafbo_masked_deltas_reference(prob, 1, x, y, mx, my, mu, fraction,
-                                        batch_f, batch_g,
-                                        RngStream(seed, 1, 0, "pset"))
+    ref, _ = loop_reference(prob, 1, x, y, mx, my, mu, fraction, batch_f,
+                            batch_g, RngStream(seed, 1, 0, "pset"))
     assert np.array_equal(est, ref)
 
 

@@ -14,7 +14,6 @@ from rabosim.problems import (
     SampleBatch,
     make_logistic_tune,
 )
-from tests_support import assert_caller_owns_rows
 
 
 def class_counts(problem, client=0):
@@ -289,75 +288,56 @@ class TestHessianForm:
                            atol=1e-12 * np.abs(ref).max())
 
 
-def assert_rows_are_single_calls(perturbed, prob, i, x, y, coords, mu,
-                                 batch):
-    """``perturbed``'s base and every row equal ``grad_g_y`` calls, bit
-    for bit; returns them."""
-    base, rows = perturbed(prob, i, x, y, coords, mu, batch)
-    assert np.array_equal(base, prob.grad_g_y(i, x, y, batch))
-    assert rows.shape == (coords.size, prob.d2)
-    for p, row in zip(coords, rows):
-        x_pert = x.copy()
-        x_pert[p] += mu
-        assert np.array_equal(row, prob.grad_g_y(i, x_pert, y, batch))
-    return base, rows
-
-
 # the logistic override and the base default it replaces
-PERTURBED = (LogisticTuneProblem.grad_g_y_perturbed,
-             BilevelProblem.grad_g_y_perturbed)
+IMPLICIT = (LogisticTuneProblem.implicit_term, BilevelProblem.implicit_term)
 
 
-class TestGradGyBatch:
-    """``grad_g_y_perturbed``, both the logistic override and the base
-    default: the base and every row equal separate ``grad_g_y`` calls, bit
-    for bit."""
+def assert_override_is_default(prob, i, x, y, coords, mu, v, batch):
+    """The override's terms equal the base default's, bit for bit, and a
+    second call gives the first's bits."""
+    want = BilevelProblem.implicit_term(prob, i, x, y, coords, mu, v, batch)
+    assert want.shape == coords.shape
+    for _ in range(2):
+        got = LogisticTuneProblem.implicit_term(prob, i, x, y, coords, mu, v,
+                                                batch)
+        assert np.array_equal(got, want)
+
+
+class TestImplicitTerm:
+    """``implicit_term``'s logistic override, one stacked pass of
+    ``grad_g_y``'s operations, against the base default, one ``grad_g_y``
+    call per point; both end in the same difference step."""
 
     @pytest.mark.parametrize("batch", [
         None,
         SampleBatch("g", seed=52, client=1, draw=2, size=10 ** 6),
         SampleBatch("g", seed=52, client=1, draw=2, size=8),
     ], ids=["noiseless", "full-batch", "subsampled"])
-    def test_rows_equal_single_calls(self, batch):
+    def test_override_equals_default(self, batch):
         prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
                                   features=4, base_count=40)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(prob.d1) * 0.4
         y = rng.standard_normal(prob.d2) * 0.3
+        v = rng.standard_normal(prob.d2)
         # weights, a repeated weight, an offset and reg
         coords = np.array([0, 2, 2, 4, prob.d1 - 1])
-        for perturbed in PERTURBED:
-            base, rows = assert_rows_are_single_calls(
-                perturbed, prob, 1, x, y, coords, 1e-3, batch)
-            again = perturbed(prob, 1, x, y, coords, 1e-3, batch)
-            assert np.array_equal(again[0], base)
-            assert np.array_equal(again[1], rows)
-
-    @pytest.mark.parametrize("perturbed", PERTURBED,
-                             ids=["override", "default"])
-    def test_caller_owns_rows(self, perturbed):
-        prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
-                                  features=4, base_count=40)
-        rng = np.random.default_rng(6)
-        batch = SampleBatch("g", seed=52, client=1, draw=2, size=8)
-        assert_caller_owns_rows(perturbed, prob, 1,
-                                rng.standard_normal(prob.d1) * 0.4,
-                                rng.standard_normal(prob.d2) * 0.3,
-                                np.array([0, 4, prob.d1 - 1]), 1e-3, batch)
+        assert_override_is_default(prob, 1, x, y, coords, 1e-3, v, batch)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), classes=st.integers(2, 5),
            features=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
            mu=st.sampled_from([1e-6, 1e-3, 0.5]),
            kind=st.sampled_from(["noiseless", "full-batch", "subsampled"]))
-    def test_override_matches_single_calls_property(self, data, classes,
-                                                    features, seed, mu, kind):
+    def test_override_equals_default_property(self, data, classes, features,
+                                              seed, mu, kind):
         prob = make_logistic_tune(seed=seed, n=2, imbalance_mu=0.8,
                                   classes=classes, features=features,
                                   base_count=30)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(prob.d1) * 0.5
         y = rng.standard_normal(prob.d2) * 0.4
+        v = rng.standard_normal(prob.d2)
         # at least one weight, one offset and reg, then any coordinates,
         # then a repeat, in a drawn order
         mixed = [data.draw(st.integers(0, classes - 1)),
@@ -374,13 +354,7 @@ class TestGradGyBatch:
                  "subsampled": SampleBatch(
                      "g", seed=seed, client=1,
                      size=data.draw(st.integers(1, m - 1)))}[kind]
-        base, rows = assert_rows_are_single_calls(
-            LogisticTuneProblem.grad_g_y_perturbed, prob, 1, x, y, coords,
-            mu, batch)
-        default = BilevelProblem.grad_g_y_perturbed(prob, 1, x, y, coords,
-                                                    mu, batch)
-        assert np.array_equal(default[0], base)
-        assert np.array_equal(default[1], rows)
+        assert_override_is_default(prob, 1, x, y, coords, mu, v, batch)
 
     @pytest.mark.parametrize("coords,y_len", [
         (np.array([[0]]), None), (np.array([99]), None),
@@ -389,6 +363,7 @@ class TestGradGyBatch:
         prob = make_logistic_tune(seed=9, n=2, classes=3, features=4,
                                   base_count=40)
         y = np.zeros(prob.d2 if y_len is None else y_len)
-        for perturbed in PERTURBED:
+        for implicit in IMPLICIT:
             with pytest.raises(DimensionMismatch):
-                perturbed(prob, 0, np.zeros(prob.d1), y, coords, 1e-3)
+                implicit(prob, 0, np.zeros(prob.d1), y, coords, 1e-3,
+                         np.zeros(prob.d2))

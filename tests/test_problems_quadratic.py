@@ -27,7 +27,7 @@ from rabosim.problems import (
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from linear_oracle import outer_minimizer
-from tests_support import EPS, assert_caller_owns_rows
+from tests_support import EPS
 
 
 def one_dim_problem(lam=0.0):
@@ -592,55 +592,15 @@ class TestDerivativeCallbacks:
 
 
 class TestGradGyBatch:
-    """``grad_g_y_perturbed``, the base default on the quadratic family:
-    the base and every row equal separate ``grad_g_y`` calls bit for bit.
-    ``tests/test_problems_logistic.py`` checks the same default, and the
-    logistic override, on the logistic family."""
-
-    COORDS = np.array([0, 5, 5, 36, 17, 2, 30])  # a repeat, both ends
-
-    @pytest.mark.parametrize("kwargs,batch", [
-        ({}, None),
-        ({"quartic": 0.3}, None),
-        ({"noise_g": 0.7, "quartic": 0.2},
-         SampleBatch("g", seed=4, client=1, round_index=2, draw=3, size=2)),
-    ], ids=["plain", "quartic", "noisy"])
-    def test_rows_equal_single_calls(self, kwargs, batch):
-        prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
-                              eig_min=0.6, eig_max=1.7, **kwargs)
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal(37)
-        y = rng.standard_normal(23)
-        for mu in (1e-3, 0.7):
-            base, rows = prob.grad_g_y_perturbed(1, x, y, self.COORDS, mu,
-                                                 batch)
-            assert np.array_equal(base, prob.grad_g_y(1, x, y, batch))
-            assert rows.shape == (7, 23)
-            for p, row in zip(self.COORDS, rows):
-                x_pert = x.copy()
-                x_pert[p] += mu
-                assert np.array_equal(row, prob.grad_g_y(1, x_pert, y, batch))
-
-    def test_caller_owns_rows(self):
-        # every client holds its own writable B_i; overwriting the rows
-        # must leave B_i as it was
-        spec = distinct_copies(small_spec(n=2, d1=5, d2=4, noise_g=0.3))
-        assert spec.b_mats[1].flags.writeable
-        b_before = spec.b_mats[1].copy()
-        prob = QuadraticProblem(spec)
-        rng = np.random.default_rng(13)
-        batch = SampleBatch("g", seed=8, client=1, draw=1)
-        assert_caller_owns_rows(BilevelProblem.grad_g_y_perturbed, prob, 1,
-                                rng.standard_normal(5),
-                                rng.standard_normal(4), np.array([0, 3, 4]),
-                                1e-3, batch)
-        assert np.array_equal(spec.b_mats[1], b_before)
+    """Row calls over equal rows, which share their products, and over
+    blocks that change between calls: every returned row is the caller's
+    own, and nothing is kept from one call to the next."""
 
     @pytest.mark.parametrize("quartic", [0.0, 0.2])
     def test_shared_products_never_reach_the_caller(self, quartic):
-        # equal rows of a call share their products with A and B;
-        # overwriting one returned row, or one base, must leave the other
-        # rows and a later call's bits as they were
+        # equal rows of a call share their products with A, B and B^T;
+        # overwriting one returned row or term must leave the other rows
+        # and a later call's bits as they were
         prob = make_quadratic(seed=25, n=3, d1=6, d2=5, hetero=0.4,
                               eig_min=0.6, eig_max=1.7, quartic=quartic,
                               noise_g=0.7)
@@ -654,10 +614,13 @@ class TestGradGyBatch:
             assert all(np.array_equal(row, want) for row in got)
             got[0] = np.nan
             assert all(np.array_equal(row, want) for row in got[1:])
-        pairs = list(prob.grad_g_y_perturbed(*rows, [self.COORDS[:3]] * 3,
-                                             1e-3, [batch] * 3))
-        pairs[0][0][...] = np.nan
-        assert all(np.array_equal(base, want) for base, _ in pairs[1:])
+        # the implicit terms of equal rows share one B^T v product
+        v = np.tile(rng.standard_normal(5), (3, 1))
+        terms = prob.implicit_term(*rows, [np.array([0, 5, 5])] * 3, 1e-3,
+                                   v, [batch] * 3)
+        first = terms[0].copy()
+        terms[0][...] = np.nan
+        assert all(np.array_equal(term, first) for term in terms[1:])
         assert np.array_equal(prob.grad_g_y(1, x, y, batch), want)
 
     def test_writable_blocks_are_read_at_each_call(self):
@@ -739,21 +702,55 @@ class TestImplicitTerm:
                 want = -(prob.spec.b_mats[r].T @ v[r])[coords[r]]
                 assert np.array_equal(clean[r], want)
 
-    @pytest.mark.parametrize("call", ["grad_g_y_perturbed", "implicit_term"])
-    def test_rejects_wrong_row_width(self, call):
-        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
-        args = (np.zeros(2),) if call == "implicit_term" else ()
-        with pytest.raises(DimensionMismatch):
-            getattr(prob, call)(0, np.zeros(3), np.zeros(3),
-                                np.array([0, 2]), 1e-3, *args)
+    @pytest.mark.parametrize("kwargs,batch", [
+        ({}, None),
+        ({"quartic": 0.3}, None),
+        ({"noise_g": 0.7, "quartic": 0.2},
+         SampleBatch("g", seed=4, client=1, round_index=2, draw=3, size=2)),
+    ], ids=["plain", "quartic", "noisy"])
+    def test_default_equals_single_calls(self, kwargs, batch):
+        # the base default's terms are the difference of separate grad_g_y
+        # calls, bit for bit, and a second call gives the first's bits
+        prob = make_quadratic(seed=25, n=3, d1=37, d2=23, hetero=0.4,
+                              eig_min=0.6, eig_max=1.7, **kwargs)
+        rng = np.random.default_rng(9)
+        x, y, v = (rng.standard_normal(d) for d in (37, 23, 23))
+        coords = np.array([0, 5, 5, 36, 17, 2, 30])  # a repeat, both ends
+        for mu in (1e-3, 0.7):
+            rows = np.empty((coords.size, 23))
+            for k, p in enumerate(coords):
+                x_pert = x.copy()
+                x_pert[p] += mu
+                rows[k] = prob.grad_g_y(1, x_pert, y, batch)
+            want = ((prob.grad_g_y(1, x, y, batch) - rows) / mu) @ v
+            for _ in range(2):
+                assert np.array_equal(BilevelProblem.implicit_term(
+                    prob, 1, x, y, coords, mu, v, batch), want)
 
-    @pytest.mark.parametrize("call", ["grad_g_y_perturbed", "implicit_term"])
+    def test_default_leaves_blocks_as_they_were(self):
+        # every client holds its own writable B_i; the default's in-place
+        # difference step must leave B_i as it was
+        spec = distinct_copies(small_spec(n=2, d1=5, d2=4, noise_g=0.3))
+        assert spec.b_mats[1].flags.writeable
+        b_before = spec.b_mats[1].copy()
+        rng = np.random.default_rng(13)
+        BilevelProblem.implicit_term(
+            QuadraticProblem(spec), 1, rng.standard_normal(5),
+            rng.standard_normal(4), np.array([0, 3, 4]), 1e-3,
+            rng.standard_normal(4), SampleBatch("g", seed=8, client=1, draw=1))
+        assert np.array_equal(spec.b_mats[1], b_before)
+
+    def test_rejects_wrong_row_width(self):
+        prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
+        with pytest.raises(DimensionMismatch):
+            prob.implicit_term(0, np.zeros(3), np.zeros(3), np.array([0, 2]),
+                               1e-3, np.zeros(2))
+
     @pytest.mark.parametrize("coords", [
         np.array([[0, 1]]), np.array([0, 3]), np.array([-1]),
         np.array([0.0, 1.0])], ids=["2-d", "past-end", "negative", "float"])
-    def test_rejects_bad_coords(self, coords, call):
+    def test_rejects_bad_coords(self, coords):
         prob = make_quadratic(seed=26, n=1, d1=3, d2=2)
-        args = (np.zeros(2),) if call == "implicit_term" else ()
         with pytest.raises(DimensionMismatch):
-            getattr(prob, call)(0, np.zeros(3), np.zeros(2), coords, 1e-3,
-                                *args)
+            prob.implicit_term(0, np.zeros(3), np.zeros(2), coords, 1e-3,
+                               np.zeros(2))
