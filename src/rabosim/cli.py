@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import shutil
 import sys
@@ -142,10 +141,8 @@ FAMILIES = {
     "logistic": (make_logistic_tune, logistic.check_args, logistic.dims)}
 # family -> its builder's keyword arguments and their defaults, which are
 # the keys and defaults of the family's problem section
-FAMILY_ARGUMENTS = {
-    family: {name: param.default for name, param
-             in inspect.signature(builder).parameters.items()}
-    for family, (builder, *_) in FAMILIES.items()}
+FAMILY_ARGUMENTS = {"quadratic": quadratic.ARGUMENTS,
+                    "logistic": logistic.ARGUMENTS}
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:

@@ -3,8 +3,10 @@ hypergradient collection, coverage tracking and cost ledgers.
 
 Clients are rows: a round's masks of one level, its inner deltas and its
 hypergradients are (n, d) arrays, row i for client i. One round executes,
-in order: mask generation from the current global model (one
-``generate_mask`` call per level), submodel extraction, T local inner
+in order: the round's masks (``RunConfig.mask_phase``: under
+``magnitude_topk`` one ``generate_mask`` call per level from the current
+global model, under the other policies the phase of a schedule built
+once per run), submodel extraction, T local inner
 gradient steps per client, parameter-wise inner aggregation over covering
 clients, broadcast of the aggregated inner model re-masked per client,
 per-client hypergradient estimation, and parameter-wise outer
@@ -23,6 +25,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,9 +89,11 @@ class RunConfig:
     string, a decimal or an integer; it holds them parsed, as one Fraction
     or a tuple of them. ``manual_tables`` is the manual policy's table
     entry, ``{"x": rows, "y": rows}`` with one row of coordinate indices
-    per client and level. ``check_run`` holds the rules of the settings
-    alone, and ``check_fit`` those that fit them to a problem's client
-    count and dimensions, which ``run`` and ``rabo_round`` apply.
+    per client and level; it holds it checked, as a read-only mapping of
+    tuples, so a change to the caller's entry does not reach the run.
+    ``check_run`` holds the rules of the settings alone, and ``check_fit``
+    those that fit them to a problem's client count and dimensions, which
+    ``run`` and ``rabo_round`` apply through ``mask_phase``.
     """
 
     alpha: float = 0.05
@@ -115,6 +120,48 @@ class RunConfig:
         check_run(vars(self))
         object.__setattr__(self, "capacities",
                            parse_capacities(self.capacities))
+        if self.manual_tables is not None:
+            object.__setattr__(self, "manual_tables", MappingProxyType({
+                level: tuple(map(tuple, rows))
+                for level, rows in self.manual_tables.items()}))
+        # (n, d1, d2) -> (capacities, period, {phase: MaskPhase})
+        object.__setattr__(self, "_schedules", {})
+
+    def mask_phase(self, problem, q: int, x: np.ndarray,
+                   y: np.ndarray) -> MaskPhase:
+        """Round ``q``'s MaskPhase on ``problem`` at the global model
+        (x, y).
+
+        Under ``magnitude_topk`` it is built from x and y on every call.
+        The masks of the other policies repeat every
+        ``masking.schedule_period`` rounds, so phase ``q mod period`` is
+        built the first time it is reached and then read back. The
+        schedule is held on this RunConfig per problem shape, and is
+        freed with it.
+        """
+        capacities, period, phases = self._schedule(problem)
+        if period is None:
+            return _mask_phase(self, capacities, q, x, y)
+        key = q % period
+        if key not in phases:
+            phases[key] = _mask_phase(self, capacities, key, x, y)
+        return phases[key]
+
+    def _schedule(self, problem) -> tuple:
+        """(capacities, period, phases) on ``problem``'s client count and
+        dimensions, made on the first call for them, after ``check_fit``:
+        one capacity per client, ``masking.schedule_period`` and the
+        phases built so far."""
+        dims = (problem.n, problem.d1, problem.d2)
+        if dims not in self._schedules:
+            check_fit(vars(self), *dims)
+            capacities = self.capacities \
+                if isinstance(self.capacities, tuple) \
+                else (self.capacities,) * problem.n
+            self._schedules[dims] = (
+                capacities, masking.schedule_period(self.policy, capacities),
+                {})
+        return self._schedules[dims]
 
 
 def check_run(args: dict, prefix: str = "",
@@ -233,10 +280,12 @@ def rafbo_flops(d1_active: int, d2_active: int, p_size: int) -> int:
 class CostLedger:
     """Cumulative exact-integer cost tallies.
 
-    ``add`` prices each client's round from its mask rows and the run's
+    ``price`` prices each client's round from its mask rows and the run's
     settings (estimator, inner epochs, perturbation fraction, download
-    mode). Bytes per leg are 8 x transferred coordinate count; uploads
-    always carry only active coordinates, downloads depend on the mode.
+    mode), ``charge`` adds a price to the tallies, and ``add`` does both;
+    a run's mask schedule holds each phase's price. Bytes per leg are 8 x
+    transferred coordinate count; uploads always carry only active
+    coordinates, downloads depend on the mode.
 
     Cost model: gradient evaluations on the active submodel are the atomic
     unit, ``2 * (d1_active + d2_active)^2`` flops each. An inner epoch is
@@ -281,32 +330,74 @@ class CostLedger:
                 "g_up": self.g_up, "y_plus_down": self.y_plus_down,
                 "h_up": self.h_up}
 
-    def add(self, masks_x: np.ndarray, masks_y: np.ndarray,
-            cfg: RunConfig) -> tuple[int, int, int]:
-        """Charge one round of the (n, d1) and (n, d2) masks, row i for
-        client i; returns its (bytes_up, bytes_down, flops)."""
+    @staticmethod
+    def price(masks_x: np.ndarray, masks_y: np.ndarray,
+              cfg: RunConfig) -> tuple:
+        """One round's charge of the (n, d1) and (n, d2) masks, row i for
+        client i: (each client's flops in client order, (x, y)
+        coordinates uploaded, (x, y) coordinates downloaded)."""
         masks_x = check_masks(masks_x, "outer")
         masks_y = check_masks(masks_y, "inner", n=len(masks_x))
-        flops = 0
-        for client, (ax, ay) in enumerate(zip(masks_x.sum(axis=1).tolist(),
-                                              masks_y.sum(axis=1).tolist())):
-            hyper = exact_aid_flops(ax, ay) if cfg.estimator == EXACT_AID \
-                else rafbo_flops(ax, ay, perturbation_size(
-                    ax, cfg.coord_fraction))
-            charge = inner_loop_flops(ax, ay, cfg.inner_epochs) + hyper
+        flops = tuple(
+            inner_loop_flops(ax, ay, cfg.inner_epochs)
+            + (exact_aid_flops(ax, ay) if cfg.estimator == EXACT_AID else
+               rafbo_flops(ax, ay, perturbation_size(ax, cfg.coord_fraction)))
+            for ax, ay in zip(masks_x.sum(axis=1).tolist(),
+                              masks_y.sum(axis=1).tolist()))
+        up = (int(masks_x.sum()), int(masks_y.sum()))
+        down = up if cfg.download_mode == "masked" \
+            else (masks_x.size, masks_y.size)
+        return flops, up, down
+
+    def charge(self, price: tuple) -> tuple[int, int, int]:
+        """Add one round's ``price``; returns its (bytes_up, bytes_down,
+        flops)."""
+        flops, (up_x, up_y), (dx, dy) = price
+        for client, charge in enumerate(flops):
             self.flops_per_client[client] = \
                 self.flops_per_client.get(client, 0) + charge
-            flops += charge
-        up_x, up_y = int(masks_x.sum()), int(masks_y.sum())
-        dx, dy = (up_x, up_y) if cfg.download_mode == "masked" \
-            else (masks_x.size, masks_y.size)
         self.x_down += BYTES_PER_COORD * dx
         self.y_down += BYTES_PER_COORD * dy
         self.y_plus_down += BYTES_PER_COORD * dy
         self.g_up += BYTES_PER_COORD * up_y
         self.h_up += BYTES_PER_COORD * up_x
         return (BYTES_PER_COORD * (up_x + up_y),
-                BYTES_PER_COORD * (dx + 2 * dy), flops)
+                BYTES_PER_COORD * (dx + 2 * dy), sum(flops))
+
+    def add(self, masks_x: np.ndarray, masks_y: np.ndarray,
+            cfg: RunConfig) -> tuple[int, int, int]:
+        """Charge one round of the (n, d1) and (n, d2) masks, row i for
+        client i; returns its (bytes_up, bytes_down, flops)."""
+        return self.charge(self.price(masks_x, masks_y, cfg))
+
+
+@dataclass(frozen=True)
+class MaskPhase:
+    """One round's masks and what follows from them alone: each level's
+    read-only (n, d) masks, each level's C* (``coverage``), the round's
+    ``CostLedger.price`` and, under ``log_masks``, each level's rows in
+    hex (None otherwise)."""
+
+    masks_x: np.ndarray
+    masks_y: np.ndarray
+    c_star_x: int | None
+    c_star_y: int | None
+    price: tuple
+    hex_x: tuple | None
+    hex_y: tuple | None
+
+
+def _mask_phase(cfg: RunConfig, capacities: tuple, q: int, x: np.ndarray,
+                y: np.ndarray) -> MaskPhase:
+    """Round ``q``'s MaskPhase under ``cfg``, with one capacity per client,
+    at the global model (x, y): one ``generate_mask`` call per level."""
+    tables = cfg.manual_tables or {}
+    masks = [generate_mask(v, capacities, cfg.policy, q, cfg.block_size,
+                           tables.get(level))
+             for v, level in ((x, "x"), (y, "y"))]
+    hexes = [_hex_rows(m) if cfg.log_masks else None for m in masks]
+    return MaskPhase(*masks, *map(coverage, masks),
+                     CostLedger.price(*masks, cfg), *hexes)
 
 
 def client_inner_loop(problem, i, x_i: np.ndarray, y_i0: np.ndarray,
@@ -447,20 +538,14 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     slowly exploding trajectory cannot outrun it, and without one it is
     anchored to this round's state.
     """
-    check_fit(vars(cfg), problem.n, problem.d1, problem.d2)
-    capacities = cfg.capacities if isinstance(cfg.capacities, tuple) \
-        else (cfg.capacities,) * problem.n
-    tables = cfg.manual_tables or {}
+    q = state.round_index
+    phase = cfg.mask_phase(problem, q, state.x, state.y)
+    masks_x, masks_y = phase.masks_x, phase.masks_y
     tracker = tracker if tracker is not None else CoverageTracker()
     ledger = ledger if ledger is not None else CostLedger()
-    q = state.round_index
     guard = divergence_guard if divergence_guard is not None else \
         _divergence_cap(cfg, state.x, state.y)
 
-    masks_x = generate_mask(state.x, capacities, cfg.policy, q,
-                            cfg.block_size, tables.get("x"))
-    masks_y = generate_mask(state.y, capacities, cfg.policy, q,
-                            cfg.block_size, tables.get("y"))
     xs, ys0 = apply_mask(state.x, masks_x), apply_mask(state.y, masks_y)
     clients = np.arange(problem.n)
 
@@ -502,8 +587,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     x_next = aggregate_outer(state.x, masks_x, hypergrads, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")
 
-    tracker.observe(coverage(masks_x), coverage(masks_y))
-    bytes_up, bytes_down, flops = ledger.add(masks_x, masks_y, cfg)
+    tracker.observe(phase.c_star_x, phase.c_star_y)
+    bytes_up, bytes_down, flops = ledger.charge(phase.price)
 
     if problem.has_oracles():
         grad_phi_sq, phi, inner_err_sq = _oracle_metrics(
@@ -518,8 +603,7 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         bytes_up=bytes_up, bytes_down=bytes_down, flops=flops,
         mean_w1sq=mask_deviation(state.x, masks_x),
         mean_w2sq=mask_deviation(state.y, masks_y),
-        masks_x_hex=_hex_rows(masks_x) if cfg.log_masks else None,
-        masks_y_hex=_hex_rows(masks_y) if cfg.log_masks else None)
+        masks_x_hex=phase.hex_x, masks_y_hex=phase.hex_y)
     return GlobalState(x_next, y_next, q + 1), log
 
 
@@ -582,7 +666,7 @@ def check_theory_guard(cfg: RunConfig, constants) -> list:
 
 def run(problem, cfg: RunConfig) -> RunResult:
     """Execute cfg.rounds rounds of the double loop from the initial state."""
-    check_fit(vars(cfg), problem.n, problem.d1, problem.d2)
+    cfg._schedule(problem)   # fits cfg to the problem before x0 is read
     x0, y0 = (np.zeros(d) if v is None else np.array(v, dtype=np.float64)
               for v, d in ((cfg.x0, problem.d1), (cfg.y0, problem.d2)))
     state = GlobalState(x0, y0, 0)

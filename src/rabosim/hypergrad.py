@@ -150,8 +150,7 @@ def exact_hypergradient(problem, i, x_masked: np.ndarray,
     """
     one, i, x, y, mask_x, mask_y, batch_f, batch_g = problem.rows(
         i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g)
-    gfx = problem.grad_f_x(i, x, y, batch_f)
-    gfy = problem.grad_f_y(i, x, y, batch_f)
+    gfx, gfy = problem.grad_f(i, x, y, batch_f)
     active = [np.flatnonzero(m) for m in mask_y]
     z = np.zeros(y.shape)
     for rows, hess in problem.hess_yy_g(i, x, y, batch_g, active=active):
@@ -188,8 +187,8 @@ def rafbo_hypergradient(problem, i, x_masked: np.ndarray,
         i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g, rng)
     coords = [build_perturbation_set(m, coord_fraction, stream)
               for m, stream in zip(mask_x, rng)]
-    value = problem.grad_f_x(i, x, y, batch_f).copy()
-    gfy = apply_mask(problem.grad_f_y(i, x, y, batch_f), mask_y)
+    gfx, gfy = problem.grad_f(i, x, y, batch_f)
+    value, gfy = gfx.copy(), apply_mask(gfy, mask_y)
     terms = problem.implicit_term(i, x, y, coords, mu, gfy, batch_g)
     for r, term in enumerate(terms):
         value[r, coords[r]] += term

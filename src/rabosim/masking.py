@@ -9,6 +9,11 @@ global parameters, the client's capacity, the round index and the
 policy's own table, so server and clients agree on the masks without
 transmitting them.
 
+``generate_mask`` builds one round's masks of one level. Only
+``magnitude_topk`` reads the parameters; the masks of the other policies
+repeat every ``schedule_period`` rounds, so a run builds each phase of
+that period once (``federation.RunConfig.mask_phase``) and reads it back.
+
 Structured pruning is realized as block-contiguous selection with a
 configurable ``block_size``; magnitude ranking breaks ties toward the
 lower coordinate index. All functions are pure.
@@ -16,6 +21,8 @@ lower coordinate index. All functions are pure.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 
@@ -79,7 +86,7 @@ def check_table(entry, name: str = "manual_tables", n: int | None = None,
     """Raise InvalidSpec with key ``manual_tables`` unless the manual
     table ``entry`` has exactly the levels "x" and "y", each passing
     ``check_rows`` with ``n`` and its dimension in ``dims``."""
-    if not (isinstance(entry, dict) and sorted(entry) == ["x", "y"]):
+    if not (isinstance(entry, Mapping) and sorted(entry) == ["x", "y"]):
         raise InvalidSpec(f"{name} must have exactly the levels 'x' and "
                           f"'y', got {entry!r}", key="manual_tables")
     for level, d in zip("xy", dims):
@@ -107,9 +114,13 @@ def check_rows(rows, n: int | None, d: float, name: str = "table") -> None:
                 f"indices in [0, {d}), got {row!r}", key="manual_tables")
 
 
-def _window_indices(d: int, target: int, phase: int, period: int) -> np.ndarray:
-    offset = (phase % period) * target
-    return (offset + np.arange(target)) % d
+def _windows(d: int, target: int, phases: np.ndarray) -> np.ndarray:
+    """One 0/1 row of width ``d`` per window phase k: the ``target``
+    coordinates from k * target on, wrapping past d."""
+    rows = np.zeros((len(phases), d), dtype=np.uint8)
+    rows[np.arange(len(phases))[:, None],
+         (phases[:, None] * target + np.arange(target)) % d] = 1
+    return rows
 
 
 def _block_scores(mags: np.ndarray, block_size: int) -> np.ndarray:
@@ -142,8 +153,10 @@ def generate_mask(params: np.ndarray, capacities, policy: str,
 
     ``capacities`` holds one Fraction per client, and ``table`` one row of
     coordinate indices per client of this level. Deterministic in all
-    arguments; no built-in policy draws randomness. The magnitude ranking
-    is computed once and cut at each row's popcount.
+    arguments; no built-in policy draws randomness. The clients of one
+    capacity share its row builds: a window policy builds one row per
+    window in use, and the magnitude ranking, computed once, is cut once
+    per capacity.
     """
     params = np.asarray(params, dtype=np.float64)
     d = params.shape[0]
@@ -152,19 +165,35 @@ def generate_mask(params: np.ndarray, capacities, policy: str,
         check_rows(table, len(capacities), d)
         rows = np.repeat(np.arange(len(table)), list(map(len, table)))
         masks[rows, list(chain.from_iterable(table))] = 1
-    ranking = (_topk_order(params, block_size)
-               if policy == "magnitude_topk" else None)
-    for i, capacity in enumerate(capacities if policy != "manual" else ()):
-        target = active_count(capacity, d)
-        if policy == "static":
-            idx = _window_indices(d, target, i, period(capacity))
-        elif policy == "rolling":
-            idx = _window_indices(d, target, round_index + i, period(capacity))
-        else:  # magnitude_topk
-            idx = ranking[:target]
-        masks[i, idx] = 1
+    else:
+        ranking = (_topk_order(params, block_size)
+                   if policy == "magnitude_topk" else None)
+        shift = round_index if policy == "rolling" else 0
+        groups = {}   # capacity -> its clients
+        for i, capacity in enumerate(capacities):
+            groups.setdefault(capacity, []).append(i)
+        for capacity, clients in groups.items():
+            clients, target = np.array(clients), active_count(capacity, d)
+            if ranking is not None:
+                masks[clients[:, None], ranking[:target]] = 1
+                continue
+            phases, which = np.unique((shift + clients) % period(capacity),
+                                      return_inverse=True)
+            masks[clients] = _windows(d, target, phases)[which]
     masks.setflags(write=False)
     return masks
+
+
+def schedule_period(policy: str, capacities) -> int | None:
+    """Rounds after which ``generate_mask``'s masks under ``policy``
+    repeat, for one Fraction per client: 1 under ``static`` and
+    ``manual``, the lcm of the clients' ``period``s under ``rolling``, and
+    None under ``magnitude_topk``, whose masks follow the parameters."""
+    if policy == "magnitude_topk":
+        return None
+    if policy == "rolling":
+        return math.lcm(*map(period, set(capacities)))
+    return 1
 
 
 def check_masks(masks, level: str, n: int | None = None,

@@ -118,6 +118,13 @@ class BilevelProblem(ABC):
     def grad_f_y(self, i, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray: ...
 
+    def grad_f(self, i, x: np.ndarray, y: np.ndarray,
+               batch: SampleBatch | None = None) -> tuple:
+        """(grad_f_x, grad_f_y) under one batch. This default makes both
+        calls; the quadratic family draws each batch's noise once for
+        both."""
+        return self.grad_f_x(i, x, y, batch), self.grad_f_y(i, x, y, batch)
+
     @abstractmethod
     def grad_g_y(self, i, x: np.ndarray, y: np.ndarray,
                  batch: SampleBatch | None = None) -> np.ndarray:

@@ -28,12 +28,13 @@ Stochastic evaluations subsample the train split without replacement.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidSpec, check_ranges
+from ..errors import InvalidSpec, check_ranges, check_types
 from ..rng import RngStream
 from .base import BilevelProblem, SampleBatch, _difference
 
@@ -251,7 +252,9 @@ RANGES = {"n": "at least 1", "imbalance_mu": "in (0, 1]",
 
 def check_args(args: dict, prefix: str = "") -> None:
     """Raise InvalidSpec naming the first argument in ``args`` that breaks
-    a rule of ``make_logistic_tune``; ``prefix`` leads the message."""
+    a rule of ``make_logistic_tune``: its type, by its default in
+    ``ARGUMENTS``, then its range; ``prefix`` leads the message."""
+    check_types(args, ARGUMENTS, prefix)
     check_ranges(args, RANGES, prefix)
     # the decay leaves the last class the fewest samples
     if math.floor(args["base_count"]
@@ -299,3 +302,9 @@ def make_logistic_tune(seed: int = 0, n: int = 4, imbalance_mu: float = 1.0,
         clients.append(_ClientData(*map(np.concatenate, parts)))
     return LogisticTuneProblem(
         LogisticTuneSpec(clients=clients, classes=classes, features=features))
+
+
+# make_logistic_tune's arguments and their defaults, the keys and defaults
+# of a config's logistic problem section
+ARGUMENTS = {name: param.default for name, param
+             in inspect.signature(make_logistic_tune).parameters.items()}

@@ -29,12 +29,18 @@ same batch cancels it exactly (common random numbers).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ..errors import InvalidSpec, UnsupportedProblem, check_ranges
+from ..errors import (
+    InvalidSpec,
+    UnsupportedProblem,
+    check_ranges,
+    check_types,
+)
 from ..linalg import (
     solve_spd,
     spd_solver,
@@ -127,12 +133,15 @@ class QuadraticProblem(BilevelProblem):
             self._u_bar = None
 
     # -- noise and rows ------------------------------------------------------
-    def _add_noise(self, out, batches, scale: float, part: slice) -> None:
-        """Add to each row ``part`` of its batch's joint draw of d1 + d2."""
-        for row, batch in zip(out, batches):
+    def _add_noise(self, batches, scale: float, *parts) -> None:
+        """Add to row r of each (out, part) pair ``part`` of row r's
+        batch's joint draw of d1 + d2, drawn once for all the pairs."""
+        for r, batch in enumerate(batches):
             if batch is not None and scale:
-                joint = batch.stream().normal(self.d1 + self.d2)
-                row += (joint * (scale / np.sqrt(batch.size)))[part]
+                joint = batch.stream().normal(self.d1 + self.d2) \
+                    * (scale / np.sqrt(batch.size))
+                for out, part in parts:
+                    out[r] += joint[part]
 
     @staticmethod
     def _apply(mats: list, i: np.ndarray, vecs: np.ndarray,
@@ -170,7 +179,7 @@ class QuadraticProblem(BilevelProblem):
         if s.quartic:
             grad += ((s.quartic / 2.0) * np.vecdot(x, x))[:, None] \
                 * self._apply(s.u_mats, i, y)
-        self._add_noise(grad, batch, s.noise_g, slice(None, self.d2))
+        self._add_noise(batch, s.noise_g, (grad, slice(None, self.d2)))
         return grad[0] if one else grad
 
     def implicit_term(self, i, x, y, coords, mu, v, batch=None):
@@ -236,20 +245,23 @@ class QuadraticProblem(BilevelProblem):
             val += s.sine_amp * float(np.sum(np.sin(x)))
         return val
 
-    def grad_f_x(self, i, x, y, batch=None):
+    def grad_f(self, i, x, y, batch=None):
+        # one joint draw per batch serves both gradients
         one, i, x, y, batch = self.rows(i, x, y, batch)
         s = self.spec
-        grad = s.lam * (x - np.array([s.outer_targets[j] for j in i]))
+        gx = s.lam * (x - np.array([s.outer_targets[j] for j in i]))
         if s.sine_amp:
-            grad += s.sine_amp * np.cos(x)
-        self._add_noise(grad, batch, s.noise_f, slice(None, self.d1))
-        return grad[0] if one else grad
+            gx += s.sine_amp * np.cos(x)
+        gy = y - np.array([s.inner_targets[j] for j in i])
+        self._add_noise(batch, s.noise_f, (gx, slice(None, self.d1)),
+                        (gy, slice(self.d1, None)))
+        return (gx[0], gy[0]) if one else (gx, gy)
+
+    def grad_f_x(self, i, x, y, batch=None):
+        return self.grad_f(i, x, y, batch)[0]
 
     def grad_f_y(self, i, x, y, batch=None):
-        one, i, x, y, batch = self.rows(i, x, y, batch)
-        grad = y - np.array([self.spec.inner_targets[j] for j in i])
-        self._add_noise(grad, batch, self.spec.noise_f, slice(self.d1, None))
-        return grad[0] if one else grad
+        return self.grad_f(i, x, y, batch)[1]
 
     # -- oracles --------------------------------------------------------------
     def has_oracles(self) -> bool:
@@ -325,7 +337,9 @@ RANGES = {
 
 def check_args(args: dict, prefix: str = "") -> None:
     """Raise InvalidSpec naming the first argument in ``args`` that breaks
-    a rule of ``make_quadratic``; ``prefix`` leads the message."""
+    a rule of ``make_quadratic``: its type, by its default in ``ARGUMENTS``,
+    then its range; ``prefix`` leads the message."""
+    check_types(args, ARGUMENTS, prefix)
     check_ranges(args, RANGES, prefix)
     if args["eig_max"] < args["eig_min"]:
         raise InvalidSpec(f"{prefix}eig_max must be at least eig_min "
@@ -425,6 +439,12 @@ def make_quadratic(seed: int = 0, n: int = 4, d1: int = 10, d2: int = 10,
         lam=lam, noise_f=noise_f, noise_g=noise_g, quartic=quartic,
         sine_amp=sine_amp, ball_radius=ball_radius)
     return QuadraticProblem(spec)
+
+
+# make_quadratic's arguments and their defaults, the keys and defaults of
+# a config's quadratic problem section
+ARGUMENTS = {name: param.default for name, param
+             in inspect.signature(make_quadratic).parameters.items()}
 
 
 def _distinct(arrays: list) -> list:

@@ -1,3 +1,6 @@
+import copy
+import gc
+import weakref
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from itertools import chain
@@ -21,6 +24,7 @@ from rabosim.federation import (
     GlobalState,
     RoundLog,
     RunConfig,
+    _hex_rows,
     aggregate_inner,
     aggregate_outer,
     check_theory_guard,
@@ -30,7 +34,13 @@ from rabosim.federation import (
     run,
 )
 from rabosim.hypergrad import EXACT_AID, RAFBO
-from rabosim.masking import coverage
+from rabosim.masking import (
+    CoverageTracker,
+    coverage,
+    generate_mask,
+    parse_capacities,
+    schedule_period,
+)
 from rabosim.problems import (
     derive_constants,
     make_logistic_tune,
@@ -560,6 +570,165 @@ class TestRoundSharing:
         bound = 32 * np.finfo(float).eps * (hi / lo) \
             * linalg.spectral_norm(b) * np.linalg.norm(z, axis=1)
         assert np.all(np.linalg.norm(got - want, axis=1) <= bound)
+
+
+# capacities of periods 1, 2, 3 and 4: a list of them repeats its rolling
+# masks every lcm of its periods, up to 12 rounds
+MIXED_CAPACITIES = ["1", "1/2", "2/3", "1/3", "1/4", "3/4"]
+
+
+@st.composite
+def schedule_cases(draw):
+    """(n, d1, d2, policy, capacities entry, manual tables or None)."""
+    n, d1, d2 = (draw(st.integers(lo, 6)) for lo in (1, 2, 2))
+    policy = draw(st.sampled_from(["static", "rolling", "manual"]))
+    capacities = draw(st.one_of(
+        st.sampled_from(MIXED_CAPACITIES),
+        st.lists(st.sampled_from(MIXED_CAPACITIES), min_size=n, max_size=n)))
+    tables = {"x": draw(partial_tables(n, d1)),
+              "y": draw(partial_tables(n, d2))} if policy == "manual" else None
+    return n, d1, d2, policy, capacities, tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=schedule_cases(), estimator=st.sampled_from([EXACT_AID, RAFBO]),
+       download_mode=st.sampled_from(["masked", "full"]),
+       seed=st.integers(0, 2 ** 16))
+def test_schedule_matches_the_per_round_build(case, estimator, download_mode,
+                                              seed):
+    """Past one period of rounds, each round reads the masks, C* and
+    ledger charge that ``generate_mask``, ``coverage`` and
+    ``CostLedger.add`` give for that round."""
+    n, d1, d2, policy, capacities, tables = case
+    prob = make_quadratic(seed=seed, n=n, d1=d1, d2=d2, hetero=0.3,
+                          noise_f=0.2, noise_g=0.2, eig_min=0.8, eig_max=1.5)
+    cfg = RunConfig(alpha=0.02, beta=0.2, estimator=estimator,
+                    coord_fraction=0.5, policy=policy, capacities=capacities,
+                    download_mode=download_mode, log_masks=True,
+                    batch_size_f=2, batch_size_g=2, manual_tables=tables)
+    caps = parse_capacities(capacities)
+    caps = caps if isinstance(caps, tuple) else (caps,) * n
+    period = schedule_period(policy, caps)
+    tracker, ledger, want_tracker, want_ledger = \
+        CoverageTracker(), CostLedger(), CoverageTracker(), CostLedger()
+    state = GlobalState(np.zeros(d1), np.zeros(d2), 0)
+    for q in range(2 * period + 1):
+        masks = [generate_mask(np.zeros(d), caps, policy, q,
+                               table=(tables or {}).get(level))
+                 for d, level in ((d1, "x"), (d2, "y"))]
+        phase = cfg.mask_phase(prob, q, state.x, state.y)
+        assert phase.masks_x.tobytes() == masks[0].tobytes()
+        assert phase.masks_y.tobytes() == masks[1].tobytes()
+        assert (phase.c_star_x, phase.c_star_y) == tuple(map(coverage, masks))
+        want = want_ledger.add(*masks, cfg)
+        want_tracker.observe(*map(coverage, masks))
+        state, log = rabo_round(prob, state, cfg, tracker, ledger)
+        assert (log.bytes_up, log.bytes_down, log.flops) == want
+        assert (log.masks_x_hex, log.masks_y_hex) == \
+            tuple(map(_hex_rows, masks))
+        assert ledger.legs() == want_ledger.legs()
+        assert list(ledger.flops_per_client.items()) == \
+            list(want_ledger.flops_per_client.items())
+        assert (tracker.c_star_x, tracker.c_star_y) == \
+            (want_tracker.c_star_x, want_tracker.c_star_y)
+
+
+class TestMaskSchedule:
+    def test_one_config_on_two_problem_shapes(self):
+        # the schedule is held per problem shape, so a RunConfig reused on
+        # another (n, d1, d2) builds that shape's own masks
+        cfg = RunConfig(alpha=0.02, beta=0.2, capacities="1/2",
+                        log_masks=True)
+        probs = [make_quadratic(seed=1, n=2, d1=4, d2=4),
+                 make_quadratic(seed=2, n=3, d1=6, d2=5)]
+        states = [GlobalState(np.zeros(p.d1), np.zeros(p.d2), 0)
+                  for p in probs]
+        for _ in range(3):
+            for k, prob in enumerate(probs):
+                q = states[k].round_index
+                states[k], log = rabo_round(prob, states[k], cfg)
+                want = [generate_mask(np.zeros(d), [Fraction(1, 2)] * prob.n,
+                                      "rolling", q)
+                        for d in (prob.d1, prob.d2)]
+                assert (log.masks_x_hex, log.masks_y_hex) == \
+                    tuple(map(_hex_rows, want))
+        for prob in probs:
+            assert logs_to_csv(run(prob, cfg).logs) == \
+                logs_to_csv(run(prob, replace(cfg)).logs)
+
+    def test_caller_table_change_does_not_reach_the_run(self):
+        # the config used to hold the caller's dict, which a change after
+        # the check could make out of range
+        prob = make_quadratic(seed=3, n=2, d1=4, d2=4)
+        tables = {"x": [[0, 1], [2]], "y": [[0], [1, 3]]}
+        want = run(prob, RunConfig(rounds=3, policy="manual",
+                                   manual_tables=copy.deepcopy(tables)))
+        cfg = RunConfig(rounds=3, policy="manual", manual_tables=tables)
+        tables["x"][0].append(9)
+        tables["y"] = [[0, 1, 2, 3]] * 2
+        assert logs_to_csv(run(prob, cfg).logs) == logs_to_csv(want.logs)
+        assert cfg.manual_tables == {"x": ((0, 1), (2,)), "y": ((0,), (1, 3))}
+        with pytest.raises(TypeError):
+            cfg.manual_tables["x"] = ((0,), (1,))
+
+    @pytest.mark.parametrize("policy,period", [
+        ("rolling", 12), ("static", 1), ("manual", 1)])
+    def test_steady_state_rebuilds_and_rechecks_nothing(self, policy, period,
+                                                        monkeypatch):
+        prob = make_quadratic(seed=4, n=4, d1=6, d2=5)
+        tables = {"x": [[0, 1], [2, 3], [4, 5], [0]],
+                  "y": [[0], [1], [2], [3, 4]]}
+        cfg = RunConfig(policy=policy, capacities="1" if policy == "manual"
+                        else ["1/2", "1/3", "2/3", "1/4"],
+                        manual_tables=tables if policy == "manual" else None)
+        calls = Counter()
+        for module, name in ((masking, "check_rows"), (masking, "check_table"),
+                             (federation, "check_fit"),
+                             (federation, "generate_mask"),
+                             (federation, "coverage")):
+            def counted(*args, _name=name, _original=getattr(module, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        state = GlobalState(np.zeros(6), np.zeros(5), 0)
+        for _ in range(period):
+            state, _ = rabo_round(prob, state, cfg)
+        # each phase built once, and the fit checked once
+        assert calls["generate_mask"] == 2 * period
+        assert calls["check_fit"] == 1
+        calls.clear()
+        for _ in range(2 * period + 1):
+            state, _ = rabo_round(prob, state, cfg)
+        assert not calls
+
+    def test_magnitude_topk_builds_every_round(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(federation, "generate_mask", lambda *args: (
+            calls.append(args[3]) or generate_mask(*args)))
+        prob = make_quadratic(seed=5, n=3, d1=4, d2=4)
+        cfg = RunConfig(policy="magnitude_topk", capacities="1/2")
+        state = GlobalState(np.arange(4.0), np.arange(4.0), 0)
+        for _ in range(3):
+            state, _ = rabo_round(prob, state, cfg)
+        assert calls == [0, 0, 1, 1, 2, 2]
+
+    def test_schedule_is_freed_with_its_config(self):
+        # no reference cycle: the masks go with the last reference to the
+        # config, without waiting for the cycle collector
+        prob = make_quadratic(seed=6, n=3, d1=4, d2=4)
+        cfg = RunConfig(capacities="1/2")
+        rabo_round(prob, GlobalState(np.zeros(4), np.zeros(4), 0), cfg)
+        held = weakref.ref(cfg.mask_phase(prob, 0, None, None).masks_x)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cfg
+            assert held() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestRun:

@@ -410,6 +410,38 @@ class TestRafboBatchedEquivalence:
             assert np.array_equal(est, ref)
 
     @pytest.mark.parametrize("family", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
+    def test_one_grad_f_call(self, family, estimator, monkeypatch):
+        # the upper gradients come from one grad_f row call, which the
+        # quadratic family serves with one noise draw per batch
+        if family == "quadratic":
+            prob = make_quadratic(seed=31, n=3, d1=6, d2=5, noise_f=0.3)
+        else:
+            prob = make_logistic_tune(seed=4, n=3, classes=3, features=2,
+                                      base_count=20)
+        calls = []
+        for name in ("grad_f", "grad_f_x", "grad_f_y"):
+            original = getattr(prob, name)
+
+            def counted(i, *args, _name=name, _original=original, **kwargs):
+                if np.ndim(i):   # the row calls, not their one-client rows
+                    calls.append(_name)
+                return _original(i, *args, **kwargs)
+
+            monkeypatch.setattr(prob, name, counted)
+        mx, my = (np.ones((prob.n, d), np.uint8) for d in (prob.d1, prob.d2))
+        clients, zeros = list(range(prob.n)), np.zeros(mx.shape)
+        batches = [SampleBatch("f", 1, c) for c in clients]
+        args = (prob, clients, zeros, np.zeros(my.shape), mx, my)
+        if estimator == EXACT_AID:
+            exact_hypergradient(*args, batches)
+        else:
+            rafbo_hypergradient(*args, 1e-3, 1.0, batches)
+        # the logistic family takes the base default, which calls both
+        assert calls == ["grad_f"] + (
+            [] if family == "quadratic" else ["grad_f_x", "grad_f_y"])
+
+    @pytest.mark.parametrize("family", ["quadratic", "logistic"])
     def test_one_implicit_term_call(self, family, monkeypatch):
         if family == "quadratic":
             prob = make_quadratic(seed=31, n=3, d1=6, d2=5)

@@ -20,6 +20,7 @@ from rabosim.masking import (
     parse_capacities,
     parse_capacity,
     period,
+    schedule_period,
 )
 from rabosim.federation import RunConfig, _hex_rows
 from tests_support import topk_indices_loop
@@ -372,3 +373,57 @@ def test_block_scores_equal_the_slice_loop(d, block_size):
         mags, block_size)
     assert got.shape == want.shape == (math.ceil(d / block_size),)
     assert got.tobytes() == want.tobytes()
+
+
+def window_masks_loop(d, capacities, policy, round_index):
+    """Window masks as the per-client loop ``generate_mask`` used to run:
+    client i's row holds ceil(c_i d) coordinates from offset
+    ((r + i) mod period) ceil(c_i d) on (r = 0 under ``static``), mod d."""
+    masks = np.zeros((len(capacities), d), dtype=np.uint8)
+    for i, capacity in enumerate(capacities):
+        target = math.ceil(capacity * d)
+        phase = (round_index if policy == "rolling" else 0) + i
+        offset = (phase % math.ceil(1 / capacity)) * target
+        masks[i, (offset + np.arange(target)) % d] = 1
+    return masks
+
+
+@settings(max_examples=150)
+@given(d=st.integers(1, 40), capacity_list=st.lists(capacities, min_size=1,
+                                                    max_size=30),
+       policy=st.sampled_from(["static", "rolling"]),
+       round_index=st.integers(-30, 500))
+def test_window_rows_match_the_client_loop(d, capacity_list, policy,
+                                           round_index):
+    masks = generate_mask(np.zeros(d), capacity_list, policy, round_index)
+    assert np.array_equal(masks, window_masks_loop(
+        d, capacity_list, policy, round_index))
+
+
+class TestSchedulePeriod:
+    @pytest.mark.parametrize("values,want", [
+        (("1",), 1), (("1/2",), 2), (("2/3",), 2), (("1/3", "3/4"), 6),
+        # the lcm, not the largest period (4)
+        (("1/2", "1/3", "2/3", "1/4"), 12), (("1/5", "1/4", "2/7"), 20)])
+    def test_rolling_is_the_lcm_of_the_periods(self, values, want):
+        assert schedule_period("rolling", caps(*values)) == want
+
+    def test_other_policies(self):
+        capacities = caps("1/2", "1/3")
+        assert schedule_period("static", capacities) == 1
+        assert schedule_period("manual", capacities) == 1
+        assert schedule_period("magnitude_topk", capacities) is None
+
+    @settings(max_examples=60)
+    @given(d=st.integers(1, 30),
+           capacity_list=st.lists(capacities, min_size=1, max_size=6),
+           policy=st.sampled_from(["static", "rolling"]),
+           round_index=st.integers(0, 300))
+    def test_masks_repeat_every_period(self, d, capacity_list, policy,
+                                       round_index):
+        p = schedule_period(policy, capacity_list)
+        params = np.zeros(d)
+        assert np.array_equal(
+            generate_mask(params, capacity_list, policy, round_index),
+            generate_mask(params, capacity_list, policy, round_index + p))
+

@@ -52,6 +52,17 @@ class TestConstruction:
             grad = prob.grad_f_y(i, np.zeros(prob.d1), np.ones(prob.d2))
             assert np.all(np.isfinite(grad))
 
+    @pytest.mark.parametrize("kwargs,key,want", [
+        ({"n": 2.5}, "n", "an integer"),
+        ({"classes": 3.0}, "classes", "an integer"),
+        ({"class_sep": None}, "class_sep", "a finite number")])
+    def test_mistyped_argument_named(self, kwargs, key, want):
+        # make_logistic_tune(n=2.5) used to end in a TypeError from range(n)
+        with pytest.raises(InvalidSpec) as err:
+            make_logistic_tune(**kwargs)
+        assert err.value.key == key
+        assert str(err.value) == f"{key} must be {want}, got {kwargs[key]!r}"
+
     def test_mu_out_of_range(self):
         with pytest.raises(InvalidSpec):
             make_logistic_tune(seed=0, n=1, imbalance_mu=0.0)
@@ -164,6 +175,14 @@ class TestDerivatives:
         x = rng.standard_normal(prob.d1) * 0.4
         y = rng.standard_normal(prob.d2) * 0.3
         return prob, x, y
+
+    def test_grad_f_is_both_gradients(self, setup):
+        # the base default: one grad_f_x and one grad_f_y call
+        prob, x, y = setup
+        for args in ((1, x, y), ([0, 1], np.array([x, -x]), np.array([y, y]))):
+            gx, gy = prob.grad_f(*args)
+            assert gx.tobytes() == prob.grad_f_x(*args).tobytes()
+            assert gy.tobytes() == prob.grad_f_y(*args).tobytes()
 
     def test_grad_g_y_fd(self, setup):
         prob, x, y = setup

@@ -26,6 +26,7 @@ from rabosim.problems import (
     make_quadratic,
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
+from rabosim.rng import RngStream
 from linear_oracle import outer_minimizer
 from tests_support import EPS
 
@@ -225,6 +226,18 @@ class TestMakeQuadratic:
             make_quadratic(eig_min=2, eig_max=1)
         assert err.value.key == "eig_max"
         assert str(err.value) == "eig_max must be at least eig_min 2, got 1"
+
+    @pytest.mark.parametrize("kwargs,key,want", [
+        ({"n": 2.5}, "n", "an integer"), ({"d1": 3.0}, "d1", "an integer"),
+        ({"seed": True}, "seed", "an integer"),
+        ({"hetero": "0.1"}, "hetero", "a finite number"),
+        ({"eig_max": float("nan")}, "eig_max", "a finite number")])
+    def test_mistyped_argument_named(self, kwargs, key, want):
+        # make_quadratic(n=2.5) used to end in a TypeError from range(n)
+        with pytest.raises(InvalidSpec) as err:
+            make_quadratic(**kwargs)
+        assert err.value.key == key
+        assert str(err.value) == f"{key} must be {want}, got {kwargs[key]!r}"
 
     @pytest.mark.parametrize("kwargs,key", [
         ({"eig_max": 1e308}, "eig_max"),
@@ -491,6 +504,44 @@ class TestDeriveConstants:
 
 
 class TestDerivativeCallbacks:
+    @pytest.mark.parametrize("rows", [False, True], ids=["one", "rows"])
+    def test_grad_f_draws_each_batch_once(self, rows, monkeypatch):
+        # both gradients take their parts of one joint draw per batch,
+        # with the bits of adding each part to the exact gradient
+        prob = make_quadratic(seed=20, n=3, d1=3, d2=4, hetero=0.2,
+                              noise_f=0.4, sine_amp=0.3)
+        s, rng = prob.spec, np.random.default_rng(3)
+        x, y = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+        batches = [SampleBatch("f", 5, c, 2, 0, 2) for c in range(3)]
+        batches[2] = None
+        want_x, want_y = [], []
+        for i in range(3):
+            gx = s.lam * (x[i] - s.outer_targets[i]) \
+                + s.sine_amp * np.cos(x[i])
+            gy = y[i] - s.inner_targets[i]
+            if batches[i] is not None:
+                joint = batches[i].stream().normal(7) * (0.4 / np.sqrt(2))
+                gx += joint[:3]
+                gy += joint[3:]
+            want_x.append(gx)
+            want_y.append(gy)
+        draws, normal = [], RngStream.normal
+        monkeypatch.setattr(RngStream, "normal", lambda self, *args: (
+            draws.append(self)) or normal(self, *args))
+        if rows:
+            got = prob.grad_f(np.arange(3), x, y, batches)
+            want = np.array(want_x), np.array(want_y)
+        else:
+            got, want = prob.grad_f(1, x[1], y[1], batches[1]), \
+                (want_x[1], want_y[1])
+        assert len(draws) == (2 if rows else 1)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for g, callback in zip(got, (prob.grad_f_x, prob.grad_f_y)):
+            args = (np.arange(3), x, y, batches) if rows else \
+                (1, x[1], y[1], batches[1])
+            assert callback(*args).tobytes() == g.tobytes()
+
     def test_hessian_is_curvature_block(self):
         prob = make_quadratic(seed=18, n=2, d1=3, d2=4,
                               eig_min=0.5, eig_max=1.5)

@@ -11,6 +11,7 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``WINDOW_GROUPS`` below into ``OUT/window_groups``;
 - ``QUARTIC`` below into ``OUT/quartic``;
 - ``STATIC_LISTS`` below into ``OUT/static_lists``;
+- ``ROLLING_LISTS`` below into ``OUT/rolling_lists``;
 - ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``;
 - ``SAMPLED_SETS`` below into ``OUT/sampled_sets``.
 
@@ -74,6 +75,20 @@ STATIC_LISTS = {
                              "1/3"]},
 }
 
+# Rolling windows under a per-client capacity list whose periods are 2,
+# 3 and 4, so the masks repeat only every lcm = 12 rounds; 30 rounds pass
+# that twice, noise is on, and masks.csv logs every row.
+ROLLING_LISTS = {
+    "problem": {"family": "quadratic", "seed": 8, "n": 6, "d1": 10,
+                "d2": 9, "hetero": 0.3, "noise_f": 0.1, "noise_g": 0.1,
+                "eig_min": 0.8, "eig_max": 1.6},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 30,
+            "policy": "rolling", "log_masks": True, "batch_size_f": 2,
+            "batch_size_g": 2},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": [["1/2", "1/3", "1/4", "2/3", "1/3", "3/4"]]},
+}
+
 # Magnitude ranking by blocks of 2 from a start with distinct and tied
 # magnitudes, so masks differ across rounds, and one ranking is cut at
 # each client's own popcount under the capacity list.
@@ -123,6 +138,7 @@ def documents():
     yield "window_groups", WINDOW_GROUPS
     yield "quartic", QUARTIC
     yield "static_lists", STATIC_LISTS
+    yield "rolling_lists", ROLLING_LISTS
     yield "topk_blocks", TOPK_BLOCKS
     yield "sampled_sets", SAMPLED_SETS
 
