@@ -146,14 +146,15 @@ FAMILY_ARGUMENTS = {"quadratic": quadratic.ARGUMENTS,
 
 
 def _check_types(section: str, resolved: dict, defaults: dict) -> None:
-    """Each entry's type: ``check_types`` by its default, then the list
-    and optional-string entries, whose None default does not show theirs.
+    """Each entry's type in the sweep or output section: ``check_types``
+    by its default, then the list and optional-string entries, whose None
+    default does not show theirs.
 
-    ``capacities``, ``x0``, ``y0`` and the manual tables have their own
-    checks.
+    The problem and run sections are typed by their own rules: each
+    family's ``check_args`` and ``federation.check_run``. The sweep's
+    capacities and manual tables have their own checks too.
     """
-    check_types(resolved, {k: v for k, v in defaults.items()
-                           if k != "capacities"}, f"{section}.")
+    check_types(resolved, defaults, f"{section}.")
     for key, value in resolved.items():
         if key in LIST_ENTRIES:
             test, want = LIST_ENTRIES[key]
@@ -169,11 +170,9 @@ def _check_types(section: str, resolved: dict, defaults: dict) -> None:
 
 
 def _resolve_section(section: str, data: dict, defaults: dict) -> dict:
+    """``data`` over ``defaults``, once no key of ``data`` is unknown."""
     _reject_unknown(section, data, defaults.keys())
-    resolved = dict(defaults)
-    resolved.update(data)
-    _check_types(section, resolved, defaults)
-    return resolved
+    return {**defaults, **data}
 
 
 def _normalize_capacities(entry, name: str) -> list | str:
@@ -212,6 +211,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     problem["family"] = family
 
     run_cfg = _resolve_section("run", dict(raw.get("run", {})), RUN_ARGUMENTS)
+    # check_run types RunConfig's fields below; the theory guard is no
+    # field of it
+    check_types(run_cfg, {"theory_guard": RUN_ARGUMENTS["theory_guard"]},
+                "run.")
     run_cfg["capacities"] = _normalize_capacities(
         run_cfg["capacities"], "run.capacities")
     if run_cfg["theory_guard"] and family != "quadratic":
@@ -219,6 +222,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"run.theory_guard needs the quadratic family's smoothness "
             f"constants, got family '{family}'", key="theory_guard")
     sweep = _resolve_section("sweep", dict(raw.get("sweep", {})), SWEEP_DEFAULTS)
+    _check_types("sweep", sweep, SWEEP_DEFAULTS)
     tables = sweep["manual_tables"]
     if tables is not None and not (isinstance(tables, list) and tables):
         raise InvalidSpec(
@@ -270,6 +274,7 @@ def resolve_config(raw: dict) -> ExperimentConfig:
 
     output = _resolve_section("output", dict(raw.get("output", {})),
                               OUTPUT_DEFAULTS)
+    _check_types("output", output, OUTPUT_DEFAULTS)
     baseline = output["compare_baseline"]
     if baseline is not None and baseline not in {
             variant[0] for variant in _variants(sweep)}:

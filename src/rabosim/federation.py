@@ -578,11 +578,14 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
         except SingularRestrictedHessian as exc:
             raise SingularRestrictedHessian(f"round {q}: {exc}") from exc
     else:
+        # every active coordinate is perturbed at coord_fraction 1, and
+        # no stream is read
+        streams = None if cfg.coord_fraction == 1 else [
+            RngStream(cfg.seed, c, q, "perturbation-set")
+            for c in clients.tolist()]
         hypergrads = rafbo_hypergradient(
             problem, clients, xs, ys_plus, masks_x, masks_y, cfg.mu,
-            cfg.coord_fraction, batch_f, batch_g,
-            [RngStream(cfg.seed, c, q, "perturbation-set")
-             for c in clients.tolist()])
+            cfg.coord_fraction, batch_f, batch_g, streams)
 
     x_next = aggregate_outer(state.x, masks_x, hypergrads, cfg.alpha)
     _require_finite(x_next, q, "outer iterate x", f"alpha {cfg.alpha}")

@@ -254,4 +254,4 @@ def mask_deviation(v: np.ndarray, masks: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0
     residuals = v - apply_mask(v, masks)
-    return float(np.mean([float(r @ r) / denom for r in residuals]))
+    return float(np.mean(np.vecdot(residuals, residuals) / denom))

@@ -18,7 +18,9 @@ a unique verifiable minimizer.
 
 Heterogeneity enters only through per-client offsets of the linear
 targets (c_i, a_i, b_i); curvature blocks are shared: ``make_quadratic``
-holds one read-only A and one B that every client's entry refers to.
+holds one read-only A and one B that every client's entry refers to. The
+problem stacks each target list into one read-only (n, d) array, so a
+row call gathers its clients' targets with one index.
 
 Stochastic gradients are the exact gradients plus additive zero-mean
 Gaussian noise scaled by ``noise_f`` / ``noise_g`` and shrunk by
@@ -116,6 +118,21 @@ def _checked_dims(spec: QuadraticSpec) -> tuple[int, int, int]:
     return n, d2, d1
 
 
+def _stacked(vecs: list) -> np.ndarray:
+    """One client's vector per row, read-only. Entries that are the rows
+    of one array in order, as ``make_quadratic`` lists them, are read in
+    place, so the problem holds no second copy of them."""
+    base = getattr(vecs[0], "base", None)
+    in_place = isinstance(base, np.ndarray) and base.ndim == 2 \
+        and len(base) == len(vecs) and all(
+            v.base is base and v.shape == row.shape
+            and v.ctypes.data == row.ctypes.data
+            for v, row in zip(vecs, base))
+    rows = base.view() if in_place else np.array(vecs)
+    rows.flags.writeable = False
+    return rows
+
+
 class QuadraticProblem(BilevelProblem):
     """Bilevel problem backed by a :class:`QuadraticSpec`."""
 
@@ -131,17 +148,26 @@ class QuadraticProblem(BilevelProblem):
             self._u_bar = symmetrize(sum(spec.u_mats) / self.n)
         else:
             self._u_bar = None
+        self._c_rows, self._a_tgt_rows, self._b_tgt_rows = (
+            _stacked(vecs) for vecs in
+            (spec.c_vecs, spec.outer_targets, spec.inner_targets))
 
     # -- noise and rows ------------------------------------------------------
     def _add_noise(self, batches, scale: float, *parts) -> None:
         """Add to row r of each (out, part) pair ``part`` of row r's
-        batch's joint draw of d1 + d2, drawn once for all the pairs."""
-        for r, batch in enumerate(batches):
-            if batch is not None and scale:
-                joint = batch.stream().normal(self.d1 + self.d2) \
-                    * (scale / np.sqrt(batch.size))
-                for out, part in parts:
-                    out[r] += joint[part]
+        batch's joint draw of d1 + d2, drawn once for all the pairs from
+        that batch's stream; a row without a batch gets nothing."""
+        rows = [r for r, batch in enumerate(batches) if batch is not None]
+        if not (rows and scale):
+            return
+        sizes = [batches[r].size for r in rows]
+        joint = np.array([batches[r].stream().normal(self.d1 + self.d2)
+                          for r in rows])
+        joint *= (scale / np.sqrt(sizes))[:, None]
+        if len(rows) == len(batches):
+            rows = slice(None)
+        for out, part in parts:
+            out[rows] += joint[:, part]
 
     @staticmethod
     def _apply(mats: list, i: np.ndarray, vecs: np.ndarray,
@@ -175,7 +201,7 @@ class QuadraticProblem(BilevelProblem):
         one, i, x, y, batch = self.rows(i, x, y, batch)
         s = self.spec
         grad = self._apply(s.a_mats, i, y) + self._apply(s.b_mats, i, x) \
-            + np.array([s.c_vecs[j] for j in i])
+            + self._c_rows[i]
         if s.quartic:
             grad += ((s.quartic / 2.0) * np.vecdot(x, x))[:, None] \
                 * self._apply(s.u_mats, i, y)
@@ -214,12 +240,15 @@ class QuadraticProblem(BilevelProblem):
 
     def _block(self, i, x, active):
         # restricting before the quartic sum is elementwise, so the bits
-        # are those of restricting the full sum
+        # are those of restricting the full sum. One take at the block's
+        # flat indices copies it without the |active| x d2 rows that
+        # m[active][:, active] allocates first, or np.ix_'s slower gather.
         s = self.spec
         if active is not None:
             self.check_active(active)
+            flat = active[:, None] * self.d2 + active
         cut = (lambda m: m) if active is None else \
-            (lambda m: m[np.ix_(active, active)])
+            (lambda m: m.reshape(-1).take(flat))
         h = cut(s.a_mats[i])
         if s.quartic:
             h = h + (s.quartic / 2.0) * float(x @ x) * cut(s.u_mats[i])
@@ -249,10 +278,10 @@ class QuadraticProblem(BilevelProblem):
         # one joint draw per batch serves both gradients
         one, i, x, y, batch = self.rows(i, x, y, batch)
         s = self.spec
-        gx = s.lam * (x - np.array([s.outer_targets[j] for j in i]))
+        gx = s.lam * (x - self._a_tgt_rows[i])
         if s.sine_amp:
             gx += s.sine_amp * np.cos(x)
-        gy = y - np.array([s.inner_targets[j] for j in i])
+        gy = y - self._b_tgt_rows[i]
         self._add_noise(batch, s.noise_f, (gx, slice(None, self.d1)),
                         (gy, slice(self.d1, None)))
         return (gx[0], gy[0]) if one else (gx, gy)
@@ -321,9 +350,18 @@ class QuadraticProblem(BilevelProblem):
         return gx + self.jac_y_star(x, ys).T @ gy
 
     def phi(self, x: np.ndarray, ys: np.ndarray | None = None) -> float:
+        """Phi(x) = mean_i f_i(x, y*(x)), each f_i in ``value_f``'s order,
+        with every client's terms taken as row dot products."""
         if ys is None:
             ys = self.y_star(x)
-        return float(np.mean([self.value_f(i, x, ys) for i in range(self.n)]))
+        self.check_dims(x, ys)
+        s = self.spec
+        dy = ys - self._b_tgt_rows
+        dx = x - self._a_tgt_rows
+        vals = 0.5 * np.vecdot(dy, dy) + 0.5 * s.lam * np.vecdot(dx, dx)
+        if s.sine_amp:
+            vals += s.sine_amp * float(np.sum(np.sin(x)))
+        return float(np.mean(vals))
 
 
 # make_quadratic's arguments.

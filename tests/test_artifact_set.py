@@ -21,7 +21,8 @@ def test_documents_name_the_standard_set():
         "noisy-small-s1", "noisy-small-s5",
         "wide-quadratic-s1", "wide-quadratic-s5",
         "logistic-topk-s1", "logistic-topk-s5", "window_groups", "quartic",
-        "static_lists", "rolling_lists", "topk_blocks", "sampled_sets"]
+        "static_lists", "rolling_lists", "topk_blocks", "sampled_sets",
+        "one_outer"]
     assert docs["wide-quadratic-s5"]["problem"]["seed"] == 5
     for raw in docs.values():
         resolve_config(raw)

@@ -1069,6 +1069,25 @@ def test_run_section_is_run_config(tmp_path):
     assert built == RunConfig()
 
 
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_each_entry_is_type_checked_once(monkeypatch, family):
+    # the problem and run sections are typed by check_args and check_run
+    # alone; the CLI types only what they never see
+    import rabosim.cli as cli_module
+    checked = []
+    for module in (cli_module, federation, quadratic, logistic):
+        def counted(values, defaults, prefix="", check=module.check_types):
+            checked.extend(prefix + key for key in defaults if key in values)
+            return check(values, defaults, prefix)
+        monkeypatch.setattr(module, "check_types", counted)
+    resolve_config({"problem": {"family": family},
+                    "run": {"capacities": "1/2"}, "sweep": {"seeds": [0, 1]},
+                    "output": {"dir": "out"}})
+    assert len(checked) == len(set(checked))
+    assert {"problem.seed", "run.alpha", "run.theory_guard",
+            "sweep.vary_problem_seed", "output.dir"} <= set(checked)
+
+
 def test_manual_table_sweep_pins_coverage(tmp_path):
     # two pinning tables in one sweep: uniform double cover vs skewed cover
     blocks = [[0, 1], [2, 3]]

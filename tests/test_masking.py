@@ -23,7 +23,7 @@ from rabosim.masking import (
     schedule_period,
 )
 from rabosim.federation import RunConfig, _hex_rows
-from tests_support import topk_indices_loop
+from tests_support import bits, signed_zeros, topk_indices_loop
 
 
 def mask_of(bits):
@@ -265,6 +265,36 @@ class TestMaskDeviation:
                 v2 = v.copy()
                 v2[outside[0]] = 1.0
                 assert mask_deviation(v2, m) > 0.0
+
+
+def deviation_loop(v, masks):
+    """mask_deviation as one residual and its r @ r per mask row."""
+    v = np.asarray(v, dtype=np.float64)
+    denom = float(v @ v)
+    if denom == 0.0:
+        return 0.0
+    return float(np.mean([float(r @ r) / denom
+                          for r in v - apply_mask(v, masks)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_deviation_rows_match_the_client_loop(data):
+    n = data.draw(st.one_of(st.just(1), st.integers(1, 64)))
+    d = data.draw(st.one_of(st.just(1), st.integers(1, 401)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    kind = data.draw(st.sampled_from(["normal", "zeros", "zero"]))
+    v = rng.standard_normal(d) * data.draw(st.sampled_from([1.0, 1e-160,
+                                                            1e150]))
+    if kind == "zeros":     # entries of 0.0 and -0.0
+        v = signed_zeros(rng, v)
+    elif kind == "zero":    # a zero vector, of either sign
+        v = np.copysign(np.zeros(d), rng.standard_normal(d))
+    masks = rng.integers(0, 2, (n, d), dtype=np.uint8)
+    # rows that keep every coordinate, and rows that keep none
+    masks[rng.random(n) < 0.2] = 1
+    masks[rng.random(n) < 0.2] = 0
+    assert bits(mask_deviation(v, masks)) == bits(deviation_loop(v, masks))
 
 
 def test_hex_round_trip():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabosim.problems.quadratic as quadratic_module
 from rabosim.cli import build_problem, resolve_config
@@ -28,7 +30,7 @@ from rabosim.problems import (
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
 from linear_oracle import outer_minimizer
-from tests_support import EPS
+from tests_support import EPS, bits, signed_zeros
 
 
 def one_dim_problem(lam=0.0):
@@ -805,3 +807,107 @@ class TestImplicitTerm:
         with pytest.raises(DimensionMismatch):
             prob.implicit_term(0, np.zeros(3), np.zeros(2), coords, 1e-3,
                                np.zeros(2))
+
+
+class TestRowForms:
+    """Each client-indexed quantity taken over rows at once keeps the bits
+    of the per-client loop it stands for."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12),
+           d1=st.integers(1, 9), d2=st.integers(1, 9),
+           sine_amp=st.sampled_from([0.0, 0.3]),
+           quartic=st.sampled_from([0.0, 0.2]),
+           target_scale=st.sampled_from([0.0, 1.0]),
+           solved=st.booleans())
+    def test_phi_is_the_mean_of_value_f(self, seed, n, d1, d2, sine_amp,
+                                        quartic, target_scale, solved):
+        prob = make_quadratic(
+            seed=seed, n=n, d1=d1, d2=d2, hetero=0.4, eig_min=0.7,
+            eig_max=1.5, sine_amp=sine_amp, quartic=quartic,
+            target_scale=target_scale)
+        rng = np.random.default_rng(seed)
+        x = signed_zeros(rng, rng.standard_normal(d1))
+        ys = prob.y_star(x)
+        want = float(np.mean([prob.value_f(i, x, ys) for i in range(n)]))
+        got = prob.phi(x, ys) if solved else prob.phi(x)
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("layout", [
+        lambda vecs: vecs, lambda vecs: list(np.stack(vecs)[::-1]),
+        lambda vecs: [vecs[0], vecs[1] + 1.0, *vecs[2:]],
+        lambda vecs: [vecs[0]] * len(vecs)],
+        ids=["rows-of-one-array", "reversed-rows", "one-replaced", "aliased"])
+    def test_target_rows_follow_the_spec_lists(self, layout):
+        # the stacked targets are read in place only when the entries are
+        # one array's rows in order; any other list is copied as it is
+        spec = make_quadratic(seed=5, n=4, d1=3, d2=2, hetero=0.5,
+                              sine_amp=0.2).spec
+        spec = dataclasses.replace(spec, **{
+            name: layout(getattr(spec, name))
+            for name in ("c_vecs", "outer_targets", "inner_targets")})
+        prob = QuadraticProblem(spec)
+        x, y = np.array([0.5, -1.0, 2.0]), np.array([1.5, -0.25])
+        for i in range(4):
+            gx, gy = prob.grad_f(i, x, y)
+            assert np.array_equal(gx, spec.lam * (x - spec.outer_targets[i])
+                                  + spec.sine_amp * np.cos(x))
+            assert np.array_equal(gy, y - spec.inner_targets[i])
+            assert np.array_equal(prob.grad_g_y(i, np.zeros(3), np.zeros(2)),
+                                  spec.c_vecs[i])
+        assert prob.phi(x, y) == float(np.mean(
+            [prob.value_f(i, x, y) for i in range(4)]))
+
+    def test_phi_checks_its_dims(self):
+        prob = make_quadratic(seed=3, n=2, d1=3, d2=2)
+        with pytest.raises(DimensionMismatch):
+            prob.phi(np.zeros(3), np.zeros(3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_noise_rows_match_per_row_draws(self, data):
+        seed = data.draw(st.integers(0, 2 ** 16))
+        n, d1, d2 = (data.draw(st.integers(1, 6)) for _ in range(3))
+        noise_f, noise_g = (data.draw(st.sampled_from([0.0, 0.3]))
+                            for _ in range(2))
+        prob = make_quadratic(
+            seed=seed, n=n, d1=d1, d2=d2, hetero=0.4, noise_f=noise_f,
+            noise_g=noise_g, target_scale=data.draw(st.sampled_from(
+                [0.0, 1.0])))
+        quiet = QuadraticProblem(dataclasses.replace(
+            prob.spec, noise_f=0.0, noise_g=0.0))
+        k = data.draw(st.integers(1, 6))
+        ids = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                          min_size=k, max_size=k)))
+        rng = np.random.default_rng(seed)
+        x, y = (signed_zeros(rng, rng.standard_normal((k, d)))
+                for d in (d1, d2))
+        sizes = st.sampled_from([1, 2, 3, 7, 10 ** 6])
+
+        def batches(level):
+            if data.draw(st.booleans()):
+                return None
+            return [data.draw(st.sampled_from([None, SampleBatch(
+                level, 11, int(c), 3, r, data.draw(sizes))]))
+                for r, c in enumerate(ids)]
+
+        def noised(rows, batch, scale, *parts):
+            # the per-row loop: each row's joint draw of d1 + d2, scaled
+            for r, b in enumerate(batch or []):
+                if b is not None and scale:
+                    joint = b.stream().normal(d1 + d2) * (scale / np.sqrt(
+                        b.size))
+                    for out, part in zip(rows, parts):
+                        out[r] += joint[part]
+            return rows
+
+        bg, bf = batches("g"), batches("f")
+        (want_g,) = noised([quiet.grad_g_y(ids, x, y)], bg, noise_g,
+                           slice(None, d2))
+        want_x, want_y = noised(list(quiet.grad_f(ids, x, y)), bf, noise_f,
+                                slice(None, d1), slice(d1, None))
+        got_x, got_y = prob.grad_f(ids, x, y, bf)
+        assert np.array_equal(bits(prob.grad_g_y(ids, x, y, bg)),
+                              bits(want_g))
+        assert np.array_equal(bits(got_x), bits(want_x))
+        assert np.array_equal(bits(got_y), bits(want_y))

@@ -1,3 +1,4 @@
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -5,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabosim.rng import RngStream, _derive_key
+from rabosim.rng import RngStream
+from tests_support import bits
 
 
 def test_same_key_identical_draws():
@@ -58,12 +60,19 @@ def test_cross_stream_independence_statistics():
 
 # -- normal() reuses one Philox per thread; each draw must equal a fresh one
 
+def philox_key(stream):
+    """The stream's key, derived here apart from the package: BLAKE2b-128
+    of "seed|client|round|purpose" as two native-order uint64 words."""
+    payload = (f"{stream.seed}|{stream.client}|{stream.round_index}|"
+               f"{stream.purpose}").encode()
+    digest = hashlib.blake2b(payload, digest_size=16).digest()
+    return np.frombuffer(digest, dtype=np.uint64)
+
+
 def fresh_normal(stream, size, scale=1.0):
     """The reference draw: a new Philox keyed like the stream, counter 0."""
-    key = _derive_key(stream.seed, stream.client, stream.round_index,
-                      stream.purpose)
     return scale * np.random.Generator(
-        np.random.Philox(key=key)).standard_normal(size)
+        np.random.Philox(key=philox_key(stream))).standard_normal(size)
 
 
 streams = st.builds(RngStream, seed=st.integers(0, 2 ** 63),
@@ -92,6 +101,30 @@ def test_interleaved_streams_equal_fresh_philox(pool, calls):
         stream = pool[which % len(pool)]
         assert np.array_equal(stream.normal(size, scale),
                               fresh_normal(stream, size, scale))
+
+
+@settings(max_examples=300)
+@given(stream=streams, size=sizes)
+def test_rekey_and_generator_equal_fresh_philox(stream, size):
+    # normal() re-keys this thread's Philox; generator() builds a new one
+    fresh = np.random.Generator(np.random.Philox(key=philox_key(stream)))
+    want = fresh.standard_normal(size)
+    held = stream.generator()
+    assert np.array_equal(bits(stream.normal(size)), bits(want))
+    assert np.array_equal(bits(held.standard_normal(size)), bits(want))
+    assert np.array_equal(held.bit_generator.state["state"]["key"],
+                          philox_key(stream))
+    # the held generator's next draws continue the fresh one's stream
+    assert np.array_equal(bits(held.standard_normal(5)),
+                          bits(fresh.standard_normal(5)))
+
+
+def test_many_keys_equal_fresh_philox():
+    for k in range(3000):
+        stream = RngStream(k * 7919, k % 13, k // 13, f"batch-g-{k % 3}")
+        size = 1 + k % 37
+        assert np.array_equal(bits(stream.normal(size)),
+                              bits(fresh_normal(stream, size)))
 
 
 def test_concurrent_threads_equal_fresh_philox():

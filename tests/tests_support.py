@@ -141,3 +141,16 @@ def partial_tables(draw, n, d):
             row = [draw(st.sampled_from(pool))]
         rows.append(row)
     return rows
+
+
+def bits(values) -> np.ndarray:
+    """The float64 values' bit patterns, so that comparing two of them
+    tells -0.0 from 0.0 (and compares NaNs by payload)."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def signed_zeros(rng, values: np.ndarray) -> np.ndarray:
+    """``values`` with about a quarter of its entries set to 0.0 or -0.0."""
+    zeros = rng.random(values.shape) < 0.25
+    return np.where(zeros, np.copysign(0.0, rng.standard_normal(
+        values.shape)), values)

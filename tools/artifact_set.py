@@ -13,7 +13,8 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``STATIC_LISTS`` below into ``OUT/static_lists``;
 - ``ROLLING_LISTS`` below into ``OUT/rolling_lists``;
 - ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``;
-- ``SAMPLED_SETS`` below into ``OUT/sampled_sets``.
+- ``SAMPLED_SETS`` below into ``OUT/sampled_sets``;
+- ``ONE_OUTER`` below into ``OUT/one_outer``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -118,6 +119,20 @@ SAMPLED_SETS = {
     "sweep": {"seeds": [1], "estimators": ["rafbo"]},
 }
 
+# One outer coordinate for 40 clients: the outer aggregate's covering sum
+# runs over a column of 40, where a pairwise reduce would round otherwise
+# than the sequential row loop. phi's sine term is on, and the two levels'
+# batch sizes differ, so each level's noise has its own sqrt(batch) scale.
+ONE_OUTER = {
+    "problem": {"family": "quadratic", "seed": 9, "n": 40, "d1": 1,
+                "d2": 6, "hetero": 0.3, "noise_f": 0.2, "noise_g": 0.1,
+                "sine_amp": 0.3, "eig_min": 0.8, "eig_max": 1.6},
+    "run": {"alpha": 0.03, "beta": 0.2, "inner_epochs": 2, "rounds": 40,
+            "policy": "rolling", "capacities": "1/2", "batch_size_f": 3,
+            "batch_size_g": 1},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"]},
+}
+
 
 def _workloads():
     path = ROOT / "perfbench" / "workloads.py"
@@ -141,6 +156,7 @@ def documents():
     yield "rolling_lists", ROLLING_LISTS
     yield "topk_blocks", TOPK_BLOCKS
     yield "sampled_sets", SAMPLED_SETS
+    yield "one_outer", ONE_OUTER
 
 
 def main(argv=None) -> int:
