@@ -405,12 +405,12 @@ def client_inner_loop(problem, i, x_i: np.ndarray, y_i0: np.ndarray,
                       batches=None, divergence_guard: float | None = None):
     """T masked stochastic gradient steps on y; returns (y_T, G).
 
-    Clients are rows, as in ``BilevelProblem``, one ``grad_g_y`` call
-    per epoch; a row of ``batches`` has one SampleBatch per epoch (None:
-    noiseless / full-data evaluation). G = (y_0 - y_T) / beta summarizes
-    the local update as the sum of the masked step gradients, oriented
-    like a gradient so the server's ``y - beta * mean(G)`` update replays
-    the clients' parameter deltas; its support stays inside the mask.
+    Clients are rows, as in ``BilevelProblem``; epoch t makes one
+    ``grad_g_y`` call under ``batches[t]`` (None, or no list: noiseless /
+    full-data evaluation). G = (y_0 - y_T) / beta summarizes the local
+    update as the sum of the masked step gradients, oriented like a
+    gradient so the server's ``y - beta * mean(G)`` update replays the
+    clients' parameter deltas; its support stays inside the mask.
     Raises DivergenceDetected when ||y|| exceeds the guard or is NaN for
     the lowest such client, at its first such epoch; the rows from it on
     stop stepping. Under a guard, numpy's overflow and invalid-value
@@ -418,7 +418,7 @@ def client_inner_loop(problem, i, x_i: np.ndarray, y_i0: np.ndarray,
     ||y||, which the guard reports.
     """
     check_ranges({"beta": beta}, RANGES)
-    one, i, x, y0, masks, batches = problem.rows(i, x_i, y_i0, mask_y, batches)
+    one, i, x, y0, masks = problem.rows(i, x_i, y_i0, mask_y)
     y, live, failure = y0.copy(), len(i), None
     quiet = np.errstate(over="ignore", invalid="ignore") \
         if divergence_guard is not None else nullcontext()
@@ -426,7 +426,7 @@ def client_inner_loop(problem, i, x_i: np.ndarray, y_i0: np.ndarray,
         for t in range(inner_epochs):
             if not live:
                 break
-            batch = [b if b is None else b[t] for b in batches[:live]]
+            batch = None if batches is None else batches[t]
             y[:live] -= beta * apply_mask(problem.grad_g_y(
                 i[:live], x[:live], y[:live], batch), masks[:live])
             if divergence_guard is not None:
@@ -549,13 +549,12 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     xs, ys0 = apply_mask(state.x, masks_x), apply_mask(state.y, masks_y)
     clients = np.arange(problem.n)
 
-    def batches(level: str, draw: int, size: int):   # None: exact
-        return [SampleBatch(level, cfg.seed, c, q, draw, size)
-                for c in clients.tolist()] if size > 0 else None
+    def batch(level: str, draw: int, size: int):   # None: exact
+        return SampleBatch(level, cfg.seed, round_index=q, draw=draw,
+                           size=size) if size > 0 else None
 
-    # each client's batches of its inner epochs
-    g_batches = None if cfg.batch_size_g == 0 else list(zip(*(
-        batches("g", t, cfg.batch_size_g) for t in range(cfg.inner_epochs))))
+    g_batches = [batch("g", t, cfg.batch_size_g)
+                 for t in range(cfg.inner_epochs)]
     try:
         _, g_deltas = client_inner_loop(
             problem, clients, xs, ys0, masks_y, cfg.beta, cfg.inner_epochs,
@@ -568,8 +567,8 @@ def rabo_round(problem, state: GlobalState, cfg: RunConfig,
     _require_finite(y_next, q, "inner iterate y", f"beta {cfg.beta}")
 
     ys_plus = apply_mask(y_next, masks_y)
-    batch_f = batches("f", 0, cfg.batch_size_f)
-    batch_g = batches("g", cfg.inner_epochs, cfg.batch_size_g)
+    batch_f = batch("f", 0, cfg.batch_size_f)
+    batch_g = batch("g", cfg.inner_epochs, cfg.batch_size_g)
     if cfg.estimator == EXACT_AID:
         try:
             hypergrads = exact_hypergradient(

@@ -148,8 +148,8 @@ def exact_hypergradient(problem, i, x_masked: np.ndarray,
     serves (a shared A's clients on one active set) and solved once for
     all of them, their right-hand sides gathered as rows of one call.
     """
-    one, i, x, y, mask_x, mask_y, batch_f, batch_g = problem.rows(
-        i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g)
+    one, i, x, y, mask_x, mask_y = problem.rows(
+        i, x_masked, y_masked, mask_x, mask_y)
     gfx, gfy = problem.grad_f(i, x, y, batch_f)
     active = [np.flatnonzero(m) for m in mask_y]
     z = np.zeros(y.shape)
@@ -183,8 +183,8 @@ def rafbo_hypergradient(problem, i, x_masked: np.ndarray,
     same float, signed zeros included.
     """
     check_ranges({"mu": mu}, RANGES)
-    one, i, x, y, mask_x, mask_y, batch_f, batch_g, rng = problem.rows(
-        i, x_masked, y_masked, mask_x, mask_y, batch_f, batch_g, rng)
+    one, i, x, y, mask_x, mask_y, rng = problem.rows(
+        i, x_masked, y_masked, mask_x, mask_y, rng)
     coords = [build_perturbation_set(m, coord_fraction, stream)
               for m, stream in zip(mask_x, rng)]
     gfx, gfy = problem.grad_f(i, x, y, batch_f)

@@ -5,37 +5,38 @@ A bilevel problem exposes, per client ``i``, a stochastic upper loss
 callbacks the training loop and hypergradient estimators need. The lower
 loss must be strongly convex in ``y`` for every fixed ``x``.
 
-Stochasticity is mediated by ``SampleBatch``: a batch pins down one
-realization of the problem's noise (or one subsample of its data), so
-evaluating the same callback twice with the same batch returns identical
-values. Passing ``batch=None`` requests the noiseless/full-data value.
+Stochasticity is mediated by ``SampleBatch``, the key of one call's draw:
+a batch pins down each client's realization of the problem's noise (or
+subsample of its data), so evaluating a callback twice under one batch
+returns identical values. ``batch=None`` requests the full-data value,
+without noise.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import repeat
 
 import numpy as np
 
-from ..errors import DimensionMismatch
+from ..errors import DimensionMismatch, is_int
 from ..rng import RngStream
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """One reproducible stochastic draw for a derivative evaluation.
+    """The key of one derivative call's reproducible stochastic draw.
 
     ``level`` tags upper ("f") or lower ("g") sampling. ``size`` is the
     number of independent samples averaged into the draw; larger batches
     shrink noise variance by 1/size. ``draw`` distinguishes repeated
-    batches within the same (client, round) slot.
+    batches within a round. Row r of a call draws from ``stream(i[r])``.
     """
 
     level: str
     seed: int
-    client: int = 0
+    _: KW_ONLY
     round_index: int = 0
     draw: int = 0
     size: int = 1
@@ -43,11 +44,11 @@ class SampleBatch:
     def __post_init__(self):
         if self.level not in ("f", "g"):
             raise ValueError(f"level must be 'f' or 'g', got {self.level!r}")
-        if self.size < 1:
-            raise ValueError("batch size must be >= 1")
+        if not (is_int(self.size) and self.size >= 1):
+            raise ValueError("batch size must be an integer >= 1")
 
-    def stream(self) -> RngStream:
-        return RngStream(self.seed, self.client, self.round_index,
+    def stream(self, client: int) -> RngStream:
+        return RngStream(self.seed, client, self.round_index,
                          f"batch-{self.level}-{self.draw}")
 
 
@@ -90,8 +91,8 @@ class BilevelProblem(ABC):
     """Per-client access to a distributed bilevel objective.
 
     Clients are rows: a derivative callback takes one client's index and
-    vectors, or k clients' indices, vectors as (k, d) rows and batches one
-    per row (or None), row r equal to row r's one-client call bit for bit.
+    vectors, or k clients' indices and vectors as (k, d) rows, and one
+    batch or None per call; row r equals row r's one-client call bit for bit.
     Implementations are immutable after construction; every method is a
     pure function of its arguments and safe to call concurrently.
     """
@@ -121,7 +122,7 @@ class BilevelProblem(ABC):
     def grad_f(self, i, x: np.ndarray, y: np.ndarray,
                batch: SampleBatch | None = None) -> tuple:
         """(grad_f_x, grad_f_y) under one batch. This default makes both
-        calls; the quadratic family draws each batch's noise once for
+        calls; the quadratic family draws each row's noise once for
         both."""
         return self.grad_f_x(i, x, y, batch), self.grad_f_y(i, x, y, batch)
 
@@ -146,9 +147,9 @@ class BilevelProblem(ABC):
         family overrides it with the exact difference in closed form.
         """
         if np.ndim(i):
-            _, i, x, y, coords, v, batch = self.rows(i, x, y, coords, v, batch)
+            _, i, x, y, coords, v = self.rows(i, x, y, coords, v)
             return list(map(self.implicit_term, i, x, y, coords, repeat(mu),
-                            v, batch))
+                            v, repeat(batch)))
         self.check_coords(coords)
         base = self.grad_g_y(i, x, y, batch)
         rows = np.empty((coords.shape[0], self.d2))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -77,9 +78,10 @@ class LogisticTuneProblem(BilevelProblem):
         self.features = spec.features
         self.d1, self.d2 = dims(vars(spec))
 
-    def each_row(self, callback, i, x, y, *more) -> np.ndarray:
+    def each_row(self, callback, batch, i, x, y, *more) -> np.ndarray:
         """A row call as its rows' one-client calls, stacked."""
-        return np.array([*map(callback, *self.rows(i, x, y, *more)[1:])])
+        return np.array([*map(callback, *self.rows(i, x, y, *more)[1:],
+                              repeat(batch))])
 
     # -- parameter unpacking -------------------------------------------------
     def _unpack_x(self, x: np.ndarray):
@@ -96,7 +98,7 @@ class LogisticTuneProblem(BilevelProblem):
         n_tr = data.x_train.shape[0]
         if batch is None or batch.size >= n_tr:
             return data.x_train, data.y_train
-        gen = batch.stream().generator()
+        gen = batch.stream(i).generator()
         idx = gen.choice(n_tr, size=batch.size, replace=False)
         idx.sort()
         return data.x_train[idx], data.y_train[idx]
@@ -112,7 +114,7 @@ class LogisticTuneProblem(BilevelProblem):
 
     def grad_g_y(self, i, x, y, batch=None):
         if np.ndim(i):
-            return self.each_row(self.grad_g_y, i, x, y, batch)
+            return self.each_row(self.grad_g_y, batch, i, x, y)
         self.check_dims(x, y)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
@@ -153,9 +155,9 @@ class LogisticTuneProblem(BilevelProblem):
 
     def hess_yy_g(self, i, x, y, batch=None, active=None):
         if np.ndim(i):   # each row's block, formed when reached
-            _, i, x, y, batch, active = self.rows(i, x, y, batch, active)
+            _, i, x, y, active = self.rows(i, x, y, active)
             return (([r], block) for r, block in enumerate(
-                map(self.hess_yy_g, i, x, y, batch, active)))
+                map(self.hess_yy_g, i, x, y, repeat(batch), active)))
         self.check_dims(x, y)
         if active is None:
             active = np.arange(self.d2)
@@ -196,7 +198,7 @@ class LogisticTuneProblem(BilevelProblem):
 
     def cross_xy_g_apply(self, i, x, y, v, batch=None):
         if np.ndim(i):
-            return self.each_row(self.cross_xy_g_apply, i, x, y, v, batch)
+            return self.each_row(self.cross_xy_g_apply, batch, i, x, y, v)
         self.check_dims(x, y)
         weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
@@ -228,13 +230,13 @@ class LogisticTuneProblem(BilevelProblem):
 
     def grad_f_x(self, i, x, y, batch=None):
         if np.ndim(i):
-            return self.each_row(self.grad_f_x, i, x, y, batch)
+            return self.each_row(self.grad_f_x, batch, i, x, y)
         self.check_dims(x, y)
         return np.zeros(self.d1)
 
     def grad_f_y(self, i, x, y, batch=None):
         if np.ndim(i):
-            return self.each_row(self.grad_f_y, i, x, y, batch)
+            return self.each_row(self.grad_f_y, batch, i, x, y)
         self.check_dims(x, y)
         data = self.spec.clients[i]
         probs = _softmax(data.x_val @ self._weight_matrix(y).T)

@@ -153,21 +153,17 @@ class QuadraticProblem(BilevelProblem):
             (spec.c_vecs, spec.outer_targets, spec.inner_targets))
 
     # -- noise and rows ------------------------------------------------------
-    def _add_noise(self, batches, scale: float, *parts) -> None:
-        """Add to row r of each (out, part) pair ``part`` of row r's
-        batch's joint draw of d1 + d2, drawn once for all the pairs from
-        that batch's stream; a row without a batch gets nothing."""
-        rows = [r for r, batch in enumerate(batches) if batch is not None]
-        if not (rows and scale):
+    def _add_noise(self, i: np.ndarray, batch, scale: float, *parts) -> None:
+        """Add to row r of each (out, part) pair ``part`` of one joint draw
+        of d1 + d2 from ``batch.stream(i[r])``, scaled by scale /
+        sqrt(batch.size); no batch adds nothing."""
+        if batch is None or not scale:
             return
-        sizes = [batches[r].size for r in rows]
-        joint = np.array([batches[r].stream().normal(self.d1 + self.d2)
-                          for r in rows])
-        joint *= (scale / np.sqrt(sizes))[:, None]
-        if len(rows) == len(batches):
-            rows = slice(None)
+        joint = np.array([batch.stream(c).normal(self.d1 + self.d2)
+                          for c in i.tolist()])
+        joint *= scale / np.sqrt(batch.size)
         for out, part in parts:
-            out[rows] += joint[:, part]
+            out += joint[:, part]
 
     @staticmethod
     def _apply(mats: list, i: np.ndarray, vecs: np.ndarray,
@@ -198,14 +194,14 @@ class QuadraticProblem(BilevelProblem):
         return val
 
     def grad_g_y(self, i, x, y, batch=None):
-        one, i, x, y, batch = self.rows(i, x, y, batch)
+        one, i, x, y = self.rows(i, x, y)
         s = self.spec
         grad = self._apply(s.a_mats, i, y) + self._apply(s.b_mats, i, x) \
             + self._c_rows[i]
         if s.quartic:
             grad += ((s.quartic / 2.0) * np.vecdot(x, x))[:, None] \
                 * self._apply(s.u_mats, i, y)
-        self._add_noise(batch, s.noise_g, (grad, slice(None, self.d2)))
+        self._add_noise(i, batch, s.noise_g, (grad, slice(None, self.d2)))
         return grad[0] if one else grad
 
     def implicit_term(self, i, x, y, coords, mu, v, batch=None):
@@ -275,14 +271,14 @@ class QuadraticProblem(BilevelProblem):
         return val
 
     def grad_f(self, i, x, y, batch=None):
-        # one joint draw per batch serves both gradients
-        one, i, x, y, batch = self.rows(i, x, y, batch)
+        # one joint draw per row serves both gradients
+        one, i, x, y = self.rows(i, x, y)
         s = self.spec
         gx = s.lam * (x - self._a_tgt_rows[i])
         if s.sine_amp:
             gx += s.sine_amp * np.cos(x)
         gy = y - self._b_tgt_rows[i]
-        self._add_noise(batch, s.noise_f, (gx, slice(None, self.d1)),
+        self._add_noise(i, batch, s.noise_f, (gx, slice(None, self.d1)),
                         (gy, slice(self.d1, None)))
         return (gx[0], gy[0]) if one else (gx, gy)
 

@@ -22,7 +22,7 @@ def test_documents_name_the_standard_set():
         "wide-quadratic-s1", "wide-quadratic-s5",
         "logistic-topk-s1", "logistic-topk-s5", "window_groups", "quartic",
         "static_lists", "rolling_lists", "topk_blocks", "sampled_sets",
-        "one_outer"]
+        "one_outer", "logistic_batches"]
     assert docs["wide-quadratic-s5"]["problem"]["seed"] == 5
     for raw in docs.values():
         resolve_config(raw)

@@ -47,6 +47,7 @@ from rabosim.problems import (
     make_quadratic,
 )
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
+from rabosim.rng import RngStream
 from linear_oracle import outer_minimizer
 from tests_support import one_dim_tracking_problem, partial_tables
 
@@ -428,10 +429,17 @@ def round_problem(case, **kwargs):
 
 
 def one_by_one(fn):
-    """``fn`` over clients as rows, called one client at a time."""
+    """``fn`` over clients as rows, called one client at a time: arrays
+    and rafbo's list of streams are split by row, and batches, one per
+    call or ``client_inner_loop``'s one per epoch, pass through as they
+    are."""
+    def row(a, r):
+        per_row = isinstance(a, np.ndarray) or (
+            isinstance(a, list) and any(isinstance(s, RngStream) for s in a))
+        return a[r] if per_row else a
+
     def call(problem, i, *args):
-        outs = [fn(problem, c, *(a[r] if isinstance(a, (list, np.ndarray))
-                                 else a for a in args))
+        outs = [fn(problem, c, *(row(a, r) for a in args))
                 for r, c in enumerate(i.tolist())]
         return tuple(map(np.array, zip(*outs))) \
             if isinstance(outs[0], tuple) else np.array(outs)

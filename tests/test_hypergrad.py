@@ -209,7 +209,7 @@ class TestJacobianColumnFd:
     def test_common_random_numbers_cancel_noise(self):
         prob = make_quadratic(seed=9, n=1, d1=3, d2=4, noise_g=2.0,
                               eig_min=1.0, eig_max=1.0)
-        batch = SampleBatch("g", seed=11, client=0, draw=0)
+        batch = SampleBatch("g", seed=11, draw=0)
         clean = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 1, 1e-3)
         noisy = jacobian_column_fd(prob, 0, np.ones(3), np.ones(4), 1, 1e-3,
                                    batch=batch)
@@ -246,8 +246,8 @@ class TestRafboHypergradient:
         prob = make_quadratic(seed=11, n=2, d1=5, d2=5, noise_f=0.3,
                               noise_g=0.4, eig_min=1.0, eig_max=1.0)
         mx, my = full_mask(5), full_mask(5)
-        batch_f = SampleBatch("f", seed=3, client=0, draw=0)
-        batch_g = SampleBatch("g", seed=3, client=0, draw=1)
+        batch_f = SampleBatch("f", seed=3, draw=0)
+        batch_g = SampleBatch("g", seed=3, draw=1)
         x, y = np.ones(5), -np.ones(5)
         exact = exact_hypergradient(prob, 0, x, y, mx, my, batch_f, batch_g)
         approx = rafbo_hypergradient(prob, 0, x, y, mx, my,
@@ -382,8 +382,8 @@ class TestRafboBatchedEquivalence:
         rng = np.random.default_rng(10)
         x = rng.standard_normal(7) * mx
         y = rng.standard_normal(6) * my
-        batch_f = SampleBatch("f", seed=6, client=1, draw=0)
-        batch_g = SampleBatch("g", seed=6, client=1, draw=2)
+        batch_f = SampleBatch("f", seed=6, draw=0)
+        batch_g = SampleBatch("g", seed=6, draw=2)
         est = rafbo_hypergradient(prob, 1, x, y, mx, my, 1e-3, fraction,
                                   batch_f, batch_g, RngStream(3, 1, 0, "pset"))
         ref = loop_reference(prob, 1, x, y, mx, my, 1e-3, fraction, batch_f,
@@ -401,7 +401,7 @@ class TestRafboBatchedEquivalence:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(prob.d1) * 0.3
         y = rng.standard_normal(prob.d2) * 0.3 * my
-        batch_g = SampleBatch("g", seed=7, client=0, draw=1, size=size)
+        batch_g = SampleBatch("g", seed=7, draw=1, size=size)
         for fraction in (1.0, 0.5):
             est = rafbo_hypergradient(prob, 0, x, y, mx, my, 1e-3, fraction,
                                       None, batch_g, RngStream(4, 0, 0, "pset"))
@@ -431,12 +431,12 @@ class TestRafboBatchedEquivalence:
             monkeypatch.setattr(prob, name, counted)
         mx, my = (np.ones((prob.n, d), np.uint8) for d in (prob.d1, prob.d2))
         clients, zeros = list(range(prob.n)), np.zeros(mx.shape)
-        batches = [SampleBatch("f", 1, c) for c in clients]
+        batch = SampleBatch("f", 1)
         args = (prob, clients, zeros, np.zeros(my.shape), mx, my)
         if estimator == EXACT_AID:
-            exact_hypergradient(*args, batches)
+            exact_hypergradient(*args, batch)
         else:
-            rafbo_hypergradient(*args, 1e-3, 1.0, batches)
+            rafbo_hypergradient(*args, 1e-3, 1.0, batch)
         # the logistic family takes the base default, which calls both
         assert calls == ["grad_f"] + (
             [] if family == "quadratic" else ["grad_f_x", "grad_f_y"])
@@ -489,8 +489,8 @@ def test_batched_rafbo_matches_loop_to_rounding(data, d1, d2, mu, quartic,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(d1) * mx
     y = rng.standard_normal(d2) * my
-    batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
-    batch_g = SampleBatch("g", seed=seed, client=1, draw=1)
+    batch_f = SampleBatch("f", seed=seed, draw=0)
+    batch_g = SampleBatch("g", seed=seed, draw=1)
     est = rafbo_hypergradient(prob, 1, x, y, mx, my, mu, fraction, batch_f,
                               batch_g, RngStream(seed, 1, 0, "pset"))
     ref = loop_reference(prob, 1, x, y, mx, my, mu, fraction, batch_f,
@@ -524,8 +524,8 @@ def test_rafbo_equals_masked_deltas_bit_for_bit(data, mu, fraction, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(prob.d1) * 0.5 * mx
     y = rng.standard_normal(prob.d2) * 0.5 * my
-    batch_f = SampleBatch("f", seed=seed, client=1, draw=0)
-    batch_g = SampleBatch("g", seed=seed, client=1, draw=1, size=size)
+    batch_f = SampleBatch("f", seed=seed, draw=0)
+    batch_g = SampleBatch("g", seed=seed, draw=1, size=size)
     est = rafbo_hypergradient(prob, 1, x, y, mx, my, mu, fraction, batch_f,
                               batch_g, RngStream(seed, 1, 0, "pset"))
     ref, _ = loop_reference(prob, 1, x, y, mx, my, mu, fraction, batch_f,

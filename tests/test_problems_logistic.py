@@ -238,8 +238,8 @@ class TestDerivatives:
         prob, x, y = setup
         full = prob.grad_g_y(0, x, y)
         draws = np.stack([
-            prob.grad_g_y(0, x, y, SampleBatch("g", seed=50, client=0,
-                                               draw=t, size=16))
+            prob.grad_g_y(0, x, y, SampleBatch("g", seed=50, draw=t,
+                                               size=16))
             for t in range(3000)])
         err = np.linalg.norm(draws.mean(axis=0) - full)
         spread = np.linalg.norm(draws.std(axis=0)) / np.sqrt(3000)
@@ -247,7 +247,7 @@ class TestDerivatives:
 
     def test_batch_is_reproducible(self, setup):
         prob, x, y = setup
-        batch = SampleBatch("g", seed=51, client=0, draw=3, size=8)
+        batch = SampleBatch("g", seed=51, draw=3, size=8)
         assert np.array_equal(prob.grad_g_y(0, x, y, batch),
                               prob.grad_g_y(0, x, y, batch))
 
@@ -275,7 +275,7 @@ class TestHessianForm:
 
     @pytest.mark.parametrize("classes,batch", [
         (3, None),
-        (3, SampleBatch("g", seed=53, client=1, draw=4, size=9)),
+        (3, SampleBatch("g", seed=53, draw=4, size=9)),
         (2, None),
     ], ids=["full-batch", "subsampled", "two-classes"])
     def test_matches_per_sample_sum(self, classes, batch):
@@ -329,8 +329,8 @@ class TestImplicitTerm:
 
     @pytest.mark.parametrize("batch", [
         None,
-        SampleBatch("g", seed=52, client=1, draw=2, size=10 ** 6),
-        SampleBatch("g", seed=52, client=1, draw=2, size=8),
+        SampleBatch("g", seed=52, draw=2, size=10 ** 6),
+        SampleBatch("g", seed=52, draw=2, size=8),
     ], ids=["noiseless", "full-batch", "subsampled"])
     def test_override_equals_default(self, batch):
         prob = make_logistic_tune(seed=9, n=2, imbalance_mu=0.6, classes=3,
@@ -368,10 +368,9 @@ class TestImplicitTerm:
         coords = np.array(data.draw(st.permutations(mixed)))
         m = prob.spec.clients[1].x_train.shape[0]
         batch = {"noiseless": None,
-                 "full-batch": SampleBatch("g", seed=seed, client=1,
-                                           size=10 ** 6),
+                 "full-batch": SampleBatch("g", seed=seed, size=10 ** 6),
                  "subsampled": SampleBatch(
-                     "g", seed=seed, client=1,
+                     "g", seed=seed,
                      size=data.draw(st.integers(1, m - 1)))}[kind]
         assert_override_is_default(prob, 1, x, y, coords, mu, v, batch)
 

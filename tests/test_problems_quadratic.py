@@ -203,7 +203,7 @@ class TestMakeQuadratic:
     def test_noiseless_gradient_is_exact_even_with_batch(self):
         prob = make_quadratic(seed=2, n=2, d1=3, d2=4, noise_g=0.0)
         x, y = np.ones(3), np.ones(4)
-        batch = SampleBatch("g", seed=0, client=0)
+        batch = SampleBatch("g", seed=0)
         assert np.array_equal(prob.grad_g_y(0, x, y, batch),
                               prob.grad_g_y(0, x, y))
 
@@ -508,40 +508,39 @@ class TestDeriveConstants:
 class TestDerivativeCallbacks:
     @pytest.mark.parametrize("rows", [False, True], ids=["one", "rows"])
     def test_grad_f_draws_each_batch_once(self, rows, monkeypatch):
-        # both gradients take their parts of one joint draw per batch,
-        # with the bits of adding each part to the exact gradient
+        # both gradients take their parts of one joint draw per row, from
+        # the batch's stream of the row's client, with the bits of adding
+        # each part to the exact gradient
         prob = make_quadratic(seed=20, n=3, d1=3, d2=4, hetero=0.2,
                               noise_f=0.4, sine_amp=0.3)
         s, rng = prob.spec, np.random.default_rng(3)
         x, y = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
-        batches = [SampleBatch("f", 5, c, 2, 0, 2) for c in range(3)]
-        batches[2] = None
+        batch = SampleBatch("f", 5, round_index=2, draw=0, size=2)
         want_x, want_y = [], []
         for i in range(3):
             gx = s.lam * (x[i] - s.outer_targets[i]) \
                 + s.sine_amp * np.cos(x[i])
             gy = y[i] - s.inner_targets[i]
-            if batches[i] is not None:
-                joint = batches[i].stream().normal(7) * (0.4 / np.sqrt(2))
-                gx += joint[:3]
-                gy += joint[3:]
+            joint = batch.stream(i).normal(7) * (0.4 / np.sqrt(2))
+            gx += joint[:3]
+            gy += joint[3:]
             want_x.append(gx)
             want_y.append(gy)
         draws, normal = [], RngStream.normal
         monkeypatch.setattr(RngStream, "normal", lambda self, *args: (
             draws.append(self)) or normal(self, *args))
         if rows:
-            got = prob.grad_f(np.arange(3), x, y, batches)
+            got = prob.grad_f(np.arange(3), x, y, batch)
             want = np.array(want_x), np.array(want_y)
         else:
-            got, want = prob.grad_f(1, x[1], y[1], batches[1]), \
+            got, want = prob.grad_f(1, x[1], y[1], batch), \
                 (want_x[1], want_y[1])
-        assert len(draws) == (2 if rows else 1)
+        assert len(draws) == (3 if rows else 1)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         for g, callback in zip(got, (prob.grad_f_x, prob.grad_f_y)):
-            args = (np.arange(3), x, y, batches) if rows else \
-                (1, x[1], y[1], batches[1])
+            args = (np.arange(3), x, y, batch) if rows else \
+                (1, x[1], y[1], batch)
             assert callback(*args).tobytes() == g.tobytes()
 
     def test_hessian_is_curvature_block(self):
@@ -609,14 +608,14 @@ class TestDerivativeCallbacks:
         x, y = np.ones(3), np.ones(4)
         exact = prob.grad_g_y(0, x, y)
         draws = np.stack([
-            prob.grad_g_y(0, x, y, SampleBatch("g", seed=99, client=0, draw=t))
+            prob.grad_g_y(0, x, y, SampleBatch("g", seed=99, draw=t))
             for t in range(10 ** 4)])
         err = np.abs(draws.mean(axis=0) - exact)
         assert np.all(err <= 4 * 0.5 / 100)
 
     def test_common_random_numbers_cancel_noise(self):
         prob = make_quadratic(seed=23, n=2, d1=3, d2=4, noise_g=1.0)
-        batch = SampleBatch("g", seed=5, client=1, draw=2)
+        batch = SampleBatch("g", seed=5, draw=2)
         x, y = np.ones(3), np.ones(4)
         x2 = x.copy()
         x2[0] += 0.1
@@ -634,7 +633,7 @@ class TestDerivativeCallbacks:
             sq = 0.0
             for t in range(trials):
                 draw = prob.grad_g_y(0, x, y, SampleBatch(
-                    "g", seed=1000 + size, client=0, draw=t, size=size))
+                    "g", seed=1000 + size, draw=t, size=size))
                 sq += float(np.sum((draw - exact) ** 2))
             return sq / trials
 
@@ -659,18 +658,18 @@ class TestGradGyBatch:
                               noise_g=0.7)
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal(6), rng.standard_normal(5)
-        batch = SampleBatch("g", seed=4, client=1, draw=3)
+        batch = SampleBatch("g", seed=4, draw=3)
         want = prob.grad_g_y(1, x, y, batch)
         rows = (np.array([1, 1, 1]), np.tile(x, (3, 1)), np.tile(y, (3, 1)))
         for _ in range(2):
-            got = prob.grad_g_y(*rows, [batch] * 3)
+            got = prob.grad_g_y(*rows, batch)
             assert all(np.array_equal(row, want) for row in got)
             got[0] = np.nan
             assert all(np.array_equal(row, want) for row in got[1:])
         # the implicit terms of equal rows share one B^T v product
         v = np.tile(rng.standard_normal(5), (3, 1))
         terms = prob.implicit_term(*rows, [np.array([0, 5, 5])] * 3, 1e-3,
-                                   v, [batch] * 3)
+                                   v, batch)
         first = terms[0].copy()
         terms[0][...] = np.nan
         assert all(np.array_equal(term, first) for term in terms[1:])
@@ -695,7 +694,7 @@ def rolling_call(prob, noise=False):
     """A row call's arguments for every client of ``prob`` at rolling
     capacity 1/2 in round 0: masked x and y rows, each client's
     perturbation set (all its active outer coordinates) and, with
-    ``noise``, a batch per client. Even clients share one window's set,
+    ``noise``, a batch for the call. Even clients share one window's set,
     odd ones the other's."""
     rng = np.random.default_rng(31)
     caps = [Fraction(1, 2)] * prob.n
@@ -703,8 +702,7 @@ def rolling_call(prob, noise=False):
               for d in (prob.d1, prob.d2))
     x = rng.standard_normal(mx.shape) * mx
     y = rng.standard_normal(my.shape) * my
-    batch = [SampleBatch("g", seed=4, client=c, draw=2)
-             for c in range(prob.n)] if noise else [None] * prob.n
+    batch = SampleBatch("g", seed=4, draw=2) if noise else None
     return np.arange(prob.n), x, y, [np.flatnonzero(m) for m in mx], batch
 
 
@@ -759,7 +757,7 @@ class TestImplicitTerm:
         ({}, None),
         ({"quartic": 0.3}, None),
         ({"noise_g": 0.7, "quartic": 0.2},
-         SampleBatch("g", seed=4, client=1, round_index=2, draw=3, size=2)),
+         SampleBatch("g", seed=4, round_index=2, draw=3, size=2)),
     ], ids=["plain", "quartic", "noisy"])
     def test_default_equals_single_calls(self, kwargs, batch):
         # the base default's terms are the difference of separate grad_g_y
@@ -790,7 +788,7 @@ class TestImplicitTerm:
         BilevelProblem.implicit_term(
             QuadraticProblem(spec), 1, rng.standard_normal(5),
             rng.standard_normal(4), np.array([0, 3, 4]), 1e-3,
-            rng.standard_normal(4), SampleBatch("g", seed=8, client=1, draw=1))
+            rng.standard_normal(4), SampleBatch("g", seed=8, draw=1))
         assert np.array_equal(spec.b_mats[1], b_before)
 
     def test_rejects_wrong_row_width(self):
@@ -884,24 +882,25 @@ class TestRowForms:
                 for d in (d1, d2))
         sizes = st.sampled_from([1, 2, 3, 7, 10 ** 6])
 
-        def batches(level):
+        def batch(level):
             if data.draw(st.booleans()):
                 return None
-            return [data.draw(st.sampled_from([None, SampleBatch(
-                level, 11, int(c), 3, r, data.draw(sizes))]))
-                for r, c in enumerate(ids)]
+            return SampleBatch(level, 11, round_index=3,
+                               draw=data.draw(st.integers(0, 2)),
+                               size=data.draw(sizes))
 
         def noised(rows, batch, scale, *parts):
-            # the per-row loop: each row's joint draw of d1 + d2, scaled
-            for r, b in enumerate(batch or []):
-                if b is not None and scale:
-                    joint = b.stream().normal(d1 + d2) * (scale / np.sqrt(
-                        b.size))
+            # the per-row loop: each row's joint draw of d1 + d2 from its
+            # client's stream, scaled
+            if batch is not None and scale:
+                for r, c in enumerate(ids.tolist()):
+                    joint = batch.stream(c).normal(d1 + d2) * (
+                        scale / np.sqrt(batch.size))
                     for out, part in zip(rows, parts):
                         out[r] += joint[part]
             return rows
 
-        bg, bf = batches("g"), batches("f")
+        bg, bf = batch("g"), batch("f")
         (want_g,) = noised([quiet.grad_g_y(ids, x, y)], bg, noise_g,
                            slice(None, d2))
         want_x, want_y = noised(list(quiet.grad_f(ids, x, y)), bf, noise_f,

@@ -35,7 +35,7 @@ ACTIVE = {
     "all": list(range(12)),
 }
 BATCHES = {"full": None,
-           "subsampled": SampleBatch("g", seed=53, client=1, draw=4, size=9)}
+           "subsampled": SampleBatch("g", seed=53, draw=4, size=9)}
 
 
 def point(prob, seed=6):

@@ -52,19 +52,20 @@ def test_row_calls_equal_one_client_calls(data, prob):
     src = [data.draw(st.integers(0, r)) for r in range(k)]
     mx, my, x, y = mx[src], my[src], x[src] * mx[src], y[src] * my[src]
     size = data.draw(st.sampled_from([0, 1, 3, 10 ** 6]))
-    bf, bg = ([data.draw(st.sampled_from([None, problems.SampleBatch(
-        level, 7, int(c), 2, 1, size)])) for c in ids] if size else None
+    bf, bg = (data.draw(st.sampled_from([None, problems.SampleBatch(
+        level, 7, round_index=2, draw=1, size=size)])) if size else None
         for level in "fg")
-    epochs = None if bg is None else [[b] * 2 for b in bg]
+    epochs = data.draw(st.sampled_from([None, [bg, None]]))
     active, coords = ([np.flatnonzero(m) for m in ms] for ms in (my, mx))
 
     def check(call, *args, rows=None):
-        """call(ids, *args) against call(ids[r], *row r of each args)."""
+        """call(ids, *args) against call(ids[r], *row r of each args): a
+        batch, or the inner loop's list of one per epoch, is the call's."""
         got = list(call(ids, *args) if rows is None else rows)
         assert len(got) == k
         for r, c in enumerate(ids):
             want = call(c, *(a[r] if isinstance(a, (list, np.ndarray))
-                             else a for a in args))
+                             and a is not epochs else a for a in args))
             for g, w in zip(*(v if isinstance(v, tuple) else (v,)
                               for v in (got[r], want)), strict=True):
                 assert np.array_equal(g, w)
@@ -181,3 +182,56 @@ def test_singular_block_names_the_lowest_failing_client(shared):
     with pytest.raises(SingularRestrictedHessian) as err:
         rabo_round(prob, GlobalState(np.ones(2), np.zeros(2), 0), cfg)
     assert str(err.value) == f"round 0: {want}"
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+def test_a_rows_client_keys_its_draw(family):
+    # the batch names no client: row r of a call, like the one-client
+    # call of client i[r], draws from the batch's stream of i[r]
+    c, size = 2, 5
+    batch = problems.SampleBatch("g", 9, round_index=4, draw=1, size=size)
+    if family == "quadratic":
+        prob = problems.make_quadratic(seed=3, n=4, d1=3, d2=5, hetero=0.4,
+                                       noise_g=0.6)
+        noise = batch.stream(c).normal(prob.d1 + prob.d2)[:prob.d2]
+
+        def want(x, y):
+            return prob.grad_g_y(c, x, y) + (0.6 / np.sqrt(size)) * noise
+    else:
+        prob = problems.make_logistic_tune(seed=3, n=4, classes=3,
+                                           features=2, base_count=20)
+        data = prob.spec.clients[c]
+        idx = batch.stream(c).generator().choice(
+            len(data.y_train), size=size, replace=False)
+        idx.sort()
+        clients = list(prob.spec.clients)
+        clients[c] = replace(data, x_train=data.x_train[idx],
+                             y_train=data.y_train[idx])
+        subsample = problems.LogisticTuneProblem(
+            replace(prob.spec, clients=clients))
+
+        def want(x, y):
+            return subsample.grad_g_y(c, x, y)
+    rng = np.random.default_rng(5)
+    ids = np.array([0, c, 3, c])
+    x, y = (rng.standard_normal((4, d)) for d in (prob.d1, prob.d2))
+    rows = prob.grad_g_y(ids, x, y, batch)
+    for r in (1, 3):
+        w = want(x[r], y[r]).tobytes()
+        assert prob.grad_g_y(c, x[r], y[r], batch).tobytes() == w
+        assert rows[r].tobytes() == w
+
+
+def test_batch_fields_after_the_seed_are_keywords():
+    # the client field is gone; an old positional call would shift
+    # round, draw and size into the wrong fields
+    with pytest.raises(TypeError):
+        problems.SampleBatch("f", 5, 1, 2, 0, 2)
+
+
+@pytest.mark.parametrize("size", [2.5, 2.0, True, "2", 0, -1])
+def test_batch_size_is_a_positive_integer(size):
+    # a fractional size used to scale the quadratic noise by 1/sqrt(size),
+    # and True ran as a batch of 1
+    with pytest.raises(ValueError, match="batch size"):
+        problems.SampleBatch("g", 0, size=size)

@@ -64,7 +64,7 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
         terms = terms + np.outer((s.quartic / 2.0) * sq,
                                  np.abs(s.u_mats[i]) @ np.abs(y))
     if batch is not None and s.noise_g:
-        noise = batch.stream().normal(prob.d1 + prob.d2)[: prob.d2]
+        noise = batch.stream(i).normal(prob.d1 + prob.d2)[: prob.d2]
         terms = terms + np.abs(noise) * (s.noise_g / np.sqrt(batch.size))
     return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
 

@@ -14,7 +14,8 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``ROLLING_LISTS`` below into ``OUT/rolling_lists``;
 - ``TOPK_BLOCKS`` below into ``OUT/topk_blocks``;
 - ``SAMPLED_SETS`` below into ``OUT/sampled_sets``;
-- ``ONE_OUTER`` below into ``OUT/one_outer``.
+- ``ONE_OUTER`` below into ``OUT/one_outer``;
+- ``LOGISTIC_BATCHES`` below into ``OUT/logistic_batches``.
 
 BLAS is pinned to one thread before numpy is imported, because artifact
 bytes depend on the thread count. Two checkouts' sets are then compared
@@ -133,6 +134,18 @@ ONE_OUTER = {
     "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"]},
 }
 
+# Each logistic client trains on 60 samples, so a lower batch of 6 is a
+# true subsample: every inner epoch and implicit term picks its rows from
+# the batch's stream of that client, which no other document reaches.
+LOGISTIC_BATCHES = {
+    "problem": {"family": "logistic", "seed": 5, "n": 4, "classes": 3,
+                "features": 4, "imbalance_mu": 0.8, "base_count": 30},
+    "run": {"inner_epochs": 2, "rounds": 8, "policy": "rolling",
+            "batch_size_f": 2, "batch_size_g": 6, "coord_fraction": 0.5},
+    "sweep": {"seeds": [1], "estimators": ["exact_aid", "rafbo"],
+              "capacities": ["1", "1/2"]},
+}
+
 
 def _workloads():
     path = ROOT / "perfbench" / "workloads.py"
@@ -157,6 +170,7 @@ def documents():
     yield "topk_blocks", TOPK_BLOCKS
     yield "sampled_sets", SAMPLED_SETS
     yield "one_outer", ONE_OUTER
+    yield "logistic_batches", LOGISTIC_BATCHES
 
 
 def main(argv=None) -> int:
