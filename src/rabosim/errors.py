@@ -85,6 +85,23 @@ def check_ranges(values: dict, ranges: dict, prefix: str = "") -> None:
                               key=key)
 
 
+# The most float64 entries a problem's arrays and a run's per-client rows
+# may hold together, 2**26 (512 MiB), which each family counts from its
+# sizes: past it a config is an error, not an allocation numpy fails.
+MAX_ELEMENTS = 2 ** 26
+
+
+def check_size(values: dict, elements: int, keys, prefix: str = "") -> None:
+    """Raise InvalidSpec if ``elements``, the entry count a family holds
+    at the sizes in ``values``, exceeds MAX_ELEMENTS, naming the largest
+    of its size ``keys``. ``prefix`` is as in ``check_ranges``."""
+    if elements > MAX_ELEMENTS:
+        key = max(keys, key=values.__getitem__)
+        raise InvalidSpec(
+            f"{prefix}{key} {values[key]!r} makes the problem hold {elements} "
+            f"entries, more than the {MAX_ELEMENTS} allowed", key=key)
+
+
 class UnsupportedProblem(RabosimError):
     """Operation requires oracle structure the problem does not expose."""
 

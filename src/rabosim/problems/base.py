@@ -31,7 +31,11 @@ class SampleBatch:
     ``level`` tags upper ("f") or lower ("g") sampling. ``size`` is the
     number of independent samples averaged into the draw; larger batches
     shrink noise variance by 1/size. ``draw`` distinguishes repeated
-    batches within a round. Row r of a call draws from ``stream(i[r])``.
+    batches within a round. A call's noise is one (n, d) block drawn from
+    ``noise_stream()``, keyed by these fields alone: row r of a call takes
+    block row i[r], so a row's noise depends only on the batch and its
+    client, never on the call's other rows. ``stream(c)`` is client c's
+    own stream, which the logistic family's training subsample draws from.
     """
 
     level: str
@@ -46,6 +50,13 @@ class SampleBatch:
             raise ValueError(f"level must be 'f' or 'g', got {self.level!r}")
         if not (is_int(self.size) and self.size >= 1):
             raise ValueError("batch size must be an integer >= 1")
+
+    def noise_stream(self) -> RngStream:
+        """The stream of the call's one noise block. Its key names no
+        client, and its purpose differs from every ``stream``'s, so it is
+        no client's stream."""
+        return RngStream(self.seed, 0, self.round_index,
+                         f"block-{self.level}-{self.draw}")
 
     def stream(self, client: int) -> RngStream:
         return RngStream(self.seed, client, self.round_index,
@@ -122,7 +133,7 @@ class BilevelProblem(ABC):
     def grad_f(self, i, x: np.ndarray, y: np.ndarray,
                batch: SampleBatch | None = None) -> tuple:
         """(grad_f_x, grad_f_y) under one batch. This default makes both
-        calls; the quadratic family draws each row's noise once for
+        calls; the quadratic family draws one noise block per call for
         both."""
         return self.grad_f_x(i, x, y, batch), self.grad_f_y(i, x, y, batch)
 

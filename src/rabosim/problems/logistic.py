@@ -35,7 +35,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ..errors import InvalidSpec, check_ranges, check_types
+from ..errors import InvalidSpec, check_ranges, check_size, check_types
 from ..rng import RngStream
 from .base import BilevelProblem, SampleBatch, _difference
 
@@ -255,9 +255,19 @@ RANGES = {"n": "at least 1", "imbalance_mu": "in (0, 1]",
 def check_args(args: dict, prefix: str = "") -> None:
     """Raise InvalidSpec naming the first argument in ``args`` that breaks
     a rule of ``make_logistic_tune``: its type, by its default in
-    ``ARGUMENTS``, then its range; ``prefix`` leads the message."""
+    ``ARGUMENTS``, its range, then the size rule (``check_size``);
+    ``prefix`` leads the message."""
     check_types(args, ARGUMENTS, prefix)
     check_ranges(args, RANGES, prefix)
+    # the size rule goes first, as past the float range the decay's
+    # product below overflows: at most base_count * classes samples per
+    # client of features + 1 entries, the Hessian's (samples, d2) factor
+    # and (d2, d2) product, and n rows of d1 + d2
+    n, count = args["n"], args["base_count"] * args["classes"]
+    d1, d2 = dims(args)
+    check_size(args, n * count * (args["features"] + 1) + count * d2
+               + d2 * d2 + n * (d1 + d2),
+               ("n", "classes", "features", "base_count"), prefix)
     # the decay leaves the last class the fewest samples
     if math.floor(args["base_count"]
                   * args["imbalance_mu"] ** (args["classes"] - 1)) < 1:

@@ -24,7 +24,9 @@ row call gathers its clients' targets with one index.
 
 Stochastic gradients are the exact gradients plus additive zero-mean
 Gaussian noise scaled by ``noise_f`` / ``noise_g`` and shrunk by
-sqrt(batch size), drawn deterministically from the batch's stream. The
+sqrt(batch size). A call draws it once: the batch's (n, d1 + d2) block,
+of which row r takes row i[r], its first d1 entries for the upper x part
+and the rest for y (the lower gradient takes the first d2). The
 noise is independent of (x, y), so differencing two evaluations under the
 same batch cancels it exactly (common random numbers).
 """
@@ -41,6 +43,7 @@ from ..errors import (
     InvalidSpec,
     UnsupportedProblem,
     check_ranges,
+    check_size,
     check_types,
 )
 from ..linalg import (
@@ -154,13 +157,12 @@ class QuadraticProblem(BilevelProblem):
 
     # -- noise and rows ------------------------------------------------------
     def _add_noise(self, i: np.ndarray, batch, scale: float, *parts) -> None:
-        """Add to row r of each (out, part) pair ``part`` of one joint draw
-        of d1 + d2 from ``batch.stream(i[r])``, scaled by scale /
+        """Add to row r of each (out, part) pair ``part`` of row i[r] of
+        the batch's one (n, d1 + d2) block, scaled by scale /
         sqrt(batch.size); no batch adds nothing."""
         if batch is None or not scale:
             return
-        joint = np.array([batch.stream(c).normal(self.d1 + self.d2)
-                          for c in i.tolist()])
+        joint = batch.noise_stream().normal((self.n, self.d1 + self.d2))[i]
         joint *= scale / np.sqrt(batch.size)
         for out, part in parts:
             out += joint[:, part]
@@ -271,7 +273,7 @@ class QuadraticProblem(BilevelProblem):
         return val
 
     def grad_f(self, i, x, y, batch=None):
-        # one joint draw per row serves both gradients
+        # one block draw per call serves both gradients
         one, i, x, y = self.rows(i, x, y)
         s = self.spec
         gx = s.lam * (x - self._a_tgt_rows[i])
@@ -372,13 +374,19 @@ RANGES = {
 def check_args(args: dict, prefix: str = "") -> None:
     """Raise InvalidSpec naming the first argument in ``args`` that breaks
     a rule of ``make_quadratic``: its type, by its default in ``ARGUMENTS``,
-    then its range; ``prefix`` leads the message."""
+    its range, then the size rule (``check_size``); ``prefix`` leads the
+    message."""
     check_types(args, ARGUMENTS, prefix)
     check_ranges(args, RANGES, prefix)
     if args["eig_max"] < args["eig_min"]:
         raise InvalidSpec(f"{prefix}eig_max must be at least eig_min "
                           f"{args['eig_min']!r}, got {args['eig_max']!r}",
                           key="eig_max")
+    # A and B, each client's U with the quartic term, and n rows of d1 + d2,
+    # the order of the targets, the noise block and the iterates
+    n, (d1, d2) = args["n"], dims(args)
+    check_size(args, d2 * (d1 + d2) + (n * d2 * d2 if args["quartic"] else 0)
+               + n * (d1 + d2), ("n", "d1", "d2"), prefix)
 
 
 def dims(args: dict) -> tuple[int, int]:

@@ -7,6 +7,13 @@ replaying the run, and distinct keys give statistically independent
 sequences. Keys are hashed with BLAKE2b, which is stable across platforms
 and Python processes (unlike the builtin ``hash``).
 
+A stream need not belong to one client. A ``SampleBatch``'s noise is one
+stream per derivative call, keyed by (seed, round, level, draw) with
+client 0 and a purpose no client stream has, and one ``normal((n, d))``
+draw fills the call's whole block, row c for client c. Standard normals
+fill the block in row order, so row c does not depend on n, and a client's
+draw replays from the key and the client alone.
+
 Philox is counter-based: its key and counter fully place a stream. So
 ``normal()`` does not build a generator per draw; it re-keys one Philox
 per thread, setting counter 0, the stream's key and an empty buffer, which

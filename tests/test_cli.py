@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,12 @@ from rabosim.cli import (
     resolve_config,
     run_experiment,
 )
-from rabosim.errors import InvalidSpec, MissingBaseline, ParseError
+from rabosim.errors import (
+    MAX_ELEMENTS,
+    InvalidSpec,
+    MissingBaseline,
+    ParseError,
+)
 from rabosim.federation import DOWNLOAD_MODES, GlobalState, RunConfig
 from rabosim.hypergrad import EXACT_AID, RAFBO
 from rabosim.masking import POLICIES
@@ -663,6 +669,8 @@ class TestMainEntry:
         # an integer past the float range used to raise OverflowError
         (["--override", "run.alpha=1" + "0" * 400], "alpha"),
         (["--override", "problem.lam=-1" + "0" * 400], "lam"),
+        # and a base_count past it in the decay's float product
+        (["--override", "problem.base_count=1" + "0" * 400], "base_count"),
     ])
     def test_mistyped_value_exit_two_names_key(self, tmp_path, capsys,
                                                 flags, key):
@@ -737,9 +745,10 @@ class TestMainEntry:
             "100000.0\n")
 
     @staticmethod
-    def demo_run(tmp_path, *overrides):
+    def demo_run(tmp_path, *overrides, memory=None):
         """``rabosim run configs/demo_sweep.json`` for seed 0 and 2 rounds,
-        in a subprocess so that stderr holds everything the run prints."""
+        in a subprocess so that stderr holds everything the run prints;
+        ``memory``, if given, caps its address space in bytes."""
         demo = Path(__file__).resolve().parents[1] / "configs" \
             / "demo_sweep.json"
         flags = ["--seeds", "0", "--override", "run.rounds=2", "--override",
@@ -748,10 +757,13 @@ class TestMainEntry:
             flags += ["--override", entry]
         env = dict(os.environ,
                    PYTHONPATH=str(Path(rabosim.__file__).parents[1]))
+        cap = None if memory is None else (lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (memory, memory)))
         return subprocess.run(
             [sys.executable, "-m", "rabosim.cli", "run", str(demo), "--out",
              str(tmp_path / "out")] + flags,
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=cap)
 
     @pytest.mark.parametrize("entry", [
         "problem.coupling=1e300", "problem.quartic=1e308"])
@@ -796,6 +808,21 @@ class TestMainEntry:
         assert len(lines) == 6
         assert all(line.startswith("variant est_") and " failed: round 0: "
                    in line for line in lines)
+
+    @pytest.mark.parametrize("entry,key", [
+        ("problem.d1=9223372036854775808", "d1"),
+        ("problem.d2=100000", "d2"),
+    ])
+    def test_oversized_problem_exit_two_names_key(self, tmp_path, entry, key):
+        # past the size rule these ended in numpy's "Maximum allowed
+        # dimension exceeded" and a 74.5 GiB _ArrayMemoryError traceback,
+        # exit 1; the 4 GB cap keeps a build that does allocate from
+        # taking the machine's memory
+        proc = self.demo_run(tmp_path, entry, memory=4 * 2 ** 30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"config error: problem.{key} ")
+        assert f"more than the {MAX_ELEMENTS} allowed" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", [
         "eig_max", "coupling", "hetero", "target_scale"])
@@ -918,6 +945,41 @@ def test_range_rule_holds_at_both_boundaries(tmp_path, capsys, owner, key):
     with pytest.raises(InvalidSpec) as err:
         construct(**{key: bad})
     assert err.value.key == key
+
+
+# family -> each size key of it with a value that alone puts the family's
+# default arguments past the size rule
+OVERSIZED = {
+    quadratic: {"n": 10 ** 8, "d1": 2 ** 63, "d2": 10 ** 5},
+    logistic: {"n": 10 ** 6, "classes": 10 ** 5, "features": 10 ** 7,
+               "base_count": 10 ** 400},
+}
+
+
+@pytest.mark.parametrize("family,key", [
+    (family, key) for family, sizes in OVERSIZED.items() for key in sizes],
+    ids=lambda v: getattr(v, "__name__", v).rpartition(".")[2])
+def test_size_rule_names_the_oversized_key(family, key):
+    # the rule runs before anything is built; these used to fail in numpy
+    # with a traceback, or for base_count in the decay's float product
+    args = {**family.ARGUMENTS, key: OVERSIZED[family][key]}
+    with pytest.raises(InvalidSpec, match=f"^problem.{key} .* more than "
+                       f"the {MAX_ELEMENTS} allowed") as err:
+        family.check_args(args, "problem.")
+    assert err.value.key == key
+
+
+def test_size_rule_holds_at_its_bound():
+    # the quadratic holds (d2 + n)(d1 + d2) entries without the quartic
+    # term: 8192 * 8192 is the bound itself, and one more d1 passes it
+    at_bound = {**quadratic.ARGUMENTS, "n": 1, "d1": 1, "d2": 8191}
+    assert (8191 + 1) * (1 + 8191) == MAX_ELEMENTS
+    quadratic.check_args(at_bound)
+    with pytest.raises(InvalidSpec) as err:
+        quadratic.check_args({**at_bound, "d1": 2})
+    assert err.value.key == "d2"
+    # a long outer level with few inner coordinates stays far inside
+    quadratic.check_args({**quadratic.ARGUMENTS, "d1": 200000})
 
 
 TWO_CLIENT_TABLES = {"x": [[0, 1], [2, 3]], "y": [[0, 1], [2, 3]]}

@@ -508,34 +508,36 @@ class TestDeriveConstants:
 class TestDerivativeCallbacks:
     @pytest.mark.parametrize("rows", [False, True], ids=["one", "rows"])
     def test_grad_f_draws_each_batch_once(self, rows, monkeypatch):
-        # both gradients take their parts of one joint draw per row, from
-        # the batch's stream of the row's client, with the bits of adding
-        # each part to the exact gradient
+        # both gradients take their parts of the call's one (n, d1 + d2)
+        # block, row i of it for client i, with the bits of adding each
+        # part to the exact gradient
         prob = make_quadratic(seed=20, n=3, d1=3, d2=4, hetero=0.2,
                               noise_f=0.4, sine_amp=0.3)
         s, rng = prob.spec, np.random.default_rng(3)
         x, y = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
         batch = SampleBatch("f", 5, round_index=2, draw=0, size=2)
+        block = batch.noise_stream().generator().standard_normal((3, 7))
         want_x, want_y = [], []
         for i in range(3):
             gx = s.lam * (x[i] - s.outer_targets[i]) \
                 + s.sine_amp * np.cos(x[i])
             gy = y[i] - s.inner_targets[i]
-            joint = batch.stream(i).normal(7) * (0.4 / np.sqrt(2))
+            joint = block[i] * (0.4 / np.sqrt(2))
             gx += joint[:3]
             gy += joint[3:]
             want_x.append(gx)
             want_y.append(gy)
         draws, normal = [], RngStream.normal
         monkeypatch.setattr(RngStream, "normal", lambda self, *args: (
-            draws.append(self)) or normal(self, *args))
+            draws.append((self, args))) or normal(self, *args))
         if rows:
             got = prob.grad_f(np.arange(3), x, y, batch)
             want = np.array(want_x), np.array(want_y)
         else:
             got, want = prob.grad_f(1, x[1], y[1], batch), \
                 (want_x[1], want_y[1])
-        assert len(draws) == (3 if rows else 1)
+        # one draw of the whole block, whichever rows the call holds
+        assert draws == [(batch.noise_stream(), ((3, 7),))]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         for g, callback in zip(got, (prob.grad_f_x, prob.grad_f_y)):
@@ -890,12 +892,14 @@ class TestRowForms:
                                size=data.draw(sizes))
 
         def noised(rows, batch, scale, *parts):
-            # the per-row loop: each row's joint draw of d1 + d2 from its
-            # client's stream, scaled
+            # the per-row loop: each row's own draw of d1 + d2, its
+            # client's row of the batch's block, replayed from the key and
+            # the client alone (a block of c + 1 rows ends in row c)
             if batch is not None and scale:
                 for r, c in enumerate(ids.tolist()):
-                    joint = batch.stream(c).normal(d1 + d2) * (
-                        scale / np.sqrt(batch.size))
+                    own = batch.noise_stream().generator().standard_normal(
+                        (c + 1, d1 + d2))[c]
+                    joint = own * (scale / np.sqrt(batch.size))
                     for out, part in zip(rows, parts):
                         out[r] += joint[part]
             return rows
@@ -910,3 +914,36 @@ class TestRowForms:
                               bits(want_g))
         assert np.array_equal(bits(got_x), bits(want_x))
         assert np.array_equal(bits(got_y), bits(want_y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_noise_is_its_rows_of_one_fresh_block(self, data):
+        # at x = y = 0 with zero targets each gradient is its noise alone,
+        # so row r of any call (a subset, repeated rows, any order, or a
+        # one-client call) is row i[r] of the key's fresh (n, d1 + d2)
+        # block, scaled, bit for bit
+        n, d1, d2 = (data.draw(st.integers(1, 6)) for _ in range(3))
+        noise_f, noise_g = 0.3, 0.7
+        prob = make_quadratic(seed=data.draw(st.integers(0, 2 ** 16)), n=n,
+                              d1=d1, d2=d2, noise_f=noise_f, noise_g=noise_g,
+                              target_scale=0.0)
+        if data.draw(st.booleans()):
+            ids, lead = data.draw(st.integers(0, n - 1)), ()
+        else:
+            ids = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                              min_size=1, max_size=8)))
+            lead = (len(ids),)
+        x, y = np.zeros(lead + (d1,)), np.zeros(lead + (d2,))
+        size = data.draw(st.sampled_from([1, 2, 3, 7, 10 ** 6]))
+        for level, scale in (("f", noise_f), ("g", noise_g)):
+            batch = SampleBatch(level, data.draw(st.integers(0, 2 ** 63)),
+                                round_index=data.draw(st.integers(0, 10 ** 6)),
+                                draw=data.draw(st.integers(0, 3)), size=size)
+            block = batch.noise_stream().generator().standard_normal(
+                (n, d1 + d2))
+            want = block[ids] * (scale / np.sqrt(size))
+            if level == "f":
+                got = np.concatenate(prob.grad_f(ids, x, y, batch), axis=-1)
+            else:
+                got, want = prob.grad_g_y(ids, x, y, batch), want[..., :d2]
+            assert np.array_equal(bits(got), bits(want))

@@ -187,13 +187,15 @@ def test_singular_block_names_the_lowest_failing_client(shared):
 @pytest.mark.parametrize("family", ["quadratic", "logistic"])
 def test_a_rows_client_keys_its_draw(family):
     # the batch names no client: row r of a call, like the one-client
-    # call of client i[r], draws from the batch's stream of i[r]
+    # call of client i[r], takes row i[r] of the batch's noise block
+    # (quadratic) or draws from the batch's stream of i[r] (logistic)
     c, size = 2, 5
     batch = problems.SampleBatch("g", 9, round_index=4, draw=1, size=size)
     if family == "quadratic":
         prob = problems.make_quadratic(seed=3, n=4, d1=3, d2=5, hetero=0.4,
                                        noise_g=0.6)
-        noise = batch.stream(c).normal(prob.d1 + prob.d2)[:prob.d2]
+        noise = batch.noise_stream().generator().standard_normal(
+            (prob.n, prob.d1 + prob.d2))[c, :prob.d2]
 
         def want(x, y):
             return prob.grad_g_y(c, x, y) + (0.6 / np.sqrt(size)) * noise
@@ -220,6 +222,47 @@ def test_a_rows_client_keys_its_draw(family):
         w = want(x[r], y[r]).tobytes()
         assert prob.grad_g_y(c, x[r], y[r], batch).tobytes() == w
         assert rows[r].tobytes() == w
+
+
+def test_noise_key_is_no_client_stream():
+    # a call's noise block has a key of its own: no client stream of any
+    # batch here has it, and the levels, draws and rounds each key their
+    # own block
+    batches = [problems.SampleBatch(level, 7, round_index=q, draw=k)
+               for level in "fg" for q in range(3) for k in range(3)]
+    blocks = {b.noise_stream()._key() for b in batches}
+    clients = {b.stream(c)._key() for b in batches for c in range(64)}
+    assert len(blocks) == len(batches)
+    assert not blocks & clients
+
+
+def test_noise_blocks_are_standard_normal_across_keys():
+    # K = 4000 keys' (4, 8) blocks, each flattened to 32 entries. For
+    # independent standard normals a mean entry has standard error
+    # 1/sqrt(K), a covariance entry off the diagonal 1/sqrt(K) and a
+    # variance sqrt(2/K); a cross covariance of two of a key's neighbours
+    # (the next round, the other level, the next draw) over m pairs has
+    # 1/sqrt(m). About 3,600 entries are checked, so each must lie within
+    # 6 standard errors: an honest entry fails with probability ~2e-9.
+    seeds, levels, draws, rounds = range(5), "fg", range(2), range(200)
+    z = np.array([[[[problems.SampleBatch(
+        level, seed, round_index=q, draw=k).noise_stream().normal(
+            (4, 8)).ravel() for q in rounds] for k in draws]
+        for level in levels] for seed in seeds])
+    flat = z.reshape(-1, 32)
+    k = len(flat)
+    assert k == 4000
+    assert np.all(np.abs(flat.mean(axis=0)) <= 6 / np.sqrt(k))
+    cov = np.cov(flat, rowvar=False)
+    off = ~np.eye(32, dtype=bool)
+    assert np.all(np.abs(cov[off]) <= 6 / np.sqrt(k))
+    assert np.all(np.abs(np.diag(cov) - 1.0) <= 6 * np.sqrt(2 / k))
+    for a, b in ((z[..., :-1, :], z[..., 1:, :]),   # next round
+                 (z[:, 0], z[:, 1]),                # other level
+                 (z[:, :, 0], z[:, :, 1])):         # next draw
+        a, b = a.reshape(-1, 32), b.reshape(-1, 32)
+        cross = (a - a.mean(axis=0)).T @ (b - b.mean(axis=0)) / len(a)
+        assert np.all(np.abs(cross) <= 6 / np.sqrt(len(a)))
 
 
 def test_batch_fields_after_the_seed_are_keywords():
