@@ -51,6 +51,7 @@ from .errors import (
     MissingBaseline,
     ParseError,
     check_ranges,
+    check_size,
     check_types,
     is_int,
 )
@@ -229,6 +230,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             f"sweep.manual_tables must be a non-empty list of table "
             f"entries, got {tables!r}", key="manual_tables")
     n, (d1, d2) = problem["n"], dims_of(problem)
+    if run_cfg["theory_guard"]:
+        # derive_constants forms a dense (d1 + d2)^2 block
+        check_size(problem, (d1 + d2) ** 2, ("d1", "d2"), "problem.")
     for index, entry in enumerate(tables or [None]):
         args = {**run_cfg, "manual_tables": entry}
         name = "sweep.manual_tables" if entry is None \

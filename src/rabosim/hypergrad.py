@@ -21,18 +21,19 @@ Two routes to the same quantity:
 direction to a unit outer perturbation. ``rafbo_hypergradient`` takes
 every <delta_p, v> from one row call of ``implicit_term``, the problem's
 one perturbed-gradient callback, with v the masked grad_y f (masking v,
-not every delta_p, gives the same bits, as they are 0 or 1). On the
-logistic family each delta_p equals ``jacobian_column_fd`` bit for bit.
-On the quadratic family it is the exact difference, -B_i[:, p] -
-(tau/2)(2 x_p + mu) U_i y, in closed form: one B_i^T v product per
-distinct row, no perturbed gradient, and none of the difference's
-rounding of order eps ||grad_y g|| / mu. At a fixed BLAS thread count
-the result is deterministic on both. The orientation matters: delta
-already carries the sign of the inner-optimum response, so on problems
-with unit inner curvature it equals the Jacobian column of x -> y*(x)
-exactly for every step size, and the two estimators coincide. With
-curved cross-coupling the finite difference picks up an O(mu) bias
-whose magnitude is bounded by ``hypergrad_error_bound``.
+not every delta_p, gives the same bits, as they are 0 or 1). On both
+families each term is the exact difference in closed form, with no
+perturbed gradient and none of the difference's rounding of order
+eps ||grad_y g|| ||v|| / mu that ``jacobian_column_fd`` carries. On the
+quadratic family delta_p = -B_i[:, p] - (tau/2)(2 x_p + mu) U_i y, one
+B_i^T v product per distinct row; on the logistic family the terms come
+from one training softmax and one V phi product per client. At a fixed
+BLAS thread count the result is deterministic on both. The orientation
+matters: delta already carries the sign of the inner-optimum response,
+so on problems with unit inner curvature it equals the Jacobian column
+of x -> y*(x) exactly for every step size, and the two estimators
+coincide. With curved cross-coupling the finite difference picks up an
+O(mu) bias whose magnitude is bounded by ``hypergrad_error_bound``.
 
 Regime. The implicit term sum_p <delta_p, grad_y f> e_p equals
 -(d^2 g/dx dy) grad_y f, while the true one is
@@ -53,7 +54,7 @@ numbers); the quadratic closed form cancels additive noise exactly.
 ``federation.CostLedger`` prices both routes from the round's mask arrays;
 an estimator takes its client's mask rows and returns the hypergradient.
 The rafbo charge stays ``2|P| + 2`` gradient evaluations on both
-families; the quadratic closed form is their exact difference.
+families; each closed form is their exact difference.
 """
 
 from __future__ import annotations

@@ -89,15 +89,6 @@ class ProblemConstants:
             raise ValueError("constants must be finite and nonnegative")
 
 
-def _difference(base: np.ndarray, rows: np.ndarray, mu: float,
-                v: np.ndarray) -> np.ndarray:
-    """``((base - rows) / mu) @ v``, the difference step in place on
-    ``rows``, a fresh array of the perturbed points' lower gradients."""
-    np.subtract(base, rows, out=rows)
-    rows /= mu
-    return rows @ v
-
-
 class BilevelProblem(ABC):
     """Per-client access to a distributed bilevel objective.
 
@@ -150,12 +141,11 @@ class BilevelProblem(ABC):
         delta_p = (grad_g_y(x) - grad_g_y(x + mu e_p)) / mu under one
         batch; ``v`` lives in R^{d2}. A row call takes one ``coords`` and
         one ``v`` per row and returns a list of each row's array, made
-        one row at a time. This default makes one ``grad_g_y`` call per
-        point, runs the difference step in place on the perturbed rows
-        and takes one product with ``v``. The logistic family overrides
-        it with one stacked pass of ``grad_g_y``'s operations, ending in
-        the same step, so its terms keep these bits; the quadratic
-        family overrides it with the exact difference in closed form.
+        one row at a time. This default, the generic definition, makes
+        one ``grad_g_y`` call per point, runs the difference step in
+        place on the perturbed rows and takes one product with ``v``.
+        Both families override it with the exact difference in closed
+        form, which lies within the difference's rounding of it.
         """
         if np.ndim(i):
             _, i, x, y, coords, v = self.rows(i, x, y, coords, v)
@@ -168,7 +158,9 @@ class BilevelProblem(ABC):
             x_pert = x.copy()
             x_pert[p] += mu
             rows[k] = self.grad_g_y(i, x_pert, y, batch)
-        return _difference(base, rows, mu, v)
+        np.subtract(base, rows, out=rows)
+        rows /= mu
+        return rows @ v
 
     # -- second derivatives (lower level) ----------------------------------
     @abstractmethod

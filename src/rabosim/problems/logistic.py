@@ -37,7 +37,7 @@ import numpy as np
 
 from ..errors import InvalidSpec, check_ranges, check_size, check_types
 from ..rng import RngStream
-from .base import BilevelProblem, SampleBatch, _difference
+from .base import BilevelProblem, SampleBatch
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -85,10 +85,9 @@ class LogisticTuneProblem(BilevelProblem):
 
     # -- parameter unpacking -------------------------------------------------
     def _unpack_x(self, x: np.ndarray):
-        """(weights, offsets, reg) of one outer point, or of each row of a
-        stack of them."""
+        """(weights, offsets, reg) of one outer point."""
         c = self.classes
-        return np.exp(x[..., :c]), x[..., c:2 * c], np.exp(x[..., 2 * c])
+        return np.exp(x[:c]), x[c:2 * c], np.exp(x[2 * c])
 
     def _weight_matrix(self, y: np.ndarray) -> np.ndarray:
         return y.reshape(self.classes, self.features)
@@ -128,30 +127,28 @@ class LogisticTuneProblem(BilevelProblem):
     def implicit_term(self, i, x, y, coords, mu, v, batch=None):
         if np.ndim(i):   # the base's loop over rows, which calls this
             return super().implicit_term(i, x, y, coords, mu, v, batch)
-        # grad_g_y's operations on a stack of the base and every x + mu e_p,
-        # elementwise or reduced along the last axis, so each row equals its
-        # single call bit for bit, then the base's difference step. Weight
-        # and reg perturbations reuse the base softmax; only offsets rerun it.
+        # The exact forward difference, from the base softmax p_j alone.
+        # <grad_g_y, v> is sum_j w_{c_j} r_j . V phi_j / m + reg <y, v>,
+        # with r_j = p_j - e_{c_j}. A weight or reg step scales its factor
+        # by e^mu = 1 + E; an offset step moves p_j to softmax(z_j + mu e_c)
+        # = p_j + E p_jc (e_c - p_j) / (1 + E p_jc), with no second exp.
         self.check_dims(x, y)
         self.check_coords(coords)
-        c = self.classes
-        points = np.repeat(x[None, :], coords.size + 1, axis=0)
-        points[np.arange(1, coords.size + 1), coords] += mu
-        weights, offsets, reg = self._unpack_x(points)
+        weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
         m = len(labels)
-        # the points with logits of their own: the base and each offset
-        own = np.r_[0, 1 + np.flatnonzero((coords >= c) & (coords < 2 * c))]
-        softmax_of = np.zeros(coords.size + 1, dtype=np.intp)
-        softmax_of[own] = np.arange(own.size)
-        resid = _softmax(feats @ self._weight_matrix(y).T
-                         + offsets[own, None, :])
-        resid[:, np.arange(m), labels] -= 1.0
-        wr = resid[softmax_of]
-        wr *= weights[:, labels, None]
-        grad_w = np.matmul(wr.transpose(0, 2, 1), feats) / m
-        grads = grad_w.reshape(coords.size + 1, self.d2) + reg[:, None] * y
-        return _difference(grads[0], grads[1:], mu, v)
+        probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
+        vphi = feats @ self._weight_matrix(v).T     # m x C, row j is V phi_j
+        pv = np.vecdot(probs, vphi)                 # p_j . V phi_j
+        e = np.expm1(mu)
+        per_class = np.bincount(labels, pv - vphi[np.arange(m), labels],
+                                self.classes)
+        ep = e * probs
+        shift = ep * (vphi - pv[:, None]) / (1.0 + ep)
+        terms = np.concatenate([(e / mu) * weights * per_class / m,
+                                weights[labels] @ shift / (mu * m),
+                                [(e / mu) * reg * float(y @ v)]])
+        return -terms[coords]
 
     def hess_yy_g(self, i, x, y, batch=None, active=None):
         if np.ndim(i):   # each row's block, formed when reached

@@ -982,6 +982,24 @@ def test_size_rule_holds_at_its_bound():
     quadratic.check_args({**quadratic.ARGUMENTS, "d1": 200000})
 
 
+@pytest.mark.parametrize("d1,d2", [(20000, 8), (8185, 8), (8, 8185)])
+def test_theory_guard_counts_the_joint_block(d1, d2):
+    # derive_constants forms a dense (d1 + d2)^2 block; past the size rule
+    # the guard used to end in a MemoryError from the SVD. The resolver
+    # builds nothing, so this call allocates no block either way.
+    raw = {"problem": {"family": "quadratic", "n": 2, "d1": d1, "d2": d2},
+           "run": {"theory_guard": True}}
+    key = "d1" if d1 > d2 else "d2"
+    with pytest.raises(InvalidSpec, match=f"^problem.{key} .* more than "
+                       f"the {MAX_ELEMENTS} allowed") as err:
+        resolve_config(raw)
+    assert err.value.key == key
+    # without the guard nothing forms the block; at 8192 = d1 + d2 the
+    # block is the bound itself
+    resolve_config({**raw, "run": {}})
+    resolve_config({**raw, "problem": {**raw["problem"], key: 8184}})
+
+
 TWO_CLIENT_TABLES = {"x": [[0, 1], [2, 3]], "y": [[0, 1], [2, 3]]}
 EMPTY_ROW_TABLES = {"x": [[0, 1], [2, 3]], "y": [[0, 1], []]}
 # rule -> (RunConfig settings, overrides of the small config, the key, the

@@ -43,14 +43,14 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
     (tau/2) |(||x_k||^2 - ||x_base||^2)| |U_i||y|; that excess joins the
     terms above.
 
-    Returns a (k, d2) array; the logistic family's implicit term
-    differences ``grad_g_y`` rows itself, so its bound is zero.
+    Returns a (k, d2) array. The logistic family's bound is
+    ``logistic_row_bound``'s.
     """
     from rabosim.problems.quadratic import QuadraticProblem
 
     xs = np.atleast_2d(xs)
     if not isinstance(prob, QuadraticProblem):
-        return np.zeros((xs.shape[0], prob.d2))
+        return logistic_row_bound(prob, i, xs, y, batch, x_base)
     s = prob.spec
     abs_b = np.abs(s.b_mats[i])
     terms = (np.abs(s.a_mats[i]) @ np.abs(y) + np.abs(xs) @ abs_b.T
@@ -68,6 +68,82 @@ def grad_g_y_row_bound(prob, i, xs, y, batch=None, x_base=None):
             (prob.n, prob.d1 + prob.d2))[i, : prob.d2]
         terms = terms + np.abs(noise) * (s.noise_g / np.sqrt(batch.size))
     return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
+
+
+def logistic_scale(prob, i, x, y, batch=None, rounding=True):
+    """S(x), the d2 scale of the logistic ``grad_g_y`` row's rounding:
+
+        S = sum_j w_j K_j (|r_j| + p_j) kron |phi_j| / m + (d2 + 4) reg |y|,
+
+    with p_j the softmax of z_j = W phi_j + o, r_j = p_j - e_{c_j} and
+    w_j = exp(w_raw[c_j]), over the batch's m training samples. The
+    logits round by at most (p + 1) eps Z_j, Z_j = max_c (|W_c| |phi_j| +
+    |o_c|), and the log-softmax, its exp and the shifts add a few eps of
+    C and of |z_j|, so p_j rounds relatively by rho_j eps with
+    rho_j = (4p + 2C + 16)(1 + Z_j), and r_j by rho_j eps p_j + eps |r_j|.
+    The weighted sum over m samples and its p-long products add m + p +
+    C + 8 eps of the absolute sum; K_j = m + p + C + 8 + 2 rho_j covers
+    both, with rho_j twice for the closed form's shift, whose factor E p /
+    (1 + E p) holds p_jc twice. The reg part covers the product
+    reg * y and the closed form's d2-long <y, v>.
+
+    With ``rounding`` false, K_j and the reg part's factor are 1: the
+    scale of the gradient itself.
+    """
+    from rabosim.problems.logistic import _softmax
+
+    weights, offsets, reg = prob._unpack_x(x)
+    feats, labels = prob._train_slice(i, batch)
+    m, (c, p) = len(labels), (prob.classes, prob.features)
+    w_mat = prob._weight_matrix(y)
+    probs = _softmax(feats @ w_mat.T + offsets)
+    resid = probs.copy()
+    resid[np.arange(m), labels] -= 1.0
+    k, k_reg = 1, 1
+    if rounding:
+        z = (np.abs(feats) @ np.abs(w_mat).T + np.abs(offsets)).max(axis=1)
+        k = m + p + c + 8 + 2 * (4 * p + 2 * c + 16) * (1 + z)
+        k_reg = prob.d2 + 4
+    scale = (weights[labels] * k)[:, None] * (np.abs(resid) + probs)
+    return (scale.T @ np.abs(feats) / m).ravel() + k_reg * reg * np.abs(y)
+
+
+def logistic_row_bound(prob, i, xs, y, batch=None, x_base=None):
+    """``grad_g_y_row_bound`` on the logistic family: each row k rounds
+    by at most eps S(x_k) (``logistic_scale``).
+
+    With ``x_base`` given, x_k = x_base + h e_p is one step of h =
+    |x_k - x_base|, and the bound covers how far the difference of the
+    two rows lies from the closed form that ``implicit_term`` computes:
+    the rows' rounding, eps (S(x_k) + S(x_base)); the rounding of the
+    step itself, up to eps |x_k|_inf / 2 times the row's derivative
+    along x_p, which on the segment stays below (S(x_k) + S(x_base)) / 8
+    as a weight, an offset's probabilities and reg move monotonically;
+    and h times the closed form's own rounding, 2 e^h eps S(x_base), as
+    its terms are those of the rows' difference over h, whose factors
+    E / h, E p / (h (1 + E p)) (E = expm1(h)) stay below e^h.
+    """
+    rows = np.array([logistic_scale(prob, i, xk, y, batch) for xk in xs])
+    if x_base is None:
+        return EPS * rows
+    base = logistic_scale(prob, i, x_base, y, batch)
+    step = np.abs(xs - x_base).max(axis=1)[:, None]
+    return EPS * ((1 + np.abs(xs).max(axis=1)[:, None]) * (rows + base)
+                  + 2 * step * np.exp(step) * base)
+
+
+def implicit_term_bound(prob, i, x, y, coords, mu, v, batch=None):
+    """Entrywise bound on how far ``implicit_term`` may lie from the base
+    default's difference of ``grad_g_y`` rows: the rows' bound over mu,
+    with ``x_base``, against |v|, then the default's subtraction, division
+    and d2-long product, (2 d2 + 8) eps of |delta_p| @ |v|."""
+    points = np.repeat(x[None, :], coords.size, axis=0)
+    points[np.arange(coords.size), coords] += mu
+    deltas = (prob.grad_g_y(i, x, y, batch) - np.array(
+        [prob.grad_g_y(i, point, y, batch) for point in points])) / mu
+    rows = grad_g_y_row_bound(prob, i, points, y, batch, x_base=x)
+    return (rows / mu) @ np.abs(v) \
+        + (2 * prob.d2 + 8) * EPS * (np.abs(deltas) @ np.abs(v))
 
 
 def full_hessian_reference(prob, i, x, y, batch=None):
