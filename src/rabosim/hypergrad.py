@@ -6,9 +6,9 @@ Two routes to the same quantity:
   restricted to its active inner coordinates (implicit differentiation
   with a direct solve), then applies the mixed second derivative:
   value = grad_x f - (d^2 g/dx dy) @ z with z = [d^2 g/dy^2]^{-1} grad_y f.
-  ``hess_yy_g`` is asked for the active block only, so a client forms
-  d2_active^2 Hessian entries, not d2^2, as ``federation.exact_aid_flops``
-  charges.
+  The second-order part is one ``aid_term`` call, which forms the active
+  block only, so a client forms d2_active^2 Hessian entries, not d2^2, as
+  ``federation.exact_aid_flops`` charges.
 
 * ``rafbo_hypergradient`` is second-order free: it forward-differences
   the inner descent direction -grad_y g along unit perturbations of the
@@ -63,14 +63,9 @@ import math
 
 import numpy as np
 
-from .errors import (
-    EmptyMask,
-    NotPositiveDefinite,
-    SingularRestrictedHessian,
-    check_ranges,
-)
+from .errors import EmptyMask, check_ranges
 # solve_spd stays bound here: perfbench/spans.py wraps hypergrad.solve_spd
-from .linalg import solve_spd, spd_solver
+from .linalg import solve_spd  # noqa: F401
 from .masking import apply_mask
 from .rng import RngStream
 
@@ -144,26 +139,16 @@ def exact_hypergradient(problem, i, x_masked: np.ndarray,
     block is not SPD (the mask killed strong convexity there), naming
     the lowest such client.
 
-    Clients are rows, as in ``BilevelProblem``. ``hess_yy_g`` forms the
-    restricted blocks one at a time, each factored once for the rows it
-    serves (a shared A's clients on one active set) and solved once for
-    all of them, their right-hand sides gathered as rows of one call.
+    Clients are rows, as in ``BilevelProblem``: one ``grad_f`` call and
+    one ``aid_term`` call, which solves each block once for the rows it
+    serves (a shared A's clients on one active set) and applies the
+    mixed derivative.
     """
     one, i, x, y, mask_x, mask_y = problem.rows(
         i, x_masked, y_masked, mask_x, mask_y)
     gfx, gfy = problem.grad_f(i, x, y, batch_f)
     active = [np.flatnonzero(m) for m in mask_y]
-    z = np.zeros(y.shape)
-    for rows, hess in problem.hess_yy_g(i, x, y, batch_g, active=active):
-        try:
-            solve = spd_solver(hess)
-        except NotPositiveDefinite as exc:
-            raise SingularRestrictedHessian(
-                f"client {i[rows[0]]}: restricted inner Hessian is not SPD "
-                f"({active[rows[0]].size} active coordinates)") from exc
-        cut = np.ix_(rows, active[rows[0]])
-        z[cut] = solve(gfy[cut])
-    value = apply_mask(gfx - problem.cross_xy_g_apply(i, x, y, z, batch_g),
+    value = apply_mask(gfx - problem.aid_term(i, x, y, active, gfy, batch_g),
                        mask_x)
     return value[0] if one else value
 

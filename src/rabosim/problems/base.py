@@ -20,7 +20,13 @@ from itertools import repeat
 
 import numpy as np
 
-from ..errors import DimensionMismatch, is_int
+from ..errors import (
+    DimensionMismatch,
+    NotPositiveDefinite,
+    SingularRestrictedHessian,
+    is_int,
+)
+from ..linalg import spd_solver
 from ..rng import RngStream
 
 
@@ -61,6 +67,17 @@ class SampleBatch:
     def stream(self, client: int) -> RngStream:
         return RngStream(self.seed, client, self.round_index,
                          f"batch-{self.level}-{self.draw}")
+
+
+def restricted_solver(hess: np.ndarray, client: int):
+    """``spd_solver(hess)`` of a client's restricted inner Hessian; raises
+    SingularRestrictedHessian naming the client when it is not SPD."""
+    try:
+        return spd_solver(hess)
+    except NotPositiveDefinite as exc:
+        raise SingularRestrictedHessian(
+            f"client {client}: restricted inner Hessian is not SPD "
+            f"({hess.shape[0]} active coordinates)") from exc
 
 
 @dataclass(frozen=True)
@@ -192,6 +209,30 @@ class BilevelProblem(ABC):
         the inner product of ``v`` with the derivative of grad_g_y along
         outer coordinate ``s``.
         """
+
+    def aid_term(self, i, x: np.ndarray, y: np.ndarray, active,
+                 v: np.ndarray, batch: SampleBatch | None = None) -> np.ndarray:
+        """(d^2 g_i/dx dy) @ z, z = [d^2 g_i/dy^2]^{-1} v on ``active``.
+
+        The inner Hessian is restricted to the rows and columns
+        ``active`` (as ``hess_yy_g`` takes them) and solved against
+        v[active]; z is zero off ``active``, so v's other entries are not
+        read. A row call takes one active set and one v per row. Raises
+        SingularRestrictedHessian when a block is not SPD, naming the
+        first such row's client.
+
+        This default asks ``hess_yy_g`` for the blocks in one row call,
+        factors each block once for the rows it serves and solves them
+        in one call, then makes one ``cross_xy_g_apply`` row call. The
+        logistic family overrides it with one training pass per client.
+        """
+        one, i, x, y, active, v = self.rows(i, x, y, active, v)
+        z = np.zeros(y.shape)
+        for rows, hess in self.hess_yy_g(i, x, y, batch, active=active):
+            cut = np.ix_(rows, active[rows[0]])
+            z[cut] = restricted_solver(hess, i[rows[0]])(v[cut])
+        out = self.cross_xy_g_apply(i, x, y, z, batch)
+        return out[0] if one else out
 
     # -- optional oracle hooks ---------------------------------------------
     def has_oracles(self) -> bool:

@@ -37,11 +37,14 @@ import numpy as np
 
 from ..errors import InvalidSpec, check_ranges, check_size, check_types
 from ..rng import RngStream
-from .base import BilevelProblem, SampleBatch
+from .base import BilevelProblem, SampleBatch, restricted_solver
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
+    # numpy reduces a short last axis one row at a time; the max of a
+    # class-major copy is the same value, taken a class at a time
+    top = np.ascontiguousarray(np.moveaxis(z, -1, 0)).max(axis=0)
+    shifted = z - top[..., None]
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
@@ -102,6 +105,13 @@ class LogisticTuneProblem(BilevelProblem):
         idx.sort()
         return data.x_train[idx], data.y_train[idx]
 
+    def _train_probs(self, x: np.ndarray, y: np.ndarray, feats: np.ndarray):
+        """(weights, reg, probs): x's class weights and l2 coefficient, and
+        the training softmax of ``feats`` at (x, y)."""
+        weights, offsets, reg = self._unpack_x(x)
+        return weights, reg, _softmax(feats @ self._weight_matrix(y).T
+                                      + offsets)
+
     # -- lower level ------------------------------------------------------------
     def value_g(self, i, x, y, batch=None):
         self.check_dims(x, y)
@@ -115,10 +125,8 @@ class LogisticTuneProblem(BilevelProblem):
         if np.ndim(i):
             return self.each_row(self.grad_g_y, batch, i, x, y)
         self.check_dims(x, y)
-        weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
-        probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
-        resid = probs.copy()
+        weights, reg, resid = self._train_probs(x, y, feats)
         resid[np.arange(len(labels)), labels] -= 1.0
         wr = weights[labels][:, None] * resid
         grad_w = wr.T @ feats / len(labels)
@@ -134,10 +142,9 @@ class LogisticTuneProblem(BilevelProblem):
         # = p_j + E p_jc (e_c - p_j) / (1 + E p_jc), with no second exp.
         self.check_dims(x, y)
         self.check_coords(coords)
-        weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
+        weights, reg, probs = self._train_probs(x, y, feats)
         m = len(labels)
-        probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
         vphi = feats @ self._weight_matrix(v).T     # m x C, row j is V phi_j
         pv = np.vecdot(probs, vphi)                 # p_j . V phi_j
         e = np.expm1(mu)
@@ -159,11 +166,15 @@ class LogisticTuneProblem(BilevelProblem):
         if active is None:
             active = np.arange(self.d2)
         self.check_active(active)
-        weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
-        m = len(labels)
-        probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
-        w = weights[labels]
+        weights, reg, probs = self._train_probs(x, y, feats)
+        return self._hessian_block(feats, weights[labels], probs, reg, active)
+
+    def _hessian_block(self, feats, w, probs, reg, active, scratch=None):
+        """The ``active`` block of a client's Hessian from its training
+        pass, ``w`` its samples' weights. The two (m, |active|) gathers
+        go to ``scratch`` when given, a buffer of at least 2 m |active|
+        floats."""
         # sum_j w_j S_j kron phi_j phi_j^T with S_j = diag(p_j) - p_j p_j^T
         # is a rank-one part -Z^T diag(w) Z, row j of Z being p_j kron phi_j
         # (scaled by sqrt(w_j) here, as w > 0, so one copy of Z suffices),
@@ -172,20 +183,26 @@ class LogisticTuneProblem(BilevelProblem):
         # k // p, feature k % p; ascending indices put class a's in
         # bounds[a]:bounds[a + 1]. The gathers are C-ordered (x[:, idx]
         # is not), so with every column the products give the bits of
-        # the full form.
-        p = self.features
+        # the full form. active is checked, so "clip" clips nothing; it
+        # lets np.take write into a buffer without a copy of its own.
+        m, p = len(w), self.features
         cls, feat = np.divmod(active, p)
         bounds = np.searchsorted(cls, np.arange(self.classes + 1))
-        phi = np.take(feats, feat, axis=1)
-        z = np.repeat(np.sqrt(w)[:, None] * probs, np.diff(bounds), axis=1)
+        phi, z = (None, None) if scratch is None else \
+            scratch[:2 * m * active.size].reshape(2, m, active.size)
+        phi = np.take(feats, feat, axis=1, out=phi, mode="clip")
+        z = np.take(np.sqrt(w)[:, None] * probs, cls, axis=1, out=z,
+                    mode="clip")
         z *= phi
         hess = z.T @ z
         np.negative(hess, out=hess)
-        wp = w[:, None] * probs
-        for a, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # Z is spent: it takes w_j p_ja phi_j, whose class-a columns give
+        # that class's block (the same products and sums, read in place)
+        np.take(w[:, None] * probs, cls, axis=1, out=z, mode="clip")
+        z *= phi
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             if lo < hi:
-                f = phi[:, lo:hi]
-                hess[lo:hi, lo:hi] += (wp[:, a, None] * f).T @ f
+                hess[lo:hi, lo:hi] += z[:, lo:hi].T @ phi[:, lo:hi]
         hess /= m
         # solve_spd needs exact symmetry, which the GEMMs do not promise
         hess += hess.T
@@ -197,25 +214,45 @@ class LogisticTuneProblem(BilevelProblem):
         if np.ndim(i):
             return self.each_row(self.cross_xy_g_apply, batch, i, x, y, v)
         self.check_dims(x, y)
-        weights, offsets, reg = self._unpack_x(x)
         feats, labels = self._train_slice(i, batch)
-        m = len(labels)
-        vmat = self._weight_matrix(np.asarray(v))
-        probs = _softmax(feats @ self._weight_matrix(y).T + offsets)
+        weights, reg, probs = self._train_probs(x, y, feats)
+        return self._cross_term(feats, labels, weights, probs, reg, y,
+                                np.asarray(v))
+
+    def _cross_term(self, feats, labels, weights, probs, reg, y, v):
+        """(d^2 g/dx dy) @ v from a client's training pass."""
+        m, c = len(labels), self.classes
         resid = probs.copy()
         resid[np.arange(m), labels] -= 1.0
-        vphi = feats @ vmat.T                       # m x C, row j is V phi_j
-
-        out = np.zeros(self.d1)
+        vphi = feats @ self._weight_matrix(v).T     # m x C, row j is V phi_j
+        out = np.empty(self.d1)
         per_sample = np.einsum("jc,jc->j", resid, vphi)
-        np.add.at(out[: self.classes], labels, weights[labels] * per_sample)
-        out[: self.classes] /= m
+        out[:c] = np.bincount(labels, weights[labels] * per_sample, c) / m
         # d(resid_j)/d offset_c' = S_j[:, c']; contract with V phi_j
         s_vphi = probs * (vphi - np.einsum("jc,jc->j", probs, vphi)[:, None])
-        out[self.classes:2 * self.classes] = \
-            (weights[labels][:, None] * s_vphi).sum(axis=0) / m
-        out[-1] = reg * float(y @ np.asarray(v))
+        out[c:2 * c] = (weights[labels][:, None] * s_vphi).sum(axis=0) / m
+        out[-1] = reg * float(y @ v)
         return out
+
+    def aid_term(self, i, x, y, active, v, batch=None):
+        # The base default's blocks, solves and cross terms, each client's
+        # from one training pass; every row's gathers reuse one buffer.
+        one, i, x, y, active, v = self.rows(i, x, y, active, v)
+        for a in active:
+            self.check_active(a)
+        slices = [self._train_slice(c, batch) for c in i]
+        scratch = np.empty(2 * max(len(labels) for _, labels in slices)
+                           * max(a.size for a in active))
+        out = np.empty(x.shape)
+        for r, ((feats, labels), a) in enumerate(zip(slices, active)):
+            weights, reg, probs = self._train_probs(x[r], y[r], feats)
+            hess = self._hessian_block(feats, weights[labels], probs, reg,
+                                       a, scratch)
+            z = np.zeros(self.d2)
+            z[a] = restricted_solver(hess, i[r])(v[r, a])
+            out[r] = self._cross_term(feats, labels, weights, probs, reg,
+                                      y[r], z)
+        return out[0] if one else out
 
     # -- upper level ---------------------------------------------------------------
     def value_f(self, i, x, y, batch=None):

@@ -42,6 +42,7 @@ from rabosim.masking import (
     schedule_period,
 )
 from rabosim.problems import (
+    base,
     derive_constants,
     make_logistic_tune,
     make_quadratic,
@@ -460,14 +461,14 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
         """(block id, transposed) of an A_i, a B_i or a B_i^T, else None."""
         return (id(a), False) if id(a) in blocks else \
             (id(a.base), True) if id(a.base) in blocks else None
-    build, potrs, matvec = hypergrad.spd_solver, linalg.dpotrs, np.matvec
+    build, potrs, matvec = base.spd_solver, linalg.dpotrs, np.matvec
     batch = 2 if noise else 0
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
                     capacities=[capacity] * prob.n,
                     batch_size_f=batch, batch_size_g=batch, log_masks=True)
     state = GlobalState(np.ones(prob.d1), np.zeros(prob.d2), 0)
     with monkeypatch.context() as patch:
-        patch.setattr(hypergrad, "spd_solver",
+        patch.setattr(base, "spd_solver",
                       lambda a: built.append(a.shape) or build(a))
         patch.setattr(linalg, "dpotrs", lambda c, b, **kwargs:
                       solved.append(b.shape) or potrs(c, b, **kwargs))

@@ -7,11 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabosim.cli import build_problem, resolve_config
-from rabosim.errors import DimensionMismatch, InvalidSpec
+from rabosim.errors import (
+    DimensionMismatch,
+    InvalidSpec,
+    SingularRestrictedHessian,
+)
+from rabosim.hypergrad import exact_hypergradient
 from rabosim.problems import (
     BilevelProblem,
     LogisticTuneProblem,
     SampleBatch,
+    logistic,
     make_logistic_tune,
 )
 from tests_support import EPS, implicit_term_bound, logistic_scale
@@ -466,3 +472,90 @@ class TestImplicitTermAccuracy:
         # misses the closed form's tolerance
         assert default_error[1e-6].sum() >= 100 * default_error[1e-3].sum()
         assert default_error[1e-6].max() > tol_at[1e-6]
+
+
+
+class TestAidTerm:
+    """``aid_term``'s logistic override, each client's Hessian block and
+    cross term from one training pass, against the base default, which
+    forms them in separate ``hess_yy_g`` and ``cross_xy_g_apply`` calls."""
+
+    def test_one_training_softmax_per_client(self, monkeypatch):
+        # one exact_aid hypergradient: one _train_slice and one training
+        # softmax per client, besides grad_f_y's validation softmax
+        prob = make_logistic_tune(seed=3, n=3, imbalance_mu=0.7, classes=3,
+                                  features=4, base_count=30)
+        m_train = prob.spec.clients[0].x_train.shape[0]
+        assert m_train != prob.spec.clients[0].x_val.shape[0]
+        slices, softmax_rows = [], []
+        train_slice = LogisticTuneProblem._train_slice
+        softmax = logistic._softmax
+        monkeypatch.setattr(LogisticTuneProblem, "_train_slice",
+                            lambda self, i, batch: slices.append(int(i))
+                            or train_slice(self, i, batch))
+        monkeypatch.setattr(logistic, "_softmax", lambda z: softmax_rows
+                            .append(z.shape[0]) or softmax(z))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((prob.n, prob.d1)) * 0.3
+        y = rng.standard_normal((prob.n, prob.d2)) * 0.3
+        mx, my = np.ones((prob.n, prob.d1)), np.ones((prob.n, prob.d2))
+        my[:, ::3] = 0
+        exact_hypergradient(prob, np.arange(prob.n), x, y, mx, my)
+        assert slices == list(range(prob.n))
+        assert softmax_rows.count(m_train) == prob.n
+        assert len(softmax_rows) == 2 * prob.n
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), classes=st.integers(2, 5),
+           features=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+           kind=st.sampled_from(["noiseless", "subsampled", "full-batch"]))
+    def test_override_equals_default(self, data, classes, features, seed,
+                                     kind):
+        prob = make_logistic_tune(seed=seed, n=3, imbalance_mu=0.8,
+                                  classes=classes, features=features,
+                                  base_count=30)
+        m = prob.spec.clients[0].x_train.shape[0]
+        batch = {"noiseless": None,
+                 "subsampled": SampleBatch(
+                     "g", seed=seed, size=data.draw(st.integers(1, m - 1))),
+                 "full-batch": SampleBatch(
+                     "g", seed=seed,
+                     size=data.draw(st.integers(m, 10 ** 6)))}[kind]
+        # rows in any order, with repeats, each with its own point
+        clients = np.array(data.draw(st.lists(
+            st.integers(0, prob.n - 1), min_size=1, max_size=5)))
+        k = clients.size
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((k, prob.d1)) * 0.5
+        y = rng.standard_normal((k, prob.d2)) * 0.4
+        v = rng.standard_normal((k, prob.d2))
+        every, one = np.arange(prob.d2), st.integers(0, prob.d2 - 1)
+        active = [data.draw(st.one_of(
+            st.just(every), one.map(lambda c: np.array([c])),
+            st.sets(one).map(lambda a: np.array(sorted(a), np.int64))))
+            for _ in range(k)]
+        want = BilevelProblem.aid_term(prob, clients, x, y, active, v, batch)
+        got = LogisticTuneProblem.aid_term(prob, clients, x, y, active, v,
+                                           batch)
+        assert got.shape == (k, prob.d1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(prob.aid_term(
+            clients[0], x[0], y[0], active[0], v[0], batch), want[0])
+
+    def test_singular_block_names_the_lowest_failing_client(self):
+        # a log-regularization of -800 leaves the softmax Hessian alone,
+        # singular on every coordinate, for clients 2 and 3 (rows 1 and 2)
+        prob = make_logistic_tune(seed=0, n=4, classes=3, features=4,
+                                  base_count=30)
+        clients = np.array([1, 2, 3])
+        x, y = np.zeros((3, prob.d1)), np.zeros((3, prob.d2))
+        x[1:, 2 * prob.classes] = -800.0
+        v = np.ones((3, prob.d2))
+        active = [np.arange(prob.d2)] * 3
+        messages = []
+        for aid in (BilevelProblem.aid_term, LogisticTuneProblem.aid_term):
+            with pytest.raises(SingularRestrictedHessian) as err:
+                aid(prob, clients, x, y, active, v)
+            messages.append(str(err.value))
+        assert messages == [f"client 2: restricted inner Hessian is not SPD "
+                            f"({prob.d2} active coordinates)"] * 2

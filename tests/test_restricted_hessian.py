@@ -117,35 +117,40 @@ def test_bad_active_set_raises(family, active):
     x, y = point(prob)
     with pytest.raises(DimensionMismatch, match="active"):
         prob.hess_yy_g(0, x, y, active=np.array(active))
+    with pytest.raises(DimensionMismatch, match="active"):
+        prob.aid_term(0, x, y, np.array(active), y)
 
 
 def test_exact_aid_asks_for_the_active_block_only(monkeypatch):
     """One logistic exact_aid round at capacity 1/2 under magnitude_topk:
-    the round asks for every client's Hessian in one row call, with each
-    client's active set, and every block comes back |a| x |a|, never
-    d2 x d2."""
+    the round makes one ``aid_term`` row call for every client, with each
+    client's active set, and every Hessian block it forms is |a| x |a|,
+    never d2 x d2."""
     prob = make_logistic_tune(seed=4, n=4, imbalance_mu=0.8, classes=4,
                               features=6, base_count=30)
     calls = []
-    hess = LogisticTuneProblem.hess_yy_g
+    aid, block = LogisticTuneProblem.aid_term, \
+        LogisticTuneProblem._hessian_block
 
-    def spy(self, i, x, y, batch=None, active=None):
-        out = hess(self, i, x, y, batch, active=active)
-        if np.ndim(i):   # a row call, not its rows' one-client calls
-            out = list(out)
-            calls.append((list(i), active, out))
+    def spy(self, i, x, y, active, v, batch=None):
+        calls.append((list(i), active, []))
+        return aid(self, i, x, y, active, v, batch)
+
+    def block_spy(self, *args, **kwargs):
+        out = block(self, *args, **kwargs)
+        calls[-1][2].append(out)
         return out
 
-    monkeypatch.setattr(LogisticTuneProblem, "hess_yy_g", spy)
+    monkeypatch.setattr(LogisticTuneProblem, "aid_term", spy)
+    monkeypatch.setattr(LogisticTuneProblem, "_hessian_block", block_spy)
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=EXACT_AID,
                     policy="magnitude_topk",
                     capacities=[Fraction(1, 2)] * prob.n)
     y0 = np.random.default_rng(2).standard_normal(prob.d2)
     rabo_round(prob, GlobalState(np.zeros(prob.d1), y0, 0), cfg)
-    [(clients, actives, pairs)] = calls
+    [(clients, actives, blocks)] = calls
     assert clients == list(range(prob.n))
-    assert [rows for rows, _ in pairs] == [[r] for r in range(prob.n)]
-    for active, (_, block) in zip(actives, pairs, strict=True):
+    for active, hess in zip(actives, blocks, strict=True):
         assert active is not None
         assert 0 < active.size < prob.d2
-        assert block.shape == (active.size, active.size)
+        assert hess.shape == (active.size, active.size)

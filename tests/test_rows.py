@@ -97,8 +97,8 @@ def test_factors_and_products_per_call(monkeypatch, shared):
     prob = problems.QuadraticProblem(s)
     names = {id(a): "A" for a in s.a_mats} | {id(s.b_mats[0]): "B"}
     built, products = [], []
-    build, matvec = hypergrad.spd_solver, np.matvec
-    monkeypatch.setattr(hypergrad, "spd_solver",
+    build, matvec = problems.base.spd_solver, np.matvec
+    monkeypatch.setattr(problems.base, "spd_solver",
                         lambda h: built.append(h.shape) or build(h))
     monkeypatch.setattr(np, "matvec", lambda a, v: products.append(
         (names.get(id(a)) or names[id(a.base)] + "T", len(v))) or matvec(a, v))
