@@ -63,6 +63,7 @@ from .federation import (
     logs_to_csv,
     run,
 )
+from .linalg import one_blas_thread
 from .masking import parse_capacities
 from .problems import logistic, make_logistic_tune, make_quadratic, quadratic
 
@@ -390,8 +391,11 @@ def _aggregate_stats(variants: dict) -> dict:
     return stats
 
 
+@one_blas_thread()
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> SweepResult:
-    """Run the sweep's cartesian product and emit CSV/JSON artifacts.
+    """Run the sweep's cartesian product and emit CSV/JSON artifacts, with
+    BLAS at one thread from the problems' build on
+    (``linalg.one_blas_thread``).
 
     Variants that diverge are recorded in the summary without aborting
     their siblings. Each problem is built once, and under the theory guard

@@ -47,6 +47,7 @@ from .hypergrad import (
     perturbation_size,
     rafbo_hypergradient,
 )
+from .linalg import one_blas_thread
 from .masking import (
     CoverageTracker,
     apply_mask,
@@ -666,8 +667,10 @@ def check_theory_guard(cfg: RunConfig, constants) -> list:
     return notes
 
 
+@one_blas_thread()
 def run(problem, cfg: RunConfig) -> RunResult:
-    """Execute cfg.rounds rounds of the double loop from the initial state."""
+    """Execute cfg.rounds rounds of the double loop from the initial state,
+    with BLAS at one thread (``linalg.one_blas_thread``)."""
     cfg._schedule(problem)   # fits cfg to the problem before x0 is read
     x0, y0 = (np.zeros(d) if v is None else np.array(v, dtype=np.float64)
               for v, d in ((cfg.x0, problem.d1), (cfg.y0, problem.d2)))

@@ -27,8 +27,8 @@ perturbed gradient and none of the difference's rounding of order
 eps ||grad_y g|| ||v|| / mu that ``jacobian_column_fd`` carries. On the
 quadratic family delta_p = -B_i[:, p] - (tau/2)(2 x_p + mu) U_i y, one
 B_i^T v product per distinct row; on the logistic family the terms come
-from one training softmax and one V phi product per client. At a fixed
-BLAS thread count the result is deterministic on both. The orientation
+from one training softmax and one V phi product per client. The result
+is deterministic on both. The orientation
 matters: delta already carries the sign of the inner-optimum response,
 so on problems with unit inner curvature it equals the Jacobian column
 of x -> y*(x) exactly for every step size, and the two estimators

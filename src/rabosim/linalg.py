@@ -15,13 +15,20 @@ compiled extension ``scipy.linalg._flapack``, the module that
 ``scipy.linalg``'s package import never runs; with scipy 1.17.1 on a
 2-vCPU machine that import took about 0.2 s and 17 MB per process. The
 extension's place in the scipy tree was checked on scipy 1.17.1 only.
+
+A product's, a factor's and a triangular solve's bits depend on the
+number of threads OpenBLAS splits them over. ``one_blas_thread`` runs a
+block with every OpenBLAS that numpy and scipy loaded at one thread, so
+the bytes of a run do not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
+from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
@@ -46,6 +53,47 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
+
+
+def _blas_threads() -> list:
+    """(get, set) thread-count functions of each OpenBLAS that numpy and
+    scipy loaded: numpy's ``libscipy_openblas64_``, reached through its
+    multiarray extension, and scipy's ``libscipy_openblas``, through
+    ``_flapack``. A symbol looked up on an extension's handle is also
+    searched for in the libraries it links, so no hashed library file
+    name is needed. A build with another BLAS gives no pair."""
+    pairs = []
+    for path, suffix in ((np._core._multiarray_umath.__file__, "64_"),
+                         (_flapack.__file__, "")):
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+            set_count = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], None
+        pairs.append((get, set_count))
+    return pairs
+
+
+_BLAS_THREADS = _blas_threads()
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS that numpy and scipy loaded at
+    one thread, then give each library back its old count. Where no
+    setter is found (an MKL or Accelerate build), the block runs at the
+    library's own count."""
+    counts = [get() for get, _ in _BLAS_THREADS]
+    for _, set_count in _BLAS_THREADS:
+        set_count(1)
+    try:
+        yield
+    finally:
+        for (_, set_count), count in zip(_BLAS_THREADS, counts):
+            set_count(count)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

@@ -20,7 +20,10 @@ Heterogeneity enters only through per-client offsets of the linear
 targets (c_i, a_i, b_i); curvature blocks are shared: ``make_quadratic``
 holds one read-only A and one B that every client's entry refers to. The
 problem stacks each target list into one read-only (n, d) array, so a
-row call gathers its clients' targets with one index.
+row call gathers its clients' targets with one index. A row call
+multiplies each block's distinct rows with one GEMM, so its rows agree
+with their one-client calls to rounding; a block with a single distinct
+row keeps a GEMV, so a one-client call has the bits of ``A_i @ v``.
 
 Stochastic gradients are the exact gradients plus additive zero-mean
 Gaussian noise scaled by ``noise_f`` / ``noise_g`` and shrunk by
@@ -170,20 +173,38 @@ class QuadraticProblem(BilevelProblem):
     @staticmethod
     def _apply(mats: list, i: np.ndarray, vecs: np.ndarray,
                transpose: bool = False) -> np.ndarray:
-        """Row r is ``mats[i[r]] @ vecs[r]`` (block transposed) with that
-        product's bits, as ``np.matvec`` runs one GEMV per row; a block
-        multiplies each distinct row (by its bytes) once."""
-        first = {}   # (block, row bytes) -> the first row holding them
-        src = [first.setdefault((id(mats[j]), v.tobytes()), r)
-               for r, (j, v) in enumerate(zip(i.tolist(), vecs))]
-        blocks, out = {}, {}
-        for r in first.values():
-            blocks.setdefault(id(mats[i[r]]), []).append(r)
-        for rows in blocks.values():
-            block = mats[i[rows[0]]]
-            out.update(zip(rows, np.matvec(block.T if transpose else block,
-                                           vecs[rows])))
-        return np.array([out[r] for r in src])
+        """Row r is ``mats[i[r]] @ vecs[r]`` (block transposed). A block
+        multiplies its distinct rows (by their bytes) with one GEMM, whose
+        sums agree with each row's GEMV to rounding; a block with one
+        distinct row keeps ``np.matvec``'s GEMV, so a one-client call has
+        the bits of ``mats[i] @ vecs``. The rows are one gather of the
+        distinct rows' products."""
+        def product(block, rows):
+            if len(rows) == 1:
+                return np.matvec(block.T if transpose else block, rows)
+            return np.matmul(rows, block if transpose else block.T)
+
+        first = {}   # (block, row bytes) -> its place among distinct rows
+        src = [first.setdefault((id(mats[j]), v.tobytes()), len(first))
+               for j, v in zip(i.tolist(), vecs)]
+        if len(first) < len(vecs):   # keep each distinct row's first row
+            reps = []
+            for r, place in enumerate(src):
+                if place == len(reps):
+                    reps.append(r)
+            reps = np.array(reps)
+            i, vecs = i[reps], vecs[reps]
+        blocks = {}
+        for place, j in enumerate(i.tolist()):
+            blocks.setdefault(id(mats[j]), []).append(place)
+        if len(blocks) == 1:
+            out = product(mats[i[0]], vecs)
+        else:
+            out = np.empty((len(vecs), mats[i[0]].shape[transpose]))
+            for places in blocks.values():
+                places = np.array(places)
+                out[places] = product(mats[i[places[0]]], vecs[places])
+        return out if len(out) == len(src) else out[np.array(src)]
 
     # -- lower level --------------------------------------------------------
     def value_g(self, i, x, y, batch=None):

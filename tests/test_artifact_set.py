@@ -7,6 +7,7 @@ import numpy as np
 
 from rabosim.cli import build_problem, build_run_config, resolve_config
 from rabosim.federation import GlobalState, rabo_round
+from tests_support import spy_block_products
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "artifact_set.py"
 spec = importlib.util.spec_from_file_location("artifact_set", TOOL)
@@ -35,9 +36,9 @@ def test_sampled_sets_take_one_bt_product_per_client(monkeypatch):
     cfg = resolve_config(artifact_set.SAMPLED_SETS)
     prob = build_problem(cfg.problem)
     b = prob.spec.b_mats[0]
-    products, matvec = [], np.matvec
-    monkeypatch.setattr(np, "matvec", lambda a, v: (
-        a.base is b and products.append(len(v))) or matvec(a, v))
+    products = []
+    spy_block_products(monkeypatch, [b], lambda block, transposed, rows: (
+        transposed and products.append(len(rows))))
     run_cfg = build_run_config(cfg.run, prob.n, 1, "rafbo",
                                cfg.run["capacities"])
     state = GlobalState(np.zeros(prob.d1), np.zeros(prob.d2), 0)

@@ -50,7 +50,13 @@ from rabosim.problems import (
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
 from linear_oracle import outer_minimizer
-from tests_support import one_dim_tracking_problem, partial_tables
+from tests_support import (
+    averaging_round,
+    one_dim_tracking_problem,
+    partial_tables,
+    per_row_products,
+    spy_block_products,
+)
 
 
 def mask_of(bits):
@@ -450,18 +456,13 @@ def one_by_one(fn):
 def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
                  estimator=EXACT_AID, noise=False):
     """Three rounds, with clients as rows or with every round phase called
-    one client at a time; returns ((factorizations, LAPACK ``potrs``
-    calls) per round, each round's bytes of x and y and log, products per
-    round), where products lists each ``np.matvec`` with an A_i, a B_i or
-    a B_i^T as ((block id, transposed), its rows' bytes)."""
+    one client at a time, and with one GEMV per row (``per_row_products``)
+    so that both have each client's bits; returns ((factorizations,
+    LAPACK ``potrs`` calls) per round, each round's bytes of x and y and
+    log, products per round), where products lists each product with an
+    A_i, a B_i or a B_i^T as ((block id, transposed), its rows' bytes)."""
     built, solved, counts, rounds, products = [], [], [], [], []
-    blocks = {id(b) for b in prob.spec.a_mats + prob.spec.b_mats}
-
-    def block_key(a):
-        """(block id, transposed) of an A_i, a B_i or a B_i^T, else None."""
-        return (id(a), False) if id(a) in blocks else \
-            (id(a.base), True) if id(a.base) in blocks else None
-    build, potrs, matvec = base.spd_solver, linalg.dpotrs, np.matvec
+    build, potrs = base.spd_solver, linalg.dpotrs
     batch = 2 if noise else 0
     cfg = RunConfig(alpha=0.05, beta=0.2, inner_epochs=2, estimator=estimator,
                     capacities=[capacity] * prob.n,
@@ -472,9 +473,11 @@ def three_rounds(prob, monkeypatch, rows, capacity=Fraction(1, 2),
                       lambda a: built.append(a.shape) or build(a))
         patch.setattr(linalg, "dpotrs", lambda c, b, **kwargs:
                       solved.append(b.shape) or potrs(c, b, **kwargs))
-        patch.setattr(np, "matvec", lambda a, v: (key := block_key(a)) and
-                      products[-1].append((key, [r.tobytes() for r in v]))
-                      or matvec(a, v))
+        per_row_products(patch)
+        spy_block_products(
+            patch, prob.spec.a_mats + prob.spec.b_mats,
+            lambda block, transposed, v: products[-1].append(
+                ((id(block), transposed), [r.tobytes() for r in v])))
         for name in [] if rows else ["client_inner_loop",
                                      "exact_hypergradient",
                                      "rafbo_hypergradient"]:
@@ -874,50 +877,33 @@ class TestRun:
         assert np.allclose(res_a.final_state.x, res_b.final_state.x, atol=1e-12)
         assert np.allclose(res_a.final_state.y, res_b.final_state.y, atol=1e-12)
 
-    def test_full_mask_reduction_to_simultaneous_averaging(self):
+    def test_full_mask_reduction_to_simultaneous_averaging(self,
+                                                            monkeypatch):
         # all capacities 1: the round must match plain distributed bilevel
         # descent with simultaneous averaging, written without any masking
-        # or coverage machinery
-        from rabosim.linalg import solve_spd
+        # or coverage machinery (tests_support.averaging_round). The run
+        # multiplies a block's rows with one GEMM and the reference one
+        # client at a time, so each round from the reference's state lies
+        # within the reference's rounding bound; with one GEMV per row the
+        # run is the reference bit for bit
         prob = make_quadratic(seed=22, n=4, d1=5, d2=5, hetero=0.4, lam=0.6,
                               eig_min=0.8, eig_max=1.6)
         alpha, beta, epochs, rounds = 0.03, 0.25, 2, 30
-
-        x = np.full(5, 1.2)
-        y = np.zeros(5)
-        reference = []
-        for _ in range(rounds):
-            deltas = []
-            for i in range(4):
-                yi = y.copy()
-                for _ in range(epochs):
-                    yi = yi - beta * prob.grad_g_y(i, x, yi)
-                deltas.append((y - yi) / beta)
-            mean_delta = np.zeros(5)
-            for d in deltas:            # fixed client-order reduction
-                mean_delta += d
-            mean_delta /= 4
-            y = y - beta * mean_delta
-            hypers = []
-            for i in range(4):
-                gfy = prob.grad_f_y(i, x, y)
-                z = solve_spd(prob.hess_yy_g(i, x, y), gfy)
-                hypers.append(prob.grad_f_x(i, x, y)
-                              - prob.cross_xy_g_apply(i, x, y, z))
-            mean_h = np.zeros(5)
-            for h in hypers:
-                mean_h += h
-            mean_h /= 4
-            x = x - alpha * mean_h
-            reference.append((x.copy(), y.copy()))
-
         cfg = RunConfig(alpha=alpha, beta=beta, inner_epochs=epochs,
                         rounds=rounds, capacities=full_caps(4), seed=0,
                         x0=np.full(5, 1.2), y0=np.zeros(5))
+
+        x, y = np.full(5, 1.2), np.zeros(5)
+        for q in range(rounds):
+            state, _ = rabo_round(prob, GlobalState(x, y, q), cfg)
+            x, y, err_x, err_y = averaging_round(prob, x, y, alpha, beta,
+                                                 epochs)
+            assert np.all(np.abs(state.x - x) <= err_x)
+            assert np.all(np.abs(state.y - y) <= err_y)
+        per_row_products(monkeypatch)
         res = run(prob, cfg)
-        rx, ry = reference[-1]
-        assert np.array_equal(res.final_state.x, rx)
-        assert np.array_equal(res.final_state.y, ry)
+        assert np.array_equal(res.final_state.x, x)
+        assert np.array_equal(res.final_state.y, y)
 
     def test_inner_contraction(self):
         # frozen x, full masks, identical clients, beta = 1/(2 l_g1):

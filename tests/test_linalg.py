@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabosim
+from rabosim import linalg
 from rabosim.errors import DimensionMismatch, NonFiniteValue, NotPositiveDefinite
 from rabosim.linalg import (
+    one_blas_thread,
     solve_spd,
     spd_solver,
     spectral_bounds,
@@ -214,6 +217,57 @@ def test_round_leaves_scipy_linalg_unimported():
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+class TestOneBlasThread:
+    def test_pins_every_openblas_and_restores_its_count(self):
+        # numpy's and scipy's OpenBLAS are both found, run the block at one
+        # thread and get their own count back, also after an error
+        pairs = linalg._BLAS_THREADS
+        assert len(pairs) == 2
+        before = [get() for get, _ in pairs]
+        try:
+            for _, set_count in pairs:
+                set_count(2)
+            with pytest.raises(ZeroDivisionError):
+                with one_blas_thread():
+                    assert [get() for get, _ in pairs] == [1, 1]
+                    with one_blas_thread():
+                        pass
+                    assert [get() for get, _ in pairs] == [1, 1]
+                    1 / 0
+            assert [get() for get, _ in pairs] == [2, 2]
+        finally:
+            for (_, set_count), count in zip(pairs, before):
+                set_count(count)
+
+    def test_run_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # exact_aid on 8 clients with full 256 x 256 inner blocks: OpenBLAS
+        # splits their factorizations and the round's products over the
+        # threads it is given, and without the pin the runs at 1 and at 2
+        # threads differ in rounds.csv and summary.json
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "problem": {"family": "quadratic", "n": 8, "d1": 256,
+                        "d2": 256, "hetero": 0.3, "eig_min": 0.8,
+                        "eig_max": 1.6},
+            "run": {"rounds": 3},
+            "sweep": {"seeds": [0], "estimators": ["exact_aid"],
+                      "capacities": ["1", "1/2"]}}))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(rabosim.__file__).parents[1]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "rabosim.cli", "run", str(config),
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append({str(f.relative_to(out)): f.read_bytes()
+                         for f in sorted(out.rglob("*")) if f.is_file()})
+        assert len(outs[0]) == 4   # config echo, summary, two rounds.csv
+        assert outs[0] == outs[1]
 
 
 class TestSpectralBounds:

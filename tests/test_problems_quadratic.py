@@ -30,7 +30,13 @@ from rabosim.problems import (
 from rabosim.problems.quadratic import QuadraticProblem, QuadraticSpec
 from rabosim.rng import RngStream
 from linear_oracle import outer_minimizer
-from tests_support import EPS, bits, signed_zeros
+from tests_support import (
+    EPS,
+    bits,
+    implicit_row_bound,
+    per_row_products,
+    signed_zeros,
+)
 
 
 def one_dim_problem(lam=0.0):
@@ -172,7 +178,13 @@ class TestSharedBlocks:
         assert held <= bound
 
     @pytest.mark.parametrize("estimator", [EXACT_AID, RAFBO])
-    def test_aliases_and_copies_give_same_rounds_csv(self, estimator):
+    def test_aliases_and_copies_give_same_rounds_csv(self, estimator,
+                                                     monkeypatch):
+        # an aliased block multiplies its clients' rows with one GEMM and
+        # each copy its client's row with one GEMV; with one GEMV per row
+        # (per_row_products) the runs are the same bytes, and the products'
+        # rounding is bounded in tests/test_rows.py
+        per_row_products(monkeypatch)
         aliased = make_quadratic(seed=29, n=3, d1=6, d2=5, hetero=0.4,
                                  noise_f=0.2, noise_g=0.2,
                                  eig_min=0.7, eig_max=1.5, quartic=0.1)
@@ -752,8 +764,10 @@ class TestImplicitTerm:
         for r in range(prob.n):
             assert np.array_equal(noisy[r], clean[r])
             if not quartic:
+                # the call's GEMM over B's rows against one GEMV
                 want = -(prob.spec.b_mats[r].T @ v[r])[coords[r]]
-                assert np.array_equal(clean[r], want)
+                assert np.all(np.abs(clean[r] - want) <= implicit_row_bound(
+                    prob, r, x[r], y[r], coords[r], 1e-3, v[r]))
 
     @pytest.mark.parametrize("kwargs,batch", [
         ({}, None),
@@ -947,3 +961,63 @@ class TestRowForms:
             else:
                 got, want = prob.grad_g_y(ids, x, y, batch), want[..., :d2]
             assert np.array_equal(bits(got), bits(want))
+
+
+class TestRowProducts:
+    """A row call multiplies each block's distinct rows with one GEMM, and
+    a block that holds one distinct row with ``np.matvec``'s GEMV."""
+
+    @staticmethod
+    def call(transpose):
+        """Three blocks of a client each and one shared by four rows, of
+        which rows 1 and 5 are equal; returns (mats, i, vecs)."""
+        rng = np.random.default_rng(17)
+        own = [rng.standard_normal((23, 37)) for _ in range(3)]
+        mats = own + [rng.standard_normal((23, 37))] * 3
+        i = np.array([0, 3, 1, 4, 2, 5, 3])
+        vecs = rng.standard_normal((7, 23 if transpose else 37))
+        vecs[5] = vecs[1]
+        return mats, i, vecs
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_row_block_has_matvec_bits(self, transpose):
+        # the shared block's rows all equal row 1: one distinct row, as
+        # are the three blocks of one client each
+        mats, i, vecs = self.call(transpose)
+        vecs[[3, 5, 6]] = vecs[1]
+        got = QuadraticProblem._apply(mats, i, vecs, transpose)
+        for r, j in enumerate(i):
+            m = mats[j].T if transpose else mats[j]
+            assert got[r].tobytes() == np.matvec(m, vecs[r]).tobytes()
+            one = QuadraticProblem._apply(mats, i[r:r + 1], vecs[r:r + 1],
+                                          transpose)
+            assert one[0].tobytes() == got[r].tobytes()
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_distinct_rows_take_one_gemm(self, transpose):
+        # the shared block's distinct rows 1, 3 and 6 (row 5 repeats row
+        # 1) are one GEMM's rows, within the GEMV's rounding of each
+        mats, i, vecs = self.call(transpose)
+        got = QuadraticProblem._apply(mats, i, vecs, transpose)
+        m = mats[3].T if transpose else mats[3]
+        gemm = np.matmul(vecs[[1, 3, 6]], m.T)
+        assert got[[1, 3, 6, 5]].tobytes() == gemm[[0, 1, 2, 0]].tobytes()
+        bound = 2 * (37 + 4) * EPS * (np.abs(vecs[[1, 3, 6]]) @ np.abs(m.T))
+        assert np.all(np.abs(gemm - np.matvec(m, vecs[[1, 3, 6]])) <= bound)
+
+    def test_repeated_calls_are_bit_identical(self):
+        prob = make_quadratic(seed=8, n=8, d1=64, d2=48, hetero=0.4,
+                              noise_g=0.3, eig_min=0.6, eig_max=1.7,
+                              quartic=0.2)
+        i, x, y, coords, batch = rolling_call(prob, noise=True)
+        v = np.random.default_rng(2).standard_normal((prob.n, prob.d2))
+
+        def calls():
+            return [prob.grad_g_y(i, x, y, batch),
+                    prob.cross_xy_g_apply(i, x, y, v, batch),
+                    *prob.implicit_term(i, x, y, coords, 1e-3, v, batch)]
+
+        first = calls()
+        for _ in range(3):
+            assert [a.tobytes() for a in calls()] \
+                == [a.tobytes() for a in first]

@@ -1,5 +1,6 @@
-"""Clients are rows: a call over k clients gives the bits and failures of
-its rows' one-client calls, and shares work where rows share structure."""
+"""Clients are rows: a call over k clients gives the failures of its rows'
+one-client calls and their bits, but for the rounding of the quadratic
+family's products, and shares work where rows share structure."""
 
 from dataclasses import replace
 from functools import partial
@@ -14,6 +15,13 @@ from rabosim.errors import DivergenceDetected, SingularRestrictedHessian
 from rabosim.federation import GlobalState, RunConfig, rabo_round
 from rabosim.federation import client_inner_loop as inner_loop
 from rabosim.rng import RngStream
+from tests_support import (
+    cross_row_bound,
+    grad_g_y_row_bound,
+    implicit_row_bound,
+    per_row_products,
+    spy_block_products,
+)
 
 
 @st.composite
@@ -58,9 +66,10 @@ def test_row_calls_equal_one_client_calls(data, prob):
     epochs = data.draw(st.sampled_from([None, [bg, None]]))
     active, coords = ([np.flatnonzero(m) for m in ms] for ms in (my, mx))
 
-    def check(call, *args, rows=None):
+    def check(call, *args, rows=None, bound=None):
         """call(ids, *args) against call(ids[r], *row r of each args): a
-        batch, or the inner loop's list of one per epoch, is the call's."""
+        batch, or the inner loop's list of one per epoch, is the call's;
+        ``bound(r)``, if given, bounds row r's difference entrywise."""
         got = list(call(ids, *args) if rows is None else rows)
         assert len(got) == k
         for r, c in enumerate(ids):
@@ -68,22 +77,51 @@ def test_row_calls_equal_one_client_calls(data, prob):
                              and a is not epochs else a for a in args))
             for g, w in zip(*(v if isinstance(v, tuple) else (v,)
                               for v in (got[r], want)), strict=True):
-                assert np.array_equal(g, w)
+                if bound is None:
+                    assert np.array_equal(g, w)
+                else:
+                    assert np.all(np.abs(g - w) <= bound(r))
 
-    for callback in (prob.grad_f_x, prob.grad_f_y):
-        check(callback, x, y, bf)
-    check(prob.grad_g_y, x, y, bg)
-    check(prob.cross_xy_g_apply, x, y, v, bg)
-    blocks = {r: b for rows, b in prob.hess_yy_g(ids, x, y, bg, active)
-              for r in rows}
-    check(prob.hess_yy_g, x, y, bg, active, rows=map(blocks.get, range(k)))
-    check(prob.implicit_term, x, y, coords, 0.1, v, bg)
-    loop = partial(inner_loop, prob)
-    check(loop, x, y, my, 0.1, 2, epochs,
-          rows=zip(*loop(ids, x, y, my, 0.1, 2, epochs)))
-    check(partial(hypergrad.exact_hypergradient, prob), x, y, mx, my, bf, bg)
-    check(partial(hypergrad.rafbo_hypergradient, prob), x, y, mx, my, 1e-3,
-          0.5, bf, bg, [RngStream(5, int(c), 2, "p") for c in ids])
+    def check_calls(bounded):
+        """Every callback and round phase; ``bounded``: the products'
+        callbacks within their bounds, and no round phase."""
+        def bound(row_bound, *args):
+            return (lambda r: row_bound(prob, ids[r], *(
+                a[r] if isinstance(a, (list, np.ndarray)) else a
+                for a in args))) if bounded else None
+
+        for callback in (prob.grad_f_x, prob.grad_f_y):
+            check(callback, x, y, bf)
+        check(prob.grad_g_y, x, y, bg, bound=bound(
+            lambda p, c, xr, yr: grad_g_y_row_bound(p, c, xr, yr, bg)[0],
+            x, y))
+        check(prob.cross_xy_g_apply, x, y, v, bg,
+              bound=bound(cross_row_bound, x, y, v))
+        blocks = {r: b for rows, b in prob.hess_yy_g(ids, x, y, bg, active)
+                  for r in rows}
+        check(prob.hess_yy_g, x, y, bg, active,
+              rows=map(blocks.get, range(k)))
+        check(prob.implicit_term, x, y, coords, 0.1, v, bg,
+              bound=bound(implicit_row_bound, x, y, coords, 0.1, v))
+        if bounded:
+            return
+        loop = partial(inner_loop, prob)
+        check(loop, x, y, my, 0.1, 2, epochs,
+              rows=zip(*loop(ids, x, y, my, 0.1, 2, epochs)))
+        check(partial(hypergrad.exact_hypergradient, prob), x, y, mx, my,
+              bf, bg)
+        check(partial(hypergrad.rafbo_hypergradient, prob), x, y, mx, my,
+              1e-3, 0.5, bf, bg, [RngStream(5, int(c), 2, "p") for c in ids])
+
+    # a quadratic block multiplies its rows with one GEMM, and its
+    # one-client calls with one GEMV each: the products' rows agree
+    # within their rounding bounds, and with one GEMV per row every call
+    # has its rows' one-client bits
+    if isinstance(prob, problems.QuadraticProblem):
+        check_calls(bounded=True)
+    with pytest.MonkeyPatch.context() as patch:
+        per_row_products(patch)
+        check_calls(bounded=False)
 
 
 @pytest.mark.parametrize("shared", [True, False])
@@ -97,11 +135,12 @@ def test_factors_and_products_per_call(monkeypatch, shared):
     prob = problems.QuadraticProblem(s)
     names = {id(a): "A" for a in s.a_mats} | {id(s.b_mats[0]): "B"}
     built, products = [], []
-    build, matvec = problems.base.spd_solver, np.matvec
+    build = problems.base.spd_solver
     monkeypatch.setattr(problems.base, "spd_solver",
                         lambda h: built.append(h.shape) or build(h))
-    monkeypatch.setattr(np, "matvec", lambda a, v: products.append(
-        (names.get(id(a)) or names[id(a.base)] + "T", len(v))) or matvec(a, v))
+    spy_block_products(monkeypatch, s.a_mats + s.b_mats[:1],
+                       lambda block, transposed, rows: products.append(
+                           (names[id(block)] + "T" * transposed, len(rows))))
     rabo_round(prob, GlobalState(np.ones(8), np.zeros(8), 0),
                RunConfig(inner_epochs=2, capacities="1/2"))
     # one factor per window's active set of the shared A

@@ -146,6 +146,147 @@ def implicit_term_bound(prob, i, x, y, coords, mu, v, batch=None):
         + (2 * prob.d2 + 8) * EPS * (np.abs(deltas) @ np.abs(v))
 
 
+def _product_bound(prob, i, y, v, factor, coords=slice(None)):
+    """2 (max(d1, d2) + 4) eps ((|B_i|^T |v|)[coords] + 2 factor
+    (|y| . |U_i| |v|)): how far two evaluation orders of (B_i^T v)[coords]
+    + factor <y, U_i v> may differ. Each order sums B_i^T v within
+    (d + 4) eps of its absolute terms; <y, U_i v> rounds twice, once in
+    U_i v and once in the dot product, so its part counts twice."""
+    s = prob.spec
+    terms = (np.abs(v) @ np.abs(s.b_mats[i]))[coords]
+    if s.quartic:
+        terms = terms + 2 * factor * float(
+            np.abs(y) @ (np.abs(s.u_mats[i]) @ np.abs(v)))
+    return 2 * (max(prob.d1, prob.d2) + 4) * EPS * terms
+
+
+def cross_row_bound(prob, i, x, y, v):
+    """Entrywise bound on how far two evaluation orders of the quadratic
+    ``cross_xy_g_apply`` row B_i^T v + tau <y, U_i v> x may differ: a
+    GEMM over a block's rows and one GEMV per row sum the same products
+    in different orders."""
+    return _product_bound(prob, i, y, v, prob.spec.quartic * np.abs(x))
+
+
+def implicit_row_bound(prob, i, x, y, coords, mu, v):
+    """``cross_row_bound`` for the quadratic ``implicit_term`` row
+    -(B_i^T v)[coords] - (tau/2)(2 x_coords + mu) <U_i y, v>; U_i is
+    symmetric, so <U_i y, v> has the terms of <y, U_i v>."""
+    return _product_bound(prob, i, y, v, (prob.spec.quartic / 2.0)
+                          * np.abs(2.0 * x[coords] + mu), coords)
+
+
+def averaging_round(prob, x, y, alpha, beta, epochs):
+    """One round of plain distributed bilevel descent with simultaneous
+    averaging, written without any masking or coverage machinery, on a
+    noiseless quadratic problem without the quartic term, and how far a
+    round from the same (x, y) may lie from it when its products sum in
+    other orders: returns (x', y', bound on |x' - run's x'|, bound on
+    |y' - run's y'|).
+
+    Each client runs ``epochs`` gradient steps on y from y, and y moves
+    by the clients' mean step; each client's hypergradient at the new y
+    solves its inner Hessian A_i, and x moves by their mean. The bound
+    follows each value to first order in eps: a product carries
+    ``grad_g_y_row_bound`` or ``cross_row_bound``, and what it is handed
+    differs by the bound so far, which |A_i|, |A_i^-1| and |B_i|^T pass
+    on. Cholesky solves of H z = b round z by at most
+    (3 d2 + 1) (eps / 2) |H^-1| |L| |L^T| |z| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm. 10.4), so two of them differ
+    by twice that; each subtraction, scaling and mean of n rounds its
+    result once more, so it adds eps (or (n + 1) eps for a mean) of the
+    absolute terms for each of the two evaluations.
+    """
+    from rabosim.linalg import solve_spd
+
+    s, n = prob.spec, prob.n
+    assert not s.quartic and not s.noise_g and not s.noise_f
+    deltas, err_deltas = [], []
+    for i in range(n):
+        yi, err = y.copy(), np.zeros_like(y)
+        for _ in range(epochs):
+            grad = prob.grad_g_y(i, x, yi)
+            err_grad = np.abs(s.a_mats[i]) @ err \
+                + grad_g_y_row_bound(prob, i, x, yi)[0]
+            yi = yi - beta * grad
+            err = err + beta * err_grad \
+                + 2 * EPS * (beta * np.abs(grad) + np.abs(yi))
+        deltas.append((y - yi) / beta)
+        err_deltas.append(err / beta + 2 * EPS * np.abs(deltas[-1]))
+
+    def mean(values, errs):
+        total = np.zeros_like(values[0])
+        for v in values:            # fixed client-order reduction
+            total += v
+        return total / n, (sum(errs) + 2 * (n + 1) * EPS * sum(
+            np.abs(v) for v in values)) / n
+
+    mean_delta, err_mean = mean(deltas, err_deltas)
+    y_next = y - beta * mean_delta
+    err_y = beta * err_mean + 2 * EPS * (beta * np.abs(mean_delta)
+                                         + np.abs(y_next))
+    hypers, err_hypers = [], []
+    for i in range(n):
+        gfy = prob.grad_f_y(i, x, y_next)
+        h = prob.hess_yy_g(i, x, y_next)
+        z = solve_spd(h, gfy)
+        inv, chol = np.abs(np.linalg.inv(h)), np.abs(np.linalg.cholesky(h))
+        err_z = inv @ (err_y + 2 * EPS * np.abs(gfy)) \
+            + (3 * prob.d2 + 1) * EPS * inv @ (chol @ (chol.T @ np.abs(z)))
+        hypers.append(prob.grad_f_x(i, x, y_next)
+                      - prob.cross_xy_g_apply(i, x, y_next, z))
+        err_hypers.append(err_z @ np.abs(s.b_mats[i])
+                          + cross_row_bound(prob, i, x, y_next, z)
+                          + 2 * EPS * np.abs(hypers[-1]))
+    mean_h, err_h = mean(hypers, err_hypers)
+    x_next = x - alpha * mean_h
+    err_x = alpha * err_h + 2 * EPS * (alpha * np.abs(mean_h)
+                                       + np.abs(x_next))
+    return x_next, y_next, err_x, err_y
+
+
+def per_row_products(monkeypatch):
+    """Make a product over several rows one GEMV per row: ``np.matmul(v,
+    m)`` becomes ``np.matvec(m.T, v)``, the product of each row of v that a
+    one-row call takes. Under it a row call has its rows' one-client
+    bits, so a test can check what calls rows share apart from rounding.
+    A ``spy_block_products`` set up after it sees each product once."""
+    matvec = np.matvec
+    monkeypatch.setattr(np, "matmul", lambda v, m: matvec(m.T, v))
+
+
+def spy_block_products(monkeypatch, blocks, record):
+    """Call ``record(block, transposed, rows)`` for each product of one of
+    ``blocks`` (or its transpose) with a stack of rows: the quadratic
+    family gives a block's distinct rows to one ``np.matmul(rows,
+    block.T)`` (``np.matmul(rows, block)`` transposed), or a single one to
+    ``np.matvec(block, rows)`` (``np.matvec(block.T, rows)``)."""
+    matvec, matmul = np.matvec, np.matmul
+
+    def find(m, transposed):
+        for b in blocks:
+            if m is b:
+                return b, transposed
+            if m.base is b:
+                return b, not transposed
+        return None, None
+
+    def spy_matvec(m, rows):
+        block, transposed = find(m, False)
+        if block is not None:
+            record(block, transposed, rows)
+        return matvec(m, rows)
+
+    def spy_matmul(rows, m):
+        block, transposed = find(m, True)
+        if block is not None:
+            record(block, transposed, rows)
+        return matmul(rows, m)
+
+    monkeypatch.setattr(np, "matvec", spy_matvec)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+
+
 def full_hessian_reference(prob, i, x, y, batch=None):
     """The full d2 x d2 ``hess_yy_g`` of either family, transcribed from
     the code that formed every entry before ``active`` existed.

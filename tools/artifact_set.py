@@ -17,8 +17,10 @@ Runs, with rabosim imported from this checkout's ``src/``:
 - ``ONE_OUTER`` below into ``OUT/one_outer``;
 - ``LOGISTIC_BATCHES`` below into ``OUT/logistic_batches``.
 
-BLAS is pinned to one thread before numpy is imported, because artifact
-bytes depend on the thread count. Two checkouts' sets are then compared
+Each run sets BLAS to one thread for its length
+(``rabosim.linalg.one_blas_thread``), so the set does not depend on
+``OPENBLAS_NUM_THREADS``; run it with ``OPENBLAS_NUM_THREADS=1`` on a
+checkout older than that pin. Two checkouts' sets are then compared
 with ``diff -r`` (bytes) or ``tools/compare_artifacts.py`` (the largest
 relative difference per column or key). Exits 3 if a variant diverged.
 """
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -178,10 +179,6 @@ def main(argv=None) -> int:
     if len(args) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
-    # before rabosim imports numpy; a caller that imported it already
-    # keeps its own thread count
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
     sys.path.insert(0, str(ROOT / "src"))
     from rabosim.cli import resolve_config, run_experiment
 
